@@ -22,17 +22,11 @@ accepts a parameter spec (``ThreadedService.add_keypair``, client
 such as ``ParamId("newhope", "newhope1024")``, a registered params
 object (``LAC_128``, ``NEWHOPE_1024``), a bare name (``"lac-256"``)
 or a wire id all work.  Bare ``LacParams`` values keep working
-unchanged — they resolve to the registered LAC scheme — and the old
-LAC-only protocol helpers (``id_for_params``/``params_for_id``) remain
-importable as ``DeprecationWarning`` shims.
+unchanged — they resolve to the registered LAC scheme.
 
-Everything re-exported here is covered by the deprecation policy in
-``docs/SERVICE.md``: names stay importable from this module across
-minor versions, and behavior changes are announced with a
-``DeprecationWarning`` for at least one release first.  Internal
-modules (``repro.serve.server``, ``repro.backend.base``, …) remain
-importable but are *not* part of the stable surface — prefer this
-facade in application code, as ``examples/kem_service.py`` does.
+Internal modules (``repro.serve.server``, ``repro.backend.base``, …)
+remain importable but are *not* part of the stable surface — prefer
+this facade in application code, as ``examples/kem_service.py`` does.
 """
 
 from repro.backend import (

@@ -7,7 +7,7 @@ four implementations:
 ============  =========================================================
 ``inline``    :class:`InlineBackend` — synchronous, caller's thread
 ``thread``    :class:`ThreadBackend` — pool threads (the default;
-              behavior-identical to the old ``shared_executor()`` path)
+              one process-wide pool, ``default_thread_backend()``)
 ``process``   :class:`ProcessBackend` — supervised worker processes
               (GIL-free, per-worker warmup, bounded crash restart)
 ``cosim``     :class:`CosimBackend` — the simulated ISE core: annotated

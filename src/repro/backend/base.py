@@ -9,7 +9,7 @@ benchmarks never hard-wire a particular pool again:
 * :class:`repro.backend.InlineBackend` — synchronous, in the caller's
   thread (tests, cycle-model paths, debugging);
 * :class:`repro.backend.ThreadBackend` — a thread pool (the default;
-  behavior-identical to the pre-backend ``shared_executor()`` path);
+  one process-wide pool, see ``default_thread_backend()``);
 * :class:`repro.backend.ProcessBackend` — a supervised process pool
   (GIL-free parallelism; workers warm their own GF/ring tables, crash
   detection with bounded restart);

@@ -1,14 +1,12 @@
 """The thread-pool backend (the default) and the process-wide default.
 
 One submitted batch runs on one pool thread — the numpy/hashlib
-kernels drop the GIL there, so neighbouring batches overlap — exactly
-the execution model the serving layer had when it reached into
-``repro.batch.shared_executor()`` directly.  :class:`ThreadBackend`
-wraps that model behind the :class:`~repro.backend.base.KemBackend`
-contract; :func:`default_thread_backend` is the process-wide shared
-instance that replaces the old module-global executor (reuse matters:
-spawning a pool per call costs more than the fan-out saves, which
-``benchmarks/bench_throughput.py`` records as
+kernels drop the GIL there, so neighbouring batches overlap.
+:class:`ThreadBackend` wraps that model behind the
+:class:`~repro.backend.base.KemBackend` contract;
+:func:`default_thread_backend` is the process-wide shared instance
+(reuse matters: spawning a pool per call costs more than the fan-out
+saves, which ``benchmarks/bench_throughput.py`` records as
 ``executor_reuse_speedup``).
 
 ``fan_out=N`` additionally splits each submitted batch across ``N``
@@ -248,8 +246,7 @@ _default_backend_lock = threading.Lock()
 def default_thread_backend() -> ThreadBackend:
     """The process-wide shared :class:`ThreadBackend` (created lazily).
 
-    The successor of ``repro.batch.shared_executor()``: one pool of
-    :data:`DEFAULT_THREAD_WORKERS` threads, reused by every
+    One pool of :data:`DEFAULT_THREAD_WORKERS` threads, reused by every
     ``workers=N`` batch call and every service that does not configure
     its own backend.  Its :meth:`~ThreadBackend.close` is a no-op.
     """

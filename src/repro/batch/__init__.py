@@ -13,7 +13,6 @@ from repro.batch.kem import (
     decaps_many,
     encaps_many,
     key_fingerprints,
-    shared_executor,
     warm_cache,
 )
 from repro.batch.sampling import (
@@ -29,7 +28,6 @@ __all__ = [
     "encaps_many",
     "decaps_many",
     "key_fingerprints",
-    "shared_executor",
     "warm_cache",
     "gen_a_vec",
     "sample_secret_and_error_vec",

@@ -32,10 +32,8 @@ multi-process one).
 
 from __future__ import annotations
 
-import os
 import secrets
-import warnings
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import Executor
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -276,35 +274,6 @@ def _decaps_chunk(
             # implicit rejection, exactly as the scalar FO transform
             shared.append(_hash3(keys.z, ct_digest, b"reject"))
     return shared
-
-
-#: Thread count of the shared default pool.  Capped: the kernels are
-#: memory-bandwidth-bound well before 32 threads.  (Kept as an alias of
-#: :data:`repro.backend.DEFAULT_THREAD_WORKERS` for old imports.)
-SHARED_EXECUTOR_WORKERS = min(32, (os.cpu_count() or 4))
-
-
-def shared_executor() -> ThreadPoolExecutor:
-    """Deprecated: the pool of the shared default thread backend.
-
-    .. deprecated::
-        The process-wide pool now lives behind
-        :func:`repro.backend.default_thread_backend`; use that (or pass
-        ``backend=``/``executor=`` explicitly).  This shim returns the
-        same underlying pool the default backend dispatches onto, so
-        legacy callers keep sharing threads with everyone else.
-    """
-    warnings.warn(
-        "repro.batch.shared_executor() is deprecated; use "
-        "repro.backend.default_thread_backend() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.backend.thread import default_thread_backend
-
-    executor = default_thread_backend().executor
-    assert isinstance(executor, ThreadPoolExecutor)
-    return executor
 
 
 def _fan_out(chunk_fn, items, workers, executor: Executor | None = None):

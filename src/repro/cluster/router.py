@@ -54,13 +54,11 @@ from __future__ import annotations
 import asyncio
 import json
 import secrets
-import socket
-import threading
 import time
 from collections import Counter
 from collections.abc import Awaitable, Callable, Coroutine
 from dataclasses import dataclass, field
-from typing import Any, TypeVar
+from typing import Any
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.member import LocalMember, MemberHandle, ProcessMember
@@ -83,28 +81,26 @@ from repro.faults.plan import (
 )
 from repro.schemes import wire_id_for_params
 from repro.serve.client import AsyncKemClient
-from repro.serve.metrics import ServiceMetrics
 from repro.serve.protocol import (
     PARAM_NONE,
     Frame,
-    FrameReader,
-    FrameWriter,
     Op,
     Status,
     pack_key_id,
     params_for_wire_id,
-    read_frame,
     unpack_key_id,
     unpack_keygen_response,
-    write_frame,
 )
+from repro.serve.server import FrameServer, LoopThreadHost
 from repro.trace import NULL_TRACER, TraceContext, Tracer
 
 __all__ = ["ClusterRouter", "ThreadedCluster"]
 
 _Respond = Callable[[Frame], Awaitable[None]]
 
-_T = TypeVar("_T")
+#: ``(trace id, router.request span id)`` of one routed request — minted
+#: once per request so its root span and every forward span agree.
+_TraceIds = tuple[int, int]
 
 #: Forward failures that mean the *member connection* (not the
 #: request) is the problem — failover-eligible for idempotent ops.
@@ -134,12 +130,13 @@ class _MemberState:
     in_ring: bool = True
 
 
-class ClusterRouter:
+class ClusterRouter(FrameServer):
     """An async router sharding hosted keys across member KemServices.
 
     Construct with a :class:`~repro.cluster.ClusterConfig`, ``await
     start()`` (spawns the members), attach transports (``serve_tcp`` /
-    ``connect`` / ``connect_socket`` — same surface as
+    ``connect`` / ``connect_socket`` — the
+    :class:`repro.serve.server.FrameServer` shell it shares with
     :class:`repro.serve.KemService`), ``await shutdown()``.
 
     ``clock`` / ``fault_plan`` / ``tracer`` mirror the service
@@ -155,12 +152,11 @@ class ClusterRouter:
         fault_plan: FaultPlan | None = None,
         tracer: Tracer | None = None,
     ) -> None:
+        super().__init__(fault_plan)
         self.config = config if config is not None else ClusterConfig()
-        self.metrics = ServiceMetrics()
         #: Cluster-level event counters (ejections, failovers, …);
         #: exported under ``INFO``'s ``cluster.counters``.
         self.counters: Counter[str] = Counter()
-        self.fault_plan = fault_plan
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._clock = clock
         self._ring = HashRing(virtual_nodes=self.config.virtual_nodes)
@@ -176,9 +172,6 @@ class ClusterRouter:
         self._health_task: asyncio.Task[None] | None = None
         self._health_wake: asyncio.Event | None = None
         self._inflight: set[asyncio.Task[None]] = set()
-        self._conn_tasks: set[asyncio.Task[None]] = set()
-        self._writers: set[FrameWriter] = set()
-        self._tcp_servers: list[asyncio.base_events.Server] = []
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -237,15 +230,7 @@ class ClusterRouter:
                 for state in self._members.values()
             ]
         )
-        for server in self._tcp_servers:
-            server.close()
-            await server.wait_closed()
-        for writer in list(self._writers):
-            writer.close()
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+        await self._close_transports()
         self._started = False
 
     @property
@@ -263,94 +248,10 @@ class ClusterRouter:
         return {gid: dict(key.placements) for gid, key in self._keys.items()}
 
     # ------------------------------------------------------------------
-    # transports (same surface as KemService)
-    # ------------------------------------------------------------------
-
-    async def serve_tcp(
-        self, host: str = "127.0.0.1", port: int = 0
-    ) -> asyncio.base_events.Server:
-        """Listen on TCP; returns the ``asyncio.Server`` (``port 0`` = ephemeral)."""
-        server = await asyncio.start_server(self._on_connection, host, port)
-        self._tcp_servers.append(server)
-        return server
-
-    async def connect(
-        self,
-    ) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-        """Open an in-process connection (socketpair); returns client streams."""
-        client_sock = await self.connect_socket()
-        return await asyncio.open_connection(sock=client_sock)
-
-    async def connect_socket(self) -> socket.socket:
-        """Open an in-process connection; returns the client's raw socket."""
-        server_sock, client_sock = socket.socketpair()
-        reader, writer = await asyncio.open_connection(sock=server_sock)
-        task = asyncio.create_task(self._handle_connection(reader, writer))
-        self._conn_tasks.add(task)
-        task.add_done_callback(self._conn_tasks.discard)
-        return client_sock
-
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        await self._handle_connection(reader, writer)
-
-    # ------------------------------------------------------------------
     # request path
     # ------------------------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: FrameReader, writer: FrameWriter
-    ) -> None:
-        if self.fault_plan is not None:
-            from repro.faults.transport import wrap_connection
-
-            reader, writer = wrap_connection(reader, writer, self.fault_plan)
-        self._writers.add(writer)
-        lock = asyncio.Lock()
-
-        async def respond(frame: Frame) -> None:
-            async with lock:
-                try:
-                    write_frame(writer, frame)
-                    await writer.drain()
-                except (ConnectionError, RuntimeError):
-                    pass  # peer went away; nothing to tell it
-
-        try:
-            while True:
-                frame = await read_frame(reader)
-                if frame is None:
-                    break
-                self._admit_frame(frame, respond)
-        except ProtocolError as exc:
-            self.metrics.record_conn_error(f"protocol:{exc.reason}")
-        except ConnectionError:
-            self.metrics.record_conn_error("disconnect")
-        except asyncio.CancelledError:
-            pass
-        except Exception:  # noqa: BLE001 - never kill the accept loop
-            self.metrics.record_conn_error("internal")
-        finally:
-            self._writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):
-                pass
-
-    def _error(self, request: Frame, status: Status, message: str) -> Frame:
-        self.metrics.record_response(request.op.name, status.name)
-        return Frame(
-            request.op,
-            request.request_id,
-            request.param_id,
-            status,
-            message.encode(),
-            trace=request.trace,
-        )
-
-    def _admit_frame(self, frame: Frame, respond: _Respond) -> None:
+    async def _handle_frame(self, frame: Frame, respond: _Respond) -> None:
         """Admission control; accepted work runs as its own task.
 
         Per-request tasks keep one slow member from head-of-line
@@ -419,12 +320,7 @@ class ClusterRouter:
         for member in list(key.placements):
             await self._remove_key_from(member, key)
         self.metrics.record_response(Op.REMOVE_KEY.name, Status.OK.name)
-        await respond(
-            Frame(
-                frame.op, frame.request_id, frame.param_id, Status.OK,
-                trace=frame.trace,
-            )
-        )
+        await respond(frame.reply(Status.OK))
 
     async def _routed_request(
         self, frame: Frame, respond: _Respond, t_read: float
@@ -432,11 +328,12 @@ class ClusterRouter:
         """One accepted data-plane request, answered exactly once."""
         enqueued_at = self._clock()
         status = Status.INTERNAL
+        ids = self._trace_ids(frame)
         try:
             if frame.op is Op.KEYGEN:
-                status = await self._keygen(frame, respond, t_read)
+                status = await self._keygen(frame, respond, ids)
             else:
-                status = await self._forward(frame, respond, t_read)
+                status = await self._forward(frame, respond, ids)
         except asyncio.CancelledError:
             await respond(self._error(frame, Status.INTERNAL, "router cancelled"))
             raise
@@ -449,43 +346,26 @@ class ClusterRouter:
                 frame.op.name, (self._clock() - enqueued_at) * 1e6
             )
             if self.tracer.enabled:
-                self._trace_root(frame, t_read, status)
+                self.tracer.record_span(
+                    "router.request",
+                    t_read,
+                    self._clock() - t_read,
+                    ids[0],
+                    span_id=ids[1],
+                    parent_id=frame.trace.span_id if frame.trace is not None else None,
+                    tags={"op": frame.op.name, "status": status.name},
+                )
 
-    def _trace_root(self, frame: Frame, t_read: float, status: Status) -> None:
-        trace_id, parent = self._trace_identity(frame)
-        self.tracer.record_span(
-            "router.request",
-            t_read,
-            self._clock() - t_read,
-            trace_id,
-            span_id=self._root_span_for(frame),
-            parent_id=parent,
-            tags={"op": frame.op.name, "status": status.name},
+    def _trace_ids(self, frame: Frame) -> _TraceIds:
+        """Mint the id pair of one request (zeros when tracing is off)."""
+        if not self.tracer.enabled:
+            return 0, 0
+        trace_id = (
+            frame.trace.trace_id
+            if frame.trace is not None
+            else self.tracer.new_trace_id()
         )
-
-    def _trace_identity(self, frame: Frame) -> tuple[int, int | None]:
-        if frame.trace is not None:
-            return frame.trace.trace_id, frame.trace.span_id
-        return self._fallback_trace_ids(frame)[0], None
-
-    def _root_span_for(self, frame: Frame) -> int:
-        return self._fallback_trace_ids(frame)[1]
-
-    def _fallback_trace_ids(self, frame: Frame) -> tuple[int, int]:
-        # one (trace id, root span id) pair per frame object, minted
-        # lazily so forwards and the root span agree without threading
-        # extra state through every call
-        ids = getattr(frame, "_router_ids", None)
-        if ids is None:
-            trace_id = (
-                frame.trace.trace_id
-                if frame.trace is not None
-                else self.tracer.new_trace_id()
-            )
-            ids = (trace_id, self.tracer.new_span_id())
-            frame._router_ids = ids  # type: ignore[attr-defined]
-        result: tuple[int, int] = ids
-        return result
+        return trace_id, self.tracer.new_span_id()
 
     # ------------------------------------------------------------------
     # forwarding
@@ -513,56 +393,24 @@ class ClusterRouter:
         if self._health_wake is not None:
             self._health_wake.set()
 
-    def _forward_trace(
-        self, frame: Frame, member: str, attempt: int
-    ) -> tuple[TraceContext | None, int, float]:
-        """(wire context for the member, forward span id, start time)."""
-        if not self.tracer.enabled:
-            # tracer off: pass any client context straight through so
-            # member spans still attach to the caller's trace
-            return frame.trace, 0, 0.0
-        trace_id, _ = self._fallback_trace_ids(frame)
-        span_id = self.tracer.new_span_id()
-        return TraceContext(trace_id, span_id), span_id, self._clock()
-
-    def _end_forward_span(
-        self,
-        frame: Frame,
-        member: str,
-        attempt: int,
-        span_id: int,
-        t_start: float,
-        outcome: str,
-    ) -> None:
-        if not self.tracer.enabled:
-            return
-        trace_id, _ = self._fallback_trace_ids(frame)
-        self.tracer.record_span(
-            "router.forward",
-            t_start,
-            self._clock() - t_start,
-            trace_id,
-            span_id=span_id,
-            parent_id=self._root_span_for(frame),
-            tags={
-                "op": frame.op.name,
-                "member": member,
-                "attempt": attempt,
-                "outcome": outcome,
-            },
-        )
-
     async def _forward_once(
         self,
         member: str,
         frame: Frame,
         payload: bytes,
         attempt: int,
+        ids: _TraceIds,
         draw_faults: bool = True,
     ) -> Frame:
         """One forward attempt to one member (faults, link, deadline)."""
         state = self._members[member]
-        trace, span_id, t_start = self._forward_trace(frame, member, attempt)
+        traced = self.tracer.enabled
+        # tracer off: pass any client context straight through so
+        # member spans still attach to the caller's trace
+        trace, span_id, t_start = frame.trace, 0, 0.0
+        if traced:
+            span_id, t_start = self.tracer.new_span_id(), self._clock()
+            trace = TraceContext(ids[0], span_id)
         outcome = "error"
         try:
             if draw_faults and self.fault_plan is not None:
@@ -618,7 +466,21 @@ class ClusterRouter:
             self._note_member_failure(member)
             raise
         finally:
-            self._end_forward_span(frame, member, attempt, span_id, t_start, outcome)
+            if traced:
+                self.tracer.record_span(
+                    "router.forward",
+                    t_start,
+                    self._clock() - t_start,
+                    ids[0],
+                    span_id=span_id,
+                    parent_id=ids[1],
+                    tags={
+                        "op": frame.op.name,
+                        "member": member,
+                        "attempt": attempt,
+                        "outcome": outcome,
+                    },
+                )
 
     def _placement_chain(self, key: _RoutedKey) -> list[str]:
         """Live placements of a key in current ring order, primary first."""
@@ -643,7 +505,7 @@ class ClusterRouter:
         return chain
 
     async def _forward(
-        self, frame: Frame, respond: _Respond, t_read: float
+        self, frame: Frame, respond: _Respond, ids: _TraceIds
     ) -> Status:
         """Route one ENCAPS/DECAPS to the owning member, with failover."""
         op = frame.op
@@ -681,7 +543,7 @@ class ClusterRouter:
                 continue  # a concurrent repair dropped this placement
             try:
                 response = await self._forward_once(
-                    member, frame, pack_key_id(local_id) + rest, attempt
+                    member, frame, pack_key_id(local_id) + rest, attempt, ids
                 )
             except Exception as exc:  # noqa: BLE001 - policy decides below
                 last_error = exc
@@ -701,16 +563,7 @@ class ClusterRouter:
                     continue
                 break
             self.metrics.record_response(op.name, response.status.name)
-            await respond(
-                Frame(
-                    op,
-                    frame.request_id,
-                    frame.param_id,
-                    response.status,
-                    response.payload,
-                    trace=frame.trace,
-                )
-            )
+            await respond(frame.reply(response.status, response.payload))
             return response.status
         if last_error is None:
             await respond(
@@ -740,7 +593,7 @@ class ClusterRouter:
     # ------------------------------------------------------------------
 
     async def _keygen(
-        self, frame: Frame, respond: _Respond, t_read: float
+        self, frame: Frame, respond: _Respond, ids: _TraceIds
     ) -> Status:
         """Mint a global key: seeded registration on the placement chain."""
         try:
@@ -773,7 +626,7 @@ class ClusterRouter:
                 # sites target ENCAPS/DECAPS forwards (the data plane);
                 # registration is key-lifecycle plumbing
                 response = await self._forward_once(
-                    member, frame, seed, attempt, draw_faults=False
+                    member, frame, seed, attempt, ids, draw_faults=False
                 )
             except Exception as exc:  # noqa: BLE001 - typed or transport
                 last_error = exc
@@ -803,16 +656,7 @@ class ClusterRouter:
             self._note_member_failure("")
         self._keys[gid] = key
         self.metrics.record_response(Op.KEYGEN.name, Status.OK.name)
-        await respond(
-            Frame(
-                Op.KEYGEN,
-                frame.request_id,
-                frame.param_id,
-                Status.OK,
-                pack_key_id(gid) + key.pk,
-                trace=frame.trace,
-            )
-        )
+        await respond(frame.reply(Status.OK, pack_key_id(gid) + key.pk))
         return Status.OK
 
     async def _register_key_on(self, member: str, key: _RoutedKey) -> bool:
@@ -820,7 +664,7 @@ class ClusterRouter:
         frame = Frame(Op.KEYGEN, 0, wire_id_for_params(key.params))
         try:
             response = await self._forward_once(
-                member, frame, key.seed, 0, draw_faults=False
+                member, frame, key.seed, 0, self._trace_ids(frame), draw_faults=False
             )
         except Exception:  # noqa: BLE001 - retried by the next health pass
             self._rebalance_needed = True
@@ -841,7 +685,12 @@ class ClusterRouter:
         frame = Frame(Op.REMOVE_KEY, 0, PARAM_NONE)
         try:
             await self._forward_once(
-                member, frame, pack_key_id(local_id), 0, draw_faults=False
+                member,
+                frame,
+                pack_key_id(local_id),
+                0,
+                self._trace_ids(frame),
+                draw_faults=False,
             )
         except Exception:  # noqa: BLE001 - the member will restart empty
             pass
@@ -994,14 +843,15 @@ class ClusterRouter:
         )
 
 
-class ThreadedCluster:
+class ThreadedCluster(LoopThreadHost[ClusterRouter]):
     """A :class:`ClusterRouter` on a background event-loop thread.
 
-    The synchronous adapter, mirroring
+    The synchronous adapter — the same
+    :class:`repro.serve.server.LoopThreadHost` that carries
     :class:`repro.serve.ThreadedService`: ``start()`` spawns members
-    and the routing loop, ``connect()`` hands back blocking client
-    sockets (feed them to :class:`repro.cluster.ClusterClient`),
-    ``stop()`` drains and joins.  Usable as a context manager.
+    and the routing loop, ``connect()`` hands back client sockets (feed
+    them to :class:`repro.cluster.ClusterClient`), ``stop()`` drains
+    and joins.  Usable as a context manager.
     """
 
     def __init__(
@@ -1012,83 +862,22 @@ class ThreadedCluster:
         fault_plan: FaultPlan | None = None,
         tracer: Tracer | None = None,
     ) -> None:
-        self._config = config
-        self._clock = clock
-        self._fault_plan = fault_plan
-        self._tracer = tracer
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._ready = threading.Event()
-        self.router: ClusterRouter | None = None
-
-    def start(self) -> ThreadedCluster:
-        """Start the loop thread, the router and its members."""
-        if self._thread is not None:
-            return self
-        self._thread = threading.Thread(
-            target=self._run, name="repro-cluster-loop", daemon=True
+        super().__init__(
+            lambda: ClusterRouter(
+                config, clock=clock, fault_plan=fault_plan, tracer=tracer
+            ),
+            "repro-cluster-loop",
         )
-        self._thread.start()
-        self._ready.wait()
-        return self
 
-    def _run(self) -> None:
-        self._loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(self._loop)
-        self.router = ClusterRouter(
-            self._config,
-            clock=self._clock,
-            fault_plan=self._fault_plan,
-            tracer=self._tracer,
-        )
-        self._loop.run_until_complete(self.router.start())
-        self._ready.set()
-        self._loop.run_forever()
-        self._loop.run_until_complete(self.router.shutdown())
-        self._loop.close()
-
-    def _call(self, coro: Coroutine[Any, Any, _T]) -> _T:
-        assert self._loop is not None, "start() the cluster first"
-        return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
-
-    def _router(self) -> ClusterRouter:
-        assert self.router is not None, "start() the cluster first"
-        return self.router
-
-    def connect(self) -> socket.socket:
-        """A new in-process connection as a blocking client socket."""
-        return self._call(self._router().connect_socket())
-
-    def serve_tcp(self, host: str = "127.0.0.1", port: int = 0) -> int:
-        """Start a TCP listener; returns the bound port."""
-
-        async def _serve() -> int:
-            server = await self._router().serve_tcp(host, port)
-            port_: int = server.sockets[0].getsockname()[1]
-            return port_
-
-        return self._call(_serve())
+    @property
+    def router(self) -> ClusterRouter | None:
+        """The hosted router (``None`` until :meth:`start`)."""
+        return self._server
 
     def member_names(self) -> list[str]:
         """The member names, sorted (for targeted chaos)."""
-        return sorted(self._router().members)
+        return sorted(self._hosted().members)
 
     def kill_member(self, name: str) -> None:
         """SIGKILL/abort one member (the supervisor will restart it)."""
-        self._router().members[name].kill()
-
-    def stop(self) -> None:
-        """Drain the router, stop the members, join the loop thread."""
-        if self._thread is None or self._loop is None:
-            return
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join()
-        self._thread = None
-
-    def __enter__(self) -> ThreadedCluster:
-        """Start on entry."""
-        return self.start()
-
-    def __exit__(self, *exc: object) -> None:
-        """Stop on exit."""
-        self.stop()
+        self._hosted().members[name].kill()

@@ -3,8 +3,8 @@
 :func:`wrap_connection` interposes :class:`FaultyReader` /
 :class:`FaultyWriter` between the server's connection handler and the
 real asyncio streams.  Faults are drawn from the connection's
-:class:`~repro.faults.plan.FaultPlan` once per *frame* (on the
-header-sized read, and once per written frame), never per byte:
+:class:`~repro.faults.plan.FaultPlan` once per *frame* (on the header
+read, and once per written frame), never per byte:
 
 * ``delay`` — the frame is held for ``delay_s`` before proceeding;
 * ``drop`` — the connection is reset (read side) or closed before the
@@ -37,7 +37,8 @@ from repro.faults.plan import (
     SITE_TRANSPORT_WRITE,
     FaultPlan,
 )
-from repro.serve.protocol import HEADER_SIZE, FrameReader, FrameWriter
+from repro.errors import ProtocolError
+from repro.serve.protocol import FrameReader, FrameWriter, frame_decoder
 
 _Sleep = Callable[[float], Awaitable[None]]
 
@@ -45,9 +46,12 @@ _Sleep = Callable[[float], Awaitable[None]]
 class FaultyReader:
     """A ``readexactly`` stream that perturbs one frame per fault draw.
 
-    Faults are drawn only on header-sized reads — the one read per
-    frame — so a single draw decides the whole frame's fate and payload
-    reads always pass through untouched.
+    :func:`repro.serve.protocol.read_frame` reads a header and then, if
+    the header announces one, a single body.  The wrapper follows the
+    same shape explicitly: a read at a frame boundary is a header and
+    draws the frame's one fault; the frame decoder then says whether a
+    body read follows, and that read passes through untouched — so a
+    single draw decides the whole frame's fate whatever the sizes.
     """
 
     def __init__(
@@ -59,11 +63,21 @@ class FaultyReader:
         self._reader = reader
         self._plan = plan
         self._sleep = sleep
+        self._body_follows = False
 
     async def readexactly(self, n: int) -> bytes:
         """Read exactly ``n`` bytes, subject to the fault plan."""
-        if n != HEADER_SIZE:
+        if self._body_follows:
+            self._body_follows = False
             return await self._reader.readexactly(n)
+        header = await self._read_header(n)
+        try:
+            self._body_follows = frame_decoder(header)[0] > 0
+        except ProtocolError:
+            pass  # the frame reader rejects the same bytes: no body read
+        return header
+
+    async def _read_header(self, n: int) -> bytes:
         spec = self._plan.draw(SITE_TRANSPORT_READ)
         if spec is None:
             return await self._reader.readexactly(n)

@@ -1,20 +1,21 @@
-"""Clients for the KEM service: asyncio (multiplexing) and blocking.
+"""The client for the KEM service, with a blocking shell for scripts.
 
-:class:`AsyncKemClient` pipelines many in-flight requests over one
-connection — each request gets a fresh 4-byte id, a background reader
-task matches responses back to their futures, so 64 concurrent
-``encaps`` calls need one socket, not 64.  :class:`KemClient` is the
-synchronous counterpart for scripts and examples: one blocking socket,
-one outstanding request at a time.
+:class:`AsyncKemClient` is the one client implementation: it pipelines
+many in-flight requests over one connection — each request gets a
+fresh 4-byte id, a background reader task matches responses back to
+their futures, so 64 concurrent ``encaps`` calls need one socket, not
+64.  :class:`KemClient` is the synchronous shell for scripts and
+examples: the same client driven on a private event loop, one
+outstanding request at a time.
 
-Both speak the frames of :mod:`repro.serve.protocol` and translate
-non-OK statuses into typed exceptions (:class:`ServiceBusy` for
-backpressure rejects, :class:`RequestTimedOut`, …), so callers can
+The client speaks the frames of :mod:`repro.serve.protocol` and
+translates non-OK statuses into typed exceptions (:class:`ServiceBusy`
+for backpressure rejects, :class:`RequestTimedOut`, …), so callers can
 implement retry policies without looking at status bytes.
 
-Both also implement one *built-in* retry policy — pass a
-:class:`RetryPolicy` (and usually a ``reconnect`` factory) and the
-clients transparently survive ``BUSY`` windows, per-request timeouts,
+It also implements one *built-in* retry policy — pass a
+:class:`RetryPolicy` (and usually a ``reconnect`` factory) and it
+transparently survives ``BUSY`` windows, per-request timeouts,
 injected ``INTERNAL`` failures and dropped connections with capped
 exponential backoff plus jitter.  The retry contract mirrors the ops'
 semantics: ``KEYGEN``/``ENCAPS``/``INFO`` are idempotent from the
@@ -28,13 +29,14 @@ failure-semantics table.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import random
 import socket
 import time
-from collections.abc import Awaitable, Callable
+from collections.abc import Awaitable, Callable, Coroutine
 from dataclasses import dataclass
-from typing import Any, TypeVar
+from typing import Any, Concatenate, ParamSpec, TypeVar
 
 from repro.lac.params import LacParams
 from repro.lac.pke import PublicKey
@@ -54,8 +56,6 @@ from repro.serve.protocol import (
     pack_session_open_request,
     qos_for,
     read_frame,
-    recv_frame,
-    send_frame,
     unpack_encaps_response,
     unpack_keygen_response,
     unpack_session_open_response,
@@ -89,6 +89,7 @@ ServiceClosed.status = Status.INTERNAL
 DeadlineExceeded.status = Status.TIMEOUT
 
 _T = TypeVar("_T")
+_P = ParamSpec("_P")
 
 
 _ERRORS: dict[Status, type[ServiceError]] = {
@@ -240,6 +241,9 @@ class AsyncKemClient:
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._reconnect_factory = reconnect
         self._rng = rng if rng is not None else random.Random()
+        # the one backoff-sleep seam: the blocking shell swaps in its
+        # injectable synchronous sleep
+        self._sleep: Callable[[float], Awaitable[None]] = asyncio.sleep
         self._pending: dict[int, asyncio.Future[Frame]] = {}
         self._next_id = 0
         self._keys = _KeyRegistry()
@@ -387,17 +391,7 @@ class AsyncKemClient:
             self._read_task = None
             self._reader, self._writer = await self._reconnect_factory()
             self._conn_gen += 1
-            if old_task is not None:
-                old_task.cancel()
-                try:
-                    await old_task
-                except asyncio.CancelledError:
-                    pass
-            old_writer.close()
-            try:
-                await old_writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):
-                pass
+            await self._teardown(old_writer, old_task)
             stale = ServiceClosed("connection replaced during reconnect")
             for future in old_pending.values():
                 if not future.done():
@@ -428,7 +422,7 @@ class AsyncKemClient:
                 raise exc
             if can_reconnect and isinstance(exc, _CONNECTION_ERRORS):
                 await self._reconnect(seen_gen)
-            await asyncio.sleep(policy.backoff_s(attempt_no, self._rng))
+            await self._sleep(policy.backoff_s(attempt_no, self._rng))
             attempt_no += 1
 
     # ------------------------------------------------------------------
@@ -647,39 +641,65 @@ class AsyncKemClient:
 
         await self._call_with_retry(Op.REMOVE_KEY, attempt)
 
-    async def aclose(self) -> None:
-        """Close the connection and stop the reader task."""
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, BrokenPipeError):
-            pass
-        if self._read_task is not None:
-            self._read_task.cancel()
+    @staticmethod
+    async def _teardown(
+        writer: asyncio.StreamWriter, read_task: asyncio.Task[None] | None
+    ) -> None:
+        """Stop one connection's reader task and close its stream."""
+        if read_task is not None:
+            read_task.cancel()
             try:
-                await self._read_task
+                await read_task
             except asyncio.CancelledError:
                 pass
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionError, BrokenPipeError):
+            pass
+
+    async def aclose(self) -> None:
+        """Close the connection and stop the reader task."""
+        await self._teardown(self._writer, self._read_task)
 
 
 #: Blocking reconnect factory: yields a fresh connected socket.
 SyncReconnect = Callable[[], socket.socket]
 
 
+def _blocking(
+    method: Callable[Concatenate[AsyncKemClient, _P], Coroutine[Any, Any, _T]],
+) -> Callable[Concatenate[KemClient, _P], _T]:
+    """The blocking twin of one :class:`AsyncKemClient` coroutine method.
+
+    Same signature and docstring; the call runs the coroutine to
+    completion on the :class:`KemClient`'s private loop.
+    """
+
+    @functools.wraps(method)
+    def call(self: KemClient, *args: _P.args, **kwargs: _P.kwargs) -> _T:
+        return self._loop.run_until_complete(method(self._client, *args, **kwargs))
+
+    return call
+
+
 class KemClient:
     """The blocking client: one socket, one request in flight.
 
-    Connect with a socket from
+    A thin shell over an :class:`AsyncKemClient` driven on a private
+    event loop (``run_until_complete`` per call, no extra thread), so
+    every op, the retry loop, the key registry, tracing and the framing
+    exist once.  Connect with a socket from
     :meth:`~repro.serve.server.ThreadedService.connect` or
-    :meth:`KemClient.open_tcp`.  Usable as a context manager.
+    :meth:`KemClient.open_tcp`; usable as a context manager, and
+    :meth:`close` releases the socket and the loop.
 
-    Resilience mirrors :class:`AsyncKemClient`: pass ``retry`` (and a
-    ``reconnect`` factory for connection failures — after a socket
-    timeout or mid-frame drop the byte stream cannot be trusted, so
-    the client always replaces the socket rather than resynchronizing).
-    Tracing mirrors it too: pass an enabled
-    :class:`repro.trace.Tracer` for wire-propagated trace contexts and
-    ``client.request`` round-trip spans.
+    ``retry``/``rng``/``tracer`` are the :class:`AsyncKemClient`
+    arguments; ``reconnect`` is their blocking counterpart (a factory
+    of fresh connected sockets — after a timeout or mid-frame drop the
+    byte stream cannot be trusted, so the connection is replaced, never
+    resynchronized) and ``sleep`` the backoff sleep (tests inject a
+    recorder).
     """
 
     def __init__(
@@ -691,15 +711,27 @@ class KemClient:
         sleep: Callable[[float], None] = time.sleep,
         tracer: Tracer | None = None,
     ) -> None:
-        self._sock = sock
-        self._retry = retry
-        self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._reconnect_factory = reconnect
-        self._rng = rng if rng is not None else random.Random()
-        self._sleep = sleep
-        self._next_id = 0
-        self._keys = _KeyRegistry()
-        self._apply_timeout()
+        self._loop = asyncio.new_event_loop()
+
+        async def redial() -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+            assert reconnect is not None
+            return await asyncio.open_connection(sock=reconnect())
+
+        async def backoff(delay: float) -> None:
+            sleep(delay)
+
+        reader, writer = self._loop.run_until_complete(
+            asyncio.open_connection(sock=sock)
+        )
+        self._client = AsyncKemClient(
+            reader,
+            writer,
+            retry=retry,
+            reconnect=redial if reconnect is not None else None,
+            rng=rng,
+            tracer=tracer,
+        )
+        self._client._sleep = backoff
 
     @classmethod
     def open_tcp(
@@ -720,287 +752,33 @@ class KemClient:
             reconnect=redial if auto_reconnect else None,
         )
 
-    def _apply_timeout(self) -> None:
-        if self._retry is not None and self._retry.attempt_timeout_s is not None:
-            self._sock.settimeout(self._retry.attempt_timeout_s)
-
     def register_key(self, key_id: int, spec: Any) -> None:
         """Teach the client a hosted key's parameter set (``spec`` is
         anything :func:`repro.schemes.resolve` accepts)."""
-        self._keys.register(key_id, spec)
+        self._client.register_key(key_id, spec)
 
-    def request(
-        self,
-        op: Op,
-        param_id: int = PARAM_NONE,
-        payload: bytes = b"",
-        *,
-        qos: QosSpec | None = None,
-        tenant: int | None = None,
-    ) -> Frame:
-        """Send one frame and block for its response (any status)."""
-        request_id = self._next_id = (self._next_id + 1) & 0xFFFFFFFF
-        tracer = self._tracer
-        trace: TraceContext | None = None
-        t_start = 0.0
-        if tracer.enabled:
-            trace = TraceContext(tracer.new_trace_id(), tracer.new_span_id())
-            t_start = tracer.clock()
-        send_frame(
-            self._sock,
-            Frame(
-                op, request_id, param_id, payload=payload, trace=trace,
-                qos=qos, tenant=tenant,
-            ),
-        )
-        while True:
-            frame = recv_frame(self._sock)
-            if frame is None:
-                raise ServiceClosed("connection closed mid-request")
-            if frame.request_id == request_id:
-                if trace is not None:
-                    tracer.record_span(
-                        "client.request",
-                        t_start,
-                        tracer.clock() - t_start,
-                        trace.trace_id,
-                        span_id=trace.span_id,
-                        tags={"op": op.name, "status": frame.status.name},
-                    )
-                return frame
-
-    def _call_with_retry(self, op: Op, attempt: Callable[[], _T]) -> _T:
-        policy = self._retry
-        if policy is None:
-            return attempt()
-        attempt_no = 0
-        while True:
-            try:
-                return attempt()
-            except socket.timeout:
-                exc: Exception = DeadlineExceeded(
-                    f"no response within {policy.attempt_timeout_s}s"
-                )
-            except Exception as caught:  # noqa: BLE001 - policy decides
-                exc = caught
-            can_reconnect = self._reconnect_factory is not None
-            if not policy.should_retry(op, exc, attempt_no, can_reconnect):
-                raise exc
-            if can_reconnect and isinstance(exc, _CONNECTION_ERRORS):
-                assert self._reconnect_factory is not None
-                self._sock.close()
-                self._sock = self._reconnect_factory()
-                self._apply_timeout()
-            self._sleep(policy.backoff_s(attempt_no, self._rng))
-            attempt_no += 1
-
-    def keygen(
-        self,
-        spec: Any,
-        seed: bytes | None = None,
-        *,
-        deadline_s: float | None = None,
-        tier: int = 0,
-        tenant: int | None = None,
-    ) -> tuple[int, PublicKey | bytes]:
-        """Generate and host a key pair; returns (key id, public key).
-
-        ``spec`` is anything :func:`repro.schemes.resolve` accepts;
-        LAC keys return a parsed :class:`PublicKey`, other schemes the
-        raw public-key wire bytes.
-        """
-        _, params = resolve(spec)
-        qos = qos_for(deadline_s=deadline_s, tier=tier)
-
-        def attempt() -> tuple[int, PublicKey | bytes]:
-            frame = raise_for_status(
-                self.request(
-                    Op.KEYGEN, wire_id_for_params(params), seed or b"",
-                    qos=qos, tenant=tenant,
-                )
-            )
-            key_id, pk_bytes = unpack_keygen_response(params, frame.payload)
-            self._keys.register(key_id, params)
-            if isinstance(params, LacParams):
-                return key_id, PublicKey.from_bytes(params, pk_bytes)
-            return key_id, pk_bytes
-
-        return self._call_with_retry(Op.KEYGEN, attempt)
-
-    def encaps(
-        self,
-        key_id: int,
-        message: bytes | None = None,
-        *,
-        deadline_s: float | None = None,
-        tier: int = 0,
-        tenant: int | None = None,
-    ) -> tuple[bytes, bytes]:
-        """Encapsulate against a hosted key; returns (ct bytes, secret)."""
-        params = self._keys.params(key_id)
-        qos = qos_for(deadline_s=deadline_s, tier=tier)
-
-        def attempt() -> tuple[bytes, bytes]:
-            frame = raise_for_status(
-                self.request(
-                    Op.ENCAPS,
-                    wire_id_for_params(params),
-                    pack_encaps_request(key_id, message),
-                    qos=qos,
-                    tenant=tenant,
-                )
-            )
-            return unpack_encaps_response(params, frame.payload)
-
-        return self._call_with_retry(Op.ENCAPS, attempt)
-
-    def decaps(
-        self,
-        key_id: int,
-        ciphertext: bytes,
-        *,
-        deadline_s: float | None = None,
-        tier: int = 0,
-        tenant: int | None = None,
-    ) -> bytes:
-        """Decapsulate a ciphertext; returns the 32-byte shared secret.
-
-        Not retried unless the policy sets ``retry_decaps=True``.
-        """
-        params = self._keys.params(key_id)
-        qos = qos_for(deadline_s=deadline_s, tier=tier)
-
-        def attempt() -> bytes:
-            frame = raise_for_status(
-                self.request(
-                    Op.DECAPS,
-                    wire_id_for_params(params),
-                    pack_decaps_request(key_id, ciphertext),
-                    qos=qos,
-                    tenant=tenant,
-                )
-            )
-            return frame.payload
-
-        return self._call_with_retry(Op.DECAPS, attempt)
-
-    # -- the secure-channel session workload ---------------------------
-
-    def open_session(
-        self,
-        key_id: int,
-        message: bytes | None = None,
-        *,
-        tenant: int | None = None,
-    ) -> tuple[int, bytes, bytes]:
-        """Open a secure channel; returns (session id, kem ct, secret)."""
-        params = self._keys.params(key_id)
-
-        def attempt() -> tuple[int, bytes, bytes]:
-            frame = raise_for_status(
-                self.request(
-                    Op.SESSION_OPEN,
-                    wire_id_for_params(params),
-                    pack_session_open_request(key_id, message),
-                    tenant=tenant,
-                )
-            )
-            return unpack_session_open_response(params, frame.payload)
-
-        return self._call_with_retry(Op.SESSION_OPEN, attempt)
-
-    def seal(
-        self,
-        session_id: int,
-        nonce: bytes,
-        plaintext: bytes,
-        *,
-        tenant: int | None = None,
-    ) -> bytes:
-        """Seal ``plaintext`` on an open session; returns body ‖ tag."""
-
-        def attempt() -> bytes:
-            frame = raise_for_status(
-                self.request(
-                    Op.SEAL,
-                    payload=pack_seal_request(session_id, nonce, plaintext),
-                    tenant=tenant,
-                )
-            )
-            return frame.payload
-
-        return self._call_with_retry(Op.SEAL, attempt)
-
-    def open_sealed(
-        self,
-        session_id: int,
-        nonce: bytes,
-        sealed: bytes,
-        *,
-        tenant: int | None = None,
-    ) -> bytes:
-        """Verify and decrypt ``sealed`` (body ‖ tag); returns plaintext."""
-
-        def attempt() -> bytes:
-            frame = raise_for_status(
-                self.request(
-                    Op.OPEN,
-                    payload=pack_open_request(session_id, nonce, sealed),
-                    tenant=tenant,
-                )
-            )
-            return frame.payload
-
-        return self._call_with_retry(Op.OPEN, attempt)
-
-    def close_session(
-        self, session_id: int, *, tenant: int | None = None
-    ) -> None:
-        """Close an open session (:class:`KeyNotFound` if absent)."""
-
-        def attempt() -> None:
-            raise_for_status(
-                self.request(
-                    Op.SESSION_CLOSE,
-                    payload=pack_key_id(session_id),
-                    tenant=tenant,
-                )
-            )
-
-        self._call_with_retry(Op.SESSION_CLOSE, attempt)
-
-    def info(self, text: bool = False) -> dict | str:
-        """Fetch service metrics (dict, or the ``/metrics`` text dump)."""
-
-        def attempt() -> dict | str:
-            frame = raise_for_status(
-                self.request(Op.INFO, payload=b"text" if text else b"")
-            )
-            if text:
-                return frame.payload.decode()
-            snapshot: dict = json.loads(frame.payload)
-            return snapshot
-
-        return self._call_with_retry(Op.INFO, attempt)
-
-    def remove_key(self, key_id: int) -> None:
-        """Stop hosting a key (raises :class:`KeyNotFound` if absent)."""
-
-        def attempt() -> None:
-            raise_for_status(
-                self.request(Op.REMOVE_KEY, payload=pack_key_id(key_id))
-            )
-
-        self._call_with_retry(Op.REMOVE_KEY, attempt)
+    request = _blocking(AsyncKemClient.request)
+    keygen = _blocking(AsyncKemClient.keygen)
+    encaps = _blocking(AsyncKemClient.encaps)
+    decaps = _blocking(AsyncKemClient.decaps)
+    open_session = _blocking(AsyncKemClient.open_session)
+    seal = _blocking(AsyncKemClient.seal)
+    open_sealed = _blocking(AsyncKemClient.open_sealed)
+    close_session = _blocking(AsyncKemClient.close_session)
+    info = _blocking(AsyncKemClient.info)
+    remove_key = _blocking(AsyncKemClient.remove_key)
 
     def close(self) -> None:
-        """Close the socket."""
-        self._sock.close()
+        """Close the connection, then the private loop (idempotent)."""
+        if self._loop.is_closed():
+            return
+        self._loop.run_until_complete(self._client.aclose())
+        self._loop.close()
 
     def __enter__(self) -> KemClient:
         """Context-manager entry (no-op)."""
         return self
 
-    def __exit__(self, *exc) -> None:
+    def __exit__(self, *exc: object) -> None:
         """Close on exit."""
         self.close()

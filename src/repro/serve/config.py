@@ -4,8 +4,7 @@
 :class:`repro.serve.KemService` and :class:`ThreadedService`
 constructors had accumulated — one immutable, validated value that can
 be built once (from code, CLI flags or the environment) and handed to
-any number of services.  The old flat kwargs still work through a
-``DeprecationWarning`` shim on the constructors.
+any number of services.
 """
 
 from __future__ import annotations

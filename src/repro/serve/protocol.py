@@ -94,28 +94,28 @@ Error responses (any non-OK :class:`Status`) carry a UTF-8 diagnostic
 string as payload.  All sizes are fixed by the parameter set, so the
 payloads need no internal framing.
 
-This module is transport-agnostic: the same frames travel over asyncio
-TCP streams, over an in-process socketpair (the test/benchmark
-transport), or over a plain blocking socket (the sync client).
+This module is transport-agnostic and the format is parsed in exactly
+one place: :func:`frame_decoder` validates a header, says how many body
+bytes (extensions + payload) follow, and turns those bytes into a
+:class:`Frame`.  :func:`decode_frame` (a whole buffer) and
+:func:`read_frame` (an asyncio stream: one header read, at most one
+body read) are thin callers of it; every transport — TCP, the
+in-process socketpair, the blocking client's private loop — goes
+through :func:`read_frame`.
 """
 
 from __future__ import annotations
 
 import asyncio
-import socket
 import struct
-import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Any, Protocol
 
 from repro.errors import ProtocolError
-from repro.lac.params import ALL_PARAMS, LacParams
 from repro.schemes import registry as _registry
-from repro.schemes.registry import (
-    params_for_wire_id as _params_for_wire_id,
-    wire_id_for_params,
-)
+from repro.schemes.registry import params_for_wire_id as _params_for_wire_id
 from repro.trace import TraceContext
 
 #: First two bytes of every frame.
@@ -166,6 +166,14 @@ QOS_EXT_SIZE = _QOS_EXT.size
 
 #: Size of the tenant extension in bytes (one tenant id byte).
 TENANT_EXT_SIZE = 1
+
+#: Total extension bytes announced by each ``version - 1`` bitmask.
+_EXTENSIONS_SIZE = tuple(
+    bool(flags & _FLAG_TRACE) * TRACE_EXT_SIZE
+    + bool(flags & _FLAG_QOS) * QOS_EXT_SIZE
+    + bool(flags & _FLAG_TENANT) * TENANT_EXT_SIZE
+    for flags in range(VERSION_MAX - VERSION + 1)
+)
 
 #: The default tenant everything unlabelled is accounted against.
 DEFAULT_TENANT = 0
@@ -263,6 +271,11 @@ class Status(IntEnum):
     NOT_FOUND = 6
 
 
+#: Wire byte -> enum member (a dict lookup; the decoder runs per frame).
+_OPS = {op.value: op for op in Op}
+_STATUSES = {status.value: status for status in Status}
+
+
 class FrameReader(Protocol):
     """The read surface the frame codec needs (asyncio streams and the
     fault-injection wrappers of :mod:`repro.faults.transport` both
@@ -293,11 +306,6 @@ class FrameWriter(Protocol):
         ...
 
 
-#: LAC parameter-set ids on the wire, in ascending security order.
-#: (Scheme 0's low nibble; kept for the legacy shims below.)
-PARAM_IDS: dict[str, int] = {p.name: i for i, p in enumerate(ALL_PARAMS)}
-
-
 def params_for_wire_id(wire_id: int) -> tuple[Any, Any]:
     """Decode a frame param byte into ``(scheme, params)``.
 
@@ -309,37 +317,6 @@ def params_for_wire_id(wire_id: int) -> tuple[Any, Any]:
         return _params_for_wire_id(wire_id)
     except ValueError as exc:
         raise ProtocolError(str(exc)) from None
-
-
-def id_for_params(params: LacParams) -> int:
-    """Deprecated: the LAC-only wire id of a parameter set.
-
-    Use :func:`repro.schemes.wire_id_for_params`, which qualifies the
-    id with the scheme (identical values for LAC parameter sets).
-    """
-    warnings.warn(
-        "id_for_params() is deprecated; use "
-        "repro.schemes.wire_id_for_params()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return PARAM_IDS[params.name]
-
-
-def params_for_id(param_id: int) -> LacParams:
-    """Deprecated: the LAC parameter set behind a wire id.
-
-    Use :func:`params_for_wire_id`, which returns the owning scheme
-    alongside the parameter set and understands non-LAC ids.
-    """
-    warnings.warn(
-        "params_for_id() is deprecated; use params_for_wire_id()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if not 0 <= param_id < len(ALL_PARAMS):
-        raise ProtocolError(f"unknown parameter-set id {param_id}")
-    return ALL_PARAMS[param_id]
 
 
 @dataclass
@@ -371,12 +348,16 @@ class Frame:
         if self.tenant is not None and not 0 <= self.tenant <= 0xFF:
             raise ProtocolError("tenant id must fit one byte", "bad-tenant")
         version = VERSION
+        extensions = b""
         if self.trace is not None:
             version += _FLAG_TRACE
+            extensions += _TRACE_EXT.pack(self.trace.trace_id, self.trace.span_id)
         if self.qos is not None:
             version += _FLAG_QOS
+            extensions += _QOS_EXT.pack(self.qos.deadline_us, self.qos.tier)
         if self.tenant is not None:
             version += _FLAG_TENANT
+            extensions += bytes([self.tenant])
         header = _HEADER.pack(
             MAGIC,
             version,
@@ -386,207 +367,113 @@ class Frame:
             self.request_id,
             len(self.payload),
         )
-        extensions = b""
-        if self.trace is not None:
-            extensions += _TRACE_EXT.pack(self.trace.trace_id, self.trace.span_id)
-        if self.qos is not None:
-            extensions += _QOS_EXT.pack(self.qos.deadline_us, self.qos.tier)
-        if self.tenant is not None:
-            extensions += bytes([self.tenant])
         return header + extensions + self.payload
 
+    def reply(self, status: Status, payload: bytes = b"") -> Frame:
+        """The response to this request frame.
 
-def parse_header(header: bytes) -> tuple[Frame, int]:
-    """Decode a 14-byte header into a payload-less frame + payload length.
+        Echoes the op, request id, param byte and trace context (so the
+        caller can match it and stitch the round trip into one trace);
+        QoS and tenant are never echoed.
+        """
+        return Frame(
+            self.op, self.request_id, self.param_id, status, payload, self.trace
+        )
 
-    Raises :class:`ProtocolError` on bad magic, version, op, status or
-    an oversized announced payload.  Versions 1–8 are accepted; use
-    :func:`header_has_trace` / :func:`header_has_qos` /
-    :func:`header_has_tenant` to learn which extensions follow, and
-    :func:`parse_trace_ext` / :func:`parse_qos_ext` to decode them
-    into the frame.
+
+def frame_decoder(header: bytes) -> tuple[int, Callable[[bytes], Frame]]:
+    """The one frame decoder: header -> body size -> :class:`Frame`.
+
+    Validates the 14-byte ``header`` and returns ``(body_size,
+    finish)``: ``body_size`` is how many bytes follow the header
+    (extensions announced by the version byte plus the payload), and
+    ``finish(body)`` decodes exactly those bytes into the frame.  Pure:
+    no I/O, so buffers, streams and the fault-injection wrappers all
+    learn the frame's shape from the same code.
+
+    Raises :class:`ProtocolError` tagged ``truncated`` (short header or
+    body), ``bad-magic``, ``bad-version``, ``bad-enum`` or
+    ``oversized`` — the last *before* the caller reads or allocates
+    anything for the announced payload.
     """
     if len(header) != HEADER_SIZE:
-        raise ProtocolError(f"header must be {HEADER_SIZE} bytes", "truncated")
+        raise ProtocolError("truncated header", "truncated")
     magic, version, op, status, param_id, request_id, length = _HEADER.unpack(header)
     if magic != MAGIC:
         raise ProtocolError(f"bad magic {magic!r}", "bad-magic")
     if not VERSION <= version <= VERSION_MAX:
         raise ProtocolError(f"unsupported version {version}", "bad-version")
     try:
-        op = Op(op)
-        status = Status(status)
-    except ValueError as exc:
-        raise ProtocolError(str(exc), "bad-enum") from None
+        op, status = _OPS[op], _STATUSES[status]
+    except KeyError as exc:
+        raise ProtocolError(f"unknown op or status byte {exc}", "bad-enum") from None
     if length > MAX_PAYLOAD:
         raise ProtocolError(
             f"announced payload of {length} bytes too large", "oversized"
         )
-    return Frame(op, request_id, param_id, status), length
+    flags = version - VERSION
+    extensions_size = _EXTENSIONS_SIZE[flags]
+    body_size = extensions_size + length
 
+    def finish(body: bytes) -> Frame:
+        if len(body) != body_size:
+            part = "extension" if len(body) < extensions_size else "payload"
+            raise ProtocolError(f"truncated {part}", "truncated")
+        if not flags:
+            return Frame(op, request_id, param_id, status, body)
+        frame = Frame(op, request_id, param_id, status, body[extensions_size:])
+        offset = 0
+        if flags & _FLAG_TRACE:
+            frame.trace = TraceContext(*_TRACE_EXT.unpack_from(body, offset))
+            offset += TRACE_EXT_SIZE
+        if flags & _FLAG_QOS:
+            frame.qos = QosSpec(*_QOS_EXT.unpack_from(body, offset))
+            offset += QOS_EXT_SIZE
+        if flags & _FLAG_TENANT:
+            frame.tenant = body[offset]
+        return frame
 
-def header_has_trace(header: bytes) -> bool:
-    """Whether this (already validated) header announces a trace extension."""
-    return bool((header[2] - VERSION) & _FLAG_TRACE)
-
-
-def header_has_qos(header: bytes) -> bool:
-    """Whether this (already validated) header announces a QoS extension."""
-    return bool((header[2] - VERSION) & _FLAG_QOS)
-
-
-def header_has_tenant(header: bytes) -> bool:
-    """Whether this (already validated) header announces a tenant byte."""
-    return bool((header[2] - VERSION) & _FLAG_TENANT)
-
-
-def parse_trace_ext(extension: bytes) -> TraceContext:
-    """Decode the 12-byte trace extension."""
-    if len(extension) != TRACE_EXT_SIZE:
-        raise ProtocolError(
-            f"trace extension must be {TRACE_EXT_SIZE} bytes", "truncated"
-        )
-    trace_id, span_id = _TRACE_EXT.unpack(extension)
-    return TraceContext(trace_id, span_id)
-
-
-def parse_qos_ext(extension: bytes) -> QosSpec:
-    """Decode the 5-byte QoS extension."""
-    if len(extension) != QOS_EXT_SIZE:
-        raise ProtocolError(
-            f"QoS extension must be {QOS_EXT_SIZE} bytes", "truncated"
-        )
-    deadline_us, tier = _QOS_EXT.unpack(extension)
-    return QosSpec(deadline_us, tier)
+    return body_size, finish
 
 
 def decode_frame(buf: bytes) -> tuple[Frame, int]:
     """Decode one frame from the head of ``buf``.
 
     Returns ``(frame, bytes_consumed)``; raises :class:`ProtocolError`
-    if ``buf`` does not hold a complete frame (stream transports use
-    the incremental readers instead).
+    (``truncated``) if ``buf`` does not hold a complete frame.
     """
-    if len(buf) < HEADER_SIZE:
-        raise ProtocolError("truncated header", "truncated")
-    frame, length = parse_header(buf[:HEADER_SIZE])
-    offset = HEADER_SIZE
-    if header_has_trace(buf[:HEADER_SIZE]):
-        if len(buf) < offset + TRACE_EXT_SIZE:
-            raise ProtocolError("truncated trace extension", "truncated")
-        frame.trace = parse_trace_ext(buf[offset : offset + TRACE_EXT_SIZE])
-        offset += TRACE_EXT_SIZE
-    if header_has_qos(buf[:HEADER_SIZE]):
-        if len(buf) < offset + QOS_EXT_SIZE:
-            raise ProtocolError("truncated QoS extension", "truncated")
-        frame.qos = parse_qos_ext(buf[offset : offset + QOS_EXT_SIZE])
-        offset += QOS_EXT_SIZE
-    if header_has_tenant(buf[:HEADER_SIZE]):
-        if len(buf) < offset + TENANT_EXT_SIZE:
-            raise ProtocolError("truncated tenant extension", "truncated")
-        frame.tenant = buf[offset]
-        offset += TENANT_EXT_SIZE
-    end = offset + length
-    if len(buf) < end:
-        raise ProtocolError("truncated payload", "truncated")
-    frame.payload = bytes(buf[offset:end])
-    return frame, end
-
-
-# ---------------------------------------------------------------------------
-# stream transports
-# ---------------------------------------------------------------------------
+    body_size, finish = frame_decoder(buf[:HEADER_SIZE])
+    end = HEADER_SIZE + body_size
+    return finish(bytes(buf[HEADER_SIZE:end])), end
 
 
 async def read_frame(reader: FrameReader) -> Frame | None:
     """Read one frame from an asyncio stream.
 
     Returns ``None`` on a clean EOF at a frame boundary; raises
-    :class:`ProtocolError` on garbage or a mid-frame disconnect.
+    :class:`ProtocolError` on garbage or a mid-frame disconnect (the
+    bytes that did arrive go to the decoder, so a cut stream and a cut
+    buffer fail with the same typed error).  One header read, then at
+    most one body read.
     """
     try:
         header = await reader.readexactly(HEADER_SIZE)
     except asyncio.IncompleteReadError as exc:
         if not exc.partial:
             return None
-        raise ProtocolError("connection closed mid-header", "truncated") from None
-    frame, length = parse_header(header)
-    if header_has_trace(header):
-        try:
-            frame.trace = parse_trace_ext(await reader.readexactly(TRACE_EXT_SIZE))
-        except asyncio.IncompleteReadError:
-            raise ProtocolError(
-                "connection closed mid-trace-extension", "truncated"
-            ) from None
-    if header_has_qos(header):
-        try:
-            frame.qos = parse_qos_ext(await reader.readexactly(QOS_EXT_SIZE))
-        except asyncio.IncompleteReadError:
-            raise ProtocolError(
-                "connection closed mid-qos-extension", "truncated"
-            ) from None
-    if header_has_tenant(header):
-        try:
-            frame.tenant = (await reader.readexactly(TENANT_EXT_SIZE))[0]
-        except asyncio.IncompleteReadError:
-            raise ProtocolError(
-                "connection closed mid-tenant-extension", "truncated"
-            ) from None
-    if length:
-        try:
-            frame.payload = await reader.readexactly(length)
-        except asyncio.IncompleteReadError:
-            raise ProtocolError("connection closed mid-payload", "truncated") from None
-    return frame
+        header = exc.partial
+    body_size, finish = frame_decoder(header)
+    if not body_size:
+        return finish(b"")
+    try:
+        return finish(await reader.readexactly(body_size))
+    except asyncio.IncompleteReadError as exc:
+        return finish(exc.partial)
 
 
 def write_frame(writer: FrameWriter, frame: Frame) -> None:
     """Queue one frame on an asyncio stream (caller drains)."""
     writer.write(frame.to_bytes())
-
-
-def recv_frame(sock: socket.socket) -> Frame | None:
-    """Blocking twin of :func:`read_frame` for the sync client."""
-    header = _recv_exactly(sock, HEADER_SIZE, eof_ok=True)
-    if header is None:
-        return None
-    frame, length = parse_header(header)
-    if header_has_trace(header):
-        extension = _recv_exactly(sock, TRACE_EXT_SIZE)
-        assert extension is not None
-        frame.trace = parse_trace_ext(extension)
-    if header_has_qos(header):
-        extension = _recv_exactly(sock, QOS_EXT_SIZE)
-        assert extension is not None
-        frame.qos = parse_qos_ext(extension)
-    if header_has_tenant(header):
-        extension = _recv_exactly(sock, TENANT_EXT_SIZE)
-        assert extension is not None
-        frame.tenant = extension[0]
-    if length:
-        payload = _recv_exactly(sock, length)
-        assert payload is not None
-        frame.payload = payload
-    return frame
-
-
-def send_frame(sock: socket.socket, frame: Frame) -> None:
-    """Blocking send of one whole frame."""
-    sock.sendall(frame.to_bytes())
-
-
-def _recv_exactly(sock: socket.socket, n: int, eof_ok: bool = False) -> bytes | None:
-    parts: list[bytes] = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            if eof_ok and remaining == n:
-                return None
-            raise ProtocolError("connection closed mid-frame", "truncated")
-        parts.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(parts)
 
 
 # ---------------------------------------------------------------------------

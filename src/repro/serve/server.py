@@ -53,12 +53,16 @@ seal over the same inputs.  ``SEAL``/``OPEN`` run the channel; sessions
 are tenant-scoped (another tenant's session id is ``NOT_FOUND``) and
 answered inline, like ``INFO`` — they never enter the batch queue.
 
-Transports: ``serve_tcp`` (asyncio TCP), ``connect`` (an in-process
-``socketpair`` — what the tests and the benchmark use; same frames, no
-network stack), and ``connect_socket`` (the blocking end for the sync
-client).  :class:`ThreadedService` runs the whole service on a
-background event-loop thread so synchronous code — examples, notebooks
-— can use it without touching asyncio.
+Transports live once, in :class:`FrameServer` — the connection shell
+this service and the cluster router both extend: ``serve_tcp`` (asyncio
+TCP), ``connect`` (an in-process ``socketpair`` — what the tests and
+the benchmark use; same frames, no network stack), ``connect_socket``
+(the raw end the blocking client wraps), and the per-connection read
+loop that decodes frames through the one decoder of
+:mod:`repro.serve.protocol` and hands them to ``_handle_frame``.
+:class:`LoopThreadHost` likewise runs any such server on a background
+event-loop thread; :class:`ThreadedService` is the service on it, so
+synchronous code — examples, notebooks — never touches asyncio.
 
 **Tracing**: when constructed with an enabled
 :class:`repro.trace.Tracer`, the service stamps each request at five
@@ -82,19 +86,16 @@ import secrets
 import socket
 import threading
 import time
-import warnings
 from collections.abc import Awaitable, Callable, Coroutine
-from concurrent.futures import Executor
-from dataclasses import dataclass, field, replace
-from typing import Any, TypeVar
+from dataclasses import dataclass, field
+from typing import Any, Generic, TypeVar
 
 from repro.backend.base import KemBackend, create_backend, resolve_backend_name
-from repro.backend.thread import ThreadBackend
 
 # Only ``repro.faults.plan`` is imported at module level: it has no
 # dependency on ``repro.serve``, while ``repro.faults.transport`` does
-# (the frame header size), so the latter is imported lazily inside
-# ``_handle_connection`` to keep the import graph acyclic.
+# (the frame decoder), so the latter is imported lazily inside
+# ``FrameServer._handle_connection`` to keep the import graph acyclic.
 from repro.faults.plan import (
     KIND_STALL,
     KIND_TIMEOUT,
@@ -140,6 +141,8 @@ from repro.trace import NULL_TRACER, Tracer, collect_tags
 _Respond = Callable[[Frame], Awaitable[None]]
 
 _T = TypeVar("_T")
+_ServerT = TypeVar("_ServerT", bound="FrameServer")
+_HostT = TypeVar("_HostT", bound="LoopThreadHost[Any]")
 
 
 @dataclass
@@ -252,51 +255,134 @@ def _xor_stream(key: bytes, nonce: bytes, data: bytes) -> bytes:
     return bytes(a ^ b for a, b in zip(data, stream, strict=True))
 
 
-#: Old flat constructor kwargs that now live on :class:`ServiceConfig`.
-_LEGACY_CONFIG_KWARGS = (
-    "max_batch",
-    "max_wait_us",
-    "min_wait_us",
-    "high_watermark",
-    "request_timeout",
-    "kernel_workers",
-)
+class FrameServer:
+    """The connection shell: transports and the per-connection loop.
 
-
-def _fold_legacy_kwargs(
-    config: ServiceConfig | None,
-    legacy: dict[str, Any],
-    stacklevel: int,
-) -> tuple[ServiceConfig, Executor | None]:
-    """Fold deprecated flat kwargs into a config (warning per category).
-
-    Returns the effective config and a deprecated raw ``executor=``
-    argument, if one was passed (the caller wraps it in a
-    :class:`ThreadBackend`).
+    Everything between a byte stream and a decoded request exists here
+    once, for :class:`KemService` and :class:`repro.cluster.ClusterRouter`
+    alike: the listeners (``serve_tcp``), the in-process transports
+    (``connect`` / ``connect_socket``), the read loop with its fault
+    wrappers and typed connection-error accounting, the serialized
+    ``respond`` writer, and the transport teardown.  A subclass supplies
+    ``start``/``shutdown`` and ``_handle_frame(frame, respond)``, which
+    must answer every frame it accepts.
     """
-    executor = legacy.pop("executor", None)
-    if executor is not None:
-        warnings.warn(
-            "the executor= argument is deprecated; pass "
-            "backend=ThreadBackend(executor=...) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-    unknown = [name for name in legacy if name not in _LEGACY_CONFIG_KWARGS]
-    if unknown:
-        raise TypeError(f"unexpected keyword arguments: {sorted(unknown)}")
-    if legacy:
-        warnings.warn(
-            f"keyword arguments {sorted(legacy)} are deprecated; pass "
-            "config=ServiceConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        config = replace(config if config is not None else ServiceConfig(), **legacy)
-    return config if config is not None else ServiceConfig(), executor
+
+    def __init__(self, fault_plan: FaultPlan | None) -> None:
+        self.metrics = ServiceMetrics()
+        self.fault_plan = fault_plan
+        self._conn_tasks: set[asyncio.Task[None]] = set()
+        self._writers: set[FrameWriter] = set()
+        self._tcp_servers: list[asyncio.base_events.Server] = []
+
+    async def start(self) -> FrameServer:
+        """Begin serving (subclass hook)."""
+        raise NotImplementedError
+
+    async def shutdown(self) -> None:
+        """Stop serving and release everything (subclass hook)."""
+        raise NotImplementedError
+
+    async def _handle_frame(self, frame: Frame, respond: _Respond) -> None:
+        """Serve one decoded request frame (subclass hook)."""
+        raise NotImplementedError
+
+    async def serve_tcp(
+        self, host: str = "127.0.0.1", port: int = 0
+    ) -> asyncio.base_events.Server:
+        """Listen on TCP; returns the ``asyncio.Server`` (``port 0`` = ephemeral)."""
+        server = await asyncio.start_server(self._handle_connection, host, port)
+        self._tcp_servers.append(server)
+        return server
+
+    async def connect(
+        self,
+    ) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+        """Open an in-process connection (socketpair); returns client streams."""
+        client_sock = await self.connect_socket()
+        return await asyncio.open_connection(sock=client_sock)
+
+    async def connect_socket(self) -> socket.socket:
+        """Open an in-process connection; returns the client's raw socket.
+
+        The end :class:`repro.serve.client.KemClient` wraps; the server
+        end is handled on this event loop.
+        """
+        server_sock, client_sock = socket.socketpair()
+        reader, writer = await asyncio.open_connection(sock=server_sock)
+        task = asyncio.create_task(self._handle_connection(reader, writer))
+        self._conn_tasks.add(task)
+        task.add_done_callback(self._conn_tasks.discard)
+        return client_sock
+
+    async def _handle_connection(
+        self, reader: FrameReader, writer: FrameWriter
+    ) -> None:
+        if self.fault_plan is not None:
+            from repro.faults.transport import wrap_connection
+
+            reader, writer = wrap_connection(reader, writer, self.fault_plan)
+        self._writers.add(writer)
+        lock = asyncio.Lock()
+
+        async def respond(frame: Frame) -> None:
+            async with lock:
+                try:
+                    write_frame(writer, frame)
+                    await writer.drain()
+                except (ConnectionError, RuntimeError):
+                    pass  # peer went away; nothing to tell it
+
+        try:
+            while True:
+                frame = await read_frame(reader)
+                if frame is None:
+                    break
+                try:
+                    await self._handle_frame(frame, respond)
+                except asyncio.CancelledError:
+                    raise
+                except Exception:  # noqa: BLE001 - isolate the connection
+                    # a handler bug poisons this request, not the
+                    # connection loop — answer INTERNAL and carry on
+                    self.metrics.record_conn_error("handler-internal")
+                    await respond(self._error(frame, Status.INTERNAL, "internal error"))
+        except ProtocolError as exc:
+            # framing is gone: count why, then drop the connection —
+            # the stream cannot be resynchronized mid-garbage
+            self.metrics.record_conn_error(f"protocol:{exc.reason}")
+        except ConnectionError:
+            self.metrics.record_conn_error("disconnect")
+        except asyncio.CancelledError:
+            pass
+        except Exception:  # noqa: BLE001 - never kill the accept loop
+            self.metrics.record_conn_error("internal")
+        finally:
+            self._writers.discard(writer)
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, BrokenPipeError):
+                pass
+
+    def _error(self, request: Frame, status: Status, message: str) -> Frame:
+        self.metrics.record_response(request.op.name, status.name)
+        return request.reply(status, message.encode())
+
+    async def _close_transports(self) -> None:
+        """Close listeners and live connections (the tail of a shutdown)."""
+        for server in self._tcp_servers:
+            server.close()
+            await server.wait_closed()
+        for writer in list(self._writers):
+            writer.close()
+        for task in list(self._conn_tasks):
+            task.cancel()
+        if self._conn_tasks:
+            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
 
 
-class KemService:
+class KemService(FrameServer):
     """An async multi-scheme KEM service with adaptive micro-batching.
 
     Construct, ``await start()``, attach transports, ``await
@@ -326,10 +412,6 @@ class KemService:
         request emits a ``server.request`` root span plus telescoping
         per-stage spans (see the module docstring); defaults to the
         no-op :data:`repro.trace.NULL_TRACER`.
-
-    The old flat kwargs (``max_batch=...``, ``executor=...``, …) still
-    work but raise :class:`DeprecationWarning`; see the deprecation
-    table in ``docs/SERVICE.md``.
     """
 
     def __init__(
@@ -340,16 +422,12 @@ class KemService:
         clock: Callable[[], float] = time.monotonic,
         fault_plan: FaultPlan | None = None,
         tracer: Tracer | None = None,
-        **legacy: Any,
     ) -> None:
-        config, executor = _fold_legacy_kwargs(config, legacy, stacklevel=3)
-        if executor is not None and backend is None:
-            backend = ThreadBackend(executor=executor)
+        super().__init__(fault_plan)
+        config = config if config is not None else ServiceConfig()
         self.config = config
-        self.metrics = ServiceMetrics()
         self.high_watermark = config.high_watermark
         self.request_timeout = config.request_timeout
-        self.fault_plan = fault_plan
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._clock = clock
         self._scheduler = MicroBatchScheduler(
@@ -409,9 +487,6 @@ class KemService:
         self._wake: asyncio.Event | None = None
         self._flusher: asyncio.Task[None] | None = None
         self._inflight: set[asyncio.Task[None]] = set()
-        self._conn_tasks: set[asyncio.Task[None]] = set()
-        self._writers: set[FrameWriter] = set()
-        self._tcp_servers: list[asyncio.base_events.Server] = []
 
     @property
     def backend(self) -> KemBackend | None:
@@ -488,15 +563,7 @@ class KemService:
                 await self._flusher
             except asyncio.CancelledError:
                 pass
-        for server in self._tcp_servers:
-            server.close()
-            await server.wait_closed()
-        for writer in list(self._writers):
-            writer.close()
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+        await self._close_transports()
         if self._owns_backend and self._backend is not None:
             # in-flight batches are drained above, so this cannot strand
             # work; re-created from config if the service is restarted
@@ -626,116 +693,29 @@ class KemService:
         return self._pending
 
     # ------------------------------------------------------------------
-    # transports
-    # ------------------------------------------------------------------
-
-    async def serve_tcp(
-        self, host: str = "127.0.0.1", port: int = 0
-    ) -> asyncio.base_events.Server:
-        """Listen on TCP; returns the ``asyncio.Server`` (``port 0`` = ephemeral)."""
-        server = await asyncio.start_server(self._on_connection, host, port)
-        self._tcp_servers.append(server)
-        return server
-
-    async def connect(
-        self,
-    ) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-        """Open an in-process connection (socketpair); returns client streams."""
-        client_sock = await self.connect_socket()
-        return await asyncio.open_connection(sock=client_sock)
-
-    async def connect_socket(self) -> socket.socket:
-        """Open an in-process connection; returns the client's raw socket.
-
-        The blocking end for :class:`repro.serve.client.KemClient`;
-        the server end is handled on this event loop.
-        """
-        server_sock, client_sock = socket.socketpair()
-        reader, writer = await asyncio.open_connection(sock=server_sock)
-        task = asyncio.create_task(self._handle_connection(reader, writer))
-        self._conn_tasks.add(task)
-        task.add_done_callback(self._conn_tasks.discard)
-        return client_sock
-
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        await self._handle_connection(reader, writer)
-
-    # ------------------------------------------------------------------
     # request path
     # ------------------------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: FrameReader, writer: FrameWriter
+    async def _reject(
+        self,
+        frame: Frame,
+        respond: _Respond,
+        t_read: float,
+        status: Status,
+        message: str,
+        **tags: Any,
     ) -> None:
-        if self.fault_plan is not None:
-            from repro.faults.transport import wrap_connection
+        """Answer a request that never leaves admission, and trace it.
 
-            reader, writer = wrap_connection(reader, writer, self.fault_plan)
-        self._writers.add(writer)
-        lock = asyncio.Lock()
-
-        async def respond(frame: Frame) -> None:
-            async with lock:
-                try:
-                    write_frame(writer, frame)
-                    await writer.drain()
-                except (ConnectionError, RuntimeError):
-                    pass  # peer went away; nothing to tell it
-
-        try:
-            while True:
-                frame = await read_frame(reader)
-                if frame is None:
-                    break
-                try:
-                    await self._handle_frame(frame, respond)
-                except asyncio.CancelledError:
-                    raise
-                except Exception:  # noqa: BLE001 - isolate the connection
-                    # a handler bug poisons this request, not the
-                    # connection loop — answer INTERNAL and carry on
-                    self.metrics.record_conn_error("handler-internal")
-                    await respond(self._error(frame, Status.INTERNAL, "internal error"))
-        except ProtocolError as exc:
-            # framing is gone: count why, then drop the connection —
-            # the stream cannot be resynchronized mid-garbage
-            self.metrics.record_conn_error(f"protocol:{exc.reason}")
-        except ConnectionError:
-            self.metrics.record_conn_error("disconnect")
-        except asyncio.CancelledError:
-            pass
-        except Exception:  # noqa: BLE001 - never kill the accept loop
-            self.metrics.record_conn_error("internal")
-        finally:
-            self._writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):
-                pass
-
-    def _error(self, request: Frame, status: Status, message: str) -> Frame:
-        self.metrics.record_response(request.op.name, status.name)
-        return Frame(
-            request.op,
-            request.request_id,
-            request.param_id,
-            status,
-            message.encode(),
-            trace=request.trace,
-        )
-
-    def _trace_reject(
-        self, frame: Frame, t_read: float, status: Status, **tags: Any
-    ) -> None:
-        """Emit the admission-only span pair of a rejected request.
-
-        A reject never leaves admission, so one ``admission`` stage
-        span tiles the whole ``server.request`` root — the attribution
-        table's coverage stays exact even under backpressure or chaos.
+        Writes the typed error response, then emits the admission-only
+        span pair: a reject never leaves admission, so one ``admission``
+        stage span tiles the whole ``server.request`` root — the
+        attribution table's coverage stays exact even under
+        backpressure or chaos.  ``tags`` land on the root span.  Sheds
+        are counted by the caller *before* this runs: once the client
+        sees ``BUSY`` the metric must already be observable.
         """
+        await respond(self._error(frame, status, message))
         tracer = self.tracer
         if not tracer.enabled:
             return
@@ -815,12 +795,7 @@ class KemService:
                 return
             if self.remove_keypair(key_id):
                 self.metrics.record_response(op.name, Status.OK.name)
-                await respond(
-                    Frame(
-                        op, frame.request_id, frame.param_id, Status.OK,
-                        trace=frame.trace,
-                    )
-                )
+                await respond(frame.reply(Status.OK))
             else:
                 await respond(
                     self._error(
@@ -832,17 +807,16 @@ class KemService:
             spec = self.fault_plan.draw(SITE_ADMISSION)
             if spec is not None:
                 status = Status.TIMEOUT if spec.kind == KIND_TIMEOUT else Status.BUSY
-                await respond(
-                    self._error(frame, status, f"injected fault: {spec.kind}")
-                )
-                self._trace_reject(
-                    frame, t_read, status, fault_site=SITE_ADMISSION,
-                    fault_kind=spec.kind,
+                await self._reject(
+                    frame, respond, t_read, status,
+                    f"injected fault: {spec.kind}",
+                    fault_site=SITE_ADMISSION, fault_kind=spec.kind,
                 )
                 return
         if self._draining:
-            await respond(self._error(frame, Status.SHUTTING_DOWN, "draining"))
-            self._trace_reject(frame, t_read, Status.SHUTTING_DOWN)
+            await self._reject(
+                frame, respond, t_read, Status.SHUTTING_DOWN, "draining"
+            )
             return
         qos = frame.qos
         tier = min(qos.tier if qos is not None else 0, len(self._tier_limits) - 1)
@@ -857,14 +831,9 @@ class KemService:
         over_quota = self._tenant_admit(op, tenant)
         if over_quota is not None:
             self.metrics.record_shed("quota", tier, tenant)
-            await respond(
-                self._error(
-                    frame, Status.BUSY,
-                    f"tenant {tenant} over quota ({over_quota})",
-                )
-            )
-            self._trace_reject(
-                frame, t_read, Status.BUSY,
+            await self._reject(
+                frame, respond, t_read, Status.BUSY,
+                f"tenant {tenant} over quota ({over_quota})",
                 shed_reason="quota", tier=tier, tenant=tenant,
             )
             return
@@ -879,22 +848,16 @@ class KemService:
         # interactive traffic (tier 0 keeps the classic full-queue BUSY)
         limit = self._tier_limits[tier]
         if self._pending >= limit:
-            # count the shed before the response goes out: once the
-            # client sees BUSY the metric must already be observable
+            # a full queue is plain backpressure; only a tier that
+            # stopped admitting early counts (and is tagged) as a shed
+            shed: dict[str, Any] = {}
             if limit < self.high_watermark:
                 self.metrics.record_shed("watermark", tier, tenant)
-            await respond(
-                self._error(
-                    frame, Status.BUSY, f"{self._pending} requests pending"
-                )
+                shed = {"shed_reason": "watermark", "tier": tier}
+            await self._reject(
+                frame, respond, t_read, Status.BUSY,
+                f"{self._pending} requests pending", **shed,
             )
-            if limit < self.high_watermark:
-                self._trace_reject(
-                    frame, t_read, Status.BUSY,
-                    shed_reason="watermark", tier=tier,
-                )
-            else:
-                self._trace_reject(frame, t_read, Status.BUSY)
             return
         if self.config.shed_deadlines and deadline_s is not None:
             # hopeless check: when one batch already takes longer than
@@ -902,30 +865,21 @@ class KemService:
             # answer BUSY now so the client's retry policy backs off
             estimate = self._estimator.batch_seconds((op.name, frame.param_id))
             if estimate is not None and predicted_miss(0.0, estimate, deadline_s):
-                # count the shed before the response goes out: once the
-                # client sees BUSY the metric must already be observable
                 self.metrics.record_shed("hopeless", tier, tenant)
-                await respond(
-                    self._error(
-                        frame, Status.BUSY,
-                        f"deadline {deadline_s:.3f}s below expected "
-                        f"{estimate:.3f}s service time",
-                    )
-                )
-                self._trace_reject(
-                    frame, t_read, Status.BUSY,
+                await self._reject(
+                    frame, respond, t_read, Status.BUSY,
+                    f"deadline {deadline_s:.3f}s below expected "
+                    f"{estimate:.3f}s service time",
                     shed_reason="hopeless", tier=tier,
                 )
                 return
         try:
             entry = self._parse_request(frame, respond)
         except ProtocolError as exc:
-            await respond(self._error(frame, Status.BAD_REQUEST, str(exc)))
-            self._trace_reject(frame, t_read, Status.BAD_REQUEST)
+            await self._reject(frame, respond, t_read, Status.BAD_REQUEST, str(exc))
             return
         except KeyError as exc:
-            await respond(self._error(frame, Status.NOT_FOUND, str(exc)))
-            self._trace_reject(frame, t_read, Status.NOT_FOUND)
+            await self._reject(frame, respond, t_read, Status.NOT_FOUND, str(exc))
             return
         entry.deadline_s = deadline_s
         entry.tier = tier
@@ -1353,16 +1307,7 @@ class KemService:
         )
         if self.tracer.enabled and entry.t_read:
             self._trace_request(entry, status)
-        await entry.respond(
-            Frame(
-                frame.op,
-                frame.request_id,
-                frame.param_id,
-                status,
-                payload,
-                trace=frame.trace,
-            )
-        )
+        await entry.respond(frame.reply(status, payload))
 
     def _trace_request(self, entry: _Entry, status: Status) -> None:
         """Emit the root span and telescoping stage spans of a request.
@@ -1449,16 +1394,12 @@ class KemService:
         async def ok(payload: bytes = b"") -> None:
             self.metrics.record_response(op.name, Status.OK.name)
             self.metrics.observe_latency(op.name, (self._clock() - started) * 1e6)
-            await respond(
-                Frame(
-                    op, frame.request_id, frame.param_id, Status.OK, payload,
-                    trace=frame.trace,
-                )
-            )
+            await respond(frame.reply(Status.OK, payload))
 
         async def not_found(message: str) -> None:
-            await respond(self._error(frame, Status.NOT_FOUND, message))
-            self._trace_reject(frame, t_read, Status.NOT_FOUND, tenant=tenant)
+            await self._reject(
+                frame, respond, t_read, Status.NOT_FOUND, message, tenant=tenant
+            )
 
         try:
             if op is Op.SESSION_OPEN:
@@ -1508,17 +1449,16 @@ class KemService:
             body, tag = rest[:-SESSION_TAG_SIZE], rest[-SESSION_TAG_SIZE:]
             expected = _tag(session.mac_key, session.kem_ct + nonce + body)
             if not hmac.compare_digest(expected, tag):
-                await respond(
-                    self._error(frame, Status.BAD_REQUEST, "authentication failed")
-                )
-                self._trace_reject(
-                    frame, t_read, Status.BAD_REQUEST, tenant=tenant
+                await self._reject(
+                    frame, respond, t_read, Status.BAD_REQUEST,
+                    "authentication failed", tenant=tenant,
                 )
                 return
             await ok(_xor_stream(session.enc_key, nonce, body))
         except ProtocolError as exc:
-            await respond(self._error(frame, Status.BAD_REQUEST, str(exc)))
-            self._trace_reject(frame, t_read, Status.BAD_REQUEST, tenant=tenant)
+            await self._reject(
+                frame, respond, t_read, Status.BAD_REQUEST, str(exc), tenant=tenant
+            )
 
     async def _session_encaps(
         self, key: HostedKey, message: bytes
@@ -1606,19 +1546,92 @@ class KemService:
         )
 
 
-class ThreadedService:
-    """A :class:`KemService` on a background event-loop thread.
+class LoopThreadHost(Generic[_ServerT]):
+    """One :class:`FrameServer` on a background event-loop thread.
 
-    The adapter for synchronous worlds (examples, notebooks, the sync
-    client): ``start()`` spins up the loop and service, ``connect()``
-    hands back blocking-socket connections, ``stop()`` drains and
-    joins.  Also usable as a context manager.
+    The adapter for synchronous worlds (examples, notebooks, the
+    blocking client), shared by :class:`ThreadedService` and
+    :class:`repro.cluster.ThreadedCluster`: ``start()`` spins up the
+    loop, builds the server on it (``factory`` runs on the loop thread)
+    and starts it, ``connect()`` hands back client sockets, ``stop()``
+    shuts the server down and joins.  Also usable as a context manager.
+    """
+
+    def __init__(self, factory: Callable[[], _ServerT], thread_name: str) -> None:
+        self._factory = factory
+        self._thread_name = thread_name
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._thread: threading.Thread | None = None
+        self._ready = threading.Event()
+        self._server: _ServerT | None = None
+
+    def start(self: _HostT) -> _HostT:
+        """Start the loop thread and the server on it."""
+        if self._thread is not None:
+            return self
+        self._thread = threading.Thread(
+            target=self._run, name=self._thread_name, daemon=True
+        )
+        self._thread.start()
+        self._ready.wait()
+        return self
+
+    def _run(self) -> None:
+        self._loop = asyncio.new_event_loop()
+        asyncio.set_event_loop(self._loop)
+        self._server = self._factory()
+        self._loop.run_until_complete(self._server.start())
+        self._ready.set()
+        self._loop.run_forever()
+        self._loop.run_until_complete(self._server.shutdown())
+        self._loop.close()
+
+    def _call(self, coro: Coroutine[Any, Any, _T]) -> _T:
+        assert self._loop is not None, "start() first"
+        return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
+
+    def _hosted(self) -> _ServerT:
+        assert self._server is not None, "start() first"
+        return self._server
+
+    def connect(self) -> socket.socket:
+        """A new in-process connection as a client socket."""
+        return self._call(self._hosted().connect_socket())
+
+    def serve_tcp(self, host: str = "127.0.0.1", port: int = 0) -> int:
+        """Start a TCP listener; returns the bound port."""
+
+        async def _serve() -> int:
+            server = await self._hosted().serve_tcp(host, port)
+            port_: int = server.sockets[0].getsockname()[1]
+            return port_
+
+        return self._call(_serve())
+
+    def stop(self) -> None:
+        """Shut the server down (a graceful drain) and join the loop thread."""
+        if self._thread is None or self._loop is None:
+            return
+        self._loop.call_soon_threadsafe(self._loop.stop)
+        self._thread.join()
+        self._thread = None
+
+    def __enter__(self: _HostT) -> _HostT:
+        """Start on entry."""
+        return self.start()
+
+    def __exit__(self, *exc: object) -> None:
+        """Stop on exit."""
+        self.stop()
+
+
+class ThreadedService(LoopThreadHost[KemService]):
+    """A :class:`KemService` on a background event-loop thread.
 
     Takes the same arguments as :class:`KemService` — a
     :class:`ServiceConfig` plus optional ``backend``/``clock``/
-    ``fault_plan``/``tracer`` (old flat kwargs still work with a
-    :class:`DeprecationWarning`, resolved here so the warning points at
-    the caller, not the service thread).
+    ``fault_plan``/``tracer`` — and adds the key-hosting calls and
+    :meth:`kill` to the :class:`LoopThreadHost` surface.
     """
 
     def __init__(
@@ -1629,59 +1642,22 @@ class ThreadedService:
         clock: Callable[[], float] = time.monotonic,
         fault_plan: FaultPlan | None = None,
         tracer: Tracer | None = None,
-        **legacy: Any,
     ) -> None:
-        config, executor = _fold_legacy_kwargs(config, legacy, stacklevel=3)
-        if executor is not None and backend is None:
-            backend = ThreadBackend(executor=executor)
-        self._config = config
-        self._backend = backend
-        self._clock = clock
-        self._fault_plan = fault_plan
-        self._tracer = tracer
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._ready = threading.Event()
-        self.service: KemService | None = None
-
-    def start(self) -> ThreadedService:
-        """Start the loop thread and the service on it."""
-        if self._thread is not None:
-            return self
-        self._thread = threading.Thread(
-            target=self._run, name="repro-serve-loop", daemon=True
+        super().__init__(
+            lambda: KemService(
+                config,
+                backend=backend,
+                clock=clock,
+                fault_plan=fault_plan,
+                tracer=tracer,
+            ),
+            "repro-serve-loop",
         )
-        self._thread.start()
-        self._ready.wait()
-        return self
 
-    def _run(self) -> None:
-        self._loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(self._loop)
-        self.service = KemService(
-            self._config,
-            backend=self._backend,
-            clock=self._clock,
-            fault_plan=self._fault_plan,
-            tracer=self._tracer,
-        )
-        self._loop.run_until_complete(self.service.start())
-        self._ready.set()
-        self._loop.run_forever()
-        self._loop.run_until_complete(self.service.shutdown())
-        self._loop.close()
-
-    def _call(self, coro: Coroutine[Any, Any, _T]) -> _T:
-        assert self._loop is not None, "start() the service first"
-        return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
-
-    def _service(self) -> KemService:
-        assert self.service is not None, "start() the service first"
-        return self.service
-
-    def connect(self) -> socket.socket:
-        """A new in-process connection as a blocking client socket."""
-        return self._call(self._service().connect_socket())
+    @property
+    def service(self) -> KemService | None:
+        """The hosted service (``None`` until :meth:`start`)."""
+        return self._server
 
     def add_keypair(
         self,
@@ -1698,7 +1674,7 @@ class ThreadedService:
         """
 
         async def _add() -> int:
-            return self._service().add_keypair(spec, seed=seed, tenant=tenant)
+            return self._hosted().add_keypair(spec, seed=seed, tenant=tenant)
 
         return self._call(_add())
 
@@ -1706,27 +1682,9 @@ class ThreadedService:
         """Stop hosting a key on the service thread; True if it existed."""
 
         async def _remove() -> bool:
-            return self._service().remove_keypair(key_id)
+            return self._hosted().remove_keypair(key_id)
 
         return self._call(_remove())
-
-    def serve_tcp(self, host: str = "127.0.0.1", port: int = 0) -> int:
-        """Start a TCP listener; returns the bound port."""
-
-        async def _serve() -> int:
-            server = await self._service().serve_tcp(host, port)
-            port_: int = server.sockets[0].getsockname()[1]
-            return port_
-
-        return self._call(_serve())
-
-    def stop(self) -> None:
-        """Drain the service and join the loop thread."""
-        if self._thread is None or self._loop is None:
-            return
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join()
-        self._thread = None
 
     def kill(self) -> None:
         """Crash the service: abort every connection, then stop.
@@ -1738,15 +1696,5 @@ class ThreadedService:
         """
         if self._thread is None or self._loop is None:
             return
-        self._loop.call_soon_threadsafe(self._service().abort)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join()
-        self._thread = None
-
-    def __enter__(self) -> ThreadedService:
-        """Start on entry."""
-        return self.start()
-
-    def __exit__(self, *exc: object) -> None:
-        """Stop on exit."""
+        self._loop.call_soon_threadsafe(self._hosted().abort)
         self.stop()

@@ -290,6 +290,7 @@ class TestRegistry:
         first = create_backend("thread")
         second = create_backend(None)
         assert first is second is default_thread_backend()
+        assert first.executor is default_thread_backend().executor  # one pool
         # the shared default must survive close() — it is process-wide
         first.close()
         assert not first.closed

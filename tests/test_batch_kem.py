@@ -212,20 +212,8 @@ class TestEdgeBatchSizes:
 
 
 class TestSharedExecutor:
-    """The fan-out pool is module-level and reused (PR 2 satellite)."""
-
-    def test_shared_executor_is_singleton(self):
-        # the deprecated shim still hands every caller the same pool
-        # (now owned by repro.backend.default_thread_backend())
-        from repro.backend import default_thread_backend
-        from repro.batch import shared_executor
-
-        with pytest.warns(DeprecationWarning):
-            first = shared_executor()
-        with pytest.warns(DeprecationWarning):
-            second = shared_executor()
-        assert first is second
-        assert first is default_thread_backend().executor
+    """The fan-out pool is injectable (the shared default's singleton-ness
+    is covered by ``tests/test_backend.py``)."""
 
     def test_injected_executor_is_used(self, kems):
         from concurrent.futures import ThreadPoolExecutor

@@ -27,7 +27,14 @@ from repro.faults import (
     random_plan,
     wrap_connection,
 )
-from repro.serve.protocol import HEADER_SIZE, MAGIC
+from repro.serve.protocol import (
+    HEADER_SIZE,
+    MAGIC,
+    Frame,
+    Op,
+    ProtocolError,
+    read_frame,
+)
 
 
 def drain_draws(plan: FaultPlan, site: str, n: int) -> list[str | None]:
@@ -177,6 +184,18 @@ class ScriptedReader:
         return chunk
 
 
+class ScriptedPlan:
+    """draw() hands out canned decisions and counts how often it is asked."""
+
+    def __init__(self, decisions):
+        self._decisions = list(decisions)
+        self.draws = 0
+
+    def draw(self, site):
+        self.draws += 1
+        return self._decisions.pop(0)
+
+
 class RecordingWriter:
     def __init__(self):
         self.chunks: list[bytes] = []
@@ -209,12 +228,25 @@ class TestFaultyReader:
         reader = FaultyReader(ScriptedReader(HEADER * 2), plan)
         assert run(reader.readexactly(HEADER_SIZE)) == HEADER
 
-    def test_payload_reads_never_drawn(self):
-        # non-header read sizes bypass the plan entirely
-        plan = FaultPlan([FaultSpec(SITE_TRANSPORT_READ, KIND_DROP)])
-        reader = FaultyReader(ScriptedReader(b"x" * 64), plan)
-        assert run(reader.readexactly(64)) == b"x" * 64
-        assert plan.total_fired() == 0
+    @pytest.mark.parametrize("size", [13, HEADER_SIZE, 15])
+    def test_one_draw_per_frame_whatever_the_payload_size(self, size):
+        # regression: frame starts used to be recognised by a
+        # header-sized read, so a 14-byte payload drew a second fault
+        # mid-frame and a corrupt draw flipped a *payload* byte
+        sent = Frame(Op.DECAPS, 7, payload=bytes(range(size)))
+        plan = ScriptedPlan(
+            [None, FaultSpec(SITE_TRANSPORT_READ, KIND_CORRUPT)]
+        )
+        reader = FaultyReader(ScriptedReader(sent.to_bytes() * 2), plan)
+
+        async def main():
+            assert await read_frame(reader) == sent  # intact
+            with pytest.raises(ProtocolError) as excinfo:
+                await read_frame(reader)  # rejected whole
+            assert excinfo.value.reason == "bad-magic"
+
+        run(main())
+        assert plan.draws == 2
 
     def test_corrupt_flips_only_magic(self):
         plan = FaultPlan([FaultSpec(SITE_TRANSPORT_READ, KIND_CORRUPT)])

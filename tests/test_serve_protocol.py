@@ -23,7 +23,6 @@ from repro.serve.protocol import (
     pack_decaps_request,
     pack_encaps_request,
     params_for_wire_id,
-    parse_header,
     read_frame,
     unpack_encaps_response,
     unpack_key_id,
@@ -88,8 +87,11 @@ class TestMalformedFrames:
     def test_oversized_announced_payload(self):
         blob = bytearray(Frame(Op.INFO, 1).to_bytes())
         blob[10:14] = (MAX_PAYLOAD + 1).to_bytes(4, "big")
-        with pytest.raises(ProtocolError, match="too large"):
-            parse_header(bytes(blob[:HEADER_SIZE]))
+        # rejected on the header alone: nothing of the announced
+        # payload has to be present (or allocated) to get the error
+        with pytest.raises(ProtocolError, match="too large") as excinfo:
+            decode_frame(bytes(blob))
+        assert excinfo.value.reason == "oversized"
 
     def test_oversized_outgoing_payload(self):
         with pytest.raises(ProtocolError, match="too large"):

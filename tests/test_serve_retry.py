@@ -3,7 +3,10 @@ should-retry decision table, and end-to-end recovery from injected
 BUSY windows, kernel aborts and dropped connections — async and sync."""
 
 import asyncio
+import gc
 import random
+import socket
+import warnings
 
 import pytest
 
@@ -32,7 +35,7 @@ from repro.serve import (
     ThreadedService,
 )
 from repro.serve.client import _CONNECTION_ERRORS
-from repro.serve.protocol import Op, ProtocolError, Status
+from repro.serve.protocol import Frame, Op, ProtocolError, Status, decode_frame
 
 SEED = bytes(range(64))
 
@@ -333,14 +336,50 @@ class TestSyncRetryEndToEnd:
                 client.decaps(key_id, ref.ciphertext.to_bytes())
             client.close()
 
-    def test_attempt_timeout_sets_socket_timeout(self):
-        with ThreadedService(ServiceConfig(max_batch=1)) as svc:
-            sock = svc.connect()
-            client = KemClient(
-                sock, retry=RetryPolicy(attempt_timeout_s=2.5)
-            )
-            assert sock.gettimeout() == pytest.approx(2.5)
-            client.close()
+    def test_unanswered_attempt_times_out_and_redials(self):
+        # peers that take the request and never answer: the outcome is
+        # fixed by the policy, not by how fast the machine is, and the
+        # backoff goes through the injected sleep
+        far_ends: list[socket.socket] = []
+
+        def silent_peer() -> socket.socket:
+            near, far = socket.socketpair()
+            far_ends.append(far)
+            return near
+
+        slept: list[float] = []
+        client = KemClient(
+            silent_peer(),
+            retry=RetryPolicy(
+                max_attempts=2,
+                base_delay_s=0.001,
+                jitter=0.0,
+                attempt_timeout_s=0.02,
+            ),
+            reconnect=silent_peer,
+            sleep=slept.append,
+        )
+        with pytest.raises(DeadlineExceeded):
+            client.keygen(LAC_128, SEED)
+        client.close()
+        assert slept == [pytest.approx(0.001)]
+        # the retry went out on a fresh connection, whole and unchanged
+        assert len(far_ends) == 2
+        for far in far_ends:
+            frame, _ = decode_frame(far.recv(4096))
+            assert (frame.op, frame.payload) == (Op.KEYGEN, SEED)
+            far.close()
+
+    def test_unanswered_attempt_without_reconnect_is_not_retried(self):
+        near, far = socket.socketpair()
+        client = KemClient(
+            near, retry=RetryPolicy(max_attempts=3, attempt_timeout_s=0.02)
+        )
+        with pytest.raises(DeadlineExceeded):
+            client.keygen(LAC_128, SEED)
+        client.close()
+        assert len(far.recv(4096)) == len(Frame(Op.KEYGEN, 1, payload=SEED).to_bytes())
+        far.close()
 
     def test_backoff_sleeps_recorded(self):
         slept: list[float] = []
@@ -359,3 +398,38 @@ class TestSyncRetryEndToEnd:
             client.keygen(LAC_128, SEED)
             assert slept == [pytest.approx(0.001), pytest.approx(0.002)]
             client.close()
+
+
+class TestSyncClientLifetime:
+    def test_close_leaves_nothing_behind(self):
+        with ThreadedService(ServiceConfig(max_batch=1)) as svc:
+            sock = svc.connect()
+            client = KemClient(sock)
+            client.keygen(LAC_128, SEED)
+            loop = client._loop
+            client.close()
+            assert loop.is_closed() and not loop.is_running()
+            assert asyncio.all_tasks(loop) == set()
+            assert sock.fileno() == -1
+            client.close()  # idempotent
+
+    def test_context_manager_closes(self):
+        with ThreadedService(ServiceConfig(max_batch=1)) as svc:
+            sock = svc.connect()
+            with KemClient(sock) as client:
+                assert isinstance(client.info(), dict)
+            assert sock.fileno() == -1
+
+    def test_unclosed_client_only_warns(self):
+        # forgetting close() must cost a ResourceWarning at most: no
+        # exception escapes the collector, and the socket is released
+        with ThreadedService(ServiceConfig(max_batch=1)) as svc:
+            sock = svc.connect()
+            client = KemClient(sock)
+            client.keygen(LAC_128, SEED)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                del client
+                gc.collect()
+            assert [w for w in caught if w.category is not ResourceWarning] == []
+            assert sock.fileno() == -1

@@ -377,6 +377,15 @@ class TestRequestValidation:
         asyncio.run(main())
 
 
+class TestConstructorSurface:
+    @pytest.mark.parametrize("kwarg", ["definitely_not_a_kwarg", "max_batch", "executor"])
+    def test_unknown_kwargs_raise(self, kwarg):
+        # tuning goes through ServiceConfig; the flat-kwarg shims are gone
+        for cls in (KemService, ThreadedService):
+            with pytest.raises(TypeError):
+                cls(**{kwarg: 1})
+
+
 class TestTransports:
     def test_threaded_service_and_sync_client(self):
         with ThreadedService(ServiceConfig(max_batch=4, max_wait_us=500.0)) as svc:

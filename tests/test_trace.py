@@ -16,9 +16,6 @@ from repro.serve.protocol import (
     ProtocolError,
     Status,
     decode_frame,
-    header_has_trace,
-    parse_header,
-    parse_trace_ext,
 )
 from repro.trace import (
     NULL_TRACER,
@@ -275,28 +272,29 @@ class TestProtocolTraceExtension:
     def test_trace_ext_size_is_twelve_bytes(self):
         assert TRACE_EXT_SIZE == 12
 
-    def test_parse_header_accepts_both_versions(self):
+    def test_decoder_accepts_both_versions(self):
         traced = Frame(Op.INFO, 1, trace=TraceContext(5, 6)).to_bytes()
-        header = traced[:HEADER_SIZE]
-        frame, length = parse_header(header)
+        frame, consumed = decode_frame(traced)
         assert frame.op is Op.INFO
-        assert length == 0
-        assert header_has_trace(header)
-        untraced = Frame(Op.INFO, 1).to_bytes()[:HEADER_SIZE]
-        parse_header(untraced)
-        assert not header_has_trace(untraced)
+        assert frame.trace == TraceContext(5, 6)
+        assert consumed == HEADER_SIZE + TRACE_EXT_SIZE
+        frame, consumed = decode_frame(Frame(Op.INFO, 1).to_bytes())
+        assert frame.trace is None
+        assert consumed == HEADER_SIZE
 
-    def test_parse_trace_ext_validates_length(self):
-        ctx = parse_trace_ext(
-            (0xAA).to_bytes(8, "big") + (0xBB).to_bytes(4, "big")
-        )
-        assert ctx == TraceContext(0xAA, 0xBB)
-        with pytest.raises(ProtocolError):
-            parse_trace_ext(b"\x00" * 5)
+    def test_trace_ext_layout_and_length(self):
+        # the extension is 8 bytes of trace id then 4 of span id,
+        # big-endian, straight after the header
+        header = Frame(Op.INFO, 1, trace=TraceContext(0, 0)).to_bytes()[:HEADER_SIZE]
+        ext = (0xAA).to_bytes(8, "big") + (0xBB).to_bytes(4, "big")
+        assert decode_frame(header + ext)[0].trace == TraceContext(0xAA, 0xBB)
+        with pytest.raises(ProtocolError) as excinfo:
+            decode_frame(header + b"\x00" * 5)
+        assert excinfo.value.reason == "truncated"
 
     def test_truncated_trace_extension_rejected(self):
         wire = Frame(Op.INFO, 1, trace=TraceContext(1, 2)).to_bytes()
-        with pytest.raises(ProtocolError, match="trace extension"):
+        with pytest.raises(ProtocolError, match="truncated extension"):
             decode_frame(wire[: HEADER_SIZE + 5])
 
     def test_truncated_payload_after_extension_rejected(self):
