@@ -17,23 +17,38 @@ benchmarks never hard-wire a particular pool again:
   request runs through the annotated cosim drivers with a per-request
   cycle counter, priced by the calibrated Table I/II model.
 
-Every implementation provides the same contract:
+Every implementation provides the same contract, and — like the
+paper's one custom opcode with the unit selected by ``funct3`` — it
+has exactly one submission entry point:
 
-``submit_encaps(params, pk, messages) -> Future[list[EncapsResult]]``
-``submit_decaps(params, keys, ciphertexts) -> Future[list[bytes]]``
-``submit_keygen(params, seeds) -> Future[list[KemKeyPair]]``
+``submit(scheme, params, op, pair, items, *, wrapper=None) -> Future[list]``
+    ``op`` is ``"KEYGEN"`` (``items`` are seeds, ``pair`` is ``None``,
+    resolves to scheme pairs), ``"ENCAPS"`` (messages in, ``(ct_bytes,
+    shared)`` out) or ``"DECAPS"`` (wire ciphertexts in, shared secrets
+    out).  The kernel is the :class:`repro.schemes.KemScheme` adapter;
+    the backend only decides *where* it runs and hands it the per-key
+    transform cache.
+``register_key(scheme, params, pair)`` — decline unsupported schemes,
+    warm the per-key transform cache, return its fingerprints
+``invalidate_key(...)``   — reclaim cache entries on key removal
 ``keygen(params, seed)``  — synchronous single-key convenience
 ``warmup()``              — pay table-building/spawn cost up front
 ``close()``               — graceful drain; idempotent
 ``stats()``               — submission/restart/cache counters for metrics
-``register_key(...)``     — warm the per-key transform cache
-``invalidate_key(...)``   — reclaim cache entries on key removal
+
+What each backend does with ``submit``: inline runs the adapter in the
+caller; thread runs it on a pool thread (``fan_out`` chunks ``items``
+across an inner pool); process ships LAC batches to worker processes
+as key blob + fingerprint and wire bytes, and runs any scheme it has
+no wire for on its supervisor threads; cosim runs the counted scalar
+``LacKem`` per item and therefore declines every scheme but LAC at
+registration.
 
 Backends own a per-key :class:`repro.ring.KeyTransformCache`: batches
 under a hosted key reuse the forward FFT of the key-side ring operands
 (and skip GenA on a hit) instead of recomputing them per batch.
 
-Results are **bit-identical to the scalar** :class:`repro.lac.LacKem`
+Results are **bit-identical to the scalar reference** of the scheme
 across every backend — the conformance suite in
 ``tests/test_backend.py`` pins that invariant, the way the paper's
 accelerated kernels are validated against the reference software.
@@ -52,10 +67,9 @@ from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import Future
 from typing import Any
 
-from repro.lac.kem import EncapsResult, KemKeyPair, KemSecretKey, LacKem
-from repro.lac.params import ALL_PARAMS, LacParams
-from repro.lac.pke import Ciphertext, PublicKey
+from repro.errors import UnsupportedScheme
 from repro.ring.cache import DEFAULT_CACHE_ENTRIES, KeyTransformCache
+from repro.schemes import LAC_SCHEME, KemScheme, resolve
 
 #: Environment variable consulted when no backend name is given
 #: explicitly (``ServiceConfig.backend=None`` and no ``backend=`` arg).
@@ -70,22 +84,43 @@ DEFAULT_BACKEND = "thread"
 #: regardless of which backend ran the batch.
 KernelWrapper = Callable[[Callable[[], Any]], Any]
 
+#: The ``op`` values :meth:`KemBackend.submit` accepts.
+OPS = ("KEYGEN", "ENCAPS", "DECAPS")
+
 #: Deterministic warmup seed (warmup must not consume OS entropy in
 #: ways that differ between runs; the generated key is discarded).
 _WARMUP_SEED = b"\x2a"
 
 
+def run_op(
+    scheme: KemScheme,
+    params: Any,
+    op: str,
+    pair: Any,
+    items: Sequence[Any],
+    cache: KeyTransformCache | None,
+) -> list[Any]:
+    """The kernel behind :meth:`KemBackend.submit`: the scheme adapter
+    (``op`` is one of :data:`OPS` — ``submit`` checked it)."""
+    if op == "ENCAPS":
+        return scheme.encaps_many(params, pair, items, cache)
+    if op == "DECAPS":
+        return scheme.decaps_many(params, pair, items, cache)
+    return [scheme.keygen(params, seed) for seed in items]
+
+
 class KemBackend(ABC):
-    """Abstract execution backend for batched LAC KEM kernels.
+    """Abstract execution backend for batched KEM kernels.
 
-    Subclasses implement the three ``submit_*`` hooks; everything else
-    (the synchronous :meth:`keygen` convenience, :meth:`warmup`,
-    :meth:`stats` bookkeeping, the cached per-parameter-set
-    :class:`LacKem` instances) is shared.
+    Subclasses say *where* a batch runs by implementing :meth:`_spawn`
+    (and, when the where changes the how — worker processes, the
+    simulated core — :meth:`_kernel`); the one :meth:`submit`, the
+    synchronous :meth:`keygen` convenience, :meth:`warmup` and the
+    :meth:`stats` bookkeeping are shared.
 
-    The optional ``wrapper`` argument of the ``submit_*`` methods runs
-    around the kernel call in the backend's execution context (worker
-    thread for :class:`ThreadBackend`, supervisor thread for
+    The optional ``wrapper`` argument of :meth:`submit` runs around
+    the kernel call in the backend's execution context (worker thread
+    for :class:`ThreadBackend`, supervisor thread for
     :class:`ProcessBackend`, the caller for :class:`InlineBackend`);
     the serving layer uses it for fault injection and trace stamps.
     """
@@ -94,8 +129,6 @@ class KemBackend(ABC):
     name: str = "abstract"
 
     def __init__(self, cache_entries: int | None = None) -> None:
-        self._kems_lock = threading.Lock()
-        self._kems: dict[str, LacKem] = {}
         self._stats_lock = threading.Lock()
         self._submitted = 0
         self._completed = 0
@@ -115,121 +148,97 @@ class KemBackend(ABC):
     # the contract
     # ------------------------------------------------------------------
 
-    @abstractmethod
-    def submit_encaps(
+    def submit(
         self,
-        params: LacParams,
-        pk: PublicKey,
-        messages: Sequence[bytes],
+        scheme: KemScheme,
+        params: Any,
+        op: str,
+        pair: Any,
+        items: Sequence[Any],
         *,
         wrapper: KernelWrapper | None = None,
-    ) -> Future[list[EncapsResult]]:
-        """Encapsulate ``messages`` under ``pk``; resolves positionally."""
+    ) -> Future[list[Any]]:
+        """Run one ``op`` batch under ``pair``; resolves positionally.
+
+        ENCAPS/DECAPS take and return the wire bytes
+        ``KemScheme.encaps_many``/``decaps_many`` speak; KEYGEN takes
+        seeds (``None`` = OS randomness) and returns scheme pairs.
+        Empty batches resolve immediately without touching a pool.
+        """
+        self._check_open()
+        if op not in OPS:
+            raise ValueError(f"unknown KEM op {op!r} (choose from {OPS})")
+        batch = list(items)
+        if not batch:
+            return self._done([])
+        return self._spawn(
+            wrapper, lambda: self._kernel(scheme, params, op, pair, batch)
+        )
 
     @abstractmethod
-    def submit_decaps(
-        self,
-        params: LacParams,
-        keys: KemSecretKey,
-        ciphertexts: Sequence[Ciphertext],
-        *,
-        wrapper: KernelWrapper | None = None,
-    ) -> Future[list[bytes]]:
-        """Decapsulate ``ciphertexts``; resolves to the shared secrets."""
+    def _spawn(
+        self, wrapper: KernelWrapper | None, work: Callable[[], Any]
+    ) -> Future[Any]:
+        """Run ``self._tracked(wrapper, work)`` where this backend executes."""
 
-    @abstractmethod
-    def submit_keygen(
-        self,
-        params: LacParams,
-        seeds: Sequence[bytes | None],
-        *,
-        wrapper: KernelWrapper | None = None,
-    ) -> Future[list[KemKeyPair]]:
-        """Generate one key pair per seed (``None`` = OS randomness)."""
+    def _kernel(
+        self, scheme: KemScheme, params: Any, op: str, pair: Any, batch: list[Any]
+    ) -> list[Any]:
+        """What runs inside :meth:`_spawn`: by default the adapter itself."""
+        return run_op(scheme, params, op, pair, batch, self.transform_cache)
 
-    def keygen(self, params: LacParams, seed: bytes | None = None) -> KemKeyPair:
+    def keygen(self, params: Any, seed: bytes | None = None) -> Any:
         """Generate a single key pair synchronously (convenience)."""
-        return self.submit_keygen(params, [seed]).result()[0]
+        scheme, params = resolve(params)
+        return self.submit(scheme, params, "KEYGEN", None, [seed]).result()[0]
 
-    # ------------------------------------------------------------------
-    # the scheme seam (generic, non-LAC execution)
-    # ------------------------------------------------------------------
-
-    def supports_scheme(self, scheme: Any) -> bool:
+    def supports_scheme(self, scheme: KemScheme) -> bool:
         """Whether this backend can faithfully execute ``scheme``.
 
-        The default is permissive: generic work routed through
-        :meth:`submit_task` runs any registered
-        :class:`repro.schemes.KemScheme`.  Backends whose results
-        carry model-derived semantics beyond the bytes (the cosim
-        backend's cycle tallies) override this to decline schemes
-        their model does not cover.
+        The default is permissive: the kernel is the scheme adapter, so
+        any registered :class:`repro.schemes.KemScheme` runs.  Backends
+        whose results carry model-derived semantics beyond the bytes
+        (the cosim backend's cycle tallies) override this to decline
+        schemes their model does not cover.
         """
         return True
 
-    def register_scheme_key(self, scheme: Any, params: Any, pair: Any) -> list[bytes]:
-        """Scheme-aware twin of :meth:`register_key`.
-
-        Raises :class:`repro.errors.UnsupportedScheme` when
-        :meth:`supports_scheme` declines — at *registration*, so a
-        misconfigured deployment fails before any traffic does.  LAC
-        pairs take the historical cache-warming path; other schemes
-        currently have no backend-side cache and return no
-        fingerprints.
-        """
+    def _require_scheme(self, scheme: KemScheme) -> None:
         if not self.supports_scheme(scheme):
-            from repro.errors import UnsupportedScheme
-
             raise UnsupportedScheme(
                 f"backend {self.name!r} does not support scheme {scheme.name!r}"
             )
-        if isinstance(params, LacParams):
-            return self.register_key(params, pair.public_key, pair.secret_key)
-        return []
 
-    def submit_task(
-        self,
-        fn: Callable[[], Any],
-        *,
-        wrapper: KernelWrapper | None = None,
-    ) -> Future[Any]:
-        """Run an arbitrary kernel closure in this backend's context.
+    def register_key(self, scheme: KemScheme, params: Any, pair: Any) -> list[bytes]:
+        """Accept a key this backend will host and warm its cache.
 
-        The generic execution hook for non-LAC schemes: the serving
-        layer submits ``scheme.encaps_many``/``decaps_many`` closures
-        here, keeping the typed LAC fast path untouched.  The base
-        implementation runs inline in the caller's thread (correct for
-        every backend, concurrent for none); pool backends override it
-        to use their workers.  Process pools keep the inline default —
-        ad-hoc closures are not picklable, and the numpy kernels the
-        closures wrap release the GIL anyway.
+        Raises :class:`repro.errors.UnsupportedScheme` when
+        :meth:`supports_scheme` declines — at *registration*, so a
+        misconfigured deployment fails before any traffic does.
+        Otherwise pays the scheme's cacheable key-side work (LAC: GenA
+        and the forward FFTs) now, so the first batch under the key
+        already hits, and returns the fingerprints populated — keep
+        them for :meth:`invalidate_key` on removal.  With caching
+        disabled the fingerprints are still returned (they are
+        content-derived, not cache state).
         """
-        self._check_open()
-        future: Future[Any] = Future()
-        if not future.set_running_or_notify_cancel():  # pragma: no cover
-            return future
-        try:
-            future.set_result(self._tracked(wrapper, fn))
-        except BaseException as exc:
-            future.set_exception(exc)
-        return future
+        self._require_scheme(scheme)
+        return scheme.warm_key(params, pair, self.transform_cache)
 
-    def warmup(self, params_list: Sequence[LacParams] | None = None) -> None:
+    def warmup(self, params_list: Sequence[Any] | None = None) -> None:
         """Run one tiny roundtrip per parameter set through the backend.
 
         Pays one-time costs — GF log/antilog tables, ring FFT plans,
         the BCH parity matrix, worker spawn for process pools — outside
-        any measured or latency-sensitive window.
+        any measured or latency-sensitive window.  Defaults to the LAC
+        parameter sets.
         """
-        for params in params_list if params_list is not None else ALL_PARAMS:
-            seed = _WARMUP_SEED * (params.seed_bytes + 32)
-            pair = self.keygen(params, seed)
-            results = self.submit_encaps(
-                params, pair.public_key, [b"\x00" * params.message_bytes]
-            ).result()
-            self.submit_decaps(
-                params, pair.secret_key, [r.ciphertext for r in results]
-            ).result()
+        for spec in params_list if params_list is not None else LAC_SCHEME.param_sets:
+            scheme, params = resolve(spec)
+            pair = self.keygen(params, _WARMUP_SEED * scheme.seed_len(params))
+            message = b"\x00" * scheme.message_bytes(params)
+            [(ct, _)] = self.submit(scheme, params, "ENCAPS", pair, [message]).result()
+            self.submit(scheme, params, "DECAPS", pair, [ct]).result()
 
     def close(self, wait: bool = True) -> None:
         """Release backend resources; idempotent.
@@ -238,26 +247,6 @@ class KemBackend(ABC):
         already-submitted batches finish and their futures resolve.
         """
         self._closed = True
-
-    def register_key(
-        self,
-        params: LacParams,
-        pk: PublicKey,
-        keys: KemSecretKey | None = None,
-    ) -> list[bytes]:
-        """Warm the transform cache for a key this backend will host.
-
-        Pays GenA and the key-side forward FFTs at registration time so
-        the first batch under the key already hits.  Returns the
-        fingerprints populated — keep them for :meth:`invalidate_key`
-        on removal.  With caching disabled the fingerprints are still
-        returned (they are content-derived, not cache state).
-        """
-        from repro.batch.kem import key_fingerprints, warm_cache
-
-        if self.transform_cache is None:
-            return key_fingerprints(params, pk, keys)
-        return warm_cache(self.transform_cache, params, pk, keys)
 
     def invalidate_key(self, fingerprints: Iterable[bytes]) -> int:
         """Reclaim cache entries for a removed key; returns entries dropped.
@@ -327,14 +316,6 @@ class KemBackend(ABC):
     def closed(self) -> bool:
         """Whether :meth:`close` has been called."""
         return self._closed
-
-    def _kem_for(self, params: LacParams) -> LacKem:
-        """The backend's cached scalar :class:`LacKem` per parameter set."""
-        with self._kems_lock:
-            kem = self._kems.get(params.name)
-            if kem is None:
-                kem = self._kems[params.name] = LacKem(params)
-            return kem
 
     def _check_open(self) -> None:
         if self._closed:

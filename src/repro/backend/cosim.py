@@ -32,17 +32,17 @@ from __future__ import annotations
 
 import os
 import threading
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any
 
 from repro.backend.base import KemBackend, KernelWrapper
 from repro.cosim.costs import ISE_COSTS, REFERENCE_COSTS, CycleCosts, price
 from repro.cosim.protocol import PROFILES, CycleModel, ProtocolCycles
-from repro.lac.kem import EncapsResult, KemKeyPair, KemSecretKey, LacKem
 from repro.lac.params import LacParams
-from repro.lac.pke import Ciphertext, PublicKey
+from repro.lac.pke import Ciphertext
 from repro.metrics import OpCounter
+from repro.schemes import KemScheme
 from repro.trace import annotate, current_tags
 
 #: Environment variable selecting the cosim profile when the backend is
@@ -142,20 +142,25 @@ class CosimBackend(KemBackend):
             self._last_counters[key] = counter
         return cycles
 
-    def _run_batch(
-        self,
-        op: str,
-        params: LacParams,
-        items: Sequence[Any],
-        run_one: Callable[[LacKem, Any, OpCounter], Any],
+    def _kernel(
+        self, scheme: KemScheme, params: LacParams, op: str, pair: Any, batch: list[Any]
     ) -> list[Any]:
-        """Execute ``items`` serially with one counter per request."""
+        """Execute ``batch`` serially on the counted scalar ``LacKem``,
+        one counter per request, speaking the adapter's wire bytes."""
+        self._require_scheme(scheme)
         kem = self._model_for(params).kem
         results: list[Any] = []
         batch_cycles = 0
-        for item in items:
+        for item in batch:
             counter = OpCounter()
-            results.append(run_one(kem, item, counter))
+            if op == "ENCAPS":
+                enc = kem.encaps(pair.public_key, message=item, counter=counter)
+                results.append((enc.ciphertext.to_bytes(), enc.shared_secret))
+            elif op == "DECAPS":
+                ciphertext = Ciphertext.from_bytes(params, item)
+                results.append(kem.decaps(pair.secret_key, ciphertext, counter))
+            else:
+                results.append(kem.keygen(seed=item, counter=counter))
             batch_cycles += self._record(op, params, counter)
         if current_tags() is not None:
             # span tags for the kernel stage; the reference prediction
@@ -175,19 +180,14 @@ class CosimBackend(KemBackend):
             annotate(**tags)
         return results
 
-    def _submit(
+    def _spawn(
         self, wrapper: KernelWrapper | None, work: Callable[[], Any]
     ) -> Future[Any]:
-        self._check_open()
         executor = self._executor
         assert executor is not None
         return executor.submit(self._tracked, wrapper, work)
 
-    # ------------------------------------------------------------------
-    # the contract
-    # ------------------------------------------------------------------
-
-    def supports_scheme(self, scheme: Any) -> bool:
+    def supports_scheme(self, scheme: KemScheme) -> bool:
         """Only LAC: the Table I/II cycle model covers nothing else.
 
         Running another scheme here would return correct bytes with
@@ -195,94 +195,9 @@ class CosimBackend(KemBackend):
         the tallies are the backend's whole point.  Registration of a
         non-LAC key therefore raises
         :class:`repro.errors.UnsupportedScheme` (via
-        :meth:`~repro.backend.base.KemBackend.register_scheme_key`).
+        :meth:`~repro.backend.base.KemBackend.register_key`).
         """
-        return getattr(scheme, "name", None) == "lac"
-
-    def submit_encaps(
-        self,
-        params: LacParams,
-        pk: PublicKey,
-        messages: Sequence[bytes],
-        *,
-        wrapper: KernelWrapper | None = None,
-    ) -> Future[list[EncapsResult]]:
-        """Encapsulate ``messages`` on the simulated core, one by one."""
-        batch = list(messages)
-        if not batch:
-            return self._done([])
-        return self._submit(
-            wrapper,
-            lambda: self._run_batch(
-                "ENCAPS",
-                params,
-                batch,
-                lambda kem, message, counter: kem.encaps(
-                    pk, message=message, counter=counter
-                ),
-            ),
-        )
-
-    def submit_decaps(
-        self,
-        params: LacParams,
-        keys: KemSecretKey,
-        ciphertexts: Sequence[Ciphertext],
-        *,
-        wrapper: KernelWrapper | None = None,
-    ) -> Future[list[bytes]]:
-        """Decapsulate ``ciphertexts`` on the simulated core, one by one."""
-        batch = list(ciphertexts)
-        if not batch:
-            return self._done([])
-        return self._submit(
-            wrapper,
-            lambda: self._run_batch(
-                "DECAPS",
-                params,
-                batch,
-                lambda kem, ciphertext, counter: kem.decaps(
-                    keys, ciphertext, counter
-                ),
-            ),
-        )
-
-    def submit_keygen(
-        self,
-        params: LacParams,
-        seeds: Sequence[bytes | None],
-        *,
-        wrapper: KernelWrapper | None = None,
-    ) -> Future[list[KemKeyPair]]:
-        """Generate one key pair per seed on the simulated core."""
-        batch = list(seeds)
-        if not batch:
-            return self._done([])
-        return self._submit(
-            wrapper,
-            lambda: self._run_batch(
-                "KEYGEN",
-                params,
-                batch,
-                lambda kem, seed, counter: kem.keygen(
-                    seed=seed, counter=counter
-                ),
-            ),
-        )
-
-    def submit_task(
-        self,
-        fn: Callable[[], Any],
-        *,
-        wrapper: KernelWrapper | None = None,
-    ) -> Future[Any]:
-        """Run a generic closure serially on the simulated core's thread.
-
-        No cycle accounting — only LAC work routed through the typed
-        ``submit_*`` hooks is priced (and key registration already
-        rejects non-LAC schemes on this backend).
-        """
-        return self._submit(wrapper, fn)
+        return scheme.name == "lac"
 
     # ------------------------------------------------------------------
     # lifecycle / introspection

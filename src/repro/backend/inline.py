@@ -1,6 +1,6 @@
 """The synchronous backend: kernels run in the caller's thread.
 
-No pools, no handoffs, no concurrency — ``submit_*`` executes the
+No pools, no handoffs, no concurrency — ``submit`` executes the
 batch before returning an already-resolved future.  This is the
 backend for tests that want determinism, for debugging (stack traces
 end in your frame), and for cycle-model workflows where wall-clock
@@ -12,15 +12,11 @@ backends.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from concurrent.futures import Future
 from typing import Any
 
 from repro.backend.base import KemBackend, KernelWrapper
-from repro.batch.kem import _decaps_chunk, _encaps_chunk
-from repro.lac.kem import EncapsResult, KemKeyPair, KemSecretKey
-from repro.lac.params import LacParams
-from repro.lac.pke import Ciphertext, PublicKey
 
 
 class InlineBackend(KemBackend):
@@ -28,65 +24,12 @@ class InlineBackend(KemBackend):
 
     name = "inline"
 
-    def _run_now(
+    def _spawn(
         self, wrapper: KernelWrapper | None, work: Callable[[], Any]
     ) -> Future[Any]:
-        self._check_open()
         future: Future[Any] = Future()
         try:
             future.set_result(self._tracked(wrapper, work))
         except BaseException as exc:  # noqa: BLE001 - surfaced via the future
             future.set_exception(exc)
         return future
-
-    def submit_encaps(
-        self,
-        params: LacParams,
-        pk: PublicKey,
-        messages: Sequence[bytes],
-        *,
-        wrapper: KernelWrapper | None = None,
-    ) -> Future[list[EncapsResult]]:
-        """Encapsulate ``messages`` now; returns a resolved future."""
-        batch = list(messages)
-        if not batch:
-            return self._done([])
-        kem = self._kem_for(params)
-        return self._run_now(
-            wrapper,
-            lambda: _encaps_chunk(kem, pk, batch, self.transform_cache),
-        )
-
-    def submit_decaps(
-        self,
-        params: LacParams,
-        keys: KemSecretKey,
-        ciphertexts: Sequence[Ciphertext],
-        *,
-        wrapper: KernelWrapper | None = None,
-    ) -> Future[list[bytes]]:
-        """Decapsulate ``ciphertexts`` now; returns a resolved future."""
-        batch = list(ciphertexts)
-        if not batch:
-            return self._done([])
-        kem = self._kem_for(params)
-        return self._run_now(
-            wrapper,
-            lambda: _decaps_chunk(kem, keys, batch, self.transform_cache),
-        )
-
-    def submit_keygen(
-        self,
-        params: LacParams,
-        seeds: Sequence[bytes | None],
-        *,
-        wrapper: KernelWrapper | None = None,
-    ) -> Future[list[KemKeyPair]]:
-        """Generate one key pair per seed now; returns a resolved future."""
-        batch = list(seeds)
-        if not batch:
-            return self._done([])
-        kem = self._kem_for(params)
-        return self._run_now(
-            wrapper, lambda: [kem.keygen(seed) for seed in batch]
-        )

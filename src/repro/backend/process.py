@@ -13,6 +13,12 @@ interpreters at once.
 
 Design points:
 
+* **ships what it has a wire for** — LAC batches cross the pipe as the
+  wire bytes :meth:`~repro.backend.base.KemBackend.submit` already
+  speaks (no ``Ciphertext``/``EncapsResult`` is re-hydrated
+  parent-side); a scheme with no process wire runs its adapter on the
+  supervisor threads instead — off the submitting thread, on the
+  parent's interpreter;
 * **zero-copy wire** — bulk payloads (ciphertext blobs down for
   decapsulation, ciphertext + shared-secret pairs back up for
   encapsulation) travel through pooled shared-memory segments
@@ -72,10 +78,11 @@ from repro.backend.base import KemBackend, KernelWrapper
 from repro.backend.shm import Segment, SegmentPool, attach_segment, shm_available
 from repro.batch.kem import _annotate_cache, _decaps_chunk, _encaps_chunk
 from repro.errors import WorkerCrashed
-from repro.lac.kem import EncapsResult, KemKeyPair, KemSecretKey, LacKem
+from repro.lac.kem import KemKeyPair, KemSecretKey, LacKem
 from repro.lac.params import ALL_PARAMS, LacParams
 from repro.lac.pke import Ciphertext, PublicKey
 from repro.ring.cache import DEFAULT_CACHE_ENTRIES, KeyTransformCache, fingerprint
+from repro.schemes import KemScheme
 
 #: Smallest per-process sub-chunk worth the dispatch round trip; a
 #: 64-op batch on 8 workers still lands at 8 ops per process.
@@ -319,7 +326,9 @@ class ProcessBackend(KemBackend):
         cache_entries: int | None = None,
         wire: str = "auto",
     ) -> None:
-        super().__init__(cache_entries=cache_entries)
+        # kernels run in the workers, each with its own transform cache
+        # (sized below); a parent-side one would never be read
+        super().__init__(cache_entries=0)
         if wire not in WIRE_MODES:
             raise ValueError(f"wire must be one of {WIRE_MODES}, got {wire!r}")
         self._workers = workers or max(1, min(8, os.cpu_count() or 1))
@@ -350,9 +359,10 @@ class ProcessBackend(KemBackend):
         self._restarts = 0
         self._broken = False
         # supervisor threads: one per concurrently in-flight batch —
-        # they only fan chunks out, block on worker results and
-        # re-hydrate the answers, so a couple above the worker count
-        # keeps submission from queueing behind result collection
+        # they fan chunks out, block on worker results and collect the
+        # answers (and run the adapter of any scheme with no process
+        # wire), so a couple above the worker count keeps submission
+        # from queueing behind result collection
         self._supervisor = ThreadPoolExecutor(
             max_workers=self._workers + 2,
             thread_name_prefix="repro-backend-sup",
@@ -532,196 +542,94 @@ class ProcessBackend(KemBackend):
             if bounds[i] < bounds[i + 1]
         ]
 
-    def _submit(
+    def _spawn(
         self, wrapper: KernelWrapper | None, work: Callable[[], Any]
     ) -> Future[Any]:
-        self._check_open()
         return self._supervisor.submit(self._tracked, wrapper, work)
 
     # -- the contract ---------------------------------------------------
 
-    def submit_encaps(
-        self,
-        params: LacParams,
-        pk: PublicKey,
-        messages: Sequence[bytes],
-        *,
-        wrapper: KernelWrapper | None = None,
-    ) -> Future[list[EncapsResult]]:
-        """Encapsulate ``messages``, split across worker processes.
+    def _kernel(
+        self, scheme: KemScheme, params: Any, op: str, pair: Any, batch: list[Any]
+    ) -> list[Any]:
+        """LAC batches fan out across the worker processes; a scheme
+        with no process wire runs its adapter here, on the supervisor
+        thread — never on the submitter, which for a service is the
+        event loop."""
+        if scheme.name != "lac":
+            return super()._kernel(scheme, params, op, pair, batch)
+        if op == "ENCAPS":
+            return self._ship(params, "pk", pair.public_key.to_bytes(), batch)
+        if op == "DECAPS":
+            return self._ship(params, "sk", pair.secret_key.to_bytes(), batch)
+        # keygen stays on the bytes wire: batches are rare, small, and
+        # dominated by sampling rather than serialization
+        calls = [(params.name, chunk) for chunk in self._chunk(batch)]
+        return [
+            KemKeyPair(
+                PublicKey.from_bytes(params, pk_bytes),
+                KemSecretKey.from_bytes(params, sk_bytes),
+            )
+            for part in self._fan(_worker_keygen, calls)
+            for pk_bytes, sk_bytes in part
+        ]
 
-        Messages go down the pipe (32 bytes each); the bulky results
-        come back through a pooled shared-memory segment per chunk.
+    def _ship(
+        self, params: LacParams, kind: str, key_blob: bytes, batch: list[bytes]
+    ) -> list[Any]:
+        """One ENCAPS (``kind="pk"``) or DECAPS (``"sk"``) batch, split
+        across worker processes, wire bytes in and out.
+
+        The bulky side — ``ciphertext || shared`` results up for
+        encapsulation, ciphertext blobs down for decapsulation — goes
+        through one pooled shared-memory segment per chunk at a fixed
+        stride; the 32-byte side rides the pipe.
         """
-        batch = [bytes(m) for m in messages]
-        if not batch:
-            return self._done([])
-        pk_bytes = pk.to_bytes()
-        fp = fingerprint(b"wire-pk", params.name.encode(), pk_bytes)
-        name = params.name
-        stride = params.ciphertext_bytes + _SHARED_BYTES
+        encaps = kind == "pk"
+        fp = fingerprint(b"wire-" + kind.encode(), params.name.encode(), key_blob)
+        ct_len = params.ciphertext_bytes
+        stride = ct_len + _SHARED_BYTES if encaps else ct_len
+        worker_fn = _worker_encaps if encaps else _worker_decaps
 
         def reship(args: tuple[Any, ...]) -> tuple[Any, ...]:
-            return (args[0], ("pk", fp, pk_bytes), args[2], args[3])
+            return (args[0], (kind, fp, key_blob), args[2], args[3])
 
-        def work() -> list[EncapsResult]:
-            chunks = self._chunk(batch)
-            segments = [
-                self._acquire_segment(len(chunk) * stride) for chunk in chunks
-            ]
-            try:
-                calls = [
-                    (
-                        name,
-                        self._key_ref("pk", fp, pk_bytes),
-                        chunk,
-                        segment.name if segment is not None else None,
-                    )
-                    for chunk, segment in zip(chunks, segments)
-                ]
-                out: list[EncapsResult] = []
-                for part, segment, chunk in zip(
-                    self._fan(_worker_encaps, calls, reship), segments, chunks
-                ):
-                    payload, stats = part
-                    self._merge_worker_stats(stats)
-                    if segment is None:
-                        out.extend(
-                            EncapsResult(
-                                Ciphertext.from_bytes(params, ct_bytes), shared
-                            )
-                            for ct_bytes, shared in payload
-                        )
-                        continue
+        chunks = self._chunk(batch)
+        segments = [self._acquire_segment(len(chunk) * stride) for chunk in chunks]
+        try:
+            calls = []
+            for chunk, segment in zip(chunks, segments):
+                key_ref = self._key_ref(kind, fp, key_blob)
+                if segment is None:
+                    calls.append((params.name, key_ref, chunk, None))
+                elif encaps:
+                    calls.append((params.name, key_ref, chunk, segment.name))
+                else:
                     buf = segment.buf
-                    for i in range(payload):
-                        offset = i * stride
-                        ct_bytes = bytes(
-                            buf[offset : offset + params.ciphertext_bytes]
-                        )
-                        shared = bytes(
-                            buf[offset + params.ciphertext_bytes : offset + stride]
-                        )
-                        out.append(
-                            EncapsResult(
-                                Ciphertext.from_bytes(params, ct_bytes), shared
-                            )
-                        )
-                return out
-            finally:
-                self._release_segments(segments)
-
-        return self._submit(wrapper, work)
-
-    def submit_decaps(
-        self,
-        params: LacParams,
-        keys: KemSecretKey,
-        ciphertexts: Sequence[Ciphertext],
-        *,
-        wrapper: KernelWrapper | None = None,
-    ) -> Future[list[bytes]]:
-        """Decapsulate ``ciphertexts``, split across worker processes.
-
-        The ciphertext blobs go down through a pooled shared-memory
-        segment per chunk; the 32-byte shared secrets come back on the
-        pipe.
-        """
-        blobs = [ct.to_bytes() for ct in ciphertexts]
-        if not blobs:
-            return self._done([])
-        sk_bytes = keys.to_bytes()
-        fp = fingerprint(b"wire-sk", params.name.encode(), sk_bytes)
-        name = params.name
-        stride = params.ciphertext_bytes
-
-        def reship(args: tuple[Any, ...]) -> tuple[Any, ...]:
-            return (args[0], ("sk", fp, sk_bytes), args[2], args[3])
-
-        def work() -> list[bytes]:
-            chunks = self._chunk(blobs)
-            segments = [
-                self._acquire_segment(len(chunk) * stride) for chunk in chunks
-            ]
-            try:
-                calls = []
-                for chunk, segment in zip(chunks, segments):
-                    if segment is not None:
-                        buf = segment.buf
-                        for i, blob in enumerate(chunk):
-                            buf[i * stride : (i + 1) * stride] = blob
-                        calls.append(
-                            (
-                                name,
-                                self._key_ref("sk", fp, sk_bytes),
-                                None,
-                                (segment.name, len(chunk)),
-                            )
-                        )
-                    else:
-                        calls.append(
-                            (name, self._key_ref("sk", fp, sk_bytes), chunk, None)
-                        )
-                out: list[bytes] = []
-                for part in self._fan(_worker_decaps, calls, reship):
-                    shared, stats = part
-                    self._merge_worker_stats(stats)
-                    out.extend(shared)
-                return out
-            finally:
-                self._release_segments(segments)
-
-        return self._submit(wrapper, work)
-
-    def submit_keygen(
-        self,
-        params: LacParams,
-        seeds: Sequence[bytes | None],
-        *,
-        wrapper: KernelWrapper | None = None,
-    ) -> Future[list[KemKeyPair]]:
-        """Generate key pairs in worker processes; re-hydrated parent-side.
-
-        Keygen stays on the bytes wire: batches are rare, small, and
-        dominated by sampling rather than serialization.
-        """
-        batch = list(seeds)
-        if not batch:
-            return self._done([])
-        name = params.name
-
-        def work() -> list[KemKeyPair]:
-            calls = [(name, chunk) for chunk in self._chunk(batch)]
-            out: list[KemKeyPair] = []
-            for part in self._fan(_worker_keygen, calls):
-                out.extend(
-                    KemKeyPair(
-                        PublicKey.from_bytes(params, pk_bytes),
-                        KemSecretKey.from_bytes(params, sk_bytes),
+                    for i, blob in enumerate(chunk):
+                        buf[i * stride : (i + 1) * stride] = blob
+                    calls.append(
+                        (params.name, key_ref, None, (segment.name, len(chunk)))
                     )
-                    for pk_bytes, sk_bytes in part
-                )
+            out: list[Any] = []
+            for (payload, stats), segment in zip(
+                self._fan(worker_fn, calls, reship), segments
+            ):
+                self._merge_worker_stats(stats)
+                if not encaps or segment is None:
+                    out.extend(payload)
+                    continue
+                buf = segment.buf
+                for offset in range(0, payload * stride, stride):
+                    out.append(
+                        (
+                            bytes(buf[offset : offset + ct_len]),
+                            bytes(buf[offset + ct_len : offset + stride]),
+                        )
+                    )
             return out
-
-        return self._submit(wrapper, work)
-
-    # -- key lifecycle ---------------------------------------------------
-
-    def register_key(
-        self,
-        params: LacParams,
-        pk: PublicKey,
-        keys: KemSecretKey | None = None,
-    ) -> list[bytes]:
-        """Fingerprints only — worker caches warm lazily on first use.
-
-        The parent cannot target individual workers, so eager warming
-        is impossible; the content-addressed worker caches plus the
-        ship-once wire achieve the same steady state after one batch.
-        """
-        from repro.batch.kem import key_fingerprints
-
-        return key_fingerprints(params, pk, keys)
+        finally:
+            self._release_segments(segments)
 
     # -- chaos + observability ------------------------------------------
 

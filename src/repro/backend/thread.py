@@ -18,15 +18,13 @@ from __future__ import annotations
 
 import os
 import threading
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from typing import Any
 
-from repro.backend.base import KemBackend, KernelWrapper
-from repro.batch.kem import _decaps_chunk, _encaps_chunk, _fan_out
-from repro.lac.kem import EncapsResult, KemKeyPair, KemSecretKey
-from repro.lac.params import LacParams
-from repro.lac.pke import Ciphertext, PublicKey
+from repro.backend.base import KemBackend, KernelWrapper, run_op
+from repro.batch.kem import _fan_out
+from repro.schemes import KemScheme
 
 #: Thread count of a default-sized pool.  Capped: the kernels are
 #: memory-bandwidth-bound well before 32 threads.
@@ -109,10 +107,9 @@ class ThreadBackend(KemBackend):
         old.shutdown(wait=False)
         return True
 
-    def _submit(
+    def _spawn(
         self, wrapper: KernelWrapper | None, work: Callable[[], Any]
     ) -> Future[Any]:
-        self._check_open()
         try:
             return self._executor.submit(self._tracked, wrapper, work)
         except RuntimeError:
@@ -122,78 +119,17 @@ class ThreadBackend(KemBackend):
             self._check_open()
             return self._executor.submit(self._tracked, wrapper, work)
 
-    def submit_encaps(
-        self,
-        params: LacParams,
-        pk: PublicKey,
-        messages: Sequence[bytes],
-        *,
-        wrapper: KernelWrapper | None = None,
-    ) -> Future[list[EncapsResult]]:
-        """Encapsulate ``messages`` on a pool thread."""
-        batch = list(messages)
-        if not batch:
-            return self._done([])
-        kem = self._kem_for(params)
-
-        def work() -> list[EncapsResult]:
-            return _fan_out(
-                lambda ms: _encaps_chunk(kem, pk, ms, self.transform_cache),
-                batch,
-                self._fan_out,
-                self._fan_pool,
-            )
-
-        return self._submit(wrapper, work)
-
-    def submit_decaps(
-        self,
-        params: LacParams,
-        keys: KemSecretKey,
-        ciphertexts: Sequence[Ciphertext],
-        *,
-        wrapper: KernelWrapper | None = None,
-    ) -> Future[list[bytes]]:
-        """Decapsulate ``ciphertexts`` on a pool thread."""
-        batch = list(ciphertexts)
-        if not batch:
-            return self._done([])
-        kem = self._kem_for(params)
-
-        def work() -> list[bytes]:
-            return _fan_out(
-                lambda cts: _decaps_chunk(kem, keys, cts, self.transform_cache),
-                batch,
-                self._fan_out,
-                self._fan_pool,
-            )
-
-        return self._submit(wrapper, work)
-
-    def submit_keygen(
-        self,
-        params: LacParams,
-        seeds: Sequence[bytes | None],
-        *,
-        wrapper: KernelWrapper | None = None,
-    ) -> Future[list[KemKeyPair]]:
-        """Generate one key pair per seed on a pool thread."""
-        batch = list(seeds)
-        if not batch:
-            return self._done([])
-        kem = self._kem_for(params)
-        return self._submit(
-            wrapper, lambda: [kem.keygen(seed) for seed in batch]
+    def _kernel(
+        self, scheme: KemScheme, params: Any, op: str, pair: Any, batch: list[Any]
+    ) -> list[Any]:
+        """The adapter, chunked over ``batch`` when ``fan_out`` is set."""
+        cache = self.transform_cache
+        return _fan_out(
+            lambda chunk: run_op(scheme, params, op, pair, chunk, cache),
+            batch,
+            self._fan_out,
+            self._fan_pool,
         )
-
-    def submit_task(
-        self,
-        fn: Callable[[], Any],
-        *,
-        wrapper: KernelWrapper | None = None,
-    ) -> Future[Any]:
-        """Run a generic kernel closure on a pool thread."""
-        return self._submit(wrapper, fn)
 
     def stats(self) -> dict[str, Any]:
         """Submission counters plus the pool size."""

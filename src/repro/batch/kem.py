@@ -33,14 +33,16 @@ multi-process one).
 from __future__ import annotations
 
 import secrets
+from collections.abc import Callable, Sequence
 from concurrent.futures import Executor
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, TypeVar
 
 import numpy as np
 
 from repro.batch.encode import encode_many
 from repro.batch.sampling import gen_a_vec, sample_secret_rows
-from repro.lac.kem import EncapsResult, KemSecretKey, _hash3
+from repro.lac.kem import EncapsResult, KemKeyPair, KemSecretKey, LacKem, _hash3
+from repro.lac.params import LacParams
 from repro.lac.pke import Ciphertext, PublicKey
 from repro.ring.cache import KeyTransformCache, fingerprint
 from repro.trace import current_tags
@@ -48,8 +50,11 @@ from repro.trace import current_tags
 if TYPE_CHECKING:  # pragma: no cover - type-only (repro.backend imports us)
     from repro.backend.base import KemBackend
 
+_T = TypeVar("_T")
+_R = TypeVar("_R")
 
-def _shift(params) -> int:
+
+def _shift(params: LacParams) -> int:
     return 8 - params.v_bits
 
 
@@ -58,7 +63,7 @@ def _shift(params) -> int:
 # ---------------------------------------------------------------------------
 
 
-def pk_fingerprints(params, pk: PublicKey) -> tuple[bytes, bytes]:
+def pk_fingerprints(params: LacParams, pk: PublicKey) -> tuple[bytes, bytes]:
     """Content fingerprints of a public key's cacheable ring operands.
 
     Returns ``(fp_a, fp_b)``: the GenA expansion ``a`` is a pure
@@ -72,14 +77,16 @@ def pk_fingerprints(params, pk: PublicKey) -> tuple[bytes, bytes]:
     )
 
 
-def sk_fingerprint(params, keys: KemSecretKey) -> bytes:
+def sk_fingerprint(params: LacParams, keys: KemSecretKey) -> bytes:
     """Content fingerprint of the hosted secret polynomial ``s``."""
     return fingerprint(
         b"sk-s", params.name.encode(), keys.sk.to_bytes()
     )
 
 
-def key_fingerprints(params, pk: PublicKey, keys: KemSecretKey | None = None) -> list[bytes]:
+def key_fingerprints(
+    params: LacParams, pk: PublicKey, keys: KemSecretKey | None = None
+) -> list[bytes]:
     """Every cache fingerprint a hosted key can populate (pk, and sk if given)."""
     fps = list(pk_fingerprints(params, pk))
     if keys is not None:
@@ -89,7 +96,7 @@ def key_fingerprints(params, pk: PublicKey, keys: KemSecretKey | None = None) ->
 
 def warm_cache(
     cache: KeyTransformCache,
-    params,
+    params: LacParams,
     pk: PublicKey,
     keys: KemSecretKey | None = None,
 ) -> list[bytes]:
@@ -130,8 +137,8 @@ def _annotate_cache(hits: int, misses: int) -> None:
 
 
 def _pk_operands(
-    kem, pk: PublicKey, cache: KeyTransformCache | None, a: np.ndarray | None
-):
+    kem: LacKem, pk: PublicKey, cache: KeyTransformCache | None, a: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray | None]:
     """Resolve ``(a, fa, b, fb)`` for the encryption products.
 
     Without a cache this is the historical behaviour (``a`` expanded
@@ -156,7 +163,7 @@ def _pk_operands(
     return got_a.raw, got_a.transform, got_b.raw, got_b.transform
 
 
-def _compress_rows(params, v_rows: np.ndarray) -> np.ndarray:
+def _compress_rows(params: LacParams, v_rows: np.ndarray) -> np.ndarray:
     """Row-wise twin of :meth:`MessageCodec.compress_v` (elementwise ops)."""
     return (np.mod(v_rows, params.q).astype(np.int64) >> _shift(params)).astype(
         np.uint8
@@ -164,7 +171,7 @@ def _compress_rows(params, v_rows: np.ndarray) -> np.ndarray:
 
 
 def _encrypt_batch(
-    kem,
+    kem: LacKem,
     pk: PublicKey,
     messages: Sequence[bytes],
     coins_list: Sequence[bytes],
@@ -205,7 +212,7 @@ def _encrypt_batch(
 
 
 def _encaps_chunk(
-    kem,
+    kem: LacKem,
     pk: PublicKey,
     messages: Sequence[bytes],
     cache: KeyTransformCache | None = None,
@@ -226,7 +233,7 @@ def _encaps_chunk(
 
 
 def _decaps_chunk(
-    kem,
+    kem: LacKem,
     keys: KemSecretKey,
     ciphertexts: Sequence[Ciphertext],
     cache: KeyTransformCache | None = None,
@@ -276,7 +283,12 @@ def _decaps_chunk(
     return shared
 
 
-def _fan_out(chunk_fn, items, workers, executor: Executor | None = None):
+def _fan_out(
+    chunk_fn: Callable[[list[_T]], list[_R]],
+    items: list[_T],
+    workers: int | None,
+    executor: Executor | None = None,
+) -> list[_R]:
     """Run ``chunk_fn`` over sub-batches on a thread pool, order-preserving.
 
     ``workers`` fixes the number of sub-batches; the threads come from
@@ -296,9 +308,8 @@ def _fan_out(chunk_fn, items, workers, executor: Executor | None = None):
         from repro.backend.thread import default_thread_backend
 
         executor = default_thread_backend().executor
-    pool = executor
-    out = []
-    for part in pool.map(chunk_fn, chunks):
+    out: list[_R] = []
+    for part in executor.map(chunk_fn, chunks):
         out.extend(part)
     return out
 
@@ -309,7 +320,7 @@ def _fan_out(chunk_fn, items, workers, executor: Executor | None = None):
 
 
 def encaps_many(
-    kem,
+    kem: LacKem,
     pk: PublicKey,
     messages: Sequence[bytes] | None = None,
     count: int | None = None,
@@ -326,7 +337,8 @@ def encaps_many(
     with the same messages.  ``executor`` overrides the shared pool
     used for ``workers`` fan-out; ``backend`` instead routes the whole
     batch through a :class:`repro.backend.KemBackend` (exclusive with
-    the pool knobs — backends carry their own transform cache).
+    the pool knobs — backends carry their own transform cache, and
+    speak wire bytes, so the ciphertexts are re-parsed here).
     ``cache`` supplies a :class:`repro.ring.KeyTransformCache` so
     repeated batches under the same key skip the key-side forward FFT
     (and the GenA expansion) — results stay bit-identical either way.
@@ -350,14 +362,22 @@ def encaps_many(
     if not messages:
         return []
     if backend is not None:
-        return backend.submit_encaps(kem.params, pk, messages).result()
+        from repro.schemes import LAC_SCHEME  # lazy: its adapter imports us
+
+        # encapsulation reads only the public half of the pair
+        pair = KemKeyPair(pk, None)  # type: ignore[arg-type]
+        wire = backend.submit(LAC_SCHEME, kem.params, "ENCAPS", pair, messages)
+        return [
+            EncapsResult(Ciphertext.from_bytes(kem.params, ct_bytes), shared)
+            for ct_bytes, shared in wire.result()
+        ]
     return _fan_out(
         lambda ms: _encaps_chunk(kem, pk, ms, cache), messages, workers, executor
     )
 
 
 def decaps_many(
-    kem,
+    kem: LacKem,
     keys: KemSecretKey,
     ciphertexts: Sequence[Ciphertext],
     workers: int | None = None,
@@ -381,7 +401,11 @@ def decaps_many(
     if not ciphertexts:
         return []
     if backend is not None:
-        return backend.submit_decaps(kem.params, keys, ciphertexts).result()
+        from repro.schemes import LAC_SCHEME  # lazy: its adapter imports us
+
+        blobs = [ct.to_bytes() for ct in ciphertexts]
+        pair = KemKeyPair(keys.pk, keys)
+        return backend.submit(LAC_SCHEME, kem.params, "DECAPS", pair, blobs).result()
     return _fan_out(
         lambda cts: _decaps_chunk(kem, keys, cts, cache), ciphertexts, workers, executor
     )

@@ -19,10 +19,14 @@ and is treated as opaque by every caller (the LAC pair is a
 ``KemKeyPair``, the NewHope pair is the ``NewHopeCcaSecretKey`` that
 carries its own public material).
 
+The adapter *is* the kernel: :meth:`repro.backend.KemBackend.submit`
+runs ``keygen``/``encaps_many``/``decaps_many`` wherever the backend
+executes, handing in its per-key transform cache.
+
 This module depends only on the math packages (``repro.lac``,
-``repro.newhope``) — never on ``repro.serve`` or ``repro.backend`` —
-so the protocol codec and the backend seam can import it without
-cycles.
+``repro.newhope``, ``repro.ring``, ``repro.batch``) — never on
+``repro.serve`` or ``repro.backend`` — so the protocol codec and the
+backend seam can import it without cycles.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from typing import Any
+
+from repro.ring.cache import KeyTransformCache
 
 
 class KemScheme(ABC):
@@ -105,20 +111,42 @@ class KemScheme(ABC):
     def public_key_bytes_of(self, params: Any, pair: Any) -> bytes:
         """Serialize the pair's public key for the KEYGEN response."""
 
+    def warm_key(
+        self, params: Any, pair: Any, cache: KeyTransformCache | None
+    ) -> list[bytes]:
+        """Populate ``cache`` for a hosted pair; returns its fingerprints.
+
+        The handles a backend keeps to reclaim the pair's entries on
+        removal.  Schemes with no per-key cached state (the default)
+        have none.
+        """
+        return []
+
     @abstractmethod
     def encaps_many(
-        self, params: Any, pair: Any, messages: Sequence[bytes]
+        self,
+        params: Any,
+        pair: Any,
+        messages: Sequence[bytes],
+        cache: KeyTransformCache | None = None,
     ) -> list[tuple[bytes, bytes]]:
         """Encapsulate a batch; returns ``(ct_bytes, shared)`` pairs.
 
         Positionally bit-identical to the scheme's scalar reference
         with the same messages — that parity is what the conformance
-        sweep pins.
+        sweep pins.  ``cache`` is the executing backend's per-key
+        transform cache, handed in by :meth:`repro.backend.KemBackend.
+        submit`; it never changes a result, and schemes without
+        cacheable key-side state ignore it.
         """
 
     @abstractmethod
     def decaps_many(
-        self, params: Any, pair: Any, ciphertexts: Sequence[bytes]
+        self,
+        params: Any,
+        pair: Any,
+        ciphertexts: Sequence[bytes],
+        cache: KeyTransformCache | None = None,
     ) -> list[bytes]:
         """Decapsulate a batch of wire ciphertexts (implicit rejection)."""
 

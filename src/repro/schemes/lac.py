@@ -6,7 +6,10 @@ registered through the scheme seam are bit-compatible with every
 pre-registry client.  Batch entry points route through
 :meth:`repro.lac.kem.LacKem.encaps_many` / ``decaps_many`` (the PR-1
 vectorized fast path), so scheme-seam parity with the scalar reference
-is inherited rather than re-proven.
+is inherited rather than re-proven.  The adapter's :meth:`kem_for` is
+the serving stack's one ``LacKem`` cache, and the transform cache a
+backend hands to the batch entry points is the one its
+:meth:`warm_key` populated at registration.
 """
 
 from __future__ import annotations
@@ -14,9 +17,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import Any
 
+from repro.batch.kem import key_fingerprints, warm_cache
 from repro.lac.kem import KemKeyPair, LacKem
 from repro.lac.params import ALL_PARAMS, LacParams
 from repro.lac.pke import Ciphertext
+from repro.ring.cache import KeyTransformCache
 from repro.schemes.base import KemScheme
 
 
@@ -67,21 +72,39 @@ class LacScheme(KemScheme):
         """The pair's public key in wire form."""
         return pair.public_key.to_bytes()
 
+    def warm_key(
+        self, params: LacParams, pair: KemKeyPair, cache: KeyTransformCache | None
+    ) -> list[bytes]:
+        """Pay GenA and the key-side forward FFTs now, not on the first
+        batch; without a cache the (content-derived) fingerprints are
+        still returned."""
+        if cache is None:
+            return key_fingerprints(params, pair.public_key, pair.secret_key)
+        return warm_cache(cache, params, pair.public_key, pair.secret_key)
+
     def encaps_many(
-        self, params: LacParams, pair: KemKeyPair, messages: Sequence[bytes]
+        self,
+        params: LacParams,
+        pair: KemKeyPair,
+        messages: Sequence[bytes],
+        cache: KeyTransformCache | None = None,
     ) -> list[tuple[bytes, bytes]]:
         """Batch encapsulation via the PR-1 vectorized fast path."""
         results = self.kem_for(params).encaps_many(
-            pair.public_key, messages=list(messages)
+            pair.public_key, messages=list(messages), cache=cache
         )
         return [(r.ciphertext.to_bytes(), r.shared_secret) for r in results]
 
     def decaps_many(
-        self, params: LacParams, pair: KemKeyPair, ciphertexts: Sequence[bytes]
+        self,
+        params: LacParams,
+        pair: KemKeyPair,
+        ciphertexts: Sequence[bytes],
+        cache: KeyTransformCache | None = None,
     ) -> list[bytes]:
         """Batch decapsulation (implicit rejection included)."""
         cts = [Ciphertext.from_bytes(params, blob) for blob in ciphertexts]
-        return self.kem_for(params).decaps_many(pair.secret_key, cts)
+        return self.kem_for(params).decaps_many(pair.secret_key, cts, cache=cache)
 
 
 __all__ = ["LacScheme"]

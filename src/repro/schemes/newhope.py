@@ -27,6 +27,7 @@ import numpy as np
 from repro.newhope.cca import NewHopeCcaKem, NewHopeCcaSecretKey, _pk_bytes
 from repro.newhope.cpa import NewHopeCiphertext
 from repro.newhope.params import NEWHOPE_512, NEWHOPE_1024, NewHopeParams
+from repro.ring.cache import KeyTransformCache
 from repro.schemes.base import KemScheme
 
 
@@ -86,6 +87,7 @@ class NewHopeScheme(KemScheme):
         params: NewHopeParams,
         pair: NewHopeCcaSecretKey,
         messages: Sequence[bytes],
+        cache: KeyTransformCache | None = None,
     ) -> list[tuple[bytes, bytes]]:
         """Sequential CCA encapsulations, serialized to wire bytes."""
         kem = self.kem_for(params)
@@ -102,6 +104,7 @@ class NewHopeScheme(KemScheme):
         params: NewHopeParams,
         pair: NewHopeCcaSecretKey,
         ciphertexts: Sequence[bytes],
+        cache: KeyTransformCache | None = None,
     ) -> list[bytes]:
         """Sequential CCA decapsulations from wire-format ciphertexts."""
         kem = self.kem_for(params)

@@ -106,9 +106,6 @@ from repro.faults.plan import (
     InjectedFault,
 )
 from repro.lac.hybrid import _derive_keys, _keystream, _tag
-from repro.lac.kem import LacKem
-from repro.lac.params import LacParams
-from repro.lac.pke import Ciphertext
 from repro.schemes import all_schemes, resolve, wire_id_for_params
 from repro.serve.config import ServiceConfig, TenantQuota
 from repro.serve.metrics import ServiceMetrics
@@ -149,19 +146,17 @@ _HostT = TypeVar("_HostT", bound="LoopThreadHost[Any]")
 class HostedKey:
     """A key pair hosted by the service, addressable by ``key_id``.
 
-    ``scheme`` is the owning :class:`repro.schemes.KemScheme` and
-    ``wire_id`` its scheme-qualified param byte; ``kem`` is the cached
-    :class:`LacKem` for LAC keys (``None`` for other schemes — their
-    kernels run through the scheme adapter).  ``fingerprints`` are the
+    ``scheme`` is the owning :class:`repro.schemes.KemScheme` (its
+    adapter is the kernel every backend runs) and ``wire_id`` its
+    scheme-qualified param byte.  ``fingerprints`` are the
     transform-cache handles returned by
-    :meth:`repro.backend.KemBackend.register_scheme_key`; kept so
-    removal can reclaim the key's cache entries.  ``tenant`` is the
-    tenant the key is charged to (quota accounting).
+    :meth:`repro.backend.KemBackend.register_key`; kept so removal can
+    reclaim the key's cache entries.  ``tenant`` is the tenant the key
+    is charged to (quota accounting).
     """
 
     key_id: int
     params: Any
-    kem: LacKem | None
     pair: Any
     fingerprints: list[bytes] = field(default_factory=list)
     scheme: Any = None
@@ -479,7 +474,6 @@ class KemService(FrameServer):
         self._owns_backend = False
         self._keys: dict[int, HostedKey] = {}
         self._next_key_id = 1
-        self._kems: dict[str, LacKem] = {}
         self._pending = 0
         self._draining = False
         self._started = False
@@ -521,7 +515,7 @@ class KemService(FrameServer):
         # warms at startup, not on the first serving batch
         for hosted in self._keys.values():
             if not hosted.fingerprints:
-                hosted.fingerprints = self._backend.register_scheme_key(
+                hosted.fingerprints = self._backend.register_key(
                     hosted.scheme, hosted.params, hosted.pair
                 )
         if self.fault_plan is not None and self.fault_plan.observer is None:
@@ -596,13 +590,6 @@ class KemService(FrameServer):
     # key hosting
     # ------------------------------------------------------------------
 
-    def kem_for(self, params: LacParams) -> LacKem:
-        """The service's cached :class:`LacKem` for one parameter set."""
-        kem = self._kems.get(params.name)
-        if kem is None:
-            kem = self._kems[params.name] = LacKem(params)
-        return kem
-
     def add_keypair(
         self,
         spec: Any,
@@ -616,7 +603,7 @@ class KemService(FrameServer):
         ``spec`` is anything :func:`repro.schemes.resolve` accepts — a
         :class:`~repro.schemes.ParamId`, a parameter-set name
         (``"NewHope512"``), a wire id, or a scheme-native parameter
-        object such as :class:`LacParams` (the pre-PR-10 signature, so
+        object such as ``LAC_128`` (the pre-PR-10 signature, so
         existing callers keep working unchanged).  With the backend up,
         the key registers with its per-key transform cache immediately
         (keys added before :meth:`start` register when the backend
@@ -640,23 +627,23 @@ class KemService(FrameServer):
         """The one registration path: wire KEYGEN, programmatic
         :meth:`add_keypair` and :class:`ThreadedService` all land here,
         so the hosted-key table cannot drift between entry points."""
+        # the backend may decline the scheme: consume an id only after
+        fingerprints = (
+            self._backend.register_key(scheme, params, pair)
+            if self._backend is not None
+            else []
+        )
         key_id = self._next_key_id
         self._next_key_id += 1
-        kem = self.kem_for(params) if isinstance(params, LacParams) else None
-        hosted = HostedKey(
+        self._keys[key_id] = HostedKey(
             key_id,
             params,
-            kem,
             pair,
+            fingerprints,
             scheme=scheme,
             tenant=tenant,
             wire_id=wire_id_for_params(params),
         )
-        if self._backend is not None:
-            hosted.fingerprints = self._backend.register_scheme_key(
-                scheme, params, pair
-            )
-        self._keys[key_id] = hosted
         state = self._tenants.get(tenant)
         if state is not None:
             state.keys += 1
@@ -1213,87 +1200,50 @@ class KemService(FrameServer):
     async def _execute(self, op: Op, live: list[_Entry]) -> list[bytes]:
         """Run one batch on the execution backend; returns raw payloads.
 
-        Request decoding (ciphertext parsing, message drawing) and
-        response byte-building stay on the event loop — they are cheap
-        and keeping them here means every backend receives identical,
-        already-validated inputs.
+        One ``backend.submit`` per batch, whatever the scheme: the
+        already-validated wire bytes go in as they arrived, and only
+        message drawing and response byte-building stay on the event
+        loop, so every backend receives identical inputs.
         """
         backend = self._backend
         assert backend is not None, "start() the service first"
-        wrapper = self._kernel_wrapper(live)
+        first = live[0]
+        items: list[Any]
         if op is Op.KEYGEN:
-            params = live[0].params
-            scheme = live[0].scheme
+            scheme, params, pair = first.scheme, first.params, None
             assert params is not None and scheme is not None
-            if isinstance(params, LacParams):
-                # LAC rides the typed backend hook: batched kernels,
-                # transform-cache warmup, cosim cycle accounting
-                pairs = await asyncio.wrap_future(
-                    backend.submit_keygen(
-                        params, [e.seed for e in live], wrapper=wrapper
-                    )
-                )
+            items = [e.seed for e in live]
+        else:
+            key = first.key
+            assert key is not None
+            scheme, params, pair = key.scheme, key.params, key.pair
+            if op is Op.ENCAPS:
+                message_bytes = scheme.message_bytes(params)
+                items = [
+                    e.message
+                    if e.message is not None
+                    else secrets.token_bytes(message_bytes)
+                    for e in live
+                ]
             else:
-                seeds = [e.seed for e in live]
-                pairs = await asyncio.wrap_future(
-                    backend.submit_task(
-                        lambda: [scheme.keygen(params, seed) for seed in seeds],
-                        wrapper=wrapper,
-                    )
-                )
-            return [
-                pack_key_id(
-                    self._register_pair(scheme, params, pair, tenant=e.tenant)
-                )
-                + scheme.public_key_bytes_of(params, pair)
-                for e, pair in zip(live, pairs, strict=True)
-            ]
-        key = live[0].key
-        assert key is not None
-        scheme = key.scheme
-        if op is Op.ENCAPS:
-            message_bytes = scheme.message_bytes(key.params)
-            messages = [
-                e.message
-                if e.message is not None
-                else secrets.token_bytes(message_bytes)
-                for e in live
-            ]
-            if key.kem is not None:
-                results = await asyncio.wrap_future(
-                    backend.submit_encaps(
-                        key.params, key.pair.public_key, messages, wrapper=wrapper
-                    )
-                )
-                return [r.ciphertext.to_bytes() + r.shared_secret for r in results]
-            encapsulated = await asyncio.wrap_future(
-                backend.submit_task(
-                    lambda: scheme.encaps_many(key.params, key.pair, messages),
-                    wrapper=wrapper,
-                )
-            )
-            return [ct + shared for ct, shared in encapsulated]
-        if key.kem is not None:
-            ciphertexts = [
-                Ciphertext.from_bytes(key.params, e.ct_bytes) for e in live
-            ]
-            return list(
-                await asyncio.wrap_future(
-                    backend.submit_decaps(
-                        key.params, key.pair.secret_key, ciphertexts,
-                        wrapper=wrapper,
-                    )
-                )
-            )
-        blobs = [e.ct_bytes for e in live]
-        return list(
-            await asyncio.wrap_future(
-                backend.submit_task(
-                    lambda: scheme.decaps_many(key.params, key.pair, blobs),
-                    wrapper=wrapper,
-                )
+                items = [e.ct_bytes for e in live]
+        results = await asyncio.wrap_future(
+            backend.submit(
+                scheme, params, op.name, pair, items,
+                wrapper=self._kernel_wrapper(live),
             )
         )
+        if op is Op.KEYGEN:
+            return [
+                pack_key_id(
+                    self._register_pair(scheme, params, made, tenant=e.tenant)
+                )
+                + scheme.public_key_bytes_of(params, made)
+                for e, made in zip(live, results, strict=True)
+            ]
+        if op is Op.ENCAPS:
+            return [ct + shared for ct, shared in results]
+        return results
 
     async def _finish(self, entry: _Entry, status: Status, payload: bytes) -> None:
         self._pending -= 1
@@ -1463,22 +1413,11 @@ class KemService(FrameServer):
     async def _session_encaps(
         self, key: HostedKey, message: bytes
     ) -> tuple[bytes, bytes]:
-        """One encapsulation against a hosted key, on the backend.
-
-        LAC keys ride the typed :meth:`submit_encaps` hook (transform
-        cache, cosim cycle accounting); other schemes run their adapter
-        through :meth:`submit_task`.
-        """
+        """One encapsulation against a hosted key, on the backend."""
         backend = self._backend
         assert backend is not None, "start() the service first"
-        if key.kem is not None:
-            results = await asyncio.wrap_future(
-                backend.submit_encaps(key.params, key.pair.public_key, [message])
-            )
-            return results[0].ciphertext.to_bytes(), results[0].shared_secret
-        scheme, params, pair = key.scheme, key.params, key.pair
-        ct_bytes, shared = await asyncio.wrap_future(
-            backend.submit_task(lambda: scheme.encaps_one(params, pair, message))
+        [(ct_bytes, shared)] = await asyncio.wrap_future(
+            backend.submit(key.scheme, key.params, "ENCAPS", key.pair, [message])
         )
         return ct_bytes, shared
 

@@ -1,20 +1,23 @@
 """Backend conformance suite: every :class:`repro.backend.KemBackend`
-implementation must be bit-identical to the scalar :class:`LacKem`.
+implementation must be bit-identical to the scheme's scalar reference.
 
-The suite runs the same contract checks over the inline, thread,
-process and cosim backends — encaps/decaps/keygen parity (including implicit
-rejection of tampered ciphertexts), degenerate batch sizes, the
-``wrapper`` execution hook, ``close()`` idempotence and the stats
-counters — then covers the registry (name/env selection), the process
-backend's crash supervision (``kill_worker`` -> typed
-:class:`WorkerCrashed` -> bounded restart) and the ``backend`` chaos
-fault site end to end through the service.
+One matrix — (inline, thread, process, cosim) × (LAC, NewHope) ×
+(KEYGEN, ENCAPS, DECAPS) — drives the single ``submit`` entry point and
+pins parity (including implicit rejection of tampered ciphertexts),
+degenerate batch sizes, the ``wrapper`` execution hook and the stats
+counters; the cosim backend prices only LAC and must *refuse* NewHope
+at registration.  The rest covers ``close()`` idempotence, the registry
+(name/env selection), the process backend's crash supervision
+(``kill_worker`` -> typed :class:`WorkerCrashed` -> bounded restart)
+and the ``backend`` chaos fault site end to end through the service.
 
 The process backend is module-scoped (one spawn, ``LAC_128``-only
 warmup) to keep the spawn cost paid once.
 """
 
 import asyncio
+import contextlib
+import threading
 
 import numpy as np
 import pytest
@@ -33,11 +36,14 @@ from repro.backend import (
     default_thread_backend,
     resolve_backend_name,
 )
-from repro.errors import WorkerCrashed
+from repro.errors import UnsupportedScheme, WorkerCrashed
 from repro.faults.plan import KIND_CRASH, SITE_BACKEND, FaultPlan, FaultSpec
 from repro.lac.kem import LacKem
 from repro.lac.params import ALL_PARAMS, LAC_128
 from repro.lac.pke import Ciphertext
+from repro.newhope.cca import NewHopeCcaKem, _pk_bytes
+from repro.newhope.params import NEWHOPE_512
+from repro.schemes import LAC_SCHEME, NEWHOPE_SCHEME
 from repro.serve import (
     AsyncKemClient,
     KemClient,
@@ -47,6 +53,7 @@ from repro.serve import (
 )
 
 SEED = bytes(range(64))
+OPS = ("KEYGEN", "ENCAPS", "DECAPS")
 
 
 @pytest.fixture(scope="module")
@@ -64,19 +71,23 @@ def cosim_backend():
     backend.close()
 
 
-@pytest.fixture(params=["inline", "thread", "process", "cosim"])
-def backend(request, process_backend, cosim_backend):
-    if request.param == "process":
+@contextlib.contextmanager
+def _backend_named(name, process_backend, cosim_backend):
+    if name == "process":
         yield process_backend  # module-scoped: spawn cost paid once
         return
-    if request.param == "cosim":
+    if name == "cosim":
         yield cosim_backend
         return
-    impl: KemBackend = (
-        InlineBackend() if request.param == "inline" else ThreadBackend(workers=2)
-    )
+    impl: KemBackend = InlineBackend() if name == "inline" else ThreadBackend(workers=2)
     yield impl
     impl.close()
+
+
+@pytest.fixture(params=BACKEND_NAMES)
+def backend(request, process_backend, cosim_backend):
+    with _backend_named(request.param, process_backend, cosim_backend) as impl:
+        yield impl
 
 
 @pytest.fixture(scope="module")
@@ -90,116 +101,222 @@ def _messages(count, params=LAC_128):
     return [bytes([i & 0xFF, 0x5A]) * (params.message_bytes // 2) for i in range(count)]
 
 
+def _encaps(backend, pair, messages):
+    """One LAC-128 ENCAPS batch through the contract."""
+    return backend.submit(LAC_SCHEME, LAC_128, "ENCAPS", pair, messages)
+
+
+class _Scalar:
+    """One scheme's scalar reference implementation, speaking the wire
+    bytes ``submit`` speaks (``LacKem`` / ``NewHopeCcaKem`` called one
+    operation at a time — never the batched adapter under test)."""
+
+    def __init__(self, scheme, params):
+        self.scheme, self.params = scheme, params
+        self.lac = scheme is LAC_SCHEME
+        self.kem = LacKem(params) if self.lac else NewHopeCcaKem(params)
+        self.pair = self.kem.keygen(SEED)
+
+    def pair_bytes(self, pair):
+        """Both halves of a pair, so KEYGEN parity covers the secret."""
+        if self.lac:
+            return pair.public_key.to_bytes() + pair.secret_key.to_bytes()
+        return _pk_bytes(pair.keys) + pair.keys.s_hat.tobytes() + pair.z
+
+    def encaps(self, message):
+        if self.lac:
+            result = self.kem.encaps(self.pair.public_key, message)
+            return result.ciphertext.to_bytes(), result.shared_secret
+        ct, shared = self.kem.encaps(self.pair, message)
+        return ct.u_hat.astype("<u2").tobytes() + ct.v_compressed.tobytes(), shared
+
+    def decaps(self, blob):
+        if self.lac:
+            ciphertext = Ciphertext.from_bytes(self.params, blob)
+            return self.kem.decaps(self.pair.secret_key, ciphertext)
+        return self.kem.decaps(self.pair, NEWHOPE_SCHEME._parse_ct(self.params, blob))
+
+    def tamper(self, blob):
+        """A well-formed ciphertext the FO check must reject."""
+        if self.lac:
+            good = Ciphertext.from_bytes(self.params, blob)
+            return Ciphertext(
+                self.params, np.mod(good.u + 1, self.params.q), good.v_compressed
+            ).to_bytes()
+        return bytes([blob[0] ^ 0x01]) + blob[1:]
+
+    def items(self, op, count):
+        """``count`` valid ``submit`` inputs for ``op``."""
+        if op == "KEYGEN":
+            return [bytes([i]) + SEED[1:] for i in range(count)]
+        messages = _messages(count, self.params)
+        if op == "ENCAPS":
+            return messages
+        return [self.encaps(m)[0] for m in messages]
+
+    def expected(self, op, items):
+        """What ``submit`` must resolve to, via :meth:`canon`."""
+        if op == "KEYGEN":
+            return [self.pair_bytes(self.kem.keygen(seed)) for seed in items]
+        return [self.encaps(i) if op == "ENCAPS" else self.decaps(i) for i in items]
+
+    def canon(self, op, results):
+        if op == "KEYGEN":
+            return [self.pair_bytes(pair) for pair in results]
+        return list(results)
+
+    def submit(self, backend, op, items, **kwargs):
+        pair = None if op == "KEYGEN" else self.pair
+        return backend.submit(self.scheme, self.params, op, pair, items, **kwargs)
+
+
+_SCHEMES = {"lac": (LAC_SCHEME, LAC_128), "newhope": (NEWHOPE_SCHEME, NEWHOPE_512)}
+_REFERENCES = {}
+
+#: every backend × every scheme it supports (cosim prices only LAC)
+_CELLS = [
+    (backend_name, scheme_name)
+    for backend_name in BACKEND_NAMES
+    for scheme_name in _SCHEMES
+    if (backend_name, scheme_name) != ("cosim", "newhope")
+]
+
+
+@pytest.fixture(params=_CELLS, ids="-".join)
+def cell(request, process_backend, cosim_backend):
+    """``(backend, scalar reference)`` for one supported matrix cell."""
+    backend_name, scheme_name = request.param
+    if scheme_name not in _REFERENCES:
+        _REFERENCES[scheme_name] = _Scalar(*_SCHEMES[scheme_name])
+    with _backend_named(backend_name, process_backend, cosim_backend) as impl:
+        assert impl.supports_scheme(_REFERENCES[scheme_name].scheme)
+        yield impl, _REFERENCES[scheme_name]
+
+
+@pytest.fixture(params=OPS)
+def op(request):
+    return request.param
+
+
 class TestConformance:
-    """The cross-backend contract: scalar parity on every path."""
+    """The cross-backend contract: (backend × scheme × op) through the
+    one ``submit``, scalar parity on every path."""
 
-    def test_encaps_bit_identical_to_scalar(self, backend, scalar):
-        kem, pair = scalar
-        messages = _messages(6)
-        results = backend.submit_encaps(LAC_128, pair.public_key, messages).result()
-        assert len(results) == len(messages)
-        for message, result in zip(messages, results):
-            reference = kem.encaps(pair.public_key, message)
-            assert result.ciphertext.to_bytes() == reference.ciphertext.to_bytes()
-            assert result.shared_secret == reference.shared_secret
+    @pytest.mark.parametrize("count", [4, 1], ids=["batch", "one"])
+    def test_bit_identical_to_scalar(self, cell, op, count):
+        backend, ref = cell
+        items = ref.items(op, count)
+        got = ref.submit(backend, op, items).result()
+        assert len(got) == count
+        assert ref.canon(op, got) == ref.expected(op, items)
 
-    def test_decaps_bit_identical_to_scalar(self, backend, scalar):
-        kem, pair = scalar
-        cts = [kem.encaps(pair.public_key, m).ciphertext for m in _messages(5)]
-        shared = backend.submit_decaps(LAC_128, pair.secret_key, cts).result()
-        assert shared == [kem.decaps(pair.secret_key, ct) for ct in cts]
-
-    def test_implicit_rejection_matches_scalar(self, backend, scalar):
-        kem, pair = scalar
-        good = kem.encaps(pair.public_key, _messages(1)[0]).ciphertext
-        tampered = Ciphertext(
-            LAC_128, np.mod(good.u + 1, LAC_128.q), good.v_compressed
-        )
-        got = backend.submit_decaps(
-            LAC_128, pair.secret_key, [good, tampered]
-        ).result()
-        assert got[0] == kem.decaps(pair.secret_key, good)
-        assert got[1] == kem.decaps(pair.secret_key, tampered)
+    def test_implicit_rejection_matches_scalar(self, cell):
+        backend, ref = cell
+        good = ref.items("DECAPS", 1)[0]
+        tampered = ref.tamper(good)
+        got = ref.submit(backend, "DECAPS", [good, tampered]).result()
+        assert got == [ref.decaps(good), ref.decaps(tampered)]
         assert got[0] != got[1]
 
-    def test_keygen_deterministic_from_seed(self, backend, scalar):
-        kem, _ = scalar
-        (pair,) = backend.submit_keygen(LAC_128, [SEED]).result()
-        reference = kem.keygen(SEED)
-        assert pair.public_key.to_bytes() == reference.public_key.to_bytes()
-        assert pair.secret_key.to_bytes() == reference.secret_key.to_bytes()
+    def test_keygen_convenience_and_fresh_randomness(self, cell):
+        backend, ref = cell
         # the synchronous convenience rides the same path
-        assert (
-            backend.keygen(LAC_128, SEED).public_key.to_bytes()
-            == reference.public_key.to_bytes()
+        assert ref.pair_bytes(backend.keygen(ref.params, SEED)) == ref.pair_bytes(
+            ref.pair
         )
+        first, second = ref.submit(backend, "KEYGEN", [None, None]).result()
+        assert ref.pair_bytes(first) != ref.pair_bytes(second)
 
-    def test_keygen_none_seed_uses_fresh_randomness(self, backend):
-        pairs = backend.submit_keygen(LAC_128, [None, None]).result()
-        assert pairs[0].public_key.to_bytes() != pairs[1].public_key.to_bytes()
+    def test_empty_batches_resolve_immediately(self, cell, op):
+        backend, ref = cell
+        assert ref.submit(backend, op, []).result() == []
 
-    def test_empty_batches_resolve_immediately(self, backend, scalar):
-        _, pair = scalar
-        assert backend.submit_encaps(LAC_128, pair.public_key, []).result() == []
-        assert backend.submit_decaps(LAC_128, pair.secret_key, []).result() == []
-        assert backend.submit_keygen(LAC_128, []).result() == []
+    def test_unknown_op_is_rejected(self, cell):
+        backend, ref = cell
+        with pytest.raises(ValueError, match="unknown KEM op"):
+            ref.submit(backend, "SIGN", [b"x"]).result()
 
-    def test_batch_size_one(self, backend, scalar):
-        kem, pair = scalar
-        message = _messages(1)[0]
-        (result,) = backend.submit_encaps(
-            LAC_128, pair.public_key, [message]
-        ).result()
-        reference = kem.encaps(pair.public_key, message)
-        assert result.ciphertext.to_bytes() == reference.ciphertext.to_bytes()
-        assert result.shared_secret == reference.shared_secret
-
-    def test_wrapper_runs_in_execution_context(self, backend, scalar):
-        _, pair = scalar
+    def test_wrapper_runs_in_execution_context(self, cell, op):
+        backend, ref = cell
         seen = []
 
         def wrapper(work):
-            seen.append("before")
+            seen.append(threading.get_ident())
             try:
                 return work()
             finally:
                 seen.append("after")
 
-        results = backend.submit_encaps(
-            LAC_128, pair.public_key, _messages(2), wrapper=wrapper
-        ).result()
+        results = ref.submit(backend, op, ref.items(op, 2), wrapper=wrapper).result()
         assert len(results) == 2
-        assert seen == ["before", "after"]
+        assert seen[1:] == ["after"] and len(seen) == 2
+        # a pooled backend never runs the kernel on the submitting
+        # thread — for a service that thread is the event loop
+        assert (seen[0] == threading.get_ident()) is (backend.name == "inline")
 
-    def test_wrapper_exception_fails_the_future(self, backend, scalar):
-        _, pair = scalar
-
+    def test_wrapper_exception_fails_the_future(self, cell, op):
+        backend, ref = cell
         def wrapper(work):
             raise RuntimeError("injected by wrapper")
 
-        future = backend.submit_encaps(
-            LAC_128, pair.public_key, _messages(1), wrapper=wrapper
-        )
+        future = ref.submit(backend, op, ref.items(op, 1), wrapper=wrapper)
         with pytest.raises(RuntimeError, match="injected by wrapper"):
             future.result()
 
-    def test_stats_count_submissions_and_failures(self, backend, scalar):
-        _, pair = scalar
+    def test_stats_count_submissions_and_failures(self, cell, op):
+        backend, ref = cell
+        items = ref.items(op, 1)
         before = backend.stats()
-        backend.submit_encaps(LAC_128, pair.public_key, _messages(1)).result()
+        ref.submit(backend, op, items).result()
 
         def boom(work):
             raise RuntimeError("boom")
 
         with pytest.raises(RuntimeError):
-            backend.submit_encaps(
-                LAC_128, pair.public_key, _messages(1), wrapper=boom
-            ).result()
+            ref.submit(backend, op, items, wrapper=boom).result()
         after = backend.stats()
         assert after["name"] == backend.name
         assert after["submitted"] == before["submitted"] + 2
         assert after["completed"] == before["completed"] + 1
         assert after["failed"] == before["failed"] + 1
+
+    def test_batch_api_backend_kwarg_rides_submit(self, backend, scalar):
+        kem, pair = scalar
+        messages = _messages(3)
+        results = kem.encaps_many(pair.public_key, messages, backend=backend)
+        for message, result in zip(messages, results):
+            reference = kem.encaps(pair.public_key, message)
+            assert result.ciphertext.to_bytes() == reference.ciphertext.to_bytes()
+            assert result.shared_secret == reference.shared_secret
+        cts = [r.ciphertext for r in results]
+        assert kem.decaps_many(pair.secret_key, cts, backend=backend) == [
+            r.shared_secret for r in results
+        ]
+
+    def test_supports_scheme_split(self, backend):
+        assert backend.supports_scheme(LAC_SCHEME)
+        expected = not isinstance(backend, CosimBackend)
+        assert backend.supports_scheme(NEWHOPE_SCHEME) is expected
+
+    def test_cosim_declines_newhope(self, cosim_backend):
+        pair = NEWHOPE_SCHEME.keygen(NEWHOPE_512, SEED)
+        with pytest.raises(UnsupportedScheme):
+            cosim_backend.register_key(NEWHOPE_SCHEME, NEWHOPE_512, pair)
+        # ...and a batch that skipped registration is refused, not
+        # served with unmodelled cycle tallies
+        with pytest.raises(UnsupportedScheme):
+            cosim_backend.submit(
+                NEWHOPE_SCHEME, NEWHOPE_512, "ENCAPS", pair, [bytes(32)]
+            ).result()
+
+    def test_register_key_returns_invalidation_handles(self, cell):
+        backend, ref = cell
+        fingerprints = backend.register_key(ref.scheme, ref.params, ref.pair)
+        assert len(fingerprints) == (3 if ref.lac else 0)
+        dropped = backend.invalidate_key(fingerprints)
+        # only backends with a parent-side transform cache hold entries
+        cached = ref.lac and backend.transform_cache is not None
+        assert dropped == (3 if cached else 0)
 
 
 class TestLifecycle:
@@ -211,12 +328,12 @@ class TestLifecycle:
     def test_close_is_idempotent_and_rejects_new_work(self, make, scalar):
         _, pair = scalar
         backend = make()
-        backend.submit_encaps(LAC_128, pair.public_key, _messages(1)).result()
+        _encaps(backend, pair, _messages(1)).result()
         backend.close()
         backend.close()  # idempotent
         assert backend.closed
         with pytest.raises(RuntimeError, match="closed"):
-            backend.submit_encaps(LAC_128, pair.public_key, _messages(1))
+            _encaps(backend, pair, _messages(1))
 
     def test_warmup_roundtrips_each_param_set(self):
         backend = InlineBackend()
@@ -314,9 +431,7 @@ class TestProcessSupervision:
         restarts_before = process_backend.stats()["restarts"]
         assert process_backend.kill_worker() is True
         with pytest.raises(WorkerCrashed) as excinfo:
-            process_backend.submit_encaps(
-                LAC_128, pair.public_key, _messages(4)
-            ).result()
+            _encaps(process_backend, pair, _messages(4)).result()
         assert excinfo.value.reason == "worker-crashed"
         # one crash incident costs exactly one restart...
         stats = process_backend.stats()
@@ -324,12 +439,8 @@ class TestProcessSupervision:
         assert stats["broken"] is False
         # ...and the rebuilt pool is bit-identical to the scalar again
         message = _messages(1)[0]
-        (result,) = process_backend.submit_encaps(
-            LAC_128, pair.public_key, [message]
-        ).result()
-        assert (
-            result.shared_secret == kem.encaps(pair.public_key, message).shared_secret
-        )
+        [(_, shared)] = _encaps(process_backend, pair, [message]).result()
+        assert shared == kem.encaps(pair.public_key, message).shared_secret
 
     def test_restart_budget_exhaustion_fails_fast(self, scalar):
         _, pair = scalar
@@ -340,16 +451,12 @@ class TestProcessSupervision:
             backend.warmup([LAC_128])
             assert backend.kill_worker() is True
             with pytest.raises(WorkerCrashed):
-                backend.submit_encaps(
-                    LAC_128, pair.public_key, _messages(1)
-                ).result()
+                _encaps(backend, pair, _messages(1)).result()
             # budget spent: the backend declares itself broken and every
             # later submission fails fast instead of respawning forever
             assert backend.stats()["broken"] is True
             with pytest.raises(WorkerCrashed, match="exceeded"):
-                backend.submit_encaps(
-                    LAC_128, pair.public_key, _messages(1)
-                ).result()
+                _encaps(backend, pair, _messages(1)).result()
         finally:
             backend.close()
 
@@ -482,87 +589,14 @@ class TestCosimServiceParity:
             assert client.decaps(key_id, ct_bytes) == shared
             client.close()
 
+    def test_declined_registration_does_not_burn_a_key_id(self, cosim_backend):
+        async def main():
+            svc = await KemService(ServiceConfig(), backend=cosim_backend).start()
+            with pytest.raises(UnsupportedScheme):
+                svc.add_keypair(NEWHOPE_512, seed=SEED)
+            assert svc.hosted_key(1) is None
+            # the rejected NewHope key left no hole in the id sequence
+            assert svc.add_keypair(LAC_128, seed=SEED) == 1
+            await svc.shutdown()
 
-class TestCrossSchemeConformance:
-    """The scheme seam: NewHope bit-parity vs ``repro.newhope.cca``.
-
-    Non-LAC schemes reach backends through ``register_scheme_key`` +
-    ``submit_task`` (the server's dispatch path for anything without
-    typed LAC hooks), so the sweep drives exactly those entry points
-    over the inline, thread and process backends and pins the results
-    against direct ``NewHopeCcaKem`` calls.  The cosim backend models
-    only LAC cycle costs and must *refuse* the registration with a
-    typed :class:`UnsupportedScheme` instead of tallying nonsense.
-    """
-
-    NH_SEED = bytes(range(64))
-
-    def _reference(self, params):
-        from repro.newhope.cca import NewHopeCcaKem
-
-        kem = NewHopeCcaKem(params)
-        return kem, kem.keygen(self.NH_SEED)
-
-    def test_supports_scheme_split(self, backend):
-        from repro.schemes import LAC_SCHEME, NEWHOPE_SCHEME
-
-        assert backend.supports_scheme(LAC_SCHEME)
-        expected = not isinstance(backend, CosimBackend)
-        assert backend.supports_scheme(NEWHOPE_SCHEME) is expected
-
-    def test_cosim_rejects_newhope_registration(self, cosim_backend):
-        from repro.errors import UnsupportedScheme
-        from repro.newhope.params import NEWHOPE_512
-        from repro.schemes import NEWHOPE_SCHEME
-
-        pair = NEWHOPE_SCHEME.keygen(NEWHOPE_512, self.NH_SEED)
-        with pytest.raises(UnsupportedScheme):
-            cosim_backend.register_scheme_key(NEWHOPE_SCHEME, NEWHOPE_512, pair)
-
-    def test_newhope_encaps_bit_identical(self, backend):
-        from repro.newhope.params import NEWHOPE_512
-        from repro.schemes import NEWHOPE_SCHEME
-
-        if not backend.supports_scheme(NEWHOPE_SCHEME):
-            pytest.skip("cosim models only LAC")
-        kem, sk = self._reference(NEWHOPE_512)
-        pair = NEWHOPE_SCHEME.keygen(NEWHOPE_512, self.NH_SEED)
-        backend.register_scheme_key(NEWHOPE_SCHEME, NEWHOPE_512, pair)
-        messages = [bytes([i]) * 32 for i in range(4)]
-        got = backend.submit_task(
-            lambda: NEWHOPE_SCHEME.encaps_many(NEWHOPE_512, pair, messages)
-        ).result()
-        for message, (ct_bytes, shared) in zip(messages, got):
-            ct, want_shared = kem.encaps(sk, message)
-            want_ct = (
-                ct.u_hat.astype("<u2").tobytes() + ct.v_compressed.tobytes()
-            )
-            assert ct_bytes == want_ct
-            assert shared == want_shared
-
-    def test_newhope_decaps_round_trip_and_rejection(self, backend):
-        from repro.newhope.params import NEWHOPE_512
-        from repro.schemes import NEWHOPE_SCHEME
-
-        if not backend.supports_scheme(NEWHOPE_SCHEME):
-            pytest.skip("cosim models only LAC")
-        kem, sk = self._reference(NEWHOPE_512)
-        pair = NEWHOPE_SCHEME.keygen(NEWHOPE_512, self.NH_SEED)
-        messages = [bytes([7 + i]) * 32 for i in range(3)]
-        blobs = [
-            ct for ct, _ in NEWHOPE_SCHEME.encaps_many(NEWHOPE_512, pair, messages)
-        ]
-        want = [s for _, s in NEWHOPE_SCHEME.encaps_many(NEWHOPE_512, pair, messages)]
-        got = backend.submit_task(
-            lambda: NEWHOPE_SCHEME.decaps_many(NEWHOPE_512, pair, blobs)
-        ).result()
-        assert got == want
-        # FO rejection parity: a flipped ciphertext byte must produce
-        # exactly the scalar reference's (rejecting) secret, not a crash
-        tampered = bytes([blobs[0][0] ^ 0x01]) + blobs[0][1:]
-        [via_backend] = backend.submit_task(
-            lambda: NEWHOPE_SCHEME.decaps_many(NEWHOPE_512, pair, [tampered])
-        ).result()
-        direct = kem.decaps(sk, NEWHOPE_SCHEME._parse_ct(NEWHOPE_512, tampered))
-        assert via_backend == direct
-        assert via_backend != want[0]
+        asyncio.run(asyncio.wait_for(main(), 30.0))

@@ -22,6 +22,7 @@ from repro.backend import (
 )
 from repro.lac.kem import LacKem
 from repro.lac.params import LAC_128
+from repro.schemes import LAC_SCHEME
 
 SEED = bytes(range(64))
 
@@ -40,13 +41,17 @@ def _messages(count):
     ]
 
 
+def _encaps(backend, pair, messages):
+    return backend.submit(LAC_SCHEME, LAC_128, "ENCAPS", pair, messages)
+
+
 def _assert_parity(results, messages, scalar):
     kem, pair = scalar
     assert len(results) == len(messages)
-    for message, result in zip(messages, results):
+    for message, (ct_bytes, shared) in zip(messages, results):
         reference = kem.encaps(pair.public_key, message)
-        assert result.ciphertext.to_bytes() == reference.ciphertext.to_bytes()
-        assert result.shared_secret == reference.shared_secret
+        assert ct_bytes == reference.ciphertext.to_bytes()
+        assert shared == reference.shared_secret
 
 
 class TestNonResizableBackends:
@@ -64,9 +69,7 @@ class TestNonResizableBackends:
             assert backend.resize(4) is False
             # the borrowed pool is untouched and still serves batches
             messages = _messages(2)
-            results = backend.submit_encaps(
-                LAC_128, pair.public_key, messages
-            ).result()
+            results = _encaps(backend, pair, messages).result()
             _assert_parity(results, messages, scalar)
             backend.close()
 
@@ -99,13 +102,13 @@ class TestThreadBackendResize:
         try:
             messages = _messages(4)
             before = [
-                backend.submit_encaps(LAC_128, pair.public_key, messages)
+                _encaps(backend, pair, messages)
                 for _ in range(3)
             ]
             assert backend.resize(1) is True
             assert backend.resize(3) is True
             after = [
-                backend.submit_encaps(LAC_128, pair.public_key, messages)
+                _encaps(backend, pair, messages)
                 for _ in range(3)
             ]
             for future in before + after:
@@ -128,18 +131,14 @@ class TestProcessBackendResize:
         try:
             assert backend.workers == 1
             messages = _messages(2)
-            results = backend.submit_encaps(
-                LAC_128, pair.public_key, messages
-            ).result()
+            results = _encaps(backend, pair, messages).result()
             _assert_parity(results, messages, scalar)
 
             assert backend.resize(2) is True
             assert backend.workers == 2
             # the replacement pool spawns lazily on the next batch and
             # re-ships the key (the ship-once table was reset)
-            results = backend.submit_encaps(
-                LAC_128, pair.public_key, messages
-            ).result()
+            results = _encaps(backend, pair, messages).result()
             _assert_parity(results, messages, scalar)
         finally:
             backend.close()

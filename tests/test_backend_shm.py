@@ -23,6 +23,7 @@ from repro.errors import WorkerCrashed
 from repro.lac.kem import LacKem
 from repro.lac.params import LAC_128
 from repro.ring.cache import fingerprint
+from repro.schemes import LAC_SCHEME
 
 SEED = bytes(range(64))
 
@@ -33,6 +34,20 @@ pytestmark = pytest.mark.skipif(
 
 def _messages(count, params=LAC_128):
     return [bytes([i & 0xFF, 0xA5]) * (params.message_bytes // 2) for i in range(count)]
+
+
+def _encaps(backend, pair, messages):
+    """``(ct_bytes, shared)`` per message through the one ``submit``."""
+    return backend.submit(LAC_SCHEME, LAC_128, "ENCAPS", pair, messages).result()
+
+
+def _decaps(backend, pair, blobs):
+    return backend.submit(LAC_SCHEME, LAC_128, "DECAPS", pair, blobs).result()
+
+
+def _scalar_encaps(kem, pair, message):
+    reference = kem.encaps(pair.public_key, message)
+    return reference.ciphertext.to_bytes(), reference.shared_secret
 
 
 def _shm_names():
@@ -121,14 +136,10 @@ class TestShmWire:
     def test_encaps_decaps_over_shm_matches_scalar(self, backend, scalar):
         kem, pair = scalar
         messages = _messages(6)
-        results = backend.submit_encaps(LAC_128, pair.public_key, messages).result()
-        for message, result in zip(messages, results):
-            reference = kem.encaps(pair.public_key, message)
-            assert result.ciphertext.to_bytes() == reference.ciphertext.to_bytes()
-            assert result.shared_secret == reference.shared_secret
-        cts = [r.ciphertext for r in results]
-        shared = backend.submit_decaps(LAC_128, pair.secret_key, cts).result()
-        assert shared == [r.shared_secret for r in results]
+        results = _encaps(backend, pair, messages)
+        assert results == [_scalar_encaps(kem, pair, m) for m in messages]
+        decapsulated = _decaps(backend, pair, [ct for ct, _ in results])
+        assert decapsulated == [shared for _, shared in results]
         shm = backend.stats()["shm"]
         assert shm["enabled"] is True
         assert shm["created"] >= 1
@@ -137,16 +148,14 @@ class TestShmWire:
         _, pair = scalar
         before = backend.stats()["shm"]
         for _ in range(3):
-            backend.submit_encaps(
-                LAC_128, pair.public_key, _messages(4)
-            ).result()
+            _encaps(backend, pair, _messages(4))
         after = backend.stats()["shm"]
         assert after["reused"] > before["reused"]
 
     def test_worker_cache_and_key_stats_surface(self, backend, scalar):
         _, pair = scalar
-        backend.submit_encaps(LAC_128, pair.public_key, _messages(2)).result()
-        backend.submit_encaps(LAC_128, pair.public_key, _messages(2)).result()
+        _encaps(backend, pair, _messages(2))
+        _encaps(backend, pair, _messages(2))
         stats = backend.stats()
         cache = stats["transform_cache"]
         assert cache["scope"] == "workers"
@@ -160,10 +169,12 @@ class TestShmWire:
         self, backend, scalar
     ):
         _, pair = scalar
-        fps = backend.register_key(LAC_128, pair.public_key, pair.secret_key)
+        fps = backend.register_key(LAC_SCHEME, LAC_128, pair)
         assert len(fps) == 3
         assert all(len(fp) == 16 for fp in fps)
-        # worker caches warm lazily; invalidation is a parent-side no-op
+        # worker caches warm lazily: the parent holds no transform cache
+        # at all, so invalidation is a no-op
+        assert backend.transform_cache is None
         assert backend.invalidate_key(fps) == 0
 
     def test_forced_key_miss_retries_with_blob(self, backend):
@@ -178,12 +189,9 @@ class TestShmWire:
             backend._shipped[fp] = backend._workers
         retries_before = backend.stats()["worker_keys"]["miss_retries"]
         message = _messages(1)[0]
-        (result,) = backend.submit_encaps(
-            LAC_128, pair.public_key, [message]
-        ).result()
-        reference = kem.encaps(pair.public_key, message)
-        assert result.ciphertext.to_bytes() == reference.ciphertext.to_bytes()
-        assert result.shared_secret == reference.shared_secret
+        assert _encaps(backend, pair, [message]) == [
+            _scalar_encaps(kem, pair, message)
+        ]
         assert (
             backend.stats()["worker_keys"]["miss_retries"] > retries_before
         )
@@ -193,21 +201,15 @@ class TestShmWire:
         segments_before = backend.stats()["shm"]["segments"]
         assert backend.kill_worker() is True
         with pytest.raises(WorkerCrashed):
-            backend.submit_encaps(
-                LAC_128, pair.public_key, _messages(4)
-            ).result()
+            _encaps(backend, pair, _messages(4))
         # parent-owned segments survived the pool rebuild...
         assert backend.stats()["shm"]["segments"] == segments_before
         # ...and the fresh pool is bit-identical again (the ship table
         # was reset, so the key blob reships without a miss)
         message = _messages(1)[0]
-        (result,) = backend.submit_encaps(
-            LAC_128, pair.public_key, [message]
-        ).result()
-        assert (
-            result.shared_secret
-            == kem.encaps(pair.public_key, message).shared_secret
-        )
+        assert _encaps(backend, pair, [message]) == [
+            _scalar_encaps(kem, pair, message)
+        ]
 
 
 class TestBytesWireFallback:
@@ -219,21 +221,10 @@ class TestBytesWireFallback:
         )
         try:
             messages = _messages(3)
-            results = backend.submit_encaps(
-                LAC_128, pair.public_key, messages
-            ).result()
-            for message, result in zip(messages, results):
-                reference = kem.encaps(pair.public_key, message)
-                assert (
-                    result.ciphertext.to_bytes()
-                    == reference.ciphertext.to_bytes()
-                )
-                assert result.shared_secret == reference.shared_secret
-            cts = [r.ciphertext for r in results]
-            shared = backend.submit_decaps(
-                LAC_128, pair.secret_key, cts
-            ).result()
-            assert shared == [r.shared_secret for r in results]
+            results = _encaps(backend, pair, messages)
+            assert results == [_scalar_encaps(kem, pair, m) for m in messages]
+            decapsulated = _decaps(backend, pair, [ct for ct, _ in results])
+            assert decapsulated == [shared for _, shared in results]
             shm = backend.stats()["shm"]
             assert shm["enabled"] is False
             assert shm["created"] == 0
@@ -250,11 +241,9 @@ class TestBytesWireFallback:
 
             monkeypatch.setattr(backend._segments, "acquire", explode)
             message = _messages(1)[0]
-            (result,) = backend.submit_encaps(
-                LAC_128, pair.public_key, [message]
-            ).result()
-            reference = kem.encaps(pair.public_key, message)
-            assert result.shared_secret == reference.shared_secret
+            assert _encaps(backend, pair, [message]) == [
+                _scalar_encaps(kem, pair, message)
+            ]
             assert backend.stats()["shm"]["enabled"] is False
         finally:
             backend.close()
@@ -272,6 +261,10 @@ LEAK_SCRIPT = textwrap.dedent(
         from repro.errors import WorkerCrashed
         from repro.lac.kem import LacKem
         from repro.lac.params import LAC_128
+        from repro.schemes import LAC_SCHEME
+
+        def run(op, items):
+            return backend.submit(LAC_SCHEME, LAC_128, op, pair, items).result()
 
         baseline = shm_names()
         kem = LacKem(LAC_128)
@@ -280,22 +273,18 @@ LEAK_SCRIPT = textwrap.dedent(
 
         backend = ProcessBackend(workers=2, warm_params=[LAC_128], min_chunk=1)
         backend.warmup([LAC_128])
-        results = backend.submit_encaps(LAC_128, pair.public_key, messages).result()
-        cts = [r.ciphertext for r in results]
-        assert backend.submit_decaps(LAC_128, pair.secret_key, cts).result() == [
-            r.shared_secret for r in results
+        results = run("ENCAPS", messages)
+        assert run("DECAPS", [ct for ct, _ in results]) == [
+            shared for _, shared in results
         ]
 
         # chaos: kill a worker mid-life, recover, serve again
         assert backend.kill_worker() is True
         try:
-            backend.submit_encaps(LAC_128, pair.public_key, messages).result()
+            run("ENCAPS", messages)
         except WorkerCrashed:
             pass
-        again = backend.submit_encaps(LAC_128, pair.public_key, messages).result()
-        assert [r.ciphertext.to_bytes() for r in again] == [
-            r.ciphertext.to_bytes() for r in results
-        ]
+        assert run("ENCAPS", messages) == results
         assert backend.stats()["shm"]["enabled"] is True
 
         backend.close()

@@ -32,7 +32,7 @@ from repro.serve import (
     ThreadedService,
     predicted_miss,
 )
-from repro.schemes import wire_id_for_params
+from repro.schemes import LAC_SCHEME, wire_id_for_params
 
 SEED = bytes(range(64))
 MESSAGE = bytes(range(32))  # == the cycle model's seed[:32]
@@ -43,15 +43,13 @@ DECODE_PHASES = ("syndrome", "error_locator", "chien")
 
 def _serve_kat(backend, params):
     """keygen(SEED) -> encaps(MESSAGE) -> decaps on the backend itself."""
-    (pair,) = backend.submit_keygen(params, [SEED]).result()
-    (enc,) = backend.submit_encaps(
-        params, pair.public_key, [MESSAGE]
+    (pair,) = backend.submit(LAC_SCHEME, params, "KEYGEN", None, [SEED]).result()
+    [(ct_bytes, shared)] = backend.submit(
+        LAC_SCHEME, params, "ENCAPS", pair, [MESSAGE]
     ).result()
-    (shared,) = backend.submit_decaps(
-        params, pair.secret_key, [enc.ciphertext]
-    ).result()
-    assert shared == enc.shared_secret
-    return pair, enc
+    assert backend.submit(
+        LAC_SCHEME, params, "DECAPS", pair, [ct_bytes]
+    ).result() == [shared]
 
 
 class TestGoldenCycles:
@@ -123,14 +121,14 @@ class TestConstantSchedule:
     def test_decode_phases_identical_across_ciphertexts(self):
         backend = CosimBackend(profile="ise")
         try:
-            (pair,) = backend.submit_keygen(LAC_128, [SEED]).result()
+            pair = backend.keygen(LAC_128, SEED)
             phase_prices = []
             for message in (MESSAGE, bytes(32), b"\xff" * 32):
-                (enc,) = backend.submit_encaps(
-                    LAC_128, pair.public_key, [message]
+                [(ct_bytes, _)] = backend.submit(
+                    LAC_SCHEME, LAC_128, "ENCAPS", pair, [message]
                 ).result()
-                backend.submit_decaps(
-                    LAC_128, pair.secret_key, [enc.ciphertext]
+                backend.submit(
+                    LAC_SCHEME, LAC_128, "DECAPS", pair, [ct_bytes]
                 ).result()
                 counter = backend.last_counter("DECAPS", LAC_128)
                 assert counter is not None

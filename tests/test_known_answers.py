@@ -127,8 +127,9 @@ def test_lac_kat_through_the_service(params):
 
 @pytest.mark.parametrize("params", [NEWHOPE_512, NEWHOPE_1024], ids=str)
 def test_newhope_kat_through_the_service(params):
-    """The served NewHope path (scheme registry + ``submit_task``
-    dispatch) must reproduce the frozen CCA vectors bit-for-bit."""
+    """The served NewHope path (scheme registry + the one
+    ``KemBackend.submit``) must reproduce the frozen CCA vectors
+    bit-for-bit."""
     pk_digest, ct_digest, shared_hex = NEWHOPE_CCA_VECTORS[params.name]
     with ThreadedService(ServiceConfig(max_batch=4)) as svc:
         client = KemClient(svc.connect())

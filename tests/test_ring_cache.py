@@ -29,6 +29,7 @@ from repro.ring.cache import (
     fingerprint,
 )
 from repro.ring.poly import PolyRing
+from repro.schemes import LAC_SCHEME
 from repro.trace import collect_tags
 
 MAX_EXAMPLES = int(os.environ.get("REPRO_PROPERTY_MAX_EXAMPLES", "20"))
@@ -351,7 +352,7 @@ class TestBackendCacheOwnership:
             # registration still returns fingerprints for bookkeeping
             kem = LacKem(LAC_128)
             pair = kem.keygen(bytes(64))
-            fps = backend.register_key(LAC_128, pair.public_key, pair.secret_key)
+            fps = backend.register_key(LAC_SCHEME, LAC_128, pair)
             assert fps == key_fingerprints(
                 LAC_128, pair.public_key, pair.secret_key
             )
@@ -368,19 +369,18 @@ class TestBackendCacheOwnership:
         kem = LacKem(LAC_128)
         pair = kem.keygen(bytes(64))
         try:
-            fps = backend.register_key(LAC_128, pair.public_key, pair.secret_key)
+            fps = backend.register_key(LAC_SCHEME, LAC_128, pair)
             assert len(backend.transform_cache) == 3
             message = bytes(LAC_128.message_bytes)
-            (result,) = backend.submit_encaps(
-                LAC_128, pair.public_key, [message]
+            [(ct_bytes, shared)] = backend.submit(
+                LAC_SCHEME, LAC_128, "ENCAPS", pair, [message]
             ).result()
             reference = kem.encaps(pair.public_key, message)
-            assert result.ciphertext.to_bytes() == reference.ciphertext.to_bytes()
-            assert result.shared_secret == reference.shared_secret
-            shared = backend.submit_decaps(
-                LAC_128, pair.secret_key, [result.ciphertext]
-            ).result()
-            assert shared == [reference.shared_secret]
+            assert ct_bytes == reference.ciphertext.to_bytes()
+            assert shared == reference.shared_secret
+            assert backend.submit(
+                LAC_SCHEME, LAC_128, "DECAPS", pair, [ct_bytes]
+            ).result() == [shared]
             stats = backend.stats()["transform_cache"]
             assert stats["hits"] >= 4  # a+b on encaps, s+a+b on decaps
             assert stats["misses"] == 3  # registration only

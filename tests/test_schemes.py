@@ -208,3 +208,33 @@ class TestRegistrationGuards:
 
         with pytest.raises(ValueError, match="PARAM_NONE"):
             register_scheme(TooHigh())
+
+
+@pytest.mark.parametrize(
+    "module", ["src/repro/serve/server.py", "src/repro/backend/base.py"]
+)
+def test_execution_seam_stays_scheme_agnostic(module):
+    """The service and the backend contract know schemes only through
+    ``KemScheme``: no import of the LAC engine/codec modules and no
+    ``isinstance(..., LacParams)`` fork may grow back beside ``submit``."""
+    import ast
+    from pathlib import Path
+
+    banned = {"repro.lac.kem", "repro.lac.pke"}
+    tree = ast.parse((Path(__file__).parent.parent / module).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported = {node.module} | {f"{node.module}.{a.name}" for a in node.names}
+        elif isinstance(node, ast.Import):
+            imported = {alias.name for alias in node.names}
+        else:
+            imported = set()
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"
+            ):
+                assert "LacParams" not in ast.dump(node.args[1]), (
+                    f"{module}:{node.lineno} forks on LacParams"
+                )
+        assert not imported & banned, f"{module}:{node.lineno} imports {imported & banned}"
