@@ -42,9 +42,19 @@ request is answered — bit-identical to scalar or with a typed
 :mod:`repro.errors` error — and fault counters match ``plan.fired``
 exactly.
 
-**Tracing.**  With an enabled tracer every routed request emits a
-``router.request`` root (child of the client's wire context) plus one
-``router.forward`` span per member attempt, and forwards carry the
+**The request path** is the shell's
+(:class:`repro.serve.server.FrameServer`): every frame becomes a
+:class:`~repro.serve.server.Request` envelope, passes the shared gates
+(admission fault draw, draining, watermark, pending slot), and is
+answered exactly once by the shell's ``_reply`` — a member's response
+passed through, or the typed :mod:`repro.errors` refusal a handler
+*raised* (no code here writes a frame or counts a response).
+
+**Tracing.**  With an enabled tracer every answered request emits a
+``router.request`` root (child of the client's wire context) tiled by
+stage spans — ``admission`` alone when refused or answered inline,
+``admission`` + ``queue`` (the wait on the member) when routed — plus
+one ``router.forward`` span per member attempt, and forwards carry the
 forward span's context — so member-side ``server.request`` spans nest
 ``client.request → router.request → router.forward → server.request``.
 """
@@ -56,7 +66,7 @@ import json
 import secrets
 import time
 from collections import Counter
-from collections.abc import Awaitable, Callable, Coroutine
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -64,6 +74,7 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.member import LocalMember, MemberHandle, ProcessMember
 from repro.cluster.ring import HashRing
 from repro.errors import (
+    BadRequest,
     DeadlineExceeded,
     KeyNotFound,
     ProtocolError,
@@ -73,8 +84,6 @@ from repro.errors import (
 from repro.faults.plan import (
     KIND_DELAY,
     KIND_DROP,
-    KIND_TIMEOUT,
-    SITE_ADMISSION,
     SITE_MEMBER_KILL,
     SITE_ROUTER_FORWARD,
     FaultPlan,
@@ -82,6 +91,7 @@ from repro.faults.plan import (
 from repro.schemes import wire_id_for_params
 from repro.serve.client import AsyncKemClient
 from repro.serve.protocol import (
+    ERROR_FOR_STATUS,
     PARAM_NONE,
     Frame,
     Op,
@@ -91,16 +101,10 @@ from repro.serve.protocol import (
     unpack_key_id,
     unpack_keygen_response,
 )
-from repro.serve.server import FrameServer, LoopThreadHost
-from repro.trace import NULL_TRACER, TraceContext, Tracer
+from repro.serve.server import FrameServer, LoopThreadHost, Request
+from repro.trace import TraceContext, Tracer
 
 __all__ = ["ClusterRouter", "ThreadedCluster"]
-
-_Respond = Callable[[Frame], Awaitable[None]]
-
-#: ``(trace id, router.request span id)`` of one routed request — minted
-#: once per request so its root span and every forward span agree.
-_TraceIds = tuple[int, int]
 
 #: Forward failures that mean the *member connection* (not the
 #: request) is the problem — failover-eligible for idempotent ops.
@@ -152,26 +156,21 @@ class ClusterRouter(FrameServer):
         fault_plan: FaultPlan | None = None,
         tracer: Tracer | None = None,
     ) -> None:
-        super().__init__(fault_plan)
+        super().__init__(fault_plan, clock, tracer)
         self.config = config if config is not None else ClusterConfig()
         #: Cluster-level event counters (ejections, failovers, …);
         #: exported under ``INFO``'s ``cluster.counters``.
         self.counters: Counter[str] = Counter()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._clock = clock
         self._ring = HashRing(virtual_nodes=self.config.virtual_nodes)
         self._members: dict[str, _MemberState] = {}
         self._keys: dict[int, _RoutedKey] = {}
         self._next_key_id = 1
-        self._pending = 0
-        self._draining = False
         self._started = False
         self._started_at = 0.0
         self._rebalance_needed = False
         self._rebalance_lock = asyncio.Lock()
         self._health_task: asyncio.Task[None] | None = None
         self._health_wake: asyncio.Event | None = None
-        self._inflight: set[asyncio.Task[None]] = set()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -234,11 +233,6 @@ class ClusterRouter(FrameServer):
         self._started = False
 
     @property
-    def pending(self) -> int:
-        """Requests accepted but not yet answered."""
-        return self._pending
-
-    @property
     def members(self) -> dict[str, MemberHandle]:
         """The member handles by name (chaos tests kill through this)."""
         return {name: state.handle for name, state in self._members.items()}
@@ -251,121 +245,53 @@ class ClusterRouter(FrameServer):
     # request path
     # ------------------------------------------------------------------
 
-    async def _handle_frame(self, frame: Frame, respond: _Respond) -> None:
+    _REQUEST_SPAN = "router.request"
+    _CANCELLED = b"router cancelled"
+
+    async def _serve(self, request: Request) -> None:
         """Admission control; accepted work runs as its own task.
 
         Per-request tasks keep one slow member from head-of-line
         blocking the other requests multiplexed on this connection —
         the router's analogue of the service's scheduler decoupling.
-        Every accepted frame is answered exactly once: the task wraps
-        the forward in a catch-all that degrades to a typed
-        ``INTERNAL`` response, never silence.
+        Each task runs under the shell's ``_answer``, so whatever a
+        handler raises degrades to a typed reply, never silence.
         """
-        op = frame.op
-        self.metrics.record_request(op.name)
-        t_read = self._clock() if self.tracer.enabled else 0.0
-        if op in (Op.INFO, Op.REMOVE_KEY):
+        if request.frame.op in (Op.INFO, Op.REMOVE_KEY):
             # control plane: answered inline, served even while draining
-            self._spawn(self._handle_control(frame, respond))
+            self._spawn(self._answer(request, self._control))
             return
-        if self.fault_plan is not None:
-            spec = self.fault_plan.draw(SITE_ADMISSION)
-            if spec is not None:
-                status = (
-                    Status.TIMEOUT if spec.kind == KIND_TIMEOUT else Status.BUSY
-                )
-                self._spawn(
-                    respond(self._error(frame, status, f"injected fault: {spec.kind}"))
-                )
-                return
-        if self._draining:
-            self._spawn(
-                respond(self._error(frame, Status.SHUTTING_DOWN, "draining"))
-            )
-            return
-        if self._pending >= self.config.high_watermark:
-            self._spawn(
-                respond(
-                    self._error(
-                        frame, Status.BUSY, f"{self._pending} requests pending"
-                    )
-                )
-            )
-            return
-        self._pending += 1
-        self.metrics.adjust_queue_depth(+1)
-        self._spawn(self._routed_request(frame, respond, t_read))
+        self._gate()
+        self._take_slot(request, self.config.high_watermark)
+        request.enqueued_at = self._clock()
+        self._spawn(self._answer(request, self._routed))
 
-    def _spawn(self, coro: Coroutine[Any, Any, None]) -> None:
-        task = asyncio.create_task(coro)
-        self._inflight.add(task)
-        task.add_done_callback(self._inflight.discard)
-
-    async def _handle_control(self, frame: Frame, respond: _Respond) -> None:
+    async def _control(self, request: Request) -> None:
+        frame = request.frame
         if frame.op is Op.INFO:
-            await respond(self._info_response(frame))
-            self.metrics.record_response(Op.INFO.name, Status.OK.name)
+            frame.param_id = PARAM_NONE  # the answer names no parameter set
+            await self._reply(request, Status.OK, self._info_payload(frame))
             return
-        try:
-            key_id, _ = unpack_key_id(frame.payload)
-        except ProtocolError as exc:
-            await respond(self._error(frame, Status.BAD_REQUEST, str(exc)))
-            return
+        key_id, _ = unpack_key_id(frame.payload)
         key = self._keys.pop(key_id, None)
         if key is None:
-            await respond(
-                self._error(frame, Status.NOT_FOUND, f"unknown key id {key_id}")
-            )
-            return
+            raise KeyNotFound(f"unknown key id {key_id}")
         for member in list(key.placements):
             await self._remove_key_from(member, key)
-        self.metrics.record_response(Op.REMOVE_KEY.name, Status.OK.name)
-        await respond(frame.reply(Status.OK))
+        await self._reply(request, Status.OK)
 
-    async def _routed_request(
-        self, frame: Frame, respond: _Respond, t_read: float
-    ) -> None:
-        """One accepted data-plane request, answered exactly once."""
-        enqueued_at = self._clock()
-        status = Status.INTERNAL
-        ids = self._trace_ids(frame)
+    async def _routed(self, request: Request) -> None:
+        """One accepted data-plane request: mint a key, or forward."""
+        self.metrics.adjust_queue_depth(+1)
         try:
-            if frame.op is Op.KEYGEN:
-                status = await self._keygen(frame, respond, ids)
-            else:
-                status = await self._forward(frame, respond, ids)
-        except asyncio.CancelledError:
-            await respond(self._error(frame, Status.INTERNAL, "router cancelled"))
+            keygen = request.frame.op is Op.KEYGEN
+            await (self._keygen if keygen else self._forward)(request)
+        except (ServiceError, ProtocolError):
             raise
         except Exception as exc:  # noqa: BLE001 - typed error, never silence
-            await respond(self._error(frame, Status.INTERNAL, str(exc)))
+            raise ServiceError(str(exc)) from exc
         finally:
-            self._pending -= 1
             self.metrics.adjust_queue_depth(-1)
-            self.metrics.observe_latency(
-                frame.op.name, (self._clock() - enqueued_at) * 1e6
-            )
-            if self.tracer.enabled:
-                self.tracer.record_span(
-                    "router.request",
-                    t_read,
-                    self._clock() - t_read,
-                    ids[0],
-                    span_id=ids[1],
-                    parent_id=frame.trace.span_id if frame.trace is not None else None,
-                    tags={"op": frame.op.name, "status": status.name},
-                )
-
-    def _trace_ids(self, frame: Frame) -> _TraceIds:
-        """Mint the id pair of one request (zeros when tracing is off)."""
-        if not self.tracer.enabled:
-            return 0, 0
-        trace_id = (
-            frame.trace.trace_id
-            if frame.trace is not None
-            else self.tracer.new_trace_id()
-        )
-        return trace_id, self.tracer.new_span_id()
 
     # ------------------------------------------------------------------
     # forwarding
@@ -399,18 +325,29 @@ class ClusterRouter(FrameServer):
         frame: Frame,
         payload: bytes,
         attempt: int,
-        ids: _TraceIds,
+        request: Request | None,
         draw_faults: bool = True,
     ) -> Frame:
-        """One forward attempt to one member (faults, link, deadline)."""
+        """One forward attempt to one member (faults, link, deadline).
+
+        Traced, the attempt hangs off the routed ``request``'s root span
+        — or, for the router's own key-lifecycle forwards (``None``),
+        off an id pair minted here.
+        """
         state = self._members[member]
         traced = self.tracer.enabled
         # tracer off: pass any client context straight through so
         # member spans still attach to the caller's trace
-        trace, span_id, t_start = frame.trace, 0, 0.0
+        trace, t_start = frame.trace, 0.0
+        trace_id = parent_id = span_id = 0
         if traced:
+            if request is not None:
+                trace_id, parent_id = request.trace_id, request.root_span
+            else:
+                trace_id = self.tracer.new_trace_id()
+                parent_id = self.tracer.new_span_id()
             span_id, t_start = self.tracer.new_span_id(), self._clock()
-            trace = TraceContext(ids[0], span_id)
+            trace = TraceContext(trace_id, span_id)
         outcome = "error"
         try:
             if draw_faults and self.fault_plan is not None:
@@ -471,9 +408,9 @@ class ClusterRouter(FrameServer):
                     "router.forward",
                     t_start,
                     self._clock() - t_start,
-                    ids[0],
+                    trace_id,
                     span_id=span_id,
-                    parent_id=ids[1],
+                    parent_id=parent_id,
                     tags={
                         "op": frame.op.name,
                         "member": member,
@@ -504,32 +441,18 @@ class ClusterRouter(FrameServer):
         )
         return chain
 
-    async def _forward(
-        self, frame: Frame, respond: _Respond, ids: _TraceIds
-    ) -> Status:
+    async def _forward(self, request: Request) -> None:
         """Route one ENCAPS/DECAPS to the owning member, with failover."""
+        frame = request.frame
         op = frame.op
-        try:
-            gid, rest = unpack_key_id(frame.payload)
-        except ProtocolError as exc:
-            await respond(self._error(frame, Status.BAD_REQUEST, str(exc)))
-            return Status.BAD_REQUEST
+        gid, rest = unpack_key_id(frame.payload)
         key = self._keys.get(gid)
         if key is None:
-            await respond(
-                self._error(frame, Status.NOT_FOUND, f"unknown key id {gid}")
-            )
-            return Status.NOT_FOUND
+            raise KeyNotFound(f"unknown key id {gid}")
         if frame.param_id != wire_id_for_params(key.params):
-            await respond(
-                self._error(
-                    frame,
-                    Status.BAD_REQUEST,
-                    f"key {gid} is {key.params.name}, not parameter id "
-                    f"{frame.param_id}",
-                )
+            raise BadRequest(
+                f"key {gid} is {key.params.name}, not parameter id {frame.param_id}"
             )
-            return Status.BAD_REQUEST
         policy = self.config.forward_retry
         chain = self._placement_chain(key)
         last_error: Exception | None = None
@@ -543,7 +466,7 @@ class ClusterRouter(FrameServer):
                 continue  # a concurrent repair dropped this placement
             try:
                 response = await self._forward_once(
-                    member, frame, pack_key_id(local_id) + rest, attempt, ids
+                    member, frame, pack_key_id(local_id) + rest, attempt, request
                 )
             except Exception as exc:  # noqa: BLE001 - policy decides below
                 last_error = exc
@@ -562,55 +485,40 @@ class ClusterRouter(FrameServer):
                 if op is not Op.DECAPS:
                     continue
                 break
-            self.metrics.record_response(op.name, response.status.name)
-            await respond(frame.reply(response.status, response.payload))
-            return response.status
-        if last_error is None:
-            await respond(
-                self._error(frame, Status.INTERNAL, f"no live placement for key {gid}")
-            )
-            return Status.INTERNAL
-        status = self._failure_status(last_error)
-        await respond(self._error(frame, status, str(last_error)))
-        return status
+            # member statuses pass through end-to-end, payload untouched
+            await self._reply(request, response.status, response.payload)
+            return
+        raise self._refusal(last_error, f"no live placement for key {gid}")
 
     @staticmethod
-    def _failure_status(exc: Exception) -> Status:
-        """The typed wire status a forward failure degrades to."""
-        if isinstance(exc, DeadlineExceeded):
-            return Status.TIMEOUT
-        if isinstance(exc, ServiceError) and isinstance(
-            getattr(exc, "status", None), Status
-        ):
-            status: Status = exc.status  # type: ignore[assignment]
-            # a lost placement is the router's problem, not the
-            # caller's: NOT_FOUND would wrongly blame the key id
-            return Status.INTERNAL if status is Status.NOT_FOUND else status
-        return Status.INTERNAL
+    def _refusal(exc: Exception | None, otherwise: str) -> ServiceError:
+        """The typed refusal a forward failure degrades to (``otherwise``
+        when nothing was even attempted).
+
+        Its payload is ``str(exc)`` — for a typed error that includes
+        the ``"TIMEOUT: "``-style label: the bytes a failed forward has
+        always been answered with.
+        """
+        if exc is None:
+            return ServiceError(otherwise)
+        status = exc.status if isinstance(exc, ServiceError) else None
+        # a lost placement is the router's problem, not the caller's:
+        # NOT_FOUND would wrongly blame the key id
+        if status is None or status is Status.NOT_FOUND:
+            status = Status.INTERNAL
+        return ERROR_FOR_STATUS[status](str(exc))
 
     # ------------------------------------------------------------------
     # key lifecycle
     # ------------------------------------------------------------------
 
-    async def _keygen(
-        self, frame: Frame, respond: _Respond, ids: _TraceIds
-    ) -> Status:
+    async def _keygen(self, request: Request) -> None:
         """Mint a global key: seeded registration on the placement chain."""
-        try:
-            scheme, params = params_for_wire_id(frame.param_id)
-        except ProtocolError as exc:
-            await respond(self._error(frame, Status.BAD_REQUEST, str(exc)))
-            return Status.BAD_REQUEST
+        frame = request.frame
+        scheme, params = params_for_wire_id(frame.param_id)
         seed_len = scheme.seed_len(params)
         if frame.payload and len(frame.payload) != seed_len:
-            await respond(
-                self._error(
-                    frame,
-                    Status.BAD_REQUEST,
-                    f"KEYGEN seed must be {seed_len} bytes or empty",
-                )
-            )
-            return Status.BAD_REQUEST
+            raise BadRequest(f"KEYGEN seed must be {seed_len} bytes or empty")
         seed = frame.payload or secrets.token_bytes(seed_len)
         gid = self._next_key_id
         self._next_key_id += 1
@@ -626,45 +534,36 @@ class ClusterRouter(FrameServer):
                 # sites target ENCAPS/DECAPS forwards (the data plane);
                 # registration is key-lifecycle plumbing
                 response = await self._forward_once(
-                    member, frame, seed, attempt, ids, draw_faults=False
+                    member, frame, seed, attempt, request, draw_faults=False
                 )
             except Exception as exc:  # noqa: BLE001 - typed or transport
                 last_error = exc
                 continue
             if response.status is not Status.OK:
-                last_error = ServiceError(
+                # relayed under the member's own status
+                last_error = refused = ServiceError(
                     f"member {member} keygen: "
                     + response.payload.decode(errors="replace")
                 )
-                last_error.status = response.status  # type: ignore[attr-defined]
+                refused.status = response.status
                 continue
-            local_id, pk = unpack_keygen_response(params, response.payload)
+            local_id, key.pk = unpack_keygen_response(params, response.payload)
             key.placements[member] = local_id
-            key.pk = pk
         if not key.placements:
-            if last_error is None:
-                await respond(
-                    self._error(frame, Status.INTERNAL, "no live members")
-                )
-                return Status.INTERNAL
-            status = self._failure_status(last_error)
-            await respond(self._error(frame, status, str(last_error)))
-            return status
+            raise self._refusal(last_error, "no live members")
         if len(key.placements) < len(owners):
             # under-replicated: the health loop's rebalance finishes it
             self._rebalance_needed = True
             self._note_member_failure("")
         self._keys[gid] = key
-        self.metrics.record_response(Op.KEYGEN.name, Status.OK.name)
-        await respond(frame.reply(Status.OK, pack_key_id(gid) + key.pk))
-        return Status.OK
+        await self._reply(request, Status.OK, pack_key_id(gid) + key.pk)
 
     async def _register_key_on(self, member: str, key: _RoutedKey) -> bool:
         """Seeded re-registration of one key on one member (rebalance)."""
         frame = Frame(Op.KEYGEN, 0, wire_id_for_params(key.params))
         try:
             response = await self._forward_once(
-                member, frame, key.seed, 0, self._trace_ids(frame), draw_faults=False
+                member, frame, key.seed, 0, None, draw_faults=False
             )
         except Exception:  # noqa: BLE001 - retried by the next health pass
             self._rebalance_needed = True
@@ -685,12 +584,7 @@ class ClusterRouter(FrameServer):
         frame = Frame(Op.REMOVE_KEY, 0, PARAM_NONE)
         try:
             await self._forward_once(
-                member,
-                frame,
-                pack_key_id(local_id),
-                0,
-                self._trace_ids(frame),
-                draw_faults=False,
+                member, frame, pack_key_id(local_id), 0, None, draw_faults=False
             )
         except Exception:  # noqa: BLE001 - the member will restart empty
             pass
@@ -801,7 +695,7 @@ class ClusterRouter(FrameServer):
     # INFO
     # ------------------------------------------------------------------
 
-    def _info_response(self, frame: Frame) -> Frame:
+    def _info_payload(self, frame: Frame) -> bytes:
         cluster = {
             "uptime_s": round(self._clock() - self._started_at, 3),
             "draining": self._draining,
@@ -832,15 +726,10 @@ class ClusterRouter(FrameServer):
             lines.append(f"# cluster: {len(self._ring)} in ring")
             for counter, value in sorted(cluster["counters"].items()):  # type: ignore[union-attr]
                 lines.append(f"kem_cluster_{counter}_total {value}")
-            payload = "\n".join(lines).encode()
-        else:
-            snap = self.metrics.snapshot()
-            snap["cluster"] = cluster
-            payload = json.dumps(snap).encode()
-        return Frame(
-            Op.INFO, frame.request_id, PARAM_NONE, Status.OK, payload,
-            trace=frame.trace,
-        )
+            return "\n".join(lines).encode()
+        snap = self.metrics.snapshot()
+        snap["cluster"] = cluster
+        return json.dumps(snap).encode()
 
 
 class ThreadedCluster(LoopThreadHost[ClusterRouter]):

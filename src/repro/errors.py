@@ -38,7 +38,7 @@ for backwards compatibility; :mod:`repro.api` re-exports everything.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
     from repro.serve.protocol import Status
@@ -82,17 +82,25 @@ class ServiceError(KemError):
     """A non-OK response from the service (carries the status).
 
     ``status`` is the wire :class:`repro.serve.protocol.Status` of the
-    subclass; it is attached by :mod:`repro.serve.client` (this module
-    cannot import the protocol without a cycle), so a freshly imported
-    hierarchy formats messages with the ``reason`` tag until the
-    serving layer is loaded.
+    subclass; the one status <-> exception table next to ``Status``
+    attaches it (this module cannot import the protocol without a
+    cycle), so a freshly imported hierarchy formats messages with the
+    ``reason`` tag until the serving layer is loaded.
+
+    Raised server-side, one of these *is* the refusal: the request
+    path's one reply function answers ``status`` with ``detail`` as the
+    payload (the ``"BUSY: "``-style label is client-side rendering and
+    never reaches the wire) and puts ``tags`` on the request's root
+    span — a ``shed_reason`` tag also counts the shed.
     """
 
     status: Optional["Status"] = None
 
-    def __init__(self, message: str) -> None:
+    def __init__(self, message: str, **tags: Any) -> None:
         label = self.status.name if self.status is not None else self.reason.upper()
         super().__init__(f"{label}: {message}")
+        self.detail = message
+        self.tags = tags
 
 
 class ServiceBusy(ServiceError):

@@ -14,6 +14,7 @@ Wire format: ``kem_ciphertext || nonce (12) || body || tag (32)``.
 
 from __future__ import annotations
 
+import hmac
 import secrets
 from dataclasses import dataclass
 
@@ -35,13 +36,48 @@ def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
     return bytes(out[:length])
 
 
-def _tag(key: bytes, data: bytes) -> bytes:
-    """Nested keyed hash (HMAC-style envelope)."""
-    return sha256(key + sha256(key + data))
+class HybridDecryptionError(Exception):
+    """Authentication failed — the ciphertext was tampered with."""
 
 
-def _derive_keys(shared_secret: bytes) -> tuple[bytes, bytes]:
-    return sha256(shared_secret + b"hybrid-enc"), sha256(shared_secret + b"hybrid-mac")
+class HybridChannel:
+    """The DEM half: one keyed channel bound to one KEM ciphertext.
+
+    Derived from a KEM shared secret and the ciphertext that carried
+    it; every tag covers ``kem_ct || nonce || body``.  The one
+    implementation of the construction — :class:`LacHybrid` runs it per
+    message and the service's ``SEAL``/``OPEN`` ops per session, which
+    is what keeps served transcripts bit-identical to the library's.
+    """
+
+    def __init__(self, shared_secret: bytes, kem_ct: bytes) -> None:
+        self._enc_key = sha256(shared_secret + b"hybrid-enc")
+        self._mac_key = sha256(shared_secret + b"hybrid-mac")
+        self._kem_ct = kem_ct
+
+    def _xor(self, nonce: bytes, data: bytes) -> bytes:
+        stream = _keystream(self._enc_key, nonce, len(data))
+        return bytes(a ^ b for a, b in zip(data, stream, strict=True))
+
+    def _tag(self, nonce: bytes, body: bytes) -> bytes:
+        """Nested keyed hash (HMAC-style envelope)."""
+        key = self._mac_key
+        return sha256(key + sha256(key + self._kem_ct + nonce + body))
+
+    def seal(self, nonce: bytes, plaintext: bytes) -> tuple[bytes, bytes]:
+        """Encrypt-then-MAC ``plaintext``; returns ``(body, tag)``."""
+        body = self._xor(nonce, plaintext)
+        return body, self._tag(nonce, body)
+
+    def open(self, nonce: bytes, body: bytes, tag: bytes) -> bytes:
+        """Authenticate, then decrypt; raises :class:`HybridDecryptionError`.
+
+        The tag compare is constant-time: how many leading bytes of a
+        forged tag are right must not show in the timing.
+        """
+        if not hmac.compare_digest(self._tag(nonce, body), tag):
+            raise HybridDecryptionError("authentication failed")
+        return self._xor(nonce, body)
 
 
 @dataclass
@@ -72,10 +108,6 @@ class HybridCiphertext:
         return cls(params, kem_ct, nonce, body, blob[-_TAG_BYTES:])
 
 
-class HybridDecryptionError(Exception):
-    """Authentication failed — the ciphertext was tampered with."""
-
-
 class LacHybrid:
     """Seal/open arbitrary-length messages under a LAC public key."""
 
@@ -86,14 +118,10 @@ class LacHybrid:
     def seal(self, pk: PublicKey, plaintext: bytes) -> HybridCiphertext:
         """Encrypt and authenticate ``plaintext`` for the key holder."""
         encapsulated = self.kem.encaps(pk)
-        enc_key, mac_key = _derive_keys(encapsulated.shared_secret)
-        nonce = secrets.token_bytes(_NONCE_BYTES)
-        body = bytes(
-            p ^ k
-            for p, k in zip(plaintext, _keystream(enc_key, nonce, len(plaintext)))
-        )
         kem_ct = encapsulated.ciphertext
-        tag = _tag(mac_key, kem_ct.to_bytes() + nonce + body)
+        channel = HybridChannel(encapsulated.shared_secret, kem_ct.to_bytes())
+        nonce = secrets.token_bytes(_NONCE_BYTES)
+        body, tag = channel.seal(nonce, plaintext)
         return HybridCiphertext(self.params, kem_ct, nonce, body, tag)
 
     def open(self, sk: KemSecretKey, sealed: HybridCiphertext) -> bytes:
@@ -104,11 +132,5 @@ class LacHybrid:
         tag — one uniform failure path, no decryption oracle.
         """
         shared = self.kem.decaps(sk, sealed.kem_ciphertext)
-        enc_key, mac_key = _derive_keys(shared)
-        expected = _tag(
-            mac_key, sealed.kem_ciphertext.to_bytes() + sealed.nonce + sealed.body
-        )
-        if expected != sealed.tag:
-            raise HybridDecryptionError("authentication failed")
-        stream = _keystream(enc_key, sealed.nonce, len(sealed.body))
-        return bytes(c ^ k for c, k in zip(sealed.body, stream))
+        channel = HybridChannel(shared, sealed.kem_ciphertext.to_bytes())
+        return channel.open(sealed.nonce, sealed.body, sealed.tag)

@@ -18,25 +18,23 @@ request path (:mod:`repro.trace`), and
 ``benchmarks/bench_service.py`` for measured end-to-end throughput.
 """
 
+from repro.errors import (
+    BadRequest,
+    DeadlineExceeded,
+    KeyNotFound,
+    RequestTimedOut,
+    ServiceBusy,
+    ServiceClosed,
+    ServiceDraining,
+    ServiceError,
+)
 from repro.serve.config import (
     BACKEND_WORKERS_ENV_VAR,
     CYCLE_PRIORS_ENV_VAR,
     ServiceConfig,
     TenantQuota,
 )
-from repro.serve.client import (
-    AsyncKemClient,
-    BadRequest,
-    DeadlineExceeded,
-    KemClient,
-    KeyNotFound,
-    RequestTimedOut,
-    RetryPolicy,
-    ServiceBusy,
-    ServiceClosed,
-    ServiceDraining,
-    ServiceError,
-)
+from repro.serve.client import AsyncKemClient, KemClient, RetryPolicy
 from repro.serve.metrics import LatencyHistogram, ServiceMetrics
 from repro.serve.protocol import (
     DEFAULT_TENANT,

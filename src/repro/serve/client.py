@@ -38,10 +38,12 @@ from collections.abc import Awaitable, Callable, Coroutine
 from dataclasses import dataclass
 from typing import Any, Concatenate, ParamSpec, TypeVar
 
+from repro.errors import DeadlineExceeded, KeyNotFound, ServiceClosed, ServiceError
 from repro.lac.params import LacParams
 from repro.lac.pke import PublicKey
 from repro.schemes import resolve, wire_id_for_params
 from repro.serve.protocol import (
+    ERROR_FOR_STATUS,
     PARAM_NONE,
     Frame,
     Op,
@@ -63,39 +65,9 @@ from repro.serve.protocol import (
 )
 from repro.trace import NULL_TRACER, TraceContext, Tracer
 
-# The typed response errors live in the unified hierarchy of
-# :mod:`repro.errors` (all are ``KemError`` subclasses with stable
-# ``.reason`` tags); this module remains their historical import home
-# and attaches the wire ``Status`` each maps to — ``repro.errors``
-# cannot import the protocol without a cycle.
-from repro.errors import (
-    BadRequest,
-    DeadlineExceeded,
-    KeyNotFound,
-    RequestTimedOut,
-    ServiceBusy,
-    ServiceClosed,
-    ServiceDraining,
-    ServiceError,
-)
-
-ServiceError.status = Status.INTERNAL
-ServiceBusy.status = Status.BUSY
-RequestTimedOut.status = Status.TIMEOUT
-ServiceDraining.status = Status.SHUTTING_DOWN
-BadRequest.status = Status.BAD_REQUEST
-KeyNotFound.status = Status.NOT_FOUND
-ServiceClosed.status = Status.INTERNAL
-DeadlineExceeded.status = Status.TIMEOUT
-
 _T = TypeVar("_T")
 _P = ParamSpec("_P")
 
-
-_ERRORS: dict[Status, type[ServiceError]] = {
-    cls.status: cls
-    for cls in (ServiceBusy, RequestTimedOut, ServiceDraining, BadRequest, KeyNotFound)
-}
 
 #: Transport-shaped failures: the connection (not the request) is the
 #: problem, so a retry needs a ``reconnect`` factory to be meaningful.
@@ -172,7 +144,7 @@ def raise_for_status(frame: Frame) -> Frame:
     if frame.status is Status.OK:
         return frame
     message = frame.payload.decode(errors="replace")
-    raise _ERRORS.get(frame.status, ServiceError)(message)
+    raise ERROR_FOR_STATUS[frame.status](message)
 
 
 class _KeyRegistry:

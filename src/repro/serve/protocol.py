@@ -113,7 +113,17 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Any, Protocol
 
-from repro.errors import ProtocolError
+from repro.errors import (
+    BadRequest,
+    DeadlineExceeded,
+    KeyNotFound,
+    ProtocolError,
+    RequestTimedOut,
+    ServiceBusy,
+    ServiceClosed,
+    ServiceDraining,
+    ServiceError,
+)
 from repro.schemes import registry as _registry
 from repro.schemes.registry import params_for_wire_id as _params_for_wire_id
 from repro.trace import TraceContext
@@ -270,6 +280,26 @@ class Status(IntEnum):
     #: Unknown key id.
     NOT_FOUND = 6
 
+
+#: The one status <-> exception table: the client raises a non-OK
+#: response as ``ERROR_FOR_STATUS[status]``, and a server refuses a
+#: request by raising one of these — its ``status`` is what gets
+#: answered.  (:mod:`repro.errors` cannot import ``Status`` without a
+#: cycle, so the ``status`` attributes are attached here.)
+ERROR_FOR_STATUS: dict[Status, type[ServiceError]] = {
+    Status.BUSY: ServiceBusy,
+    Status.BAD_REQUEST: BadRequest,
+    Status.TIMEOUT: RequestTimedOut,
+    Status.SHUTTING_DOWN: ServiceDraining,
+    Status.INTERNAL: ServiceError,
+    Status.NOT_FOUND: KeyNotFound,
+}
+for _status, _error in ERROR_FOR_STATUS.items():
+    _error.status = _status
+# never decoded from a frame (the client raises them itself): the
+# status is what a relay answers when a forward fails this way
+ServiceClosed.status = Status.INTERNAL
+DeadlineExceeded.status = Status.TIMEOUT
 
 #: Wire byte -> enum member (a dict lookup; the decoder runs per frame).
 _OPS = {op.value: op for op in Op}

@@ -8,16 +8,21 @@ the stateful secure-channel ops ``SESSION_OPEN`` / ``SEAL`` / ``OPEN``
 :mod:`repro.serve.protocol`.  The interesting part is what happens
 between a request arriving and its response leaving:
 
-1. the connection handler validates the frame cheaply on the event
-   loop (sizes, key ids) and rejects early with ``BAD_REQUEST`` /
-   ``NOT_FOUND``;
-2. admission control: during drain every request gets
-   ``SHUTTING_DOWN``; beyond the request's *per-tier* watermark
+1. the connection shell (:class:`FrameServer`) wraps the frame in a
+   :class:`Request` envelope — frame, ``respond``, stage stamps, and
+   whatever the request comes to *hold* (a pending slot, a tenant
+   in-flight slot, a reserved key slot) — and calls :meth:`_serve`;
+2. admission control, in order: ``INFO``/``REMOVE_KEY`` are answered
+   inline (even while draining); an injected fault or a drain refuses
+   (``SHUTTING_DOWN``); the tenant's quota is charged; session ops are
+   answered inline; beyond the request's *per-tier* watermark
    (``high_watermark`` scaled by ``config.tier_watermarks``) it gets
    ``BUSY`` *without being queued* — the bounded queue is the
-   backpressure contract — and a request whose deadline budget is
-   already below the expected batch service time is shed ``BUSY``
-   immediately (reason ``hopeless``);
+   backpressure contract; a deadline budget already below the expected
+   batch service time is shed ``BUSY`` (reason ``hopeless``); the
+   payload is validated cheaply on the event loop (``BAD_REQUEST`` /
+   ``NOT_FOUND``).  Every refusal is a *raised*
+   :class:`repro.errors.ServiceError` — nothing here writes a frame;
 3. accepted requests enter the
    :class:`~repro.serve.scheduler.MicroBatchScheduler`, keyed by
    ``(op, key id, tenant)`` — per-tenant queues, with deficit-round-
@@ -31,7 +36,9 @@ between a request arriving and its response leaving:
    estimate overshoots their deadline (reason ``predicted-miss``) —
    are answered ``TIMEOUT`` unexecuted, the rest go
    through the backend's batched encaps/decaps/keygen kernels, and the
-   responses fan back out to their connections with per-request ids;
+   responses fan back out to their connections with per-request ids —
+   each through :meth:`FrameServer._reply`, the one function that
+   releases, counts, samples, traces and writes;
 6. :meth:`KemService.shutdown` stops admission, drains every queue
    through the same dispatch path, awaits in-flight batches, then
    closes transports — no accepted request is ever dropped.
@@ -53,13 +60,13 @@ seal over the same inputs.  ``SEAL``/``OPEN`` run the channel; sessions
 are tenant-scoped (another tenant's session id is ``NOT_FOUND``) and
 answered inline, like ``INFO`` — they never enter the batch queue.
 
-Transports live once, in :class:`FrameServer` — the connection shell
-this service and the cluster router both extend: ``serve_tcp`` (asyncio
-TCP), ``connect`` (an in-process ``socketpair`` — what the tests and
-the benchmark use; same frames, no network stack), ``connect_socket``
-(the raw end the blocking client wraps), and the per-connection read
-loop that decodes frames through the one decoder of
-:mod:`repro.serve.protocol` and hands them to ``_handle_frame``.
+Transports and both ends of the request path live once, in
+:class:`FrameServer` — the connection shell this service and the
+cluster router both extend: ``serve_tcp`` (asyncio TCP), ``connect``
+(an in-process ``socketpair`` — what the tests and the benchmark use;
+same frames, no network stack), ``connect_socket`` (the raw end the
+blocking client wraps), the per-connection read loop over the one
+decoder of :mod:`repro.serve.protocol`, the shared gates and ``_reply``.
 :class:`LoopThreadHost` likewise runs any such server on a background
 event-loop thread; :class:`ThreadedService` is the service on it, so
 synchronous code — examples, notebooks — never touches asyncio.
@@ -70,7 +77,8 @@ stage boundaries (read, enqueue, flush, kernel start/end) and emits a
 ``server.request`` root span plus telescoping ``admission`` /
 ``queue`` / ``dispatch`` / ``kernel`` / ``reply`` stage spans when the
 response is written — the stage durations sum to the root span
-exactly.  Stage times also feed ``metrics.stage_seconds``.  Requests
+exactly (one refused or answered inline: root + one ``admission``
+stage).  Stage times also feed ``metrics.stage_seconds``.  Requests
 carrying a wire trace context (protocol version 2) attach the server
 spans to the client's span and have their context echoed on the
 response.  With the default :data:`repro.trace.NULL_TRACER` every
@@ -80,7 +88,6 @@ instrumentation site is a single false branch.
 from __future__ import annotations
 
 import asyncio
-import hmac
 import json
 import secrets
 import socket
@@ -91,6 +98,14 @@ from dataclasses import dataclass, field
 from typing import Any, Generic, TypeVar
 
 from repro.backend.base import KemBackend, create_backend, resolve_backend_name
+from repro.errors import (
+    BadRequest,
+    KeyNotFound,
+    RequestTimedOut,
+    ServiceBusy,
+    ServiceDraining,
+    ServiceError,
+)
 
 # Only ``repro.faults.plan`` is imported at module level: it has no
 # dependency on ``repro.serve``, while ``repro.faults.transport`` does
@@ -105,7 +120,7 @@ from repro.faults.plan import (
     FaultPlan,
     InjectedFault,
 )
-from repro.lac.hybrid import _derive_keys, _keystream, _tag
+from repro.lac.hybrid import HybridChannel, HybridDecryptionError
 from repro.schemes import all_schemes, resolve, wire_id_for_params
 from repro.serve.config import ServiceConfig, TenantQuota
 from repro.serve.metrics import ServiceMetrics
@@ -134,6 +149,7 @@ from repro.serve.slo import (
     predicted_miss,
 )
 from repro.trace import NULL_TRACER, Tracer, collect_tags
+from repro.trace.report import STAGES
 
 _Respond = Callable[[Frame], Awaitable[None]]
 
@@ -165,35 +181,54 @@ class HostedKey:
 
 
 @dataclass
-class _Entry:
-    """One accepted request parked in the scheduler."""
+class Request:
+    """The request envelope: one decoded frame, from read to reply.
+
+    Built by :meth:`FrameServer._handle_frame` and answered exactly
+    once by :meth:`FrameServer._reply` — the only code that gives back
+    what the request *holds*: a slot of the bounded queue (``pending``)
+    and its quota'd tenant's in-flight slot (``quota``; a KEYGEN's also
+    covers a reserved hosted-key slot, which an ``OK`` answer keeps).
+    """
 
     frame: Frame
     respond: _Respond
-    enqueued_at: float
-    key: HostedKey | None = None  # ENCAPS/DECAPS
-    params: Any = None  # KEYGEN
-    scheme: Any = None  # KEYGEN
+    #: when the frame was read: start of the root span (and of the
+    #: latency sample of a request answered without being parked)
+    t_read: float
+    pending: bool = False
+    quota: _TenantState | None = None
+    #: set by ``_reply``: a request whose task is cancelled mid-flight
+    #: is owed a reply only when it has not had one
+    answered: bool = False
+    #: when the request was parked (``None``: refused or answered
+    #: inline): end of ``admission``, start of the latency sample and
+    #: of the queue-timeout/deadline budget
+    enqueued_at: float | None = None
+    #: the wire tenant (0 when the extension is absent) — drives quota
+    #: accounting, fair-share batching and the per-tenant metrics
+    tenant: int = DEFAULT_TENANT
     #: effective deadline budget (wire QoS or the config default) and
     #: priority tier — drive shedding and priority-aware flushing
     deadline_s: float | None = None
     tier: int = 0
-    #: the wire tenant (0 when the extension is absent) — drives quota
-    #: accounting, fair-share batching and the per-tenant metrics
-    tenant: int = DEFAULT_TENANT
-    shed_reason: str | None = None
-    message: bytes | None = None  # ENCAPS (None = server-random)
-    seed: bytes | None = None  # KEYGEN
-    ct_bytes: bytes | None = None  # DECAPS
-    # tracing stamps — populated only when the service's tracer is
-    # enabled, so the disabled path allocates nothing beyond defaults
-    t_read: float = 0.0
+    #: root-span tags the request carries whatever its answer
+    tags: dict[str, Any] | None = None
+    # the parsed operands: what the batch kernel runs, on what
+    key: HostedKey | None = None  # ENCAPS/DECAPS
+    scheme: Any = None
+    params: Any = None
+    #: the backend item — KEYGEN seed (``None`` = OS randomness),
+    #: ENCAPS message, DECAPS wire ciphertext
+    item: bytes | None = None
+    # tracing — ids and later stamps are written only when the tracer
+    # is enabled (``root_span`` doubles as the "traced" flag), so the
+    # disabled path allocates nothing beyond defaults
+    trace_id: int = 0
+    root_span: int = 0
     t_flushed: float = 0.0
     t_kernel_start: float = 0.0
     t_kernel_end: float = 0.0
-    trace_id: int = 0
-    root_span: int = 0
-    parent_span: int | None = None
     batch_size: int = 0
     trigger: str = ""
     kernel_tags: dict[str, Any] | None = None
@@ -205,7 +240,12 @@ _SESSION_OPS = frozenset((Op.SESSION_OPEN, Op.SEAL, Op.OPEN, Op.SESSION_CLOSE))
 
 @dataclass
 class _TenantState:
-    """Runtime quota accounting for one configured tenant."""
+    """Runtime quota accounting for one configured tenant.
+
+    ``keys`` counts hosted keys *plus* the slots in-flight KEYGENs have
+    reserved, so a burst of KEYGENs cannot all pass the ``max_keys``
+    check before any of them has registered its key.
+    """
 
     quota: TenantQuota
     keys: int = 0
@@ -226,46 +266,40 @@ class _TenantState:
         self.last_refill = now
 
 
-@dataclass
-class _Session:
-    """One open secure channel (``SESSION_OPEN`` .. ``SESSION_CLOSE``).
-
-    ``kem_ct`` is the encapsulation ciphertext the channel was opened
-    with — it binds every ``SEAL`` tag, exactly as
-    :class:`repro.lac.hybrid.LacHybrid` binds its tags, which is what
-    makes served transcripts bit-identical to the library's.
-    """
-
-    session_id: int
-    key_id: int
-    tenant: int
-    kem_ct: bytes
-    enc_key: bytes
-    mac_key: bytes
-
-
-def _xor_stream(key: bytes, nonce: bytes, data: bytes) -> bytes:
-    """XOR ``data`` with the :func:`repro.lac.hybrid` keystream."""
-    stream = _keystream(key, nonce, len(data))
-    return bytes(a ^ b for a, b in zip(data, stream, strict=True))
-
-
 class FrameServer:
-    """The connection shell: transports and the per-connection loop.
+    """The connection shell: transports, the request envelope, one reply.
 
-    Everything between a byte stream and a decoded request exists here
-    once, for :class:`KemService` and :class:`repro.cluster.ClusterRouter`
-    alike: the listeners (``serve_tcp``), the in-process transports
+    What does not depend on *what* is served exists here once, for
+    :class:`KemService` and :class:`repro.cluster.ClusterRouter` alike:
+    the listeners (``serve_tcp``), the in-process transports
     (``connect`` / ``connect_socket``), the read loop with its fault
     wrappers and typed connection-error accounting, the serialized
-    ``respond`` writer, and the transport teardown.  A subclass supplies
-    ``start``/``shutdown`` and ``_handle_frame(frame, respond)``, which
-    must answer every frame it accepts.
+    ``respond`` writer, the transport teardown — and both ends of the
+    request path.  :meth:`_handle_frame` is the one way in: each frame
+    becomes a :class:`Request` handed to the subclass's :meth:`_serve`,
+    which passes the shared gates (:meth:`_gate`, :meth:`_take_slot`)
+    at its own point and refuses by *raising* the typed
+    :class:`repro.errors.ServiceError` of the status it wants answered.
+    :meth:`_reply` is the one way out, so "answered exactly once, its
+    holds given back" is a property of one function.
     """
 
-    def __init__(self, fault_plan: FaultPlan | None) -> None:
+    #: Name of the per-request root span; what a request whose task is
+    #: cancelled mid-flight is answered (``INTERNAL``).
+    _REQUEST_SPAN = "server.request"
+    _CANCELLED = b"cancelled"
+
+    def __init__(
+        self, fault_plan: FaultPlan | None, clock: Callable[[], float],
+        tracer: Tracer | None,
+    ) -> None:
         self.metrics = ServiceMetrics()
         self.fault_plan = fault_plan
+        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self._clock = clock
+        self._pending = 0
+        self._draining = False
+        self._inflight: set[asyncio.Task[None]] = set()
         self._conn_tasks: set[asyncio.Task[None]] = set()
         self._writers: set[FrameWriter] = set()
         self._tcp_servers: list[asyncio.base_events.Server] = []
@@ -278,9 +312,193 @@ class FrameServer:
         """Stop serving and release everything (subclass hook)."""
         raise NotImplementedError
 
-    async def _handle_frame(self, frame: Frame, respond: _Respond) -> None:
-        """Serve one decoded request frame (subclass hook)."""
+    async def _serve(self, request: Request) -> None:
+        """Serve one request (subclass hook): reply, park it, or raise."""
         raise NotImplementedError
+
+    @property
+    def pending(self) -> int:
+        """Requests accepted but not yet answered (the bounded queue)."""
+        return self._pending
+
+    # ------------------------------------------------------------------
+    # the request path: one way in, shared gates, one way out
+    # ------------------------------------------------------------------
+
+    async def _handle_frame(self, frame: Frame, respond: _Respond) -> None:
+        """The one way in: envelope the frame, count it, serve it."""
+        request = Request(frame, respond, self._clock())
+        tracer = self.tracer
+        if tracer.enabled:
+            trace = frame.trace
+            request.trace_id = trace.trace_id if trace else tracer.new_trace_id()
+            request.root_span = tracer.new_span_id()
+        self.metrics.record_request(frame.op.name)
+        await self._answer(request, self._serve)
+
+    async def _answer(
+        self, request: Request, handler: Callable[[Request], Awaitable[None]]
+    ) -> None:
+        """Run ``handler``; whatever it raises becomes the one reply.
+
+        A :class:`~repro.errors.ServiceError` is a refusal (its status,
+        its bare ``detail`` as payload, its tags on the root span); a
+        ``ProtocolError`` is the request failing to parse.
+        """
+        try:
+            await handler(request)
+        except ServiceError as exc:
+            status = exc.status or Status.INTERNAL
+            await self._reply(request, status, exc.detail.encode(), **exc.tags)
+        except ProtocolError as exc:
+            await self._reply(request, Status.BAD_REQUEST, str(exc).encode())
+        except asyncio.CancelledError:
+            # the task serving the request is being torn down: what the
+            # request holds still comes back through the one reply
+            if not request.answered:
+                await self._reply(request, Status.INTERNAL, self._CANCELLED)
+            raise
+        except Exception:  # noqa: BLE001 - isolate the request
+            # a handler bug poisons this request, not the connection
+            # loop (or the task) — answer INTERNAL and carry on
+            self.metrics.record_conn_error("handler-internal")
+            await self._reply(request, Status.INTERNAL, b"internal error")
+
+    def _spawn(self, coro: Coroutine[Any, Any, None]) -> None:
+        """Run request work as its own task; ``shutdown`` awaits these."""
+        task = asyncio.create_task(coro)
+        self._inflight.add(task)
+        task.add_done_callback(self._inflight.discard)
+
+    def _gate(self) -> None:
+        """The gates both servers meet first: fault draw, then draining."""
+        if self.fault_plan is not None:
+            spec = self.fault_plan.draw(SITE_ADMISSION)
+            if spec is not None:
+                refusal = RequestTimedOut if spec.kind == KIND_TIMEOUT else ServiceBusy
+                tags = {"fault_site": SITE_ADMISSION, "fault_kind": spec.kind}
+                raise refusal(f"injected fault: {spec.kind}", **tags)
+        if self._draining:
+            raise ServiceDraining("draining")
+
+    def _take_slot(self, request: Request, limit: int, **shed: Any) -> None:
+        """The backpressure gate: ``BUSY`` at ``limit`` pending requests,
+        else take a slot of the bounded queue — the request was not
+        queued, which is the contract.  ``shed`` tags the refusal."""
+        if self._pending >= limit:
+            raise ServiceBusy(f"{self._pending} requests pending", **shed)
+        self._pending += 1
+        request.pending = True
+
+    async def _reply(
+        self, request: Request, status: Status, payload: bytes = b"", **tags: Any
+    ) -> None:
+        """The one way out: release, count, sample, trace, write.
+
+        The only code that gives back what a request holds, counts the
+        response — and the shed a ``shed_reason`` tag names, *before*
+        the frame is written: once the client sees ``BUSY`` the metric
+        must already be observable — samples latency (parked: from the
+        enqueue stamp; inline ``OK``: from the read; a refusal is not a
+        served latency), emits the spans (``tags`` land on the root)
+        and awaits the connection's ``respond``.
+        """
+        frame = request.frame
+        request.answered = True
+        if request.pending:
+            request.pending = False
+            self._pending -= 1
+        state = request.quota
+        if state is not None:
+            request.quota = None
+            state.inflight -= 1
+            if frame.op is Op.KEYGEN and status is not Status.OK:
+                state.keys -= 1  # the reserved key slot
+        op = frame.op.name
+        if "shed_reason" in tags:
+            self.metrics.record_shed(tags["shed_reason"], request.tier, request.tenant)
+        self.metrics.record_response(op, status.name)
+        now = self._clock()
+        enqueued_at = request.enqueued_at
+        if enqueued_at is not None:
+            self.metrics.observe_latency(op, (now - enqueued_at) * 1e6)
+        elif status is Status.OK:
+            self.metrics.observe_latency(op, (now - request.t_read) * 1e6)
+        if request.root_span and self.tracer.enabled:
+            self._trace(request, status, now, tags)
+        await request.respond(frame.reply(status, payload))
+
+    def _trace(
+        self, request: Request, status: Status, t_done: float, tags: dict[str, Any]
+    ) -> None:
+        """Emit the root span and the stage spans that tile it.
+
+        The stages share their boundary timestamps, so their durations
+        sum to the root exactly.  A request that never left admission
+        (refused, or answered inline) is one ``admission`` stage; one
+        that never reaches a later boundary (queue-expired ``TIMEOUT``,
+        kernel failure) closes its last open stage at response time —
+        the attribution table's coverage stays exact on every path,
+        backpressure and chaos included.
+        """
+        tracer = self.tracer
+        frame = request.frame
+        trace_id = request.trace_id
+        root_id = request.root_span
+        root_tags: dict[str, Any] = {"op": frame.op.name, "status": status.name}
+        if request.tags:
+            root_tags.update(request.tags)
+        if request.enqueued_at is not None:
+            # a parked request names what it ran against; a refusal
+            # carries exactly the tags its raise site gave it
+            if request.key is not None:
+                root_tags["key_id"] = request.key.key_id
+            if request.tier:
+                root_tags["tier"] = request.tier
+            if request.tenant:
+                root_tags["tenant"] = request.tenant
+        root_tags.update(tags)
+        if request.batch_size:
+            root_tags["batch_size"] = request.batch_size
+            root_tags["trigger"] = request.trigger
+        t_read = request.t_read
+        tracer.record_span(
+            self._REQUEST_SPAN, t_read, t_done - t_read, trace_id,
+            span_id=root_id, tags=root_tags,
+            parent_id=frame.trace.span_id if frame.trace is not None else None,
+        )
+
+        # the stages of the path taken and their n + 1 boundaries: each
+        # stage ends where the next starts, the last at the response
+        enqueued_at = request.enqueued_at
+        bounds: tuple[float, ...]
+        if enqueued_at is None:
+            names, bounds = STAGES[:1], (t_read, t_done)
+        elif request.t_kernel_start:
+            names, bounds = STAGES, (
+                t_read, enqueued_at, request.t_flushed,
+                request.t_kernel_start, request.t_kernel_end, t_done,
+            )
+        elif request.t_flushed:
+            names = ("admission", "queue", "reply")
+            bounds = (t_read, enqueued_at, request.t_flushed, t_done)
+        else:
+            names, bounds = STAGES[:2], (t_read, enqueued_at, t_done)
+        for name, start, end in zip(names, bounds, bounds[1:], strict=False):
+            stage_tags: dict[str, Any] = {}
+            if name == "kernel":
+                stage_tags = request.kernel_tags or stage_tags
+            elif enqueued_at is None:
+                stage_tags = {"op": frame.op.name, "status": status.name}
+            tracer.record_span(
+                name, start, end - start, trace_id,
+                parent_id=root_id, tags=stage_tags,
+            )
+            self.metrics.observe_stage(name, max(end - start, 0.0))
+
+    # ------------------------------------------------------------------
+    # transports
+    # ------------------------------------------------------------------
 
     async def serve_tcp(
         self, host: str = "127.0.0.1", port: int = 0
@@ -333,15 +551,7 @@ class FrameServer:
                 frame = await read_frame(reader)
                 if frame is None:
                     break
-                try:
-                    await self._handle_frame(frame, respond)
-                except asyncio.CancelledError:
-                    raise
-                except Exception:  # noqa: BLE001 - isolate the connection
-                    # a handler bug poisons this request, not the
-                    # connection loop — answer INTERNAL and carry on
-                    self.metrics.record_conn_error("handler-internal")
-                    await respond(self._error(frame, Status.INTERNAL, "internal error"))
+                await self._handle_frame(frame, respond)
         except ProtocolError as exc:
             # framing is gone: count why, then drop the connection —
             # the stream cannot be resynchronized mid-garbage
@@ -359,10 +569,6 @@ class FrameServer:
                 await writer.wait_closed()
             except (ConnectionError, BrokenPipeError):
                 pass
-
-    def _error(self, request: Frame, status: Status, message: str) -> Frame:
-        self.metrics.record_response(request.op.name, status.name)
-        return request.reply(status, message.encode())
 
     async def _close_transports(self) -> None:
         """Close listeners and live connections (the tail of a shutdown)."""
@@ -418,13 +624,11 @@ class KemService(FrameServer):
         fault_plan: FaultPlan | None = None,
         tracer: Tracer | None = None,
     ) -> None:
-        super().__init__(fault_plan)
+        super().__init__(fault_plan, clock, tracer)
         config = config if config is not None else ServiceConfig()
         self.config = config
         self.high_watermark = config.high_watermark
         self.request_timeout = config.request_timeout
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._clock = clock
         self._scheduler = MicroBatchScheduler(
             max_batch=config.max_batch,
             policy=AdaptiveDeadlinePolicy(
@@ -439,7 +643,8 @@ class KemService(FrameServer):
             quota.tenant: _TenantState(quota=quota, tokens=quota.bucket_capacity)
             for quota in config.tenant_quotas
         }
-        self._sessions: dict[int, _Session] = {}
+        # open secure channels: session id -> (owning tenant, channel)
+        self._sessions: dict[int, tuple[int, HybridChannel]] = {}
         self._next_session_id = 1
         # per-tier admission limits: tier i admits while pending <
         # high_watermark * tier_watermarks[i]; wire tiers beyond the
@@ -474,13 +679,10 @@ class KemService(FrameServer):
         self._owns_backend = False
         self._keys: dict[int, HostedKey] = {}
         self._next_key_id = 1
-        self._pending = 0
-        self._draining = False
         self._started = False
         self._started_at = 0.0
         self._wake: asyncio.Event | None = None
         self._flusher: asyncio.Task[None] | None = None
-        self._inflight: set[asyncio.Task[None]] = set()
 
     @property
     def backend(self) -> KemBackend | None:
@@ -614,7 +816,12 @@ class KemService(FrameServer):
         scheme, params = resolve(spec)
         if pair is None:
             pair = scheme.keygen(params, seed)
-        return self._register_pair(scheme, params, pair, tenant=tenant)
+        key_id = self._register_pair(scheme, params, pair, tenant=tenant)
+        # a wire KEYGEN reserved its key slot at admission instead
+        state = self._tenants.get(tenant)
+        if state is not None:
+            state.keys += 1
+        return key_id
 
     def _register_pair(
         self,
@@ -644,9 +851,6 @@ class KemService(FrameServer):
             tenant=tenant,
             wire_id=wire_id_for_params(params),
         )
-        state = self._tenants.get(tenant)
-        if state is not None:
-            state.keys += 1
         return key_id
 
     def remove_keypair(self, key_id: int) -> bool:
@@ -674,216 +878,131 @@ class KemService(FrameServer):
         """Look up a hosted key (``None`` when unknown)."""
         return self._keys.get(key_id)
 
-    @property
-    def pending(self) -> int:
-        """Requests accepted but not yet answered (the bounded queue)."""
-        return self._pending
-
     # ------------------------------------------------------------------
     # request path
     # ------------------------------------------------------------------
 
-    async def _reject(
-        self,
-        frame: Frame,
-        respond: _Respond,
-        t_read: float,
-        status: Status,
-        message: str,
-        **tags: Any,
-    ) -> None:
-        """Answer a request that never leaves admission, and trace it.
+    def _charge_quota(self, request: Request) -> None:
+        """Check and charge the tenant's quota for one request.
 
-        Writes the typed error response, then emits the admission-only
-        span pair: a reject never leaves admission, so one ``admission``
-        stage span tiles the whole ``server.request`` root — the
-        attribution table's coverage stays exact even under
-        backpressure or chaos.  ``tags`` land on the root span.  Sheds
-        are counted by the caller *before* this runs: once the client
-        sees ``BUSY`` the metric must already be observable.
+        Refuses ``BUSY`` (shed reason ``quota``) naming the exhausted
+        limit — ``keys`` (KEYGEN would exceed ``max_keys``),
+        ``inflight`` (``max_inflight`` accepted-but-unanswered
+        requests) or ``rate`` (the ops/s token bucket is empty).
+        Admission costs one token and takes the in-flight slot plus a
+        KEYGEN's hosted-key slot — reserved *here*, not when the key
+        registers after the batch ran, or every KEYGEN of one batch
+        window passes the check.  Unlisted tenants are unlimited.
         """
-        await respond(self._error(frame, status, message))
-        tracer = self.tracer
-        if not tracer.enabled:
-            return
-        duration = self._clock() - t_read
-        if frame.trace is not None:
-            trace_id: int = frame.trace.trace_id
-            parent: int | None = frame.trace.span_id
-        else:
-            trace_id, parent = tracer.new_trace_id(), None
-        span_tags: dict[str, Any] = {"op": frame.op.name, "status": status.name}
-        span_tags.update(tags)
-        root = tracer.record_span(
-            "server.request",
-            t_read,
-            duration,
-            trace_id,
-            parent_id=parent,
-            tags=span_tags,
-        )
-        tracer.record_span(
-            "admission",
-            t_read,
-            duration,
-            trace_id,
-            parent_id=root.span_id,
-            tags={"op": frame.op.name, "status": status.name},
-        )
-        self.metrics.observe_stage("admission", max(duration, 0.0))
-
-    def _tenant_admit(self, op: Op, tenant: int) -> str | None:
-        """Check (and charge) ``tenant``'s quota for one request.
-
-        Returns ``None`` to admit, or the exhausted limit —
-        ``"keys"`` (KEYGEN would exceed ``max_keys``), ``"inflight"``
-        (``max_inflight`` accepted-but-unanswered requests), or
-        ``"rate"`` (the ops/s token bucket is empty).  Admission costs
-        one token; tenants without a configured quota are unlimited.
-        """
-        state = self._tenants.get(tenant)
+        state = self._tenants.get(request.tenant)
         if state is None:
-            return None
+            return
         quota = state.quota
-        if (
-            op is Op.KEYGEN
-            and quota.max_keys is not None
-            and state.keys >= quota.max_keys
-        ):
-            return "keys"
-        if quota.max_inflight is not None and state.inflight >= quota.max_inflight:
-            return "inflight"
-        if quota.ops_per_s is not None:
+        keygen = request.frame.op is Op.KEYGEN
+        over = None
+        if keygen and quota.max_keys is not None and state.keys >= quota.max_keys:
+            over = "keys"
+        elif quota.max_inflight is not None and state.inflight >= quota.max_inflight:
+            over = "inflight"
+        elif quota.ops_per_s is not None:
             state.refill(self._clock())
             if state.tokens < 1.0:
-                return "rate"
-            state.tokens -= 1.0
-        return None
+                over = "rate"
+            else:
+                state.tokens -= 1.0
+        if over is not None:
+            raise ServiceBusy(
+                f"tenant {request.tenant} over quota ({over})",
+                shed_reason="quota", tier=request.tier, tenant=request.tenant,
+            )
+        request.quota = state
+        state.inflight += 1
+        if keygen:
+            state.keys += 1
 
-    async def _handle_frame(self, frame: Frame, respond: _Respond) -> None:
+    async def _serve(self, request: Request) -> None:
+        frame = request.frame
         op = frame.op
-        tracer = self.tracer
-        t_read = self._clock() if tracer.enabled else 0.0
-        tenant = frame.tenant if frame.tenant is not None else DEFAULT_TENANT
-        self.metrics.record_request(op.name)
-        self.metrics.record_tenant_request(tenant)
+        if frame.tenant is not None:
+            request.tenant = frame.tenant
+        self.metrics.record_tenant_request(request.tenant)
         if op is Op.INFO:
-            await respond(self._info_response(frame))
-            self.metrics.record_response(op.name, Status.OK.name)
+            frame.param_id = PARAM_NONE  # the answer names no parameter set
+            await self._reply(request, Status.OK, self._info_payload(frame))
             return
         if op is Op.REMOVE_KEY:
             # control plane, like INFO: answered inline (no batching)
             # and served even while draining — the cluster router pulls
             # keys off members during rebalancing and shutdown
-            try:
-                key_id, _ = unpack_key_id(frame.payload)
-            except ProtocolError as exc:
-                await respond(self._error(frame, Status.BAD_REQUEST, str(exc)))
-                return
-            if self.remove_keypair(key_id):
-                self.metrics.record_response(op.name, Status.OK.name)
-                await respond(frame.reply(Status.OK))
-            else:
-                await respond(
-                    self._error(
-                        frame, Status.NOT_FOUND, f"unknown key id {key_id}"
-                    )
-                )
+            key_id, _ = unpack_key_id(frame.payload)
+            if not self.remove_keypair(key_id):
+                raise KeyNotFound(f"unknown key id {key_id}")
+            await self._reply(request, Status.OK)
             return
-        if self.fault_plan is not None:
-            spec = self.fault_plan.draw(SITE_ADMISSION)
-            if spec is not None:
-                status = Status.TIMEOUT if spec.kind == KIND_TIMEOUT else Status.BUSY
-                await self._reject(
-                    frame, respond, t_read, status,
-                    f"injected fault: {spec.kind}",
-                    fault_site=SITE_ADMISSION, fault_kind=spec.kind,
-                )
-                return
-        if self._draining:
-            await self._reject(
-                frame, respond, t_read, Status.SHUTTING_DOWN, "draining"
-            )
-            return
+        self._gate()
+        request.deadline_s = self.config.default_deadline_s
         qos = frame.qos
-        tier = min(qos.tier if qos is not None else 0, len(self._tier_limits) - 1)
-        deadline_s = (
-            qos.deadline_s
-            if qos is not None and qos.deadline_us
-            else self.config.default_deadline_s
-        )
+        if qos is not None:
+            request.tier = min(qos.tier, len(self._tier_limits) - 1)
+            if qos.deadline_us:
+                request.deadline_s = qos.deadline_s
         # tenant quota: the tenant's own key/in-flight/rate budget is
         # checked before any shared-capacity gate, so an over-quota
         # tenant is shed by *its* limits, never by crowding others out
-        over_quota = self._tenant_admit(op, tenant)
-        if over_quota is not None:
-            self.metrics.record_shed("quota", tier, tenant)
-            await self._reject(
-                frame, respond, t_read, Status.BUSY,
-                f"tenant {tenant} over quota ({over_quota})",
-                shed_reason="quota", tier=tier, tenant=tenant,
-            )
-            return
+        self._charge_quota(request)
         if op in _SESSION_OPS:
             # stateful channel ops: answered inline like INFO — they
             # never enter the batch queue (the quota gate above still
             # applies, so a chatty tenant cannot flood the channel path)
-            await self._handle_session(frame, respond, tenant, t_read)
+            request.tags = {"tenant": request.tenant}
+            await self._reply(request, Status.OK, await self._session(request))
             return
         # per-tier watermark: lower tiers stop admitting before the
         # queue is full, reserving the remaining headroom for
-        # interactive traffic (tier 0 keeps the classic full-queue BUSY)
-        limit = self._tier_limits[tier]
-        if self._pending >= limit:
-            # a full queue is plain backpressure; only a tier that
-            # stopped admitting early counts (and is tagged) as a shed
-            shed: dict[str, Any] = {}
-            if limit < self.high_watermark:
-                self.metrics.record_shed("watermark", tier, tenant)
-                shed = {"shed_reason": "watermark", "tier": tier}
-            await self._reject(
-                frame, respond, t_read, Status.BUSY,
-                f"{self._pending} requests pending", **shed,
-            )
-            return
+        # interactive traffic (tier 0 keeps the classic full-queue
+        # BUSY).  A full queue is plain backpressure; only a tier that
+        # stopped admitting early counts (and is tagged) as a shed
+        limit = self._tier_limits[request.tier]
+        shed: dict[str, Any] = {}
+        if limit < self.high_watermark:
+            shed = {"shed_reason": "watermark", "tier": request.tier}
+        self._take_slot(request, limit, **shed)
+        deadline_s = request.deadline_s
         if self.config.shed_deadlines and deadline_s is not None:
             # hopeless check: when one batch already takes longer than
             # the whole budget, admitting only manufactures a TIMEOUT —
             # answer BUSY now so the client's retry policy backs off
             estimate = self._estimator.batch_seconds((op.name, frame.param_id))
             if estimate is not None and predicted_miss(0.0, estimate, deadline_s):
-                self.metrics.record_shed("hopeless", tier, tenant)
-                await self._reject(
-                    frame, respond, t_read, Status.BUSY,
+                raise ServiceBusy(
                     f"deadline {deadline_s:.3f}s below expected "
                     f"{estimate:.3f}s service time",
-                    shed_reason="hopeless", tier=tier,
+                    shed_reason="hopeless", tier=request.tier,
                 )
-                return
-        try:
-            entry = self._parse_request(frame, respond)
-        except ProtocolError as exc:
-            await self._reject(frame, respond, t_read, Status.BAD_REQUEST, str(exc))
-            return
-        except KeyError as exc:
-            await self._reject(frame, respond, t_read, Status.NOT_FOUND, str(exc))
-            return
-        entry.deadline_s = deadline_s
-        entry.tier = tier
-        if tracer.enabled:
-            entry.t_read = t_read
-            if frame.trace is not None:
-                entry.trace_id = frame.trace.trace_id
-                entry.parent_span = frame.trace.span_id
-            else:
-                entry.trace_id = tracer.new_trace_id()
-            entry.root_span = tracer.new_span_id()
-        self._accept(op, entry)
-
-    def _parse_request(self, frame: Frame, respond: _Respond) -> _Entry:
+        # ``admission`` ends here: validating the payload is already
+        # time spent on the accepted request
         now = self._clock()
+        self._parse(request)
+        request.enqueued_at = now
+        self.metrics.adjust_queue_depth(+1)
+        # batches are per-tenant: one tenant's burst cannot ride in
+        # another tenant's batch, and the scheduler's DRR fair-share
+        # orders same-tier flushes by under-served tenant
+        batch_key = (
+            (op, request.key.key_id, request.tenant) if request.key is not None
+            else (op, request.scheme.name, request.params.name, request.tenant)
+        )
+        batch = self._scheduler.submit(batch_key, request, now)
+        if batch is not None:
+            self._launch_dispatch(batch)
+        elif self._wake is not None:
+            self._wake.set()  # deadline set may have changed
+
+    def _parse(self, request: Request) -> None:
+        """Validate the payload into the envelope's operands (cheaply,
+        on the loop): raises ``ProtocolError`` / ``KeyNotFound``."""
+        frame = request.frame
         op, payload = frame.op, frame.payload
-        tenant = frame.tenant if frame.tenant is not None else DEFAULT_TENANT
         if op is Op.KEYGEN:
             scheme, params = params_for_wire_id(frame.param_id)
             backend = self._backend
@@ -897,14 +1016,15 @@ class KemService(FrameServer):
                 raise ProtocolError(
                     f"KEYGEN seed must be {seed_len} bytes or empty"
                 )
-            return _Entry(
-                frame, respond, now, params=params, scheme=scheme,
-                seed=payload or None, tenant=tenant,
-            )
+            request.scheme, request.params = scheme, params
+            request.item = payload or None
+            return
         key_id, rest = unpack_key_id(payload)
         key = self._keys.get(key_id)
         if key is None:
-            raise KeyError(f"unknown key id {key_id}")
+            # the quotes are part of the wire bytes clients see for this
+            # refusal (pinned in tests/test_reply_path.py)
+            raise KeyNotFound(f"'unknown key id {key_id}'")
         if frame.param_id != key.wire_id:
             raise ProtocolError(
                 f"key {key_id} is {key.params.name}, not parameter id "
@@ -916,34 +1036,17 @@ class KemService(FrameServer):
                 raise ProtocolError(
                     f"message must be {message_bytes} bytes or empty"
                 )
-            return _Entry(
-                frame, respond, now, key=key, message=rest or None, tenant=tenant
-            )
-        if op is Op.DECAPS:
+            # drawn here, on the loop, so every backend receives
+            # identical inputs
+            request.item = rest or secrets.token_bytes(message_bytes)
+        elif op is Op.DECAPS:
             ct_bytes = key.scheme.ciphertext_wire_bytes(key.params)
             if len(rest) != ct_bytes:
                 raise ProtocolError(f"ciphertext must be {ct_bytes} bytes")
-            return _Entry(frame, respond, now, key=key, ct_bytes=rest, tenant=tenant)
-        raise ProtocolError(f"unsupported op {op.name}")
-
-    def _accept(self, op: Op, entry: _Entry) -> None:
-        self._pending += 1
-        self.metrics.adjust_queue_depth(+1)
-        state = self._tenants.get(entry.tenant)
-        if state is not None:
-            state.inflight += 1
-        # batches are per-tenant: one tenant's burst cannot ride in
-        # another tenant's batch, and the scheduler's DRR fair-share
-        # orders same-tier flushes by under-served tenant
-        batch_key = (
-            (op, entry.key.key_id, entry.tenant) if entry.key is not None
-            else (op, entry.scheme.name, entry.params.name, entry.tenant)
-        )
-        batch = self._scheduler.submit(batch_key, entry, self._clock())
-        if batch is not None:
-            self._launch_dispatch(batch)
-        elif self._wake is not None:
-            self._wake.set()  # deadline set may have changed
+            request.item = rest
+        else:
+            raise ProtocolError(f"unsupported op {op.name}")
+        request.key, request.scheme, request.params = key, key.scheme, key.params
 
     # ------------------------------------------------------------------
     # flushing and dispatch
@@ -1026,9 +1129,7 @@ class KemService(FrameServer):
     def _launch_dispatch(self, batch: Batch) -> None:
         self.metrics.adjust_queue_depth(-len(batch.entries))
         self.metrics.record_batch(batch.key[0].name, len(batch.entries), batch.trigger)
-        task = asyncio.create_task(self._dispatch(batch))
-        self._inflight.add(task)
-        task.add_done_callback(self._inflight.discard)
+        self._spawn(self._dispatch(batch))
 
     async def _dispatch(self, batch: Batch) -> None:
         op: Op = batch.key[0]
@@ -1045,11 +1146,11 @@ class KemService(FrameServer):
             if shed_deadlines
             else None
         )
-        live: list[_Entry] = []
+        live: list[Request] = []
         for entry in batch.entries:
             waited = now - entry.enqueued_at
             if self.request_timeout is not None and waited > self.request_timeout:
-                await self._finish(
+                await self._reply(
                     entry, Status.TIMEOUT, f"queued {waited:.3f}s".encode()
                 )
             elif (
@@ -1060,14 +1161,13 @@ class KemService(FrameServer):
                 # the wait already spent plus the expected kernel time
                 # overshoots the budget: answer TIMEOUT *before* burning
                 # backend capacity on a response nobody will use
-                self.metrics.record_shed("predicted-miss", entry.tier, entry.tenant)
-                entry.shed_reason = "predicted-miss"
-                await self._finish(
+                await self._reply(
                     entry,
                     Status.TIMEOUT,
                     f"shed: queued {waited:.3f}s + expected "
                     f"{estimate or 0.0:.3f}s exceeds deadline "
                     f"{entry.deadline_s:.3f}s".encode(),
+                    shed_reason="predicted-miss",
                 )
             else:
                 live.append(entry)
@@ -1079,7 +1179,7 @@ class KemService(FrameServer):
             payloads = await self._execute(op, live)
         except Exception as exc:  # noqa: BLE001 - fan the failure out
             for entry in live:
-                await self._finish(entry, Status.INTERNAL, str(exc).encode())
+                await self._reply(entry, Status.INTERNAL, str(exc).encode())
             return
         finally:
             self.metrics.adjust_inflight(-1)
@@ -1106,14 +1206,6 @@ class KemService(FrameServer):
             self._clock() - t_exec,
             len(live),
         )
-        if len(payloads) != len(live):
-            # a kernel returning the wrong count must not strand
-            # requests (they would leak out of the pending gauge)
-            for entry in live:
-                await self._finish(
-                    entry, Status.INTERNAL, b"batch result count mismatch"
-                )
-            return
         t_done = self._clock()
         for entry, payload in zip(live, payloads, strict=True):
             if (
@@ -1129,19 +1221,18 @@ class KemService(FrameServer):
                 # within SLO" a server-side guarantee.  KEYGEN is
                 # exempt: its response names a now-hosted key the
                 # client must learn about either way
-                self.metrics.record_shed("missed", entry.tier, entry.tenant)
-                entry.shed_reason = "missed"
-                await self._finish(
+                await self._reply(
                     entry,
                     Status.TIMEOUT,
                     f"completed {t_done - entry.enqueued_at:.3f}s "
                     f"past a {entry.deadline_s:.3f}s deadline".encode(),
+                    shed_reason="missed",
                 )
             else:
-                await self._finish(entry, Status.OK, payload)
+                await self._reply(entry, Status.OK, payload)
 
     def _kernel_wrapper(
-        self, entries: list[_Entry]
+        self, entries: list[Request]
     ) -> Callable[[Callable[[], Any]], Any]:
         """The hook the backend runs around the batch, in its own context.
 
@@ -1197,42 +1288,29 @@ class KemService(FrameServer):
 
         return traced_body
 
-    async def _execute(self, op: Op, live: list[_Entry]) -> list[bytes]:
+    async def _execute(self, op: Op, live: list[Request]) -> list[bytes]:
         """Run one batch on the execution backend; returns raw payloads.
 
         One ``backend.submit`` per batch, whatever the scheme: the
         already-validated wire bytes go in as they arrived, and only
-        message drawing and response byte-building stay on the event
-        loop, so every backend receives identical inputs.
+        response byte-building stays on the event loop.
         """
         backend = self._backend
         assert backend is not None, "start() the service first"
         first = live[0]
-        items: list[Any]
-        if op is Op.KEYGEN:
-            scheme, params, pair = first.scheme, first.params, None
-            assert params is not None and scheme is not None
-            items = [e.seed for e in live]
-        else:
-            key = first.key
-            assert key is not None
-            scheme, params, pair = key.scheme, key.params, key.pair
-            if op is Op.ENCAPS:
-                message_bytes = scheme.message_bytes(params)
-                items = [
-                    e.message
-                    if e.message is not None
-                    else secrets.token_bytes(message_bytes)
-                    for e in live
-                ]
-            else:
-                items = [e.ct_bytes for e in live]
+        scheme, params = first.scheme, first.params
         results = await asyncio.wrap_future(
             backend.submit(
-                scheme, params, op.name, pair, items,
+                scheme, params, op.name,
+                first.key.pair if first.key is not None else None,
+                [e.item for e in live],
                 wrapper=self._kernel_wrapper(live),
             )
         )
+        if len(results) != len(live):
+            # a kernel returning the wrong count must not strand
+            # requests, nor host a KEYGEN's key nobody is told about
+            raise RuntimeError("batch result count mismatch")
         if op is Op.KEYGEN:
             return [
                 pack_key_id(
@@ -1245,187 +1323,73 @@ class KemService(FrameServer):
             return [ct + shared for ct, shared in results]
         return results
 
-    async def _finish(self, entry: _Entry, status: Status, payload: bytes) -> None:
-        self._pending -= 1
-        state = self._tenants.get(entry.tenant)
-        if state is not None and state.inflight > 0:
-            state.inflight -= 1
-        frame = entry.frame
-        self.metrics.record_response(frame.op.name, status.name)
-        self.metrics.observe_latency(
-            frame.op.name, (self._clock() - entry.enqueued_at) * 1e6
-        )
-        if self.tracer.enabled and entry.t_read:
-            self._trace_request(entry, status)
-        await entry.respond(frame.reply(status, payload))
-
-    def _trace_request(self, entry: _Entry, status: Status) -> None:
-        """Emit the root span and telescoping stage spans of a request.
-
-        The stages share their boundary timestamps, so their durations
-        sum to the ``server.request`` root exactly; requests that never
-        reach a later boundary (queue-expired ``TIMEOUT``, kernel
-        failure) close their last open stage at response time instead,
-        keeping the tiling exact on every path.
-        """
-        tracer = self.tracer
-        t_done = self._clock()
-        frame = entry.frame
-        trace_id = entry.trace_id
-        root_id = entry.root_span
-        tags: dict[str, Any] = {"op": frame.op.name, "status": status.name}
-        if entry.key is not None:
-            tags["key_id"] = entry.key.key_id
-        if entry.tier:
-            tags["tier"] = entry.tier
-        if entry.tenant:
-            tags["tenant"] = entry.tenant
-        if entry.shed_reason is not None:
-            tags["shed_reason"] = entry.shed_reason
-        if entry.batch_size:
-            tags["batch_size"] = entry.batch_size
-            tags["trigger"] = entry.trigger
-        tracer.record_span(
-            "server.request",
-            entry.t_read,
-            t_done - entry.t_read,
-            trace_id,
-            span_id=root_id,
-            parent_id=entry.parent_span,
-            tags=tags,
-        )
-
-        def stage(
-            name: str, start: float, end: float,
-            extra: dict[str, Any] | None = None,
-        ) -> None:
-            tracer.record_span(
-                name,
-                start,
-                end - start,
-                trace_id,
-                parent_id=root_id,
-                tags=extra if extra is not None else {},
-            )
-            self.metrics.observe_stage(name, max(end - start, 0.0))
-
-        stage("admission", entry.t_read, entry.enqueued_at)
-        if not entry.t_flushed:
-            stage("queue", entry.enqueued_at, t_done)
-            return
-        stage("queue", entry.enqueued_at, entry.t_flushed)
-        if not entry.t_kernel_start:
-            stage("reply", entry.t_flushed, t_done)
-            return
-        stage("dispatch", entry.t_flushed, entry.t_kernel_start)
-        stage("kernel", entry.t_kernel_start, entry.t_kernel_end, entry.kernel_tags)
-        stage("reply", entry.t_kernel_end, t_done)
-
     # ------------------------------------------------------------------
     # sessions (the secure-channel workload)
     # ------------------------------------------------------------------
 
-    async def _handle_session(
-        self, frame: Frame, respond: _Respond, tenant: int, t_read: float
-    ) -> None:
-        """Serve one secure-channel op inline (never batched).
+    async def _session(self, request: Request) -> bytes:
+        """Serve one secure-channel op inline; returns the OK payload.
 
         ``SESSION_OPEN`` encapsulates via the hosted key's backend path
-        and derives the channel keys with
-        :func:`repro.lac.hybrid._derive_keys`; ``SEAL``/``OPEN`` run
-        the same keystream/tag construction as
-        :class:`~repro.lac.hybrid.LacHybrid`, so served transcripts are
-        bit-identical to the library's.  Sessions are tenant-scoped:
-        another tenant's session id answers ``NOT_FOUND``.
+        and binds a :class:`~repro.lac.hybrid.HybridChannel` to that
+        ciphertext; ``SEAL``/``OPEN`` run it — the construction
+        :class:`~repro.lac.hybrid.LacHybrid` runs, so served transcripts
+        are bit-identical to the library's.  Sessions are tenant-scoped:
+        another tenant's session id is ``NOT_FOUND``.
         """
+        frame, tenant = request.frame, request.tenant
         op = frame.op
-        started = self._clock()
-
-        async def ok(payload: bytes = b"") -> None:
-            self.metrics.record_response(op.name, Status.OK.name)
-            self.metrics.observe_latency(op.name, (self._clock() - started) * 1e6)
-            await respond(frame.reply(Status.OK, payload))
-
-        async def not_found(message: str) -> None:
-            await self._reject(
-                frame, respond, t_read, Status.NOT_FOUND, message, tenant=tenant
-            )
-
-        try:
-            if op is Op.SESSION_OPEN:
-                key_id, rest = unpack_key_id(frame.payload)
-                key = self._keys.get(key_id)
-                if key is None:
-                    await not_found(f"unknown key id {key_id}")
-                    return
-                message_bytes = key.scheme.message_bytes(key.params)
-                if rest and len(rest) != message_bytes:
-                    raise ProtocolError(
-                        f"message must be {message_bytes} bytes or empty"
-                    )
-                message = rest or secrets.token_bytes(message_bytes)
-                ct_bytes, shared = await self._session_encaps(key, message)
-                enc_key, mac_key = _derive_keys(shared)
-                session_id = self._next_session_id
-                self._next_session_id += 1
-                self._sessions[session_id] = _Session(
-                    session_id, key.key_id, tenant, ct_bytes, enc_key, mac_key
-                )
-                await ok(pack_key_id(session_id) + ct_bytes + shared)
-                return
-            if op is Op.SESSION_CLOSE:
-                session_id, _ = unpack_key_id(frame.payload)
-                session = self._sessions.get(session_id)
-                if session is None or session.tenant != tenant:
-                    await not_found(f"unknown session id {session_id}")
-                    return
-                del self._sessions[session_id]
-                await ok()
-                return
-            session_id, nonce, rest = unpack_session_request(frame.payload)
-            session = self._sessions.get(session_id)
-            if session is None or session.tenant != tenant:
-                await not_found(f"unknown session id {session_id}")
-                return
-            if op is Op.SEAL:
-                body = _xor_stream(session.enc_key, nonce, rest)
-                tag = _tag(session.mac_key, session.kem_ct + nonce + body)
-                await ok(body + tag)
-                return
-            if len(rest) < SESSION_TAG_SIZE:
+        if op is Op.SESSION_OPEN:
+            key_id, rest = unpack_key_id(frame.payload)
+            key = self._keys.get(key_id)
+            if key is None:
+                raise KeyNotFound(f"unknown key id {key_id}")
+            message_bytes = key.scheme.message_bytes(key.params)
+            if rest and len(rest) != message_bytes:
                 raise ProtocolError(
-                    f"sealed body must carry a {SESSION_TAG_SIZE}-byte tag"
+                    f"message must be {message_bytes} bytes or empty"
                 )
-            body, tag = rest[:-SESSION_TAG_SIZE], rest[-SESSION_TAG_SIZE:]
-            expected = _tag(session.mac_key, session.kem_ct + nonce + body)
-            if not hmac.compare_digest(expected, tag):
-                await self._reject(
-                    frame, respond, t_read, Status.BAD_REQUEST,
-                    "authentication failed", tenant=tenant,
+            backend = self._backend
+            assert backend is not None, "start() the service first"
+            [(ct_bytes, shared)] = await asyncio.wrap_future(
+                backend.submit(
+                    key.scheme, key.params, "ENCAPS", key.pair,
+                    [rest or secrets.token_bytes(message_bytes)],
                 )
-                return
-            await ok(_xor_stream(session.enc_key, nonce, body))
-        except ProtocolError as exc:
-            await self._reject(
-                frame, respond, t_read, Status.BAD_REQUEST, str(exc), tenant=tenant
             )
-
-    async def _session_encaps(
-        self, key: HostedKey, message: bytes
-    ) -> tuple[bytes, bytes]:
-        """One encapsulation against a hosted key, on the backend."""
-        backend = self._backend
-        assert backend is not None, "start() the service first"
-        [(ct_bytes, shared)] = await asyncio.wrap_future(
-            backend.submit(key.scheme, key.params, "ENCAPS", key.pair, [message])
-        )
-        return ct_bytes, shared
+            session_id = self._next_session_id
+            self._next_session_id += 1
+            self._sessions[session_id] = tenant, HybridChannel(shared, ct_bytes)
+            return pack_key_id(session_id) + ct_bytes + shared
+        if op is Op.SESSION_CLOSE:
+            session_id, _ = unpack_key_id(frame.payload)
+        else:
+            session_id, nonce, rest = unpack_session_request(frame.payload)
+        owner, channel = self._sessions.get(session_id, (None, None))
+        if channel is None or owner != tenant:
+            raise KeyNotFound(f"unknown session id {session_id}")
+        if op is Op.SESSION_CLOSE:
+            del self._sessions[session_id]
+            return b""
+        if op is Op.SEAL:
+            body, tag = channel.seal(nonce, rest)
+            return body + tag
+        if len(rest) < SESSION_TAG_SIZE:
+            raise ProtocolError(
+                f"sealed body must carry a {SESSION_TAG_SIZE}-byte tag"
+            )
+        try:
+            return channel.open(
+                nonce, rest[:-SESSION_TAG_SIZE], rest[-SESSION_TAG_SIZE:]
+            )
+        except HybridDecryptionError:
+            raise BadRequest("authentication failed") from None
 
     # ------------------------------------------------------------------
     # INFO
     # ------------------------------------------------------------------
 
-    def _info_response(self, frame: Frame) -> Frame:
+    def _info_payload(self, frame: Frame) -> bytes:
         if frame.payload == b"text":
             payload = self.metrics.render_text().encode()
         else:
@@ -1479,10 +1443,7 @@ class KemService(FrameServer):
                 ),
             }
             payload = json.dumps(snap).encode()
-        return Frame(
-            Op.INFO, frame.request_id, PARAM_NONE, Status.OK, payload,
-            trace=frame.trace,
-        )
+        return payload
 
 
 class LoopThreadHost(Generic[_ServerT]):

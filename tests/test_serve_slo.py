@@ -13,8 +13,8 @@ import asyncio
 import pytest
 
 from repro.lac.params import LAC_128
-from repro.serve import KemService, ServiceConfig
-from repro.serve.protocol import QosSpec, qos_for
+from repro.serve import AsyncKemClient, KemService, ServiceBusy, ServiceConfig
+from repro.serve.protocol import qos_for
 from repro.serve.scheduler import MicroBatchScheduler
 from repro.serve.slo import Autoscaler, KernelEstimator, predicted_miss
 
@@ -206,38 +206,19 @@ class TestTierWatermarks:
             )
             await svc.start()
             key_id = svc.add_keypair(LAC_128, seed=b"\x07" * (LAC_128.seed_bytes + 32))
+            client = AsyncKemClient(*(await svc.connect()))
+            client.register_key(key_id, LAC_128)
             svc._pending = 60  # above the tier-1 limit, below tier-0
-            responses = []
-
-            async def respond(frame):
-                responses.append(frame)
-
-            from repro.schemes import wire_id_for_params
-            from repro.serve.protocol import (
-                Frame,
-                Op,
-                pack_encaps_request,
-            )
-
-            pid = wire_id_for_params(LAC_128)
             # tier 9 clamps onto the last (0.5) watermark: rejected
-            frame = Frame(
-                Op.ENCAPS, 1, pid,
-                payload=pack_encaps_request(key_id, None),
-                qos=QosSpec(deadline_us=0, tier=9),
-            )
-            await svc._handle_frame(frame, respond)
-            assert responses[-1].status.name == "BUSY"
+            with pytest.raises(ServiceBusy):
+                await client.encaps(key_id, tier=9)
             shed = svc.metrics.snapshot()["sheds"]
             assert shed.get("watermark:1:0") == 1
             # tier 0 still has headroom at the same depth
-            frame0 = Frame(
-                Op.ENCAPS, 2, pid, payload=pack_encaps_request(key_id, None)
-            )
-            await svc._handle_frame(frame0, respond)
-            assert len(responses) == 1  # accepted: no reject response
-            svc._pending -= 1  # release the accepted entry for shutdown
-            svc._scheduler._queues.clear()
+            ct, _shared = await client.encaps(key_id)
+            assert ct
+            assert svc.pending == 60  # the served request gave its slot back
+            await client.aclose()
             await svc.shutdown()
 
         asyncio.run(main())
