@@ -32,6 +32,7 @@ multi-process one).
 
 from __future__ import annotations
 
+import hmac
 import secrets
 from collections.abc import Callable, Sequence
 from concurrent.futures import Executor
@@ -255,14 +256,17 @@ def _decaps_chunk(
     v_rows = np.stack([codec.decompress_v(ct.v_compressed) for ct in ciphertexts])
     noisy_rows = np.mod(v_rows - us_rows[:, :slots], q)
 
-    decoded = [
-        codec.decode(
-            noisy_rows[i],
-            constant_time=kem.constant_time_bch,
-            bch_decoder=kem.pke.bch_decoder,
-        )
-        for i in range(len(ciphertexts))
-    ]
+    if kem.constant_time_bch and kem.pke.bch_decoder is None:
+        decoded = codec.decode_many(noisy_rows)
+    else:
+        decoded = [
+            codec.decode(
+                row,
+                constant_time=kem.constant_time_bch,
+                bch_decoder=kem.pke.bch_decoder,
+            )
+            for row in noisy_rows
+        ]
     messages = [d.message for d in decoded]
     coins_list = [
         _hash3(message, keys.pk_digest, b"coins") for message in messages
@@ -275,11 +279,11 @@ def _decaps_chunk(
     for message, ciphertext, candidate in zip(messages, ciphertexts, reencrypted):
         ct_bytes = ciphertext.to_bytes()
         ct_digest = _hash3(ct_bytes, b"", b"ct")
-        if candidate.to_bytes() == ct_bytes:
-            shared.append(_hash3(message, ct_digest, b"shared"))
-        else:
-            # implicit rejection, exactly as the scalar FO transform
-            shared.append(_hash3(keys.z, ct_digest, b"reject"))
+        accepted = hmac.compare_digest(candidate.to_bytes(), ct_bytes)
+        # implicit rejection, exactly as the scalar FO transform, as one
+        # select: both outcomes run the same lines and one hash
+        secret, label = ((keys.z, b"reject"), (message, b"shared"))[accepted]
+        shared.append(_hash3(secret, ct_digest, label))
     return shared
 
 

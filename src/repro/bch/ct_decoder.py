@@ -17,9 +17,21 @@ MUL GF hardware module) and are charged as ``gf_mul_ct``, which the
 cost model prices at the software cost of a branch-free GF(2^9)
 multiply — the very overhead that makes the protected decoder ~3x
 slower in Table I and motivates the MUL CHIEN accelerator.
+
+Uncounted runs take a numpy engine instead: one word at a time
+(:meth:`ConstantTimeBCHDecoder.decode`) or with the batch as the
+vector axis (:meth:`ConstantTimeBCHDecoder.decode_many`), both over one
+set of per-code tables.  For array code "constant" means that the
+shapes and the sequence of numpy calls depend on the batch size, the
+code and the window only — never on a received bit, a syndrome or a
+root (``tests/test_constant_ops.py`` traces it).
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,6 +39,71 @@ from repro.bch.code import BCHCode
 from repro.bch.decoder import DecodeResult, _degree
 from repro.bitutils import require_bits
 from repro.metrics import NullCounter, OpCounter, ensure_counter
+
+#: Lanes folded per numpy call in the masked-XOR products: bounds the
+#: transient (~0.35 MiB in the Chien sweep) whatever the batch size.
+_LANE_CHUNK = 4
+
+
+@dataclass(frozen=True)
+class _CodeTables:
+    """What the uncounted engine precomputes for one code (read-only).
+
+    Both tables are GF(2)-linear maps stored with the axis that is
+    folded away last, so a product is ``xor.reduce(mask & table)`` over
+    contiguous rows: no gather, no float, the same memory walk for
+    every input.
+    """
+
+    #: ``(2t, n)`` int16: ``alpha^(i*j)`` at ``[j - 1, i]`` — received
+    #: bit i to syndrome j.
+    syndrome_powers: np.ndarray
+    #: ``(m, W, (t+1)*m)`` uint64: locator bit b of ``lambda_j`` (last
+    #: axis, ``j*m + b``) to value bit k (first axis) of
+    #: ``Lambda(alpha^l)`` at every probe of the natural window, probe l
+    #: being bit ``l - 1`` of the W words read as little-endian bytes.
+    chien_bits: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        """Persistent footprint of all tables."""
+        return self.syndrome_powers.nbytes + self.chien_bits.nbytes
+
+
+@lru_cache(maxsize=None)
+def _code_tables(code: BCHCode) -> _CodeTables:
+    """Build the tables of ``code`` once per process (lazily, on first use)."""
+    field, t, m = code.field, code.t, code.field.m
+    # narrow dtypes throughout: the build's transients count towards the
+    # process's peak RSS just like the tables do
+    powers = field.exp_table[: code.n_full].astype(np.int16)
+    shifts = np.arange(m, dtype=np.int16)
+
+    orders = np.arange(1, 2 * t + 1, dtype=np.int32)[:, None]
+    positions = np.arange(code.n, dtype=np.int32)
+    syndrome_powers = powers[orders * positions % code.n_full]
+
+    # multiplying by the constant alpha^(l*j) is GF(2)-linear in the
+    # bits of lambda_j: bit b contributes alpha^(b + l*j)
+    probes = np.arange(1, code.n_full + 1, dtype=np.int32)
+    probe_bytes = -(-code.n_full // 8)
+    packed = np.zeros(  # probe rows padded to whole uint64 words
+        ((t + 1) * m, m, -(-probe_bytes // 8) * 8), dtype=np.uint8
+    )
+    for j in range(t + 1):  # one order at a time
+        terms = powers[(shifts[:, None] + probes * j) % code.n_full]
+        value_bits = (terms[:, None, :] >> shifts[:, None]) & 1
+        packed[j * m : (j + 1) * m, :, :probe_bytes] = np.packbits(
+            value_bits.astype(np.uint8), axis=2, bitorder="little"
+        )
+
+    tables = _CodeTables(
+        syndrome_powers=syndrome_powers,
+        chien_bits=np.ascontiguousarray(packed.view(np.uint64).transpose(1, 2, 0)),
+    )
+    tables.syndrome_powers.setflags(write=False)
+    tables.chien_bits.setflags(write=False)
+    return tables
 
 
 def _mask_select(mask: int, if_true: int, if_false: int) -> int:
@@ -42,18 +119,18 @@ class ConstantTimeBCHDecoder:
     * the *annotated* scalar schedule (always used when a real
       :class:`~repro.metrics.OpCounter` is attached) — the cycle/golden
       model whose operation counts reproduce Table I;
-    * a *vectorized* numpy fast path for purely functional runs, which
-      evaluates the syndrome accumulation and the Chien search over all
-      probe positions at once through the GF(2^9) table arrays
-      (:meth:`repro.gf.field.GF2m.mul_vec` and friends).  It is
-      bit-identical to the scalar schedule (asserted by the test suite)
-      and roughly an order of magnitude faster in wall-clock terms.
+    * an uncounted numpy engine over the per-code tables of
+      :func:`_code_tables`, bit-identical to the scalar schedule
+      (asserted by the test suite).  :meth:`decode` runs it on one
+      word; :meth:`decode_many` runs the same fixed schedule with the
+      batch as the vector axis, and hands a one-word batch to
+      :meth:`decode` (lanes only pay from two words up).
 
     ``vectorized=False`` pins the scalar engine even on uncounted runs
     (used by the benchmark harness to measure the speedup honestly).
     """
 
-    def __init__(self, code: BCHCode, vectorized: bool = True):
+    def __init__(self, code: BCHCode, vectorized: bool = True) -> None:
         self.code = code
         self.field = code.field
         self.vectorized = vectorized
@@ -61,7 +138,7 @@ class ConstantTimeBCHDecoder:
     def _use_vectorized(self, counter: OpCounter) -> bool:
         return self.vectorized and isinstance(counter, NullCounter)
 
-    def _ct_mul(self, counter: OpCounter):
+    def _ct_mul(self, counter: OpCounter) -> Callable[[int, int], int]:
         """The constant-time multiply for this run.
 
         When operations are being counted, the genuine shift-and-add
@@ -112,28 +189,77 @@ class ConstantTimeBCHDecoder:
             counter=counter,
         )
 
+    def decode_many(
+        self,
+        words: np.ndarray,
+        counter: OpCounter | None = None,
+        window: str = "natural",
+    ) -> list[DecodeResult]:
+        """Decode a ``(B, n)`` stack of words; equals looping :meth:`decode`.
+
+        Uncounted batches of two or more words run the lanes engine;
+        a counted (or ``vectorized=False``) call and a one-word batch
+        loop the one-word entry, so counts stay those of Table I.
+        """
+        code = self.code
+        counter = ensure_counter(counter)
+        words = np.asarray(words, dtype=np.uint8)
+        if words.ndim != 2 or words.shape[1] != code.n:
+            raise ValueError(f"words must be a (B, {code.n}) array of bits")
+        if np.any(words > 1):
+            raise ValueError("words must contain only 0s and 1s")
+        if len(words) < 2 or not self._use_vectorized(counter):
+            return [self.decode(word, counter, window) for word in words]
+
+        working = words.copy()
+        locators = self._inversion_free_bm_lanes(self._syndromes_lanes(working))
+        flips, roots_found = self._chien_flip_lanes(working, locators, window)
+
+        degrees = ((locators != 0) * np.arange(code.t + 1)).max(axis=1)
+        if window == "message":
+            success = (degrees <= code.t) & (flips <= degrees)
+        else:
+            success = (roots_found == degrees) & (flips == roots_found)
+        messages = working[:, code.parity_bits :].copy()
+        return [
+            DecodeResult(
+                codeword=working[lane],
+                message=messages[lane],
+                errors_found=int(flips[lane]),
+                success=bool(success[lane]),
+                counter=counter,
+            )
+            for lane in range(len(working))
+        ]
+
     # ------------------------------------------------------------------
     # phase 1: dense, masked syndrome accumulation
     # ------------------------------------------------------------------
 
     def _syndromes(self, received: np.ndarray, counter: OpCounter) -> list[int]:
         if self._use_vectorized(counter):
-            return self._syndromes_vec(received)
+            # one word is a one-row stack
+            syndromes: list[int] = self._syndromes_lanes(received[None])[0].tolist()
+            return syndromes
         return self._syndromes_scalar(received, counter)
 
-    def _syndromes_vec(self, received: np.ndarray) -> list[int]:
-        """All 2t syndromes in one table gather (fast path, no counting).
+    def _syndromes_lanes(self, words: np.ndarray) -> np.ndarray:
+        """``(B, n)`` words to ``(B, 2t)`` syndromes (no counting).
 
         Computes exactly the masked dense accumulation of the scalar
-        schedule: term ``alpha^(i*j)`` is multiplied by the received bit
-        (0 or 1) and XOR-folded over every transmitted position.
+        schedule: term ``alpha^(i*j)`` is ANDed with the received bit
+        stretched to a mask (all-zeros or all-ones) and XOR-folded over
+        every transmitted position.
         """
-        code, field = self.code, self.field
-        positions = np.arange(code.n, dtype=np.int64)
-        orders = np.arange(1, 2 * code.t + 1, dtype=np.int64)
-        terms = field.alpha_pow_vec(positions[:, None] * orders[None, :])
-        masked = terms * received.astype(np.int64)[:, None]
-        return [int(s) for s in np.bitwise_xor.reduce(masked, axis=0)]
+        powers = _code_tables(self.code).syndrome_powers
+        masks = -words.astype(np.int16)
+        syndromes = np.empty((len(words), len(powers)), dtype=np.int16)
+        for lo in range(0, len(words), _LANE_CHUNK):
+            chunk = slice(lo, lo + _LANE_CHUNK)
+            np.bitwise_xor.reduce(
+                masks[chunk, None, :] & powers, axis=2, out=syndromes[chunk]
+            )
+        return syndromes.astype(np.intp)
 
     def _syndromes_scalar(self, received: np.ndarray, counter: OpCounter) -> list[int]:
         code, field = self.code, self.field
@@ -217,6 +343,52 @@ class ConstantTimeBCHDecoder:
                 shadow = new_shadow
         return locator
 
+    def _inversion_free_bm_lanes(self, syndromes: np.ndarray) -> np.ndarray:
+        """``(B, 2t)`` syndromes to ``(B, t+1)`` locators, 2t fixed rounds.
+
+        The scalar schedule with every scalar a ``(B,)`` column and
+        every ``if`` an ``np.where``.  ``delta`` and the shadow register
+        only ever feed multiplications and selects, so they are carried
+        as logarithms (zero-safe tables: the product of logs needs no
+        zero test), the shadow already multiplied by x.
+        """
+        t = self.code.t
+        lanes = len(syndromes)
+        log, exp = self.field.zero_safe_tables()
+
+        # round r reads S[r], S[r-1] .. S[r-t] (zero below index 0): a
+        # contiguous window of the reversed, zero-padded syndromes
+        reversed_padded = np.zeros((lanes, 3 * t), dtype=np.intp)
+        reversed_padded[:, : 2 * t] = syndromes[:, ::-1]
+        log_syndromes = log[reversed_padded]
+
+        locator = np.zeros((lanes, t + 1), dtype=np.intp)
+        locator[:, 0] = 1
+        log_shifted_shadow = np.full((lanes, t + 1), log[0])
+        log_shifted_shadow[:, 1] = log[1]
+        log_delta = np.full(lanes, log[1])
+        length = np.zeros(lanes, dtype=np.intp)
+
+        for r in range(2 * t):
+            log_locator = log[locator]
+            window = log_syndromes[:, 2 * t - 1 - r : 3 * t - r]
+            discrepancy = np.bitwise_xor.reduce(exp[log_locator + window], axis=1)
+            log_discrepancy = log[discrepancy]
+
+            # locator' = delta * locator - discrepancy * x * shadow
+            left = exp[log_delta[:, None] + log_locator]
+            right = exp[log_discrepancy[:, None] + log_shifted_shadow]
+
+            # does this round reset the shadow register (d != 0 and 2L <= r)?
+            take = (discrepancy != 0) & (length <= r // 2)
+            log_shifted_shadow[:, 1:] = np.where(
+                take[:, None], log_locator[:, :-1], log_shifted_shadow[:, :-1]
+            )
+            log_delta = np.where(take, log_discrepancy, log_delta)
+            length = np.where(take, r + 1 - length, length)
+            locator = left ^ right
+        return locator
+
     # ------------------------------------------------------------------
     # phase 3: Chien search + masked correction over the message window
     # ------------------------------------------------------------------
@@ -229,40 +401,66 @@ class ConstantTimeBCHDecoder:
         window: str,
     ) -> tuple[int, int]:
         if self._use_vectorized(counter):
-            return self._chien_flip_vec(working, locator, window)
+            # one word is a one-row stack (a view: corrected in place)
+            flips, roots_found = self._chien_flip_lanes(
+                working[None], np.array([locator]), window
+            )
+            return int(flips[0]), int(roots_found[0])
         return self._chien_flip_scalar(working, locator, counter, window)
 
-    def _chien_flip_vec(
-        self,
-        working: np.ndarray,
-        locator: list[int],
-        window: str,
-    ) -> tuple[int, int]:
-        """Chien search over the whole probe window at once (fast path).
+    def _chien_slices(self, window: str) -> tuple[slice, slice, slice]:
+        """The fixed index sets of one probe window.
+
+        Returns ``(probes, flagged, positions)``: the window's rows of
+        the natural-window tables, the probes within the window that
+        flag a transmitted position, and the positions they flag.  A
+        root at ``alpha^l`` flags position ``n_full - l``, so
+        ``positions`` runs against ``flagged``: flip with
+        ``word[positions] ^= is_root[flagged][::-1]``.
+        """
+        code = self.code
+        start, stop = code.chien_window(window)
+        first = max(start, code.n_full - code.n + 1)
+        return (
+            slice(start - 1, stop),
+            slice(first - start, stop - start + 1),
+            slice(code.n_full - stop, code.n_full - first + 1),
+        )
+
+    def _chien_flip_lanes(
+        self, working: np.ndarray, locators: np.ndarray, window: str
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Full Chien sweep of a ``(B, n)`` stack (no counting).
 
         The scalar schedule steps ``terms[j] = lambda_j * alpha^(l*j)``
-        one probe at a time; evaluating the closed form directly over
-        the full exponent range gives the identical root set in two
-        table gathers and one XOR reduction.
+        one probe at a time.  Here every bit of ``Lambda(alpha^l)`` at
+        every probe is a parity over the ``(t+1)*m`` locator bits: each
+        bit, stretched to a mask, selects its row of probe words and the
+        rows are XOR-folded.  The whole natural window is always swept
+        (it is one table; narrower windows slice the result); a probe is
+        a root when none of its m value bits is set.  Corrects
+        ``working`` in place through the window's fixed slices and
+        returns ``(flips, roots_found)`` per lane.
         """
-        code, field = self.code, self.field
-        t = code.t
-        start, stop = code.chien_window(window)
-        probes = np.arange(start, stop + 1, dtype=np.int64)
-        orders = np.arange(1, t + 1, dtype=np.int64)
-        lambdas = np.array(locator[1 : t + 1], dtype=np.int64)
-        terms = field.mul_vec(
-            lambdas[None, :],
-            field.alpha_pow_vec(probes[:, None] * orders[None, :]),
-        )
-        values = locator[0] ^ np.bitwise_xor.reduce(terms, axis=1)
-        is_root = values == 0
-        roots_found = int(np.count_nonzero(is_root))
-        positions = (code.n_full - probes) % code.n_full
-        flip = is_root & (positions < code.n)
-        flips = int(np.count_nonzero(flip))
-        working[positions[flip]] ^= 1
-        return flips, roots_found
+        m = self.field.m
+        lanes = len(working)
+        probes, flagged, positions = self._chien_slices(window)
+        table = _code_tables(self.code).chien_bits
+        bits = ((locators[:, :, None] >> np.arange(m)) & 1).reshape(lanes, -1)
+        masks = (-bits).astype(np.uint64)  # 0 or all ones
+
+        values = np.empty((lanes,) + table.shape[:2], dtype=np.uint64)
+        for lo in range(0, lanes, _LANE_CHUNK):
+            chunk = slice(lo, lo + _LANE_CHUNK)
+            np.bitwise_xor.reduce(
+                masks[chunk, None, None, :] & table, axis=3, out=values[chunk]
+            )
+        nonzero = np.bitwise_or.reduce(values, axis=1).view(np.uint8)
+        is_root = np.unpackbits(nonzero, axis=1, bitorder="little")[:, probes] == 0
+
+        hits = is_root[:, flagged]
+        working[:, positions] ^= hits[:, ::-1]
+        return np.count_nonzero(hits, axis=1), np.count_nonzero(is_root, axis=1)
 
     def _chien_flip_scalar(
         self,

@@ -92,26 +92,31 @@ class MessageCodec:
         """
         params = self.params
         counter = ensure_counter(counter)
-        q, half = params.q, params.half_q
-        cw_len = params.codeword_bits
         if noisy.size != params.v_slots:
             raise ValueError(f"expected {params.v_slots} coefficients")
-
-        values = np.mod(noisy, q)
-        d0 = np.minimum(values, q - values)
-        shifted = np.mod(values - half, q)
-        d1 = np.minimum(shifted, q - shifted)
         with counter.phase("threshold"):
             counter.count("loop", params.v_slots)
             counter.count("load", params.v_slots)
             counter.count("alu", 4 * params.v_slots)
             counter.count("branch", params.v_slots)
-            counter.count("store", cw_len)
+            counter.count("store", params.codeword_bits)
+        return self._hard_bits(noisy)
+
+    def _hard_bits(self, noisy: np.ndarray) -> np.ndarray:
+        """The threshold rule along the last axis (one word or a stack)."""
+        params = self.params
+        q, half = params.q, params.half_q
+        cw_len = params.codeword_bits
+
+        values = np.mod(noisy, q)
+        d0 = np.minimum(values, q - values)
+        shifted = np.mod(values - half, q)
+        d1 = np.minimum(shifted, q - shifted)
         if params.d2:
-            bit_metric0 = d0[:cw_len] + d0[cw_len : 2 * cw_len]
-            bit_metric1 = d1[:cw_len] + d1[cw_len : 2 * cw_len]
+            bit_metric0 = d0[..., :cw_len] + d0[..., cw_len : 2 * cw_len]
+            bit_metric1 = d1[..., :cw_len] + d1[..., cw_len : 2 * cw_len]
             return (bit_metric1 < bit_metric0).astype(np.uint8)
-        return (d1[:cw_len] < d0[:cw_len]).astype(np.uint8)
+        return (d1[..., :cw_len] < d0[..., :cw_len]).astype(np.uint8)
 
     def decode(
         self,
@@ -134,10 +139,33 @@ class MessageCodec:
             result = self.ct_decoder.decode(hard_bits, counter)
         else:
             result = self.decoder.decode(hard_bits, counter)
-        channel_errors = int(np.count_nonzero(hard_bits != result.codeword))
-        message = bits_to_bytes(result.message)
+        return self._decoded(hard_bits, result)
+
+    def decode_many(self, noisy_rows: np.ndarray) -> list[DecodedMessage]:
+        """Decode a ``(B, v_slots)`` stack; equals looping :meth:`decode`.
+
+        Uncounted and constant-time only: the rows are thresholded at
+        once and corrected by
+        :meth:`~repro.bch.ct_decoder.ConstantTimeBCHDecoder.decode_many`.
+        """
+        noisy_rows = np.asarray(noisy_rows)
+        if noisy_rows.ndim != 2 or noisy_rows.shape[1] != self.params.v_slots:
+            raise ValueError(
+                f"expected rows of {self.params.v_slots} coefficients"
+            )
+        hard_rows = self._hard_bits(noisy_rows)
+        results = self.ct_decoder.decode_many(hard_rows)
+        return [
+            self._decoded(hard_bits, result)
+            for hard_bits, result in zip(hard_rows, results)
+        ]
+
+    @staticmethod
+    def _decoded(hard_bits: np.ndarray, result: DecodeResult) -> DecodedMessage:
         return DecodedMessage(
-            message=message, bch_result=result, channel_errors=channel_errors
+            message=bits_to_bytes(result.message),
+            bch_result=result,
+            channel_errors=int(np.count_nonzero(hard_bits != result.codeword)),
         )
 
     # ------------------------------------------------------------------

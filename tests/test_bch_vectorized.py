@@ -1,9 +1,9 @@
-"""Parity tests: vectorized constant-time BCH decode vs the scalar engine.
+"""Parity tests: the uncounted numpy BCH engine vs the scalar engine.
 
-The vectorized syndrome/Chien kernels are a pure acceleration — for
-every input the decoder must return exactly what the scalar engine
-returns, and cycle-accounted runs must keep using the scalar engine so
-the counts of Table I stay exact.
+The numpy kernels — one word at a time or a whole batch as the vector
+axis — are a pure acceleration: for every input the decoder must return
+exactly what the scalar engine returns, and cycle-accounted runs must
+keep using the scalar engine so the counts of Table I stay exact.
 """
 
 import numpy as np
@@ -11,7 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bch.code import LAC_BCH_128_256, LAC_BCH_192
-from repro.bch.ct_decoder import ConstantTimeBCHDecoder
+from repro.bch.ct_decoder import ConstantTimeBCHDecoder, _code_tables
+from repro.lac.encoding import MessageCodec
+from repro.lac.kem import LacKem
+from repro.lac.params import ALL_PARAMS
+from repro.lac.pke import Ciphertext
 from repro.metrics import NullCounter, OpCounter
 from tests.test_bch_decoder import make_word
 
@@ -86,3 +90,127 @@ class TestCycleModelUnaffected:
     def test_vectorized_flag_pins_engine(self, code):
         decoder = ConstantTimeBCHDecoder(code, vectorized=False)
         assert not decoder._use_vectorized(NullCounter())
+
+
+def _stack(code, error_counts, seed, parity_region_every=4):
+    """One word per entry of ``error_counts``; every few land in the parity bits."""
+    words = []
+    for lane, n_errors in enumerate(error_counts):
+        in_parity = lane % parity_region_every == 1 and n_errors <= code.parity_bits
+        region = (0, code.parity_bits) if in_parity else None
+        words.append(
+            make_word(code, n_errors, seed=seed + lane, error_region=region)[2]
+        )
+    return np.stack(words)
+
+
+class TestLanesParity:
+    """``decode_many`` equals looping the scalar ``decode``, lane for lane."""
+
+    @pytest.mark.parametrize("params", ALL_PARAMS, ids=lambda p: p.name)
+    @pytest.mark.parametrize("window", ["natural", "message"])
+    @given(data=st.data())
+    @settings(max_examples=6, deadline=None)
+    def test_matches_scalar_decode(self, params, window, data):
+        code = params.bch
+        lanes = data.draw(st.integers(1, 64), label="B")
+        error_counts = data.draw(
+            st.lists(st.integers(0, code.t + 8), min_size=lanes, max_size=lanes),
+            label="errors",
+        )
+        words = _stack(code, error_counts, data.draw(st.integers(0, 500)))
+        many = ConstantTimeBCHDecoder(code).decode_many(words, window=window)
+        scalar = ConstantTimeBCHDecoder(code, vectorized=False)
+        assert len(many) == lanes
+        for word, result in zip(words, many):
+            _assert_same_result(result, scalar.decode(word, window=window))
+
+    def test_garbage_words(self, code):
+        rng = np.random.default_rng(3)
+        words = np.stack(
+            [np.zeros(code.n, np.uint8), np.ones(code.n, np.uint8)]
+            + [rng.integers(0, 2, code.n).astype(np.uint8) for _ in range(5)]
+        )
+        scalar = ConstantTimeBCHDecoder(code, vectorized=False)
+        for word, result in zip(words, ConstantTimeBCHDecoder(code).decode_many(words)):
+            _assert_same_result(result, scalar.decode(word))
+
+    def test_input_is_not_modified_and_results_do_not_alias(self, code):
+        words = _stack(code, [3, code.t, 0], seed=7)
+        before = words.copy()
+        results = ConstantTimeBCHDecoder(code).decode_many(words)
+        assert np.array_equal(words, before)
+        results[0].codeword[:] = 1
+        assert not results[1].codeword.all() and not results[0].message.all()
+
+    def test_rejects_malformed_stacks(self, code):
+        decoder = ConstantTimeBCHDecoder(code)
+        with pytest.raises(ValueError):
+            decoder.decode_many(np.zeros(code.n, np.uint8))
+        with pytest.raises(ValueError):
+            decoder.decode_many(np.zeros((2, code.n + 1), np.uint8))
+        with pytest.raises(ValueError):
+            decoder.decode_many(np.full((2, code.n), 2, np.uint8))
+        assert decoder.decode_many(np.zeros((0, code.n), np.uint8)) == []
+
+    def test_counted_batch_runs_the_scalar_schedule(self, code):
+        words = _stack(code, [0, 4, code.t], seed=11)
+        batch_counter, loop_counter = OpCounter(), OpCounter()
+        many = ConstantTimeBCHDecoder(code).decode_many(words, batch_counter)
+        for word, result in zip(words, many):
+            looped = ConstantTimeBCHDecoder(code).decode(word, loop_counter)
+            _assert_same_result(result, looped)
+        assert batch_counter.phases == loop_counter.phases
+        assert batch_counter.totals()["gf_mul_ct"] > 0
+
+    def test_tables_are_shared_small_and_read_only(self, code):
+        first = ConstantTimeBCHDecoder(code)
+        first.decode_many(_stack(code, [1, 2], seed=1))
+        tables = _code_tables(code)
+        # one set per code, whoever asks and through whichever entry point
+        ConstantTimeBCHDecoder(code).decode(_stack(code, [1], seed=2)[0])
+        assert _code_tables(code) is tables
+        # peak_rss_mb is gated at 5 %: everything persistent stays under 1 MiB
+        assert tables.nbytes <= 1 << 20
+        with pytest.raises(ValueError):
+            tables.syndrome_powers[0, 0] = 1
+
+
+class TestCodecAndKemParity:
+    @pytest.mark.parametrize("params", ALL_PARAMS, ids=lambda p: p.name)
+    def test_codec_decode_many_matches_looped_decode(self, params):
+        # LAC-256 exercises the D2 vote, the other two the plain threshold
+        codec = MessageCodec(params)
+        rng = np.random.default_rng(17)
+        rows = []
+        for lane in range(9):
+            message = bytes(rng.integers(0, 256, params.message_bytes, dtype=np.uint8))
+            noisy = codec.encode(message)[: params.v_slots]
+            # Gaussian-ish noise plus a few coefficients pushed across
+            noisy = noisy + rng.integers(-30, 31, params.v_slots)
+            flipped = rng.choice(params.codeword_bits, size=2 * lane, replace=False)
+            noisy[flipped] += params.half_q
+            rows.append(np.mod(noisy, params.q))
+        rows = np.stack(rows)
+        many = codec.decode_many(rows)
+        for row, batched in zip(rows, many):
+            looped = codec.decode(row)
+            assert batched.message == looped.message
+            assert batched.channel_errors == looped.channel_errors
+            _assert_same_result(batched.bch_result, looped.bch_result)
+        with pytest.raises(ValueError):
+            codec.decode_many(rows[:, :-1])
+
+    @pytest.mark.parametrize("params", ALL_PARAMS, ids=lambda p: p.name)
+    def test_decaps_many_with_tampered_ciphertexts(self, params):
+        kem = LacKem(params)
+        pair = kem.keygen(bytes(range(64)))
+        messages = [bytes([i, 0x3C] * 16) for i in range(12)]
+        cts = [r.ciphertext for r in kem.encaps_many(pair.public_key, messages)]
+        for lane in range(0, len(cts), 4):  # 1 in 4 tampered
+            good = cts[lane]
+            cts[lane] = Ciphertext(
+                params, np.mod(good.u + 1, params.q), good.v_compressed
+            )
+        batch = kem.decaps_many(pair.secret_key, cts)
+        assert batch == [kem.decaps(pair.secret_key, ct) for ct in cts]
