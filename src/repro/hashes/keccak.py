@@ -10,18 +10,12 @@ XOFs from scratch (verified against ``hashlib`` in the test suite);
 the hardware model lives in :mod:`repro.hw.keccak_accel`.
 
 One ``keccak_f`` operation is recorded per permutation so the cycle
-models can price software vs. accelerator execution.  When nothing is
-counted, the SHAKE entry points (:func:`shake128`, :func:`shake256`,
-:class:`ShakePrng`) delegate to the C implementation in ``hashlib``
-(bit-identical — a tested invariant), as :mod:`repro.hashes.sha256`
-does; :class:`KeccakSponge` itself is always the from-scratch sponge.
+models can price software vs. accelerator execution.
 """
 
 from __future__ import annotations
 
-import hashlib
-
-from repro.metrics import NullCounter, OpCounter, ensure_counter
+from repro.metrics import OpCounter, ensure_counter
 
 _MASK64 = (1 << 64) - 1
 
@@ -105,7 +99,7 @@ class KeccakSponge:
         rate_bytes: int,
         domain_suffix: int = 0x1F,
         counter: OpCounter | None = None,
-    ) -> None:
+    ):
         if not 0 < rate_bytes < 200:
             raise ValueError("rate must be between 1 and 199 bytes")
         self.rate = rate_bytes
@@ -162,15 +156,11 @@ class KeccakSponge:
 
 def shake128(data: bytes, n: int, counter: OpCounter | None = None) -> bytes:
     """SHAKE-128 XOF: ``n`` output bytes."""
-    if isinstance(ensure_counter(counter), NullCounter):
-        return hashlib.shake_128(data).digest(n)
     return KeccakSponge(168, counter=counter).absorb(data).squeeze(n)
 
 
 def shake256(data: bytes, n: int, counter: OpCounter | None = None) -> bytes:
     """SHAKE-256 XOF: ``n`` output bytes."""
-    if isinstance(ensure_counter(counter), NullCounter):
-        return hashlib.shake_256(data).digest(n)
     return KeccakSponge(136, counter=counter).absorb(data).squeeze(n)
 
 
@@ -182,42 +172,20 @@ class ShakePrng:
     accelerator would back for LAC.  Per-byte stream-management
     overhead is recorded as ``prng_byte`` exactly like the SHA-256
     expander, so the two are comparable under the same cost model.
-
-    Uncounted streams are served from ``hashlib.shake_128``.  Its
-    ``digest(n)`` always restarts at byte 0, so reads are cut from a
-    buffered prefix of the stream that is re-squeezed at twice the
-    length whenever a read runs past it.
     """
 
-    def __init__(self, seed: bytes, counter: OpCounter | None = None) -> None:
+    def __init__(self, seed: bytes, counter: OpCounter | None = None):
         if not isinstance(seed, (bytes, bytearray)):
             raise TypeError("seed must be bytes")
         self.seed = bytes(seed)
         self._counter = ensure_counter(counter)
-        counted = not isinstance(self._counter, NullCounter)
-        self._sponge = (
-            KeccakSponge(168, counter=self._counter).absorb(self.seed)
-            if counted
-            else None
-        )
-        # uncounted: hashlib's XOF and the stream prefix squeezed so far
-        self._xof = hashlib.shake_128(self.seed)
-        self._prefix = b""
-        self._position = 0
+        self._sponge = KeccakSponge(168, counter=self._counter)
+        self._sponge.absorb(self.seed)
 
     def read(self, n: int) -> bytes:
         """The next ``n`` stream bytes (records per-byte overhead)."""
-        if self._sponge is not None:
-            out = self._sponge.squeeze(n)
-            self._counter.count("prng_byte", n)
-            return out
-        if n < 0:
-            raise ValueError("cannot squeeze a negative number of bytes")
-        end = self._position + n
-        if end > len(self._prefix):
-            self._prefix = self._xof.digest(max(end, 2 * len(self._prefix), 168))
-        out = self._prefix[self._position : end]
-        self._position = end
+        out = self._sponge.squeeze(n)
+        self._counter.count("prng_byte", n)
         return out
 
     def read_u8(self) -> int:

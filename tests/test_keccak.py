@@ -35,34 +35,27 @@ class TestPermutation:
 
 
 class TestShakeVectors:
-    """The from-scratch sponge against ``hashlib``.
-
-    A live counter pins the pure-Python sponge: uncounted calls delegate
-    to ``hashlib`` and would compare it with itself.
-    """
-
     def test_shake128_empty(self):
-        assert shake128(b"", 32, OpCounter()) == hashlib.shake_128(b"").digest(32)
+        assert shake128(b"", 32) == hashlib.shake_128(b"").digest(32)
 
     def test_shake256_empty(self):
-        assert shake256(b"", 32, OpCounter()) == hashlib.shake_256(b"").digest(32)
+        assert shake256(b"", 32) == hashlib.shake_256(b"").digest(32)
 
     @given(data=st.binary(max_size=400), n=st.integers(1, 200))
     @settings(max_examples=30, deadline=None)
     def test_shake128_matches_hashlib(self, data, n):
-        assert shake128(data, n, OpCounter()) == hashlib.shake_128(data).digest(n)
+        assert shake128(data, n) == hashlib.shake_128(data).digest(n)
 
     @given(data=st.binary(max_size=300), n=st.integers(1, 100))
     @settings(max_examples=20, deadline=None)
     def test_shake256_matches_hashlib(self, data, n):
-        assert shake256(data, n, OpCounter()) == hashlib.shake_256(data).digest(n)
+        assert shake256(data, n) == hashlib.shake_256(data).digest(n)
 
     def test_rate_boundary_messages(self):
         # absorb exactly one rate, one rate - 1, one rate + 1
         for size in (167, 168, 169, 335, 336, 337):
             data = bytes(size)
-            pure = shake128(data, 64, OpCounter())
-            assert pure == hashlib.shake_128(data).digest(64), size
+            assert shake128(data, 64) == hashlib.shake_128(data).digest(64), size
 
     def test_incremental_absorb(self):
         sponge = KeccakSponge(168)
@@ -96,58 +89,6 @@ class TestShakeVectors:
         shake128(bytes(200), 200, counter=counter)
         # 200 bytes absorb = 2 blocks; 200 bytes squeeze = 2 more
         assert counter.totals()["keccak_f"] == 4
-
-
-class TestFastPath:
-    """Uncounted SHAKE goes through ``hashlib``; the stream must not change."""
-
-    @pytest.fixture
-    def no_python_permutation(self, monkeypatch):
-        def forbidden(state):
-            raise AssertionError("the pure-Python permutation ran uncounted")
-
-        monkeypatch.setattr("repro.hashes.keccak.keccak_f1600", forbidden)
-
-    def test_uncounted_calls_skip_the_python_sponge(self, no_python_permutation):
-        assert shake128(b"abc", 400) == hashlib.shake_128(b"abc").digest(400)
-        assert shake256(b"abc", 400) == hashlib.shake_256(b"abc").digest(400)
-        prng = ShakePrng(b"seed")
-        prng.read(7)
-        prng.fork(b"child").read_u32()
-        prng.uniform_below(12289)
-
-    def test_counted_calls_still_count(self):
-        counter = OpCounter()
-        assert shake256(bytes(10), 300, counter) == shake256(bytes(10), 300)
-        # one absorb block, 300 bytes squeezed at rate 136 = three more
-        assert counter.totals()["keccak_f"] == 4
-
-    @given(
-        seed=st.binary(max_size=200),
-        reads=st.lists(st.integers(0, 700), min_size=1, max_size=12),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_prng_stream_matches_the_sponge_at_any_split(self, seed, reads):
-        fast = ShakePrng(seed)
-        stream = KeccakSponge(168).absorb(seed).squeeze(sum(reads))
-        offset = 0
-        for n in reads:
-            assert fast.read(n) == stream[offset : offset + n]
-            offset += n
-
-    @given(seed=st.binary(min_size=1, max_size=64), label=st.binary(max_size=16))
-    @settings(max_examples=10, deadline=None)
-    def test_fork_matches_counted_fork(self, seed, label):
-        fast = ShakePrng(seed).fork(label)
-        pure = ShakePrng(seed, counter=OpCounter()).fork(label)
-        assert fast.seed == pure.seed
-        assert fast.read(40) == pure.read(40)
-
-    def test_negative_read_rejected_on_both_paths(self):
-        with pytest.raises(ValueError):
-            ShakePrng(b"x").read(-1)
-        with pytest.raises(ValueError):
-            ShakePrng(b"x", counter=OpCounter()).read(-1)
 
 
 class TestShakePrng:
