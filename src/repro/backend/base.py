@@ -21,13 +21,14 @@ Every implementation provides the same contract, and — like the
 paper's one custom opcode with the unit selected by ``funct3`` — it
 has exactly one submission entry point:
 
-``submit(scheme, params, op, pair, items, *, wrapper=None) -> Future[list]``
-    ``op`` is ``"KEYGEN"`` (``items`` are seeds, ``pair`` is ``None``,
+``submit(scheme, params, op, pairs, items, *, wrapper=None) -> Future[list]``
+    ``op`` is ``"KEYGEN"`` (``items`` are seeds, ``pairs`` is ``None``,
     resolves to scheme pairs), ``"ENCAPS"`` (messages in, ``(ct_bytes,
     shared)`` out) or ``"DECAPS"`` (wire ciphertexts in, shared secrets
-    out).  The kernel is the :class:`repro.schemes.KemScheme` adapter;
-    the backend only decides *where* it runs and hands it the per-key
-    transform cache.
+    out); ``pairs[i]`` is the key pair ``items[i]`` runs under — one
+    batch serves many hosted keys of one parameter set.  The kernel is
+    the :class:`repro.schemes.KemScheme` adapter; the backend only
+    decides *where* it runs and hands it the per-key transform cache.
 ``register_key(scheme, params, pair)`` — decline unsupported schemes,
     warm the per-key transform cache, return its fingerprints
 ``invalidate_key(...)``   — reclaim cache entries on key removal
@@ -35,14 +36,15 @@ has exactly one submission entry point:
 ``warmup()``              — pay table-building/spawn cost up front
 ``close()``               — graceful drain; idempotent
 ``stats()``               — submission/restart/cache counters for metrics
+``slots``                 — how many batches it executes at once
 
 What each backend does with ``submit``: inline runs the adapter in the
 caller; thread runs it on a pool thread (``fan_out`` chunks ``items``
 across an inner pool); process ships LAC batches to worker processes
-as key blob + fingerprint and wire bytes, and runs any scheme it has
-no wire for on its supervisor threads; cosim runs the counted scalar
-``LacKem`` per item and therefore declines every scheme but LAC at
-registration.
+as key blob + fingerprint and wire bytes (one pair's lanes at a time:
+its wire is per key), and runs any scheme it has no wire for on its
+supervisor threads; cosim runs the counted scalar ``LacKem`` per item
+and therefore declines every scheme but LAC at registration.
 
 Backends own a per-key :class:`repro.ring.KeyTransformCache`: batches
 under a hosted key reuse the forward FFT of the key-side ring operands
@@ -96,17 +98,18 @@ def run_op(
     scheme: KemScheme,
     params: Any,
     op: str,
-    pair: Any,
+    pairs: Sequence[Any] | None,
     items: Sequence[Any],
     cache: KeyTransformCache | None,
 ) -> list[Any]:
     """The kernel behind :meth:`KemBackend.submit`: the scheme adapter
     (``op`` is one of :data:`OPS` — ``submit`` checked it)."""
+    if op == "KEYGEN":
+        return [scheme.keygen(params, seed) for seed in items]
+    assert pairs is not None  # ``submit`` checked: one per item
     if op == "ENCAPS":
-        return scheme.encaps_many(params, pair, items, cache)
-    if op == "DECAPS":
-        return scheme.decaps_many(params, pair, items, cache)
-    return [scheme.keygen(params, seed) for seed in items]
+        return scheme.encaps_each(params, pairs, items, cache)
+    return scheme.decaps_each(params, pairs, items, cache)
 
 
 class KemBackend(ABC):
@@ -153,17 +156,19 @@ class KemBackend(ABC):
         scheme: KemScheme,
         params: Any,
         op: str,
-        pair: Any,
+        pairs: Sequence[Any] | None,
         items: Sequence[Any],
         *,
         wrapper: KernelWrapper | None = None,
     ) -> Future[list[Any]]:
-        """Run one ``op`` batch under ``pair``; resolves positionally.
+        """Run one ``op`` batch, ``items[i]`` under ``pairs[i]``;
+        resolves positionally.
 
         ENCAPS/DECAPS take and return the wire bytes
         ``KemScheme.encaps_many``/``decaps_many`` speak; KEYGEN takes
-        seeds (``None`` = OS randomness) and returns scheme pairs.
-        Empty batches resolve immediately without touching a pool.
+        seeds (``None`` = OS randomness) and ``pairs=None``, and
+        returns scheme pairs.  Empty batches resolve immediately
+        without touching a pool.
         """
         self._check_open()
         if op not in OPS:
@@ -171,8 +176,11 @@ class KemBackend(ABC):
         batch = list(items)
         if not batch:
             return self._done([])
+        lanes = None if op == "KEYGEN" else list(pairs or ())
+        if lanes is not None and len(lanes) != len(batch):
+            raise ValueError(f"{op} takes one pair per item")
         return self._spawn(
-            wrapper, lambda: self._kernel(scheme, params, op, pair, batch)
+            wrapper, lambda: self._kernel(scheme, params, op, lanes, batch)
         )
 
     @abstractmethod
@@ -182,10 +190,15 @@ class KemBackend(ABC):
         """Run ``self._tracked(wrapper, work)`` where this backend executes."""
 
     def _kernel(
-        self, scheme: KemScheme, params: Any, op: str, pair: Any, batch: list[Any]
+        self,
+        scheme: KemScheme,
+        params: Any,
+        op: str,
+        pairs: list[Any] | None,
+        batch: list[Any],
     ) -> list[Any]:
         """What runs inside :meth:`_spawn`: by default the adapter itself."""
-        return run_op(scheme, params, op, pair, batch, self.transform_cache)
+        return run_op(scheme, params, op, pairs, batch, self.transform_cache)
 
     def keygen(self, params: Any, seed: bytes | None = None) -> Any:
         """Generate a single key pair synchronously (convenience)."""
@@ -237,8 +250,10 @@ class KemBackend(ABC):
             scheme, params = resolve(spec)
             pair = self.keygen(params, _WARMUP_SEED * scheme.seed_len(params))
             message = b"\x00" * scheme.message_bytes(params)
-            [(ct, _)] = self.submit(scheme, params, "ENCAPS", pair, [message]).result()
-            self.submit(scheme, params, "DECAPS", pair, [ct]).result()
+            [(ct, _)] = self.submit(
+                scheme, params, "ENCAPS", [pair], [message]
+            ).result()
+            self.submit(scheme, params, "DECAPS", [pair], [ct]).result()
 
     def close(self, wait: bool = True) -> None:
         """Release backend resources; idempotent.
@@ -277,6 +292,16 @@ class KemBackend(ABC):
         out of autoscaling entirely.
         """
         return None
+
+    @property
+    def slots(self) -> int:
+        """How many submitted batches execute at once; one more only
+        waits in the backend's own queue, where no later request can
+        join it.  The serving layer hands over a deadline-flushed batch
+        while a slot is free and lets the rest keep filling.  One here
+        (the caller's thread, a single simulated core); pools report
+        their size."""
+        return 1
 
     def resize(self, workers: int) -> bool:
         """Grow or shrink the worker pool to ``workers``; ``False`` =

@@ -143,7 +143,12 @@ class CosimBackend(KemBackend):
         return cycles
 
     def _kernel(
-        self, scheme: KemScheme, params: LacParams, op: str, pair: Any, batch: list[Any]
+        self,
+        scheme: KemScheme,
+        params: LacParams,
+        op: str,
+        pairs: list[Any] | None,
+        batch: list[Any],
     ) -> list[Any]:
         """Execute ``batch`` serially on the counted scalar ``LacKem``,
         one counter per request, speaking the adapter's wire bytes."""
@@ -151,7 +156,7 @@ class CosimBackend(KemBackend):
         kem = self._model_for(params).kem
         results: list[Any] = []
         batch_cycles = 0
-        for item in batch:
+        for pair, item in zip(pairs or [None] * len(batch), batch, strict=True):
             counter = OpCounter()
             if op == "ENCAPS":
                 enc = kem.encaps(pair.public_key, message=item, counter=counter)

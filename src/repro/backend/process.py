@@ -16,7 +16,8 @@ Design points:
 * **ships what it has a wire for** — LAC batches cross the pipe as the
   wire bytes :meth:`~repro.backend.base.KemBackend.submit` already
   speaks (no ``Ciphertext``/``EncapsResult`` is re-hydrated
-  parent-side); a scheme with no process wire runs its adapter on the
+  parent-side), one pair's lanes at a time — the wire is per key; a
+  scheme with no process wire runs its adapter on the
   supervisor threads instead — off the submitting thread, on the
   parent's interpreter;
 * **zero-copy wire** — bulk payloads (ciphertext blobs down for
@@ -83,6 +84,7 @@ from repro.lac.params import ALL_PARAMS, LacParams
 from repro.lac.pke import Ciphertext, PublicKey
 from repro.ring.cache import DEFAULT_CACHE_ENTRIES, KeyTransformCache, fingerprint
 from repro.schemes import KemScheme
+from repro.schemes.base import per_pair
 
 #: Smallest per-process sub-chunk worth the dispatch round trip; a
 #: 64-op batch on 8 workers still lands at 8 ops per process.
@@ -168,8 +170,10 @@ def _worker_init(param_names: Sequence[str], cache_entries: int) -> None:
         kem = _worker_kem(name)
         params = kem.params
         pair = kem.keygen(b"\x2a" * (params.seed_bytes + 32))
-        results = _encaps_chunk(kem, pair.public_key, [b"\x00" * params.message_bytes])
-        _decaps_chunk(kem, pair.secret_key, [r.ciphertext for r in results])
+        results = _encaps_chunk(
+            kem, [pair.public_key], [b"\x00" * params.message_bytes]
+        )
+        _decaps_chunk(kem, [pair.secret_key], [r.ciphertext for r in results])
 
 
 def _resolve_key(
@@ -233,7 +237,7 @@ def _worker_encaps(
     kem = _worker_kem(params_name)
     pk, key_hit = _resolve_key("pk", params_name, key_ref)
     before = _cache_counters()
-    results = _encaps_chunk(kem, pk, messages, _WORKER_CACHE)
+    results = _encaps_chunk(kem, [pk] * len(messages), messages, _WORKER_CACHE)
     stats = _stats_delta(before, key_hit)
     if out_seg is None:
         return [(r.ciphertext.to_bytes(), r.shared_secret) for r in results], stats
@@ -275,7 +279,9 @@ def _worker_decaps(
     assert ct_blobs is not None
     before = _cache_counters()
     ciphertexts = [Ciphertext.from_bytes(kem.params, blob) for blob in ct_blobs]
-    shared = _decaps_chunk(kem, keys, ciphertexts, _WORKER_CACHE)
+    shared = _decaps_chunk(
+        kem, [keys] * len(ciphertexts), ciphertexts, _WORKER_CACHE
+    )
     return shared, _stats_delta(before, key_hit)
 
 
@@ -388,6 +394,12 @@ class ProcessBackend(KemBackend):
     @property
     def workers(self) -> int | None:
         """Configured worker-process count (the pool tracks it lazily)."""
+        with self._pool_lock:
+            return self._workers
+
+    @property
+    def slots(self) -> int:
+        """One batch per worker process."""
         with self._pool_lock:
             return self._workers
 
@@ -550,18 +562,31 @@ class ProcessBackend(KemBackend):
     # -- the contract ---------------------------------------------------
 
     def _kernel(
-        self, scheme: KemScheme, params: Any, op: str, pair: Any, batch: list[Any]
+        self,
+        scheme: KemScheme,
+        params: Any,
+        op: str,
+        pairs: list[Any] | None,
+        batch: list[Any],
     ) -> list[Any]:
-        """LAC batches fan out across the worker processes; a scheme
-        with no process wire runs its adapter here, on the supervisor
-        thread — never on the submitter, which for a service is the
-        event loop."""
+        """LAC batches fan out across the worker processes, one pair's
+        lanes per trip over the per-key wire; a scheme with no process
+        wire runs its adapter here, on the supervisor thread — never on
+        the submitter, which for a service is the event loop."""
         if scheme.name != "lac":
-            return super()._kernel(scheme, params, op, pair, batch)
-        if op == "ENCAPS":
-            return self._ship(params, "pk", pair.public_key.to_bytes(), batch)
-        if op == "DECAPS":
-            return self._ship(params, "sk", pair.secret_key.to_bytes(), batch)
+            return super()._kernel(scheme, params, op, pairs, batch)
+        if pairs is not None:
+            encaps = op == "ENCAPS"
+            return per_pair(
+                pairs,
+                batch,
+                lambda pair, items: self._ship(
+                    params,
+                    "pk" if encaps else "sk",
+                    (pair.public_key if encaps else pair.secret_key).to_bytes(),
+                    items,
+                ),
+            )
         # keygen stays on the bytes wire: batches are rare, small, and
         # dominated by sampling rather than serialization
         calls = [(params.name, chunk) for chunk in self._chunk(batch)]

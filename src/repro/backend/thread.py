@@ -83,6 +83,12 @@ class ThreadBackend(KemBackend):
         """Owned-pool size (``None`` for a borrowed executor)."""
         return self._pool_workers if self._owns_executor else None
 
+    @property
+    def slots(self) -> int:
+        """The pool's thread count (the default size for a borrowed
+        executor, whose own is not ours to read)."""
+        return self._pool_workers
+
     def resize(self, workers: int) -> bool:
         """Swap in a pool of ``workers`` threads (owned pools only).
 
@@ -120,16 +126,24 @@ class ThreadBackend(KemBackend):
             return self._executor.submit(self._tracked, wrapper, work)
 
     def _kernel(
-        self, scheme: KemScheme, params: Any, op: str, pair: Any, batch: list[Any]
+        self,
+        scheme: KemScheme,
+        params: Any,
+        op: str,
+        pairs: list[Any] | None,
+        batch: list[Any],
     ) -> list[Any]:
         """The adapter, chunked over ``batch`` when ``fan_out`` is set."""
         cache = self.transform_cache
-        return _fan_out(
-            lambda chunk: run_op(scheme, params, op, pair, chunk, cache),
-            batch,
-            self._fan_out,
-            self._fan_pool,
-        )
+        if self._fan_out is None:
+            return run_op(scheme, params, op, pairs, batch, cache)
+        lanes = list(zip(pairs or [None] * len(batch), batch, strict=True))
+
+        def run_chunk(chunk: list[tuple[Any, Any]]) -> list[Any]:
+            chunk_pairs, items = zip(*chunk, strict=True)
+            return run_op(scheme, params, op, chunk_pairs, items, cache)
+
+        return _fan_out(run_chunk, lanes, self._fan_out, self._fan_pool)
 
     def stats(self) -> dict[str, Any]:
         """Submission counters plus the pool size."""

@@ -12,11 +12,21 @@ across all three LAC parameter sets).
 
 Amortization wins on top of vectorization:
 
-* ``a = GenA(seed_a)`` is expanded **once per batch** instead of once
-  per operation (both in encapsulation and in the decapsulation
-  re-encryption);
-* the public-key digest is hashed once per batch;
+* ``a = GenA(seed_a)`` is expanded **once per distinct key of a
+  batch** instead of once per operation (both in encapsulation and in
+  the decapsulation re-encryption);
+* the public-key digest is hashed once per distinct key;
 * SHA-256 runs through the hashlib-backed fast path throughout.
+
+**Per-lane keys.**  The kernels (:func:`_encrypt_batch`,
+:func:`_encaps_chunk`, :func:`_decaps_chunk`) take one key per lane —
+the paper's MUL TER loads a fresh general operand every run, and a
+served batch likewise mixes the requests of many hosted keys.  The
+batch's K distinct keys are resolved once each (through the transform
+cache when there is one) — never once per lane — and their ``(n,)``
+operands and ``(n+1,)`` transforms gathered by lane index into the one
+ring product; K = 1 — what :func:`encaps_many`/:func:`decaps_many`
+pass — skips the gather and broadcasts the single operand.
 
 An optional ``workers`` argument fans sub-batches out across a
 ``concurrent.futures`` thread pool; the numpy/hashlib kernels drop the
@@ -137,31 +147,65 @@ def _annotate_cache(hits: int, misses: int) -> None:
         tags["cache_misses"] = tags.get("cache_misses", 0) + misses
 
 
-def _pk_operands(
-    kem: LacKem, pk: PublicKey, cache: KeyTransformCache | None, a: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray | None]:
-    """Resolve ``(a, fa, b, fb)`` for the encryption products.
+def _lanes(keys: Sequence[_T]) -> tuple[list[_T], list[int] | None]:
+    """A batch's distinct keys, first seen first, and each lane's index
+    into them — ``None`` for a one-key batch, whose operands broadcast.
 
-    Without a cache this is the historical behaviour (``a`` expanded
-    per batch, no precomputed transforms).  With one, both operands and
-    their forward transforms come from the cache; on a hit the GenA
-    expansion is skipped entirely.
+    Keys are told apart by identity: a hosted key is one object however
+    many lanes name it.  Every lane runs the same lines whichever key it
+    names (``tests/test_constant_ops.py`` traces this module).
     """
-    params = kem.params
+    slots: dict[int, int] = {}
+    index = [slots.setdefault(id(key), len(slots)) for key in keys]
+    distinct = list({id(key): key for key in keys}.values())
+    return distinct, index if len(distinct) > 1 else None
+
+
+def _gather(parts: Sequence[np.ndarray], lane: list[int] | None) -> np.ndarray:
+    """Per-lane rows of the distinct keys' arrays, one copy made (one
+    key: the array itself, which broadcasts)."""
+    if lane is None:
+        return parts[0]
+    return np.vstack([parts[k] for k in lane])
+
+
+def _pk_operands(
+    params: LacParams,
+    pks: Sequence[PublicKey],
+    lane: list[int] | None,
+    cache: KeyTransformCache | None,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray | None]:
+    """Resolve ``(a, fa, b, fb)`` of the distinct ``pks`` for the
+    encryption products, per lane.
+
+    Without a cache ``a`` is expanded per distinct key per batch and no
+    transform is precomputed.  With one, both operands and their
+    forward transforms come from the cache; on a hit the GenA expansion
+    is skipped entirely.
+    """
     if cache is None:
-        if a is None:
-            a = gen_a_vec(pk.seed_a, params)
-        return a, None, pk.b, None
-    fp_a, fp_b = pk_fingerprints(params, pk)
-    got_a = cache.operand(
-        params.ring,
-        fp_a,
-        lambda: a if a is not None else gen_a_vec(pk.seed_a, params),
+        return (
+            _gather([gen_a_vec(pk.seed_a, params) for pk in pks], lane),
+            None,
+            _gather([pk.b for pk in pks], lane),
+            None,
+        )
+    ring = params.ring
+    got_a, got_b = [], []
+    for pk in pks:
+        fp_a, fp_b = pk_fingerprints(params, pk)
+        got_a.append(
+            cache.operand(ring, fp_a, lambda pk=pk: gen_a_vec(pk.seed_a, params))
+        )
+        got_b.append(cache.operand(ring, fp_b, lambda pk=pk: pk.b))
+    hits = sum(got.hit for got in got_a + got_b)
+    _annotate_cache(hits, 2 * len(pks) - hits)
+    return (
+        _gather([got.raw for got in got_a], lane),
+        _gather([got.transform for got in got_a], lane),
+        _gather([got.raw for got in got_b], lane),
+        _gather([got.transform for got in got_b], lane),
     )
-    got_b = cache.operand(params.ring, fp_b, lambda: pk.b)
-    hits = int(got_a.hit) + int(got_b.hit)
-    _annotate_cache(hits, 2 - hits)
-    return got_a.raw, got_a.transform, got_b.raw, got_b.transform
 
 
 def _compress_rows(params: LacParams, v_rows: np.ndarray) -> np.ndarray:
@@ -173,31 +217,33 @@ def _compress_rows(params: LacParams, v_rows: np.ndarray) -> np.ndarray:
 
 def _encrypt_batch(
     kem: LacKem,
-    pk: PublicKey,
+    pks: Sequence[PublicKey],
+    lane: list[int] | None,
     messages: Sequence[bytes],
     coins_list: Sequence[bytes],
-    a: np.ndarray | None,
     cache: KeyTransformCache | None = None,
 ) -> list[Ciphertext]:
     """Deterministic batched encryption (shared by encaps and re-encrypt).
 
-    ``a`` may be ``None`` when a ``cache`` is given — the cache supplies
-    the GenA expansion (or its fingerprint-addressed transform) instead.
+    ``pks`` are the batch's distinct public keys and ``lane`` each
+    message's index into them (``None``: one key, broadcast), as
+    :func:`_lanes` gives them.
     """
     params = kem.params
     ring = params.ring
     slots = params.v_slots
     q = params.q
 
-    # rows b*3+0/1/2 are the batch's s'/e'/e'' polynomials
-    all_rows = sample_secret_rows(list(coins_list), params, 3).astype(np.int64)
+    # rows b*3+0/1/2 are the batch's s'/e'/e'' polynomials (int8: each
+    # third is widened where it is used, never the whole matrix)
+    all_rows = sample_secret_rows(list(coins_list), params, 3)
     s_rows = all_rows[0::3]
-    e_rows = np.mod(all_rows[1::3], q)
-    e2_rows = np.mod(all_rows[2::3, :slots], q)
+    e_rows = np.mod(all_rows[1::3].astype(np.int16), q)
+    e2_rows = np.mod(all_rows[2::3, :slots].astype(np.int16), q)
 
     # one forward FFT of the secret stack feeds both products; the
     # key-side transforms come from the per-key cache when enabled
-    a, fa, b, fb = _pk_operands(kem, pk, cache, a)
+    a, fa, b, fb = _pk_operands(params, pks, lane, cache)
     sa_rows, sb_rows = ring.mul_many_multi(
         s_rows, [a, b], operand_transforms=[fa, fb]
     )
@@ -214,16 +260,18 @@ def _encrypt_batch(
 
 def _encaps_chunk(
     kem: LacKem,
-    pk: PublicKey,
+    pks: Sequence[PublicKey],
     messages: Sequence[bytes],
     cache: KeyTransformCache | None = None,
 ) -> list[EncapsResult]:
-    pk_digest = _hash3(pk.to_bytes(), b"", b"pk")
-    coins_list = [_hash3(m, pk_digest, b"coins") for m in messages]
-    # with a cache, GenA is resolved (or skipped on a hit) inside
-    # _encrypt_batch; without one, expand it here as always
-    a = None if cache is not None else gen_a_vec(pk.seed_a, kem.params)
-    ciphertexts = _encrypt_batch(kem, pk, messages, coins_list, a, cache)
+    """Encapsulate ``messages[i]`` under ``pks[i]``."""
+    distinct, lane = _lanes(pks)
+    digests = [_hash3(pk.to_bytes(), b"", b"pk") for pk in distinct]
+    coins_list = [
+        _hash3(message, digests[k], b"coins")
+        for message, k in zip(messages, lane or [0] * len(messages))
+    ]
+    ciphertexts = _encrypt_batch(kem, distinct, lane, messages, coins_list, cache)
     results = []
     for message, ciphertext in zip(messages, ciphertexts):
         ct_digest = _hash3(ciphertext.to_bytes(), b"", b"ct")
@@ -235,24 +283,34 @@ def _encaps_chunk(
 
 def _decaps_chunk(
     kem: LacKem,
-    keys: KemSecretKey,
+    keys: Sequence[KemSecretKey],
     ciphertexts: Sequence[Ciphertext],
     cache: KeyTransformCache | None = None,
 ) -> list[bytes]:
+    """Decapsulate ``ciphertexts[i]`` under ``keys[i]``."""
     params = kem.params
     ring = params.ring
     slots = params.v_slots
     q = params.q
     codec = kem.pke.codec
 
-    s_row = keys.sk.s.coeffs.astype(np.int64)[None, :]
+    distinct, lane = _lanes(keys)
+    s_parts = [key.sk.s.coeffs.astype(np.int64)[None, :] for key in distinct]
     u_rows = np.stack([ct.u for ct in ciphertexts]).astype(np.int64)
     if cache is not None:
-        got_s = cache.operand(ring, sk_fingerprint(params, keys), lambda: s_row)
-        _annotate_cache(int(got_s.hit), 1 - int(got_s.hit))
-        us_rows = ring.mul_many(got_s.raw, u_rows, a_transform=got_s.transform)
+        got_s = [
+            cache.operand(ring, sk_fingerprint(params, key), lambda part=part: part)
+            for key, part in zip(distinct, s_parts)
+        ]
+        hits = sum(got.hit for got in got_s)
+        _annotate_cache(hits, len(got_s) - hits)
+        us_rows = ring.mul_many(
+            _gather([got.raw for got in got_s], lane),
+            u_rows,
+            a_transform=_gather([got.transform for got in got_s], lane),
+        )
     else:
-        us_rows = ring.mul_many(s_row, u_rows)
+        us_rows = ring.mul_many(_gather(s_parts, lane), u_rows)
     v_rows = np.stack([codec.decompress_v(ct.v_compressed) for ct in ciphertexts])
     noisy_rows = np.mod(v_rows - us_rows[:, :slots], q)
 
@@ -269,20 +327,24 @@ def _decaps_chunk(
         ]
     messages = [d.message for d in decoded]
     coins_list = [
-        _hash3(message, keys.pk_digest, b"coins") for message in messages
+        _hash3(message, key.pk_digest, b"coins")
+        for message, key in zip(messages, keys)
     ]
 
-    a = None if cache is not None else gen_a_vec(keys.pk.seed_a, params)
-    reencrypted = _encrypt_batch(kem, keys.pk, messages, coins_list, a, cache)
+    reencrypted = _encrypt_batch(
+        kem, [key.pk for key in distinct], lane, messages, coins_list, cache
+    )
 
     shared = []
-    for message, ciphertext, candidate in zip(messages, ciphertexts, reencrypted):
+    for key, message, ciphertext, candidate in zip(
+        keys, messages, ciphertexts, reencrypted
+    ):
         ct_bytes = ciphertext.to_bytes()
         ct_digest = _hash3(ct_bytes, b"", b"ct")
         accepted = hmac.compare_digest(candidate.to_bytes(), ct_bytes)
         # implicit rejection, exactly as the scalar FO transform, as one
         # select: both outcomes run the same lines and one hash
-        secret, label = ((keys.z, b"reject"), (message, b"shared"))[accepted]
+        secret, label = ((key.z, b"reject"), (message, b"shared"))[accepted]
         shared.append(_hash3(secret, ct_digest, label))
     return shared
 
@@ -370,13 +432,18 @@ def encaps_many(
 
         # encapsulation reads only the public half of the pair
         pair = KemKeyPair(pk, None)  # type: ignore[arg-type]
-        wire = backend.submit(LAC_SCHEME, kem.params, "ENCAPS", pair, messages)
+        wire = backend.submit(
+            LAC_SCHEME, kem.params, "ENCAPS", [pair] * len(messages), messages
+        )
         return [
             EncapsResult(Ciphertext.from_bytes(kem.params, ct_bytes), shared)
             for ct_bytes, shared in wire.result()
         ]
     return _fan_out(
-        lambda ms: _encaps_chunk(kem, pk, ms, cache), messages, workers, executor
+        lambda ms: _encaps_chunk(kem, [pk] * len(ms), ms, cache),
+        messages,
+        workers,
+        executor,
     )
 
 
@@ -409,7 +476,12 @@ def decaps_many(
 
         blobs = [ct.to_bytes() for ct in ciphertexts]
         pair = KemKeyPair(keys.pk, keys)
-        return backend.submit(LAC_SCHEME, kem.params, "DECAPS", pair, blobs).result()
+        return backend.submit(
+            LAC_SCHEME, kem.params, "DECAPS", [pair] * len(blobs), blobs
+        ).result()
     return _fan_out(
-        lambda cts: _decaps_chunk(kem, keys, cts, cache), ciphertexts, workers, executor
+        lambda cts: _decaps_chunk(kem, [keys] * len(cts), cts, cache),
+        ciphertexts,
+        workers,
+        executor,
     )

@@ -24,12 +24,14 @@ never alias another key's transform.  Explicit
 :meth:`~KeyTransformCache.invalidate` therefore only reclaims memory
 early (on key removal); correctness never depends on it.
 
-Memory cost per entry: the raw ``int64`` operand (8n bytes) plus the
-``complex128`` transform (16(n+1) bytes) — about 24 KiB for n = 512
-and 48 KiB for n = 1024.  A hosted key populates up to three entries
-(``b``, the GenA expansion ``a``, and the secret ``s``), so the
-default capacity of 256 entries holds roughly 85 hosted LAC-256 keys
-in ~4 MiB.
+Memory cost per entry: the raw operand stored one byte per coefficient
+whenever its values fit one (every LAC operand does: ``a``, ``b`` in
+[0, 251), ``s`` ternary) — the raw copy only feeds the exact fallback,
+which up-casts it — plus the ``complex128`` transform (16(n+1) bytes):
+about 8.5 KiB for n = 512 and 17 KiB for n = 1024.  A hosted key
+populates up to three entries (``b``, the GenA expansion ``a``, and the
+secret ``s``), so the default capacity of 256 entries holds roughly 85
+hosted LAC-256 keys in ~4.3 MiB.
 """
 
 from __future__ import annotations
@@ -62,9 +64,20 @@ def fingerprint(*parts: bytes) -> bytes:
     return h.digest()
 
 
+def _narrow_dtype(values: np.ndarray) -> type[np.integer]:
+    """The one-byte dtype holding ``values`` exactly, else ``int64``."""
+    lo, hi = int(values.min()), int(values.max())
+    if 0 <= lo and hi <= 0xFF:
+        return np.uint8
+    if -0x80 <= lo and hi <= 0x7F:
+        return np.int8
+    return np.int64
+
+
 class CachedOperand(NamedTuple):
-    """One cache lookup result: the raw operand, its transform, and
-    whether the entry was already resident."""
+    """One cache lookup result: the raw operand (narrow dtype — up-cast
+    before doing arithmetic on it), its transform, and whether the
+    entry was already resident."""
 
     raw: np.ndarray
     transform: np.ndarray
@@ -124,8 +137,9 @@ class KeyTransformCache:
             self.misses += 1
         # produce + transform outside the lock: the FFT is the expensive
         # part and must not serialize concurrent batches
-        raw = np.asarray(produce(), dtype=np.int64).copy()
-        transform = ring.forward_transform(raw)
+        wide = np.asarray(produce(), dtype=np.int64)
+        transform = ring.forward_transform(wide)
+        raw = wide.astype(_narrow_dtype(wide))
         raw.setflags(write=False)
         transform.setflags(write=False)
         with self._lock:

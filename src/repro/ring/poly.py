@@ -15,6 +15,29 @@ import numpy as np
 LAC_Q = 251
 
 
+#: Ring coefficients one pass of a batched product works on.  As the
+#: paper's one length-512 MUL TER serves n = 1024 in several runs, a
+#: whole batch goes through the FFT this many coefficients at a time
+#: (32 rows at n = 512, 16 at n = 1024): the rows are independent, so
+#: passes cost nothing, and every temporary stays cache-sized instead
+#: of most of a megabyte each — in every pool thread — at n = 1024.
+_PASS_COEFFS = 1 << 14
+
+
+def _passes(rows: int, n: int) -> list[slice]:
+    """The row slices a batched product of ``rows`` rows runs in."""
+    step = max(1, _PASS_COEFFS // n)
+    return [slice(start, start + step) for start in range(0, rows, step)]
+
+
+def _rows_of(operand: np.ndarray | None, rows: int, part: slice) -> np.ndarray | None:
+    """One pass's share of an operand (or transform): its rows when it
+    has one per product, itself when it broadcasts."""
+    if operand is not None and operand.ndim == 2 and operand.shape[0] == rows:
+        return operand[part]
+    return operand
+
+
 class PolyRing:
     """Z_q[x] / (x^n - wrap), where wrap is +1 (positive convolution,
     i.e. reduction by x^n - 1) or -1 (negative convolution, x^n + 1).
@@ -156,13 +179,27 @@ class PolyRing:
         per-row ``np.convolve`` path if the margin is ever violated, so
         results are always bit-identical to :meth:`mul`.
         """
-        n, q = self.n, self.q
+        n = self.n
         stacked = np.atleast_2d(np.asarray(stacked, dtype=np.int64))
         b = np.asarray(b, dtype=np.int64)
         if stacked.shape[-1] != n or b.shape[-1] != n:
             raise ValueError("operands must be full-length ring elements")
         if b.ndim not in (1, 2):
             raise ValueError("b must be one ring element or a stack of them")
+        products = max(stacked.shape[0], b.shape[0] if b.ndim == 2 else 1)
+        passes = _passes(products, n)
+        if len(passes) > 1:
+            return np.concatenate(
+                [
+                    self.mul_many(
+                        _rows_of(stacked, products, p),
+                        _rows_of(b, products, p),
+                        _rows_of(a_transform, products, p),
+                        _rows_of(b_transform, products, p),
+                    )
+                    for p in passes
+                ]
+            )
         length = 2 * n
         fa = (
             np.fft.rfft(stacked, length, axis=-1)
@@ -170,18 +207,39 @@ class PolyRing:
             else np.atleast_2d(a_transform)
         )
         fb = np.fft.rfft(b, length, axis=-1) if b_transform is None else b_transform
-        full = np.fft.irfft(fa * fb, length, axis=-1)
-        rounded = np.rint(full)
-        if np.max(np.abs(full - rounded)) > 0.25:  # guard: exact fallback
+        reduced = self._wrap_product(fa * fb)
+        if reduced is None:  # guard: exact fallback
             rows = np.broadcast_arrays(
                 stacked, b if b.ndim == 2 else b[None, :]
             )
             return np.stack([self.mul(x, y) for x, y in zip(*rows)])
+        return reduced
+
+    def _wrap_product(self, product: np.ndarray) -> np.ndarray | None:
+        """Reduced ring elements from a pointwise product of length-2n
+        transforms (which it consumes), or ``None`` when float rounding
+        strays past the 0.25 integrality margin.
+
+        A whole batch at n = 1024 makes every temporary here most of a
+        megabyte, and two pool threads run at once: each buffer is
+        reused in place rather than left for a fresh one beside it.
+        """
+        n = self.n
+        full = np.fft.irfft(product, 2 * n, axis=-1)
+        del product
+        rounded = np.rint(full)
+        np.subtract(full, rounded, out=full)
+        np.abs(full, out=full)
+        if full.max() > 0.25:
+            return None
+        del full
         full_int = rounded.astype(np.int64)
-        sign = -1 if self.negacyclic else 1
+        del rounded
         # linear convolution occupies 2n-1 slots; slot 2n-1 is zero, so
         # the wrap is a plain halves add/subtract
-        return np.mod(full_int[..., :n] + sign * full_int[..., n:], q)
+        low, high = full_int[..., :n], full_int[..., n:]
+        wrapped = low - high if self.negacyclic else low + high
+        return np.mod(wrapped, self.q, out=wrapped)
 
     def mul_many_multi(
         self,
@@ -202,18 +260,33 @@ class PolyRing:
         computed here) — the hook the per-key transform cache uses to
         skip re-transforming hosted key material every batch.
         """
-        n, q = self.n, self.q
-        stacked = np.atleast_2d(np.asarray(stacked, dtype=np.int64))
+        n = self.n
+        # any integer dtype (the batch kernel's secret stack is int8):
+        # the FFT widens it, and so does the exact fallback
+        stacked = np.atleast_2d(np.asarray(stacked))
         if stacked.shape[-1] != n:
             raise ValueError("operands must be full-length ring elements")
         if operand_transforms is not None and len(operand_transforms) != len(operands):
             raise ValueError("one transform (or None) per operand")
+        # likewise the operands: with a transform supplied the raw one
+        # only feeds the exact fallback, which up-casts it
+        operands = [np.asarray(b) for b in operands]
+        rows = stacked.shape[0]
+        passes = _passes(rows, n)
+        if len(passes) > 1:
+            parts = [
+                self.mul_many_multi(
+                    stacked[p],
+                    [_rows_of(b, rows, p) for b in operands],
+                    [_rows_of(t, rows, p) for t in operand_transforms or ()] or None,
+                )
+                for p in passes
+            ]
+            return [np.concatenate(products) for products in zip(*parts)]
         length = 2 * n
         fa = np.fft.rfft(stacked, length, axis=-1)
-        sign = -1 if self.negacyclic else 1
         out = []
         for i, b in enumerate(operands):
-            b = np.asarray(b, dtype=np.int64)
             if b.shape[-1] != n or b.ndim not in (1, 2):
                 raise ValueError("operands must be full-length ring elements")
             fb = (
@@ -222,13 +295,10 @@ class PolyRing:
                 and operand_transforms[i] is not None
                 else np.fft.rfft(b, length, axis=-1)
             )
-            full = np.fft.irfft(fa * fb, length, axis=-1)
-            rounded = np.rint(full)
-            if np.max(np.abs(full - rounded)) > 0.25:  # guard: exact fallback
-                out.append(self.mul_many(stacked, b))
-                continue
-            full_int = rounded.astype(np.int64)
-            out.append(np.mod(full_int[..., :n] + sign * full_int[..., n:], q))
+            reduced = self._wrap_product(fa * fb)
+            if reduced is None:  # guard: exact fallback
+                reduced = self.mul_many(stacked, b)
+            out.append(reduced)
         return out
 
     def scalar_mul(self, a: np.ndarray, s: int) -> np.ndarray:

@@ -8,7 +8,8 @@ serving stack actually needs:
 
 * **keygen** from an explicit seed (so restarts re-derive hosted keys),
 * **batch encaps/decaps over wire bytes** (the scheduler coalesces
-  per key; the transport never sees scheme-native objects),
+  per parameter set, across keys — a batch names one pair per item;
+  the transport never sees scheme-native objects),
 * **wire sizes** for request validation and response parsing,
 * **param-set enumeration** so the registry can assign stable ids,
 * the **public-key serialization** returned by KEYGEN.
@@ -32,10 +33,29 @@ backend seam can import it without cycles.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from typing import Any
 
 from repro.ring.cache import KeyTransformCache
+
+
+def per_pair(
+    pairs: Sequence[Any],
+    items: Sequence[Any],
+    run: Callable[[Any, list[Any]], Sequence[Any]],
+) -> list[Any]:
+    """``run(pair, its items)`` once per distinct pair (told apart by
+    identity), results back in item order — how a one-key kernel or
+    wire serves a batch that names one pair per item."""
+    lanes: dict[int, list[int]] = {}
+    for lane, pair in enumerate(pairs):
+        lanes.setdefault(id(pair), []).append(lane)
+    out: list[Any] = [None] * len(items)
+    for members in lanes.values():
+        results = run(pairs[members[0]], [items[lane] for lane in members])
+        for lane, result in zip(members, results, strict=True):
+            out[lane] = result
+    return out
 
 
 class KemScheme(ABC):
@@ -52,6 +72,11 @@ class KemScheme(ABC):
     scheme_id: int
     #: Stable lowercase label ("lac", "newhope").
     name: str
+    #: Whether a batch costs less per item than its items one by one.
+    #: A scheme whose ``*_many`` is a scalar loop says ``False``: every
+    #: lane of its batch would wait for the whole loop and save nothing,
+    #: so the serving layer dispatches its requests singly.
+    coalesces: bool = True
 
     # ------------------------------------------------------------------
     # parameter enumeration
@@ -150,6 +175,35 @@ class KemScheme(ABC):
     ) -> list[bytes]:
         """Decapsulate a batch of wire ciphertexts (implicit rejection)."""
 
+    def encaps_each(
+        self,
+        params: Any,
+        pairs: Sequence[Any],
+        messages: Sequence[bytes],
+        cache: KeyTransformCache | None = None,
+    ) -> list[tuple[bytes, bytes]]:
+        """Encapsulate ``messages[i]`` under ``pairs[i]`` — what
+        :meth:`repro.backend.KemBackend.submit` runs.  By default one
+        :meth:`encaps_many` per distinct pair."""
+        return per_pair(
+            pairs, messages, lambda pair, ms: self.encaps_many(params, pair, ms, cache)
+        )
+
+    def decaps_each(
+        self,
+        params: Any,
+        pairs: Sequence[Any],
+        ciphertexts: Sequence[bytes],
+        cache: KeyTransformCache | None = None,
+    ) -> list[bytes]:
+        """Decapsulate ``ciphertexts[i]`` under ``pairs[i]``; by default
+        one :meth:`decaps_many` per distinct pair."""
+        return per_pair(
+            pairs,
+            ciphertexts,
+            lambda pair, cts: self.decaps_many(params, pair, cts, cache),
+        )
+
     # ------------------------------------------------------------------
 
     def encaps_one(
@@ -162,4 +216,4 @@ class KemScheme(ABC):
         return f"<KemScheme {self.name} id={self.scheme_id}>"
 
 
-__all__ = ["KemScheme"]
+__all__ = ["KemScheme", "per_pair"]

@@ -3,10 +3,10 @@
 Wire formats are exactly the ones the serving stack has always used —
 ``PublicKey.to_bytes()`` / ``Ciphertext.to_bytes()`` — so LAC keys
 registered through the scheme seam are bit-compatible with every
-pre-registry client.  Batch entry points route through
-:meth:`repro.lac.kem.LacKem.encaps_many` / ``decaps_many`` (the PR-1
-vectorized fast path), so scheme-seam parity with the scalar reference
-is inherited rather than re-proven.  The adapter's :meth:`kem_for` is
+pre-registry client.  Batch entry points run the vectorized kernels of
+:mod:`repro.batch.kem`, which take one key per lane; the one-key
+``encaps_many``/``decaps_many`` are the same kernel with every lane
+naming that key.  The adapter's :meth:`kem_for` is
 the serving stack's one ``LacKem`` cache, and the transform cache a
 backend hands to the batch entry points is the one its
 :meth:`warm_key` populated at registration.
@@ -17,7 +17,12 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import Any
 
-from repro.batch.kem import key_fingerprints, warm_cache
+from repro.batch.kem import (
+    _decaps_chunk,
+    _encaps_chunk,
+    key_fingerprints,
+    warm_cache,
+)
 from repro.lac.kem import KemKeyPair, LacKem
 from repro.lac.params import ALL_PARAMS, LacParams
 from repro.lac.pke import Ciphertext
@@ -82,6 +87,37 @@ class LacScheme(KemScheme):
             return key_fingerprints(params, pair.public_key, pair.secret_key)
         return warm_cache(cache, params, pair.public_key, pair.secret_key)
 
+    def encaps_each(
+        self,
+        params: LacParams,
+        pairs: Sequence[KemKeyPair],
+        messages: Sequence[bytes],
+        cache: KeyTransformCache | None = None,
+    ) -> list[tuple[bytes, bytes]]:
+        """One vectorized batch across the pairs' public keys."""
+        if not messages:
+            return []
+        results = _encaps_chunk(
+            self.kem_for(params), [pair.public_key for pair in pairs], messages, cache
+        )
+        return [(r.ciphertext.to_bytes(), r.shared_secret) for r in results]
+
+    def decaps_each(
+        self,
+        params: LacParams,
+        pairs: Sequence[KemKeyPair],
+        ciphertexts: Sequence[bytes],
+        cache: KeyTransformCache | None = None,
+    ) -> list[bytes]:
+        """One vectorized batch across the pairs' secret keys (implicit
+        rejection included)."""
+        if not ciphertexts:
+            return []
+        cts = [Ciphertext.from_bytes(params, blob) for blob in ciphertexts]
+        return _decaps_chunk(
+            self.kem_for(params), [pair.secret_key for pair in pairs], cts, cache
+        )
+
     def encaps_many(
         self,
         params: LacParams,
@@ -89,11 +125,8 @@ class LacScheme(KemScheme):
         messages: Sequence[bytes],
         cache: KeyTransformCache | None = None,
     ) -> list[tuple[bytes, bytes]]:
-        """Batch encapsulation via the PR-1 vectorized fast path."""
-        results = self.kem_for(params).encaps_many(
-            pair.public_key, messages=list(messages), cache=cache
-        )
-        return [(r.ciphertext.to_bytes(), r.shared_secret) for r in results]
+        """:meth:`encaps_each` with every message under ``pair``."""
+        return self.encaps_each(params, [pair] * len(messages), messages, cache)
 
     def decaps_many(
         self,
@@ -102,9 +135,8 @@ class LacScheme(KemScheme):
         ciphertexts: Sequence[bytes],
         cache: KeyTransformCache | None = None,
     ) -> list[bytes]:
-        """Batch decapsulation (implicit rejection included)."""
-        cts = [Ciphertext.from_bytes(params, blob) for blob in ciphertexts]
-        return self.kem_for(params).decaps_many(pair.secret_key, cts, cache=cache)
+        """:meth:`decaps_each` with every ciphertext under ``pair``."""
+        return self.decaps_each(params, [pair] * len(ciphertexts), ciphertexts, cache)
 
 
 __all__ = ["LacScheme"]

@@ -36,6 +36,8 @@ class NewHopeScheme(KemScheme):
 
     scheme_id = 1
     name = "newhope"
+    #: ``encaps_many``/``decaps_many`` below are scalar loops
+    coalesces = False
 
     def __init__(self) -> None:
         self._kems: dict[str, NewHopeCcaKem] = {}

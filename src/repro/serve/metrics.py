@@ -88,7 +88,8 @@ class ServiceMetrics:
         self.requests: Counter[str] = Counter()
         #: responses sent, keyed by (op name, status name)
         self.responses: Counter[tuple[str, str]] = Counter()
-        #: flushes, keyed by what triggered them ("size"/"deadline"/"drain")
+        #: flushes, keyed by what triggered them
+        #: ("size"/"deadline"/"alone"/"drain")
         self.flushes: Counter[str] = Counter()
         #: batch-size distribution actually dispatched, keyed by size
         self.batch_sizes: Counter[int] = Counter()

@@ -13,14 +13,36 @@ unit tests drive it deterministically with a fake clock
 (``tests/test_serve_scheduler.py``).  The asyncio server wraps it with
 a real clock and one timer task.
 
-A batch is keyed by ``(op, key id)`` — every entry of a batch shares
-the public/secret key, which is what lets the batch kernels amortize
-``GenA`` and the key digest.  A queue flushes when either
+A batch is keyed by whatever its entries must share to run as one
+kernel call — the server passes ``(op, wire param id, tenant)``: the
+kernels take one key per lane, so requests under different hosted keys
+of one parameter set coalesce.  A queue flushes when
 
-* it reaches ``max_batch`` (flush-on-size; reported to the caller
-  straight from :meth:`MicroBatchScheduler.submit`), or
-* its deadline expires (flush-on-deadline; collected by
-  :meth:`MicroBatchScheduler.poll`).
+* it reaches its batch limit (flush-on-size; reported to the caller
+  straight from :meth:`MicroBatchScheduler.submit`),
+* its deadline has expired **and the executor has a free slot**
+  (flush-on-deadline; collected by :meth:`MicroBatchScheduler.poll`,
+  which is told how many slots are free), or
+* nobody else is coming (flush-alone, from ``submit``; below).
+
+**Batch while busy.**  A batch handed to a busy executor only waits in
+the executor's FIFO, closed to the requests that arrive meanwhile.  So
+``poll(now, free)`` flushes at most ``free`` due queues — most urgent
+tier first, then the least-served tenant, then the oldest queue —
+and leaves the rest *open*: they keep absorbing arrivals up to their
+batch limit (where they flush on size as ever) until a slot frees.
+The paper keeps its one MUL TER busy and feeds it whole operands; a
+backend that is already busy is fed whole batches.
+
+**No wait when nobody else is coming.**  A queue remembers its last
+flush.  When the previous batch left *alone* (one entry, not a size
+flush) and more than ``max_wait_us`` ago, experience says waiting buys
+no companion: the entry that would open the queue is returned from
+``submit`` at once (trigger ``"alone"``).  The judgement is per queue
+and by what its own batches looked like — not by the global gap EWMA
+or an idle worker, to both of which a closed loop's first request
+after a long kernel looks exactly like light load.  An arrival within
+``max_wait_us`` of such a flush opens a waiting queue again.
 
 The deadline is *adaptive*: :class:`AdaptiveDeadlinePolicy` tracks an
 EWMA of request inter-arrival gaps and waits roughly as long as it
@@ -193,7 +215,8 @@ class Batch:
 
     key: Hashable
     entries: list[Any]
-    #: ``"size"``, ``"deadline"`` or ``"drain"`` — feeds the metrics.
+    #: ``"size"``, ``"deadline"``, ``"alone"`` or ``"drain"`` — feeds
+    #: the metrics.
     trigger: str
 
 
@@ -203,6 +226,7 @@ class _Queue:
 
     entries: list[Any] = field(default_factory=list)
     deadline: float = 0.0
+    limit: int = 1
 
 
 class MicroBatchScheduler:
@@ -212,9 +236,11 @@ class MicroBatchScheduler:
     records, the tests submit integers).  The driving contract:
 
     * call :meth:`submit` per arrival — a returned :class:`Batch`
-      means flush-on-size, dispatch it now;
-    * call :meth:`poll` whenever the clock passes
-      :meth:`next_deadline` — returned batches are flush-on-deadline;
+      (flush-on-size, or flush-alone) dispatches now;
+    * call :meth:`poll` with the executor's free slot count whenever
+      the clock passes :meth:`next_deadline` or a slot frees —
+      returned batches are flush-on-deadline, queues it held back stay
+      open;
     * call :meth:`drain` exactly once at shutdown.
 
     ``priority_of`` makes flushing priority-aware: when several queues
@@ -247,89 +273,113 @@ class MicroBatchScheduler:
         self.tenant_of = tenant_of
         self.fair_share = DeficitRoundRobin() if tenant_of is not None else None
         self._queues: dict[Hashable, _Queue] = {}
+        #: when each key's last batch left, for those that left alone
+        self._left_alone: dict[Hashable, float] = {}
 
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
         return sum(len(q.entries) for q in self._queues.values())
 
-    def submit(self, key: Hashable, entry: Any, now: float) -> Batch | None:
-        """Queue one entry; returns a full :class:`Batch` on flush-on-size.
+    def submit(
+        self, key: Hashable, entry: Any, now: float, limit: int | None = None
+    ) -> Batch | None:
+        """Queue one entry; returns a :class:`Batch` to dispatch now on
+        flush-on-size or flush-alone.
 
         ``now`` is the caller's clock reading (seconds); it feeds the
         adaptive policy and stamps the deadline of a newly opened
-        batch.
+        batch.  ``limit`` caps the batch a newly opened queue collects
+        below ``max_batch`` (a key whose kernel amortises nothing
+        passes 1).
         """
         self.policy.observe_arrival(now)
         queue = self._queues.get(key)
         if queue is None:
+            left_alone = self._left_alone.get(key)
+            if (
+                left_alone is not None
+                and (now - left_alone) * 1e6 > self.policy.max_wait_us
+            ):
+                return self._flushed(key, [entry], "alone", now)
             queue = self._queues[key] = _Queue(
-                deadline=now + self.policy.wait_us(self.max_batch) * 1e-6
+                deadline=now + self.policy.wait_us(self.max_batch) * 1e-6,
+                limit=min(limit or self.max_batch, self.max_batch),
             )
         queue.entries.append(entry)
-        if len(queue.entries) >= self.max_batch:
+        if len(queue.entries) >= queue.limit:
             del self._queues[key]
-            batch = Batch(key, queue.entries, "size")
-            self._charge(batch)
-            return batch
+            return self._flushed(key, queue.entries, "size", now)
         return None
 
-    def _batch_tenant(self, batch: Batch) -> Hashable:
-        assert self.tenant_of is not None
-        return self.tenant_of(batch.entries[0])
+    def _flushed(
+        self, key: Hashable, entries: list[Any], trigger: str, now: float
+    ) -> Batch:
+        """The batch leaving ``key``'s queue: remember whether it left
+        alone, and charge it to its tenant."""
+        if len(entries) == 1 and trigger != "size":
+            self._left_alone[key] = now
+        else:
+            self._left_alone.pop(key, None)
+        batch = Batch(key, entries, trigger)
+        self._charge(batch)
+        return batch
 
     def _charge(self, batch: Batch) -> None:
         """Charge a dispatched batch to its tenant's deficit counter."""
-        if self.fair_share is not None:
-            self.fair_share.charge(self._batch_tenant(batch), len(batch.entries))
+        if self.fair_share is not None and self.tenant_of is not None:
+            self.fair_share.charge(
+                self.tenant_of(batch.entries[0]), len(batch.entries)
+            )
 
-    def _ordered(self, batches: list[Batch]) -> list[Batch]:
-        """Order flushed batches most-urgent-first (stable without a
-        ``priority_of``, so the default keeps submission order), with
-        DRR fair-share breaking ties within a priority level, and
-        charge every returned batch to its tenant."""
-        if len(batches) >= 2 and (
-            self.priority_of is not None or self.fair_share is not None
-        ):
-            priority = self.priority_of
-            fair_share = self.fair_share
+    def _ordered(self, keys: list[Hashable]) -> list[Hashable]:
+        """Order open queues most-urgent-first: QoS tier, then the DRR
+        balance of the queue's tenant, then the oldest (the sort is
+        stable and ``keys`` come in the order their queues opened)."""
+        priority = self.priority_of
+        fair_share = self.fair_share
+        tenant_of = self.tenant_of
+        if len(keys) < 2 or (priority is None and fair_share is None):
+            return keys
 
-            def sort_key(batch: Batch) -> tuple[float, float]:
-                tier = (
-                    min(priority(e) for e in batch.entries)
-                    if priority is not None
-                    else 0.0
-                )
-                balance = (
-                    fair_share.balance(self._batch_tenant(batch))
-                    if fair_share is not None
-                    else 0.0
-                )
-                return (tier, balance)
+        def sort_key(key: Hashable) -> tuple[float, float]:
+            entries = self._queues[key].entries
+            tier = min(priority(e) for e in entries) if priority is not None else 0.0
+            balance = (
+                fair_share.balance(tenant_of(entries[0]))
+                if fair_share is not None and tenant_of is not None
+                else 0.0
+            )
+            return (tier, balance)
 
-            batches = sorted(batches, key=sort_key)
-        for batch in batches:
-            self._charge(batch)
-        return batches
+        return sorted(keys, key=sort_key)
 
-    def poll(self, now: float) -> list[Batch]:
-        """Flush every queue whose deadline has passed (urgent first)."""
-        due = [key for key, q in self._queues.items() if q.deadline <= now]
-        return self._ordered(
-            [Batch(key, self._queues.pop(key).entries, "deadline") for key in due]
+    def poll(self, now: float, free: int | None = None) -> list[Batch]:
+        """Flush the queues whose deadline has passed, urgent first —
+        at most ``free`` of them (``None``: all).  The rest stay open
+        and keep absorbing arrivals until a later call has room."""
+        due = self._ordered(
+            [key for key, q in self._queues.items() if q.deadline <= now]
         )
+        return [
+            self._flushed(key, self._queues.pop(key).entries, "deadline", now)
+            for key in (due if free is None else due[: max(free, 0)])
+        ]
 
     def next_deadline(self) -> float | None:
-        """Earliest pending deadline (seconds), ``None`` when idle."""
+        """Earliest pending deadline (seconds), ``None`` when idle.
+        In the past while :meth:`poll` is holding a due queue back."""
         if not self._queues:
             return None
         return min(q.deadline for q in self._queues.values())
 
     def drain(self) -> list[Batch]:
-        """Flush everything unconditionally (graceful shutdown)."""
+        """Flush everything unconditionally, held queues included
+        (graceful shutdown)."""
         batches = [
-            Batch(key, queue.entries, "drain")
-            for key, queue in self._queues.items()
+            Batch(key, self._queues.pop(key).entries, "drain")
+            for key in self._ordered(list(self._queues))
         ]
-        self._queues.clear()
-        return self._ordered(batches)
+        for batch in batches:
+            self._charge(batch)
+        return batches

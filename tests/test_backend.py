@@ -27,6 +27,7 @@ from repro.backend import (
     BACKEND_NAMES,
     COSIM_PROFILE_ENV_VAR,
     DEFAULT_BACKEND,
+    DEFAULT_THREAD_WORKERS,
     CosimBackend,
     InlineBackend,
     KemBackend,
@@ -103,7 +104,9 @@ def _messages(count, params=LAC_128):
 
 def _encaps(backend, pair, messages):
     """One LAC-128 ENCAPS batch through the contract."""
-    return backend.submit(LAC_SCHEME, LAC_128, "ENCAPS", pair, messages)
+    return backend.submit(
+        LAC_SCHEME, LAC_128, "ENCAPS", [pair] * len(messages), messages
+    )
 
 
 class _Scalar:
@@ -116,6 +119,7 @@ class _Scalar:
         self.lac = scheme is LAC_SCHEME
         self.kem = LacKem(params) if self.lac else NewHopeCcaKem(params)
         self.pair = self.kem.keygen(SEED)
+        self.other = self.kem.keygen(SEED[::-1])  # a second hosted key
 
     def pair_bytes(self, pair):
         """Both halves of a pair, so KEYGEN parity covers the secret."""
@@ -123,18 +127,20 @@ class _Scalar:
             return pair.public_key.to_bytes() + pair.secret_key.to_bytes()
         return _pk_bytes(pair.keys) + pair.keys.s_hat.tobytes() + pair.z
 
-    def encaps(self, message):
+    def encaps(self, message, pair=None):
+        pair = pair or self.pair
         if self.lac:
-            result = self.kem.encaps(self.pair.public_key, message)
+            result = self.kem.encaps(pair.public_key, message)
             return result.ciphertext.to_bytes(), result.shared_secret
-        ct, shared = self.kem.encaps(self.pair, message)
+        ct, shared = self.kem.encaps(pair, message)
         return ct.u_hat.astype("<u2").tobytes() + ct.v_compressed.tobytes(), shared
 
-    def decaps(self, blob):
+    def decaps(self, blob, pair=None):
+        pair = pair or self.pair
         if self.lac:
             ciphertext = Ciphertext.from_bytes(self.params, blob)
-            return self.kem.decaps(self.pair.secret_key, ciphertext)
-        return self.kem.decaps(self.pair, NEWHOPE_SCHEME._parse_ct(self.params, blob))
+            return self.kem.decaps(pair.secret_key, ciphertext)
+        return self.kem.decaps(pair, NEWHOPE_SCHEME._parse_ct(self.params, blob))
 
     def tamper(self, blob):
         """A well-formed ciphertext the FO check must reject."""
@@ -166,8 +172,8 @@ class _Scalar:
         return list(results)
 
     def submit(self, backend, op, items, **kwargs):
-        pair = None if op == "KEYGEN" else self.pair
-        return backend.submit(self.scheme, self.params, op, pair, items, **kwargs)
+        pairs = None if op == "KEYGEN" else [self.pair] * len(items)
+        return backend.submit(self.scheme, self.params, op, pairs, items, **kwargs)
 
 
 _SCHEMES = {"lac": (LAC_SCHEME, LAC_128), "newhope": (NEWHOPE_SCHEME, NEWHOPE_512)}
@@ -217,6 +223,37 @@ class TestConformance:
         got = ref.submit(backend, "DECAPS", [good, tampered]).result()
         assert got == [ref.decaps(good), ref.decaps(tampered)]
         assert got[0] != got[1]
+
+    def test_mixed_pairs_in_one_batch_match_scalar(self, cell):
+        """One pair per item: lanes of two hosted keys, interleaved, one
+        of them tampered — each answered under its own key."""
+        backend, ref = cell
+        pairs = [ref.pair, ref.other, ref.other, ref.pair, ref.other]
+        messages = _messages(len(pairs), ref.params)
+        want = [ref.encaps(m, p) for m, p in zip(messages, pairs)]
+        assert (
+            backend.submit(ref.scheme, ref.params, "ENCAPS", pairs, messages).result()
+            == want
+        )
+        blobs = [ct for ct, _ in want]
+        blobs[2] = ref.tamper(blobs[2])
+        got = backend.submit(ref.scheme, ref.params, "DECAPS", pairs, blobs).result()
+        assert got == [ref.decaps(b, p) for b, p in zip(blobs, pairs)]
+        assert [g == shared for g, (_, shared) in zip(got, want)] == [
+            True, True, False, True, True,
+        ]
+
+    def test_one_pair_per_item_is_enforced(self, cell):
+        backend, ref = cell
+        with pytest.raises(ValueError, match="one pair per item"):
+            backend.submit(
+                ref.scheme, ref.params, "ENCAPS", [ref.pair], _messages(2, ref.params)
+            )
+
+    def test_slots_report_what_runs_at_once(self, cell):
+        backend, _ = cell
+        pooled = {"thread": 2, "process": 2}  # the fixtures' pool sizes
+        assert backend.slots == pooled.get(backend.name, 1)
 
     def test_keygen_convenience_and_fresh_randomness(self, cell):
         backend, ref = cell
@@ -306,7 +343,7 @@ class TestConformance:
         # served with unmodelled cycle tallies
         with pytest.raises(UnsupportedScheme):
             cosim_backend.submit(
-                NEWHOPE_SCHEME, NEWHOPE_512, "ENCAPS", pair, [bytes(32)]
+                NEWHOPE_SCHEME, NEWHOPE_512, "ENCAPS", [pair], [bytes(32)]
             ).result()
 
     def test_register_key_returns_invalidation_handles(self, cell):
@@ -411,6 +448,10 @@ class TestRegistry:
         # the shared default must survive close() — it is process-wide
         first.close()
         assert not first.closed
+        # its pool size is its slot count, though ``workers`` stays None:
+        # the pool is not any one service's autoscaler's to resize
+        assert first.workers is None
+        assert first.slots == DEFAULT_THREAD_WORKERS
 
     def test_service_config_resolves_backend(self, monkeypatch):
         assert ServiceConfig().resolved_backend() == DEFAULT_BACKEND

@@ -42,7 +42,9 @@ def _messages(count):
 
 
 def _encaps(backend, pair, messages):
-    return backend.submit(LAC_SCHEME, LAC_128, "ENCAPS", pair, messages)
+    return backend.submit(
+        LAC_SCHEME, LAC_128, "ENCAPS", [pair] * len(messages), messages
+    )
 
 
 def _assert_parity(results, messages, scalar):
@@ -90,7 +92,7 @@ class TestThreadBackendResize:
         backend = ThreadBackend(workers=2)
         assert backend.workers == 2
         assert backend.resize(4) is True
-        assert backend.workers == 4
+        assert backend.workers == backend.slots == 4
         assert backend.resize(4) is True  # no-op resize still succeeds
         assert backend.workers == 4
         backend.close()
@@ -135,7 +137,7 @@ class TestProcessBackendResize:
             _assert_parity(results, messages, scalar)
 
             assert backend.resize(2) is True
-            assert backend.workers == 2
+            assert backend.workers == backend.slots == 2
             # the replacement pool spawns lazily on the next batch and
             # re-ships the key (the ship-once table was reset)
             results = _encaps(backend, pair, messages).result()

@@ -38,11 +38,15 @@ def _messages(count, params=LAC_128):
 
 def _encaps(backend, pair, messages):
     """``(ct_bytes, shared)`` per message through the one ``submit``."""
-    return backend.submit(LAC_SCHEME, LAC_128, "ENCAPS", pair, messages).result()
+    return backend.submit(
+        LAC_SCHEME, LAC_128, "ENCAPS", [pair] * len(messages), messages
+    ).result()
 
 
 def _decaps(backend, pair, blobs):
-    return backend.submit(LAC_SCHEME, LAC_128, "DECAPS", pair, blobs).result()
+    return backend.submit(
+        LAC_SCHEME, LAC_128, "DECAPS", [pair] * len(blobs), blobs
+    ).result()
 
 
 def _scalar_encaps(kem, pair, message):
@@ -264,7 +268,9 @@ LEAK_SCRIPT = textwrap.dedent(
         from repro.schemes import LAC_SCHEME
 
         def run(op, items):
-            return backend.submit(LAC_SCHEME, LAC_128, op, pair, items).result()
+            return backend.submit(
+                LAC_SCHEME, LAC_128, op, [pair] * len(items), items
+            ).result()
 
         baseline = shm_names()
         kem = LacKem(LAC_128)

@@ -12,7 +12,9 @@ whatever it is given.  Three images of that property are pinned here:
   result depends on what sits in the other lanes;
 * **batched DECAPS**: a valid and a tampered ciphertext take the same
   lines through the decoder and through ``_decaps_chunk`` and hash the
-  same number of times.
+  same number of times — and across hosted keys the schedule depends on
+  the batch size and the number of distinct keys only, not on which
+  lane names which key.
 
 A Python-level trace sees a planted data-dependent branch (lines
 differ) and a data-dependent shape that reaches a local (``x =
@@ -276,3 +278,58 @@ class TestBatchedDecaps:
         assert outcomes["tampered"][0] == [
             kem.decaps(pair.secret_key, ct) for ct in tampered
         ]
+
+    @pytest.mark.parametrize("params", ALL_PARAMS, ids=lambda p: p.name)
+    def test_cross_key_schedule_depends_on_batch_and_key_count_only(
+        self, params, monkeypatch
+    ):
+        """A batch across K hosted keys: whichever lanes name which key,
+        valid or tampered, the kernel runs the same lines on arrays of
+        the same shapes and hashes the same number of times."""
+        kem = LacKem(params)
+        pairs = [kem.keygen(bytes([k + 1]) * 64) for k in range(3)]
+        hashed = []
+        real_hash3 = batch_kem._hash3
+
+        def counting_hash3(*args):
+            hashed[-1] += 1
+            return real_hash3(*args)
+
+        files = _DECODER_FILES + ("repro/batch/kem.py", "repro/ring/poly.py")
+
+        def run(assignment, tampered):
+            keys = [pairs[k] for k in assignment]
+            cts = [
+                kem.encaps(pair.public_key, bytes([lane, 0x3C] * 16)).ciphertext
+                for lane, pair in enumerate(keys)
+            ]
+            if tampered:
+                cts = [
+                    Ciphertext(params, np.mod(ct.u + 1, params.q), ct.v_compressed)
+                    for ct in cts
+                ]
+            hashed.append(0)
+            with monkeypatch.context() as patch:
+                patch.setattr(batch_kem, "_hash3", counting_hash3)
+                secrets, trace = _traced(
+                    lambda: batch_kem._decaps_chunk(
+                        kem, [pair.secret_key for pair in keys], cts
+                    ),
+                    files,
+                )
+            assert secrets == [
+                kem.decaps(pair.secret_key, ct) for pair, ct in zip(keys, cts)
+            ]
+            return trace
+
+        run([0, 1, 2, 0, 1, 2], False)  # build tables untraced-for-real
+        reference = run([0, 1, 2, 0, 1, 2], False)
+        assert len(reference) > 100  # the trace is live
+        for assignment in ([2, 2, 0, 1, 0, 1], [1, 0, 0, 0, 0, 2], [0, 0, 0, 1, 2, 2]):
+            for tampered in (False, True):
+                assert run(assignment, tampered) == reference, (assignment, tampered)
+        assert set(hashed) == {3 * 6}
+        # K is visible (it sets how many operands are resolved) — B and
+        # K are public, which lane holds which key's request is not
+        assert run([0, 0, 0, 0, 0, 0], False) != reference
+        assert run([0, 1, 0, 1, 0, 1], False) != reference

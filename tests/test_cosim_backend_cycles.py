@@ -45,10 +45,10 @@ def _serve_kat(backend, params):
     """keygen(SEED) -> encaps(MESSAGE) -> decaps on the backend itself."""
     (pair,) = backend.submit(LAC_SCHEME, params, "KEYGEN", None, [SEED]).result()
     [(ct_bytes, shared)] = backend.submit(
-        LAC_SCHEME, params, "ENCAPS", pair, [MESSAGE]
+        LAC_SCHEME, params, "ENCAPS", [pair], [MESSAGE]
     ).result()
     assert backend.submit(
-        LAC_SCHEME, params, "DECAPS", pair, [ct_bytes]
+        LAC_SCHEME, params, "DECAPS", [pair], [ct_bytes]
     ).result() == [shared]
 
 
@@ -125,10 +125,10 @@ class TestConstantSchedule:
             phase_prices = []
             for message in (MESSAGE, bytes(32), b"\xff" * 32):
                 [(ct_bytes, _)] = backend.submit(
-                    LAC_SCHEME, LAC_128, "ENCAPS", pair, [message]
+                    LAC_SCHEME, LAC_128, "ENCAPS", [pair], [message]
                 ).result()
                 backend.submit(
-                    LAC_SCHEME, LAC_128, "DECAPS", pair, [ct_bytes]
+                    LAC_SCHEME, LAC_128, "DECAPS", [pair], [ct_bytes]
                 ).result()
                 counter = backend.last_counter("DECAPS", LAC_128)
                 assert counter is not None

@@ -13,6 +13,7 @@ PR-8 SLO gate.
 """
 
 import asyncio
+import time
 
 import pytest
 
@@ -36,6 +37,7 @@ from repro.serve import (
 )
 from repro.serve.protocol import pack_encaps_request
 from repro.serve.scheduler import AdaptiveDeadlinePolicy, MicroBatchScheduler
+from repro.trace import InMemoryRecorder, Tracer
 
 SEED = bytes(range(64))
 
@@ -384,24 +386,64 @@ def test_multitenant_chaos_ledger_balances():
         assert p99 is not None and p99 <= SLO_P99_S
 
 
+#: Share of one core the NewHope tenant's offered load may ask for.  Its
+#: operation is ~50 ms of pure Python holding the GIL; the rate that is a
+#: *workload* rather than an overload depends on the host, so it is
+#: derived from a measured operation, never written down.
+NEWHOPE_CORE_SHARE = 0.25
+
+
+def _served_within_deadline(spans, deadline_s):
+    """``(OK requests, those later than their deadline)`` on the server's
+    own clock: from the enqueue stamp to the end of the kernel — the
+    interval ``KemService`` promises an ``OK`` never overruns."""
+    served = {}
+    for span in spans:
+        if span["name"] in ("queue", "dispatch", "kernel"):
+            served[span["parent_id"]] = (
+                served.get(span["parent_id"], 0.0) + span["duration_us"]
+            )
+    ok = [
+        span
+        for span in spans
+        if span["name"] == "server.request"
+        and span["tags"]["op"] == "ENCAPS"
+        and span["tags"]["status"] == "OK"
+    ]
+    late = [s for s in ok if served[s["span_id"]] > deadline_s * 1e6]
+    return len(ok), late
+
+
 @pytest.mark.timing
 def test_mixed_scheme_mixed_tenant_acceptance():
     """The ISSUE acceptance workload: LAC-128 + LAC-256 + NewHope keys
     under three tenants, every accepted answer bit-identical to its
-    scalar reference, with the loaded tenant's quota enforced."""
+    scalar reference, with the loaded tenant's quota enforced.
+
+    What is asserted is what the server guarantees: ledgers balance,
+    only the over-quota tenant is shed for quota, every ``OK`` is
+    bit-identical (in ``send``) and none was served later than its
+    deadline on the server's clock.  The client-side p99 gate is kept —
+    against an offered load this host can carry (see
+    ``NEWHOPE_CORE_SHARE``), not against a fixed 30 req/s of an
+    operation whose cost the test never looked at."""
+    recorder = InMemoryRecorder()
 
     async def main():
         svc = await KemService(
             ServiceConfig(
                 max_batch=8,
                 tenant_quotas=(TenantQuota(tenant=2, ops_per_s=20.0),),
-            )
+            ),
+            tracer=Tracer(recorder=recorder, enabled=True),
         ).start()
         message = bytes(range(32))
         nh_pair = NEWHOPE_SCHEME.keygen(NEWHOPE_512, SEED)
+        began = time.perf_counter()
         [(nh_ct, nh_shared)] = NEWHOPE_SCHEME.encaps_many(
             NEWHOPE_512, nh_pair, [message]
         )
+        newhope_op_s = time.perf_counter() - began
         per_tenant = {
             1: (LAC_128, None),
             2: (LAC_256, None),
@@ -421,35 +463,48 @@ def test_mixed_scheme_mixed_tenant_acceptance():
             else:
                 want = newhope_ref
             references[tenant] = (client, key_id, message, want)
-        tiers = (
-            TierSpec(tier=0, weight=1.0, deadline_s=SLO_P99_S, tenant=1),
-            TierSpec(tier=0, weight=2.0, deadline_s=SLO_P99_S, tenant=2),
-            TierSpec(tier=0, weight=1.0, deadline_s=SLO_P99_S, tenant=3),
+        # tenant 1 offers 30 req/s, tenant 2 60 req/s against its 20
+        # (3x quota), tenant 3 what a quarter of a core serves — at
+        # most the 30 req/s this test used to offer unconditionally
+        newhope_rate = min(30.0, NEWHOPE_CORE_SHARE / newhope_op_s)
+        rates = {1: 30.0, 2: 60.0, 3: newhope_rate}
+        tiers = tuple(
+            TierSpec(tier=0, weight=rate, deadline_s=SLO_P99_S, tenant=tenant)
+            for tenant, rate in rates.items()
         )
+        total = sum(rates.values())
         gen = OpenLoopLoadGen(
             _tenant_send(clients, references),
-            PoissonProcess(120.0, seed=23),
-            max_requests=120,
+            PoissonProcess(total, seed=23),
+            max_requests=int(2.0 * total),  # two seconds of traffic
             tiers=tiers,
             seed=23,
         )
-        recorder = await gen.run()
+        run = await gen.run()
         snapshot = svc.metrics.snapshot()
         for client in clients:
             await client.aclose()
         await svc.shutdown()
-        return recorder, snapshot
+        return run, snapshot
 
-    recorder, snapshot = asyncio.run(asyncio.wait_for(main(), 60.0))
-    ledger = recorder.tenant_ledger()
+    run, snapshot = asyncio.run(asyncio.wait_for(main(), 60.0))
+    ledger = run.tenant_ledger()
+    # the ledger balances: every scheduled request has one outcome
+    assert sum(sum(row.values()) for row in ledger.values()) == run.total
     # every tenant made progress, bit-identical (asserted in send)
     for tenant in (1, 2, 3):
         assert ledger[tenant].get("ok", 0) > 0
-    # the loaded tenant (LAC-256 at ~60 ops/s vs 20, 3x) was rate-shed
+    # the loaded tenant (LAC-256 at ~60 ops/s vs 20, 3x) was rate-shed,
+    # and nobody else was shed for quota
     assert ledger[2].get("busy", 0) > 0
     assert snapshot["sheds"].get("quota:0:2", 0) == ledger[2]["busy"]
+    assert {k for k in snapshot["sheds"] if k.startswith("quota:")} == {"quota:0:2"}
+    # no OK left the server later than its deadline
+    ok, late = _served_within_deadline(recorder.to_dicts(), SLO_P99_S)
+    assert ok == sum(ledger[t].get("ok", 0) for t in (1, 2, 3))
+    assert late == []
     # the others rode along unshed and inside the SLO gate
     for tenant in (1, 3):
         assert ledger[tenant].get("busy", 0) == 0
-        p99 = recorder.tenant_latency_percentile(tenant, 99.0)
+        p99 = run.tenant_latency_percentile(tenant, 99.0)
         assert p99 is not None and p99 <= SLO_P99_S

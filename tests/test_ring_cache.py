@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backend import InlineBackend, create_backend
-from repro.batch import key_fingerprints, warm_cache
+from repro.batch import gen_a_vec, key_fingerprints, warm_cache
 from repro.batch.kem import pk_fingerprints, sk_fingerprint
 from repro.lac.kem import LacKem
 from repro.lac.params import ALL_PARAMS, LAC_128, LAC_256
@@ -266,6 +266,38 @@ class TestKemLevelLifecycle:
         assert stats["misses"] == misses_after_warm  # fully warm
         assert stats["hits"] > 0
 
+    @pytest.mark.parametrize("params", ALL_PARAMS, ids=lambda p: p.name)
+    def test_resident_bytes_per_entry_are_bounded(self, params):
+        """What a hosted key keeps resident: per entry the complex
+        transform plus *one byte* per raw coefficient — the raw operand
+        only feeds the exact fallback, and every LAC operand fits."""
+        kem = LacKem(params)
+        pair = kem.keygen(bytes(range(64)))
+        cache = KeyTransformCache(capacity=8)
+        fps = warm_cache(cache, params, pair.public_key, pair.secret_key)
+        n = params.n
+        originals = (
+            gen_a_vec(pair.public_key.seed_a, params),
+            pair.public_key.b,
+            pair.secret_key.sk.s.coeffs[None, :],
+        )
+        for fp, original in zip(fps, originals):
+            got = cache.operand(params.ring, fp, lambda: pytest.fail("not resident"))
+            assert got.hit
+            assert got.raw.nbytes + got.transform.nbytes <= n + 16 * (n + 1)
+            assert np.array_equal(got.raw, original)  # nothing lost narrowing
+            assert got.raw.shape == original.shape
+
+    def test_operands_too_wide_for_a_byte_stay_exact(self):
+        ring = PolyRing(16, q=12289)
+        wide = np.arange(16, dtype=np.int64) * 700
+        signed = np.array([-200, 300] * 8, dtype=np.int64)
+        cache = KeyTransformCache(capacity=4)
+        for tag, source in ((b"wide", wide), (b"signed", signed)):
+            got = cache.operand(ring, fingerprint(b"w", tag), lambda s=source: s)
+            assert got.raw.dtype == np.int64
+            assert np.array_equal(got.raw, source)
+
     def test_invalidation_on_key_removal(self):
         kem = LacKem(LAC_128)
         pair = kem.keygen(bytes(64))
@@ -373,13 +405,13 @@ class TestBackendCacheOwnership:
             assert len(backend.transform_cache) == 3
             message = bytes(LAC_128.message_bytes)
             [(ct_bytes, shared)] = backend.submit(
-                LAC_SCHEME, LAC_128, "ENCAPS", pair, [message]
+                LAC_SCHEME, LAC_128, "ENCAPS", [pair], [message]
             ).result()
             reference = kem.encaps(pair.public_key, message)
             assert ct_bytes == reference.ciphertext.to_bytes()
             assert shared == reference.shared_secret
             assert backend.submit(
-                LAC_SCHEME, LAC_128, "DECAPS", pair, [ct_bytes]
+                LAC_SCHEME, LAC_128, "DECAPS", [pair], [ct_bytes]
             ).result() == [shared]
             stats = backend.stats()["transform_cache"]
             assert stats["hits"] >= 4  # a+b on encaps, s+a+b on decaps

@@ -210,6 +210,78 @@ class TestBatchedMultiplication:
                 assert np.array_equal(row, ring.mul(a, b))
 
 
+class TestPasses:
+    """Batched products run a fixed number of coefficients per pass;
+    every operand shape must come out of several passes — the last one
+    short — exactly as out of one, transforms supplied or not."""
+
+    @pytest.fixture()
+    def ring_and_rows(self, monkeypatch):
+        import repro.ring.poly as poly
+
+        ring = PolyRing(32)
+        monkeypatch.setattr(poly, "_PASS_COEFFS", 3 * ring.n)  # 3 rows a pass
+        rng = np.random.default_rng(7)
+        rows = 8  # passes of 3, 3 and 2
+        stacked = rng.integers(-1, 2, (rows, ring.n)).astype(np.int8)
+        return ring, rng, stacked
+
+    @staticmethod
+    def _expect(ring, stacked, b):
+        left, right = np.broadcast_arrays(
+            np.atleast_2d(stacked), np.atleast_2d(b)
+        )
+        return np.stack(
+            [ring.mul(np.mod(x.astype(np.int64), ring.q), y) for x, y in zip(left, right)]
+        )
+
+    def test_mul_many_every_broadcast_shape(self, ring_and_rows):
+        ring, rng, stacked = ring_and_rows
+        one = ring.random(rng)
+        per_row = np.stack([ring.random(rng) for _ in range(len(stacked))])
+        for a, b in (
+            (stacked, one),
+            (stacked, one[None, :]),
+            (stacked, per_row),
+            (stacked[:1], per_row),
+        ):
+            want = self._expect(ring, a, b)
+            assert np.array_equal(ring.mul_many(a, b), want)
+            assert np.array_equal(
+                ring.mul_many(
+                    a,
+                    b,
+                    a_transform=ring.forward_transform(a),
+                    b_transform=ring.forward_transform(b),
+                ),
+                want,
+            )
+
+    def test_mul_many_multi_mixes_shared_and_per_row_operands(self, ring_and_rows):
+        ring, rng, stacked = ring_and_rows
+        shared = ring.random(rng).astype(np.uint8)  # narrow, as the cache keeps it
+        per_row = np.stack([ring.random(rng) for _ in range(len(stacked))])
+        operands = [shared, per_row]
+        want = [self._expect(ring, stacked, b.astype(np.int64)) for b in operands]
+        transforms = [ring.forward_transform(b) for b in operands]
+        for given in (None, transforms, [transforms[0], None]):
+            got = ring.mul_many_multi(stacked, operands, operand_transforms=given)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+    def test_a_pass_that_trips_the_guard_falls_back_alone(self, ring_and_rows, monkeypatch):
+        ring, rng, stacked = ring_and_rows
+        b = ring.random(rng)
+        real, calls = np.fft.irfft, []
+
+        def second_pass_broken(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs) + (0.4 if len(calls) == 2 else 0.0)
+
+        monkeypatch.setattr(np.fft, "irfft", second_pass_broken)
+        assert np.array_equal(ring.mul_many(stacked, b), self._expect(ring, stacked, b))
+        assert len(calls) == 3
+
+
 class TestRoundingGuardFallback:
     """Force the 0.25 integrality guard and prove the fallback is exact.
 
