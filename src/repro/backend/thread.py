@@ -70,7 +70,13 @@ class ThreadBackend(KemBackend):
             if self._fan_out
             else None
         )
-        self._pool_workers = workers or DEFAULT_THREAD_WORKERS
+        # a borrowed pool's size is read off it (every ``concurrent.futures``
+        # pool records one); only an executor that keeps none is guessed at
+        self._pool_workers: int = (
+            workers or DEFAULT_THREAD_WORKERS
+            if executor is None
+            else getattr(executor, "_max_workers", DEFAULT_THREAD_WORKERS)
+        )
         self._resize_lock = threading.Lock()
 
     @property
@@ -85,8 +91,7 @@ class ThreadBackend(KemBackend):
 
     @property
     def slots(self) -> int:
-        """The pool's thread count (the default size for a borrowed
-        executor, whose own is not ours to read)."""
+        """The pool's thread count, borrowed pools included."""
         return self._pool_workers
 
     def resize(self, workers: int) -> bool:
@@ -133,17 +138,23 @@ class ThreadBackend(KemBackend):
         pairs: list[Any] | None,
         batch: list[Any],
     ) -> list[Any]:
-        """The adapter, chunked over ``batch`` when ``fan_out`` is set."""
+        """The adapter, chunked over the batch's lanes when ``fan_out``
+        is set."""
         cache = self.transform_cache
-        if self._fan_out is None:
-            return run_op(scheme, params, op, pairs, batch, cache)
-        lanes = list(zip(pairs or [None] * len(batch), batch, strict=True))
 
-        def run_chunk(chunk: list[tuple[Any, Any]]) -> list[Any]:
-            chunk_pairs, items = zip(*chunk, strict=True)
-            return run_op(scheme, params, op, chunk_pairs, items, cache)
+        def run_chunk(lanes: list[int]) -> list[Any]:
+            return run_op(
+                scheme,
+                params,
+                op,
+                None if pairs is None else [pairs[i] for i in lanes],
+                [batch[i] for i in lanes],
+                cache,
+            )
 
-        return _fan_out(run_chunk, lanes, self._fan_out, self._fan_pool)
+        return _fan_out(
+            run_chunk, list(range(len(batch))), self._fan_out, self._fan_pool
+        )
 
     def stats(self) -> dict[str, Any]:
         """Submission counters plus the pool size."""

@@ -147,24 +147,25 @@ def _annotate_cache(hits: int, misses: int) -> None:
         tags["cache_misses"] = tags.get("cache_misses", 0) + misses
 
 
-def _lanes(keys: Sequence[_T]) -> tuple[list[_T], list[int] | None]:
+def key_lanes(keys: Sequence[_T]) -> tuple[list[_T], list[int]]:
     """A batch's distinct keys, first seen first, and each lane's index
-    into them — ``None`` for a one-key batch, whose operands broadcast.
+    into them — the one place a batch naming one key per lane is
+    grouped (:func:`repro.schemes.base.per_pair` groups by it too).
 
     Keys are told apart by identity: a hosted key is one object however
     many lanes name it.  Every lane runs the same lines whichever key it
     names (``tests/test_constant_ops.py`` traces this module).
     """
     slots: dict[int, int] = {}
-    index = [slots.setdefault(id(key), len(slots)) for key in keys]
+    lane = [slots.setdefault(id(key), len(slots)) for key in keys]
     distinct = list({id(key): key for key in keys}.values())
-    return distinct, index if len(distinct) > 1 else None
+    return distinct, lane
 
 
-def _gather(parts: Sequence[np.ndarray], lane: list[int] | None) -> np.ndarray:
+def _gather(parts: Sequence[np.ndarray], lane: list[int]) -> np.ndarray:
     """Per-lane rows of the distinct keys' arrays, one copy made (one
     key: the array itself, which broadcasts)."""
-    if lane is None:
+    if len(parts) == 1:
         return parts[0]
     return np.vstack([parts[k] for k in lane])
 
@@ -172,7 +173,7 @@ def _gather(parts: Sequence[np.ndarray], lane: list[int] | None) -> np.ndarray:
 def _pk_operands(
     params: LacParams,
     pks: Sequence[PublicKey],
-    lane: list[int] | None,
+    lane: list[int],
     cache: KeyTransformCache | None,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray | None]:
     """Resolve ``(a, fa, b, fb)`` of the distinct ``pks`` for the
@@ -218,7 +219,7 @@ def _compress_rows(params: LacParams, v_rows: np.ndarray) -> np.ndarray:
 def _encrypt_batch(
     kem: LacKem,
     pks: Sequence[PublicKey],
-    lane: list[int] | None,
+    lane: list[int],
     messages: Sequence[bytes],
     coins_list: Sequence[bytes],
     cache: KeyTransformCache | None = None,
@@ -226,8 +227,8 @@ def _encrypt_batch(
     """Deterministic batched encryption (shared by encaps and re-encrypt).
 
     ``pks`` are the batch's distinct public keys and ``lane`` each
-    message's index into them (``None``: one key, broadcast), as
-    :func:`_lanes` gives them.
+    message's index into them, as :func:`key_lanes` gives them (one
+    key: its operands broadcast).
     """
     params = kem.params
     ring = params.ring
@@ -265,11 +266,10 @@ def _encaps_chunk(
     cache: KeyTransformCache | None = None,
 ) -> list[EncapsResult]:
     """Encapsulate ``messages[i]`` under ``pks[i]``."""
-    distinct, lane = _lanes(pks)
+    distinct, lane = key_lanes(pks)
     digests = [_hash3(pk.to_bytes(), b"", b"pk") for pk in distinct]
     coins_list = [
-        _hash3(message, digests[k], b"coins")
-        for message, k in zip(messages, lane or [0] * len(messages))
+        _hash3(message, digests[k], b"coins") for message, k in zip(messages, lane)
     ]
     ciphertexts = _encrypt_batch(kem, distinct, lane, messages, coins_list, cache)
     results = []
@@ -294,7 +294,7 @@ def _decaps_chunk(
     q = params.q
     codec = kem.pke.codec
 
-    distinct, lane = _lanes(keys)
+    distinct, lane = key_lanes(keys)
     s_parts = [key.sk.s.coeffs.astype(np.int64)[None, :] for key in distinct]
     u_rows = np.stack([ct.u for ct in ciphertexts]).astype(np.int64)
     if cache is not None:

@@ -36,6 +36,7 @@ from abc import ABC, abstractmethod
 from collections.abc import Callable, Sequence
 from typing import Any
 
+from repro.batch.kem import key_lanes
 from repro.ring.cache import KeyTransformCache
 
 
@@ -47,14 +48,14 @@ def per_pair(
     """``run(pair, its items)`` once per distinct pair (told apart by
     identity), results back in item order — how a one-key kernel or
     wire serves a batch that names one pair per item."""
-    lanes: dict[int, list[int]] = {}
-    for lane, pair in enumerate(pairs):
-        lanes.setdefault(id(pair), []).append(lane)
+    distinct, lane = key_lanes(pairs)
+    members: list[list[int]] = [[] for _ in distinct]
+    for i, k in enumerate(lane):
+        members[k].append(i)
     out: list[Any] = [None] * len(items)
-    for members in lanes.values():
-        results = run(pairs[members[0]], [items[lane] for lane in members])
-        for lane, result in zip(members, results, strict=True):
-            out[lane] = result
+    for pair, its in zip(distinct, members):
+        for i, result in zip(its, run(pair, [items[i] for i in its]), strict=True):
+            out[i] = result
     return out
 
 

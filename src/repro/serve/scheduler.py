@@ -31,6 +31,9 @@ the executor's FIFO, closed to the requests that arrive meanwhile.  So
 tier first, then the least-served tenant, then the oldest queue —
 and leaves the rest *open*: they keep absorbing arrivals up to their
 batch limit (where they flush on size as ever) until a slot frees.
+(The caller decides what ``free`` is: the server counts only deadline
+flushes against the slots, so size and alone flushes — which bypass
+this rule — cannot keep the held queues out for good.)
 The paper keeps its one MUL TER busy and feeds it whole operands; a
 backend that is already busy is fed whole batches.
 
@@ -354,16 +357,16 @@ class MicroBatchScheduler:
 
         return sorted(keys, key=sort_key)
 
-    def poll(self, now: float, free: int | None = None) -> list[Batch]:
+    def poll(self, now: float, free: int) -> list[Batch]:
         """Flush the queues whose deadline has passed, urgent first —
-        at most ``free`` of them (``None``: all).  The rest stay open
-        and keep absorbing arrivals until a later call has room."""
+        at most ``free`` of them.  The rest stay open and keep
+        absorbing arrivals until a later call has room."""
         due = self._ordered(
             [key for key, q in self._queues.items() if q.deadline <= now]
         )
         return [
             self._flushed(key, self._queues.pop(key).entries, "deadline", now)
-            for key in (due if free is None else due[: max(free, 0)])
+            for key in due[: max(free, 0)]
         ]
 
     def next_deadline(self) -> float | None:

@@ -38,7 +38,8 @@ between a request arriving and its response leaving:
    backend would only wait in its FIFO, closed to new arrivals;
 5. a dispatch submits to the service's :class:`repro.backend.KemBackend`
    (thread pool by default; multi-process via ``backend="process"``),
-   holding one of its ``slots`` until the kernel's future resolves:
+   a deadline flush holding one of its ``slots`` until the kernel's
+   future resolves (a flush that did not wait for a slot holds none):
    expired entries — and entries whose queue wait plus the EWMA batch
    estimate overshoots their deadline (reason ``predicted-miss``) —
    are answered ``TIMEOUT`` unexecuted, the rest go
@@ -690,7 +691,8 @@ class KemService(FrameServer):
         self._started_at = 0.0
         self._wake: asyncio.Event | None = None
         self._flusher: asyncio.Task[None] | None = None
-        # batches handed to the backend whose kernel has not resolved
+        # deadline-flushed batches whose kernel has not resolved: each
+        # holds one of the backend's slots
         self._busy = 0
 
     @property
@@ -1064,8 +1066,10 @@ class KemService(FrameServer):
     # ------------------------------------------------------------------
 
     def _free_slots(self) -> int:
-        """Backend slots no dispatched batch holds (negative after size
-        flushes, which never wait for one)."""
+        """Backend slots no deadline-flushed batch holds.  Only the
+        flushes that wait for a slot hold one: if size and alone flushes,
+        which never wait, counted too, enough of them in flight would
+        shut the held queues out for as long as they kept coming."""
         backend = self._backend
         return (backend.slots if backend is not None else 0) - self._busy
 
@@ -1173,7 +1177,8 @@ class KemService(FrameServer):
         """Hand a flushed batch to the backend and spawn its answering.
 
         Synchronous up to and including ``backend.submit``, so the slot
-        the batch takes is counted before the flush loop looks again.
+        a deadline flush takes is counted before the flush loop looks
+        again.
         Expired entries — and predicted deadline misses — are set aside
         here and answered ``TIMEOUT`` by the task, unexecuted.
         """
@@ -1221,17 +1226,18 @@ class KemService(FrameServer):
                 live.append(entry)
         t_exec = self._clock()  # before submit: the inline backend runs it there
         kernel = self._submit(op, live) if live else None
+        if kernel is not None and batch.trigger == "deadline":
+            self._busy += 1
+            kernel.add_done_callback(self._release_slot)
         self._spawn(self._dispatch(batch, live, late, kernel, t_exec))
 
     def _submit(self, op: Op, live: list[Request]) -> asyncio.Future[list[Any]]:
         """One ``backend.submit`` per batch, whatever the scheme: the
         already-validated wire bytes go in as they arrived, each under
-        its own request's hosted pair.  Takes a backend slot, given
-        back the moment the kernel's future resolves."""
+        its own request's hosted pair."""
         backend = self._backend
         assert backend is not None, "start() the service first"
         first = live[0]
-        self._busy += 1
         self.metrics.adjust_inflight(+1)
         kernel: asyncio.Future[list[Any]]
         try:
@@ -1247,7 +1253,6 @@ class KemService(FrameServer):
         except Exception as exc:  # noqa: BLE001 - fanned out by _dispatch
             kernel = asyncio.get_running_loop().create_future()
             kernel.set_exception(exc)
-        kernel.add_done_callback(self._release_slot)
         return kernel
 
     async def _dispatch(

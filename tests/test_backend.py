@@ -18,6 +18,7 @@ warmup) to keep the spawn cost paid once.
 import asyncio
 import contextlib
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -80,7 +81,13 @@ def _backend_named(name, process_backend, cosim_backend):
     if name == "cosim":
         yield cosim_backend
         return
-    impl: KemBackend = InlineBackend() if name == "inline" else ThreadBackend(workers=2)
+    if name == "borrowed":
+        with ThreadPoolExecutor(1) as pool:
+            impl: KemBackend = ThreadBackend(executor=pool)
+            yield impl
+            impl.close()
+        return
+    impl = InlineBackend() if name == "inline" else ThreadBackend(workers=2)
     yield impl
     impl.close()
 
@@ -179,13 +186,14 @@ class _Scalar:
 _SCHEMES = {"lac": (LAC_SCHEME, LAC_128), "newhope": (NEWHOPE_SCHEME, NEWHOPE_512)}
 _REFERENCES = {}
 
-#: every backend × every scheme it supports (cosim prices only LAC)
+#: every backend × every scheme it supports (cosim prices only LAC),
+#: and the thread backend once more on a pool it was lent
 _CELLS = [
     (backend_name, scheme_name)
     for backend_name in BACKEND_NAMES
     for scheme_name in _SCHEMES
     if (backend_name, scheme_name) != ("cosim", "newhope")
-]
+] + [("borrowed", "lac")]
 
 
 @pytest.fixture(params=_CELLS, ids="-".join)
@@ -250,10 +258,11 @@ class TestConformance:
                 ref.scheme, ref.params, "ENCAPS", [ref.pair], _messages(2, ref.params)
             )
 
-    def test_slots_report_what_runs_at_once(self, cell):
+    def test_slots_report_what_runs_at_once(self, cell, request):
         backend, _ = cell
-        pooled = {"thread": 2, "process": 2}  # the fixtures' pool sizes
-        assert backend.slots == pooled.get(backend.name, 1)
+        pooled = {"thread": 2, "process": 2, "borrowed": 1}  # the fixtures' pools
+        made_as = request.node.callspec.params["cell"][0]
+        assert backend.slots == pooled.get(made_as, 1)
 
     def test_keygen_convenience_and_fresh_randomness(self, cell):
         backend, ref = cell

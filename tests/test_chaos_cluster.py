@@ -25,6 +25,7 @@ entry, via ``CHAOS_SEEDS``).
 """
 
 import asyncio
+import dataclasses
 import os
 import time
 
@@ -151,10 +152,17 @@ def test_cluster_chaos_storm(seed):
             *[chaos_client(router, i, outcomes) for i in range(CLIENTS)]
         )
 
-        # the cluster survived: a fresh connection is served (it is
-        # still under the fault plan, so it gets the resilient policy)
+        # the cluster survived: a fresh connection is served.  It is
+        # still under the fault plan, whose draws are one fixed sequence
+        # per seed and site; where in it this request lands depends on
+        # how many draws the storm used, which is timing.  Seed 303's
+        # ``transport.read`` draws 144-153 fail nine times in ten and the
+        # storm ends anywhere from draw 112 to 157, so the budget here outlasts such a
+        # window instead of racing it
         survivor = AsyncKemClient(
-            *(await router.connect()), retry=CHAOS_RETRY, reconnect=router.connect
+            *(await router.connect()),
+            retry=dataclasses.replace(CHAOS_RETRY, max_attempts=16),
+            reconnect=router.connect,
         )
         snap = await survivor.info()
         assert "cluster" in snap

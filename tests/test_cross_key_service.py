@@ -58,6 +58,10 @@ def flush(svc, clock, seconds=20.0):
     svc._wake.set()
 
 
+def flushes(svc):
+    return svc.metrics.snapshot()["flushes"]
+
+
 def run(main):
     asyncio.run(asyncio.wait_for(main(), 60.0))
 
@@ -240,7 +244,7 @@ class TestBatchWhileBusy:
 
         run(main)
 
-    def test_size_flush_does_not_wait_for_a_slot(self):
+    def test_size_flush_neither_waits_for_a_slot_nor_holds_one(self):
         async def main():
             backend = GatedBackend(workers=1)
             svc, clock = service_on(backend, max_batch=2)
@@ -248,12 +252,54 @@ class TestBatchWhileBusy:
             ((key_id, _),) = host(svc, 1)
             client = await connected_client(svc, (key_id, LAC_128))
             calls = [asyncio.create_task(client.encaps(key_id)) for _ in range(4)]
-            await wait_until(lambda: len(backend.batches) + svc._busy >= 3)
-            assert svc._busy == 2 and svc._free_slots() == -1
+            # both batches are with the backend, the second behind the first
+            await wait_until(lambda: flushes(svc) == {"size": 2})
+            assert svc._busy == 0 and svc._free_slots() == 1
             backend.gate.set()
             await asyncio.gather(*calls)
-            assert svc._busy == 0
-            assert svc.metrics.snapshot()["flushes"] == {"size": 2}
+            await client.aclose()
+            await svc.shutdown()
+            backend.close()
+
+        run(main)
+
+    @pytest.mark.parametrize("deadline_s", [None, 15.0])
+    def test_flushes_that_take_no_slot_do_not_starve_a_due_queue(self, deadline_s):
+        """More limit-1 (NewHope) requests in flight than the backend has
+        slots: a LAC queue is still handed over at its deadline — or
+        answered ``TIMEOUT`` if it is by then past its own — and runs
+        behind the backlog already there, not when the flood ends."""
+
+        async def main():
+            backend = GatedBackend(workers=1)
+            svc, clock = service_on(backend, max_batch=100)
+            await svc.start()
+            hope = svc.add_keypair(NEWHOPE_512, seed=bytes(range(64)))
+            ((lac, pair),) = host(svc, 1)
+            client = await connected_client(svc, (hope, NEWHOPE_512), (lac, LAC_128))
+            flood = [asyncio.create_task(client.encaps(hope)) for _ in range(3)]
+            await wait_until(lambda: flushes(svc) == {"size": 3})
+
+            message = bytes(range(32))
+            quiet = asyncio.create_task(
+                client.encaps(lac, message, deadline_s=deadline_s)
+            )
+            await wait_until(lambda: svc.pending == 4)
+            flush(svc, clock)  # no kernel has resolved, none will yet
+            await wait_until(lambda: flushes(svc) == {"size": 3, "deadline": 1})
+            if deadline_s is None:
+                assert svc._busy == 1 and not quiet.done()
+                backend.gate.set()
+                want = KEM.encaps(pair.public_key, message)
+                assert await quiet == (want.ciphertext.to_bytes(), want.shared_secret)
+            else:
+                with pytest.raises(RequestTimedOut, match="shed: queued"):
+                    await quiet
+                assert svc._busy == 0
+                backend.gate.set()
+            await asyncio.gather(*flood)
+            lone = [op for op, _, items in backend.batches if len(items) == 1]
+            assert len(lone) == (4 if deadline_s is None else 3)
             await client.aclose()
             await svc.shutdown()
             backend.close()

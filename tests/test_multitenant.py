@@ -156,7 +156,7 @@ class TestSchedulerFairShare:
         sched.fair_share.charge("hog", 64.0)
         sched.submit(("hog", "k1"), ("hog", 1), clock())
         sched.submit(("quiet", "k2"), ("quiet", 1), clock())
-        batches = sched.poll(clock.advance(1.0))
+        batches = sched.poll(clock.advance(1.0), 8)
         assert [batch.key[0] for batch in batches] == ["quiet", "hog"]
 
     def test_dispatch_charges_the_tenant(self):
@@ -165,7 +165,7 @@ class TestSchedulerFairShare:
         sched.fair_share.balance("idle")  # a second tenant as baseline
         for i in range(3):
             sched.submit(("a", "k"), ("a", i), clock())
-        sched.poll(clock.advance(1.0))
+        sched.poll(clock.advance(1.0), 8)
         assert sched.fair_share.snapshot() == {"a": 3.0, "idle": 0.0}
 
     def test_no_tenant_hook_means_no_fair_share(self):

@@ -52,12 +52,6 @@ class TestFreeSlots:
         assert sched.poll(clock.advance(2 * MAX_WAIT_S), -1) == []
         assert len(sched) == 1
 
-    def test_default_is_unbounded(self, clock):
-        sched = make_scheduler()
-        for key in "abc":
-            sched.submit(key, key, clock())
-        assert len(sched.poll(clock.advance(2 * MAX_WAIT_S))) == 3
-
     def test_queues_not_yet_due_do_not_use_a_slot(self, clock):
         sched = make_scheduler()
         sched.submit("old", 1, clock())

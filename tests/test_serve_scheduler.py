@@ -74,17 +74,17 @@ class TestFlushOnDeadline:
     def test_not_due_before_deadline(self, clock):
         sched = make_scheduler(max_batch=10, max_wait_us=1000.0)
         sched.submit("k", 1, clock())
-        assert sched.poll(clock.advance(0.0005)) == []  # 500 µs < 1000 µs
+        assert sched.poll(clock.advance(0.0005), 8) == []  # 500 µs < 1000 µs
 
     def test_due_after_deadline(self, clock):
         sched = make_scheduler(max_batch=10, max_wait_us=1000.0)
         sched.submit("k", 1, clock())
         sched.submit("k", 2, clock.advance(0.0001))
-        batches = sched.poll(clock.advance(0.001))
+        batches = sched.poll(clock.advance(0.001), 8)
         assert len(batches) == 1
         assert batches[0].entries == [1, 2]
         assert batches[0].trigger == "deadline"
-        assert sched.poll(clock()) == []  # flushed queues stay flushed
+        assert sched.poll(clock(), 8) == []  # flushed queues stay flushed
 
     def test_deadline_fixed_at_batch_open(self, clock):
         # later arrivals must not push an open batch's deadline out
@@ -106,7 +106,7 @@ class TestFlushOnDeadline:
         sched = make_scheduler(max_batch=10, max_wait_us=1000.0)
         sched.submit("a", 1, clock())
         sched.submit("b", 2, clock())
-        flushed = {b.key for b in sched.poll(clock.advance(0.002))}
+        flushed = {b.key for b in sched.poll(clock.advance(0.002), 8)}
         assert flushed == {"a", "b"}
 
 

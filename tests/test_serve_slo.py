@@ -166,7 +166,7 @@ class TestPriorityFlushing:
         sched.submit("batch-key", (2, "a"), now=0.0)
         sched.submit("interactive-key", (0, "b"), now=0.0)
         sched.submit("standard-key", (1, "c"), now=0.0)
-        batches = sched.poll(now=10.0)
+        batches = sched.poll(now=10.0, free=8)
         tiers = [min(e[0] for e in b.entries) for b in batches]
         assert tiers == [0, 1, 2]
 
@@ -180,7 +180,7 @@ class TestPriorityFlushing:
         sched = MicroBatchScheduler(max_batch=8)
         sched.submit("k1", 3, now=0.0)
         sched.submit("k2", 1, now=0.0)
-        assert [b.entries for b in sched.poll(10.0)] == [[3], [1]]
+        assert [b.entries for b in sched.poll(10.0, 8)] == [[3], [1]]
 
 
 class TestTierWatermarks:
