@@ -143,11 +143,9 @@ async def bench_param(
         ServiceConfig(
             max_batch=32,
             shed_deadlines=True,
-            # a privately owned pool so the autoscaler has something to
-            # resize under the overload phase
+            # a privately owned two-thread pool: the capacity measured
+            # is that of a fixed, known number of kernel slots
             backend_workers=2,
-            autoscale=True,
-            autoscale_max_workers=max(2, min(8, os.cpu_count() or 2)),
         )
     )
     await service.start()
@@ -218,7 +216,6 @@ async def bench_param(
         "counts": dict(recorder.counts),
         "summary": recorder.summary(elapsed),
         "sheds": info.get("sheds", {}),
-        "autoscale_events": info.get("autoscale_events", {}),
     }
     print(
         f"  {params.name}: overload {overload_rate:7.0f} ops/s -> "

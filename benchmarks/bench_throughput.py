@@ -101,46 +101,6 @@ def bench_kem(params, batch: int, repeats: int) -> dict:
     }
 
 
-def bench_executor_reuse(params, batch: int, repeats: int) -> dict:
-    """Shared fan-out pool vs a fresh ``ThreadPoolExecutor`` per call.
-
-    PR 1 spawned a fresh pool inside every ``workers=N`` batch call;
-    PR 2 reuses the process-wide shared pool (now owned by
-    :func:`repro.backend.default_thread_backend`; the serve scheduler
-    dispatches onto it).  This records both so the PR 1 and PR 2
-    numbers stay comparable.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    from repro.backend import default_thread_backend
-
-    workers = 4
-    kem = LacKem(params)
-    pair = kem.keygen(b"\x2a" * (params.seed_bytes + 32))
-    pk = pair.public_key
-    messages = [bytes([i & 0xFF]) * params.message_bytes for i in range(batch)]
-    default_thread_backend()  # spin the shared pool up outside the timed window
-
-    t_shared = _best_of(
-        lambda: kem.encaps_many(pk, messages, workers=workers), repeats
-    )
-
-    def fresh_pool_call():
-        # the pre-PR-2 behaviour: pool per call, torn down afterwards
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            kem.encaps_many(pk, messages, workers=workers, executor=pool)
-
-    t_fresh = _best_of(fresh_pool_call, repeats)
-    return {
-        "params": params.name,
-        "batch": batch,
-        "workers": workers,
-        "encaps_shared_pool_ms": t_shared * 1e3,
-        "encaps_fresh_pool_ms": t_fresh * 1e3,
-        "executor_reuse_speedup": t_fresh / t_shared,
-    }
-
-
 def bench_bch(params, repeats: int) -> dict:
     """Vectorized vs scalar constant-time BCH decode at full error load."""
     code = params.bch
@@ -170,7 +130,6 @@ def run(batch: int, repeats: int, smoke: bool, output: Path) -> dict:
         **platform_fields(),
         "kem": [bench_kem(p, batch, repeats) for p in param_sets],
         "bch": [bench_bch(p, repeats) for p in param_sets],
-        "executor": [bench_executor_reuse(p, batch, repeats) for p in param_sets],
     }
 
     print(f"{'set':8} {'encaps scalar':>14} {'batch':>9} {'speedup':>8} "
@@ -187,13 +146,6 @@ def run(batch: int, repeats: int, smoke: bool, output: Path) -> dict:
             f"{row['decode_scalar_ms']:.2f} ms scalar -> "
             f"{row['decode_vectorized_ms']:.2f} ms vectorized "
             f"({row['decode_speedup']:.1f}x)"
-        )
-    for row in report["executor"]:
-        print(
-            f"{row['params']:8} workers={row['workers']} encaps batch: "
-            f"{row['encaps_fresh_pool_ms']:.2f} ms fresh pool -> "
-            f"{row['encaps_shared_pool_ms']:.2f} ms shared pool "
-            f"({row['executor_reuse_speedup']:.2f}x)"
         )
 
     failures = []

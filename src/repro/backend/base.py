@@ -36,15 +36,16 @@ has exactly one submission entry point:
 ``warmup()``              — pay table-building/spawn cost up front
 ``close()``               — graceful drain; idempotent
 ``stats()``               — submission/restart/cache counters for metrics
-``slots``                 — how many batches it executes at once
+``slots``                 — how many batches it executes at once, fixed
+                            when the backend is built
 
 What each backend does with ``submit``: inline runs the adapter in the
-caller; thread runs it on a pool thread (``fan_out`` chunks ``items``
-across an inner pool); process ships LAC batches to worker processes
-as key blob + fingerprint and wire bytes (one pair's lanes at a time:
-its wire is per key), and runs any scheme it has no wire for on its
-supervisor threads; cosim runs the counted scalar ``LacKem`` per item
-and therefore declines every scheme but LAC at registration.
+caller; thread runs it on a pool thread; process ships LAC batches to
+worker processes as key blob + fingerprint and wire bytes (one pair's
+lanes at a time: its wire is per key), and runs any scheme it has no
+wire for on its supervisor threads; cosim runs the counted scalar
+``LacKem`` per item and therefore declines every scheme but LAC at
+registration.
 
 Backends own a per-key :class:`repro.ring.KeyTransformCache`: batches
 under a hosted key reuse the forward FFT of the key-side ring operands
@@ -283,38 +284,14 @@ class KemBackend(ABC):
         return False
 
     @property
-    def workers(self) -> int | None:
-        """Current worker-pool size; ``None`` = unsized/not resizable.
-
-        The autoscaler (:mod:`repro.serve.slo`) reads this before
-        every :meth:`resize` decision; a ``None`` (inline backend,
-        borrowed executor, the shared default pool) opts the backend
-        out of autoscaling entirely.
-        """
-        return None
-
-    @property
     def slots(self) -> int:
         """How many submitted batches execute at once; one more only
         waits in the backend's own queue, where no later request can
         join it.  The serving layer hands over a deadline-flushed batch
         while a slot is free and lets the rest keep filling.  One here
         (the caller's thread, a single simulated core); pools report
-        their size."""
+        the size they were built with, which never changes."""
         return 1
-
-    def resize(self, workers: int) -> bool:
-        """Grow or shrink the worker pool to ``workers``; ``False`` =
-        unsupported.
-
-        Implementations must keep already-submitted batches running to
-        completion — a resize changes capacity, never correctness.
-        The base implementation (and any backend without a resizable
-        pool) declines.
-        """
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        return False
 
     def stats(self) -> dict[str, Any]:
         """Counters for metrics/INFO: submissions, failures, restarts."""
@@ -368,12 +345,6 @@ class KemBackend(ABC):
         return future
 
 
-def _positive(name: str, value: int | None) -> int | None:
-    if value is not None and value < 1:
-        raise ValueError(f"{name} must be >= 1")
-    return value
-
-
 def resolve_backend_name(name: str | None = None) -> str:
     """The backend name to use: explicit, else env, else the default."""
     resolved = name or os.environ.get(BACKEND_ENV_VAR) or DEFAULT_BACKEND
@@ -384,21 +355,14 @@ def resolve_backend_name(name: str | None = None) -> str:
     return resolved
 
 
-def create_backend(
-    name: str | None = None,
-    workers: int | None = None,
-    fan_out: int | None = None,
-    cache_entries: int | None = None,
-) -> KemBackend:
+def create_backend(name: str | None = None, workers: int | None = None) -> KemBackend:
     """Create (or share) a backend by name.
 
     ``name`` of ``None`` falls back to ``$REPRO_KEM_BACKEND``, then to
-    ``"thread"``.  ``workers`` sizes the pool; ``fan_out`` adds
-    intra-batch fan-out (thread backend only); ``cache_entries`` sizes
-    the per-key transform cache (``0`` disables it).  A plain
-    ``"thread"`` request with no knob at all returns the process-wide
-    shared default backend — the executor-reuse behavior the serving
-    layer has always had — whose :meth:`~KemBackend.close` is a no-op.
+    ``"thread"``.  ``workers`` sizes the pool — its :attr:`~KemBackend.slots`
+    for the life of the backend.  A plain ``"thread"`` request with no
+    size returns the process-wide shared default backend, whose
+    :meth:`~KemBackend.close` is a no-op.
     """
     from repro.backend.cosim import CosimBackend
     from repro.backend.inline import InlineBackend
@@ -406,23 +370,19 @@ def create_backend(
     from repro.backend.thread import ThreadBackend, default_thread_backend
 
     resolved = resolve_backend_name(name)
-    _positive("workers", workers)
-    _positive("fan_out", fan_out)
-    if cache_entries is not None and cache_entries < 0:
-        raise ValueError("cache_entries must be >= 0")
+    if workers is not None and workers < 1:
+        raise ValueError("workers must be >= 1")
     if resolved == "inline":
-        return InlineBackend(cache_entries=cache_entries)
+        return InlineBackend()
     if resolved == "process":
-        return ProcessBackend(workers=workers, cache_entries=cache_entries)
+        return ProcessBackend(workers=workers)
     if resolved == "cosim":
-        # one simulated in-order core: sizing knobs do not apply (the
+        # one simulated in-order core: sizing does not apply (the
         # profile comes from $REPRO_COSIM_PROFILE or the constructor)
         return CosimBackend()
-    if workers is None and fan_out is None and cache_entries is None:
+    if workers is None:
         return default_thread_backend()
-    return ThreadBackend(
-        workers=workers, fan_out=fan_out, cache_entries=cache_entries
-    )
+    return ThreadBackend(workers=workers)
 
 
 #: Names accepted by :func:`create_backend` / ``ServiceConfig.backend``.

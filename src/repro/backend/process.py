@@ -25,9 +25,9 @@ Design points:
   encapsulation) travel through pooled shared-memory segments
   (:mod:`repro.backend.shm`); the pipe carries only a segment name
   and a count.  Fixed per-parameter-set sizes make every offset
-  computable on both sides.  When shared memory is unusable the
-  backend falls back to the original pickled-``bytes`` wire
-  (``wire="bytes"`` forces it);
+  computable on both sides.  When shared memory is unusable — at
+  construction (:func:`~repro.backend.shm.shm_available`) or at run
+  time — the backend falls back to the original pickled-``bytes`` wire;
 * **ship-once key material** — workers keep a fingerprint-addressed
   cache of hydrated keys, so a hosted key's serialized blob crosses
   the pipe roughly once per worker; later calls send the 16-byte
@@ -57,10 +57,12 @@ Design points:
   batches finish, shuts both pools down, then unlinks every
   shared-memory segment; idempotent.
 
-The default ``mp_context`` is ``"spawn"``: forking a process that
-already runs pool threads (every server does) inherits locked mutexes
-and is deprecated on modern CPythons.  Spawn start-up is paid once and
-can be fronted with :meth:`~repro.backend.base.KemBackend.warmup`.
+Workers always start with ``spawn``: forking a process that already
+runs pool threads (every server does) inherits locked mutexes and is
+deprecated on modern CPythons.  Spawn start-up is paid once and can be
+fronted with :meth:`~repro.backend.base.KemBackend.warmup`.  The pool
+size is fixed at construction; it is the backend's
+:attr:`~repro.backend.base.KemBackend.slots`.
 """
 
 from __future__ import annotations
@@ -103,9 +105,6 @@ _WORKER_KEY_LIMIT = 1024
 #: Entries in the parent's ship-once table before the oldest are
 #: forgotten (forgetting is safe: the worker-side miss retry recovers).
 _SHIP_TABLE_LIMIT = 4096
-
-#: Wire selection accepted by :class:`ProcessBackend`.
-WIRE_MODES = ("auto", "shm", "bytes")
 
 
 class WorkerKeyMiss(RuntimeError):
@@ -315,9 +314,8 @@ class ProcessBackend(KemBackend):
     cheap).  ``max_restarts`` bounds pool rebuilds after crashes;
     beyond it the backend declares itself broken and fails fast.
     ``cache_entries`` sizes each worker's per-key transform cache
-    (``0`` disables it).  ``wire`` selects the payload transport:
-    ``"auto"`` (shared memory when the host supports it), ``"shm"``
-    (require it), or ``"bytes"`` (the original pickled wire).
+    (``0`` disables it).  Payloads travel through shared memory when
+    the host supports it, as pickled bytes otherwise.
     """
 
     name = "process"
@@ -326,28 +324,23 @@ class ProcessBackend(KemBackend):
         self,
         workers: int | None = None,
         max_restarts: int = DEFAULT_MAX_RESTARTS,
-        mp_context: str = "spawn",
         warm_params: Sequence[LacParams] | None = None,
         min_chunk: int = MIN_CHUNK,
         cache_entries: int | None = None,
-        wire: str = "auto",
     ) -> None:
         # kernels run in the workers, each with its own transform cache
         # (sized below); a parent-side one would never be read
         super().__init__(cache_entries=0)
-        if wire not in WIRE_MODES:
-            raise ValueError(f"wire must be one of {WIRE_MODES}, got {wire!r}")
         self._workers = workers or max(1, min(8, os.cpu_count() or 1))
         self._max_restarts = max_restarts
         self._min_chunk = max(1, min_chunk)
-        self._ctx = multiprocessing.get_context(mp_context)
         self._warm_names = tuple(
             p.name for p in (warm_params if warm_params is not None else ALL_PARAMS)
         )
         self._cache_entries = (
             0 if cache_entries == 0 else (cache_entries or DEFAULT_CACHE_ENTRIES)
         )
-        self._use_shm = shm_available() if wire == "auto" else wire == "shm"
+        self._use_shm = shm_available()
         self._segments = SegmentPool()
         self._ship_lock = threading.Lock()
         self._shipped: OrderedDict[bytes, int] = OrderedDict()
@@ -383,55 +376,19 @@ class ProcessBackend(KemBackend):
                     f"process backend exceeded {self._max_restarts} worker restarts"
                 )
             if self._pool is None:
+                # positionally: size, start method, initializer, its args
                 self._pool = ProcessPoolExecutor(
-                    max_workers=self._workers,
-                    mp_context=self._ctx,
-                    initializer=_worker_init,
-                    initargs=(self._warm_names, self._cache_entries),
+                    self._workers,
+                    multiprocessing.get_context("spawn"),
+                    _worker_init,
+                    (self._warm_names, self._cache_entries),
                 )
             return self._pool, self._generation
 
     @property
-    def workers(self) -> int | None:
-        """Configured worker-process count (the pool tracks it lazily)."""
-        with self._pool_lock:
-            return self._workers
-
-    @property
     def slots(self) -> int:
         """One batch per worker process."""
-        with self._pool_lock:
-            return self._workers
-
-    def resize(self, workers: int) -> bool:
-        """Retarget the pool at ``workers`` processes.
-
-        The running pool is retired without waiting — chunks already
-        submitted to it finish; the next batch lazily spawns a pool of
-        the new size via ``_ensure_pool``.  The generation bump keeps a
-        late ``BrokenProcessPool`` from the retired pool from counting
-        as a crash restart.  The supervisor thread pool keeps its
-        original sizing (threads are cheap; it only bounds concurrent
-        in-flight batches, not kernel parallelism).
-        """
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self._closed:
-            return False
-        with self._pool_lock:
-            if self._broken:
-                return False
-            if workers == self._workers:
-                return True
-            self._workers = workers
-            pool, self._pool = self._pool, None
-            self._generation += 1
-        with self._ship_lock:
-            # the replacement workers spawn with empty key caches
-            self._shipped.clear()
-        if pool is not None:
-            pool.shutdown(wait=False)
-        return True
+        return self._workers
 
     def _on_broken_pool(self, generation: int) -> None:
         """Replace a broken pool exactly once per crash incident.
@@ -523,14 +480,7 @@ class ProcessBackend(KemBackend):
         """
         pool, generation = self._ensure_pool()
         try:
-            try:
-                futures = [pool.submit(fn, *args) for args in calls]
-            except RuntimeError:
-                # lost a race with resize(): the captured pool was
-                # retired between _ensure_pool and submit — re-resolve
-                # once and land the whole fan on the replacement
-                pool, generation = self._ensure_pool()
-                futures = [pool.submit(fn, *args) for args in calls]
+            futures = [pool.submit(fn, *args) for args in calls]
             out = []
             for future, args in zip(futures, calls):
                 try:
@@ -684,7 +634,6 @@ class ProcessBackend(KemBackend):
         worker cache counters, and the shared-memory wire state."""
         out = super().stats()
         with self._pool_lock:
-            out["workers"] = self._workers
             out["restarts"] = self._restarts
             out["broken"] = self._broken
         with self._stats_lock:

@@ -28,24 +28,16 @@ operands and ``(n+1,)`` transforms gathered by lane index into the one
 ring product; K = 1 — what :func:`encaps_many`/:func:`decaps_many`
 pass — skips the gather and broadcasts the single operand.
 
-An optional ``workers`` argument fans sub-batches out across a
-``concurrent.futures`` thread pool; the numpy/hashlib kernels drop the
-GIL, so this overlaps the array work of neighbouring sub-batches.  The
-pool comes from the process-wide shared
-:func:`repro.backend.default_thread_backend` (created lazily, reused
-across calls — spawning threads per call costs more than the fan-out
-saves at serving batch sizes); callers that manage their own lifecycle
-can inject any ``Executor``, or pass ``backend=`` to run the whole
-batch through a :class:`repro.backend.KemBackend` (e.g. the
-multi-process one).
+A batch runs in the caller's thread; ``backend=`` runs it through a
+:class:`repro.backend.KemBackend` instead (a pool thread, the
+multi-process backend, the simulated core).
 """
 
 from __future__ import annotations
 
 import hmac
 import secrets
-from collections.abc import Callable, Sequence
-from concurrent.futures import Executor
+from collections.abc import Sequence
 from typing import TYPE_CHECKING, TypeVar
 
 import numpy as np
@@ -62,7 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only (repro.backend imports us)
     from repro.backend.base import KemBackend
 
 _T = TypeVar("_T")
-_R = TypeVar("_R")
 
 
 def _shift(params: LacParams) -> int:
@@ -139,7 +130,7 @@ def _annotate_cache(hits: int, misses: int) -> None:
 
     Additive (not a plain overwrite) because decapsulation touches the
     cache twice per chunk — once for ``u*s``, once for the FO
-    re-encryption — and fan-out chunks may share one sink.
+    re-encryption — and a process batch's chunks share one sink.
     """
     tags = current_tags()
     if tags is not None and (hits or misses):
@@ -349,37 +340,6 @@ def _decaps_chunk(
     return shared
 
 
-def _fan_out(
-    chunk_fn: Callable[[list[_T]], list[_R]],
-    items: list[_T],
-    workers: int | None,
-    executor: Executor | None = None,
-) -> list[_R]:
-    """Run ``chunk_fn`` over sub-batches on a thread pool, order-preserving.
-
-    ``workers`` fixes the number of sub-batches; the threads come from
-    ``executor`` when given, else from the shared pool.  ``workers``
-    of ``None``/``<= 1`` (or a trivial batch) stays serial.
-    """
-    if workers is None or workers <= 1 or len(items) <= 1:
-        return chunk_fn(items)
-    workers = min(workers, len(items))
-    bounds = np.linspace(0, len(items), workers + 1).astype(int)
-    chunks = [
-        items[bounds[i] : bounds[i + 1]]
-        for i in range(workers)
-        if bounds[i] < bounds[i + 1]
-    ]
-    if executor is None:
-        from repro.backend.thread import default_thread_backend
-
-        executor = default_thread_backend().executor
-    out: list[_R] = []
-    for part in executor.map(chunk_fn, chunks):
-        out.extend(part)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # public API (surfaced as LacKem.encaps_many / LacKem.decaps_many)
 # ---------------------------------------------------------------------------
@@ -390,8 +350,6 @@ def encaps_many(
     pk: PublicKey,
     messages: Sequence[bytes] | None = None,
     count: int | None = None,
-    workers: int | None = None,
-    executor: Executor | None = None,
     backend: "KemBackend | None" = None,
     cache: KeyTransformCache | None = None,
 ) -> list[EncapsResult]:
@@ -400,17 +358,14 @@ def encaps_many(
     Either pass explicit ``messages`` (tests/KATs, batch size = its
     length) or a ``count`` of OS-random messages.  Results are
     positionally identical to calling :meth:`LacKem.encaps` in a loop
-    with the same messages.  ``executor`` overrides the shared pool
-    used for ``workers`` fan-out; ``backend`` instead routes the whole
-    batch through a :class:`repro.backend.KemBackend` (exclusive with
-    the pool knobs — backends carry their own transform cache, and
-    speak wire bytes, so the ciphertexts are re-parsed here).
-    ``cache`` supplies a :class:`repro.ring.KeyTransformCache` so
-    repeated batches under the same key skip the key-side forward FFT
-    (and the GenA expansion) — results stay bit-identical either way.
+    with the same messages.  ``backend`` routes the batch through a
+    :class:`repro.backend.KemBackend` (backends carry their own
+    transform cache, and speak wire bytes, so the ciphertexts are
+    re-parsed here).  ``cache`` supplies a
+    :class:`repro.ring.KeyTransformCache` so repeated batches under the
+    same key skip the key-side forward FFT (and the GenA expansion) —
+    results stay bit-identical either way.
     """
-    if backend is not None and (workers is not None or executor is not None):
-        raise ValueError("pass either backend= or workers=/executor=, not both")
     if messages is None:
         if count is None:
             raise ValueError("pass either messages or count")
@@ -439,20 +394,13 @@ def encaps_many(
             EncapsResult(Ciphertext.from_bytes(kem.params, ct_bytes), shared)
             for ct_bytes, shared in wire.result()
         ]
-    return _fan_out(
-        lambda ms: _encaps_chunk(kem, [pk] * len(ms), ms, cache),
-        messages,
-        workers,
-        executor,
-    )
+    return _encaps_chunk(kem, [pk] * len(messages), messages, cache)
 
 
 def decaps_many(
     kem: LacKem,
     keys: KemSecretKey,
     ciphertexts: Sequence[Ciphertext],
-    workers: int | None = None,
-    executor: Executor | None = None,
     backend: "KemBackend | None" = None,
     cache: KeyTransformCache | None = None,
 ) -> list[bytes]:
@@ -460,14 +408,10 @@ def decaps_many(
 
     Results are positionally identical to calling
     :meth:`LacKem.decaps` in a loop (including implicit rejection of
-    malformed ciphertexts).  ``executor`` overrides the shared pool
-    used for ``workers`` fan-out; ``backend`` instead routes the whole
-    batch through a :class:`repro.backend.KemBackend` (exclusive with
-    the pool knobs).  ``cache`` caches the hosted key's transforms
-    across batches, exactly as for :func:`encaps_many`.
+    malformed ciphertexts).  ``backend`` routes the batch through a
+    :class:`repro.backend.KemBackend`, and ``cache`` caches the hosted
+    key's transforms across batches, exactly as for :func:`encaps_many`.
     """
-    if backend is not None and (workers is not None or executor is not None):
-        raise ValueError("pass either backend= or workers=/executor=, not both")
     ciphertexts = list(ciphertexts)
     if not ciphertexts:
         return []
@@ -479,9 +423,4 @@ def decaps_many(
         return backend.submit(
             LAC_SCHEME, kem.params, "DECAPS", [pair] * len(blobs), blobs
         ).result()
-    return _fan_out(
-        lambda cts: _decaps_chunk(kem, [keys] * len(cts), cts, cache),
-        ciphertexts,
-        workers,
-        executor,
-    )
+    return _decaps_chunk(kem, [keys] * len(ciphertexts), ciphertexts, cache)

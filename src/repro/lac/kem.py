@@ -150,8 +150,6 @@ class LacKem:
         pk: PublicKey,
         messages: list[bytes] | None = None,
         count: int | None = None,
-        workers: int | None = None,
-        executor=None,
         backend=None,
         cache=None,
     ) -> list["EncapsResult"]:
@@ -162,10 +160,9 @@ class LacKem:
         (:mod:`repro.batch`); ``GenA`` and the public-key digest are
         computed once per batch.  Output is positionally bit-identical
         to calling :meth:`encaps` in a loop with the same messages.
-        ``workers`` optionally fans sub-batches out across the shared
-        thread pool (or an injected ``executor``); ``backend`` instead
-        routes the batch through a :class:`repro.backend.KemBackend` —
-        the hook the :mod:`repro.serve` micro-batch scheduler uses.
+        ``backend`` routes the batch through a
+        :class:`repro.backend.KemBackend` (a pool thread, worker
+        processes, the simulated core) instead of the caller's thread.
         ``cache`` accepts a :class:`repro.ring.KeyTransformCache`:
         repeated batches under the same key then reuse the key-side
         forward FFT (and skip GenA), still bit-identical to the scalar
@@ -175,16 +172,14 @@ class LacKem:
         from repro.batch import encaps_many as _encaps_many
 
         return _encaps_many(
-            self, pk, messages=messages, count=count, workers=workers,
-            executor=executor, backend=backend, cache=cache,
+            self, pk, messages=messages, count=count, backend=backend,
+            cache=cache,
         )
 
     def decaps_many(
         self,
         keys: KemSecretKey,
         ciphertexts: list[Ciphertext],
-        workers: int | None = None,
-        executor=None,
         backend=None,
         cache=None,
     ) -> list[bytes]:
@@ -192,16 +187,14 @@ class LacKem:
 
         The counterpart of :meth:`encaps_many`; positionally identical
         to looping :meth:`decaps`, including implicit rejection.
-        ``executor`` overrides the shared fan-out pool, ``backend``
-        routes through a :class:`repro.backend.KemBackend`, and
-        ``cache`` reuses the hosted key's transforms across batches, as
-        for :meth:`encaps_many`.
+        ``backend`` routes through a :class:`repro.backend.KemBackend`,
+        and ``cache`` reuses the hosted key's transforms across batches,
+        as for :meth:`encaps_many`.
         """
         from repro.batch import decaps_many as _decaps_many
 
         return _decaps_many(
-            self, keys, ciphertexts, workers=workers, executor=executor,
-            backend=backend, cache=cache,
+            self, keys, ciphertexts, backend=backend, cache=cache
         )
 
     # ------------------------------------------------------------------

@@ -64,7 +64,6 @@ from repro.serve.slo import (
     TIER_BATCH,
     TIER_INTERACTIVE,
     TIER_STANDARD,
-    Autoscaler,
     CycleCostEstimator,
     KernelEstimator,
     predicted_miss,
@@ -73,7 +72,6 @@ from repro.serve.slo import (
 __all__ = [
     "AsyncKemClient",
     "AdaptiveDeadlinePolicy",
-    "Autoscaler",
     "BACKEND_WORKERS_ENV_VAR",
     "BadRequest",
     "Batch",

@@ -19,17 +19,9 @@ from repro.serve.slo import DEFAULT_CYCLE_PRIORS_HZ
 #: Environment variable sizing the backend worker pool (``from_env``).
 BACKEND_WORKERS_ENV_VAR = "REPRO_KEM_BACKEND_WORKERS"
 
-#: Environment variable sizing the per-key transform cache (``from_env``);
-#: ``0`` disables caching.
-TRANSFORM_CACHE_ENV_VAR = "REPRO_KEM_TRANSFORM_CACHE"
-
 #: Environment variable setting the default per-request deadline in
 #: seconds for requests that carry no wire QoS (``from_env``).
 DEADLINE_ENV_VAR = "REPRO_KEM_DEADLINE_S"
-
-#: Environment variable enabling the worker autoscaler (``from_env``;
-#: any non-empty value other than ``0``/``false`` turns it on).
-AUTOSCALE_ENV_VAR = "REPRO_KEM_AUTOSCALE"
 
 #: Environment variable naming the cycle-model profile that seeds the
 #: SLO estimator with priors (``from_env``; empty = no priors).
@@ -86,7 +78,8 @@ class ServiceConfig:
         spot);
     ``max_wait_us`` / ``min_wait_us``
         bounds of the adaptive flush deadline
-        (:class:`~repro.serve.scheduler.AdaptiveDeadlinePolicy`);
+        (:class:`~repro.serve.scheduler.AdaptiveDeadlinePolicy`;
+        ``min_wait_us <= max_wait_us``);
     ``high_watermark``
         pending-request bound beyond which new work is rejected
         ``BUSY`` (the bounded queue);
@@ -99,18 +92,10 @@ class ServiceConfig:
         ``"process"``); ``None`` falls back to ``$REPRO_KEM_BACKEND``,
         then ``"thread"`` — see :mod:`repro.backend`;
     ``backend_workers``
-        pool size of a backend the service creates (``None`` = the
-        backend's default; a plain thread backend with no sizing
-        shares the process-wide default pool);
-    ``kernel_workers``
-        intra-batch fan-out of the thread backend: each dispatched
-        batch is split across this many threads (ignored by the
-        process backend, which chunks batches across workers itself);
-    ``transform_cache_entries``
-        capacity of the per-key transform cache
-        (:class:`repro.ring.KeyTransformCache`) the backend owns —
-        ``0`` disables caching, ``None`` takes the backend default
-        (see ``docs/PERFORMANCE.md``);
+        pool size of a backend the service creates, fixed for its life
+        — the backend's ``slots``, how many batches run at once
+        (``None`` = the backend's default; a plain thread backend with
+        no sizing shares the process-wide default pool);
     ``default_deadline_s``
         latency budget applied to requests that carry no wire QoS
         deadline (``None`` = such requests are never deadline-shed);
@@ -126,12 +111,6 @@ class ServiceConfig:
         tier_watermarks[t]``, so lower tiers shed first under
         pressure).  Wire tiers beyond the table map onto its last
         entry;
-    ``autoscale`` and the ``autoscale_*`` knobs
-        the worker autoscaler (:class:`repro.serve.slo.Autoscaler`):
-        bounds of the pool, the evaluation period, the per-worker
-        queue-depth thresholds of the hysteresis band, the
-        post-resize cooldown and the consecutive-quiet-decisions
-        requirement before shrinking;
     ``cycle_priors``
         cycle-model profile (``"ref"``/``"const_bch"``/``"ise"``) that
         seeds the SLO estimator with predicted per-``(op, parameter
@@ -153,19 +132,9 @@ class ServiceConfig:
     request_timeout: float | None = 30.0
     backend: str | None = None
     backend_workers: int | None = None
-    kernel_workers: int | None = None
-    transform_cache_entries: int | None = None
     default_deadline_s: float | None = None
     shed_deadlines: bool = True
     tier_watermarks: tuple[float, ...] = (1.0, 0.75, 0.5)
-    autoscale: bool = False
-    autoscale_min_workers: int = 1
-    autoscale_max_workers: int = 8
-    autoscale_interval_s: float = 0.25
-    autoscale_up_queue_per_worker: float = 4.0
-    autoscale_down_queue_per_worker: float = 0.5
-    autoscale_cooldown_s: float = 2.0
-    autoscale_sustain: int = 3
     cycle_priors: str | None = None
     cycle_priors_hz: float = DEFAULT_CYCLE_PRIORS_HZ
     #: Per-tenant quotas (``()`` = no tenant is limited); see
@@ -182,45 +151,18 @@ class ServiceConfig:
             raise ValueError("high_watermark must be >= 0")
         if self.max_wait_us < 0 or self.min_wait_us < 0:
             raise ValueError("wait bounds must be >= 0")
+        if self.min_wait_us > self.max_wait_us:
+            raise ValueError("min_wait_us must not exceed max_wait_us")
         if self.request_timeout is not None and self.request_timeout <= 0:
             raise ValueError("request_timeout must be > 0 or None")
         if self.backend_workers is not None and self.backend_workers < 1:
             raise ValueError("backend_workers must be >= 1")
-        if self.kernel_workers is not None and self.kernel_workers < 1:
-            raise ValueError("kernel_workers must be >= 1")
-        if (
-            self.transform_cache_entries is not None
-            and self.transform_cache_entries < 0
-        ):
-            raise ValueError("transform_cache_entries must be >= 0")
         if self.default_deadline_s is not None and self.default_deadline_s <= 0:
             raise ValueError("default_deadline_s must be > 0 or None")
         if not self.tier_watermarks:
             raise ValueError("tier_watermarks must name at least one tier")
         if any(not 0.0 < f <= 1.0 for f in self.tier_watermarks):
             raise ValueError("tier_watermarks fractions must be in (0, 1]")
-        if self.autoscale_min_workers < 1:
-            raise ValueError("autoscale_min_workers must be >= 1")
-        if self.autoscale_max_workers < self.autoscale_min_workers:
-            raise ValueError(
-                "autoscale_max_workers must be >= autoscale_min_workers"
-            )
-        if self.autoscale_interval_s <= 0:
-            raise ValueError("autoscale_interval_s must be > 0")
-        if self.autoscale_down_queue_per_worker < 0:
-            raise ValueError("autoscale_down_queue_per_worker must be >= 0")
-        if (
-            self.autoscale_up_queue_per_worker
-            <= self.autoscale_down_queue_per_worker
-        ):
-            raise ValueError(
-                "autoscale_up_queue_per_worker must exceed "
-                "autoscale_down_queue_per_worker"
-            )
-        if self.autoscale_cooldown_s < 0:
-            raise ValueError("autoscale_cooldown_s must be >= 0")
-        if self.autoscale_sustain < 1:
-            raise ValueError("autoscale_sustain must be >= 1")
         if self.cycle_priors_hz <= 0:
             raise ValueError("cycle_priors_hz must be > 0")
         seen_tenants = set()
@@ -251,7 +193,8 @@ class ServiceConfig:
     def from_env(
         cls, env: Mapping[str, str] | None = None, **overrides: object
     ) -> "ServiceConfig":
-        """A config picking up ``$REPRO_KEM_BACKEND`` (and pool size).
+        """A config picking up ``$REPRO_KEM_BACKEND``, its pool size,
+        the default deadline and the cycle priors from the environment.
 
         Explicit ``overrides`` win over the environment.
         """
@@ -261,15 +204,8 @@ class ServiceConfig:
             kwargs["backend"] = env[BACKEND_ENV_VAR]
         if env.get(BACKEND_WORKERS_ENV_VAR):
             kwargs["backend_workers"] = int(env[BACKEND_WORKERS_ENV_VAR])
-        if env.get(TRANSFORM_CACHE_ENV_VAR):
-            kwargs["transform_cache_entries"] = int(env[TRANSFORM_CACHE_ENV_VAR])
         if env.get(DEADLINE_ENV_VAR):
             kwargs["default_deadline_s"] = float(env[DEADLINE_ENV_VAR])
-        if env.get(AUTOSCALE_ENV_VAR):
-            kwargs["autoscale"] = env[AUTOSCALE_ENV_VAR].lower() not in (
-                "0",
-                "false",
-            )
         if env.get(CYCLE_PRIORS_ENV_VAR):
             kwargs["cycle_priors"] = env[CYCLE_PRIORS_ENV_VAR]
         kwargs.update(overrides)
@@ -282,11 +218,9 @@ def replace_config(config: ServiceConfig, **changes: object) -> ServiceConfig:
 
 
 __all__ = [
-    "AUTOSCALE_ENV_VAR",
     "BACKEND_WORKERS_ENV_VAR",
     "CYCLE_PRIORS_ENV_VAR",
     "DEADLINE_ENV_VAR",
-    "TRANSFORM_CACHE_ENV_VAR",
     "ServiceConfig",
     "TenantQuota",
     "replace_config",

@@ -112,9 +112,6 @@ class ServiceMetrics:
         #: requests received per tenant (the wire's tenant extension
         #: byte; 0 is the default tenant)
         self.tenant_requests: Counter[int] = Counter()
-        #: worker-pool resizes applied by the autoscaler, keyed by
-        #: direction ("up"/"down")
-        self.autoscale_events: Counter[str] = Counter()
         self.latency: dict[str, LatencyHistogram] = {}
         #: per-stage request-path time, keyed by stage name
         #: ("admission"/"queue"/"dispatch"/"kernel"/"reply") — fed by
@@ -170,11 +167,6 @@ class ServiceMetrics:
         """Count one received request against its wire tenant."""
         with self._lock:
             self.tenant_requests[tenant] += 1
-
-    def record_autoscale(self, direction: str) -> None:
-        """Count one applied worker-pool resize (``"up"``/``"down"``)."""
-        with self._lock:
-            self.autoscale_events[direction] += 1
 
     def observe_latency(self, op: str, micros: float) -> None:
         """Record one request's queue-to-response service time (µs)."""
@@ -236,7 +228,6 @@ class ServiceMetrics:
                     str(tenant): count
                     for tenant, count in sorted(self.tenant_requests.items())
                 },
-                "autoscale_events": dict(self.autoscale_events),
                 "batch_sizes": {
                     str(size): count
                     for size, count in sorted(self.batch_sizes.items())
@@ -305,15 +296,6 @@ class ServiceMetrics:
         ]
         for tenant, count in sorted(snap["tenant_requests"].items()):
             lines.append(f'kem_tenant_requests_total{{tenant="{tenant}"}} {count}')
-        lines += [
-            "# HELP kem_autoscale_events_total applied worker-pool resizes,"
-            " by direction",
-            "# TYPE kem_autoscale_events_total counter",
-        ]
-        for direction, count in sorted(snap["autoscale_events"].items()):
-            lines.append(
-                f'kem_autoscale_events_total{{direction="{direction}"}} {count}'
-            )
         lines += [
             "# HELP kem_batch_flushes_total dispatched batches, by trigger",
             "# TYPE kem_batch_flushes_total counter",

@@ -150,12 +150,7 @@ from repro.serve.protocol import (
     write_frame,
 )
 from repro.serve.scheduler import AdaptiveDeadlinePolicy, Batch, MicroBatchScheduler
-from repro.serve.slo import (
-    Autoscaler,
-    CycleCostEstimator,
-    KernelEstimator,
-    predicted_miss,
-)
+from repro.serve.slo import CycleCostEstimator, KernelEstimator, predicted_miss
 from repro.trace import NULL_TRACER, Tracer, collect_tags
 from repro.trace.report import STAGES
 
@@ -674,15 +669,6 @@ class KemService(FrameServer):
             else None
         )
         self._estimator = KernelEstimator(priors=priors)
-        self._autoscaler = Autoscaler(
-            min_workers=config.autoscale_min_workers,
-            max_workers=config.autoscale_max_workers,
-            up_queue_per_worker=config.autoscale_up_queue_per_worker,
-            down_queue_per_worker=config.autoscale_down_queue_per_worker,
-            cooldown_s=config.autoscale_cooldown_s,
-            sustain=config.autoscale_sustain,
-        )
-        self._autoscale_task: asyncio.Task[None] | None = None
         self._backend = backend
         self._owns_backend = False
         self._keys: dict[int, HostedKey] = {}
@@ -718,8 +704,6 @@ class KemService(FrameServer):
             self._backend = create_backend(
                 resolve_backend_name(self.config.backend),
                 workers=self.config.backend_workers,
-                fan_out=self.config.kernel_workers,
-                cache_entries=self.config.transform_cache_entries,
             )
             # closed on shutdown (a no-op for the shared default)
             self._owns_backend = True
@@ -737,8 +721,6 @@ class KemService(FrameServer):
             self.fault_plan.observer = self.metrics.record_fault
         self._wake = asyncio.Event()
         self._flusher = asyncio.create_task(self._flush_loop())
-        if self.config.autoscale:
-            self._autoscale_task = asyncio.create_task(self._autoscale_loop())
         self._started = True
         self._started_at = self._clock()
         return self
@@ -757,13 +739,6 @@ class KemService(FrameServer):
             self._launch_dispatch(batch)
         if self._inflight:
             await asyncio.gather(*self._inflight, return_exceptions=True)
-        if self._autoscale_task is not None:
-            self._autoscale_task.cancel()
-            try:
-                await self._autoscale_task
-            except asyncio.CancelledError:
-                pass
-            self._autoscale_task = None
         if self._flusher is not None:
             self._flusher.cancel()
             try:
@@ -1113,66 +1088,6 @@ class KemService(FrameServer):
                     timer.cancel()
             wake.clear()
 
-    # ------------------------------------------------------------------
-    # autoscaling
-    # ------------------------------------------------------------------
-
-    def autoscale_tick(self) -> bool:
-        """One autoscaler decision applied to the backend; True on resize.
-
-        Reads queue depth (accepted-but-unanswered requests), the
-        current worker count, and a Little's-law demand estimate
-        (arrival rate x EWMA per-op kernel seconds), asks the
-        :class:`~repro.serve.slo.Autoscaler` for a target, and applies
-        it with :meth:`repro.backend.KemBackend.resize`.  Backends that
-        decline to resize (inline, borrowed executors, the shared
-        default) make this a no-op.  Public and synchronous so tests
-        and benchmarks can drive it deterministically without running
-        the timer loop.
-        """
-        backend = self._backend
-        if backend is None:
-            return False
-        workers = backend.workers
-        if workers is None:
-            return False
-        gap_us = self._scheduler.policy.ewma_gap_us
-        op_seconds = self._estimator.global_op_seconds()
-        demand = 0
-        if gap_us is not None and gap_us > 0 and op_seconds is not None:
-            demand = int((1e6 / gap_us) * op_seconds + 0.999)
-        now = self._clock()
-        target = self._autoscaler.decide(now, self._pending, workers, demand)
-        if target == workers:
-            return False
-        if not backend.resize(target):
-            return False
-        direction = "up" if target > workers else "down"
-        self.metrics.record_autoscale(direction)
-        if self.tracer.enabled:
-            self.tracer.record_span(
-                "autoscaler.resize",
-                now,
-                self._clock() - now,
-                self.tracer.new_trace_id(),
-                tags={
-                    "direction": direction,
-                    "workers_from": workers,
-                    "workers_to": target,
-                    "queue_depth": self._pending,
-                    "demand_workers": demand,
-                },
-            )
-        return True
-
-    async def _autoscale_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.config.autoscale_interval_s)
-            try:
-                self.autoscale_tick()
-            except Exception:  # noqa: BLE001 - scaling must never kill serving
-                self.metrics.record_conn_error("autoscale-internal")
-
     def _launch_dispatch(self, batch: Batch) -> None:
         """Hand a flushed batch to the backend and spawn its answering.
 
@@ -1489,12 +1404,11 @@ class KemService(FrameServer):
                 "request_timeout_s": self.request_timeout,
                 "backend": self._backend.name if self._backend is not None else None,
                 "workers": (
-                    self._backend.workers if self._backend is not None else None
+                    self._backend.slots if self._backend is not None else None
                 ),
                 "default_deadline_s": self.config.default_deadline_s,
                 "shed_deadlines": self.config.shed_deadlines,
                 "tier_limits": list(self._tier_limits),
-                "autoscale": self.config.autoscale,
                 "cycle_priors": self.config.cycle_priors,
                 "estimator": self._estimator.snapshot(),
                 "schemes": {

@@ -1,17 +1,15 @@
-"""SLO defense: kernel-cost estimation, deadline shedding, autoscaling.
+"""SLO defense: kernel-cost estimation and deadline shedding.
 
 Pure, clock-free building blocks the service composes into its
 overload behavior (each takes timestamps/measurements as arguments, so
 unit tests drive them deterministically with fake clocks — the same
 design discipline as :class:`repro.serve.scheduler.MicroBatchScheduler`):
 
-* :class:`KernelEstimator` — EWMAs of observed kernel cost per
-  ``(op, parameter set)``: the *batch* duration (what one queued
-  request will actually wait once its batch dispatches) and the
-  *per-operation* duration (the throughput cost that sizes worker
-  demand).  Fed from the dispatch path's own timing, so it works with
-  tracing off.  Optionally seeded with per-key *priors* so the first
-  request is already predicted, not guessed.
+* :class:`KernelEstimator` — an EWMA of observed batch duration per
+  ``(op, parameter set)``: what one queued request will actually wait
+  once its batch dispatches.  Fed from the dispatch path's own timing,
+  so it works with tracing off.  Optionally seeded with per-key
+  *priors* so the first request is already predicted, not guessed.
 * :class:`CycleCostEstimator` — those priors, derived from the
   calibrated cycle model: predicted cycles per ``(op, parameter set)``
   (:func:`repro.backend.cosim.model_cycles`, the paper's Table II
@@ -19,15 +17,9 @@ design discipline as :class:`repro.serve.scheduler.MicroBatchScheduler`):
 * :func:`predicted_miss` — the shedding decision rule: a request is
   shed **before running** when ``queue_wait + kernel estimate >
   deadline``.  A request whose deadline still fits is never shed.
-* :class:`Autoscaler` — grows/shrinks the backend worker pool off
-  queue depth per worker and the EWMA arrival-rate demand, with
-  hysteresis (separate up/down thresholds, a cooldown after every
-  resize, and a sustained-low requirement before shrinking) so an
-  oscillating load cannot flap the pool.
 
 The serving layer's use of these — where the deadline and tier come
-from on the wire, which responses a shed turns into, how resizes reach
-:meth:`repro.backend.KemBackend.resize` — lives in
+from on the wire, which responses a shed turns into — lives in
 :mod:`repro.serve.server`; see ``docs/SERVICE.md`` for the operator
 view.
 """
@@ -57,18 +49,13 @@ DEFAULT_CYCLE_PRIORS_HZ = 100_000_000.0
 
 
 class KernelEstimator:
-    """EWMAs of kernel cost per ``(op, parameter set)`` key.
+    """EWMAs of batch duration per ``(op, parameter set)`` key.
 
     :meth:`observe` is fed one ``(batch duration, operations)`` sample
-    per dispatched batch.  Two averages are kept per key:
-
-    * ``batch_seconds`` — how long a dispatched batch takes end to end
-      (backend queueing included).  This is the latency a request
-      parked behind the kernel will actually experience, so it is the
-      estimate the shedding rule uses.
-    * ``op_seconds`` — the amortized per-operation cost
-      (``duration / batch size``), the service-time term of the
-      Little's-law worker demand the autoscaler consumes.
+    per dispatched batch; :meth:`batch_seconds` is how long a
+    dispatched batch takes end to end (backend queueing included) —
+    the latency a request parked behind the kernel will actually
+    experience, so it is the estimate the shedding rule uses.
 
     Keys are opaque tuples (the service uses ``(op name, param id)``).
     A key never observed falls back to its ``priors`` entry (if one was
@@ -95,9 +82,7 @@ class KernelEstimator:
         #: prediction beats the cross-key global EWMA)
         self._priors: dict[object, float] = dict(priors or {})
         self._batch_s: dict[object, float] = {}
-        self._op_s: dict[object, float] = {}
         self._global_batch_s: float | None = None
-        self._global_op_s: float | None = None
 
     def _fold(self, current: float | None, sample: float) -> float:
         if current is None:
@@ -105,14 +90,12 @@ class KernelEstimator:
         return current + self.alpha * (sample - current)
 
     def observe(self, key: object, seconds: float, ops: int) -> None:
-        """Record one dispatched batch: its wall duration and size."""
+        """Record one dispatched batch: its wall duration and size (an
+        empty batch or a negative duration is ignored)."""
         if ops < 1 or seconds < 0.0:
             return
-        per_op = seconds / ops
         self._batch_s[key] = self._fold(self._batch_s.get(key), seconds)
-        self._op_s[key] = self._fold(self._op_s.get(key), per_op)
         self._global_batch_s = self._fold(self._global_batch_s, seconds)
-        self._global_op_s = self._fold(self._global_op_s, per_op)
 
     def batch_seconds(self, key: object) -> float | None:
         """Expected batch duration for ``key`` (prior, then global fallback).
@@ -127,18 +110,6 @@ class KernelEstimator:
             return estimate
         prior = self._priors.get(key)
         return prior if prior is not None else self._global_batch_s
-
-    def op_seconds(self, key: object) -> float | None:
-        """Expected per-operation cost (prior, then global fallback)."""
-        estimate = self._op_s.get(key)
-        if estimate is not None:
-            return estimate
-        prior = self._priors.get(key)
-        return prior if prior is not None else self._global_op_s
-
-    def global_op_seconds(self) -> float | None:
-        """The cross-key per-operation EWMA (autoscaler demand input)."""
-        return self._global_op_s
 
     def priors(self) -> dict[object, float]:
         """The seeded priors (a copy; empty without seeding)."""
@@ -242,112 +213,7 @@ def predicted_miss(
     return queue_wait_s + (estimate_s or 0.0) > deadline_s
 
 
-class Autoscaler:
-    """Hysteresis-damped worker-count controller.
-
-    :meth:`decide` is called periodically with the clock, the current
-    queue depth and worker count, and (optionally) the demand implied
-    by the arrival rate; it returns the *target* worker count — equal
-    to the current count when nothing should change.  The caller
-    applies the change (``backend.resize``) and owns all side effects.
-
-    Scaling **up** happens when the queue depth per worker exceeds
-    ``up_queue_per_worker`` (or the Little's-law ``demand_workers``
-    exceeds the pool), at most once per ``cooldown_s``.  Scaling
-    **down** requires the per-worker depth to sit at or below
-    ``down_queue_per_worker`` for ``sustain`` *consecutive* decisions
-    (any busy reading resets the streak) and the cooldown to have
-    passed — the asymmetry is deliberate: adding a worker late costs
-    latency, removing one early costs a flap.
-    """
-
-    def __init__(
-        self,
-        min_workers: int = 1,
-        max_workers: int = 8,
-        up_queue_per_worker: float = 4.0,
-        down_queue_per_worker: float = 0.5,
-        cooldown_s: float = 2.0,
-        sustain: int = 3,
-        step: int = 1,
-    ) -> None:
-        if min_workers < 1:
-            raise ValueError("min_workers must be >= 1")
-        if max_workers < min_workers:
-            raise ValueError("max_workers must be >= min_workers")
-        if down_queue_per_worker < 0.0:
-            raise ValueError("down_queue_per_worker must be >= 0")
-        if up_queue_per_worker <= down_queue_per_worker:
-            raise ValueError(
-                "up_queue_per_worker must exceed down_queue_per_worker "
-                "(the gap is the hysteresis band)"
-            )
-        if cooldown_s < 0.0:
-            raise ValueError("cooldown_s must be >= 0")
-        if sustain < 1:
-            raise ValueError("sustain must be >= 1")
-        if step < 1:
-            raise ValueError("step must be >= 1")
-        self.min_workers = min_workers
-        self.max_workers = max_workers
-        self.up_queue_per_worker = up_queue_per_worker
-        self.down_queue_per_worker = down_queue_per_worker
-        self.cooldown_s = cooldown_s
-        self.sustain = sustain
-        self.step = step
-        self._last_change: float | None = None
-        self._low_streak = 0
-
-    def _change(self, now: float, target: int) -> int:
-        self._last_change = now
-        self._low_streak = 0
-        return target
-
-    def _cooling(self, now: float) -> bool:
-        return (
-            self._last_change is not None
-            and now - self._last_change < self.cooldown_s
-        )
-
-    def decide(
-        self,
-        now: float,
-        queue_depth: int,
-        workers: int,
-        demand_workers: float | None = None,
-    ) -> int:
-        """The target worker count for this instant (see class docs)."""
-        if workers < self.min_workers:
-            return self._change(now, self.min_workers)
-        if workers > self.max_workers:
-            return self._change(now, self.max_workers)
-        per_worker = queue_depth / workers
-        wants_up = per_worker > self.up_queue_per_worker or (
-            demand_workers is not None and demand_workers > workers
-        )
-        if wants_up:
-            self._low_streak = 0
-            if workers >= self.max_workers or self._cooling(now):
-                return workers
-            return self._change(now, min(self.max_workers, workers + self.step))
-        quiet = per_worker <= self.down_queue_per_worker and (
-            demand_workers is None or demand_workers <= workers - self.step
-        )
-        if not quiet:
-            self._low_streak = 0
-            return workers
-        self._low_streak += 1
-        if (
-            workers <= self.min_workers
-            or self._low_streak < self.sustain
-            or self._cooling(now)
-        ):
-            return workers
-        return self._change(now, max(self.min_workers, workers - self.step))
-
-
 __all__ = [
-    "Autoscaler",
     "CycleCostEstimator",
     "DEFAULT_CYCLE_PRIORS_HZ",
     "KernelEstimator",

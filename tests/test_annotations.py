@@ -28,6 +28,8 @@ CHECKED = (
     "repro/backend/process.py",
     "repro/backend/cosim.py",
     "repro/serve/server.py",
+    "repro/serve/slo.py",
+    "repro/serve/config.py",
     "repro/ring/cache.py",
 )
 

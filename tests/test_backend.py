@@ -397,10 +397,37 @@ class TestLifecycle:
         assert cosim.kill_worker() is False  # the simulated core never dies
         cosim.close()
 
-    def test_cosim_opts_out_of_autoscaling(self):
-        backend = CosimBackend()
-        assert backend.workers is None  # one simulated core, not a pool
-        backend.close()
+    @pytest.mark.parametrize(
+        "made_as", ["owned", "borrowed", "shared", "inline", "cosim"]
+    )
+    def test_slots_is_the_pool_size(self, made_as, scalar):
+        """``slots`` is fixed when the backend is built: an owned pool's
+        size, a lent pool's size read off it, the shared default's
+        size, and one for the caller's thread or the simulated core."""
+        with contextlib.ExitStack() as stack:
+            if made_as == "borrowed":
+                pool = stack.enter_context(ThreadPoolExecutor(2))
+                backend, want = ThreadBackend(executor=pool), 2
+            elif made_as == "owned":
+                backend, want = ThreadBackend(workers=3), 3
+            elif made_as == "shared":
+                backend, want = default_thread_backend(), DEFAULT_THREAD_WORKERS
+            elif made_as == "inline":
+                backend, want = InlineBackend(), 1
+            else:
+                backend, want = CosimBackend(), 1
+            stack.callback(backend.close)
+            assert backend.slots == want
+            # ...and it serves, bit-identical, at that size
+            kem, pair = scalar
+            message = _messages(1)[0]
+            [(ct, shared)] = _encaps(backend, pair, [message]).result()
+            reference = kem.encaps(pair.public_key, message)
+            assert (ct, shared) == (
+                reference.ciphertext.to_bytes(),
+                reference.shared_secret,
+            )
+            assert backend.slots == want
 
 
 class TestRegistry:
@@ -429,6 +456,7 @@ class TestRegistry:
         assert isinstance(create_backend("inline"), InlineBackend)
         sized = create_backend("thread", workers=2)
         assert isinstance(sized, ThreadBackend)
+        assert sized.slots == 2
         sized.close()
         with pytest.raises(ValueError):
             create_backend("thread", workers=0)
@@ -457,9 +485,6 @@ class TestRegistry:
         # the shared default must survive close() — it is process-wide
         first.close()
         assert not first.closed
-        # its pool size is its slot count, though ``workers`` stays None:
-        # the pool is not any one service's autoscaler's to resize
-        assert first.workers is None
         assert first.slots == DEFAULT_THREAD_WORKERS
 
     def test_service_config_resolves_backend(self, monkeypatch):
@@ -535,6 +560,7 @@ class TestServiceIntegration:
             assert await client.decaps(key_id, ct_bytes) == shared
             info = await client.info()
             assert info["service"]["backend"] == backend.name
+            assert info["service"]["workers"] == backend.slots
             await client.aclose()
             await svc.shutdown()
             # a user-supplied backend is never closed by the service
@@ -581,6 +607,10 @@ class TestServiceIntegration:
             text = svc.metrics.render_text()
             assert 'kem_worker_restarts_total{backend="thread"} 0' in text
             assert 'kem_backend_batches_total{backend="thread",outcome="completed"}' in text
+            # the shared default pool reports its size like any other
+            assert svc.backend is default_thread_backend()
+            info = await client.info()
+            assert info["service"]["workers"] == DEFAULT_THREAD_WORKERS
             await client.aclose()
             await svc.shutdown()
 

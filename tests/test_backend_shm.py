@@ -3,7 +3,7 @@ crash survival, and shared-memory hygiene.
 
 Covers the pieces the conformance suite (``test_backend.py``) exercises
 only implicitly: :class:`repro.backend.shm.SegmentPool` semantics,
-the forced :class:`WorkerKeyMiss` -> reship retry, the ``wire="bytes"``
+the forced :class:`WorkerKeyMiss` -> reship retry, the bytes-wire
 fallback, segment survival across a worker crash/restart cycle, and —
 in a subprocess, so interpreter shutdown is observed too — that a full
 serve/kill/restart/close cycle leaves ``/dev/shm`` clean with no
@@ -133,10 +133,6 @@ class TestSegmentPool:
 
 
 class TestShmWire:
-    def test_wire_validation(self):
-        with pytest.raises(ValueError, match="wire"):
-            ProcessBackend(wire="carrier-pigeon")
-
     def test_encaps_decaps_over_shm_matches_scalar(self, backend, scalar):
         kem, pair = scalar
         messages = _messages(6)
@@ -217,12 +213,13 @@ class TestShmWire:
 
 
 class TestBytesWireFallback:
-    def test_bytes_wire_is_bit_identical_and_allocates_nothing(self):
+    def test_bytes_wire_is_bit_identical_and_allocates_nothing(self, monkeypatch):
         kem = LacKem(LAC_128)
         pair = kem.keygen(SEED)
-        backend = ProcessBackend(
-            workers=1, warm_params=[LAC_128], min_chunk=1, wire="bytes"
-        )
+        # a host without usable shared memory: the backend picks the
+        # bytes wire at construction
+        monkeypatch.setattr("repro.backend.process.shm_available", lambda: False)
+        backend = ProcessBackend(workers=1, warm_params=[LAC_128], min_chunk=1)
         try:
             messages = _messages(3)
             results = _encaps(backend, pair, messages)

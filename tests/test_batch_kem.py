@@ -5,6 +5,7 @@ bit-identical to looping the scalar KEM across all LAC parameter sets.
 import numpy as np
 import pytest
 
+from repro.backend import ThreadBackend
 from repro.batch.encode import bch_encode_many, encode_many
 from repro.batch.sampling import (
     gen_a_vec,
@@ -38,6 +39,14 @@ def kems():
         return cache[params.name]
 
     return get
+
+
+@pytest.fixture(scope="module")
+def pool_backend():
+    """A three-thread pool the library batch calls can run on."""
+    backend = ThreadBackend(workers=3)
+    yield backend
+    backend.close()
 
 
 def _messages(params, count):
@@ -134,18 +143,18 @@ class TestKemParity:
         assert batch[1] == kem.decaps(pair.secret_key, tampered)
         assert batch[0] != batch[1]
 
-    def test_workers_fan_out_preserves_order(self, kems):
+    def test_workers_fan_out_preserves_order(self, kems, pool_backend):
         kem, pair = kems(LAC_128)
         messages = _messages(LAC_128, 12)
         serial = kem.encaps_many(pair.public_key, messages)
-        threaded = kem.encaps_many(pair.public_key, messages, workers=3)
+        threaded = kem.encaps_many(pair.public_key, messages, backend=pool_backend)
         assert [r.shared_secret for r in serial] == [
             r.shared_secret for r in threaded
         ]
         cts = [r.ciphertext for r in serial]
-        assert kem.decaps_many(pair.secret_key, cts, workers=3) == kem.decaps_many(
-            pair.secret_key, cts
-        )
+        assert kem.decaps_many(
+            pair.secret_key, cts, backend=pool_backend
+        ) == kem.decaps_many(pair.secret_key, cts)
 
     def test_empty_batch(self, kems):
         kem, pair = kems(LAC_128)
@@ -175,13 +184,13 @@ class TestEdgeBatchSizes:
     shapes a serving layer routinely produces (empty flush, lone
     deadline-expired request)."""
 
-    def test_batch_size_zero(self, params, kems):
+    def test_batch_size_zero(self, params, kems, pool_backend):
         kem, pair = kems(params)
         assert kem.encaps_many(pair.public_key, []) == []
-        assert kem.encaps_many(pair.public_key, [], workers=4) == []
+        assert kem.encaps_many(pair.public_key, [], backend=pool_backend) == []
         assert kem.encaps_many(pair.public_key, count=0) == []
         assert kem.decaps_many(pair.secret_key, []) == []
-        assert kem.decaps_many(pair.secret_key, [], workers=4) == []
+        assert kem.decaps_many(pair.secret_key, [], backend=pool_backend) == []
 
     def test_batch_size_one_matches_scalar(self, params, kems):
         kem, pair = kems(params)
@@ -194,11 +203,11 @@ class TestEdgeBatchSizes:
             kem.decaps(pair.secret_key, scalar.ciphertext)
         ]
 
-    def test_batch_size_one_with_workers(self, params, kems):
-        # workers > batch must degrade to the serial path, not crash
+    def test_batch_size_one_with_workers(self, params, kems, pool_backend):
+        # one lane on a three-thread pool must not crash
         kem, pair = kems(params)
         message = _messages(params, 1)[0]
-        (result,) = kem.encaps_many(pair.public_key, [message], workers=8)
+        (result,) = kem.encaps_many(pair.public_key, [message], backend=pool_backend)
         assert result.shared_secret == kem.encaps(
             pair.public_key, message
         ).shared_secret
@@ -212,8 +221,9 @@ class TestEdgeBatchSizes:
 
 
 class TestSharedExecutor:
-    """The fan-out pool is injectable (the shared default's singleton-ness
-    is covered by ``tests/test_backend.py``)."""
+    """A library batch runs on a pool the caller lends through a
+    backend (the shared default's singleton-ness is covered by
+    ``tests/test_backend.py``)."""
 
     def test_injected_executor_is_used(self, kems):
         from concurrent.futures import ThreadPoolExecutor
@@ -221,30 +231,18 @@ class TestSharedExecutor:
         calls = []
 
         class SpyExecutor(ThreadPoolExecutor):
-            def map(self, fn, *iterables, **kwargs):
-                chunks = [list(it) for it in iterables]
-                calls.append(len(chunks[0]))
-                return super().map(fn, *chunks, **kwargs)
+            def submit(self, fn, /, *args, **kwargs):
+                calls.append(fn)
+                return super().submit(fn, *args, **kwargs)
 
         kem, pair = kems(LAC_128)
         messages = _messages(LAC_128, 8)
         with SpyExecutor(max_workers=2) as pool:
-            threaded = kem.encaps_many(
-                pair.public_key, messages, workers=2, executor=pool
-            )
-        assert calls == [2]  # two sub-batches went through the spy
+            backend = ThreadBackend(executor=pool)
+            threaded = kem.encaps_many(pair.public_key, messages, backend=backend)
+            backend.close()
+        assert len(calls) == 1  # the whole batch went through the spy
         serial = kem.encaps_many(pair.public_key, messages)
         assert [r.shared_secret for r in threaded] == [
             r.shared_secret for r in serial
-        ]
-
-    def test_workers_without_executor_uses_shared_pool(self, kems):
-        # repeated calls must not leak/spawn fresh pools; outputs stay
-        # identical to the serial path
-        kem, pair = kems(LAC_128)
-        messages = _messages(LAC_128, 6)
-        first = kem.encaps_many(pair.public_key, messages, workers=3)
-        second = kem.encaps_many(pair.public_key, messages, workers=3)
-        assert [r.shared_secret for r in first] == [
-            r.shared_secret for r in second
         ]

@@ -151,7 +151,6 @@ class TestCyclePriors:
         estimator = KernelEstimator(priors={key: 0.5})
         # before any observation the prior is the estimate...
         assert estimator.batch_seconds(key) == 0.5
-        assert estimator.op_seconds(key) == 0.5
         # ...an unknown key has neither prior nor global fallback...
         assert estimator.batch_seconds(("DECAPS", 0)) is None
         # ...a real observation immediately shadows the prior...

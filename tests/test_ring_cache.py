@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backend import InlineBackend, create_backend
+from repro.backend import InlineBackend
 from repro.batch import gen_a_vec, key_fingerprints, warm_cache
 from repro.batch.kem import pk_fingerprints, sk_fingerprint
 from repro.lac.kem import LacKem
@@ -377,7 +377,7 @@ class TestBackendCacheOwnership:
             backend.close()
 
     def test_cache_entries_zero_disables(self):
-        backend = create_backend("inline", cache_entries=0)
+        backend = InlineBackend(cache_entries=0)
         try:
             assert backend.transform_cache is None
             assert backend.stats()["transform_cache"] is None
@@ -394,10 +394,10 @@ class TestBackendCacheOwnership:
 
     def test_cache_entries_validated(self):
         with pytest.raises(ValueError):
-            create_backend("inline", cache_entries=-1)
+            InlineBackend(cache_entries=-1)
 
     def test_register_then_serve_hits(self):
-        backend = create_backend("inline", cache_entries=8)
+        backend = InlineBackend(cache_entries=8)
         kem = LacKem(LAC_128)
         pair = kem.keygen(bytes(64))
         try:

@@ -385,6 +385,55 @@ class TestConstructorSurface:
             with pytest.raises(TypeError):
                 cls(**{kwarg: 1})
 
+    def test_config_fields_are_pinned(self):
+        # a new knob is a visible diff here, not a silent addition
+        assert {f.name for f in dataclasses.fields(ServiceConfig)} == {
+            "max_batch",
+            "max_wait_us",
+            "min_wait_us",
+            "high_watermark",
+            "request_timeout",
+            "backend",
+            "backend_workers",
+            "default_deadline_s",
+            "shed_deadlines",
+            "tier_watermarks",
+            "cycle_priors",
+            "cycle_priors_hz",
+            "tenant_quotas",
+        }
+
+    def test_from_env_reads_exactly_four_variables(self):
+        class Recording(dict):
+            def get(self, key, default=None):
+                read.add(key)
+                return super().get(key, default)
+
+        read: set[str] = set()
+        config = ServiceConfig.from_env(
+            Recording(
+                REPRO_KEM_BACKEND="inline",
+                REPRO_KEM_BACKEND_WORKERS="3",
+                REPRO_KEM_DEADLINE_S="0.25",
+                REPRO_KEM_CYCLE_PRIORS="ise",
+            )
+        )
+        assert read == {
+            "REPRO_KEM_BACKEND",
+            "REPRO_KEM_BACKEND_WORKERS",
+            "REPRO_KEM_DEADLINE_S",
+            "REPRO_KEM_CYCLE_PRIORS",
+        }
+        assert (config.backend, config.backend_workers) == ("inline", 3)
+        assert (config.default_deadline_s, config.cycle_priors) == (0.25, "ise")
+
+    def test_wait_bounds_are_ordered_at_config_time(self):
+        with pytest.raises(ValueError, match="min_wait_us"):
+            ServiceConfig(min_wait_us=3000.0)  # above the 2000 us default max
+        with pytest.raises(ValueError, match="min_wait_us"):
+            ServiceConfig(max_wait_us=100.0, min_wait_us=200.0)
+        assert ServiceConfig(max_wait_us=100.0, min_wait_us=100.0).min_wait_us == 100.0
+
 
 class TestTransports:
     def test_threaded_service_and_sync_client(self):

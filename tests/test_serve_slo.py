@@ -1,9 +1,9 @@
 """Unit tests for the SLO building blocks: estimator, shed rule,
-autoscaler hysteresis, priority-aware flushing, per-tier admission.
+priority-aware flushing, per-tier admission.
 
 Everything here runs on fake clocks — the components take timestamps
 as arguments, so the tests pin exact decision boundaries (sheds iff
-predicted miss, no flapping under oscillating load) without sleeping.
+predicted miss) without sleeping.
 """
 
 from __future__ import annotations
@@ -16,21 +16,18 @@ from repro.lac.params import LAC_128
 from repro.serve import AsyncKemClient, KemService, ServiceBusy, ServiceConfig
 from repro.serve.protocol import qos_for
 from repro.serve.scheduler import MicroBatchScheduler
-from repro.serve.slo import Autoscaler, KernelEstimator, predicted_miss
+from repro.serve.slo import KernelEstimator, predicted_miss
 
 
 class TestKernelEstimator:
     def test_cold_estimator_predicts_nothing(self):
         est = KernelEstimator()
         assert est.batch_seconds(("ENCAPS", 1)) is None
-        assert est.op_seconds(("ENCAPS", 1)) is None
-        assert est.global_op_seconds() is None
 
     def test_first_sample_is_adopted_verbatim(self):
         est = KernelEstimator()
         est.observe(("ENCAPS", 1), 0.08, 4)
         assert est.batch_seconds(("ENCAPS", 1)) == pytest.approx(0.08)
-        assert est.op_seconds(("ENCAPS", 1)) == pytest.approx(0.02)
 
     def test_ewma_moves_toward_new_samples(self):
         est = KernelEstimator(alpha=0.5)
@@ -38,13 +35,11 @@ class TestKernelEstimator:
         est.observe(key, 0.10, 10)
         est.observe(key, 0.20, 10)
         assert est.batch_seconds(key) == pytest.approx(0.15)
-        assert est.op_seconds(key) == pytest.approx(0.015)
 
     def test_unseen_key_falls_back_to_global(self):
         est = KernelEstimator()
         est.observe(("ENCAPS", 1), 0.05, 5)
         assert est.batch_seconds(("DECAPS", 2)) == pytest.approx(0.05)
-        assert est.op_seconds(("DECAPS", 2)) == pytest.approx(0.01)
 
     def test_degenerate_samples_are_ignored(self):
         est = KernelEstimator()
@@ -78,83 +73,6 @@ class TestPredictedMiss:
     def test_no_estimate_sheds_only_on_certain_miss(self):
         assert predicted_miss(0.2, None, 0.5) is False
         assert predicted_miss(0.6, None, 0.5) is True
-
-
-class TestAutoscaler:
-    def test_scales_up_on_deep_queue(self):
-        auto = Autoscaler(max_workers=8, up_queue_per_worker=4.0)
-        assert auto.decide(0.0, queue_depth=10, workers=2) == 3
-
-    def test_scales_up_on_demand_even_with_empty_queue(self):
-        auto = Autoscaler(max_workers=8)
-        assert auto.decide(0.0, queue_depth=0, workers=2, demand_workers=5) == 3
-
-    def test_cooldown_gates_consecutive_upscales(self):
-        auto = Autoscaler(max_workers=8, cooldown_s=2.0)
-        assert auto.decide(0.0, 100, 2) == 3
-        assert auto.decide(1.0, 100, 3) == 3  # still cooling
-        assert auto.decide(2.5, 100, 3) == 4
-
-    def test_never_exceeds_max_workers(self):
-        auto = Autoscaler(max_workers=4, cooldown_s=0.0)
-        assert auto.decide(0.0, 1000, 4) == 4
-
-    def test_scale_down_requires_sustained_quiet(self):
-        auto = Autoscaler(max_workers=8, cooldown_s=0.0, sustain=3)
-        assert auto.decide(0.0, 0, 4) == 4  # streak 1
-        assert auto.decide(1.0, 0, 4) == 4  # streak 2
-        assert auto.decide(2.0, 0, 4) == 3  # streak 3: shrink
-
-    def test_busy_reading_resets_the_quiet_streak(self):
-        auto = Autoscaler(
-            max_workers=8, cooldown_s=0.0, sustain=2, up_queue_per_worker=4.0
-        )
-        assert auto.decide(0.0, 0, 4) == 4  # quiet, streak 1
-        assert auto.decide(1.0, 8, 4) == 4  # busy-ish (2/worker): reset
-        assert auto.decide(2.0, 0, 4) == 4  # streak 1 again
-        assert auto.decide(3.0, 0, 4) == 3  # streak 2: now shrink
-
-    def test_never_shrinks_below_min_workers(self):
-        auto = Autoscaler(min_workers=2, cooldown_s=0.0, sustain=1)
-        assert auto.decide(0.0, 0, 2) == 2
-
-    def test_demand_blocks_scale_down(self):
-        # queue is empty but arrivals still need the pool: no shrink
-        auto = Autoscaler(cooldown_s=0.0, sustain=1)
-        assert auto.decide(0.0, 0, 4, demand_workers=4) == 4
-
-    def test_oscillating_load_does_not_flap(self):
-        """Alternating busy/idle readings must not bounce the pool."""
-        auto = Autoscaler(
-            max_workers=8, cooldown_s=2.0, sustain=3, up_queue_per_worker=4.0
-        )
-        workers = 2
-        directions = []
-        for i in range(40):
-            depth = 100 if i % 2 == 0 else 0
-            target = auto.decide(i * 0.1, depth, workers)
-            if target != workers:
-                directions.append("up" if target > workers else "down")
-                workers = target
-        # only cooldown-paced upscales; the idle readings never sustain
-        # long enough to shrink — zero down events, no up/down churn
-        assert "down" not in directions
-        assert 1 <= len(directions) <= 3
-
-    def test_out_of_band_worker_counts_are_clamped(self):
-        auto = Autoscaler(min_workers=2, max_workers=4)
-        assert auto.decide(0.0, 0, 1) == 2
-        assert auto.decide(10.0, 0, 9) == 4
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Autoscaler(min_workers=0)
-        with pytest.raises(ValueError):
-            Autoscaler(min_workers=4, max_workers=2)
-        with pytest.raises(ValueError):
-            Autoscaler(up_queue_per_worker=1.0, down_queue_per_worker=1.0)
-        with pytest.raises(ValueError):
-            Autoscaler(sustain=0)
 
 
 class TestPriorityFlushing:
