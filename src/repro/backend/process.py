@@ -77,13 +77,21 @@ from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable
 
+import numpy as np
+
 from repro.backend.base import KemBackend, KernelWrapper
 from repro.backend.shm import Segment, SegmentPool, attach_segment, shm_available
-from repro.batch.kem import _annotate_cache, _decaps_chunk, _encaps_chunk
+from repro.batch.kem import (
+    _annotate_cache,
+    _decaps_chunk,
+    _encaps_chunk,
+    _row_bytes,
+    wire_rows,
+)
 from repro.errors import WorkerCrashed
 from repro.lac.kem import KemKeyPair, KemSecretKey, LacKem
 from repro.lac.params import ALL_PARAMS, LacParams
-from repro.lac.pke import Ciphertext, PublicKey
+from repro.lac.pke import PublicKey
 from repro.ring.cache import DEFAULT_CACHE_ENTRIES, KeyTransformCache, fingerprint
 from repro.schemes import KemScheme
 from repro.schemes.base import per_pair
@@ -169,10 +177,10 @@ def _worker_init(param_names: Sequence[str], cache_entries: int) -> None:
         kem = _worker_kem(name)
         params = kem.params
         pair = kem.keygen(b"\x2a" * (params.seed_bytes + 32))
-        results = _encaps_chunk(
+        rows, _ = _encaps_chunk(
             kem, [pair.public_key], [b"\x00" * params.message_bytes]
         )
-        _decaps_chunk(kem, [pair.secret_key], [r.ciphertext for r in results])
+        _decaps_chunk(kem, [pair.secret_key], rows)
 
 
 def _resolve_key(
@@ -229,29 +237,26 @@ def _worker_encaps(
 ) -> tuple[Any, dict[str, int]]:
     """Encapsulate a chunk; results go to shared memory when offered.
 
-    With ``out_seg`` the fixed-stride layout is ``ciphertext ||
-    shared`` per message and the payload is just the count; without it
+    With ``out_seg`` the layout is the kernel's ciphertext rows, then
+    the shared secrets, and the payload is just the count; without it
     (bytes wire) the payload is the pickled ``(ct, shared)`` pairs.
     """
     kem = _worker_kem(params_name)
     pk, key_hit = _resolve_key("pk", params_name, key_ref)
     before = _cache_counters()
-    results = _encaps_chunk(kem, [pk] * len(messages), messages, _WORKER_CACHE)
+    rows, shared = _encaps_chunk(kem, [pk] * len(messages), messages, _WORKER_CACHE)
     stats = _stats_delta(before, key_hit)
     if out_seg is None:
-        return [(r.ciphertext.to_bytes(), r.shared_secret) for r in results], stats
-    stride = kem.params.ciphertext_bytes + _SHARED_BYTES
+        return list(zip(_row_bytes(rows), shared)), stats
     segment = attach_segment(out_seg)
     try:
         buf = segment.buf
-        for i, result in enumerate(results):
-            offset = i * stride
-            ct = result.ciphertext.to_bytes()
-            buf[offset : offset + len(ct)] = ct
-            buf[offset + len(ct) : offset + stride] = result.shared_secret
+        split = rows.size
+        buf[:split] = memoryview(rows).cast("B")  # one copy of the block
+        buf[split : split + _SHARED_BYTES * len(shared)] = b"".join(shared)
     finally:
         segment.close()
-    return len(results), stats
+    return len(shared), stats
 
 
 def _worker_decaps(
@@ -261,26 +266,25 @@ def _worker_decaps(
     in_seg: tuple[str, int] | None,
 ) -> tuple[list[bytes], dict[str, int]]:
     """Decapsulate a chunk; ciphertexts arrive via shared memory when
-    ``in_seg`` names a segment (fixed ``ciphertext_bytes`` stride)."""
+    ``in_seg`` names a segment (the rows, ``ciphertext_bytes`` each)."""
     kem = _worker_kem(params_name)
+    params = kem.params
     keys, key_hit = _resolve_key("sk", params_name, key_ref)
     if in_seg is not None:
         seg_name, count = in_seg
-        stride = kem.params.ciphertext_bytes
         segment = attach_segment(seg_name)
         try:
-            buf = segment.buf
-            ct_blobs = [
-                bytes(buf[i * stride : (i + 1) * stride]) for i in range(count)
-            ]
+            # one copy out of the segment, straight into the row block
+            rows = np.frombuffer(
+                bytes(segment.buf[: count * params.ciphertext_bytes]), dtype=np.uint8
+            ).reshape(count, params.ciphertext_bytes)
         finally:
             segment.close()
-    assert ct_blobs is not None
+    else:
+        assert ct_blobs is not None
+        rows = wire_rows(params, ct_blobs)
     before = _cache_counters()
-    ciphertexts = [Ciphertext.from_bytes(kem.params, blob) for blob in ct_blobs]
-    shared = _decaps_chunk(
-        kem, [keys] * len(ciphertexts), ciphertexts, _WORKER_CACHE
-    )
+    shared = _decaps_chunk(kem, [keys] * len(rows), rows, _WORKER_CACHE)
     return shared, _stats_delta(before, key_hit)
 
 
@@ -555,22 +559,22 @@ class ProcessBackend(KemBackend):
         """One ENCAPS (``kind="pk"``) or DECAPS (``"sk"``) batch, split
         across worker processes, wire bytes in and out.
 
-        The bulky side — ``ciphertext || shared`` results up for
-        encapsulation, ciphertext blobs down for decapsulation — goes
-        through one pooled shared-memory segment per chunk at a fixed
-        stride; the 32-byte side rides the pipe.
+        The bulky side — the ciphertext rows and then the shared
+        secrets up for encapsulation, the ciphertext rows down for
+        decapsulation — goes through one pooled shared-memory segment
+        per chunk, one copy each way; the 32-byte side rides the pipe.
         """
         encaps = kind == "pk"
         fp = fingerprint(b"wire-" + kind.encode(), params.name.encode(), key_blob)
         ct_len = params.ciphertext_bytes
-        stride = ct_len + _SHARED_BYTES if encaps else ct_len
+        item_bytes = ct_len + _SHARED_BYTES if encaps else ct_len
         worker_fn = _worker_encaps if encaps else _worker_decaps
 
         def reship(args: tuple[Any, ...]) -> tuple[Any, ...]:
             return (args[0], (kind, fp, key_blob), args[2], args[3])
 
         chunks = self._chunk(batch)
-        segments = [self._acquire_segment(len(chunk) * stride) for chunk in chunks]
+        segments = [self._acquire_segment(len(chunk) * item_bytes) for chunk in chunks]
         try:
             calls = []
             for chunk, segment in zip(chunks, segments):
@@ -580,9 +584,7 @@ class ProcessBackend(KemBackend):
                 elif encaps:
                     calls.append((params.name, key_ref, chunk, segment.name))
                 else:
-                    buf = segment.buf
-                    for i, blob in enumerate(chunk):
-                        buf[i * stride : (i + 1) * stride] = blob
+                    segment.buf[: len(chunk) * item_bytes] = b"".join(chunk)
                     calls.append(
                         (params.name, key_ref, None, (segment.name, len(chunk)))
                     )
@@ -594,14 +596,18 @@ class ProcessBackend(KemBackend):
                 if not encaps or segment is None:
                     out.extend(payload)
                     continue
-                buf = segment.buf
-                for offset in range(0, payload * stride, stride):
-                    out.append(
-                        (
-                            bytes(buf[offset : offset + ct_len]),
-                            bytes(buf[offset + ct_len : offset + stride]),
-                        )
+                # one copy out: the ciphertext rows, then the secrets
+                data = bytes(segment.buf[: payload * item_bytes])
+                split = payload * ct_len
+                out.extend(
+                    zip(
+                        [data[i : i + ct_len] for i in range(0, split, ct_len)],
+                        [
+                            data[i : i + _SHARED_BYTES]
+                            for i in range(split, len(data), _SHARED_BYTES)
+                        ],
                     )
+                )
             return out
         finally:
             self._release_segments(segments)

@@ -4,11 +4,18 @@ The scalar :class:`repro.lac.kem.LacKem` methods process one operation
 at a time through the cycle-model reference code.  This module stacks a
 whole batch of operations into 2-D numpy arrays and runs the ring
 arithmetic as batched negacyclic multiplications
-(:meth:`repro.ring.poly.PolyRing.mul_many`, one FFT for the whole
-stack), the BCH encode as one GF(2) matmul, and the samplers through
-their vectorized twins — while producing ciphertexts and shared
-secrets bit-identical to looping the scalar API (a tested invariant
-across all three LAC parameter sets).
+(:meth:`repro.ring.poly.PolyRing.mul_many`, one half-length ring
+transform for the whole stack), the BCH encode as one masked XOR
+reduction, and the samplers through their vectorized twins — while
+producing ciphertexts and shared secrets bit-identical to looping the
+scalar API (a tested invariant across all three LAC parameter sets).
+
+**Wire rows.**  Ciphertexts enter and leave the kernels as one
+``(B, ciphertext_bytes)`` ``uint8`` block in the wire format of
+:meth:`repro.lac.pke.Ciphertext.to_bytes`: ``u`` one byte per
+coefficient, ``v`` packed two nibbles a byte, both by array ops.  No
+``Ciphertext`` is built per lane; :func:`encaps_many`/
+:func:`decaps_many` convert at their own edge.
 
 Amortization wins on top of vectorization:
 
@@ -24,7 +31,7 @@ the paper's MUL TER loads a fresh general operand every run, and a
 served batch likewise mixes the requests of many hosted keys.  The
 batch's K distinct keys are resolved once each (through the transform
 cache when there is one) — never once per lane — and their ``(n,)``
-operands and ``(n+1,)`` transforms gathered by lane index into the one
+operands and ``(n/2,)`` transforms gathered by lane index into the one
 ring product; K = 1 — what :func:`encaps_many`/:func:`decaps_many`
 pass — skips the gather and broadcasts the single operand.
 
@@ -35,7 +42,6 @@ multi-process backend, the simulated core).
 
 from __future__ import annotations
 
-import hmac
 import secrets
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, TypeVar
@@ -207,6 +213,56 @@ def _compress_rows(params: LacParams, v_rows: np.ndarray) -> np.ndarray:
     )
 
 
+def _pack_rows(
+    params: LacParams, u_rows: np.ndarray, v_compressed: np.ndarray
+) -> np.ndarray:
+    """The ``(B, ciphertext_bytes)`` wire rows of ``(u, compressed v)``:
+    :meth:`Ciphertext.to_bytes` for a whole batch, as array ops."""
+    if params.v_bits != 4:
+        raise NotImplementedError(
+            "wire serialization packs nibbles; experimental v_bits "
+            "variants are in-memory only"
+        )
+    n = params.n
+    rows = np.empty((u_rows.shape[0], params.ciphertext_bytes), dtype=np.uint8)
+    rows[:, :n] = u_rows
+    packed = rows[:, n:]
+    packed[:] = v_compressed[:, 0::2]
+    high = v_compressed[:, 1::2]
+    packed[:, : high.shape[1]] |= high << 4
+    return rows
+
+
+def _unpack_rows(
+    params: LacParams, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(u, compressed v)`` of wire rows — the inverse of
+    :func:`_pack_rows`, and :meth:`Ciphertext.from_bytes` row-wise (an
+    odd ``v_slots`` leaves the last byte's high nibble unread)."""
+    n = params.n
+    packed = rows[:, n:]
+    v_compressed = np.empty((rows.shape[0], 2 * packed.shape[1]), dtype=np.uint8)
+    v_compressed[:, 0::2] = packed & 0x0F
+    v_compressed[:, 1::2] = packed >> 4
+    return rows[:, :n], v_compressed[:, : params.v_slots]
+
+
+def _row_bytes(rows: np.ndarray) -> list[bytes]:
+    """Each row of a 2-D ``uint8`` block as ``bytes``."""
+    wire = rows.tobytes()
+    width = rows.shape[1]
+    return [wire[start : start + width] for start in range(0, len(wire), width)]
+
+
+def wire_rows(params: LacParams, blobs: Sequence[bytes]) -> np.ndarray:
+    """Wire ciphertexts as the ``(B, ciphertext_bytes)`` block
+    :func:`_decaps_chunk` reads (one copy, read-only)."""
+    width = params.ciphertext_bytes
+    if any(len(blob) != width for blob in blobs):
+        raise ValueError(f"ciphertext must be {width} bytes")
+    return np.frombuffer(b"".join(blobs), dtype=np.uint8).reshape(len(blobs), width)
+
+
 def _encrypt_batch(
     kem: LacKem,
     pks: Sequence[PublicKey],
@@ -214,8 +270,9 @@ def _encrypt_batch(
     messages: Sequence[bytes],
     coins_list: Sequence[bytes],
     cache: KeyTransformCache | None = None,
-) -> list[Ciphertext]:
-    """Deterministic batched encryption (shared by encaps and re-encrypt).
+) -> np.ndarray:
+    """Deterministic batched encryption (shared by encaps and re-encrypt):
+    the ``(B, ciphertext_bytes)`` wire rows.
 
     ``pks`` are the batch's distinct public keys and ``lane`` each
     message's index into them, as :func:`key_lanes` gives them (one
@@ -233,7 +290,7 @@ def _encrypt_batch(
     e_rows = np.mod(all_rows[1::3].astype(np.int16), q)
     e2_rows = np.mod(all_rows[2::3, :slots].astype(np.int16), q)
 
-    # one forward FFT of the secret stack feeds both products; the
+    # one forward transform of the secret stack feeds both products; the
     # key-side transforms come from the per-key cache when enabled
     a, fa, b, fb = _pk_operands(params, pks, lane, cache)
     sa_rows, sb_rows = ring.mul_many_multi(
@@ -243,11 +300,7 @@ def _encrypt_batch(
     bs_rows = sb_rows[:, :slots]
     encoded = encode_many(params, list(messages))[:, :slots]
     v_rows = np.mod(bs_rows + e2_rows + encoded, q)
-    v_compressed = _compress_rows(params, v_rows)
-    return [
-        Ciphertext(params, u_rows[i], v_compressed[i])
-        for i in range(len(coins_list))
-    ]
+    return _pack_rows(params, u_rows, _compress_rows(params, v_rows))
 
 
 def _encaps_chunk(
@@ -255,39 +308,50 @@ def _encaps_chunk(
     pks: Sequence[PublicKey],
     messages: Sequence[bytes],
     cache: KeyTransformCache | None = None,
-) -> list[EncapsResult]:
-    """Encapsulate ``messages[i]`` under ``pks[i]``."""
+) -> tuple[np.ndarray, list[bytes]]:
+    """Encapsulate ``messages[i]`` under ``pks[i]``: the
+    ``(B, ciphertext_bytes)`` wire rows and the shared secrets."""
     distinct, lane = key_lanes(pks)
     digests = [_hash3(pk.to_bytes(), b"", b"pk") for pk in distinct]
     coins_list = [
         _hash3(message, digests[k], b"coins") for message, k in zip(messages, lane)
     ]
-    ciphertexts = _encrypt_batch(kem, distinct, lane, messages, coins_list, cache)
-    results = []
-    for message, ciphertext in zip(messages, ciphertexts):
-        ct_digest = _hash3(ciphertext.to_bytes(), b"", b"ct")
-        results.append(
-            EncapsResult(ciphertext, _hash3(message, ct_digest, b"shared"))
-        )
-    return results
+    rows = _encrypt_batch(kem, distinct, lane, messages, coins_list, cache)
+    shared = [
+        _hash3(message, _hash3(ct, b"", b"ct"), b"shared")
+        for message, ct in zip(messages, _row_bytes(rows))
+    ]
+    return rows, shared
 
 
 def _decaps_chunk(
     kem: LacKem,
     keys: Sequence[KemSecretKey],
-    ciphertexts: Sequence[Ciphertext],
+    rows: np.ndarray,
     cache: KeyTransformCache | None = None,
 ) -> list[bytes]:
-    """Decapsulate ``ciphertexts[i]`` under ``keys[i]``."""
+    """Decapsulate wire row ``rows[i]`` under ``keys[i]``.
+
+    ``rows`` is the ``(B, ciphertext_bytes)`` block of
+    :func:`wire_rows`.  A ``u`` coefficient >= q fails the batch, as
+    :meth:`Ciphertext.from_bytes` does; the service rejects such a
+    request before it is batched.
+    """
     params = kem.params
     ring = params.ring
     slots = params.v_slots
     q = params.q
     codec = kem.pke.codec
 
+    rows = np.asarray(rows, dtype=np.uint8)
+    if rows.ndim != 2 or rows.shape[1] != params.ciphertext_bytes:
+        raise ValueError(f"ciphertext must be {params.ciphertext_bytes} bytes")
+    u_rows, v_compressed = _unpack_rows(params, rows)
+    if np.any(u_rows >= q):
+        raise ValueError("ciphertext coefficient out of range")
+
     distinct, lane = key_lanes(keys)
     s_parts = [key.sk.s.coeffs.astype(np.int64)[None, :] for key in distinct]
-    u_rows = np.stack([ct.u for ct in ciphertexts]).astype(np.int64)
     if cache is not None:
         got_s = [
             cache.operand(ring, sk_fingerprint(params, key), lambda part=part: part)
@@ -302,7 +366,8 @@ def _decaps_chunk(
         )
     else:
         us_rows = ring.mul_many(_gather(s_parts, lane), u_rows)
-    v_rows = np.stack([codec.decompress_v(ct.v_compressed) for ct in ciphertexts])
+    shift = _shift(params)
+    v_rows = (v_compressed.astype(np.int64) << shift) + (1 << (shift - 1))
     noisy_rows = np.mod(v_rows - us_rows[:, :slots], q)
 
     if kem.constant_time_bch and kem.pke.bch_decoder is None:
@@ -322,20 +387,20 @@ def _decaps_chunk(
         for message, key in zip(messages, keys)
     ]
 
-    reencrypted = _encrypt_batch(
+    candidates = _encrypt_batch(
         kem, [key.pk for key in distinct], lane, messages, coins_list, cache
     )
+    # the FO comparison and hash see the ciphertext as the scalar KEM
+    # does, re-serialised; one whole-block equality, no early exit
+    canonical = _pack_rows(params, u_rows, v_compressed)
+    accepted = np.all(candidates == canonical, axis=1).tolist()
 
     shared = []
-    for key, message, ciphertext, candidate in zip(
-        keys, messages, ciphertexts, reencrypted
-    ):
-        ct_bytes = ciphertext.to_bytes()
-        ct_digest = _hash3(ct_bytes, b"", b"ct")
-        accepted = hmac.compare_digest(candidate.to_bytes(), ct_bytes)
+    for key, message, ct, ok in zip(keys, messages, _row_bytes(canonical), accepted):
+        ct_digest = _hash3(ct, b"", b"ct")
         # implicit rejection, exactly as the scalar FO transform, as one
         # select: both outcomes run the same lines and one hash
-        secret, label = ((key.z, b"reject"), (message, b"shared"))[accepted]
+        secret, label = ((key.z, b"reject"), (message, b"shared"))[ok]
         shared.append(_hash3(secret, ct_digest, label))
     return shared
 
@@ -389,12 +454,14 @@ def encaps_many(
         pair = KemKeyPair(pk, None)  # type: ignore[arg-type]
         wire = backend.submit(
             LAC_SCHEME, kem.params, "ENCAPS", [pair] * len(messages), messages
-        )
-        return [
-            EncapsResult(Ciphertext.from_bytes(kem.params, ct_bytes), shared)
-            for ct_bytes, shared in wire.result()
-        ]
-    return _encaps_chunk(kem, [pk] * len(messages), messages, cache)
+        ).result()
+    else:
+        rows, shared = _encaps_chunk(kem, [pk] * len(messages), messages, cache)
+        wire = list(zip(_row_bytes(rows), shared))
+    return [
+        EncapsResult(Ciphertext.from_bytes(kem.params, ct_bytes), shared)
+        for ct_bytes, shared in wire
+    ]
 
 
 def decaps_many(
@@ -415,12 +482,14 @@ def decaps_many(
     ciphertexts = list(ciphertexts)
     if not ciphertexts:
         return []
+    blobs = [ct.to_bytes() for ct in ciphertexts]
     if backend is not None:
         from repro.schemes import LAC_SCHEME  # lazy: its adapter imports us
 
-        blobs = [ct.to_bytes() for ct in ciphertexts]
         pair = KemKeyPair(keys.pk, keys)
         return backend.submit(
             LAC_SCHEME, kem.params, "DECAPS", [pair] * len(blobs), blobs
         ).result()
-    return _decaps_chunk(kem, [keys] * len(ciphertexts), ciphertexts, cache)
+    return _decaps_chunk(
+        kem, [keys] * len(blobs), wire_rows(kem.params, blobs), cache
+    )

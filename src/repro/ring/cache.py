@@ -11,7 +11,8 @@ collapses to pointwise work plus one inverse transform.
 
 :class:`KeyTransformCache` is the software version of that register
 file: a bounded, thread-safe LRU keyed by ``(ring, fingerprint)``
-holding the raw operand *and* its forward ``rfft``.  Keeping the raw
+holding the raw operand *and* its forward ring transform
+(:meth:`repro.ring.poly.PolyRing.forward_transform`).  Keeping the raw
 operand alongside the transform matters for exactness — the 0.25
 integrality guard of :meth:`repro.ring.poly.PolyRing.mul_many` can
 always fall back to the exact convolution path, so cached and cold
@@ -27,11 +28,11 @@ early (on key removal); correctness never depends on it.
 Memory cost per entry: the raw operand stored one byte per coefficient
 whenever its values fit one (every LAC operand does: ``a``, ``b`` in
 [0, 251), ``s`` ternary) — the raw copy only feeds the exact fallback,
-which up-casts it — plus the ``complex128`` transform (16(n+1) bytes):
-about 8.5 KiB for n = 512 and 17 KiB for n = 1024.  A hosted key
-populates up to three entries (``b``, the GenA expansion ``a``, and the
-secret ``s``), so the default capacity of 256 entries holds roughly 85
-hosted LAC-256 keys in ~4.3 MiB.
+which up-casts it — plus the ``complex128`` transform of n/2 points
+(8n bytes): about 4.5 KiB for n = 512 and 9 KiB for n = 1024.  A hosted
+key populates up to three entries (``b``, the GenA expansion ``a``, and
+the secret ``s``), so the default capacity of 256 entries holds roughly
+85 hosted LAC-256 keys in ~2.3 MiB.
 """
 
 from __future__ import annotations

@@ -9,6 +9,8 @@ algorithms, and the MUL TER hardware model are all verified.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 #: LAC's coefficient modulus (a single byte, prime).
@@ -36,6 +38,22 @@ def _rows_of(operand: np.ndarray | None, rows: int, part: slice) -> np.ndarray |
     if operand is not None and operand.ndim == 2 and operand.shape[0] == rows:
         return operand[part]
     return operand
+
+
+@lru_cache(maxsize=None)
+def _twist(n: int, length: int) -> np.ndarray:
+    """psi^j for j < length, psi = e^(i pi/n): the negacyclic twist."""
+    twist = np.exp(1j * np.pi * np.arange(length) / n)
+    twist.setflags(write=False)
+    return twist
+
+
+@lru_cache(maxsize=None)
+def _untwist(n: int, length: int) -> np.ndarray:
+    """psi^-j, undoing :func:`_twist`."""
+    untwist = np.conj(_twist(n, length))
+    untwist.setflags(write=False)
+    return untwist
 
 
 class PolyRing:
@@ -137,7 +155,8 @@ class PolyRing:
         return self.reduce_full(np.convolve(a, b))
 
     def forward_transform(self, operand: np.ndarray) -> np.ndarray:
-        """The reusable forward half of :meth:`mul_many`: ``rfft`` at 2n.
+        """The reusable forward half of :meth:`mul_many`: the ring's own
+        transform of ``operand`` (see :meth:`_forward`).
 
         Long-lived operands (hosted public/secret key polynomials) can
         be transformed once and the result passed back through the
@@ -147,10 +166,74 @@ class PolyRing:
         operand's dimensionality, so it broadcasts exactly like the
         operand itself would.
         """
-        operand = np.asarray(operand, dtype=np.int64)
+        operand = np.asarray(operand)
         if operand.shape[-1] != self.n:
             raise ValueError("operands must be full-length ring elements")
-        return np.fft.rfft(operand, 2 * self.n, axis=-1)
+        return self._forward(operand)
+
+    def _forward(self, operand: np.ndarray) -> np.ndarray:
+        """The length-n transform under which the ring product is
+        pointwise — no zero padding, no wrap step afterwards.
+
+        Cyclic: ``rfft`` at length n (n/2 + 1 bins).  Negacyclic, even
+        n: x^n + 1 = (x^(n/2) - i)(x^(n/2) + i), and a real element is
+        determined by its residue modulo the first factor — coefficient
+        j folded with coefficient j + n/2 into ``a_j + i a_(j+n/2)``.
+        Substituting x = psi y (psi = e^(i pi/n), so psi^(n/2) = i)
+        turns that residue ring into a cyclic one of length n/2: twist
+        by psi^j, then one complex FFT of n/2 points.  Odd n cannot
+        fold; it twists all n coefficients instead.
+        """
+        n = self.n
+        if not self.negacyclic:
+            return np.fft.rfft(operand, n, axis=-1)
+        if n % 2:
+            return np.fft.fft(operand * _twist(n, n), axis=-1)
+        half = n // 2
+        folded = np.empty(operand.shape[:-1] + (half,), dtype=np.complex128)
+        folded.real = operand[..., :half]
+        folded.imag = operand[..., half:]
+        folded *= _twist(n, half)
+        return np.fft.fft(folded, axis=-1)
+
+    def _inverse(self, product: np.ndarray, out: np.ndarray) -> bool:
+        """Write the reduced ring elements of a pointwise product of
+        transforms (which it consumes) into ``out``; ``False`` when float
+        rounding strays past the 0.25 integrality margin.
+
+        The negacyclic inverse is ``ifft`` and the untwist; the real and
+        imaginary parts are then the low and high halves of the product.
+        A whole batch at n = 1024 makes every temporary here a sizeable
+        buffer, and two pool threads run at once: buffers are reused in
+        place rather than left for a fresh one beside them.
+        """
+        n, q = self.n, self.q
+        if not self.negacyclic:
+            full = np.fft.irfft(product, n, axis=-1)
+        else:
+            folded = np.fft.ifft(product, axis=-1)
+            del product
+            folded *= _untwist(n, n if n % 2 else n // 2)
+            full = (
+                folded.real
+                if n % 2
+                else np.concatenate((folded.real, folded.imag), axis=-1)
+            )
+            del folded
+        rounded = np.rint(full)
+        np.subtract(full, rounded, out=full)
+        np.abs(full, out=full)
+        if full.max() > 0.25:
+            return False
+        # reduce mod q in float: the products are integers far below
+        # 2^53, so the quotient's floor is exact — and several times
+        # cheaper than int64 division
+        np.divide(rounded, q, out=full)
+        np.floor(full, out=full)
+        full *= -q
+        rounded += full
+        out[...] = rounded
+        return True
 
     def mul_many(
         self,
@@ -162,84 +245,54 @@ class PolyRing:
         """Reduced products of a whole stack of ring elements at once.
 
         ``stacked`` is a 2-D array whose rows are ring elements (values
-        may be signed, e.g. ternary coefficients in {-1, 0, 1}; the
-        result is always reduced into [0, q)).  ``b`` is either a single
-        ring element applied to every row or a matching 2-D stack for
-        row-wise products.  Either side may also have a single row that
-        broadcasts against the other.
+        may be signed, e.g. ternary coefficients in {-1, 0, 1}, and of
+        any integer dtype; the result is always reduced into [0, q) as
+        ``int64``).  ``b`` is either a single ring element applied to
+        every row or a matching 2-D stack for row-wise products.  Either
+        side may also have a single row that broadcasts against the
+        other.
 
-        The products run as one batched FFT of length 2n (negacyclic or
-        cyclic wrap applied afterwards).  ``a_transform``/``b_transform``
-        optionally supply a precomputed :meth:`forward_transform` of the
-        corresponding operand (the per-key caching hook); the raw
-        operands are still required so the exactness fallback below
-        never depends on the cache.  Float rounding is verified against
-        a 0.25 integrality margin — far above the error floor for
-        q = 251 operands — and the method falls back to the exact
-        per-row ``np.convolve`` path if the margin is ever violated, so
-        results are always bit-identical to :meth:`mul`.
+        The products run as one batched ring transform
+        (:meth:`_forward`, pointwise product, :meth:`_inverse`).
+        ``a_transform``/``b_transform`` optionally supply a precomputed
+        :meth:`forward_transform` of the corresponding operand (the
+        per-key caching hook); the raw operands are still required so
+        the exactness fallback below never depends on the cache.  Float
+        rounding is verified against a 0.25 integrality margin — far
+        above the error floor for q = 251 operands — and a pass falls
+        back to the exact per-row ``np.convolve`` path if the margin is
+        ever violated, so results are always bit-identical to
+        :meth:`mul`.
         """
         n = self.n
-        stacked = np.atleast_2d(np.asarray(stacked, dtype=np.int64))
-        b = np.asarray(b, dtype=np.int64)
+        stacked = np.atleast_2d(np.asarray(stacked))
+        b = np.asarray(b)
         if stacked.shape[-1] != n or b.shape[-1] != n:
             raise ValueError("operands must be full-length ring elements")
         if b.ndim not in (1, 2):
             raise ValueError("b must be one ring element or a stack of them")
         products = max(stacked.shape[0], b.shape[0] if b.ndim == 2 else 1)
-        passes = _passes(products, n)
-        if len(passes) > 1:
-            return np.concatenate(
-                [
-                    self.mul_many(
-                        _rows_of(stacked, products, p),
-                        _rows_of(b, products, p),
-                        _rows_of(a_transform, products, p),
-                        _rows_of(b_transform, products, p),
-                    )
-                    for p in passes
+        out = np.empty((products, n), dtype=np.int64)
+        for part in _passes(products, n):
+            x = _rows_of(stacked, products, part)
+            y = _rows_of(b, products, part)
+            fa = (
+                self._forward(x)
+                if a_transform is None
+                else np.atleast_2d(_rows_of(a_transform, products, part))
+            )
+            fb = (
+                self._forward(y)
+                if b_transform is None
+                else _rows_of(b_transform, products, part)
+            )
+            if not self._inverse(fa * fb, out[part]):  # guard: exact fallback
+                rows = np.broadcast_arrays(x, y if y.ndim == 2 else y[None, :])
+                out[part] = [
+                    self.mul(left.astype(np.int64), right.astype(np.int64))
+                    for left, right in zip(*rows)
                 ]
-            )
-        length = 2 * n
-        fa = (
-            np.fft.rfft(stacked, length, axis=-1)
-            if a_transform is None
-            else np.atleast_2d(a_transform)
-        )
-        fb = np.fft.rfft(b, length, axis=-1) if b_transform is None else b_transform
-        reduced = self._wrap_product(fa * fb)
-        if reduced is None:  # guard: exact fallback
-            rows = np.broadcast_arrays(
-                stacked, b if b.ndim == 2 else b[None, :]
-            )
-            return np.stack([self.mul(x, y) for x, y in zip(*rows)])
-        return reduced
-
-    def _wrap_product(self, product: np.ndarray) -> np.ndarray | None:
-        """Reduced ring elements from a pointwise product of length-2n
-        transforms (which it consumes), or ``None`` when float rounding
-        strays past the 0.25 integrality margin.
-
-        A whole batch at n = 1024 makes every temporary here most of a
-        megabyte, and two pool threads run at once: each buffer is
-        reused in place rather than left for a fresh one beside it.
-        """
-        n = self.n
-        full = np.fft.irfft(product, 2 * n, axis=-1)
-        del product
-        rounded = np.rint(full)
-        np.subtract(full, rounded, out=full)
-        np.abs(full, out=full)
-        if full.max() > 0.25:
-            return None
-        del full
-        full_int = rounded.astype(np.int64)
-        del rounded
-        # linear convolution occupies 2n-1 slots; slot 2n-1 is zero, so
-        # the wrap is a plain halves add/subtract
-        low, high = full_int[..., :n], full_int[..., n:]
-        wrapped = low - high if self.negacyclic else low + high
-        return np.mod(wrapped, self.q, out=wrapped)
+        return out
 
     def mul_many_multi(
         self,
@@ -247,10 +300,11 @@ class PolyRing:
         operands: list[np.ndarray],
         operand_transforms: list[np.ndarray | None] | None = None,
     ) -> list[np.ndarray]:
-        """Products of one stack against several operands, sharing the FFT.
+        """Products of one stack against several operands, sharing the
+        forward transform.
 
         Equivalent to ``[self.mul_many(stacked, b) for b in operands]``
-        but the (large) forward FFT of ``stacked`` is computed once and
+        but the forward transform of ``stacked`` is computed once and
         reused for every operand — the dominant cost when the stack is a
         whole batch and the operands are single ring elements (e.g. the
         KEM's ``s * a`` and ``s * b`` against the same secret stack).
@@ -262,44 +316,28 @@ class PolyRing:
         """
         n = self.n
         # any integer dtype (the batch kernel's secret stack is int8):
-        # the FFT widens it, and so does the exact fallback
+        # the transform widens it, and so does the exact fallback
         stacked = np.atleast_2d(np.asarray(stacked))
         if stacked.shape[-1] != n:
             raise ValueError("operands must be full-length ring elements")
-        if operand_transforms is not None and len(operand_transforms) != len(operands):
+        if operand_transforms is None:
+            operand_transforms = [None] * len(operands)
+        elif len(operand_transforms) != len(operands):
             raise ValueError("one transform (or None) per operand")
-        # likewise the operands: with a transform supplied the raw one
-        # only feeds the exact fallback, which up-casts it
         operands = [np.asarray(b) for b in operands]
+        if any(b.shape[-1] != n or b.ndim not in (1, 2) for b in operands):
+            raise ValueError("operands must be full-length ring elements")
         rows = stacked.shape[0]
-        passes = _passes(rows, n)
-        if len(passes) > 1:
-            parts = [
-                self.mul_many_multi(
-                    stacked[p],
-                    [_rows_of(b, rows, p) for b in operands],
-                    [_rows_of(t, rows, p) for t in operand_transforms or ()] or None,
-                )
-                for p in passes
-            ]
-            return [np.concatenate(products) for products in zip(*parts)]
-        length = 2 * n
-        fa = np.fft.rfft(stacked, length, axis=-1)
-        out = []
-        for i, b in enumerate(operands):
-            if b.shape[-1] != n or b.ndim not in (1, 2):
-                raise ValueError("operands must be full-length ring elements")
-            fb = (
-                operand_transforms[i]
-                if operand_transforms is not None
-                and operand_transforms[i] is not None
-                else np.fft.rfft(b, length, axis=-1)
-            )
-            reduced = self._wrap_product(fa * fb)
-            if reduced is None:  # guard: exact fallback
-                reduced = self.mul_many(stacked, b)
-            out.append(reduced)
-        return out
+        outs = [np.empty((rows, n), dtype=np.int64) for _ in operands]
+        for part in _passes(rows, n):
+            x = stacked[part]
+            fa = self._forward(x)
+            for b, fb, out in zip(operands, operand_transforms, outs):
+                y = _rows_of(b, rows, part)
+                fb = self._forward(y) if fb is None else _rows_of(fb, rows, part)
+                if not self._inverse(fa * fb, out[part]):  # guard: exact fallback
+                    out[part] = self.mul_many(x, y)
+        return outs
 
     def scalar_mul(self, a: np.ndarray, s: int) -> np.ndarray:
         """Multiply every coefficient by an integer scalar mod q."""

@@ -125,6 +125,16 @@ class KemScheme(ABC):
     def ciphertext_wire_bytes(self, params: Any) -> int:
         """Serialized ciphertext size as carried by ENCAPS/DECAPS."""
 
+    def check_ciphertext(self, params: Any, blob: bytes) -> None:
+        """Raise ``ValueError`` when a wire ciphertext of the right
+        length is still one the kernel would refuse outright.
+
+        The serving layer calls it on admission, so one malformed
+        request is answered alone rather than failing its whole batch.
+        Schemes whose decapsulation accepts any bytes (implicit
+        rejection covers them) keep this no-op default.
+        """
+
     # ------------------------------------------------------------------
     # the KEM itself (wire-byte in, wire-byte out)
     # ------------------------------------------------------------------

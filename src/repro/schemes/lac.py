@@ -20,14 +20,20 @@ from typing import Any
 from repro.batch.kem import (
     _decaps_chunk,
     _encaps_chunk,
+    _row_bytes,
     key_fingerprints,
     warm_cache,
+    wire_rows,
 )
 from repro.lac.kem import KemKeyPair, LacKem
 from repro.lac.params import ALL_PARAMS, LacParams
-from repro.lac.pke import Ciphertext
 from repro.ring.cache import KeyTransformCache
+from repro.ring.poly import LAC_Q
 from repro.schemes.base import KemScheme
+
+
+#: The byte values >= q, none of which a ``u`` coefficient may take.
+_OUT_OF_RANGE = bytes(range(LAC_Q, 256))
 
 
 class LacScheme(KemScheme):
@@ -67,6 +73,12 @@ class LacScheme(KemScheme):
         """``Ciphertext.to_bytes()`` length for this parameter set."""
         return params.ciphertext_bytes
 
+    def check_ciphertext(self, params: LacParams, blob: bytes) -> None:
+        """Reject a ``u`` byte >= q, as ``Ciphertext.from_bytes`` does."""
+        u = blob[: params.n]
+        if len(u.translate(None, _OUT_OF_RANGE)) != len(u):
+            raise ValueError("ciphertext coefficient out of range")
+
     # ------------------------------------------------------------------
 
     def keygen(self, params: LacParams, seed: bytes | None = None) -> KemKeyPair:
@@ -97,10 +109,10 @@ class LacScheme(KemScheme):
         """One vectorized batch across the pairs' public keys."""
         if not messages:
             return []
-        results = _encaps_chunk(
+        rows, shared = _encaps_chunk(
             self.kem_for(params), [pair.public_key for pair in pairs], messages, cache
         )
-        return [(r.ciphertext.to_bytes(), r.shared_secret) for r in results]
+        return list(zip(_row_bytes(rows), shared))
 
     def decaps_each(
         self,
@@ -113,9 +125,11 @@ class LacScheme(KemScheme):
         rejection included)."""
         if not ciphertexts:
             return []
-        cts = [Ciphertext.from_bytes(params, blob) for blob in ciphertexts]
         return _decaps_chunk(
-            self.kem_for(params), [pair.secret_key for pair in pairs], cts, cache
+            self.kem_for(params),
+            [pair.secret_key for pair in pairs],
+            wire_rows(params, ciphertexts),
+            cache,
         )
 
     def encaps_many(

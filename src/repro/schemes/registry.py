@@ -60,6 +60,10 @@ class ParamId:
 
 _SCHEMES_BY_ID: dict[int, KemScheme] = {}
 _SCHEMES_BY_NAME: dict[str, KemScheme] = {}
+# the lookups the per-request paths make, rebuilt by ``register_scheme``
+_ORDERED: tuple[KemScheme, ...] = ()
+_SCHEME_BY_TYPE: dict[type, KemScheme] = {}
+_PARAMS_BY_NAME: dict[str, tuple[KemScheme, Any]] = {}
 
 
 def register_scheme(scheme: KemScheme) -> KemScheme:
@@ -75,7 +79,20 @@ def register_scheme(scheme: KemScheme) -> KemScheme:
         )
     _SCHEMES_BY_ID[scheme.scheme_id] = scheme
     _SCHEMES_BY_NAME[scheme.name] = scheme
+    _reindex()
     return scheme
+
+
+def _reindex() -> None:
+    """Rebuild the derived lookups from the registered schemes."""
+    global _ORDERED
+    _ORDERED = tuple(_SCHEMES_BY_ID[k] for k in sorted(_SCHEMES_BY_ID))
+    _SCHEME_BY_TYPE.clear()
+    _PARAMS_BY_NAME.clear()
+    for scheme in reversed(_ORDERED):  # the lowest id wins a clash
+        for params in scheme.param_sets:
+            _SCHEME_BY_TYPE[type(params)] = scheme
+            _PARAMS_BY_NAME[params.name] = (scheme, params)
 
 
 def scheme_for(spec: SchemeId | int | str | KemScheme) -> KemScheme:
@@ -95,7 +112,7 @@ def scheme_for(spec: SchemeId | int | str | KemScheme) -> KemScheme:
 
 def all_schemes() -> tuple[KemScheme, ...]:
     """Registered schemes in scheme-id order."""
-    return tuple(_SCHEMES_BY_ID[k] for k in sorted(_SCHEMES_BY_ID))
+    return _ORDERED
 
 
 def all_param_ids() -> tuple[ParamId, ...]:
@@ -135,7 +152,10 @@ def params_for_wire_id(wire_id: int) -> tuple[KemScheme, Any]:
 
 def scheme_of(params: Any) -> KemScheme:
     """The registered scheme owning ``params`` (by parameter type)."""
-    for scheme in all_schemes():
+    scheme = _SCHEME_BY_TYPE.get(type(params))
+    if scheme is not None:
+        return scheme
+    for scheme in _ORDERED:  # a type no registered parameter set has
         if scheme.owns_params(params):
             return scheme
     raise ValueError(
@@ -168,11 +188,10 @@ def resolve(spec: Any) -> tuple[KemScheme, Any]:
     if isinstance(spec, int):
         return params_for_wire_id(spec)
     if isinstance(spec, str):
-        for scheme in all_schemes():
-            for params in scheme.param_sets:
-                if params.name == spec:
-                    return scheme, params
-        raise ValueError(f"unknown parameter set {spec!r}")
+        try:
+            return _PARAMS_BY_NAME[spec]
+        except KeyError:
+            raise ValueError(f"unknown parameter set {spec!r}") from None
     scheme = scheme_of(spec)
     # normalize to the registered instance when the names match
     for params in scheme.param_sets:

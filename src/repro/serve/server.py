@@ -1031,6 +1031,10 @@ class KemService(FrameServer):
             ct_bytes = key.scheme.ciphertext_wire_bytes(key.params)
             if len(rest) != ct_bytes:
                 raise ProtocolError(f"ciphertext must be {ct_bytes} bytes")
+            try:
+                key.scheme.check_ciphertext(key.params, rest)
+            except ValueError as exc:
+                raise ProtocolError(str(exc)) from None
             request.item = rest
         else:
             raise ProtocolError(f"unsupported op {op.name}")

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.ring.poly as poly
-from repro.batch.kem import _decaps_chunk, _encaps_chunk, warm_cache
+from repro.batch.kem import _decaps_chunk, _encaps_chunk, warm_cache, wire_rows
 from repro.lac.kem import LacKem
 from repro.lac.params import ALL_PARAMS
 from repro.lac.pke import Ciphertext
@@ -60,22 +60,31 @@ def check_lanes(params, lanes, tampered, cache_mode):
     keys = [pairs[k] for k in lanes]
     messages = [bytes([lane, k] * 16) for lane, k in enumerate(lanes)]
 
-    results = _encaps_chunk(kem, [p.public_key for p in keys], messages, cache)
-    for pair, message, got in zip(keys, messages, results, strict=True):
+    rows, secrets = _encaps_chunk(kem, [p.public_key for p in keys], messages, cache)
+    assert rows.shape == (len(lanes), params.ciphertext_bytes)
+    for pair, message, row, secret in zip(keys, messages, rows, secrets, strict=True):
         want = kem.encaps(pair.public_key, message)
-        assert got.ciphertext.to_bytes() == want.ciphertext.to_bytes()
-        assert got.shared_secret == want.shared_secret
+        assert row.tobytes() == want.ciphertext.to_bytes()
+        assert secret == want.shared_secret
 
     ciphertexts = [
-        tamper(params, r.ciphertext) if bad else r.ciphertext
-        for r, bad in zip(results, tampered, strict=True)
+        Ciphertext.from_bytes(params, row.tobytes()) for row in rows
     ]
-    shared = _decaps_chunk(kem, [p.secret_key for p in keys], ciphertexts, cache)
-    for pair, ct, got, result, bad in zip(
-        keys, ciphertexts, shared, results, tampered, strict=True
+    ciphertexts = [
+        tamper(params, ct) if bad else ct
+        for ct, bad in zip(ciphertexts, tampered, strict=True)
+    ]
+    shared = _decaps_chunk(
+        kem,
+        [p.secret_key for p in keys],
+        wire_rows(params, [ct.to_bytes() for ct in ciphertexts]),
+        cache,
+    )
+    for pair, ct, got, secret, bad in zip(
+        keys, ciphertexts, shared, secrets, tampered, strict=True
     ):
         assert got == kem.decaps(pair.secret_key, ct)
-        assert (got == result.shared_secret) is (not bad)
+        assert (got == secret) is (not bad)
     if cache_mode == "capacity-1":
         assert len(cache) == 1 and cache.stats()["evictions"] > 0
 
@@ -134,14 +143,12 @@ def test_equal_keys_in_distinct_objects_are_still_right(params):
     assert twin.public_key.to_bytes() == pairs[0].public_key.to_bytes()
     messages = [bytes([i] * 32) for i in range(3)]
     cache = KeyTransformCache()
-    mixed = _encaps_chunk(
+    mixed, _ = _encaps_chunk(
         kem, [pairs[0].public_key, twin.public_key, pairs[0].public_key],
         messages, cache,
     )
-    alone = _encaps_chunk(kem, [pairs[0].public_key] * 3, messages, None)
-    assert [r.ciphertext.to_bytes() for r in mixed] == [
-        r.ciphertext.to_bytes() for r in alone
-    ]
+    alone, _ = _encaps_chunk(kem, [pairs[0].public_key] * 3, messages, None)
+    assert np.array_equal(mixed, alone)
     assert len(cache) == 2  # a and b, once
 
 
@@ -181,3 +188,17 @@ def test_mixed_pairs_through_the_scheme_seam():
     ]
     assert LAC_SCHEME.encaps_each(params, [], []) == []
     assert LAC_SCHEME.decaps_each(params, [], []) == []
+
+
+@pytest.mark.parametrize("params", ALL_PARAMS, ids=lambda p: p.name)
+def test_the_unread_nibble_decapsulates_like_the_scalar_kem(params):
+    """An odd ``v_slots`` leaves the last wire byte's high nibble unread.
+    The scalar KEM re-serialises what it parsed, so junk there is
+    invisible to it; the row kernel must agree (accept, same secret)."""
+    kem, pairs = hosted(params)
+    pair = pairs[0]
+    [(ct, shared)] = LAC_SCHEME.encaps_many(params, pair, [bytes(range(32))])
+    junk = ct[:-1] + bytes([ct[-1] | 0xF0])
+    want = kem.decaps(pair.secret_key, Ciphertext.from_bytes(params, junk))
+    assert LAC_SCHEME.decaps_many(params, pair, [ct, junk]) == [shared, want]
+    assert (want == shared) is (params.v_slots % 2 == 1)

@@ -17,7 +17,8 @@ from repro.lac.kem import LacKem
 from repro.lac.params import LAC_128
 from repro.lac.pke import Ciphertext
 from repro.newhope.params import NEWHOPE_512
-from repro.serve import KemService, RequestTimedOut, ServiceConfig
+from repro.serve import KemService, RequestTimedOut, ServiceConfig, ServiceError
+from repro.serve.protocol import Status
 from repro.trace import InMemoryRecorder, Tracer
 from tests.test_serve_service import (
     FakeClock,
@@ -133,6 +134,38 @@ class TestCrossKeyBatches:
         roots = [s for s in recorder.to_dicts() if s["name"] == "server.request"]
         assert len({s["tags"]["key_id"] for s in roots}) == 2
         assert {s["tags"]["batch_size"] for s in roots} == {6}
+
+    def test_an_out_of_range_ciphertext_is_refused_alone(self):
+        """A DECAPS whose ``u`` holds a byte >= q is answered
+        ``BAD_REQUEST`` on admission; the valid requests around it are
+        batched and served as if it had never been sent."""
+
+        async def main():
+            svc, clock = frozen_service(max_batch=100)
+            await svc.start()
+            [(kid, pair)] = host(svc, 1)
+            client = await connected_client(svc, (kid, LAC_128))
+            blobs = [
+                KEM.encaps(pair.public_key, bytes([i, 0x5A] * 16)).ciphertext.to_bytes()
+                for i in range(6)
+            ]
+            blobs[2] = b"\xff" + blobs[2][1:]
+            calls = [asyncio.create_task(client.decaps(kid, blob)) for blob in blobs]
+            await wait_until(lambda: svc.pending == 5)
+            flush(svc, clock)
+            replies = await asyncio.gather(*calls, return_exceptions=True)
+            assert isinstance(replies[2], ServiceError)
+            assert replies[2].status is Status.BAD_REQUEST
+            assert "out of range" in replies[2].detail
+            for lane, (blob, got) in enumerate(zip(blobs, replies)):
+                if lane != 2:
+                    ct = Ciphertext.from_bytes(LAC_128, blob)
+                    assert got == KEM.decaps(pair.secret_key, ct)
+            assert svc.metrics.snapshot()["batch_sizes"] == {"5": 1}
+            await client.aclose()
+            await svc.shutdown()
+
+        run(main)
 
     def test_a_key_removed_while_its_request_is_held_is_still_answered(self):
         async def main():

@@ -213,7 +213,10 @@ class TestCacheLifecycle:
         b = cache.operand(PolyRing(16, negacyclic=False), fp, lambda: np.arange(16))
         assert len(cache) == 2
         assert not b.hit
-        assert a.transform.shape == b.transform.shape
+        # distinct entries, each its own ring's transform
+        for got, negacyclic in ((a, True), (b, False)):
+            ring = PolyRing(16, negacyclic=negacyclic)
+            assert np.array_equal(got.transform, ring.forward_transform(np.arange(16)))
 
     def test_concurrent_misses_converge_to_one_entry(self):
         ring = PolyRing(64)

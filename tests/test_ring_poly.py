@@ -271,13 +271,14 @@ class TestPasses:
     def test_a_pass_that_trips_the_guard_falls_back_alone(self, ring_and_rows, monkeypatch):
         ring, rng, stacked = ring_and_rows
         b = ring.random(rng)
-        real, calls = np.fft.irfft, []
+        real, calls = np.fft.ifft, []
 
         def second_pass_broken(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs) + (0.4 if len(calls) == 2 else 0.0)
 
-        monkeypatch.setattr(np.fft, "irfft", second_pass_broken)
+        # the negacyclic inverse transform is a half-length complex ifft
+        monkeypatch.setattr(np.fft, "ifft", second_pass_broken)
         assert np.array_equal(ring.mul_many(stacked, b), self._expect(ring, stacked, b))
         assert len(calls) == 3
 
@@ -286,25 +287,30 @@ class TestRoundingGuardFallback:
     """Force the 0.25 integrality guard and prove the fallback is exact.
 
     The float path can't actually miss at q = 251 sizes, so the guard
-    is tripped artificially: ``np.fft.irfft`` is wrapped to perturb its
-    output past the margin.  The fallback re-derives the product from
+    is tripped artificially: the inverse transform (``np.fft.ifft`` for
+    a negacyclic ring, ``np.fft.irfft`` for a cyclic one) is wrapped to
+    perturb its output past the margin.  The fallback re-derives the product from
     the *raw* operands via ``np.convolve`` (which the patch does not
     touch), so results must stay bit-identical — including when a
     precomputed cached transform was supplied, which is the invariant
     the per-key transform cache leans on.
     """
 
-    @pytest.fixture()
-    def broken_irfft(self, monkeypatch):
-        real = np.fft.irfft
+    @staticmethod
+    def _break(monkeypatch, name):
+        real = getattr(np.fft, name)
         calls = []
 
         def perturbed(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs) + 0.4  # past the 0.25 margin
 
-        monkeypatch.setattr(np.fft, "irfft", perturbed)
+        monkeypatch.setattr(np.fft, name, perturbed)
         return calls
+
+    @pytest.fixture()
+    def broken_inverse(self, monkeypatch):
+        return self._break(monkeypatch, "ifft")
 
     def _ring_and_inputs(self, n=32, rows=3):
         ring = PolyRing(n)
@@ -313,14 +319,14 @@ class TestRoundingGuardFallback:
         b = ring.random(rng)
         return ring, stacked, b
 
-    def test_mul_many_falls_back_exactly(self, broken_irfft):
+    def test_mul_many_falls_back_exactly(self, broken_inverse):
         ring, stacked, b = self._ring_and_inputs()
         out = ring.mul_many(stacked, b)
-        assert broken_irfft  # the guard path actually ran
+        assert broken_inverse  # the guard path actually ran
         for row, a in zip(out, stacked):
             assert np.array_equal(row, ring.mul(a, b))
 
-    def test_mul_many_fallback_ignores_cached_transforms(self, broken_irfft):
+    def test_mul_many_fallback_ignores_cached_transforms(self, broken_inverse):
         # transforms computed before the patch: the guard still trips on
         # the (perturbed) inverse, and the fallback must answer from the
         # raw operands — never from cached transform-domain data
@@ -328,11 +334,11 @@ class TestRoundingGuardFallback:
         fa = ring.forward_transform(stacked)
         fb = ring.forward_transform(b)
         out = ring.mul_many(stacked, b, a_transform=fa, b_transform=fb)
-        assert broken_irfft
+        assert broken_inverse
         for row, a in zip(out, stacked):
             assert np.array_equal(row, ring.mul(a, b))
 
-    def test_mul_many_fallback_rowwise_and_broadcast(self, broken_irfft):
+    def test_mul_many_fallback_rowwise_and_broadcast(self, broken_inverse):
         ring, stacked, _ = self._ring_and_inputs(rows=4)
         rng = np.random.default_rng(43)
         bs = np.stack([ring.random(rng) for _ in range(4)])
@@ -344,25 +350,106 @@ class TestRoundingGuardFallback:
         for row, b in zip(out, bs):
             assert np.array_equal(row, ring.mul(one_row[0], b))
 
-    def test_mul_many_multi_falls_back_exactly(self, broken_irfft):
+    def test_mul_many_multi_falls_back_exactly(self, broken_inverse):
         ring, stacked, b = self._ring_and_inputs()
         rng = np.random.default_rng(44)
         operands = [b, ring.random(rng)]
         transforms = [ring.forward_transform(op) for op in operands]
         for ts in (None, transforms):
             outs = ring.mul_many_multi(stacked, operands, operand_transforms=ts)
-            assert broken_irfft
+            assert broken_inverse
             for out, op in zip(outs, operands):
                 for row, a in zip(out, stacked):
                     assert np.array_equal(row, ring.mul(a, op))
 
-    def test_signed_rows_fall_back_exactly(self, broken_irfft):
+    def test_signed_rows_fall_back_exactly(self, broken_inverse):
         # the KEM's ternary secrets ride the same guard
         ring = PolyRing(64)
         rng = np.random.default_rng(45)
         ternary = rng.integers(-1, 2, (3, 64), dtype=np.int64)
         b = ring.random(rng)
         out = ring.mul_many(ternary, b)
-        assert broken_irfft
+        assert broken_inverse
         for row, t in zip(out, ternary):
             assert np.array_equal(row, ring.mul(np.mod(t, ring.q), b))
+
+    @pytest.mark.parametrize(
+        ("n", "negacyclic", "inverse"),
+        [(32, False, "irfft"), (31, True, "ifft"), (31, False, "irfft")],
+    )
+    def test_every_ring_shape_falls_back_exactly(
+        self, monkeypatch, n, negacyclic, inverse
+    ):
+        # cyclic rings invert with irfft, odd negacyclic ones with an
+        # unfolded ifft: the guard covers each
+        calls = self._break(monkeypatch, inverse)
+        ring = PolyRing(n, negacyclic=negacyclic)
+        rng = np.random.default_rng(46)
+        stacked = np.stack([ring.random(rng) for _ in range(3)])
+        b = ring.random(rng)
+        for transforms in ({}, {"b_transform": ring.forward_transform(b)}):
+            out = ring.mul_many(stacked, b, **transforms)
+            assert calls
+            for row, a in zip(out, stacked):
+                assert np.array_equal(row, ring.mul(a, b))
+
+
+class TestRingTransform:
+    """The half-length negacyclic transform and its rounding margin."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 31, 64, 100, 257])
+    @pytest.mark.parametrize("negacyclic", [True, False])
+    def test_every_ring_size_matches_schoolbook(self, n, negacyclic):
+        # even n folds to n/2 points, odd n twists all n, cyclic is rfft
+        ring = PolyRing(n, negacyclic=negacyclic)
+        rng = np.random.default_rng(n)
+        stacked = rng.integers(-1, 2, (3, n)).astype(np.int8)
+        b = ring.random(rng)
+        out = ring.mul_many(stacked, b)
+        for row, a in zip(out, stacked):
+            assert np.array_equal(
+                row, ring.mul_schoolbook(np.mod(a.astype(np.int64), ring.q), b)
+            )
+        (multi,) = ring.mul_many_multi(stacked, [b])
+        assert np.array_equal(multi, out)
+
+    @pytest.mark.parametrize(
+        ("n", "negacyclic", "bins"),
+        [(1024, True, 512), (1024, False, 513), (9, True, 9)],
+    )
+    def test_transform_length(self, n, negacyclic, bins):
+        ring = PolyRing(n, negacyclic=negacyclic)
+        transform = ring.forward_transform(np.ones((2, n), dtype=np.uint8))
+        assert transform.shape == (2, bins)
+        assert transform.dtype == np.complex128
+
+    @pytest.mark.parametrize("n", [512, 1024])
+    def test_worst_case_rounding_margin(self, n, monkeypatch):
+        """All-250 operands against all-+1, all-(-1) and alternating
+        ternary rows put every product coefficient at its largest
+        magnitude: the float error stays far below the 0.25 guard."""
+        import repro.ring.poly as poly
+
+        ring = PolyRing(n)
+        errors = []
+        real_rint = np.rint
+
+        def recording_rint(full, *args, **kwargs):
+            rounded = real_rint(full, *args, **kwargs)
+            errors.append(float(np.abs(full - rounded).max()))
+            return rounded
+
+        monkeypatch.setattr(poly.np, "rint", recording_rint)
+        general = np.full(n, 250, dtype=np.int64)
+        ternary = np.stack(
+            [
+                np.ones(n, dtype=np.int8),
+                -np.ones(n, dtype=np.int8),
+                np.where(np.arange(n) % 2, 1, -1).astype(np.int8),
+            ]
+        )
+        out = ring.mul_many(ternary, general)
+        assert errors and max(errors) < 1e-6
+        for row, t in zip(out, ternary):
+            want = ring.mul(np.mod(t.astype(np.int64), ring.q), general)
+            assert np.array_equal(row, want)
