@@ -33,11 +33,12 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import json
 import os
+import platform
 import time
 from pathlib import Path
-
-from _report import finalize, load_baseline, platform_fields
+from typing import Any
 
 from repro.cluster import ClusterConfig, ClusterRouter
 from repro.lac.params import LAC_256, LacParams
@@ -61,6 +62,38 @@ BASELINE_FLOOR = 0.70
 
 #: keys hosted per member (spreads load across the whole ring)
 KEYS_PER_MEMBER = 4
+
+
+def platform_fields() -> dict[str, str]:
+    """The machine-identity keys the report carries: committed numbers
+    are only comparable on a similar machine."""
+    return {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+    }
+
+
+def load_baseline(baseline: Path | None) -> dict[str, Any] | None:
+    """The committed baseline report, or ``None`` when there is none
+    (a first run on a new machine has nothing to compare against)."""
+    if baseline is None or not baseline.exists():
+        return None
+    data: dict[str, Any] = json.loads(baseline.read_text())
+    return data
+
+
+def finalize(
+    report: dict[str, Any], failures: list[str], output: Path, label: str
+) -> dict[str, Any]:
+    """Stamp ``pass``/``failures``, write ``output``, and exit non-zero
+    listing the failures (the exit CI keys on) when a floor broke."""
+    report["pass"] = not failures
+    report["failures"] = failures
+    output.write_text(json.dumps(report, indent=2) + "\n")
+    print(f"\nwrote {output}")
+    if failures:
+        raise SystemExit(f"{label}:\n  " + "\n  ".join(failures))
+    return report
 
 
 async def bench_members(

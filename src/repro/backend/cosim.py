@@ -24,8 +24,8 @@ as ``cycles_ref``/``cycles_ise`` span tags on the ``kernel`` stage.
 
 The tallies are not approximations: a request served with the
 deterministic KAT inputs reproduces the offline Table I/II model
-predictions *exactly* (``tests/test_cosim_backend_cycles.py`` and
-``benchmarks/bench_cosim.py`` pin that equality).
+predictions *exactly* (``tests/test_cosim_backend_cycles.py`` pins that
+equality and the counts themselves).
 """
 
 from __future__ import annotations

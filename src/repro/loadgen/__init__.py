@@ -13,8 +13,9 @@ request, shed and hung ones included.
 * :mod:`repro.loadgen.recorder` — :class:`LatencyRecorder`, exact
   percentiles over scheduled-time latencies (no coordinated omission).
 
-``benchmarks/bench_capacity.py`` combines the three into the capacity
-sweep committed as ``BENCH_capacity.json``; the SLO knobs it exercises
+``tests/test_serve_shedding.py`` combines the three into the 2x
+overload check (shed, never serve late) and ``tests/test_multitenant.py``
+into the multi-tenant acceptance workload; the SLO knobs they exercise
 live on :class:`repro.serve.ServiceConfig`.
 """
 

@@ -26,7 +26,7 @@ anything else                                  ``error``
 =============================================  =========
 
 The generator is transport-agnostic: ``send`` is any async callable
-``(TierSpec) -> Awaitable``; ``benchmarks/bench_capacity.py`` binds it
+``(TierSpec) -> Awaitable``; ``tests/test_serve_shedding.py`` binds it
 to an :class:`repro.serve.AsyncKemClient` ``encaps``.
 """
 

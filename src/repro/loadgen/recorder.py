@@ -20,9 +20,9 @@ Outcomes form a small closed vocabulary:
 * ``error`` — anything else (connection loss, internal errors).
 
 ``accepted`` = ``ok`` + ``timeout`` — requests the service admitted.
-The SLO verdicts in ``benchmarks/bench_capacity.py`` are computed over
-``ok`` latencies but reported next to the full outcome mix, so a rung
-that "meets p99" by shedding half its traffic is visibly doing so.
+SLO verdicts (``tests/test_multitenant.py``) are computed over ``ok``
+latencies and read next to the full outcome mix, so a run that "meets
+p99" by shedding half its traffic is visibly doing so.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ backpressure, per-request timeouts and graceful drain
 
 See ``docs/SERVICE.md`` for the protocol spec and tuning guide,
 ``docs/OBSERVABILITY.md`` for the tracing layer threaded through the
-request path (:mod:`repro.trace`), and
-``benchmarks/bench_service.py`` for measured end-to-end throughput.
+request path (:mod:`repro.trace`), and the ledger
+(``python -m benchmarks.ledger``) for measured end-to-end throughput.
 """
 
 from repro.errors import (

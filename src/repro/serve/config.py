@@ -9,7 +9,9 @@ any number of services.
 
 from __future__ import annotations
 
+import math
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -143,6 +145,18 @@ class ServiceConfig:
     tenant_quotas: tuple[TenantQuota, ...] = ()
 
     def __post_init__(self) -> None:
+        # NaN passes every comparison below (each is False), and an
+        # infinite wait or deadline is a second spelling of "never"
+        for name in (
+            "max_wait_us",
+            "min_wait_us",
+            "request_timeout",
+            "default_deadline_s",
+            "cycle_priors_hz",
+        ):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if self.high_watermark < 0:
@@ -203,13 +217,23 @@ class ServiceConfig:
         if env.get(BACKEND_ENV_VAR):
             kwargs["backend"] = env[BACKEND_ENV_VAR]
         if env.get(BACKEND_WORKERS_ENV_VAR):
-            kwargs["backend_workers"] = int(env[BACKEND_WORKERS_ENV_VAR])
+            kwargs["backend_workers"] = _parse_env(env, BACKEND_WORKERS_ENV_VAR, int)
         if env.get(DEADLINE_ENV_VAR):
-            kwargs["default_deadline_s"] = float(env[DEADLINE_ENV_VAR])
+            kwargs["default_deadline_s"] = _parse_env(env, DEADLINE_ENV_VAR, float)
         if env.get(CYCLE_PRIORS_ENV_VAR):
             kwargs["cycle_priors"] = env[CYCLE_PRIORS_ENV_VAR]
         kwargs.update(overrides)
         return cls(**kwargs)  # type: ignore[arg-type]
+
+
+def _parse_env(
+    env: Mapping[str, str], name: str, parse: Callable[[str], object]
+) -> object:
+    """``parse(env[name])``, its error naming the variable."""
+    try:
+        return parse(env[name])
+    except ValueError as exc:
+        raise ValueError(f"${name}={env[name]!r}: {exc}") from exc
 
 
 def replace_config(config: ServiceConfig, **changes: object) -> ServiceConfig:

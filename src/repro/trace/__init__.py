@@ -21,8 +21,8 @@ This package provides that lens as a span model:
   cost when off;
 * recorders — :class:`~repro.trace.core.NullRecorder`,
   :class:`~repro.trace.core.InMemoryRecorder` (tests, benchmarks) and
-  :class:`~repro.trace.core.JsonlRecorder` (the dump
-  ``benchmarks/trace_report.py`` consumes);
+  :class:`~repro.trace.core.JsonlRecorder` (a span dump
+  :func:`~repro.trace.report.load_spans` reads back);
 * :mod:`~repro.trace.context` — an ambient tag sink
   (:func:`~repro.trace.context.annotate`) that lets deep layers (the
   fault plan, kernel workers) annotate the active request/batch span

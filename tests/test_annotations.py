@@ -3,9 +3,10 @@
 ``ruff`` and ``mypy`` run in CI only — neither is installed where this
 suite usually runs — so a module can leave the ratchet between CI runs
 nobody here sees.  This check needs nothing but ``ast``: in every module
-listed, each ``def`` annotates all its parameters and its return, and no
-import is left unused.  It is the floor under ``disallow_untyped_defs``
-and ruff's ``F401``, not a replacement for either.
+under ``src/repro`` but those still ``PENDING``, each ``def`` annotates
+all its parameters and its return, and no import is left unused.  It is
+the floor under ``disallow_untyped_defs`` and ruff's ``F401``, not a
+replacement for either.  A new module is held to it from its first line.
 """
 
 import ast
@@ -15,23 +16,49 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-#: Modules held to the floor; adding a path is the ratchet.
-CHECKED = (
-    "repro/serve/scheduler.py",
-    "repro/batch/kem.py",
-    "repro/schemes/base.py",
-    "repro/schemes/lac.py",
-    "repro/schemes/newhope.py",
-    "repro/backend/base.py",
-    "repro/backend/thread.py",
-    "repro/backend/inline.py",
-    "repro/backend/process.py",
-    "repro/backend/cosim.py",
-    "repro/serve/server.py",
-    "repro/serve/slo.py",
-    "repro/serve/config.py",
-    "repro/ring/cache.py",
+#: Modules that still miss the floor; deleting an entry is the ratchet.
+PENDING = (
+    "repro/bch/decoder.py",
+    "repro/bch/encoder.py",
+    "repro/eval/ablations.py",
+    "repro/eval/leakage.py",
+    "repro/eval/sensitivity.py",
+    "repro/gf/field.py",
+    "repro/gf/poly2.py",
+    "repro/gf/polygf.py",
+    "repro/hashes/keccak.py",
+    "repro/hashes/prng.py",
+    "repro/hashes/sha256.py",
+    "repro/hw/barrett.py",
+    "repro/hw/chien.py",
+    "repro/hw/keccak_accel.py",
+    "repro/hw/mau.py",
+    "repro/hw/mul_gf.py",
+    "repro/hw/mul_ter.py",
+    "repro/hw/ntt_accel.py",
+    "repro/hw/vcd.py",
+    "repro/lac/encoding.py",
+    "repro/lac/hybrid.py",
+    "repro/lac/kem.py",
+    "repro/lac/pke.py",
+    "repro/lac/sampling.py",
+    "repro/newhope/cca.py",
+    "repro/newhope/cpa.py",
+    "repro/ring/ntt.py",
+    "repro/ring/poly.py",
+    "repro/ring/splitting.py",
+    "repro/ring/ternary.py",
+    "repro/riscv/assembler.py",
+    "repro/riscv/cpu.py",
+    "repro/riscv/memory.py",
+    "repro/riscv/platform.py",
+    "repro/riscv/pq_alu.py",
+    "repro/riscv/trace.py",
 )
+
+MODULES = sorted(p.relative_to(SRC).as_posix() for p in (SRC / "repro").rglob("*.py"))
+
+CHECKED = [path for path in MODULES if path not in PENDING]
 
 
 def _unannotated(tree):
@@ -81,11 +108,26 @@ def _unused_imports(tree):
     )
 
 
+def _parse(path):
+    return ast.parse((SRC / path).read_text(encoding="utf-8"))
+
+
 @pytest.mark.parametrize("path", CHECKED)
 def test_every_def_is_annotated_and_no_import_is_unused(path):
-    tree = ast.parse((SRC / path).read_text(encoding="utf-8"))
+    tree = _parse(path)
     assert _unannotated(tree) == []
     assert _unused_imports(tree) == []
+
+
+def test_pending_lists_only_modules_that_still_miss():
+    # a module that exists no more, or that has reached the floor,
+    # leaves PENDING, so the list only ever shrinks toward empty
+    for path in PENDING:
+        assert path in MODULES, f"{path} no longer exists"
+        tree = _parse(path)
+        assert _unannotated(tree) or _unused_imports(tree), (
+            f"{path} meets the floor now: delete it from PENDING"
+        )
 
 
 def test_the_check_sees_what_it_claims_to():

@@ -41,7 +41,7 @@ from repro.trace import InMemoryRecorder, Tracer
 
 SEED = bytes(range(64))
 
-#: The PR-8 capacity-report SLO (see ``benchmarks/bench_capacity.py``).
+#: The p99 latency objective of the acceptance workload below.
 SLO_P99_S = 0.5
 
 NO_RETRY = RetryPolicy(max_attempts=1)

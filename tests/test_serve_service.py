@@ -9,6 +9,7 @@ run over the in-process socketpair transport.
 
 import asyncio
 import dataclasses
+import math
 
 import pytest
 
@@ -433,6 +434,35 @@ class TestConstructorSurface:
         with pytest.raises(ValueError, match="min_wait_us"):
             ServiceConfig(max_wait_us=100.0, min_wait_us=200.0)
         assert ServiceConfig(max_wait_us=100.0, min_wait_us=100.0).min_wait_us == 100.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "max_wait_us",
+            "min_wait_us",
+            "request_timeout",
+            "default_deadline_s",
+            "cycle_priors_hz",
+        ],
+    )
+    def test_non_finite_bounds_are_rejected(self, field, value):
+        # NaN slips past every ordered comparison: a NaN max_wait_us gave
+        # fresh queues a NaN deadline that poll never found due
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ServiceConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "var, value, names",
+        [
+            ("REPRO_KEM_BACKEND_WORKERS", "two", "REPRO_KEM_BACKEND_WORKERS"),
+            ("REPRO_KEM_DEADLINE_S", "soon", "REPRO_KEM_DEADLINE_S"),
+            ("REPRO_KEM_DEADLINE_S", "nan", "default_deadline_s"),
+        ],
+    )
+    def test_from_env_errors_name_what_was_wrong(self, var, value, names):
+        with pytest.raises(ValueError, match=names):
+            ServiceConfig.from_env({var: value})
 
 
 class TestTransports:

@@ -4,9 +4,10 @@ Each shed path is driven end-to-end through the wire protocol: the
 typed client attaches QoS (deadline/tier), the service decides, and the
 caller sees exactly :class:`ServiceBusy` (admission sheds) or
 :class:`RequestTimedOut` (dispatch/completion sheds) — never a hang,
-never a silently late OK.  A seeded storm at the end confirms the
-ledger stays balanced under a fault plan: every request is answered,
-every failure is typed, pending drains to zero.
+never a silently late OK.  A seeded storm confirms the ledger stays
+balanced under a fault plan: every request is answered, every failure
+is typed, pending drains to zero.  Last, twice the service's capacity
+is offered open loop: the excess is shed and no OK leaves late.
 """
 
 from __future__ import annotations
@@ -26,8 +27,11 @@ from repro.faults import (
     FaultSpec,
 )
 from repro.lac.params import LAC_128
+from repro.loadgen import OpenLoopLoadGen, PoissonProcess, TierSpec
 from repro.serve import AsyncKemClient, KemService, ServiceConfig
 from repro.schemes import wire_id_for_params
+from repro.trace import InMemoryRecorder, Tracer
+from tests.test_multitenant import _served_within_deadline
 
 SEED = b"\x11" * (LAC_128.seed_bytes + 32)
 PID = wire_id_for_params(LAC_128)
@@ -214,3 +218,52 @@ def test_seeded_storm_keeps_the_ledger_balanced():
         assert snap["queue_depth"] == 0
 
     asyncio.run(asyncio.wait_for(main(), 60.0))
+
+
+def test_twice_capacity_sheds_and_serves_no_ok_late():
+    """Offered twice what it can serve, the service sheds the excess
+    instead of answering it late.
+
+    Every batch stalls ``STALL_S`` in the kernel, so capacity is known
+    without probing: ``SLOTS`` batches of ``MAX_BATCH`` per stall.  Twice
+    that arrives open loop, every request carrying the same wire deadline
+    on one of two tiers.  Size flushes take no slot, so the backlog piles
+    up in the pool where no dispatch-time prediction sees it; only the
+    completion check stands between it and a late ``OK``."""
+    STALL_S, MAX_BATCH, SLOTS, DEADLINE_S = 0.05, 4, 2, 0.25
+    capacity = SLOTS * MAX_BATCH / STALL_S
+    recorder = InMemoryRecorder()
+
+    async def main():
+        plan = FaultPlan([FaultSpec(SITE_KERNEL, KIND_STALL, 1.0, delay_s=STALL_S)])
+        svc = await KemService(
+            ServiceConfig(max_batch=MAX_BATCH, backend="thread", backend_workers=SLOTS),
+            fault_plan=plan,
+            tracer=Tracer(recorder=recorder, enabled=True),
+        ).start()
+        key_id = svc.add_keypair(LAC_128, seed=SEED)
+        client = AsyncKemClient(*(await svc.connect()))
+        client.register_key(key_id, LAC_128)
+
+        async def send(spec):
+            await client.encaps(key_id, deadline_s=spec.deadline_s, tier=spec.tier)
+
+        run = await OpenLoopLoadGen(
+            send,
+            PoissonProcess(2 * capacity, seed=5),
+            duration_s=1.5,
+            tiers=(
+                TierSpec(tier=0, weight=0.7, deadline_s=DEADLINE_S),
+                TierSpec(tier=2, weight=0.3, deadline_s=DEADLINE_S),
+            ),
+            seed=5,
+        ).run()
+        await client.aclose()
+        await svc.shutdown()
+        return run
+
+    run = asyncio.run(asyncio.wait_for(main(), 60.0))
+    ok, late = _served_within_deadline(recorder.to_dicts(), DEADLINE_S)
+    assert ok == run.counts["ok"] > 0
+    assert late == [], f"{len(late)} of {ok} OKs left after their deadline"
+    assert run.counts["busy"] + run.counts["timeout"] > 0, "nothing was shed"
