@@ -2,9 +2,8 @@
 
 One import site for everything a *user* of the stack needs — the KEM
 and its parameter sets, the batched fast path, the execution backends,
-the service with its clients and configuration, the cluster router
-that shards keys over member services, tracing, fault plans and the
-unified error hierarchy::
+the service with its clients and configuration, tracing, fault plans
+and the unified error hierarchy::
 
     from repro.api import (
         LAC_128, LacKem,                       # the KEM itself
@@ -41,14 +40,6 @@ from repro.backend import (
     create_backend,
     default_thread_backend,
     resolve_backend_name,
-)
-from repro.cluster import (
-    ClusterClient,
-    ClusterConfig,
-    ClusterRouter,
-    HashRing,
-    ThreadedCluster,
-    open_cluster_client,
 )
 from repro.errors import (
     BackendError,
@@ -153,13 +144,6 @@ __all__ = [
     "ServiceConfig",
     "TenantQuota",
     "ThreadedService",
-    # clustering
-    "ClusterClient",
-    "ClusterConfig",
-    "ClusterRouter",
-    "HashRing",
-    "ThreadedCluster",
-    "open_cluster_client",
     # observability and chaos
     "NULL_TRACER",
     "FaultPlan",

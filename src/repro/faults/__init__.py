@@ -21,7 +21,6 @@ from repro.faults.plan import (
     KIND_CRASH,
     KIND_DELAY,
     KIND_DROP,
-    KIND_KILL,
     KIND_RAISE,
     KIND_STALL,
     KIND_TIMEOUT,
@@ -29,8 +28,6 @@ from repro.faults.plan import (
     SITE_ADMISSION,
     SITE_BACKEND,
     SITE_KERNEL,
-    SITE_MEMBER_KILL,
-    SITE_ROUTER_FORWARD,
     SITE_TRANSPORT_READ,
     SITE_TRANSPORT_WRITE,
     FaultPlan,
@@ -52,7 +49,6 @@ __all__ = [
     "KIND_CRASH",
     "KIND_DELAY",
     "KIND_DROP",
-    "KIND_KILL",
     "KIND_RAISE",
     "KIND_STALL",
     "KIND_TIMEOUT",
@@ -60,8 +56,6 @@ __all__ = [
     "SITE_ADMISSION",
     "SITE_BACKEND",
     "SITE_KERNEL",
-    "SITE_MEMBER_KILL",
-    "SITE_ROUTER_FORWARD",
     "SITE_TRANSPORT_READ",
     "SITE_TRANSPORT_WRITE",
     "random_plan",

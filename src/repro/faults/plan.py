@@ -24,20 +24,7 @@ site                      kinds that make sense there
 ``backend``               ``crash`` (kill one execution-backend worker
                           process before the batch runs; a counted
                           no-op on backends without killable workers)
-``router.forward``        ``delay`` (hold the forward), ``drop`` (fail the
-                          forward attempt without sending — the router
-                          fails over or answers a typed error),
-                          ``corrupt`` (poison the member link so the
-                          forward fails with a framing error; request
-                          payloads are never touched)
-``member.kill``           ``kill`` (SIGKILL the target member process —
-                          or abort an in-process member — before the
-                          forward, mid-load)
 ========================  =====================================================
-
-The last two sites belong to :class:`repro.cluster.ClusterRouter`; a
-single-service :class:`repro.serve.KemService` never draws them, so
-plans remain interchangeable between the two layers.
 
 Determinism: every site gets its **own** ``random.Random`` stream
 derived from ``(seed, site)``, so the decision sequence at each site is
@@ -77,20 +64,15 @@ SITE_TRANSPORT_WRITE = "transport.write"
 SITE_KERNEL = "kernel"
 SITE_ADMISSION = "admission"
 SITE_BACKEND = "backend"
-SITE_ROUTER_FORWARD = "router.forward"
-SITE_MEMBER_KILL = "member.kill"
 
-# cluster sites are appended *after* the original five: per-site RNG
-# streams key on the site name, so extending the tuple cannot shift
-# any existing site's decision sequence for a given seed
+# per-site RNG streams key on the site name, so adding or removing a
+# site cannot shift any other site's decision sequence for a given seed
 ALL_SITES = (
     SITE_TRANSPORT_READ,
     SITE_TRANSPORT_WRITE,
     SITE_KERNEL,
     SITE_ADMISSION,
     SITE_BACKEND,
-    SITE_ROUTER_FORWARD,
-    SITE_MEMBER_KILL,
 )
 
 #: Fault kinds (free-form strings; these are the ones the stack implements).
@@ -103,7 +85,6 @@ KIND_RAISE = "raise"
 KIND_BUSY = "busy"
 KIND_TIMEOUT = "timeout"
 KIND_CRASH = "crash"
-KIND_KILL = "kill"
 
 
 @dataclass(frozen=True)
@@ -231,6 +212,8 @@ def random_plan(
     def p(scale: float = 1.0) -> float:
         return min(1.0, intensity * scale * (0.5 + rng.random()))
 
+    # ``p()`` consumes ``rng`` in list order: a new spec goes last, or
+    # every later spec's per-seed probability shifts
     specs = [
         FaultSpec(SITE_TRANSPORT_READ, KIND_DELAY, p(), delay_s=delay_s),
         FaultSpec(SITE_TRANSPORT_READ, KIND_CORRUPT, p()),
@@ -244,14 +227,5 @@ def random_plan(
         FaultSpec(SITE_ADMISSION, KIND_BUSY, p(2.0)),
         FaultSpec(SITE_ADMISSION, KIND_TIMEOUT, p()),
         FaultSpec(SITE_BACKEND, KIND_CRASH, p(0.25)),
-        # cluster sites last: ``p()`` consumes ``rng`` in list order,
-        # so appending keeps every earlier spec's probability — and
-        # with it the per-seed fault mix of existing suites — stable
-        FaultSpec(SITE_ROUTER_FORWARD, KIND_DELAY, p(), delay_s=delay_s),
-        FaultSpec(SITE_ROUTER_FORWARD, KIND_DROP, p(0.5)),
-        FaultSpec(SITE_ROUTER_FORWARD, KIND_CORRUPT, p(0.5)),
-        # a kill per fire is brutal, so cap the budget: two members at
-        # most die per plan, and the router's supervisor restarts them
-        FaultSpec(SITE_MEMBER_KILL, KIND_KILL, p(0.25), max_fires=2),
     ]
     return FaultPlan(specs, seed=seed)

@@ -4,7 +4,7 @@ One :class:`KemScheme` adapter per KEM family (LAC, NewHope), a
 registry assigning stable ``SchemeId``/``ParamId`` wire identities,
 and :func:`resolve` — the single front door that turns any parameter
 spec (a ``ParamId``, a scheme-native params object, a name, a wire id)
-into the ``(scheme, params)`` pair the server, clients, router, and
+into the ``(scheme, params)`` pair the server, clients and
 facade all share.  See ``docs/SERVICE.md`` ("Schemes") for the wire
 encoding.
 """

@@ -267,9 +267,9 @@ class AsyncKemClient:
 
         ``trace`` propagates an *explicit* trace context on the wire
         instead of minting one: the caller owns the surrounding span
-        and no ``client.request`` span is emitted — this is how the
-        cluster router nests member-side ``server.request`` spans under
-        its own ``router.forward`` span.
+        and no ``client.request`` span is emitted — this is how a
+        caller nests the server's ``server.request`` spans under a span
+        of its own.
 
         ``qos`` attaches a deadline budget / priority tier extension
         (build one with :func:`repro.serve.protocol.qos_for`); the

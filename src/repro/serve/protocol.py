@@ -250,8 +250,8 @@ class Op(IntEnum):
     DECAPS = 3
     INFO = 4
     #: Stop hosting a key (the wire twin of
-    #: :meth:`repro.serve.KemService.remove_keypair`; the cluster
-    #: router uses it to pull keys off members during rebalancing).
+    #: :meth:`repro.serve.KemService.remove_keypair`; answered even
+    #: while the service drains).
     REMOVE_KEY = 5
     #: Open a secure-channel session: encapsulate under the named key
     #: and derive the channel keys (``LacHybrid``-compatible).

@@ -8,7 +8,7 @@ the stateful secure-channel ops ``SESSION_OPEN`` / ``SEAL`` / ``OPEN``
 :mod:`repro.serve.protocol`.  The interesting part is what happens
 between a request arriving and its response leaving:
 
-1. the connection shell (:class:`FrameServer`) wraps the frame in a
+1. :meth:`KemService._handle_frame` wraps the frame in a
    :class:`Request` envelope — frame, ``respond``, stage stamps, and
    whatever the request comes to *hold* (a pending slot, a tenant
    in-flight slot, a reserved key slot) — and calls :meth:`_serve`;
@@ -45,7 +45,7 @@ between a request arriving and its response leaving:
    are answered ``TIMEOUT`` unexecuted, the rest go
    through the backend's batched encaps/decaps/keygen kernels, and the
    responses fan back out to their connections with per-request ids —
-   each through :meth:`FrameServer._reply`, the one function that
+   each through :meth:`KemService._reply`, the one function that
    releases, counts, samples, traces and writes;
 6. :meth:`KemService.shutdown` stops admission, drains every queue
    through the same dispatch path, awaits in-flight batches, then
@@ -68,16 +68,13 @@ seal over the same inputs.  ``SEAL``/``OPEN`` run the channel; sessions
 are tenant-scoped (another tenant's session id is ``NOT_FOUND``) and
 answered inline, like ``INFO`` — they never enter the batch queue.
 
-Transports and both ends of the request path live once, in
-:class:`FrameServer` — the connection shell this service and the
-cluster router both extend: ``serve_tcp`` (asyncio TCP), ``connect``
-(an in-process ``socketpair`` — what the tests and the benchmark use;
-same frames, no network stack), ``connect_socket`` (the raw end the
-blocking client wraps), the per-connection read loop over the one
-decoder of :mod:`repro.serve.protocol`, the shared gates and ``_reply``.
-:class:`LoopThreadHost` likewise runs any such server on a background
-event-loop thread; :class:`ThreadedService` is the service on it, so
-synchronous code — examples, notebooks — never touches asyncio.
+Transports: ``serve_tcp`` (asyncio TCP), ``connect`` (an in-process
+``socketpair`` — what the tests and the benchmark use; same frames, no
+network stack) and ``connect_socket`` (the raw end the blocking client
+wraps), each served by one per-connection read loop over the one
+decoder of :mod:`repro.serve.protocol`.  :class:`ThreadedService` runs
+the service on a background event-loop thread, so synchronous code —
+examples, notebooks — never touches asyncio.
 
 **Tracing**: when constructed with an enabled
 :class:`repro.trace.Tracer`, the service stamps each request at five
@@ -103,7 +100,7 @@ import threading
 import time
 from collections.abc import Awaitable, Callable, Coroutine
 from dataclasses import dataclass, field
-from typing import Any, Generic, TypeVar
+from typing import Any, TypeVar
 
 from repro.backend.base import KemBackend, create_backend, resolve_backend_name
 from repro.errors import (
@@ -118,7 +115,7 @@ from repro.errors import (
 # Only ``repro.faults.plan`` is imported at module level: it has no
 # dependency on ``repro.serve``, while ``repro.faults.transport`` does
 # (the frame decoder), so the latter is imported lazily inside
-# ``FrameServer._handle_connection`` to keep the import graph acyclic.
+# ``KemService._handle_connection`` to keep the import graph acyclic.
 from repro.faults.plan import (
     KIND_STALL,
     KIND_TIMEOUT,
@@ -157,8 +154,6 @@ from repro.trace.report import STAGES
 _Respond = Callable[[Frame], Awaitable[None]]
 
 _T = TypeVar("_T")
-_ServerT = TypeVar("_ServerT", bound="FrameServer")
-_HostT = TypeVar("_HostT", bound="LoopThreadHost[Any]")
 
 
 @dataclass
@@ -187,8 +182,8 @@ class HostedKey:
 class Request:
     """The request envelope: one decoded frame, from read to reply.
 
-    Built by :meth:`FrameServer._handle_frame` and answered exactly
-    once by :meth:`FrameServer._reply` — the only code that gives back
+    Built by :meth:`KemService._handle_frame` and answered exactly
+    once by :meth:`KemService._reply` — the only code that gives back
     what the request *holds*: a slot of the bounded queue (``pending``)
     and its quota'd tenant's in-flight slot (``quota``; a KEYGEN's also
     covers a reserved hosted-key slot, which an ``OK`` answer keeps).
@@ -269,32 +264,52 @@ class _TenantState:
         self.last_refill = now
 
 
-class FrameServer:
-    """The connection shell: transports, the request envelope, one reply.
+class KemService:
+    """An async multi-scheme KEM service with adaptive micro-batching.
 
-    What does not depend on *what* is served exists here once, for
-    :class:`KemService` and :class:`repro.cluster.ClusterRouter` alike:
-    the listeners (``serve_tcp``), the in-process transports
-    (``connect`` / ``connect_socket``), the read loop with its fault
-    wrappers and typed connection-error accounting, the serialized
-    ``respond`` writer, the transport teardown — and both ends of the
-    request path.  :meth:`_handle_frame` is the one way in: each frame
-    becomes a :class:`Request` handed to the subclass's :meth:`_serve`,
-    which passes the shared gates (:meth:`_gate`, :meth:`_take_slot`)
-    at its own point and refuses by *raising* the typed
-    :class:`repro.errors.ServiceError` of the status it wants answered.
-    :meth:`_reply` is the one way out, so "answered exactly once, its
-    holds given back" is a property of one function.
+    Construct, ``await start()``, attach transports, ``await
+    shutdown()``.  Tuning lives in one frozen :class:`ServiceConfig`
+    (batching, backpressure, timeout and backend-selection knobs — see
+    its docstring); the environment-shaped arguments stay on the
+    constructor:
+
+    ``backend``
+        an explicit :class:`repro.backend.KemBackend` instance to
+        execute batches on.  The caller keeps ownership (the service
+        never closes it).  When omitted, the service creates one at
+        :meth:`start` from ``config.backend`` (name, falling back to
+        ``$REPRO_KEM_BACKEND``, then ``"thread"``) and closes it on
+        :meth:`shutdown`;
+    ``clock``
+        injectable monotonic clock (tests pass a fake);
+    ``fault_plan``
+        optional :class:`repro.faults.FaultPlan` — the chaos hook.
+        When set, the service draws faults at the transport
+        (delay/drop/truncate/corrupt per frame), at admission (forced
+        ``BUSY``/``TIMEOUT`` windows), inside batch execution
+        (stall/raise) and at the backend (worker ``crash``), and every
+        fired fault is counted in ``metrics.faults``;
+    ``tracer``
+        optional :class:`repro.trace.Tracer` — when enabled, every
+        request emits a ``server.request`` root span plus telescoping
+        per-stage spans (see the module docstring); defaults to the
+        no-op :data:`repro.trace.NULL_TRACER`.
+
+    :meth:`_handle_frame` is the one way in: each frame becomes a
+    :class:`Request` handed to :meth:`_serve`, which refuses by
+    *raising* the typed :class:`repro.errors.ServiceError` of the status
+    it wants answered.  :meth:`_reply` is the one way out, so "answered
+    exactly once, its holds given back" is a property of one function.
     """
 
-    #: Name of the per-request root span; what a request whose task is
-    #: cancelled mid-flight is answered (``INTERNAL``).
-    _REQUEST_SPAN = "server.request"
-    _CANCELLED = b"cancelled"
-
     def __init__(
-        self, fault_plan: FaultPlan | None, clock: Callable[[], float],
-        tracer: Tracer | None,
+        self,
+        config: ServiceConfig | None = None,
+        *,
+        backend: KemBackend | None = None,
+        clock: Callable[[], float] = time.monotonic,
+        fault_plan: FaultPlan | None = None,
+        tracer: Tracer | None = None,
     ) -> None:
         self.metrics = ServiceMetrics()
         self.fault_plan = fault_plan
@@ -306,18 +321,64 @@ class FrameServer:
         self._conn_tasks: set[asyncio.Task[None]] = set()
         self._writers: set[FrameWriter] = set()
         self._tcp_servers: list[asyncio.base_events.Server] = []
+        config = config if config is not None else ServiceConfig()
+        self.config = config
+        self.high_watermark = config.high_watermark
+        self.request_timeout = config.request_timeout
+        self._scheduler = MicroBatchScheduler(
+            max_batch=config.max_batch,
+            policy=AdaptiveDeadlinePolicy(
+                max_wait_us=config.max_wait_us, min_wait_us=config.min_wait_us
+            ),
+            priority_of=lambda e: e.tier,
+            tenant_of=lambda e: e.tenant,
+        )
+        # quota accounting for the tenants named in the config;
+        # unlisted tenants are unlimited and never enter this table
+        self._tenants: dict[int, _TenantState] = {
+            quota.tenant: _TenantState(quota=quota, tokens=quota.bucket_capacity)
+            for quota in config.tenant_quotas
+        }
+        # open secure channels: session id -> (owning tenant, channel)
+        self._sessions: dict[int, tuple[int, HybridChannel]] = {}
+        self._next_session_id = 1
+        # per-tier admission limits: tier i admits while pending <
+        # high_watermark * tier_watermarks[i]; wire tiers beyond the
+        # table clamp to the last (most aggressively shed) entry
+        self._tier_limits: tuple[int, ...] = tuple(
+            int(config.high_watermark * fraction)
+            for fraction in config.tier_watermarks
+        )
+        # with cycle_priors configured, the estimator starts seeded
+        # from the calibrated cycle model: the first request's
+        # hopeless/predicted-miss decisions already have a per-(op,
+        # param set) cost instead of a cold "no prediction, admit"
+        priors = (
+            CycleCostEstimator(
+                profile=config.cycle_priors,
+                clock_hz=config.cycle_priors_hz,
+            ).priors()
+            if config.cycle_priors is not None
+            else None
+        )
+        self._estimator = KernelEstimator(priors=priors)
+        self._backend = backend
+        self._owns_backend = False
+        self._keys: dict[int, HostedKey] = {}
+        self._next_key_id = 1
+        self._started = False
+        self._started_at = 0.0
+        self._wake: asyncio.Event | None = None
+        self._flusher: asyncio.Task[None] | None = None
+        # deadline-flushed batches whose kernel has not resolved: each
+        # holds one of the backend's slots
+        self._busy = 0
 
-    async def start(self) -> FrameServer:
-        """Begin serving (subclass hook)."""
-        raise NotImplementedError
-
-    async def shutdown(self) -> None:
-        """Stop serving and release everything (subclass hook)."""
-        raise NotImplementedError
-
-    async def _serve(self, request: Request) -> None:
-        """Serve one request (subclass hook): reply, park it, or raise."""
-        raise NotImplementedError
+    @property
+    def backend(self) -> KemBackend | None:
+        """The execution backend (``None`` until :meth:`start` when
+        the service creates its own from configuration)."""
+        return self._backend
 
     @property
     def pending(self) -> int:
@@ -325,11 +386,17 @@ class FrameServer:
         return self._pending
 
     # ------------------------------------------------------------------
-    # the request path: one way in, shared gates, one way out
+    # the request envelope: one way in, one way out
     # ------------------------------------------------------------------
 
     async def _handle_frame(self, frame: Frame, respond: _Respond) -> None:
-        """The one way in: envelope the frame, count it, serve it."""
+        """The one way in: envelope the frame, count it, serve it.
+
+        Whatever :meth:`_serve` raises becomes the one reply: a
+        :class:`~repro.errors.ServiceError` is a refusal (its status,
+        its bare ``detail`` as payload, its tags on the root span); a
+        ``ProtocolError`` is the request failing to parse.
+        """
         request = Request(frame, respond, self._clock())
         tracer = self.tracer
         if tracer.enabled:
@@ -337,19 +404,8 @@ class FrameServer:
             request.trace_id = trace.trace_id if trace else tracer.new_trace_id()
             request.root_span = tracer.new_span_id()
         self.metrics.record_request(frame.op.name)
-        await self._answer(request, self._serve)
-
-    async def _answer(
-        self, request: Request, handler: Callable[[Request], Awaitable[None]]
-    ) -> None:
-        """Run ``handler``; whatever it raises becomes the one reply.
-
-        A :class:`~repro.errors.ServiceError` is a refusal (its status,
-        its bare ``detail`` as payload, its tags on the root span); a
-        ``ProtocolError`` is the request failing to parse.
-        """
         try:
-            await handler(request)
+            await self._serve(request)
         except ServiceError as exc:
             status = exc.status or Status.INTERNAL
             await self._reply(request, status, exc.detail.encode(), **exc.tags)
@@ -359,39 +415,13 @@ class FrameServer:
             # the task serving the request is being torn down: what the
             # request holds still comes back through the one reply
             if not request.answered:
-                await self._reply(request, Status.INTERNAL, self._CANCELLED)
+                await self._reply(request, Status.INTERNAL, b"cancelled")
             raise
         except Exception:  # noqa: BLE001 - isolate the request
             # a handler bug poisons this request, not the connection
             # loop (or the task) — answer INTERNAL and carry on
             self.metrics.record_conn_error("handler-internal")
             await self._reply(request, Status.INTERNAL, b"internal error")
-
-    def _spawn(self, coro: Coroutine[Any, Any, None]) -> None:
-        """Run request work as its own task; ``shutdown`` awaits these."""
-        task = asyncio.create_task(coro)
-        self._inflight.add(task)
-        task.add_done_callback(self._inflight.discard)
-
-    def _gate(self) -> None:
-        """The gates both servers meet first: fault draw, then draining."""
-        if self.fault_plan is not None:
-            spec = self.fault_plan.draw(SITE_ADMISSION)
-            if spec is not None:
-                refusal = RequestTimedOut if spec.kind == KIND_TIMEOUT else ServiceBusy
-                tags = {"fault_site": SITE_ADMISSION, "fault_kind": spec.kind}
-                raise refusal(f"injected fault: {spec.kind}", **tags)
-        if self._draining:
-            raise ServiceDraining("draining")
-
-    def _take_slot(self, request: Request, limit: int, **shed: Any) -> None:
-        """The backpressure gate: ``BUSY`` at ``limit`` pending requests,
-        else take a slot of the bounded queue — the request was not
-        queued, which is the contract.  ``shed`` tags the refusal."""
-        if self._pending >= limit:
-            raise ServiceBusy(f"{self._pending} requests pending", **shed)
-        self._pending += 1
-        request.pending = True
 
     async def _reply(
         self, request: Request, status: Status, payload: bytes = b"", **tags: Any
@@ -466,7 +496,7 @@ class FrameServer:
             root_tags["trigger"] = request.trigger
         t_read = request.t_read
         tracer.record_span(
-            self._REQUEST_SPAN, t_read, t_done - t_read, trace_id,
+            "server.request", t_read, t_done - t_read, trace_id,
             span_id=root_id, tags=root_tags,
             parent_id=frame.trace.span_id if frame.trace is not None else None,
         )
@@ -573,120 +603,6 @@ class FrameServer:
             except (ConnectionError, BrokenPipeError):
                 pass
 
-    async def _close_transports(self) -> None:
-        """Close listeners and live connections (the tail of a shutdown)."""
-        for server in self._tcp_servers:
-            server.close()
-            await server.wait_closed()
-        for writer in list(self._writers):
-            writer.close()
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-
-
-class KemService(FrameServer):
-    """An async multi-scheme KEM service with adaptive micro-batching.
-
-    Construct, ``await start()``, attach transports, ``await
-    shutdown()``.  Tuning lives in one frozen :class:`ServiceConfig`
-    (batching, backpressure, timeout and backend-selection knobs — see
-    its docstring); the environment-shaped arguments stay on the
-    constructor:
-
-    ``backend``
-        an explicit :class:`repro.backend.KemBackend` instance to
-        execute batches on.  The caller keeps ownership (the service
-        never closes it).  When omitted, the service creates one at
-        :meth:`start` from ``config.backend`` (name, falling back to
-        ``$REPRO_KEM_BACKEND``, then ``"thread"``) and closes it on
-        :meth:`shutdown`;
-    ``clock``
-        injectable monotonic clock (tests pass a fake);
-    ``fault_plan``
-        optional :class:`repro.faults.FaultPlan` — the chaos hook.
-        When set, the service draws faults at the transport
-        (delay/drop/truncate/corrupt per frame), at admission (forced
-        ``BUSY``/``TIMEOUT`` windows), inside batch execution
-        (stall/raise) and at the backend (worker ``crash``), and every
-        fired fault is counted in ``metrics.faults``;
-    ``tracer``
-        optional :class:`repro.trace.Tracer` — when enabled, every
-        request emits a ``server.request`` root span plus telescoping
-        per-stage spans (see the module docstring); defaults to the
-        no-op :data:`repro.trace.NULL_TRACER`.
-    """
-
-    def __init__(
-        self,
-        config: ServiceConfig | None = None,
-        *,
-        backend: KemBackend | None = None,
-        clock: Callable[[], float] = time.monotonic,
-        fault_plan: FaultPlan | None = None,
-        tracer: Tracer | None = None,
-    ) -> None:
-        super().__init__(fault_plan, clock, tracer)
-        config = config if config is not None else ServiceConfig()
-        self.config = config
-        self.high_watermark = config.high_watermark
-        self.request_timeout = config.request_timeout
-        self._scheduler = MicroBatchScheduler(
-            max_batch=config.max_batch,
-            policy=AdaptiveDeadlinePolicy(
-                max_wait_us=config.max_wait_us, min_wait_us=config.min_wait_us
-            ),
-            priority_of=lambda e: e.tier,
-            tenant_of=lambda e: e.tenant,
-        )
-        # quota accounting for the tenants named in the config;
-        # unlisted tenants are unlimited and never enter this table
-        self._tenants: dict[int, _TenantState] = {
-            quota.tenant: _TenantState(quota=quota, tokens=quota.bucket_capacity)
-            for quota in config.tenant_quotas
-        }
-        # open secure channels: session id -> (owning tenant, channel)
-        self._sessions: dict[int, tuple[int, HybridChannel]] = {}
-        self._next_session_id = 1
-        # per-tier admission limits: tier i admits while pending <
-        # high_watermark * tier_watermarks[i]; wire tiers beyond the
-        # table clamp to the last (most aggressively shed) entry
-        self._tier_limits: tuple[int, ...] = tuple(
-            int(config.high_watermark * fraction)
-            for fraction in config.tier_watermarks
-        )
-        # with cycle_priors configured, the estimator starts seeded
-        # from the calibrated cycle model: the first request's
-        # hopeless/predicted-miss decisions already have a per-(op,
-        # param set) cost instead of a cold "no prediction, admit"
-        priors = (
-            CycleCostEstimator(
-                profile=config.cycle_priors,
-                clock_hz=config.cycle_priors_hz,
-            ).priors()
-            if config.cycle_priors is not None
-            else None
-        )
-        self._estimator = KernelEstimator(priors=priors)
-        self._backend = backend
-        self._owns_backend = False
-        self._keys: dict[int, HostedKey] = {}
-        self._next_key_id = 1
-        self._started = False
-        self._started_at = 0.0
-        self._wake: asyncio.Event | None = None
-        self._flusher: asyncio.Task[None] | None = None
-        # deadline-flushed batches whose kernel has not resolved: each
-        # holds one of the backend's slots
-        self._busy = 0
-
-    @property
-    def backend(self) -> KemBackend | None:
-        """The execution backend (``None`` until :meth:`start` when
-        the service creates its own from configuration)."""
-        return self._backend
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -745,7 +661,16 @@ class KemService(FrameServer):
                 await self._flusher
             except asyncio.CancelledError:
                 pass
-        await self._close_transports()
+        # close listeners and live connections
+        for server in self._tcp_servers:
+            server.close()
+            await server.wait_closed()
+        for writer in list(self._writers):
+            writer.close()
+        for task in list(self._conn_tasks):
+            task.cancel()
+        if self._conn_tasks:
+            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
         if self._owns_backend and self._backend is not None:
             # in-flight batches are drained above, so this cannot strand
             # work; re-created from config if the service is restarted
@@ -754,25 +679,6 @@ class KemService(FrameServer):
             self._owns_backend = False
         self.metrics.backend_stats_provider = None
         self._started = False
-
-    def abort(self) -> None:
-        """Crash the service: sever every transport, skip the drain.
-
-        The SIGKILL analogue for in-process members and chaos tests —
-        listeners close and live connections reset immediately, so
-        accepted-but-unanswered requests are simply lost, exactly as
-        when a member process dies.  :meth:`shutdown` (which this does
-        **not** replace) still releases the backend afterwards.
-        """
-        self._draining = True
-        for server in self._tcp_servers:
-            server.close()
-        for writer in list(self._writers):
-            transport = getattr(writer, "transport", None)
-            if transport is not None:
-                transport.abort()
-            else:
-                writer.close()
 
     # ------------------------------------------------------------------
     # key hosting
@@ -865,7 +771,7 @@ class KemService(FrameServer):
         return self._keys.get(key_id)
 
     # ------------------------------------------------------------------
-    # request path
+    # admission
     # ------------------------------------------------------------------
 
     def _charge_quota(self, request: Request) -> None:
@@ -918,14 +824,21 @@ class KemService(FrameServer):
             return
         if op is Op.REMOVE_KEY:
             # control plane, like INFO: answered inline (no batching)
-            # and served even while draining — the cluster router pulls
-            # keys off members during rebalancing and shutdown
+            # and served even while draining, so a client can still
+            # release its keys while the service winds down
             key_id, _ = unpack_key_id(frame.payload)
             if not self.remove_keypair(key_id):
                 raise KeyNotFound(f"unknown key id {key_id}")
             await self._reply(request, Status.OK)
             return
-        self._gate()
+        if self.fault_plan is not None:
+            spec = self.fault_plan.draw(SITE_ADMISSION)
+            if spec is not None:
+                refusal = RequestTimedOut if spec.kind == KIND_TIMEOUT else ServiceBusy
+                tags = {"fault_site": SITE_ADMISSION, "fault_kind": spec.kind}
+                raise refusal(f"injected fault: {spec.kind}", **tags)
+        if self._draining:
+            raise ServiceDraining("draining")
         request.deadline_s = self.config.default_deadline_s
         qos = frame.qos
         if qos is not None:
@@ -947,12 +860,16 @@ class KemService(FrameServer):
         # queue is full, reserving the remaining headroom for
         # interactive traffic (tier 0 keeps the classic full-queue
         # BUSY).  A full queue is plain backpressure; only a tier that
-        # stopped admitting early counts (and is tagged) as a shed
+        # stopped admitting early counts (and is tagged) as a shed.
+        # Refused here, the request was not queued: that is the contract
         limit = self._tier_limits[request.tier]
-        shed: dict[str, Any] = {}
-        if limit < self.high_watermark:
-            shed = {"shed_reason": "watermark", "tier": request.tier}
-        self._take_slot(request, limit, **shed)
+        if self._pending >= limit:
+            shed: dict[str, Any] = {}
+            if limit < self.high_watermark:
+                shed = {"shed_reason": "watermark", "tier": request.tier}
+            raise ServiceBusy(f"{self._pending} requests pending", **shed)
+        self._pending += 1
+        request.pending = True
         deadline_s = request.deadline_s
         if self.config.shed_deadlines and deadline_s is not None:
             # hopeless check: when one batch already takes longer than
@@ -1148,7 +1065,10 @@ class KemService(FrameServer):
         if kernel is not None and batch.trigger == "deadline":
             self._busy += 1
             kernel.add_done_callback(self._release_slot)
-        self._spawn(self._dispatch(batch, live, late, kernel, t_exec))
+        # answered on its own task; shutdown awaits these
+        task = asyncio.create_task(self._dispatch(batch, live, late, kernel, t_exec))
+        self._inflight.add(task)
+        task.add_done_callback(self._inflight.discard)
 
     def _submit(self, op: Op, live: list[Request]) -> asyncio.Future[list[Any]]:
         """One ``backend.submit`` per batch, whatever the scheme: the
@@ -1446,53 +1366,91 @@ class KemService(FrameServer):
         return payload
 
 
-class LoopThreadHost(Generic[_ServerT]):
-    """One :class:`FrameServer` on a background event-loop thread.
+class ThreadedService:
+    """A :class:`KemService` on a background event-loop thread.
 
     The adapter for synchronous worlds (examples, notebooks, the
-    blocking client), shared by :class:`ThreadedService` and
-    :class:`repro.cluster.ThreadedCluster`: ``start()`` spins up the
-    loop, builds the server on it (``factory`` runs on the loop thread)
-    and starts it, ``connect()`` hands back client sockets, ``stop()``
-    shuts the server down and joins.  Also usable as a context manager.
+    blocking client).  Takes the same arguments as :class:`KemService`
+    — a :class:`ServiceConfig` plus optional ``backend``/``clock``/
+    ``fault_plan``/``tracer``: ``start()`` spins up the loop, builds the
+    service on it and starts it, ``connect()`` hands back client
+    sockets, ``stop()`` shuts the service down and joins.  Also usable
+    as a context manager.
     """
 
-    def __init__(self, factory: Callable[[], _ServerT], thread_name: str) -> None:
-        self._factory = factory
-        self._thread_name = thread_name
+    def __init__(
+        self,
+        config: ServiceConfig | None = None,
+        *,
+        backend: KemBackend | None = None,
+        clock: Callable[[], float] = time.monotonic,
+        fault_plan: FaultPlan | None = None,
+        tracer: Tracer | None = None,
+    ) -> None:
+        self._factory = lambda: KemService(
+            config,
+            backend=backend,
+            clock=clock,
+            fault_plan=fault_plan,
+            tracer=tracer,
+        )
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
         self._ready = threading.Event()
-        self._server: _ServerT | None = None
+        self._service: KemService | None = None
+        self._failure: BaseException | None = None
 
-    def start(self: _HostT) -> _HostT:
-        """Start the loop thread and the server on it."""
+    @property
+    def service(self) -> KemService | None:
+        """The hosted service (``None`` until :meth:`start`)."""
+        return self._service
+
+    def start(self) -> ThreadedService:
+        """Start the loop thread and the service on it.
+
+        A service that fails to come up (its constructor or
+        :meth:`KemService.start` raises on the loop thread) re-raises
+        here, in the caller, after the thread has exited.
+        """
         if self._thread is not None:
             return self
+        self._ready.clear()
         self._thread = threading.Thread(
-            target=self._run, name=self._thread_name, daemon=True
+            target=self._run, name="repro-serve-loop", daemon=True
         )
         self._thread.start()
         self._ready.wait()
+        error, self._failure = self._failure, None
+        if error is not None:
+            self._thread.join()
+            self._thread = None
+            raise error
         return self
 
     def _run(self) -> None:
-        self._loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(self._loop)
-        self._server = self._factory()
-        self._loop.run_until_complete(self._server.start())
-        self._ready.set()
-        self._loop.run_forever()
-        self._loop.run_until_complete(self._server.shutdown())
-        self._loop.close()
+        loop = self._loop = asyncio.new_event_loop()
+        asyncio.set_event_loop(loop)
+        try:
+            service = self._service = self._factory()
+            loop.run_until_complete(service.start())
+        except BaseException as exc:  # noqa: BLE001 - re-raised by start()
+            self._failure = exc
+            self._service = self._loop = None
+            loop.close()
+            return
+        finally:
+            self._ready.set()
+        loop.run_forever()
+        loop.run_until_complete(service.shutdown())
+        loop.close()
 
     def _call(self, coro: Coroutine[Any, Any, _T]) -> _T:
         assert self._loop is not None, "start() first"
         return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
 
-    def _hosted(self) -> _ServerT:
-        assert self._server is not None, "start() first"
-        return self._server
+    def _hosted(self) -> KemService:
+        assert self._service is not None, "start() first"
+        return self._service
 
     def connect(self) -> socket.socket:
         """A new in-process connection as a client socket."""
@@ -1507,57 +1465,6 @@ class LoopThreadHost(Generic[_ServerT]):
             return port_
 
         return self._call(_serve())
-
-    def stop(self) -> None:
-        """Shut the server down (a graceful drain) and join the loop thread."""
-        if self._thread is None or self._loop is None:
-            return
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join()
-        self._thread = None
-
-    def __enter__(self: _HostT) -> _HostT:
-        """Start on entry."""
-        return self.start()
-
-    def __exit__(self, *exc: object) -> None:
-        """Stop on exit."""
-        self.stop()
-
-
-class ThreadedService(LoopThreadHost[KemService]):
-    """A :class:`KemService` on a background event-loop thread.
-
-    Takes the same arguments as :class:`KemService` — a
-    :class:`ServiceConfig` plus optional ``backend``/``clock``/
-    ``fault_plan``/``tracer`` — and adds the key-hosting calls and
-    :meth:`kill` to the :class:`LoopThreadHost` surface.
-    """
-
-    def __init__(
-        self,
-        config: ServiceConfig | None = None,
-        *,
-        backend: KemBackend | None = None,
-        clock: Callable[[], float] = time.monotonic,
-        fault_plan: FaultPlan | None = None,
-        tracer: Tracer | None = None,
-    ) -> None:
-        super().__init__(
-            lambda: KemService(
-                config,
-                backend=backend,
-                clock=clock,
-                fault_plan=fault_plan,
-                tracer=tracer,
-            ),
-            "repro-serve-loop",
-        )
-
-    @property
-    def service(self) -> KemService | None:
-        """The hosted service (``None`` until :meth:`start`)."""
-        return self._server
 
     def add_keypair(
         self,
@@ -1586,15 +1493,18 @@ class ThreadedService(LoopThreadHost[KemService]):
 
         return self._call(_remove())
 
-    def kill(self) -> None:
-        """Crash the service: abort every connection, then stop.
-
-        The in-process stand-in for SIGKILLing a member process —
-        clients see their connections reset mid-request instead of a
-        graceful drain (the backend is still released so the process
-        stays reusable).
-        """
+    def stop(self) -> None:
+        """Shut the service down (a graceful drain) and join the loop thread."""
         if self._thread is None or self._loop is None:
             return
-        self._loop.call_soon_threadsafe(self._hosted().abort)
+        self._loop.call_soon_threadsafe(self._loop.stop)
+        self._thread.join()
+        self._thread = None
+
+    def __enter__(self) -> ThreadedService:
+        """Start on entry."""
+        return self.start()
+
+    def __exit__(self, *exc: object) -> None:
+        """Stop on exit."""
         self.stop()

@@ -17,6 +17,7 @@ from repro.faults import (
     KIND_STALL,
     KIND_TRUNCATE,
     SITE_ADMISSION,
+    SITE_BACKEND,
     SITE_KERNEL,
     SITE_TRANSPORT_READ,
     SITE_TRANSPORT_WRITE,
@@ -159,6 +160,50 @@ class TestRandomPlan:
         plan = random_plan(seed=0)
         for site in ALL_SITES:
             assert plan.has_site(site)
+
+    @pytest.mark.parametrize(
+        "seed, probabilities",
+        [
+            (101, (
+                0.05405760662522823, 0.034737724776706835, 0.03663127767652778,
+                0.035599410041919854, 0.0483569339098487, 0.02908676611325152,
+                0.0178630742434492, 0.03608481247631203, 0.039426121669062814,
+                0.11924227459953177, 0.035618838417916555, 0.01838882439192217,
+            )),
+            (202, (
+                0.06319407872316977, 0.05723903755431532, 0.02273595200349882,
+                0.01745218601002844, 0.058835016711802336, 0.03673214540931688,
+                0.023193677224714798, 0.06754374297383862, 0.026803915165042397,
+                0.10277860412448066, 0.035077660619258766, 0.012428325287043617,
+            )),
+            (303, (
+                0.026582873702117357, 0.07344018807279319, 0.017372639866896102,
+                0.037360124581716773, 0.07233717911807079, 0.018966904574396072,
+                0.025406660695818085, 0.04491396701250227, 0.045485456464013,
+                0.12896862520479688, 0.06638650673936575, 0.00945674279039204,
+            )),
+        ],
+    )
+    def test_specs_pinned_per_seed(self, seed, probabilities):
+        # the chaos suites' per-seed fault mix: each spec's site, kind
+        # and exact probability, which adding or dropping a later spec
+        # must not shift
+        specs = [armed.spec for armed in random_plan(seed)._armed]
+        assert [(s.site, s.kind) for s in specs] == [
+            (SITE_TRANSPORT_READ, KIND_DELAY),
+            (SITE_TRANSPORT_READ, KIND_CORRUPT),
+            (SITE_TRANSPORT_READ, KIND_TRUNCATE),
+            (SITE_TRANSPORT_READ, KIND_DROP),
+            (SITE_TRANSPORT_WRITE, KIND_DELAY),
+            (SITE_TRANSPORT_WRITE, KIND_TRUNCATE),
+            (SITE_TRANSPORT_WRITE, KIND_DROP),
+            (SITE_KERNEL, KIND_STALL),
+            (SITE_KERNEL, KIND_RAISE),
+            (SITE_ADMISSION, KIND_BUSY),
+            (SITE_ADMISSION, "timeout"),
+            (SITE_BACKEND, "crash"),
+        ]
+        assert tuple(s.probability for s in specs) == probabilities
 
     def test_intensity_scales_probability(self):
         quiet = random_plan(seed=3, intensity=0.0)

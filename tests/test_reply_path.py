@@ -1,12 +1,11 @@
-"""The request path answers once: every exit, both servers, one reply.
+"""The request path answers once: every exit, one reply.
 
-``FrameServer._reply`` is the only code that releases what a request
+``KemService._reply`` is the only code that releases what a request
 holds, counts the response, samples latency, emits the spans and writes
 the frame.  These tests drive *every way out* of the request path —
 ``OK`` for each op, each admission gate, the parse refusals, the
 dispatch-time sheds, kernel failures, a handler bug — on a
-:class:`KemService` and on a 2-member local :class:`ClusterRouter`,
-and after each one assert the ledger is balanced: as many responses as
+:class:`KemService`, and after each one assert the ledger is balanced: as many responses as
 requests, no pending slot, no tenant in-flight slot, an empty queue,
 and one root span per request whose stage spans sum to it exactly.
 
@@ -25,7 +24,6 @@ from pathlib import Path
 import pytest
 
 from repro.backend import InlineBackend
-from repro.cluster import ClusterConfig, ClusterRouter
 from repro.errors import (
     BadRequest,
     KeyNotFound,
@@ -36,10 +34,8 @@ from repro.errors import (
 )
 from repro.faults import (
     KIND_BUSY,
-    KIND_DROP,
     KIND_TIMEOUT,
     SITE_ADMISSION,
-    SITE_ROUTER_FORWARD,
     FaultPlan,
     FaultSpec,
 )
@@ -100,7 +96,7 @@ class ScriptedBackend(InlineBackend):
         return results[:-1] if mode == "short" else results
 
 
-def assert_balanced(server, recorder: InMemoryRecorder, root_name: str) -> None:
+def assert_balanced(server: KemService, recorder: InMemoryRecorder) -> None:
     """The invariants one ``_reply`` buys, checked after any exit."""
     snap = server.metrics.snapshot()
     requests = sum(snap["requests"].values())
@@ -108,9 +104,9 @@ def assert_balanced(server, recorder: InMemoryRecorder, root_name: str) -> None:
     assert server.pending == 0
     assert snap["queue_depth"] == 0
     assert snap["inflight_batches"] == 0
-    for state in getattr(server, "_tenants", {}).values():
+    for state in server._tenants.values():
         assert state.inflight == 0
-    roots = [s for s in recorder.spans if s.name == root_name]
+    roots = [s for s in recorder.spans if s.name == "server.request"]
     assert len(roots) == requests, "one root span per answered request"
     for root in roots:
         stages = [
@@ -420,7 +416,7 @@ def test_service_answers_exactly_once(name):
         await svc.shutdown()  # the drain answers whatever is still parked
         await asyncio.gather(*rig.parked)
         await client.aclose()
-        assert_balanced(svc, recorder, "server.request")
+        assert_balanced(svc, recorder)
 
     asyncio.run(asyncio.wait_for(main(), 60.0))
 
@@ -533,177 +529,31 @@ def test_root_tags_and_admission_boundary_of_traced_requests():
 
 
 # ----------------------------------------------------------------------
-# ClusterRouter (2 local members)
-# ----------------------------------------------------------------------
-
-ROUTER_SCENARIOS = {}
-
-
-def router_scenario(faults: tuple[FaultSpec, ...] = (), **config):
-    def register(fn):
-        ROUTER_SCENARIOS[fn.__name__] = (fn, config, faults)
-        return fn
-
-    return register
-
-
-@router_scenario()
-async def routed_ok(router: ClusterRouter, client: AsyncKemClient):
-    key_id, _pk = await client.keygen(LAC_128, SEED)
-    ct, shared = await client.encaps(key_id)
-    assert await client.decaps(key_id, ct) == shared
-    assert "cluster" in await client.info()
-    assert (await client.request(Op.INFO, PID)).param_id == PARAM_NONE
-    await client.remove_key(key_id)
-
-
-@router_scenario(faults=(FaultSpec(SITE_ADMISSION, KIND_BUSY, max_fires=1),))
-async def routed_injected_busy(router, client):
-    with pytest.raises(ServiceBusy, match="injected fault"):
-        await client.keygen(LAC_128, SEED)
-    assert "cluster" in await client.info()
-
-
-@router_scenario()
-async def routed_draining(router, client):
-    key_id, _pk = await client.keygen(LAC_128, SEED)
-    router._draining = True
-    with pytest.raises(ServiceDraining):
-        await client.encaps(key_id)
-    assert "cluster" in await client.info()
-    await client.remove_key(key_id)
-    router._draining = False
-
-
-@router_scenario(high_watermark=0)
-async def routed_full_queue(router, client):
-    with pytest.raises(ServiceBusy, match="0 requests pending"):
-        await client.keygen(LAC_128, SEED)
-
-
-@router_scenario()
-async def routed_bad_request_and_not_found(router, client):
-    key_id, _pk = await client.keygen(LAC_128, SEED)
-
-    async def status(op, param_id, payload):
-        return (await client.request(op, param_id, payload)).status
-
-    assert await status(Op.ENCAPS, PID, b"\x01") is Status.BAD_REQUEST
-    assert await status(Op.ENCAPS, PID + 1, pack_key_id(key_id)) is Status.BAD_REQUEST
-    assert await status(Op.KEYGEN, PID, b"short seed") is Status.BAD_REQUEST
-    assert await status(Op.KEYGEN, 0x7F, b"") is Status.BAD_REQUEST
-    assert await status(Op.REMOVE_KEY, PARAM_NONE, b"\x01") is Status.BAD_REQUEST
-    assert await status(Op.ENCAPS, PID, pack_key_id(99)) is Status.NOT_FOUND
-    assert await status(Op.REMOVE_KEY, PARAM_NONE, pack_key_id(99)) is Status.NOT_FOUND
-    # a member's own refusal passes through untouched
-    assert (
-        await status(Op.DECAPS, PID, pack_decaps_request(key_id, b"short"))
-        is Status.BAD_REQUEST
-    )
-
-
-@router_scenario(faults=(FaultSpec(SITE_ROUTER_FORWARD, KIND_DROP),))
-async def routed_forward_failure(router, client):
-    key_id, _pk = await client.keygen(LAC_128, SEED)  # registration draws no faults
-    ct = bytes(LAC_128.ciphertext_bytes)
-    # every forward drops: ENCAPS exhausts the chain, DECAPS is single-shot.
-    # Wire bytes: a failed forward is answered with ``str()`` of the typed
-    # error, label included (the client then renders its own on top)
-    for op, payload in (
-        (Op.ENCAPS, pack_encaps_request(key_id)),
-        (Op.DECAPS, pack_decaps_request(key_id, ct)),
-    ):
-        reply = await client.request(op, PID, payload)
-        assert reply.status is Status.INTERNAL
-        assert reply.payload == b"INTERNAL: injected fault: forward drop"
-
-
-@router_scenario()
-async def routed_handler_bug(router, client):
-    key_id, _pk = await client.keygen(LAC_128, SEED)
-
-    async def explode(request):
-        raise RuntimeError("a bug in the handler")
-
-    router._forward = explode
-    with pytest.raises(ServiceError, match="^INTERNAL: a bug in the handler$"):
-        await client.encaps(key_id)
-    del router._forward
-    await client.encaps(key_id)
-
-
-@router_scenario()
-async def routed_cancelled(router, client):
-    key_id, _pk = await client.keygen(LAC_128, SEED)
-
-    async def hang(request):
-        await asyncio.Event().wait()
-
-    router._forward = hang
-    torn = asyncio.ensure_future(client.encaps(key_id))
-    for _ in range(10_000):
-        if router.pending:
-            break
-        await asyncio.sleep(0.001)
-    for task in list(router._inflight):
-        task.cancel()
-    with pytest.raises(ServiceError, match="^INTERNAL: router cancelled$"):
-        await torn
-    assert router.pending == 0
-    del router._forward
-
-
-@pytest.mark.parametrize("name", ROUTER_SCENARIOS)
-def test_router_answers_exactly_once(name):
-    fn, config, faults = ROUTER_SCENARIOS[name]
-
-    async def main():
-        recorder = InMemoryRecorder()
-        router = ClusterRouter(
-            ClusterConfig(members=2, launch="local", **config),
-            clock=TickClock(),
-            fault_plan=FaultPlan(list(faults)) if faults else None,
-            tracer=Tracer(recorder=recorder),
-        )
-        await router.start()
-        client = AsyncKemClient(*(await router.connect()))
-        await fn(router, client)
-        await client.aclose()
-        await router.shutdown()
-        assert_balanced(router, recorder, "router.request")
-
-    asyncio.run(asyncio.wait_for(main(), 60.0))
-
-
-# ----------------------------------------------------------------------
 # the boundary stays shut
 # ----------------------------------------------------------------------
 
 
-def test_one_reply_path_in_server_and_router():
-    """Across ``serve/server.py`` + ``cluster/router.py`` the
-    connection's ``respond`` is awaited in one function and a response
-    counted in one; the pre-envelope answer helpers must not grow back."""
+def test_one_reply_path_in_server():
+    """In ``serve/server.py`` the connection's ``respond`` is awaited in
+    one function and a response counted in one; the pre-envelope answer
+    helpers must not grow back."""
     banned = {"_error", "_reject", "_finish", "_trace_request", "_trace_ids"}
     responders, counters = [], []
-    for module in ("serve/server.py", "cluster/router.py"):
-        tree = ast.parse((SRC / module).read_text())
-        for fn in ast.walk(tree):
-            if not isinstance(fn, ast.FunctionDef | ast.AsyncFunctionDef):
+    tree = ast.parse((SRC / "serve" / "server.py").read_text())
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef | ast.AsyncFunctionDef):
+            continue
+        assert fn.name not in banned, f"line {fn.lineno} defines {fn.name}"
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in banned, f"line {node.lineno} uses {node.attr}"
+            if not isinstance(node, ast.Call):
                 continue
-            assert fn.name not in banned, f"{module}:{fn.lineno} defines {fn.name}"
-            for node in ast.walk(fn):
-                if isinstance(node, ast.Attribute):
-                    assert node.attr not in banned, (
-                        f"{module}:{node.lineno} uses {node.attr}"
-                    )
-                if not isinstance(node, ast.Call):
-                    continue
-                callee = node.func
-                name = getattr(callee, "attr", getattr(callee, "id", None))
-                if name == "respond":
-                    responders.append(f"{module}:{fn.name}")
-                elif name == "record_response":
-                    counters.append(f"{module}:{fn.name}")
-    assert responders == ["serve/server.py:_reply"]
-    assert counters == ["serve/server.py:_reply"]
+            callee = node.func
+            name = getattr(callee, "attr", getattr(callee, "id", None))
+            if name == "respond":
+                responders.append(fn.name)
+            elif name == "record_response":
+                counters.append(fn.name)
+    assert responders == ["_reply"]
+    assert counters == ["_reply"]

@@ -1,6 +1,6 @@
 """The scheme registry: identities, the resolver, and wire sizes.
 
-The registry is the single front door the server, clients, router and
+The registry is the single front door the server, clients and
 facade share, so these tests pin the properties everything downstream
 leans on: stable wire ids (LAC keeps its historical 0/1/2), one
 ``resolve`` accepting every spec shape, wire-size metadata that matches

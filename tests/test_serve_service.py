@@ -10,9 +10,11 @@ run over the in-process socketpair transport.
 import asyncio
 import dataclasses
 import math
+import threading
 
 import pytest
 
+import repro.serve.server as server_module
 from repro.lac.kem import LacKem
 from repro.lac.params import ALL_PARAMS, LAC_128, LAC_256
 from repro.serve import (
@@ -488,6 +490,47 @@ class TestTransports:
             port = svc.serve_tcp("127.0.0.1", 0)
             with KemClient.open_tcp("127.0.0.1", port) as client:
                 key_id, _pk = client.keygen(LAC_128)
+                ct, shared = client.encaps(key_id)
+                assert client.decaps(key_id, ct) == shared
+
+    @pytest.mark.parametrize("failure", ["backend", "constructor"])
+    def test_threaded_start_failure_raises_in_the_caller(self, failure, monkeypatch):
+        # the service is built and started on the loop thread; a failure
+        # there must surface from start(), not leave it waiting forever.
+        # start() runs in a helper thread so a hang fails, not blocks
+        if failure == "backend":
+            monkeypatch.setenv("REPRO_KEM_BACKEND", "bogus")
+            expected = pytest.raises(ValueError, match="unknown KEM backend 'bogus'")
+        else:
+
+            def broken_scheduler(**kwargs):
+                raise RuntimeError("scheduler construction failed")
+
+            monkeypatch.setattr(server_module, "MicroBatchScheduler", broken_scheduler)
+            expected = pytest.raises(RuntimeError, match="scheduler construction")
+        threaded = ThreadedService()
+        raised: list[BaseException] = []
+
+        def start() -> None:
+            try:
+                threaded.start()
+            except BaseException as exc:  # noqa: BLE001 - inspected below
+                raised.append(exc)
+
+        helper = threading.Thread(target=start, daemon=True)
+        helper.start()
+        helper.join(timeout=20.0)
+        assert not helper.is_alive(), "start() hung after the service failed"
+        with expected:
+            raise raised[0]
+        assert threaded.service is None
+
+        # the failure left nothing behind: the same host starts cleanly
+        monkeypatch.undo()
+        with threaded:
+            key_id = threaded.add_keypair(LAC_128, seed=SEED)
+            with KemClient(threaded.connect()) as client:
+                client.register_key(key_id, LAC_128)
                 ct, shared = client.encaps(key_id)
                 assert client.decaps(key_id, ct) == shared
 
