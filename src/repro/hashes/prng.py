@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.hashes.sha256 import SHA256, sha256
+from repro.hashes.sha256 import SHA256
 from repro.metrics import NullCounter, OpCounter, ensure_counter
 
 
@@ -34,7 +34,7 @@ class Sha256Prng:
         sampling costs in the cycle model scale with real hash work.
     """
 
-    def __init__(self, seed: bytes, counter: OpCounter | None = None):
+    def __init__(self, seed: bytes, counter: OpCounter | None = None) -> None:
         if not isinstance(seed, (bytes, bytearray)):
             raise TypeError("seed must be bytes")
         self.seed = bytes(seed)
@@ -47,8 +47,8 @@ class Sha256Prng:
         #: squeeze block so the seed is hashed exactly once instead of
         #: being re-absorbed on every refill (lazy: first squeeze).  A
         #: raw ``hashlib`` object on the uncounted fast path, the
-        #: block-accounted from-scratch hasher otherwise.
-        self._base = None
+        #: block-priced :class:`SHA256` otherwise.
+        self._base: SHA256 | hashlib._Hash | None = None
 
     def _squeeze(self, blocks: int) -> None:
         """Append ``blocks`` counter-mode output blocks to the pool."""
@@ -109,7 +109,7 @@ class Sha256Prng:
             if value < limit:
                 return value % bound
 
-    def fork(self, label: bytes) -> "Sha256Prng":
+    def fork(self, label: bytes) -> Sha256Prng:
         """A domain-separated child stream (seed' = SHA256(seed || label))."""
         if self._fast:
             return Sha256Prng(hashlib.sha256(self.seed + label).digest())

@@ -1,11 +1,17 @@
-"""SHA-256, implemented from scratch (FIPS 180-4).
+"""SHA-256 (FIPS 180-4): a from-scratch golden model and a counted hasher.
 
-The compression function is written round-by-round so that (a) the
-test suite can verify it bit-exactly against ``hashlib``, (b) the
-SHA256 hardware accelerator model (:mod:`repro.hw.sha256_accel`) can
-reuse the exact same round schedule while counting clock cycles, and
-(c) the software cycle model can charge per-compression costs
-(``sha256_block`` operations) that correspond to real work performed.
+(a) :func:`compress` is written round-by-round as the golden model of
+    the SHA256 accelerator: :mod:`repro.hw.sha256_accel` and the ISS's
+    ``pq.sha256`` reuse its exact round schedule, and the test suite
+    checks its fold over ``message + pad(len)`` from :data:`IV`
+    bit-exactly against ``hashlib``.
+(b) :class:`SHA256` computes its digest with ``hashlib``; the bytes are
+    the same with or without a counter.
+(c) With a counter attached, :class:`SHA256` prices its blocks instead
+    of compressing them: FIPS padding makes the number of compressions
+    a function of the absorbed length alone, so each ``update`` and
+    ``digest`` records exactly the ``sha256_block`` operations the
+    from-scratch engine would have run, for the cycle model to charge.
 """
 
 from __future__ import annotations
@@ -86,70 +92,52 @@ def pad(message_length: int) -> bytes:
 class SHA256:
     """Incremental SHA-256 hasher (hashlib-like interface).
 
-    The optional ``counter`` records one ``sha256_block`` operation per
-    compression, which the cycle model prices at the software cost of
-    a compression on the RISC-V core.
-
-    When nothing is being counted the instance delegates to the C
-    implementation in ``hashlib`` (bit-identical — a tested invariant);
-    with a counter attached the from-scratch compression runs so every
-    block is accounted.  ``copy()`` preserves whichever engine is
-    active, so pre-absorbed states (the PRNG's incremental squeeze) stay
-    cheap on the fast path and correctly accounted on the counted path.
+    The digest always comes from ``hashlib``.  The optional ``counter``
+    records one ``sha256_block`` operation per compression the FIPS
+    engine performs, which the cycle model prices at the software cost
+    of a compression on the RISC-V core: ``update`` counts the blocks
+    it completes, ``digest`` the padded tail (on every call, since each
+    call finalises its own copy of the state).  ``copy()`` carries the
+    absorbed length, so a pre-absorbed state (the PRNG's incremental
+    squeeze) is priced from where it was cloned.
     """
 
     digest_size = 32
     block_size = 64
 
-    def __init__(self, data: bytes = b"", counter: OpCounter | None = None):
+    def __init__(self, data: bytes = b"", counter: OpCounter | None = None) -> None:
         self._counter = ensure_counter(counter)
-        self._fast = hashlib.sha256() if isinstance(self._counter, NullCounter) else None
-        self._state = IV
-        self._buffer = b""
+        self._hash = hashlib.sha256()
         self._length = 0
         if data:
             self.update(data)
 
-    def update(self, data: bytes) -> "SHA256":
+    def _count(self, nbytes: int) -> None:
+        """Record the compressions that ``nbytes`` more bytes complete."""
+        blocks = (self._length % 64 + nbytes) // 64
+        if blocks:
+            self._counter.count("sha256_block", blocks)
+
+    def update(self, data: bytes) -> SHA256:
         """Absorb more message bytes; returns self for chaining."""
-        if self._fast is not None:
-            self._fast.update(data)
-            return self
-        self._buffer += data
+        self._hash.update(data)
+        self._count(len(data))
         self._length += len(data)
-        while len(self._buffer) >= 64:
-            self._state = compress(self._state, self._buffer[:64])
-            self._counter.count("sha256_block")
-            self._buffer = self._buffer[64:]
         return self
 
     def digest(self) -> bytes:
         """The 32-byte digest of everything absorbed so far."""
-        if self._fast is not None:
-            return self._fast.digest()
-        state = self._state
-        tail = self._buffer + pad(self._length)
-        blocks_done = 0
-        for offset in range(0, len(tail), 64):
-            state = compress(state, tail[offset : offset + 64])
-            blocks_done += 1
-        self._counter.count("sha256_block", blocks_done)
-        return struct.pack(">8I", *state)
+        self._count(len(pad(self._length)))
+        return self._hash.digest()
 
     def hexdigest(self) -> str:
         """The digest as a hex string."""
         return self.digest().hex()
 
-    def copy(self) -> "SHA256":
+    def copy(self) -> SHA256:
         """An independent clone of the current hash state."""
-        clone = SHA256()
-        clone._counter = self._counter
-        if self._fast is not None:
-            clone._fast = self._fast.copy()
-        else:
-            clone._fast = None
-        clone._state = self._state
-        clone._buffer = self._buffer
+        clone = SHA256(counter=self._counter)
+        clone._hash = self._hash.copy()
         clone._length = self._length
         return clone
 
@@ -157,10 +145,8 @@ class SHA256:
 def sha256(data: bytes, counter: OpCounter | None = None) -> bytes:
     """One-shot SHA-256 digest.
 
-    When no operations are being counted, the C implementation from
-    ``hashlib`` computes the (bit-identical — a tested invariant)
-    digest; with a counter, the from-scratch compression runs so every
-    block is accounted.
+    When no operations are being counted this is a direct ``hashlib``
+    call; with a counter, :class:`SHA256` prices every block.
     """
     counter = ensure_counter(counter)
     if isinstance(counter, NullCounter):

@@ -27,8 +27,6 @@ PENDING = (
     "repro/gf/poly2.py",
     "repro/gf/polygf.py",
     "repro/hashes/keccak.py",
-    "repro/hashes/prng.py",
-    "repro/hashes/sha256.py",
     "repro/hw/barrett.py",
     "repro/hw/chien.py",
     "repro/hw/keccak_accel.py",

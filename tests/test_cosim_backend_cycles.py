@@ -8,7 +8,8 @@ modelled, not timed — there is no tolerance to hide behind):
    :class:`repro.cosim.CycleModel` predicts for the same inputs
    (Table II), for both the reference and the ISE profiles — the
    serving layer adds protocol machinery but not a single modelled
-   cycle — and exactly the frozen counts of ``FROZEN_CYCLES``;
+   cycle — and exactly the frozen counts of ``FROZEN_CYCLES`` and
+   ``FROZEN_SHA256_BLOCKS``;
 2. the BCH *decode phases* of the ISE profile (Table I's columns) are
    constant-schedule: two decapsulations of different ciphertexts
    price every decode phase identically;
@@ -54,6 +55,20 @@ FROZEN_CYCLES = {
     ("LAC-256", "ise"): (1_018_614, 1_471_596, 1_851_858),
 }
 
+#: Counted SHA-256 compressions (``sha256_block``) of the same served
+#: KAT ops, frozen beside the cycles: (set, profile) -> (KEYGEN,
+#: ENCAPS, DECAPS).  The counted hasher prices blocks by arithmetic on
+#: the absorbed length, so these pin that arithmetic to the
+#: compressions the FIPS engine performs.
+FROZEN_SHA256_BLOCKS = {
+    ("LAC-128", "ref"): (72, 113, 104),
+    ("LAC-128", "ise"): (72, 113, 104),
+    ("LAC-192", "ref"): (90, 132, 115),
+    ("LAC-192", "ise"): (90, 132, 115),
+    ("LAC-256", "ref"): (114, 171, 154),
+    ("LAC-256", "ise"): (114, 171, 154),
+}
+
 
 def _serve_kat(backend, params):
     """keygen(SEED) -> encaps(MESSAGE) -> decaps on the backend itself."""
@@ -77,8 +92,13 @@ class TestGoldenCycles:
         try:
             _serve_kat(backend, params)
             tallies = backend.cycle_tallies()
+            blocks = tuple(
+                backend.last_counter(op, params).totals()["sha256_block"]
+                for op in ("KEYGEN", "ENCAPS", "DECAPS")
+            )
         finally:
             backend.close()
+        assert blocks == FROZEN_SHA256_BLOCKS[params.name, profile]
         served = {
             op: tallies[f"{op}:{params.name}"]["last_cycles"]
             for op in ("KEYGEN", "ENCAPS", "DECAPS")

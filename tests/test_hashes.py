@@ -1,6 +1,7 @@
-"""Tests for the from-scratch SHA-256 and the seed-expansion PRNG."""
+"""Tests for the SHA-256 golden model, the counted hasher and the PRNG."""
 
 import hashlib
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,6 +70,95 @@ class TestSha256Vectors:
         counter = OpCounter()
         sha256(bytes(130), counter)  # 130 bytes -> 3 blocks after padding
         assert counter.totals()["sha256_block"] == 3
+
+
+def _fold(message):
+    """The golden model: ``compress`` over ``message + pad(len)`` from IV.
+
+    Returns the digest and the number of ``compress`` calls it took.
+    """
+    tail = message + pad(len(message))
+    state, calls = IV, 0
+    for offset in range(0, len(tail), 64):
+        state = compress(state, tail[offset : offset + 64])
+        calls += 1
+    return struct.pack(">8I", *state), calls
+
+
+def _blocks(counter):
+    return counter.totals()["sha256_block"]
+
+
+@st.composite
+def _split_messages(draw):
+    """A 0-300 byte message, sorted update split points, a copy point."""
+    message = draw(st.binary(max_size=300))
+    cuts = sorted(draw(st.lists(st.integers(0, len(message)), max_size=5)))
+    copy_at = draw(st.integers(0, len(message)))
+    return message, cuts, copy_at
+
+
+class TestGoldenModel:
+    """``compress`` is no longer run by :class:`SHA256`; check it alone,
+    and check that the counted hasher prices exactly its calls."""
+
+    @given(message=st.binary(max_size=300))
+    @settings(max_examples=60)
+    def test_fold_matches_hashlib(self, message):
+        digest, calls = _fold(message)
+        assert digest == hashlib.sha256(message).digest()
+        assert calls == (len(message) + 8) // 64 + 1
+
+    @given(case=_split_messages())
+    @settings(max_examples=60)
+    def test_counted_hasher_prices_the_fold(self, case):
+        message, cuts, _ = case
+        counter = OpCounter()
+        hasher = SHA256(counter=counter)
+        for start, stop in zip([0] + cuts, cuts + [len(message)]):
+            hasher.update(message[start:stop])
+        assert _blocks(counter) == len(message) // 64
+        digest, calls = _fold(message)
+        assert hasher.digest() == digest == hashlib.sha256(message).digest()
+        assert _blocks(counter) == calls
+
+    @given(message=st.binary(max_size=300))
+    @settings(max_examples=30)
+    def test_digest_twice_prices_the_tail_twice(self, message):
+        counter = OpCounter()
+        hasher = SHA256(message, counter=counter)
+        first = hasher.digest()
+        _, calls = _fold(message)
+        tail = calls - len(message) // 64
+        assert hasher.digest() == first == hashlib.sha256(message).digest()
+        assert _blocks(counter) == calls + tail
+
+    @given(case=_split_messages(), suffix=st.binary(max_size=150))
+    @settings(max_examples=60)
+    def test_copy_at_a_random_point(self, case, suffix):
+        message, _, copy_at = case
+        prefix = message[:copy_at]
+        counter = OpCounter()
+        hasher = SHA256(prefix, counter=counter)
+        clone = hasher.copy()
+        hasher.update(message[copy_at:])
+        clone.update(suffix)
+        digest, calls = _fold(message)
+        clone_digest, clone_calls = _fold(prefix + suffix)
+        assert hasher.digest() == digest
+        assert clone.digest() == clone_digest
+        # the shared prefix blocks were compressed once, before the copy
+        assert _blocks(counter) == calls + clone_calls - len(prefix) // 64
+
+    @given(seed=st.binary(min_size=1, max_size=150), label=st.binary(max_size=150))
+    @settings(max_examples=40)
+    def test_fork_on_a_counted_stream(self, seed, label):
+        counter = OpCounter()
+        child = Sha256Prng(seed, counter=counter).fork(label)
+        child_seed, calls = _fold(seed + label)
+        assert child.seed == child_seed
+        assert _blocks(counter) == calls
+        assert child.read(40) == Sha256Prng(seed).fork(label).read(40)
 
 
 class TestPrng:
