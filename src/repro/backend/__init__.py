@@ -37,8 +37,7 @@ from repro.backend.cosim import (
     model_cycles,
 )
 from repro.backend.inline import InlineBackend
-from repro.backend.process import ProcessBackend, WorkerKeyMiss
-from repro.backend.shm import SegmentPool, shm_available
+from repro.backend.process import ProcessBackend
 from repro.backend.thread import (
     DEFAULT_THREAD_WORKERS,
     ThreadBackend,
@@ -57,12 +56,9 @@ __all__ = [
     "KemBackend",
     "KernelWrapper",
     "ProcessBackend",
-    "SegmentPool",
     "ThreadBackend",
-    "WorkerKeyMiss",
     "create_backend",
     "default_thread_backend",
     "model_cycles",
     "resolve_backend_name",
-    "shm_available",
 ]

@@ -41,11 +41,11 @@ has exactly one submission entry point:
 
 What each backend does with ``submit``: inline runs the adapter in the
 caller; thread runs it on a pool thread; process ships LAC batches to
-worker processes as key blob + fingerprint and wire bytes (one pair's
-lanes at a time: its wire is per key), and runs any scheme it has no
-wire for on its supervisor threads; cosim runs the counted scalar
-``LacKem`` per item and therefore declines every scheme but LAC at
-registration.
+worker processes as one message per chunk (the blob of each distinct
+key among the chunk's lanes, each lane's index into them, and the wire
+bytes), and runs any scheme it has no wire for on its supervisor
+threads; cosim runs the counted scalar ``LacKem`` per item and
+therefore declines every scheme but LAC at registration.
 
 Backends own a per-key :class:`repro.ring.KeyTransformCache`: batches
 under a hosted key reuse the forward FFT of the key-side ring operands

@@ -13,33 +13,24 @@ interpreters at once.
 
 Design points:
 
-* **ships what it has a wire for** — LAC batches cross the pipe as the
-  wire bytes :meth:`~repro.backend.base.KemBackend.submit` already
-  speaks (no ``Ciphertext``/``EncapsResult`` is re-hydrated
-  parent-side), one pair's lanes at a time — the wire is per key; a
-  scheme with no process wire runs its adapter on the
-  supervisor threads instead — off the submitting thread, on the
-  parent's interpreter;
-* **zero-copy wire** — bulk payloads (ciphertext blobs down for
-  decapsulation, ciphertext + shared-secret pairs back up for
-  encapsulation) travel through pooled shared-memory segments
-  (:mod:`repro.backend.shm`); the pipe carries only a segment name
-  and a count.  Fixed per-parameter-set sizes make every offset
-  computable on both sides.  When shared memory is unusable — at
-  construction (:func:`~repro.backend.shm.shm_available`) or at run
-  time — the backend falls back to the original pickled-``bytes`` wire;
-* **ship-once key material** — workers keep a fingerprint-addressed
-  cache of hydrated keys, so a hosted key's serialized blob crosses
-  the pipe roughly once per worker; later calls send the 16-byte
-  fingerprint.  A worker that restarted (and lost its cache) raises
-  the picklable :class:`WorkerKeyMiss` and the parent retries that
-  chunk with the full blob — correctness never depends on the
-  bookkeeping being right;
+* **one message per chunk** — a LAC batch is cut into at most one
+  chunk per worker, and each chunk crosses the pipe as one pickled
+  call holding everything the worker needs: the serialized blob of
+  each distinct key among the chunk's lanes, each lane's index into
+  them, and the lanes themselves (messages for encapsulation, the
+  ciphertext rows as one ``bytes`` block for decapsulation).  The
+  reply is the ciphertext rows as one block plus the shared secrets
+  (or just the secrets), so nothing is re-hydrated parent-side and a
+  batch over many keys costs one trip per worker, like the paper's
+  accelerators, which take every operand through one fixed
+  instruction interface.  A scheme with no process wire runs its
+  adapter on the supervisor threads instead — off the submitting
+  thread, on the parent's interpreter;
 * **per-worker transform cache** — each worker owns a
   :class:`repro.ring.KeyTransformCache`, so repeated batches under a
   hosted key skip GenA and the key-side forward FFTs in the worker
-  too; hit/miss deltas ride back piggybacked on each result and are
-  aggregated parent-side into stats and trace tags;
+  too; hit/miss deltas ride back with each result and are aggregated
+  parent-side into stats and trace tags;
 * **per-worker warmup** — each worker's initializer builds its own
   GF log/antilog tables, ring FFT state and BCH parity matrix by
   running a one-operation roundtrip per configured parameter set, so
@@ -50,12 +41,9 @@ Design points:
   ``max_restarts``), counts the restart (surfaced as
   ``kem_worker_restarts_total``) and fails the in-flight batch with
   the typed :class:`repro.errors.WorkerCrashed` — which the service
-  maps to the existing ``INTERNAL`` response.  Shared-memory segments
-  are parent-owned, survive the restart, and are reused by the new
-  pool;
+  maps to the existing ``INTERNAL`` response;
 * **graceful drain** — :meth:`close` stops intake, lets submitted
-  batches finish, shuts both pools down, then unlinks every
-  shared-memory segment; idempotent.
+  batches finish and shuts both pools down; idempotent.
 
 Workers always start with ``spawn``: forking a process that already
 runs pool threads (every server does) inherits locked mutexes and is
@@ -68,10 +56,10 @@ size is fixed at construction; it is the backend's
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import threading
-from collections import OrderedDict
 from collections.abc import Sequence
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -80,21 +68,19 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.backend.base import KemBackend, KernelWrapper
-from repro.backend.shm import Segment, SegmentPool, attach_segment, shm_available
 from repro.batch.kem import (
     _annotate_cache,
     _decaps_chunk,
     _encaps_chunk,
-    _row_bytes,
+    key_lanes,
     wire_rows,
 )
 from repro.errors import WorkerCrashed
 from repro.lac.kem import KemKeyPair, KemSecretKey, LacKem
 from repro.lac.params import ALL_PARAMS, LacParams
 from repro.lac.pke import PublicKey
-from repro.ring.cache import DEFAULT_CACHE_ENTRIES, KeyTransformCache, fingerprint
+from repro.ring.cache import DEFAULT_CACHE_ENTRIES, KeyTransformCache
 from repro.schemes import KemScheme
-from repro.schemes.base import per_pair
 
 #: Smallest per-process sub-chunk worth the dispatch round trip; a
 #: 64-op batch on 8 workers still lands at 8 ops per process.
@@ -102,34 +88,6 @@ MIN_CHUNK = 8
 
 #: Default bound on pool rebuilds after worker crashes.
 DEFAULT_MAX_RESTARTS = 3
-
-#: Bytes of shared secret per encapsulation result on the wire.
-_SHARED_BYTES = 32
-
-#: Hydrated keys a worker retains (LRU); key blobs are ~1 KiB so this
-#: bounds the worker key cache around a megabyte.
-_WORKER_KEY_LIMIT = 1024
-
-#: Entries in the parent's ship-once table before the oldest are
-#: forgotten (forgetting is safe: the worker-side miss retry recovers).
-_SHIP_TABLE_LIMIT = 4096
-
-
-class WorkerKeyMiss(RuntimeError):
-    """A fingerprint-only key reference missed the worker's key cache.
-
-    Raised worker-side, pickled back to the parent, which retries the
-    chunk with the full key blob attached.  Routine after a worker
-    restart (fresh interpreters have empty caches) — never an error
-    the caller sees.
-    """
-
-    def __init__(self, fp: bytes) -> None:
-        super().__init__(f"worker key cache miss for {fp.hex()}")
-        self.fp = fp
-
-    def __reduce__(self) -> tuple[Any, tuple[bytes]]:
-        return (WorkerKeyMiss, (self.fp,))
 
 
 def _params_by_name(name: str) -> LacParams:
@@ -145,11 +103,8 @@ def _params_by_name(name: str) -> LacParams:
 
 _WORKER_KEMS: dict[str, LacKem] = {}
 
-#: Fingerprint-addressed LRU of hydrated key objects (ship-once wire).
-_WORKER_KEYS: OrderedDict[bytes, Any] = OrderedDict()
-
-#: This worker's per-key transform cache (sized by the initializer).
-_WORKER_CACHE: KeyTransformCache | None = None
+#: This worker's per-key transform cache.
+_WORKER_CACHE = KeyTransformCache(DEFAULT_CACHE_ENTRIES)
 
 
 def _worker_kem(params_name: str) -> LacKem:
@@ -159,20 +114,14 @@ def _worker_kem(params_name: str) -> LacKem:
     return kem
 
 
-def _worker_init(param_names: Sequence[str], cache_entries: int) -> None:
+def _worker_init(param_names: Sequence[str]) -> None:
     """Per-worker warmup: build this process's GF/ring/BCH tables.
 
     Runs in each worker as it spawns — a one-operation keygen/encaps/
     decaps roundtrip per configured parameter set touches every lazy
     table (GF(2^9) log/antilog, ring FFT twiddles, the BCH parity
-    matrix), so serving batches never pay construction cost.  Also
-    creates the worker's transform cache (``cache_entries == 0``
-    disables caching).
+    matrix), so serving batches never pay construction cost.
     """
-    global _WORKER_CACHE
-    _WORKER_CACHE = (
-        KeyTransformCache(cache_entries) if cache_entries > 0 else None
-    )
     for name in param_names:
         kem = _worker_kem(name)
         params = kem.params
@@ -183,109 +132,39 @@ def _worker_init(param_names: Sequence[str], cache_entries: int) -> None:
         _decaps_chunk(kem, [pair.secret_key], rows)
 
 
-def _resolve_key(
-    kind: str, params_name: str, key_ref: tuple[str, bytes, bytes | None]
-) -> tuple[Any, bool]:
-    """Hydrate (or recall) a key from its wire reference.
-
-    ``key_ref`` is ``(kind, fingerprint, blob-or-None)``.  Returns the
-    hydrated object and whether it was a cache hit; raises
-    :class:`WorkerKeyMiss` when a fingerprint-only reference finds an
-    empty slot (the parent retries with the blob).
-    """
-    ref_kind, fp, blob = key_ref
-    if ref_kind != kind:  # pragma: no cover - parent always matches
-        raise ValueError(f"expected a {kind} reference, got {ref_kind}")
-    cached = _WORKER_KEYS.get(fp)
-    if cached is not None:
-        _WORKER_KEYS.move_to_end(fp)
-        return cached, True
-    if blob is None:
-        raise WorkerKeyMiss(fp)
-    params = _worker_kem(params_name).params
-    obj: Any = (
-        PublicKey.from_bytes(params, blob)
-        if kind == "pk"
-        else KemSecretKey.from_bytes(params, blob)
-    )
-    _WORKER_KEYS[fp] = obj
-    while len(_WORKER_KEYS) > _WORKER_KEY_LIMIT:
-        _WORKER_KEYS.popitem(last=False)
-    return obj, False
-
-
-def _cache_counters() -> tuple[int, int, int]:
-    return _WORKER_CACHE.counters() if _WORKER_CACHE is not None else (0, 0, 0)
-
-
-def _stats_delta(before: tuple[int, int, int], key_hit: bool) -> dict[str, int]:
-    """The piggyback stats envelope returned with every kernel result."""
-    after = _cache_counters()
-    return {
-        "cache_hits": after[0] - before[0],
-        "cache_misses": after[1] - before[1],
-        "cache_evictions": after[2] - before[2],
-        "key_hits": int(key_hit),
-    }
-
-
-def _worker_encaps(
+def _worker_lanes(
     params_name: str,
-    key_ref: tuple[str, bytes, bytes | None],
-    messages: list[bytes],
-    out_seg: str | None,
-) -> tuple[Any, dict[str, int]]:
-    """Encapsulate a chunk; results go to shared memory when offered.
+    encaps: bool,
+    key_blobs: list[bytes],
+    lanes: list[int],
+    payload: list[bytes] | bytes,
+) -> tuple[Any, tuple[int, int, int]]:
+    """Run one chunk: lane ``i`` under ``key_blobs[lanes[i]]``.
 
-    With ``out_seg`` the layout is the kernel's ciphertext rows, then
-    the shared secrets, and the payload is just the count; without it
-    (bytes wire) the payload is the pickled ``(ct, shared)`` pairs.
+    ENCAPS takes the messages and returns the ciphertext rows as one
+    block plus the shared secrets; DECAPS takes the ciphertext rows as
+    one block and returns the shared secrets.  Either comes back with
+    this worker's ``(hits, misses, evictions)`` cache delta.
     """
-    kem = _worker_kem(params_name)
-    pk, key_hit = _resolve_key("pk", params_name, key_ref)
-    before = _cache_counters()
-    rows, shared = _encaps_chunk(kem, [pk] * len(messages), messages, _WORKER_CACHE)
-    stats = _stats_delta(before, key_hit)
-    if out_seg is None:
-        return list(zip(_row_bytes(rows), shared)), stats
-    segment = attach_segment(out_seg)
-    try:
-        buf = segment.buf
-        split = rows.size
-        buf[:split] = memoryview(rows).cast("B")  # one copy of the block
-        buf[split : split + _SHARED_BYTES * len(shared)] = b"".join(shared)
-    finally:
-        segment.close()
-    return len(shared), stats
-
-
-def _worker_decaps(
-    params_name: str,
-    key_ref: tuple[str, bytes, bytes | None],
-    ct_blobs: list[bytes] | None,
-    in_seg: tuple[str, int] | None,
-) -> tuple[list[bytes], dict[str, int]]:
-    """Decapsulate a chunk; ciphertexts arrive via shared memory when
-    ``in_seg`` names a segment (the rows, ``ciphertext_bytes`` each)."""
     kem = _worker_kem(params_name)
     params = kem.params
-    keys, key_hit = _resolve_key("sk", params_name, key_ref)
-    if in_seg is not None:
-        seg_name, count = in_seg
-        segment = attach_segment(seg_name)
-        try:
-            # one copy out of the segment, straight into the row block
-            rows = np.frombuffer(
-                bytes(segment.buf[: count * params.ciphertext_bytes]), dtype=np.uint8
-            ).reshape(count, params.ciphertext_bytes)
-        finally:
-            segment.close()
+    hydrate = PublicKey.from_bytes if encaps else KemSecretKey.from_bytes
+    keys = [hydrate(params, blob) for blob in key_blobs]
+    per_lane = [keys[k] for k in lanes]
+    before = _WORKER_CACHE.counters()
+    result: Any
+    if encaps:
+        assert isinstance(payload, list)
+        rows, shared = _encaps_chunk(kem, per_lane, payload, _WORKER_CACHE)
+        result = (rows.tobytes(), shared)
     else:
-        assert ct_blobs is not None
-        rows = wire_rows(params, ct_blobs)
-    before = _cache_counters()
-    shared = _decaps_chunk(kem, [keys] * len(rows), rows, _WORKER_CACHE)
-    return shared, _stats_delta(before, key_hit)
+        assert isinstance(payload, bytes)
+        rows = np.frombuffer(payload, dtype=np.uint8).reshape(
+            len(lanes), params.ciphertext_bytes
+        )
+        result = _decaps_chunk(kem, per_lane, rows, _WORKER_CACHE)
+    after = _WORKER_CACHE.counters()
+    return result, (after[0] - before[0], after[1] - before[1], after[2] - before[2])
 
 
 def _worker_keygen(
@@ -299,10 +178,6 @@ def _worker_keygen(
     return out
 
 
-def _worker_pid() -> int:
-    return os.getpid()
-
-
 # ---------------------------------------------------------------------------
 # parent-side supervisor
 # ---------------------------------------------------------------------------
@@ -313,13 +188,10 @@ class ProcessBackend(KemBackend):
 
     ``workers`` sizes the pool (default: CPU count, capped at 8 — the
     kernels saturate memory bandwidth well before that on small
-    hosts).  ``warm_params`` restricts the per-worker warmup to the
-    parameter sets actually served (tests pass one set to keep spawn
-    cheap).  ``max_restarts`` bounds pool rebuilds after crashes;
+    hosts).  ``max_restarts`` bounds pool rebuilds after crashes;
     beyond it the backend declares itself broken and fails fast.
-    ``cache_entries`` sizes each worker's per-key transform cache
-    (``0`` disables it).  Payloads travel through shared memory when
-    the host supports it, as pickled bytes otherwise.
+    ``warm_params`` restricts the per-worker warmup to the parameter
+    sets actually served (tests pass one set to keep spawn cheap).
     """
 
     name = "process"
@@ -329,33 +201,19 @@ class ProcessBackend(KemBackend):
         workers: int | None = None,
         max_restarts: int = DEFAULT_MAX_RESTARTS,
         warm_params: Sequence[LacParams] | None = None,
-        min_chunk: int = MIN_CHUNK,
-        cache_entries: int | None = None,
     ) -> None:
-        # kernels run in the workers, each with its own transform cache
-        # (sized below); a parent-side one would never be read
+        # kernels run in the workers, each with its own transform
+        # cache; a parent-side one would never be read
         super().__init__(cache_entries=0)
+        if workers is not None and workers < 1:
+            raise ValueError("workers must be >= 1")
         self._workers = workers or max(1, min(8, os.cpu_count() or 1))
         self._max_restarts = max_restarts
-        self._min_chunk = max(1, min_chunk)
         self._warm_names = tuple(
             p.name for p in (warm_params if warm_params is not None else ALL_PARAMS)
         )
-        self._cache_entries = (
-            0 if cache_entries == 0 else (cache_entries or DEFAULT_CACHE_ENTRIES)
-        )
-        self._use_shm = shm_available()
-        self._segments = SegmentPool()
-        self._ship_lock = threading.Lock()
-        self._shipped: OrderedDict[bytes, int] = OrderedDict()
-        self._worker_stats = {
-            "cache_hits": 0,
-            "cache_misses": 0,
-            "cache_evictions": 0,
-            "key_hits": 0,
-            "key_ships": 0,
-            "key_miss_retries": 0,
-        }
+        #: aggregated worker cache ``[hits, misses, evictions]``
+        self._worker_counters = [0, 0, 0]
         self._pool_lock = threading.Lock()
         self._pool: ProcessPoolExecutor | None = None
         self._generation = 0
@@ -385,7 +243,7 @@ class ProcessBackend(KemBackend):
                     self._workers,
                     multiprocessing.get_context("spawn"),
                     _worker_init,
-                    (self._warm_names, self._cache_entries),
+                    (self._warm_names,),
                 )
             return self._pool, self._generation
 
@@ -399,9 +257,6 @@ class ProcessBackend(KemBackend):
 
         ``BrokenProcessPool`` fans out to every future of the incident;
         the generation check makes sure one crash costs one restart.
-        The ship-once table resets too — the replacement workers spawn
-        with empty key caches.  Shared-memory segments are parent-owned
-        and survive for the next pool.
         """
         with self._pool_lock:
             if generation != self._generation:
@@ -411,102 +266,27 @@ class ProcessBackend(KemBackend):
             pool, self._pool = self._pool, None
             if self._restarts > self._max_restarts:
                 self._broken = True
-        with self._ship_lock:
-            self._shipped.clear()
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
 
-    # -- ship-once key wire ---------------------------------------------
-
-    def _key_ref(
-        self, kind: str, fp: bytes, blob: bytes
-    ) -> tuple[str, bytes, bytes | None]:
-        """Build a wire key reference, shipping the blob until every
-        worker has plausibly seen it (the miss retry covers the rest)."""
-        with self._ship_lock:
-            count = self._shipped.get(fp, 0)
-            if count >= self._workers:
-                return (kind, fp, None)
-            self._shipped[fp] = count + 1
-            self._shipped.move_to_end(fp)
-            while len(self._shipped) > _SHIP_TABLE_LIMIT:
-                self._shipped.popitem(last=False)
-        with self._stats_lock:
-            self._worker_stats["key_ships"] += 1
-        return (kind, fp, blob)
-
-    def _note_retry(self, fp: bytes) -> None:
-        with self._ship_lock:
-            self._shipped[fp] = self._shipped.get(fp, 0) + 1
-            self._shipped.move_to_end(fp)
-        with self._stats_lock:
-            self._worker_stats["key_miss_retries"] += 1
-            self._worker_stats["key_ships"] += 1
-
-    def _merge_worker_stats(self, stats: dict[str, int]) -> None:
-        """Aggregate a piggybacked stats envelope; cache counters also
-        land on the ambient trace-tag sink (the supervisor thread runs
-        inside the service's kernel wrapper)."""
-        with self._stats_lock:
-            for key in ("cache_hits", "cache_misses", "cache_evictions", "key_hits"):
-                self._worker_stats[key] += stats.get(key, 0)
-        _annotate_cache(stats.get("cache_hits", 0), stats.get("cache_misses", 0))
-
-    # -- segment plumbing ------------------------------------------------
-
-    def _acquire_segment(self, nbytes: int) -> Segment | None:
-        """A pooled segment, or ``None`` on the bytes wire (including
-        after a runtime shared-memory failure, which disables shm)."""
-        if not self._use_shm:
-            return None
-        try:
-            return self._segments.acquire(nbytes)
-        except (OSError, RuntimeError):
-            self._use_shm = False
-            return None
-
-    def _release_segments(self, segments: Sequence[Segment | None]) -> None:
-        for segment in segments:
-            if segment is not None:
-                self._segments.release(segment)
-
     def _fan(
-        self,
-        fn: Callable[..., Any],
-        calls: Sequence[tuple[Any, ...]],
-        reship: Callable[[tuple[Any, ...]], tuple[Any, ...]] | None = None,
+        self, fn: Callable[..., Any], calls: Sequence[tuple[Any, ...]]
     ) -> list[Any]:
-        """Run ``fn(*args)`` per call tuple across the worker pool.
-
-        ``reship`` rebuilds a call with the full key blob attached; it
-        handles the :class:`WorkerKeyMiss` a restarted (or LRU-evicted)
-        worker raises for fingerprint-only references.
-        """
+        """Run ``fn(*args)`` per call tuple across the worker pool."""
         pool, generation = self._ensure_pool()
         try:
             futures = [pool.submit(fn, *args) for args in calls]
-            out = []
-            for future, args in zip(futures, calls):
-                try:
-                    out.append(future.result())
-                except WorkerKeyMiss as miss:
-                    if reship is None:
-                        raise
-                    self._note_retry(miss.fp)
-                    out.append(pool.submit(fn, *reship(args)).result())
-            return out
+            return [future.result() for future in futures]
         except BrokenProcessPool as exc:
             self._on_broken_pool(generation)
             raise WorkerCrashed("kem worker process died mid-batch") from exc
 
-    def _chunk(self, items: list[Any]) -> list[list[Any]]:
-        chunks = max(1, min(self._workers, len(items) // self._min_chunk))
-        bounds = [len(items) * i // chunks for i in range(chunks + 1)]
-        return [
-            items[bounds[i] : bounds[i + 1]]
-            for i in range(chunks)
-            if bounds[i] < bounds[i + 1]
-        ]
+    def _bounds(self, count: int) -> list[tuple[int, int]]:
+        """``[lo, hi)`` of each chunk: at most one per worker, none
+        smaller than :data:`MIN_CHUNK` unless the batch is."""
+        chunks = max(1, min(self._workers, count // MIN_CHUNK))
+        cuts = [count * i // chunks for i in range(chunks + 1)]
+        return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
 
     def _spawn(
         self, wrapper: KernelWrapper | None, work: Callable[[], Any]
@@ -523,94 +303,59 @@ class ProcessBackend(KemBackend):
         pairs: list[Any] | None,
         batch: list[Any],
     ) -> list[Any]:
-        """LAC batches fan out across the worker processes, one pair's
-        lanes per trip over the per-key wire; a scheme with no process
+        """LAC batches fan out across the worker processes, one message
+        per chunk whatever keys its lanes name; a scheme with no process
         wire runs its adapter here, on the supervisor thread — never on
         the submitter, which for a service is the event loop."""
         if scheme.name != "lac":
             return super()._kernel(scheme, params, op, pairs, batch)
-        if pairs is not None:
-            encaps = op == "ENCAPS"
-            return per_pair(
-                pairs,
-                batch,
-                lambda pair, items: self._ship(
-                    params,
-                    "pk" if encaps else "sk",
-                    (pair.public_key if encaps else pair.secret_key).to_bytes(),
-                    items,
-                ),
-            )
-        # keygen stays on the bytes wire: batches are rare, small, and
-        # dominated by sampling rather than serialization
-        calls = [(params.name, chunk) for chunk in self._chunk(batch)]
-        return [
-            KemKeyPair(
-                PublicKey.from_bytes(params, pk_bytes),
-                KemSecretKey.from_bytes(params, sk_bytes),
-            )
-            for part in self._fan(_worker_keygen, calls)
-            for pk_bytes, sk_bytes in part
-        ]
-
-    def _ship(
-        self, params: LacParams, kind: str, key_blob: bytes, batch: list[bytes]
-    ) -> list[Any]:
-        """One ENCAPS (``kind="pk"``) or DECAPS (``"sk"``) batch, split
-        across worker processes, wire bytes in and out.
-
-        The bulky side — the ciphertext rows and then the shared
-        secrets up for encapsulation, the ciphertext rows down for
-        decapsulation — goes through one pooled shared-memory segment
-        per chunk, one copy each way; the 32-byte side rides the pipe.
-        """
-        encaps = kind == "pk"
-        fp = fingerprint(b"wire-" + kind.encode(), params.name.encode(), key_blob)
-        ct_len = params.ciphertext_bytes
-        item_bytes = ct_len + _SHARED_BYTES if encaps else ct_len
-        worker_fn = _worker_encaps if encaps else _worker_decaps
-
-        def reship(args: tuple[Any, ...]) -> tuple[Any, ...]:
-            return (args[0], (kind, fp, key_blob), args[2], args[3])
-
-        chunks = self._chunk(batch)
-        segments = [self._acquire_segment(len(chunk) * item_bytes) for chunk in chunks]
-        try:
-            calls = []
-            for chunk, segment in zip(chunks, segments):
-                key_ref = self._key_ref(kind, fp, key_blob)
-                if segment is None:
-                    calls.append((params.name, key_ref, chunk, None))
-                elif encaps:
-                    calls.append((params.name, key_ref, chunk, segment.name))
-                else:
-                    segment.buf[: len(chunk) * item_bytes] = b"".join(chunk)
-                    calls.append(
-                        (params.name, key_ref, None, (segment.name, len(chunk)))
-                    )
-            out: list[Any] = []
-            for (payload, stats), segment in zip(
-                self._fan(worker_fn, calls, reship), segments
-            ):
-                self._merge_worker_stats(stats)
-                if not encaps or segment is None:
-                    out.extend(payload)
-                    continue
-                # one copy out: the ciphertext rows, then the secrets
-                data = bytes(segment.buf[: payload * item_bytes])
-                split = payload * ct_len
-                out.extend(
-                    zip(
-                        [data[i : i + ct_len] for i in range(0, split, ct_len)],
-                        [
-                            data[i : i + _SHARED_BYTES]
-                            for i in range(split, len(data), _SHARED_BYTES)
-                        ],
-                    )
+        if pairs is None:
+            # keygen: batches are rare, small, and dominated by sampling
+            calls = [
+                (params.name, batch[lo:hi]) for lo, hi in self._bounds(len(batch))
+            ]
+            return [
+                KemKeyPair(
+                    PublicKey.from_bytes(params, pk_bytes),
+                    KemSecretKey.from_bytes(params, sk_bytes),
                 )
-            return out
-        finally:
-            self._release_segments(segments)
+                for part in self._fan(_worker_keygen, calls)
+                for pk_bytes, sk_bytes in part
+            ]
+        encaps = op == "ENCAPS"
+        # decapsulation validates the wire widths here, as the adapter
+        # does, then ships each chunk's rows as one block
+        rows = None if encaps else wire_rows(params, batch)
+        calls = []
+        for lo, hi in self._bounds(len(batch)):
+            keys, lanes = key_lanes(pairs[lo:hi])
+            blobs = [
+                (pair.public_key if encaps else pair.secret_key).to_bytes()
+                for pair in keys
+            ]
+            payload = batch[lo:hi] if rows is None else rows[lo:hi].tobytes()
+            calls.append((params.name, encaps, blobs, lanes, payload))
+        out: list[Any] = []
+        width = params.ciphertext_bytes
+        for result, counters in self._fan(_worker_lanes, calls):
+            self._merge_counters(counters)
+            if not encaps:
+                out.extend(result)
+                continue
+            block, shared = result
+            out.extend(
+                zip([block[i : i + width] for i in range(0, len(block), width)], shared)
+            )
+        return out
+
+    def _merge_counters(self, counters: tuple[int, int, int]) -> None:
+        """Aggregate one chunk's worker cache delta; hits and misses
+        also land on the ambient trace-tag sink (the supervisor thread
+        runs inside the service's kernel wrapper)."""
+        with self._stats_lock:
+            for i, count in enumerate(counters):
+                self._worker_counters[i] += count
+        _annotate_cache(counters[0], counters[1])
 
     # -- chaos + observability ------------------------------------------
 
@@ -628,47 +373,40 @@ class ProcessBackend(KemBackend):
         processes = getattr(pool, "_processes", None)
         if not processes:
             return False
-        pid = next(iter(processes))
+        pid, process = next(iter(processes.items()))
         try:
             os.kill(pid, sig)
         except (ProcessLookupError, PermissionError):
             return False
+        # wait for the death, so the next batch finds the pool broken
+        # instead of racing the survivors to finish it first
+        multiprocessing.connection.wait([process.sentinel], timeout=5.0)
         return True
 
     def stats(self) -> dict[str, Any]:
-        """Submission counters plus worker-pool health, the aggregated
-        worker cache counters, and the shared-memory wire state."""
+        """Submission counters plus worker-pool health and the
+        aggregated worker cache counters."""
         out = super().stats()
         with self._pool_lock:
             out["restarts"] = self._restarts
             out["broken"] = self._broken
         with self._stats_lock:
-            worker_stats = dict(self._worker_stats)
+            hits, misses, evictions = self._worker_counters
         # kernels run in the workers, so the meaningful transform-cache
         # counters are the aggregated per-worker ones, not the parent's
-        out["transform_cache"] = (
-            {
-                "capacity": self._cache_entries,
-                "hits": worker_stats["cache_hits"],
-                "misses": worker_stats["cache_misses"],
-                "evictions": worker_stats["cache_evictions"],
-                "invalidations": 0,
-                "scope": "workers",
-            }
-            if self._cache_entries
-            else None
-        )
-        out["worker_keys"] = {
-            "hits": worker_stats["key_hits"],
-            "ships": worker_stats["key_ships"],
-            "miss_retries": worker_stats["key_miss_retries"],
+        out["transform_cache"] = {
+            "capacity": DEFAULT_CACHE_ENTRIES,
+            "hits": hits,
+            "misses": misses,
+            "evictions": evictions,
+            "invalidations": 0,
+            "scope": "workers",
         }
-        out["shm"] = {"enabled": self._use_shm, **self._segments.stats()}
         return out
 
     def close(self, wait: bool = True) -> None:
         """Graceful drain: stop intake, finish in-flight batches, shut
-        down both pools, then unlink every shared-memory segment."""
+        down both pools."""
         if self._closed:
             return
         super().close(wait)
@@ -679,4 +417,3 @@ class ProcessBackend(KemBackend):
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=wait)
-        self._segments.close()

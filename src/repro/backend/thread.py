@@ -46,6 +46,8 @@ class ThreadBackend(KemBackend):
         super().__init__(cache_entries=cache_entries)
         if executor is not None and workers is not None:
             raise ValueError("pass either executor= or workers=, not both")
+        if workers is not None and workers < 1:
+            raise ValueError("workers must be >= 1")
         self._owns_executor = executor is None
         self._executor: Executor = (
             executor

@@ -9,7 +9,9 @@ counters; the cosim backend prices only LAC and must *refuse* NewHope
 at registration.  The rest covers ``close()`` idempotence, the registry
 (name/env selection), the process backend's crash supervision
 (``kill_worker`` -> typed :class:`WorkerCrashed` -> bounded restart)
-and the ``backend`` chaos fault site end to end through the service.
+and its wire (one message per worker chunk, worker cache stats, a
+clean interpreter exit), and the ``backend`` chaos fault site end to
+end through the service.
 
 The process backend is module-scoped (one spawn, ``LAC_128``-only
 warmup) to keep the spawn cost paid once.
@@ -17,8 +19,12 @@ warmup) to keep the spawn cost paid once.
 
 import asyncio
 import contextlib
+import os
+import subprocess
+import sys
+import textwrap
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -38,6 +44,7 @@ from repro.backend import (
     default_thread_backend,
     resolve_backend_name,
 )
+from repro.backend import process as process_module
 from repro.errors import UnsupportedScheme, WorkerCrashed
 from repro.faults.plan import KIND_CRASH, SITE_BACKEND, FaultPlan, FaultSpec
 from repro.lac.kem import LacKem
@@ -60,10 +67,14 @@ OPS = ("KEYGEN", "ENCAPS", "DECAPS")
 
 @pytest.fixture(scope="module")
 def process_backend():
-    backend = ProcessBackend(workers=2, warm_params=[LAC_128], min_chunk=1)
-    backend.warmup([LAC_128])
-    yield backend
-    backend.close()
+    # chunks are cut parent-side: split even a two-lane batch across
+    # both workers, so every path crosses more than one pipe
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(process_module, "MIN_CHUNK", 1)
+        backend = ProcessBackend(workers=2, warm_params=[LAC_128])
+        backend.warmup([LAC_128])
+        yield backend
+        backend.close()
 
 
 @pytest.fixture(scope="module")
@@ -381,6 +392,16 @@ class TestLifecycle:
         with pytest.raises(RuntimeError, match="closed"):
             _encaps(backend, pair, _messages(1))
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    @pytest.mark.parametrize(
+        "make", [ThreadBackend, ProcessBackend], ids=["thread", "process"]
+    )
+    def test_workers_below_one_are_rejected(self, make, workers):
+        """A pool of no workers is refused when the backend is built,
+        not answered with the default size or at the first submit."""
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            make(workers=workers)
+
     def test_warmup_roundtrips_each_param_set(self):
         backend = InlineBackend()
         backend.warmup([LAC_128])
@@ -519,9 +540,7 @@ class TestProcessSupervision:
 
     def test_restart_budget_exhaustion_fails_fast(self, scalar):
         _, pair = scalar
-        backend = ProcessBackend(
-            workers=1, warm_params=[LAC_128], max_restarts=0, min_chunk=1
-        )
+        backend = ProcessBackend(workers=1, warm_params=[LAC_128], max_restarts=0)
         try:
             backend.warmup([LAC_128])
             assert backend.kill_worker() is True
@@ -534,6 +553,119 @@ class TestProcessSupervision:
                 _encaps(backend, pair, _messages(1)).result()
         finally:
             backend.close()
+
+
+LIFECYCLE_SCRIPT = textwrap.dedent(
+    """
+    from repro.backend import ProcessBackend
+    from repro.errors import WorkerCrashed
+    from repro.lac.kem import LacKem
+    from repro.lac.params import LAC_128
+    from repro.schemes import LAC_SCHEME
+
+    def main():
+        def run(op, items):
+            return backend.submit(
+                LAC_SCHEME, LAC_128, op, [pair] * len(items), items
+            ).result()
+
+        pair = LacKem(LAC_128).keygen(bytes(range(64)))
+        messages = [bytes([i, 0x5A]) * (LAC_128.message_bytes // 2) for i in range(6)]
+        backend = ProcessBackend(workers=2, warm_params=[LAC_128])
+        backend.warmup([LAC_128])
+        results = run("ENCAPS", messages)
+        assert run("DECAPS", [ct for ct, _ in results]) == [s for _, s in results]
+        # chaos: kill a worker mid-life, recover, serve again
+        assert backend.kill_worker() is True
+        try:
+            run("ENCAPS", messages)
+        except WorkerCrashed:
+            pass
+        assert run("ENCAPS", messages) == results
+        backend.close()
+        print("CLEAN")
+
+    if __name__ == "__main__":  # spawned workers re-import this file
+        main()
+    """
+)
+
+
+class TestProcessWire:
+    """One pickled message per worker chunk, whatever keys it names."""
+
+    def test_mixed_key_batch_is_one_trip_per_worker(
+        self, process_backend, scalar, monkeypatch
+    ):
+        kem, pair = scalar
+        pairs = [pair, kem.keygen(SEED[::-1]), kem.keygen(bytes(64))]
+        lanes = [pairs[i % 3] for i in range(8)]
+        messages = _messages(8)
+        submits = []
+        real_submit = ProcessPoolExecutor.submit
+
+        def counting_submit(pool, fn, /, *args, **kwargs):
+            submits.append(fn)
+            return real_submit(pool, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", counting_submit)
+        results = process_backend.submit(
+            LAC_SCHEME, LAC_128, "ENCAPS", lanes, messages
+        ).result()
+        assert len(submits) <= 2
+        expected = [kem.encaps(p.public_key, m) for p, m in zip(lanes, messages)]
+        assert results == [
+            (ref.ciphertext.to_bytes(), ref.shared_secret) for ref in expected
+        ]
+        submits.clear()
+        shared = process_backend.submit(
+            LAC_SCHEME, LAC_128, "DECAPS", lanes, [ct for ct, _ in results]
+        ).result()
+        assert len(submits) <= 2
+        assert shared == [ref.shared_secret for ref in expected]
+
+    def test_worker_transform_cache_stats_surface(self, process_backend, scalar):
+        _, pair = scalar
+        _encaps(process_backend, pair, _messages(2)).result()
+        before = process_backend.stats()["transform_cache"]
+        _encaps(process_backend, pair, _messages(2)).result()
+        cache = process_backend.stats()["transform_cache"]
+        assert cache["scope"] == "workers"
+        assert cache["misses"] >= 1
+        # the second batch reuses the key transforms its workers built
+        assert cache["hits"] > before["hits"]
+
+    def test_register_key_returns_fingerprints_without_parent_cache(
+        self, process_backend, scalar
+    ):
+        _, pair = scalar
+        fps = process_backend.register_key(LAC_SCHEME, LAC_128, pair)
+        assert len(fps) == 3
+        assert all(len(fp) == 16 for fp in fps)
+        # worker caches warm lazily: the parent holds no transform cache
+        # at all, so invalidation is a no-op
+        assert process_backend.transform_cache is None
+        assert process_backend.invalidate_key(fps) == 0
+
+    def test_full_lifecycle_exits_without_tracker_warnings(self, tmp_path):
+        """Conformance and kill/restart chaos in a subprocess, so
+        interpreter shutdown is observed too: it exits cleanly, with no
+        ``resource_tracker`` complaint about anything left behind."""
+        script = tmp_path / "process_lifecycle.py"
+        script.write_text(LIFECYCLE_SCRIPT)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.abspath("src")
+        proc = subprocess.run(
+            [sys.executable, str(script)],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "CLEAN" in proc.stdout
+        assert "resource_tracker" not in proc.stderr
+        assert "leaked" not in proc.stderr
 
 
 class TestServiceIntegration:
