@@ -10,7 +10,6 @@ larger modulus that LAC's byte-sized coefficients avoid.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -61,11 +60,6 @@ class AcceleratedNtt:
         """Accelerated inverse transform (charges the bus+compute stall)."""
         self._charge()
         return self.unit.context.inverse(values)
-
-
-@dataclass(frozen=True)
-class NewHopeCycles(ProtocolCycles):
-    """Same shape as a Table II row (scheme/profile prefilled)."""
 
 
 class NewHopeCycleModel:

@@ -28,7 +28,6 @@ from repro.ring.ternary import (
 )
 from repro.ring.splitting import (
     UNIT_LEN,
-    ring_multiply,
     software_mul512,
     split_mul_general,
     split_mul_high,
@@ -49,7 +48,6 @@ __all__ = [
     "split_mul_general",
     "split_mul_high",
     "split_mul_low",
-    "ring_multiply",
     "software_mul512",
     "UNIT_LEN",
 ]

@@ -77,7 +77,7 @@ def _bit_reverse_indices(n: int) -> np.ndarray:
 class NttContext:
     """Precomputed tables for the negacyclic NTT of size n modulo q."""
 
-    def __init__(self, n: int, q: int = NEWHOPE_Q):
+    def __init__(self, n: int, q: int = NEWHOPE_Q) -> None:
         if n & (n - 1) or n < 2:
             raise ValueError("NTT size must be a power of two >= 2")
         self.n = n

@@ -12,6 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+import numpy.typing as npt
 
 #: LAC's coefficient modulus (a single byte, prime).
 LAC_Q = 251
@@ -65,7 +66,7 @@ class PolyRing:
     splitting algorithms rely on wrap-free products of padded inputs.
     """
 
-    def __init__(self, n: int, q: int = LAC_Q, negacyclic: bool = True):
+    def __init__(self, n: int, q: int = LAC_Q, negacyclic: bool = True) -> None:
         if n < 1:
             raise ValueError("ring degree must be positive")
         if q < 2:
@@ -82,7 +83,7 @@ class PolyRing:
         """The zero element."""
         return np.zeros(self.n, dtype=np.int64)
 
-    def element(self, coeffs) -> np.ndarray:
+    def element(self, coeffs: npt.ArrayLike) -> np.ndarray:
         """Coerce and reduce an arbitrary coefficient sequence."""
         array = np.asarray(coeffs, dtype=np.int64)
         if array.ndim != 1 or array.size != self.n:

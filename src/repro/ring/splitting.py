@@ -23,13 +23,14 @@ reference, and the MUL TER hardware model.
 
 from __future__ import annotations
 
-from typing import Callable, Protocol
+from typing import Callable
 
 import numpy as np
+import numpy.typing as npt
 
 from repro.metrics import OpCounter, ensure_counter
 from repro.ring.poly import LAC_Q, PolyRing
-from repro.ring.ternary import TernaryPoly, ternary_mul
+from repro.ring.ternary import TernaryPoly
 
 #: Signature of the length-512 multiplier primitive: takes a ternary
 #: operand (int8, {-1,0,1}, length 512), a general operand (int64,
@@ -46,7 +47,7 @@ def software_mul512(ternary: np.ndarray, general: np.ndarray, negacyclic: bool) 
     return ring.reduce_full(np.convolve(ternary.astype(np.int64), general))
 
 
-def _pad_to_unit(half: np.ndarray, dtype) -> np.ndarray:
+def _pad_to_unit(half: np.ndarray, dtype: npt.DTypeLike) -> np.ndarray:
     out = np.zeros(UNIT_LEN, dtype=dtype)
     out[: half.size] = half
     return out
@@ -138,19 +139,11 @@ def split_mul_high(
     return out
 
 
-class SupportsMul512(Protocol):
-    """Anything exposing the length-512 multiplier interface."""
-
-    def __call__(
-        self, ternary: np.ndarray, general: np.ndarray, negacyclic: bool
-    ) -> np.ndarray: ...
-
-
 def split_mul_general(
     ternary: np.ndarray,
     general: np.ndarray,
     unit_len: int,
-    mul_unit,
+    mul_unit: Mul512,
     counter: OpCounter | None = None,
     q: int = LAC_Q,
 ) -> np.ndarray:
@@ -210,27 +203,3 @@ def split_mul_general(
         counter.count("modq", m)
         counter.count("store", m)
     return out
-
-
-def ring_multiply(
-    ring: PolyRing,
-    ternary: TernaryPoly,
-    general: np.ndarray,
-    mul512: Mul512 | None = None,
-    counter: OpCounter | None = None,
-) -> np.ndarray:
-    """Multiply using the accelerator-shaped data path for any LAC size.
-
-    For n = 512 the unit is used directly in negative-convolution mode;
-    for n = 1024 the two-level split of Algorithm 1 is applied.  With
-    ``mul512=None`` the reference software schedule
-    (:func:`repro.ring.ternary.ternary_mul`) runs instead — this is the
-    "LAC ref." configuration of Table II.
-    """
-    if mul512 is None:
-        return ternary_mul(ring, ternary, general, counter)
-    if ring.n == UNIT_LEN:
-        return np.mod(mul512(ternary.coeffs, general, ring.negacyclic), ring.q)
-    if ring.n == 2 * UNIT_LEN:
-        return split_mul_high(ternary, general, mul512, counter, ring.q)
-    raise ValueError(f"unsupported ring size {ring.n} for the length-512 unit")

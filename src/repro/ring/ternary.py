@@ -12,6 +12,7 @@ cycle counts of Table II's "Multiplication" column).
 from __future__ import annotations
 
 import numpy as np
+import numpy.typing as npt
 
 from repro.metrics import OpCounter, ensure_counter
 from repro.ring.poly import LAC_Q, PolyRing
@@ -26,7 +27,7 @@ class TernaryPoly:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs):
+    def __init__(self, coeffs: npt.ArrayLike) -> None:
         array = np.asarray(coeffs, dtype=np.int8)
         if array.ndim != 1:
             raise ValueError("ternary polynomial must be one-dimensional")

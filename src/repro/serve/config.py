@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 from repro.backend.base import BACKEND_ENV_VAR, resolve_backend_name
@@ -236,16 +236,10 @@ def _parse_env(
         raise ValueError(f"${name}={env[name]!r}: {exc}") from exc
 
 
-def replace_config(config: ServiceConfig, **changes: object) -> ServiceConfig:
-    """``dataclasses.replace`` for :class:`ServiceConfig` (re-validated)."""
-    return replace(config, **changes)  # type: ignore[arg-type]
-
-
 __all__ = [
     "BACKEND_WORKERS_ENV_VAR",
     "CYCLE_PRIORS_ENV_VAR",
     "DEADLINE_ENV_VAR",
     "ServiceConfig",
     "TenantQuota",
-    "replace_config",
 ]

@@ -42,10 +42,6 @@ PENDING = (
     "repro/lac/sampling.py",
     "repro/newhope/cca.py",
     "repro/newhope/cpa.py",
-    "repro/ring/ntt.py",
-    "repro/ring/poly.py",
-    "repro/ring/splitting.py",
-    "repro/ring/ternary.py",
     "repro/riscv/assembler.py",
     "repro/riscv/cpu.py",
     "repro/riscv/memory.py",

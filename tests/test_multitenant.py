@@ -20,7 +20,7 @@ import pytest
 from repro.errors import ServiceBusy
 from repro.lac.kem import LacKem
 from repro.lac.params import LAC_128, LAC_256
-from repro.loadgen import OpenLoopLoadGen, PoissonProcess, TierSpec
+from repro.loadgen import OpenLoopLoadGen, TierSpec
 from repro.newhope.params import NEWHOPE_512
 from repro.schemes import NEWHOPE_SCHEME, wire_id_for_params
 from repro.serve import (
@@ -345,10 +345,10 @@ def test_multitenant_chaos_ledger_balances():
         )
         gen = OpenLoopLoadGen(
             _tenant_send(clients, references),
-            PoissonProcess(240.0, seed=11),
+            240.0,
+            seed=11,
             max_requests=240,
             tiers=tiers,
-            seed=11,
         )
         recorder = await gen.run()
         snapshot = svc.metrics.snapshot()
@@ -475,10 +475,10 @@ def test_mixed_scheme_mixed_tenant_acceptance():
         total = sum(rates.values())
         gen = OpenLoopLoadGen(
             _tenant_send(clients, references),
-            PoissonProcess(total, seed=23),
+            total,
+            seed=23,
             max_requests=int(2.0 * total),  # two seconds of traffic
             tiers=tiers,
-            seed=23,
         )
         run = await gen.run()
         snapshot = svc.metrics.snapshot()

@@ -8,7 +8,6 @@ from repro.metrics import OpCounter
 from repro.ring.poly import PolyRing
 from repro.ring.splitting import (
     UNIT_LEN,
-    ring_multiply,
     software_mul512,
     split_mul_high,
     split_mul_low,
@@ -39,6 +38,19 @@ class TestSplitMulLow:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             split_mul_low(np.zeros(100, dtype=np.int8), np.zeros(100, dtype=np.int64))
+
+    def test_positive_convolution_padding_is_wrap_free(self):
+        # the foundation of Algorithm 2: padded halves never wrap
+        rng = np.random.default_rng(9)
+        t = np.zeros(UNIT_LEN, dtype=np.int8)
+        g = np.zeros(UNIT_LEN, dtype=np.int64)
+        t[: UNIT_LEN // 2] = rng.integers(-1, 2, UNIT_LEN // 2)
+        g[: UNIT_LEN // 2] = rng.integers(0, 251, UNIT_LEN // 2)
+        wrapped = software_mul512(t, g, False)
+        plain = np.mod(np.convolve(t.astype(np.int64), g), 251)[:UNIT_LEN]
+        padded = np.zeros(UNIT_LEN, dtype=np.int64)
+        padded[: plain.size] = plain
+        assert np.array_equal(wrapped, padded)
 
 
 class TestSplitMulHigh:
@@ -119,45 +131,3 @@ def software_mul512_sized(ternary, general, negacyclic, unit_len):
     """Golden unit primitive at an arbitrary length."""
     ring = PolyRing(unit_len, negacyclic=negacyclic)
     return ring.reduce_full(np.convolve(ternary.astype(np.int64), general))
-
-
-class TestRingMultiply:
-    def test_dispatch_512_direct(self):
-        ternary, general = _random_operands(UNIT_LEN, 1)
-        ring = PolyRing(UNIT_LEN)
-        got = ring_multiply(ring, TernaryPoly(ternary), general, mul512=software_mul512)
-        expected = ring.mul(np.mod(ternary.astype(np.int64), 251), general)
-        assert np.array_equal(got, expected)
-
-    def test_dispatch_1024_split(self):
-        ternary, general = _random_operands(2 * UNIT_LEN, 2)
-        ring = PolyRing(2 * UNIT_LEN)
-        got = ring_multiply(ring, TernaryPoly(ternary), general, mul512=software_mul512)
-        expected = ring.mul(np.mod(ternary.astype(np.int64), 251), general)
-        assert np.array_equal(got, expected)
-
-    def test_dispatch_reference_path(self):
-        ternary, general = _random_operands(64, 4)
-        ring = PolyRing(64)
-        got = ring_multiply(ring, TernaryPoly(ternary), general, mul512=None)
-        expected = ring.mul(np.mod(ternary.astype(np.int64), 251), general)
-        assert np.array_equal(got, expected)
-
-    def test_unsupported_size(self):
-        ternary, general = _random_operands(256, 5)
-        ring = PolyRing(256)
-        with pytest.raises(ValueError):
-            ring_multiply(ring, TernaryPoly(ternary), general, mul512=software_mul512)
-
-    def test_positive_convolution_padding_is_wrap_free(self):
-        # the foundation of Algorithm 2: padded halves never wrap
-        rng = np.random.default_rng(9)
-        t = np.zeros(UNIT_LEN, dtype=np.int8)
-        g = np.zeros(UNIT_LEN, dtype=np.int64)
-        t[: UNIT_LEN // 2] = rng.integers(-1, 2, UNIT_LEN // 2)
-        g[: UNIT_LEN // 2] = rng.integers(0, 251, UNIT_LEN // 2)
-        wrapped = software_mul512(t, g, False)
-        plain = np.mod(np.convolve(t.astype(np.int64), g), 251)[:UNIT_LEN]
-        padded = np.zeros(UNIT_LEN, dtype=np.int64)
-        padded[: plain.size] = plain
-        assert np.array_equal(wrapped, padded)

@@ -27,7 +27,7 @@ from repro.faults import (
     FaultSpec,
 )
 from repro.lac.params import LAC_128
-from repro.loadgen import OpenLoopLoadGen, PoissonProcess, TierSpec
+from repro.loadgen import OpenLoopLoadGen, TierSpec
 from repro.serve import AsyncKemClient, KemService, ServiceConfig
 from repro.schemes import wire_id_for_params
 from repro.trace import InMemoryRecorder, Tracer
@@ -250,13 +250,13 @@ def test_twice_capacity_sheds_and_serves_no_ok_late():
 
         run = await OpenLoopLoadGen(
             send,
-            PoissonProcess(2 * capacity, seed=5),
+            2 * capacity,
+            seed=5,
             duration_s=1.5,
             tiers=(
                 TierSpec(tier=0, weight=0.7, deadline_s=DEADLINE_S),
                 TierSpec(tier=2, weight=0.3, deadline_s=DEADLINE_S),
             ),
-            seed=5,
         ).run()
         await client.aclose()
         await svc.shutdown()
