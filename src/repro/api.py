@@ -29,7 +29,6 @@ this facade in application code, as ``examples/kem_service.py`` does.
 """
 
 from repro.backend import (
-    BACKEND_ENV_VAR,
     BACKEND_NAMES,
     DEFAULT_BACKEND,
     CosimBackend,
@@ -37,9 +36,9 @@ from repro.backend import (
     KemBackend,
     ProcessBackend,
     ThreadBackend,
+    check_backend_name,
     create_backend,
     default_thread_backend,
-    resolve_backend_name,
 )
 from repro.errors import (
     BackendError,
@@ -124,7 +123,6 @@ __all__ = [
     "scheme_for",
     "wire_id_for_params",
     # execution backends
-    "BACKEND_ENV_VAR",
     "BACKEND_NAMES",
     "CosimBackend",
     "DEFAULT_BACKEND",
@@ -132,9 +130,9 @@ __all__ = [
     "KemBackend",
     "ProcessBackend",
     "ThreadBackend",
+    "check_backend_name",
     "create_backend",
     "default_thread_backend",
-    "resolve_backend_name",
     # serving
     "AsyncKemClient",
     "DEFAULT_TENANT",

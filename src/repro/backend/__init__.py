@@ -15,23 +15,21 @@ four implementations:
               by the calibrated Table I/II model
 ============  =========================================================
 
-Select by name with :func:`create_backend`, by configuration with
-``ServiceConfig(backend=...)``, or globally with the
-``REPRO_KEM_BACKEND`` environment variable.  All backends produce
-results bit-identical to the scalar :class:`repro.lac.LacKem`.
+Select by name with :func:`create_backend`, or by configuration with
+``ServiceConfig(backend=...)``.  A batch reaches any of them only
+through :meth:`KemBackend.submit`.  All backends produce results
+bit-identical to the scalar :class:`repro.lac.LacKem`.
 """
 
 from repro.backend.base import (
-    BACKEND_ENV_VAR,
     BACKEND_NAMES,
     DEFAULT_BACKEND,
     KemBackend,
     KernelWrapper,
+    check_backend_name,
     create_backend,
-    resolve_backend_name,
 )
 from repro.backend.cosim import (
-    COSIM_PROFILE_ENV_VAR,
     DEFAULT_COSIM_PROFILE,
     CosimBackend,
     model_cycles,
@@ -45,9 +43,7 @@ from repro.backend.thread import (
 )
 
 __all__ = [
-    "BACKEND_ENV_VAR",
     "BACKEND_NAMES",
-    "COSIM_PROFILE_ENV_VAR",
     "CosimBackend",
     "DEFAULT_BACKEND",
     "DEFAULT_COSIM_PROFILE",
@@ -57,8 +53,8 @@ __all__ = [
     "KernelWrapper",
     "ProcessBackend",
     "ThreadBackend",
+    "check_backend_name",
     "create_backend",
     "default_thread_backend",
     "model_cycles",
-    "resolve_backend_name",
 ]

@@ -56,14 +56,13 @@ across every backend — the conformance suite in
 ``tests/test_backend.py`` pins that invariant, the way the paper's
 accelerated kernels are validated against the reference software.
 
-Backends are selected by name through :func:`create_backend` (used by
-``ServiceConfig``/CLI) or the ``REPRO_KEM_BACKEND`` environment
-variable; see ``docs/SERVICE.md`` for the trade-offs.
+Backends are selected by name through :func:`create_backend` (what
+``ServiceConfig.backend`` names); see ``docs/SERVICE.md`` for the
+trade-offs.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterable, Sequence
@@ -74,11 +73,7 @@ from repro.errors import UnsupportedScheme
 from repro.ring.cache import DEFAULT_CACHE_ENTRIES, KeyTransformCache
 from repro.schemes import LAC_SCHEME, KemScheme, resolve
 
-#: Environment variable consulted when no backend name is given
-#: explicitly (``ServiceConfig.backend=None`` and no ``backend=`` arg).
-BACKEND_ENV_VAR = "REPRO_KEM_BACKEND"
-
-#: The backend used when neither configuration nor environment names one.
+#: The backend used when no configuration names one.
 DEFAULT_BACKEND = "thread"
 
 #: A hook run *inside the backend's execution context* around the
@@ -345,21 +340,20 @@ class KemBackend(ABC):
         return future
 
 
-def resolve_backend_name(name: str | None = None) -> str:
-    """The backend name to use: explicit, else env, else the default."""
-    resolved = name or os.environ.get(BACKEND_ENV_VAR) or DEFAULT_BACKEND
-    if resolved not in BACKEND_NAMES:
+def check_backend_name(name: str) -> None:
+    """Raise ``ValueError`` unless ``name`` is one of :data:`BACKEND_NAMES`."""
+    if name not in BACKEND_NAMES:
         raise ValueError(
-            f"unknown KEM backend {resolved!r} (choose from {sorted(BACKEND_NAMES)})"
+            f"unknown KEM backend {name!r} (choose from {sorted(BACKEND_NAMES)})"
         )
-    return resolved
 
 
-def create_backend(name: str | None = None, workers: int | None = None) -> KemBackend:
+def create_backend(
+    name: str = DEFAULT_BACKEND, workers: int | None = None
+) -> KemBackend:
     """Create (or share) a backend by name.
 
-    ``name`` of ``None`` falls back to ``$REPRO_KEM_BACKEND``, then to
-    ``"thread"``.  ``workers`` sizes the pool — its :attr:`~KemBackend.slots`
+    ``workers`` sizes the pool — its :attr:`~KemBackend.slots`
     for the life of the backend.  A plain ``"thread"`` request with no
     size returns the process-wide shared default backend, whose
     :meth:`~KemBackend.close` is a no-op.
@@ -369,16 +363,16 @@ def create_backend(name: str | None = None, workers: int | None = None) -> KemBa
     from repro.backend.process import ProcessBackend
     from repro.backend.thread import ThreadBackend, default_thread_backend
 
-    resolved = resolve_backend_name(name)
+    check_backend_name(name)
     if workers is not None and workers < 1:
         raise ValueError("workers must be >= 1")
-    if resolved == "inline":
+    if name == "inline":
         return InlineBackend()
-    if resolved == "process":
+    if name == "process":
         return ProcessBackend(workers=workers)
-    if resolved == "cosim":
-        # one simulated in-order core: sizing does not apply (the
-        # profile comes from $REPRO_COSIM_PROFILE or the constructor)
+    if name == "cosim":
+        # one simulated in-order core: sizing does not apply, and a
+        # profile other than the default needs the constructor
         return CosimBackend()
     if workers is None:
         return default_thread_backend()

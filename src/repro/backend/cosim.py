@@ -30,7 +30,6 @@ equality and the counts themselves).
 
 from __future__ import annotations
 
-import os
 import threading
 from collections.abc import Callable
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -45,11 +44,8 @@ from repro.metrics import OpCounter
 from repro.schemes import KemScheme
 from repro.trace import annotate, current_tags
 
-#: Environment variable selecting the cosim profile when the backend is
-#: created by name (``create_backend("cosim")`` / ``ServiceConfig``).
-COSIM_PROFILE_ENV_VAR = "REPRO_COSIM_PROFILE"
-
-#: The profile used when neither argument nor environment names one.
+#: The profile of a backend created by name (``create_backend("cosim")``
+#: / ``ServiceConfig``) or built without one.
 DEFAULT_COSIM_PROFILE = "ise"
 
 #: ``ProtocolCycles`` field per wire op name.
@@ -82,25 +78,25 @@ def model_cycles(params: LacParams, profile: str) -> ProtocolCycles:
 
 
 class CosimBackend(KemBackend):
-    """Execute KEM kernels on the cycle-counted simulated ISE core."""
+    """Execute KEM kernels on the cycle-counted simulated ISE core.
+
+    ``profile`` picks the schedule being priced (one of
+    :data:`repro.cosim.PROFILES`, :data:`DEFAULT_COSIM_PROFILE` when
+    omitted); it is fixed for the life of the backend.
+    """
 
     name = "cosim"
 
-    def __init__(self, profile: str | None = None) -> None:
-        resolved = (
-            profile
-            or os.environ.get(COSIM_PROFILE_ENV_VAR)
-            or DEFAULT_COSIM_PROFILE
-        )
-        if resolved not in PROFILES:
+    def __init__(self, profile: str = DEFAULT_COSIM_PROFILE) -> None:
+        if profile not in PROFILES:
             raise ValueError(
-                f"cosim profile must be one of {PROFILES}, got {resolved!r}"
+                f"cosim profile must be one of {PROFILES}, got {profile!r}"
             )
         # The simulated core runs the scalar drivers; the vectorized
         # per-key transform cache never participates, so it stays off.
         super().__init__(cache_entries=0)
-        self.profile = resolved
-        self.costs: CycleCosts = ISE_COSTS if resolved == "ise" else REFERENCE_COSTS
+        self.profile = profile
+        self.costs: CycleCosts = ISE_COSTS if profile == "ise" else REFERENCE_COSTS
         self._models_lock = threading.Lock()
         self._models: dict[str, CycleModel] = {}
         self._executor: ThreadPoolExecutor | None = ThreadPoolExecutor(

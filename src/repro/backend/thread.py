@@ -7,9 +7,10 @@ kernels drop the GIL there, so neighbouring batches overlap.
 :func:`default_thread_backend` is the process-wide shared instance
 every service that sizes no pool of its own runs on.
 
-The pool's size is fixed when the backend is built: it is the
-backend's :attr:`~repro.backend.base.KemBackend.slots`, the number of
-batches the serving layer lets run at once.
+A thread backend always owns its pool, and the pool's size is fixed
+when the backend is built: it is the backend's
+:attr:`~repro.backend.base.KemBackend.slots`, the number of batches
+the serving layer lets run at once.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import os
 import threading
 from collections.abc import Callable
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any
 
 from repro.backend.base import KemBackend, KernelWrapper
@@ -28,51 +29,30 @@ DEFAULT_THREAD_WORKERS = min(32, (os.cpu_count() or 4))
 
 
 class ThreadBackend(KemBackend):
-    """Run batched kernels on a thread pool.
-
-    ``executor`` borrows an existing pool (never shut down by
-    :meth:`close`); otherwise the backend owns a fresh pool of
-    ``workers`` threads (default :data:`DEFAULT_THREAD_WORKERS`).
-    """
+    """Run batched kernels on an owned pool of ``workers`` threads
+    (default :data:`DEFAULT_THREAD_WORKERS`)."""
 
     name = "thread"
 
     def __init__(
-        self,
-        executor: Executor | None = None,
-        workers: int | None = None,
-        cache_entries: int | None = None,
+        self, workers: int | None = None, cache_entries: int | None = None
     ) -> None:
         super().__init__(cache_entries=cache_entries)
-        if executor is not None and workers is not None:
-            raise ValueError("pass either executor= or workers=, not both")
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
-        self._owns_executor = executor is None
-        self._executor: Executor = (
-            executor
-            if executor is not None
-            else ThreadPoolExecutor(
-                max_workers=workers or DEFAULT_THREAD_WORKERS,
-                thread_name_prefix="repro-backend",
-            )
-        )
-        # a borrowed pool's size is read off it (every ``concurrent.futures``
-        # pool records one); only an executor that keeps none is guessed at
-        self._slots: int = (
-            workers or DEFAULT_THREAD_WORKERS
-            if executor is None
-            else getattr(executor, "_max_workers", DEFAULT_THREAD_WORKERS)
+        self._slots = workers or DEFAULT_THREAD_WORKERS
+        self._executor = ThreadPoolExecutor(
+            max_workers=self._slots, thread_name_prefix="repro-backend"
         )
 
     @property
-    def executor(self) -> Executor:
-        """The pool batches dispatch onto (borrowed or owned)."""
+    def executor(self) -> ThreadPoolExecutor:
+        """The pool batches dispatch onto."""
         return self._executor
 
     @property
     def slots(self) -> int:
-        """The pool's thread count, borrowed pools included."""
+        """The pool's thread count."""
         return self._slots
 
     def _spawn(
@@ -81,13 +61,11 @@ class ThreadBackend(KemBackend):
         return self._executor.submit(self._tracked, wrapper, work)
 
     def close(self, wait: bool = True) -> None:
-        """Shut down an owned pool (a borrowed executor is left running)."""
+        """Shut the pool down."""
         if self._closed:
             return
         super().close(wait)
-        if self._owns_executor:
-            assert isinstance(self._executor, ThreadPoolExecutor)
-            self._executor.shutdown(wait=wait)
+        self._executor.shutdown(wait=wait)
 
 
 class _SharedThreadBackend(ThreadBackend):

@@ -35,29 +35,28 @@ operands and ``(n/2,)`` transforms gathered by lane index into the one
 ring product; K = 1 — what :func:`encaps_many`/:func:`decaps_many`
 pass — skips the gather and broadcasts the single operand.
 
-A batch runs in the caller's thread; ``backend=`` runs it through a
-:class:`repro.backend.KemBackend` instead (a pool thread, the
-multi-process backend, the simulated core).
+A batch here runs in the caller's thread.  To run one elsewhere (a
+pool thread, the multi-process backend, the simulated core), submit it
+to a :class:`repro.backend.KemBackend`: its ``submit`` is the one way a
+batch reaches a backend, and it calls back into these kernels through
+the LAC scheme adapter.
 """
 
 from __future__ import annotations
 
 import secrets
 from collections.abc import Sequence
-from typing import TYPE_CHECKING, TypeVar
+from typing import TypeVar
 
 import numpy as np
 
 from repro.batch.encode import encode_many
 from repro.batch.sampling import gen_a_vec, sample_secret_rows
-from repro.lac.kem import EncapsResult, KemKeyPair, KemSecretKey, LacKem, _hash3
+from repro.lac.kem import EncapsResult, KemSecretKey, LacKem, _hash3
 from repro.lac.params import LacParams
 from repro.lac.pke import Ciphertext, PublicKey
 from repro.ring.cache import KeyTransformCache, fingerprint
 from repro.trace import current_tags
-
-if TYPE_CHECKING:  # pragma: no cover - type-only (repro.backend imports us)
-    from repro.backend.base import KemBackend
 
 _T = TypeVar("_T")
 
@@ -415,7 +414,6 @@ def encaps_many(
     pk: PublicKey,
     messages: Sequence[bytes] | None = None,
     count: int | None = None,
-    backend: "KemBackend | None" = None,
     cache: KeyTransformCache | None = None,
 ) -> list[EncapsResult]:
     """Encapsulate a batch of shared secrets under one public key.
@@ -423,10 +421,7 @@ def encaps_many(
     Either pass explicit ``messages`` (tests/KATs, batch size = its
     length) or a ``count`` of OS-random messages.  Results are
     positionally identical to calling :meth:`LacKem.encaps` in a loop
-    with the same messages.  ``backend`` routes the batch through a
-    :class:`repro.backend.KemBackend` (backends carry their own
-    transform cache, and speak wire bytes, so the ciphertexts are
-    re-parsed here).  ``cache`` supplies a
+    with the same messages.  ``cache`` supplies a
     :class:`repro.ring.KeyTransformCache` so repeated batches under the
     same key skip the key-side forward FFT (and the GenA expansion) —
     results stay bit-identical either way.
@@ -447,20 +442,10 @@ def encaps_many(
             )
     if not messages:
         return []
-    if backend is not None:
-        from repro.schemes import LAC_SCHEME  # lazy: its adapter imports us
-
-        # encapsulation reads only the public half of the pair
-        pair = KemKeyPair(pk, None)  # type: ignore[arg-type]
-        wire = backend.submit(
-            LAC_SCHEME, kem.params, "ENCAPS", [pair] * len(messages), messages
-        ).result()
-    else:
-        rows, shared = _encaps_chunk(kem, [pk] * len(messages), messages, cache)
-        wire = list(zip(_row_bytes(rows), shared))
+    rows, shared = _encaps_chunk(kem, [pk] * len(messages), messages, cache)
     return [
-        EncapsResult(Ciphertext.from_bytes(kem.params, ct_bytes), shared)
-        for ct_bytes, shared in wire
+        EncapsResult(Ciphertext.from_bytes(kem.params, ct_bytes), secret)
+        for ct_bytes, secret in zip(_row_bytes(rows), shared)
     ]
 
 
@@ -468,28 +453,19 @@ def decaps_many(
     kem: LacKem,
     keys: KemSecretKey,
     ciphertexts: Sequence[Ciphertext],
-    backend: "KemBackend | None" = None,
     cache: KeyTransformCache | None = None,
 ) -> list[bytes]:
     """Decapsulate a batch of ciphertexts under one secret key.
 
     Results are positionally identical to calling
     :meth:`LacKem.decaps` in a loop (including implicit rejection of
-    malformed ciphertexts).  ``backend`` routes the batch through a
-    :class:`repro.backend.KemBackend`, and ``cache`` caches the hosted
-    key's transforms across batches, exactly as for :func:`encaps_many`.
+    malformed ciphertexts).  ``cache`` caches the hosted key's
+    transforms across batches, exactly as for :func:`encaps_many`.
     """
     ciphertexts = list(ciphertexts)
     if not ciphertexts:
         return []
     blobs = [ct.to_bytes() for ct in ciphertexts]
-    if backend is not None:
-        from repro.schemes import LAC_SCHEME  # lazy: its adapter imports us
-
-        pair = KemKeyPair(keys.pk, keys)
-        return backend.submit(
-            LAC_SCHEME, kem.params, "DECAPS", [pair] * len(blobs), blobs
-        ).result()
     return _decaps_chunk(
         kem, [keys] * len(blobs), wire_rows(kem.params, blobs), cache
     )

@@ -93,10 +93,6 @@ class Sha256Unit(ClockedUnit):
         """Busy clocks per compression (excluding I/O transfers)."""
         return COMPRESSION_CYCLES
 
-    @property
-    def transfers_per_block(self) -> int:
-        return 64 // BYTES_PER_TRANSFER
-
     def inventory(self) -> ComponentInventory:
         """Iterative SHA-256 core: ~1.5k registers, ~1k LUTs (Table III).
 

@@ -15,6 +15,7 @@ removes the remaining bit errors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 
@@ -37,10 +38,21 @@ class DecodedMessage:
     channel_errors: int
 
 
+class BchDecoder(Protocol):
+    """A BCH decoder override: the decoders of :mod:`repro.bch`, or the
+    ISE-accelerated one of the co-design layer."""
+
+    def decode(
+        self, received: np.ndarray, counter: OpCounter | None = None
+    ) -> DecodeResult:
+        """Correct ``received`` (a codeword's bits)."""
+        ...
+
+
 class MessageCodec:
     """Encode/decode 32-byte messages into/out of ring coefficients."""
 
-    def __init__(self, params: LacParams):
+    def __init__(self, params: LacParams) -> None:
         self.params = params
         self.encoder = BCHEncoder(params.bch)
         self.decoder = BCHDecoder(params.bch)
@@ -123,7 +135,7 @@ class MessageCodec:
         noisy: np.ndarray,
         counter: OpCounter | None = None,
         constant_time: bool = True,
-        bch_decoder=None,
+        bch_decoder: BchDecoder | None = None,
     ) -> DecodedMessage:
         """Full decode: threshold bits, then BCH error correction.
 

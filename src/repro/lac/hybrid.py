@@ -111,7 +111,7 @@ class HybridCiphertext:
 class LacHybrid:
     """Seal/open arbitrary-length messages under a LAC public key."""
 
-    def __init__(self, params: LacParams):
+    def __init__(self, params: LacParams) -> None:
         self.params = params
         self.kem = LacKem(params)
 

@@ -11,6 +11,11 @@ Key derivations (SHA-256 with domain separation):
 * coins  = H(m || H(pk) || "coins")  — deterministic encryption randomness
 * shared = H(m || H(ct) || "shared") — the session key
 * reject = H(z || H(ct) || "reject") — implicit rejection on FO failure
+
+:meth:`LacKem.encaps_many`/:meth:`LacKem.decaps_many` run a whole
+batch through the vectorized kernels of :mod:`repro.batch` in the
+caller's thread; a batch reaches an execution backend only through
+:meth:`repro.backend.KemBackend.submit`.
 """
 
 from __future__ import annotations
@@ -19,9 +24,11 @@ import secrets
 from dataclasses import dataclass
 
 from repro.hashes.sha256 import sha256
+from repro.lac.encoding import BchDecoder
 from repro.lac.params import LacParams
-from repro.lac.pke import Ciphertext, LacPke, Multiplier, PublicKey, SecretKey, fast_multiplier
+from repro.lac.pke import Ciphertext, LacPke, Multiplier, PublicKey, SecretKey, VMultiplier, fast_multiplier
 from repro.metrics import OpCounter, ensure_counter
+from repro.ring.cache import KeyTransformCache
 
 
 def _hash3(a: bytes, b: bytes, label: bytes, counter: OpCounter | None = None) -> bytes:
@@ -81,9 +88,9 @@ class LacKem:
         params: LacParams,
         multiplier: Multiplier = fast_multiplier,
         constant_time_bch: bool = True,
-        v_multiplier=None,
-        bch_decoder=None,
-    ):
+        v_multiplier: VMultiplier | None = None,
+        bch_decoder: BchDecoder | None = None,
+    ) -> None:
         self.params = params
         self.pke = LacPke(
             params,
@@ -150,9 +157,8 @@ class LacKem:
         pk: PublicKey,
         messages: list[bytes] | None = None,
         count: int | None = None,
-        backend=None,
-        cache=None,
-    ) -> list["EncapsResult"]:
+        cache: KeyTransformCache | None = None,
+    ) -> list[EncapsResult]:
         """Encapsulate a whole batch under ``pk`` (vectorized fast path).
 
         Stacks the batch into 2-D arrays and runs batched negacyclic
@@ -160,9 +166,6 @@ class LacKem:
         (:mod:`repro.batch`); ``GenA`` and the public-key digest are
         computed once per batch.  Output is positionally bit-identical
         to calling :meth:`encaps` in a loop with the same messages.
-        ``backend`` routes the batch through a
-        :class:`repro.backend.KemBackend` (a pool thread, worker
-        processes, the simulated core) instead of the caller's thread.
         ``cache`` accepts a :class:`repro.ring.KeyTransformCache`:
         repeated batches under the same key then reuse the key-side
         forward FFT (and skip GenA), still bit-identical to the scalar
@@ -171,31 +174,24 @@ class LacKem:
         """
         from repro.batch import encaps_many as _encaps_many
 
-        return _encaps_many(
-            self, pk, messages=messages, count=count, backend=backend,
-            cache=cache,
-        )
+        return _encaps_many(self, pk, messages=messages, count=count, cache=cache)
 
     def decaps_many(
         self,
         keys: KemSecretKey,
         ciphertexts: list[Ciphertext],
-        backend=None,
-        cache=None,
+        cache: KeyTransformCache | None = None,
     ) -> list[bytes]:
         """Decapsulate a whole batch (vectorized fast path).
 
         The counterpart of :meth:`encaps_many`; positionally identical
         to looping :meth:`decaps`, including implicit rejection.
-        ``backend`` routes through a :class:`repro.backend.KemBackend`,
-        and ``cache`` reuses the hosted key's transforms across batches,
-        as for :meth:`encaps_many`.
+        ``cache`` reuses the hosted key's transforms across batches, as
+        for :meth:`encaps_many`.
         """
         from repro.batch import decaps_many as _decaps_many
 
-        return _decaps_many(
-            self, keys, ciphertexts, backend=backend, cache=cache
-        )
+        return _decaps_many(self, keys, ciphertexts, cache=cache)
 
     # ------------------------------------------------------------------
 

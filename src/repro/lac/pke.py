@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.hashes.prng import Sha256Prng
 from repro.hashes.sha256 import sha256
-from repro.lac.encoding import DecodedMessage, MessageCodec
+from repro.lac.encoding import BchDecoder, DecodedMessage, MessageCodec
 from repro.lac.params import LacParams
 from repro.lac.sampling import gen_a, sample_secret_and_error
 from repro.metrics import OpCounter, ensure_counter
@@ -29,6 +29,12 @@ from repro.ring.ternary import TernaryPoly
 
 #: Multiplication strategy: (ring, ternary, general, counter) -> product.
 Multiplier = Callable[[PolyRing, TernaryPoly, np.ndarray, "OpCounter | None"], np.ndarray]
+
+#: Truncated multiplication for v: (ring, ternary, general, slots,
+#: counter) -> the first ``slots`` coefficients of the product.
+VMultiplier = Callable[
+    [PolyRing, TernaryPoly, np.ndarray, int, "OpCounter | None"], np.ndarray
+]
 
 
 def fast_multiplier(
@@ -144,9 +150,9 @@ class LacPke:
         self,
         params: LacParams,
         multiplier: Multiplier = fast_multiplier,
-        v_multiplier=None,
-        bch_decoder=None,
-    ):
+        v_multiplier: VMultiplier | None = None,
+        bch_decoder: BchDecoder | None = None,
+    ) -> None:
         self.params = params
         self.ring = params.ring
         self.codec = MessageCodec(params)

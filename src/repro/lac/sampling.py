@@ -17,6 +17,8 @@ the four bottleneck kernels of Table II.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.hashes.prng import Sha256Prng
@@ -24,12 +26,15 @@ from repro.lac.params import LacParams
 from repro.metrics import OpCounter, ensure_counter
 from repro.ring.ternary import TernaryPoly
 
+if TYPE_CHECKING:
+    from repro.hashes.keccak import ShakePrng
+
 
 def gen_a(
     seed: bytes,
     params: LacParams,
     counter: OpCounter | None = None,
-    prng=None,
+    prng: Sha256Prng | ShakePrng | None = None,
 ) -> np.ndarray:
     """Expand ``seed`` into the public polynomial a (uniform over Z_q^n).
 

@@ -48,24 +48,6 @@ class RiscyCostModel:
         """Cycle cost of a conditional branch by outcome."""
         return self.branch_taken if taken else self.branch_not_taken
 
-    def instruction_cost(self, mnemonic: str, taken: bool = False) -> int:
-        """Cycle cost of one retired instruction (PQ busy not included)."""
-        if mnemonic in ("lb", "lh", "lw", "lbu", "lhu"):
-            return self.load
-        if mnemonic in ("sb", "sh", "sw"):
-            return self.store
-        if mnemonic in ("beq", "bne", "blt", "bge", "bltu", "bgeu"):
-            return self.branch(taken)
-        if mnemonic in ("jal", "jalr"):
-            return self.jump
-        if mnemonic in ("mul", "mulh", "mulhsu", "mulhu"):
-            return self.mul
-        if mnemonic in ("div", "divu", "rem", "remu"):
-            return self.div
-        if mnemonic.startswith("pq."):
-            return self.pq_issue
-        return self.alu
-
 
 #: The default model used by the ISS and the analytical cost layer.
 DEFAULT_COST_MODEL = RiscyCostModel()

@@ -28,12 +28,7 @@ from repro.errors import (
     ServiceDraining,
     ServiceError,
 )
-from repro.serve.config import (
-    BACKEND_WORKERS_ENV_VAR,
-    CYCLE_PRIORS_ENV_VAR,
-    ServiceConfig,
-    TenantQuota,
-)
+from repro.serve.config import ServiceConfig, TenantQuota
 from repro.serve.client import AsyncKemClient, KemClient, RetryPolicy
 from repro.serve.metrics import LatencyHistogram, ServiceMetrics
 from repro.serve.protocol import (
@@ -61,9 +56,6 @@ from repro.serve.scheduler import (
 from repro.serve.server import HostedKey, KemService, ThreadedService
 from repro.serve.slo import (
     DEFAULT_CYCLE_PRIORS_HZ,
-    TIER_BATCH,
-    TIER_INTERACTIVE,
-    TIER_STANDARD,
     CycleCostEstimator,
     KernelEstimator,
     predicted_miss,
@@ -72,10 +64,8 @@ from repro.serve.slo import (
 __all__ = [
     "AsyncKemClient",
     "AdaptiveDeadlinePolicy",
-    "BACKEND_WORKERS_ENV_VAR",
     "BadRequest",
     "Batch",
-    "CYCLE_PRIORS_ENV_VAR",
     "CycleCostEstimator",
     "DEFAULT_CYCLE_PRIORS_HZ",
     "DEFAULT_TENANT",
@@ -106,9 +96,6 @@ __all__ = [
     "Status",
     "TenantQuota",
     "ThreadedService",
-    "TIER_BATCH",
-    "TIER_INTERACTIVE",
-    "TIER_STANDARD",
     "TRACE_EXT_SIZE",
     "VERSION_MAX",
     "VERSION_QOS",

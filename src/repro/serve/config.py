@@ -3,31 +3,17 @@
 :class:`ServiceConfig` replaces the flat keyword sprawl that
 :class:`repro.serve.KemService` and :class:`ThreadedService`
 constructors had accumulated — one immutable, validated value that can
-be built once (from code, CLI flags or the environment) and handed to
-any number of services.
+be built once and handed to any number of services.  It is the only
+way a setting reaches a service: nothing here reads the environment.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Mapping
 
-from repro.backend.base import BACKEND_ENV_VAR, resolve_backend_name
+from repro.backend.base import DEFAULT_BACKEND, check_backend_name
 from repro.serve.slo import DEFAULT_CYCLE_PRIORS_HZ
-
-#: Environment variable sizing the backend worker pool (``from_env``).
-BACKEND_WORKERS_ENV_VAR = "REPRO_KEM_BACKEND_WORKERS"
-
-#: Environment variable setting the default per-request deadline in
-#: seconds for requests that carry no wire QoS (``from_env``).
-DEADLINE_ENV_VAR = "REPRO_KEM_DEADLINE_S"
-
-#: Environment variable naming the cycle-model profile that seeds the
-#: SLO estimator with priors (``from_env``; empty = no priors).
-CYCLE_PRIORS_ENV_VAR = "REPRO_KEM_CYCLE_PRIORS"
 
 
 @dataclass(frozen=True)
@@ -54,6 +40,12 @@ class TenantQuota:
     def __post_init__(self) -> None:
         if not 0 <= self.tenant <= 0xFF:
             raise ValueError("tenant id must fit one byte")
+        # NaN passes the bound checks below, and an infinite rate or
+        # burst admits everything: both switch the rate quota off
+        for name in ("ops_per_s", "burst"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if self.max_keys is not None and self.max_keys < 0:
             raise ValueError("max_keys must be >= 0 or None")
         if self.max_inflight is not None and self.max_inflight < 1:
@@ -91,8 +83,8 @@ class ServiceConfig:
         (``None`` disables);
     ``backend``
         execution backend name (``"inline"``/``"thread"``/
-        ``"process"``); ``None`` falls back to ``$REPRO_KEM_BACKEND``,
-        then ``"thread"`` — see :mod:`repro.backend`;
+        ``"process"``/``"cosim"``), checked at construction — see
+        :mod:`repro.backend`;
     ``backend_workers``
         pool size of a backend the service creates, fixed for its life
         — the backend's ``slots``, how many batches run at once
@@ -100,12 +92,11 @@ class ServiceConfig:
         no sizing shares the process-wide default pool);
     ``default_deadline_s``
         latency budget applied to requests that carry no wire QoS
-        deadline (``None`` = such requests are never deadline-shed);
-    ``shed_deadlines``
-        master switch of deadline-aware shedding — when on, a request
-        predicted to miss its deadline (``queue_wait + EWMA kernel
-        estimate > deadline``, :func:`repro.serve.slo.predicted_miss`)
-        is answered ``TIMEOUT``/``BUSY`` *without executing*;
+        deadline (``None`` = such requests are never deadline-shed).
+        Shedding is always on: a request predicted to miss its
+        deadline (``queue_wait + EWMA kernel estimate > deadline``,
+        :func:`repro.serve.slo.predicted_miss`) is answered
+        ``TIMEOUT``/``BUSY`` *without executing*;
     ``tier_watermarks``
         per-priority-tier admission fractions of ``high_watermark``
         (tier 0 first; requests of tier ``t`` are rejected ``BUSY``
@@ -132,10 +123,9 @@ class ServiceConfig:
     min_wait_us: float = 50.0
     high_watermark: int = 4096
     request_timeout: float | None = 30.0
-    backend: str | None = None
+    backend: str = DEFAULT_BACKEND
     backend_workers: int | None = None
     default_deadline_s: float | None = None
-    shed_deadlines: bool = True
     tier_watermarks: tuple[float, ...] = (1.0, 0.75, 0.5)
     cycle_priors: str | None = None
     cycle_priors_hz: float = DEFAULT_CYCLE_PRIORS_HZ
@@ -193,53 +183,11 @@ class ServiceConfig:
                 raise ValueError(
                     f"cycle_priors must be one of {PROFILES} or None"
                 )
-        # validate eagerly so a typo'd name fails at config time, not
-        # at service start (env fallback is deliberately not consulted
-        # here — it is resolved when the service starts)
-        if self.backend is not None:
-            resolve_backend_name(self.backend)
-
-    def resolved_backend(self) -> str:
-        """The effective backend name (explicit, else env, else default)."""
-        return resolve_backend_name(self.backend)
-
-    @classmethod
-    def from_env(
-        cls, env: Mapping[str, str] | None = None, **overrides: object
-    ) -> "ServiceConfig":
-        """A config picking up ``$REPRO_KEM_BACKEND``, its pool size,
-        the default deadline and the cycle priors from the environment.
-
-        Explicit ``overrides`` win over the environment.
-        """
-        env = os.environ if env is None else env
-        kwargs: dict[str, object] = {}
-        if env.get(BACKEND_ENV_VAR):
-            kwargs["backend"] = env[BACKEND_ENV_VAR]
-        if env.get(BACKEND_WORKERS_ENV_VAR):
-            kwargs["backend_workers"] = _parse_env(env, BACKEND_WORKERS_ENV_VAR, int)
-        if env.get(DEADLINE_ENV_VAR):
-            kwargs["default_deadline_s"] = _parse_env(env, DEADLINE_ENV_VAR, float)
-        if env.get(CYCLE_PRIORS_ENV_VAR):
-            kwargs["cycle_priors"] = env[CYCLE_PRIORS_ENV_VAR]
-        kwargs.update(overrides)
-        return cls(**kwargs)  # type: ignore[arg-type]
-
-
-def _parse_env(
-    env: Mapping[str, str], name: str, parse: Callable[[str], object]
-) -> object:
-    """``parse(env[name])``, its error naming the variable."""
-    try:
-        return parse(env[name])
-    except ValueError as exc:
-        raise ValueError(f"${name}={env[name]!r}: {exc}") from exc
+        # a typo'd name fails here, not at service start
+        check_backend_name(self.backend)
 
 
 __all__ = [
-    "BACKEND_WORKERS_ENV_VAR",
-    "CYCLE_PRIORS_ENV_VAR",
-    "DEADLINE_ENV_VAR",
     "ServiceConfig",
     "TenantQuota",
 ]

@@ -107,6 +107,7 @@ through :func:`read_frame`.
 from __future__ import annotations
 
 import asyncio
+import math
 import struct
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -234,7 +235,8 @@ def qos_for(deadline_s: float | None = None, tier: int = 0) -> QosSpec | None:
     """Build the wire QoS spec for client knobs (``None`` = no extension)."""
     if deadline_s is None and tier == 0:
         return None
-    if deadline_s is not None and deadline_s <= 0:
+    # NaN fails every comparison, and inf does not round to an integer
+    if deadline_s is not None and not (math.isfinite(deadline_s) and deadline_s > 0):
         raise ValueError("deadline_s must be > 0 or None")
     deadline_us = 0 if deadline_s is None else min(
         MAX_DEADLINE_US, max(1, round(deadline_s * 1e6))

@@ -102,7 +102,7 @@ from collections.abc import Awaitable, Callable, Coroutine
 from dataclasses import dataclass, field
 from typing import Any, TypeVar
 
-from repro.backend.base import KemBackend, create_backend, resolve_backend_name
+from repro.backend.base import KemBackend, create_backend
 from repro.errors import (
     BadRequest,
     KeyNotFound,
@@ -268,18 +268,20 @@ class KemService:
     """An async multi-scheme KEM service with adaptive micro-batching.
 
     Construct, ``await start()``, attach transports, ``await
-    shutdown()``.  Tuning lives in one frozen :class:`ServiceConfig`
-    (batching, backpressure, timeout and backend-selection knobs — see
-    its docstring); the environment-shaped arguments stay on the
-    constructor:
+    shutdown()``.  Every setting lives in one frozen
+    :class:`ServiceConfig` (batching, backpressure, timeout, shedding
+    and backend-selection knobs — see its docstring), and nothing is
+    read from the environment; the objects a service is wired to stay
+    on the constructor:
 
     ``backend``
         an explicit :class:`repro.backend.KemBackend` instance to
         execute batches on.  The caller keeps ownership (the service
         never closes it).  When omitted, the service creates one at
-        :meth:`start` from ``config.backend`` (name, falling back to
-        ``$REPRO_KEM_BACKEND``, then ``"thread"``) and closes it on
-        :meth:`shutdown`;
+        :meth:`start` from ``config.backend`` and
+        ``config.backend_workers`` and closes it on :meth:`shutdown`
+        (the default ``"thread"`` with no pool size shares the
+        process-wide ``default_thread_backend()``, which stays open);
     ``clock``
         injectable monotonic clock (tests pass a fake);
     ``fault_plan``
@@ -618,8 +620,7 @@ class KemService:
             return self
         if self._backend is None:
             self._backend = create_backend(
-                resolve_backend_name(self.config.backend),
-                workers=self.config.backend_workers,
+                self.config.backend, workers=self.config.backend_workers
             )
             # closed on shutdown (a no-op for the shared default)
             self._owns_backend = True
@@ -871,7 +872,7 @@ class KemService:
         self._pending += 1
         request.pending = True
         deadline_s = request.deadline_s
-        if self.config.shed_deadlines and deadline_s is not None:
+        if deadline_s is not None:
             # hopeless check: when one batch already takes longer than
             # the whole budget, admitting only manufactures a TIMEOUT —
             # answer BUSY now so the client's retry policy backs off
@@ -1028,11 +1029,8 @@ class KemService:
                 entry.t_flushed = now
                 entry.batch_size = len(entries)
                 entry.trigger = batch.trigger
-        shed_deadlines = self.config.shed_deadlines
-        estimate = (
-            self._estimator.batch_seconds((op.name, entries[0].frame.param_id))
-            if shed_deadlines
-            else None
+        estimate = self._estimator.batch_seconds(
+            (op.name, entries[0].frame.param_id)
         )
         live: list[Request] = []
         late: list[tuple[Request, str, dict[str, Any]]] = []
@@ -1041,11 +1039,7 @@ class KemService:
             waited = now - entry.enqueued_at
             if self.request_timeout is not None and waited > self.request_timeout:
                 late.append((entry, f"queued {waited:.3f}s", {}))
-            elif (
-                shed_deadlines
-                and entry.deadline_s is not None
-                and predicted_miss(waited, estimate, entry.deadline_s)
-            ):
+            elif predicted_miss(waited, estimate, entry.deadline_s):
                 # the wait already spent plus the expected kernel time
                 # overshoots the budget: answer TIMEOUT *before* burning
                 # backend capacity on a response nobody will use
@@ -1141,12 +1135,10 @@ class KemService:
             len(live),
         )
         t_done = self._clock()
-        shed_deadlines = self.config.shed_deadlines
         for entry, payload in zip(live, payloads, strict=True):
             assert entry.enqueued_at is not None
             if (
-                shed_deadlines
-                and entry.deadline_s is not None
+                entry.deadline_s is not None
                 and op is not Op.KEYGEN
                 and t_done - entry.enqueued_at > entry.deadline_s
             ):
@@ -1331,7 +1323,6 @@ class KemService:
                     self._backend.slots if self._backend is not None else None
                 ),
                 "default_deadline_s": self.config.default_deadline_s,
-                "shed_deadlines": self.config.shed_deadlines,
                 "tier_limits": list(self._tier_limits),
                 "cycle_priors": self.config.cycle_priors,
                 "estimator": self._estimator.snapshot(),

@@ -32,13 +32,6 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from repro.lac.params import LacParams
 
-#: Priority-tier conventions (the wire allows 0–255; the service maps
-#: anything beyond its watermark table onto the last, most sheddable
-#: tier).  Purely symbolic — nothing below depends on these values.
-TIER_INTERACTIVE = 0
-TIER_STANDARD = 1
-TIER_BATCH = 2
-
 #: Calibrated clock of the modelled core when converting cycle-model
 #: predictions to seconds: a RISCY-class RV32IM at 100 MHz (the
 #: FPGA-prototype ballpark of the paper's platform family).  Operators
@@ -217,8 +210,5 @@ __all__ = [
     "CycleCostEstimator",
     "DEFAULT_CYCLE_PRIORS_HZ",
     "KernelEstimator",
-    "TIER_BATCH",
-    "TIER_INTERACTIVE",
-    "TIER_STANDARD",
     "predicted_miss",
 ]

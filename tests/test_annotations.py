@@ -7,6 +7,10 @@ under ``src/repro`` but those still ``PENDING``, each ``def`` annotates
 all its parameters and its return, and no import is left unused.  It is
 the floor under ``disallow_untyped_defs`` and ruff's ``F401``, not a
 replacement for either.  A new module is held to it from its first line.
+
+A second floor keeps the environment out: no module under ``src/repro``
+reads the process environment, so every setting reaches the code
+through an argument (for the service, through ``ServiceConfig``).
 """
 
 import ast
@@ -35,11 +39,6 @@ PENDING = (
     "repro/hw/mul_ter.py",
     "repro/hw/ntt_accel.py",
     "repro/hw/vcd.py",
-    "repro/lac/encoding.py",
-    "repro/lac/hybrid.py",
-    "repro/lac/kem.py",
-    "repro/lac/pke.py",
-    "repro/lac/sampling.py",
     "repro/newhope/cca.py",
     "repro/newhope/cpa.py",
     "repro/riscv/assembler.py",
@@ -102,6 +101,34 @@ def _unused_imports(tree):
     )
 
 
+#: The ``os`` names that read the process environment.
+ENV_READERS = ("environ", "getenv")
+
+
+def _environment_reads(tree):
+    """``(line, what)`` for every read of the process environment."""
+    os_names = set()
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            os_names.update(a.asname or a.name for a in node.names if a.name == "os")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            reads += [
+                (node.lineno, f"from os import {a.name}")
+                for a in node.names
+                if a.name in ENV_READERS
+            ]
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in ENV_READERS
+            and isinstance(node.value, ast.Name)
+            and node.value.id in os_names
+        ):
+            reads.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return sorted(reads)
+
+
 def _parse(path):
     return ast.parse((SRC / path).read_text(encoding="utf-8"))
 
@@ -111,6 +138,11 @@ def test_every_def_is_annotated_and_no_import_is_unused(path):
     tree = _parse(path)
     assert _unannotated(tree) == []
     assert _unused_imports(tree) == []
+
+
+@pytest.mark.parametrize("path", MODULES)
+def test_no_module_reads_the_environment(path):
+    assert _environment_reads(_parse(path)) == []
 
 
 def test_pending_lists_only_modules_that_still_miss():
@@ -139,3 +171,16 @@ def test_the_check_sees_what_it_claims_to():
         (4, "f(a)"), (4, "f(key)"), (4, "f(rest)"), (7, "m -> ?"),
     ]
     assert _unused_imports(tree) == [(1, "os")]
+    assert _environment_reads(
+        ast.parse(
+            "import os\n"
+            "import os as system\n"
+            "from os import environ, getenv, path\n"
+            "home = os.environ['HOME']\n"
+            "shell = system.getenv('SHELL')\n"
+            "cwd = os.getcwd()\n"
+        )
+    ) == [
+        (3, "from os import environ"), (3, "from os import getenv"),
+        (4, "os.environ"), (5, "system.getenv"),
+    ]

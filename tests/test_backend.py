@@ -7,7 +7,7 @@ pins parity (including implicit rejection of tampered ciphertexts),
 degenerate batch sizes, the ``wrapper`` execution hook and the stats
 counters; the cosim backend prices only LAC and must *refuse* NewHope
 at registration.  The rest covers ``close()`` idempotence, the registry
-(name/env selection), the process backend's crash supervision
+(name selection), the process backend's crash supervision
 (``kill_worker`` -> typed :class:`WorkerCrashed` -> bounded restart)
 and its wire (one message per worker chunk, worker cache stats, a
 clean interpreter exit), and the ``backend`` chaos fault site end to
@@ -24,25 +24,22 @@ import subprocess
 import sys
 import textwrap
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.backend import (
-    BACKEND_ENV_VAR,
     BACKEND_NAMES,
-    COSIM_PROFILE_ENV_VAR,
     DEFAULT_BACKEND,
     DEFAULT_THREAD_WORKERS,
     CosimBackend,
     InlineBackend,
-    KemBackend,
     ProcessBackend,
     ThreadBackend,
+    check_backend_name,
     create_backend,
     default_thread_backend,
-    resolve_backend_name,
 )
 from repro.backend import process as process_module
 from repro.errors import UnsupportedScheme, WorkerCrashed
@@ -93,10 +90,9 @@ def _backend_named(name, process_backend, cosim_backend):
         yield cosim_backend
         return
     if name == "borrowed":
-        with ThreadPoolExecutor(1) as pool:
-            impl: KemBackend = ThreadBackend(executor=pool)
-            yield impl
-            impl.close()
+        # the process-wide default every unsized service borrows; its
+        # close() is a no-op, so the pool outlives this case
+        yield default_thread_backend()
         return
     impl = InlineBackend() if name == "inline" else ThreadBackend(workers=2)
     yield impl
@@ -198,7 +194,7 @@ _SCHEMES = {"lac": (LAC_SCHEME, LAC_128), "newhope": (NEWHOPE_SCHEME, NEWHOPE_51
 _REFERENCES = {}
 
 #: every backend × every scheme it supports (cosim prices only LAC),
-#: and the thread backend once more on a pool it was lent
+#: and the thread backend once more as the borrowed shared default
 _CELLS = [
     (backend_name, scheme_name)
     for backend_name in BACKEND_NAMES
@@ -271,7 +267,8 @@ class TestConformance:
 
     def test_slots_report_what_runs_at_once(self, cell, request):
         backend, _ = cell
-        pooled = {"thread": 2, "process": 2, "borrowed": 1}  # the fixtures' pools
+        # the fixtures' pools
+        pooled = {"thread": 2, "process": 2, "borrowed": DEFAULT_THREAD_WORKERS}
         made_as = request.node.callspec.params["cell"][0]
         assert backend.slots == pooled.get(made_as, 1)
 
@@ -336,19 +333,6 @@ class TestConformance:
         assert after["submitted"] == before["submitted"] + 2
         assert after["completed"] == before["completed"] + 1
         assert after["failed"] == before["failed"] + 1
-
-    def test_batch_api_backend_kwarg_rides_submit(self, backend, scalar):
-        kem, pair = scalar
-        messages = _messages(3)
-        results = kem.encaps_many(pair.public_key, messages, backend=backend)
-        for message, result in zip(messages, results):
-            reference = kem.encaps(pair.public_key, message)
-            assert result.ciphertext.to_bytes() == reference.ciphertext.to_bytes()
-            assert result.shared_secret == reference.shared_secret
-        cts = [r.ciphertext for r in results]
-        assert kem.decaps_many(pair.secret_key, cts, backend=backend) == [
-            r.shared_secret for r in results
-        ]
 
     def test_supports_scheme_split(self, backend):
         assert backend.supports_scheme(LAC_SCHEME)
@@ -418,18 +402,13 @@ class TestLifecycle:
         assert cosim.kill_worker() is False  # the simulated core never dies
         cosim.close()
 
-    @pytest.mark.parametrize(
-        "made_as", ["owned", "borrowed", "shared", "inline", "cosim"]
-    )
+    @pytest.mark.parametrize("made_as", ["owned", "shared", "inline", "cosim"])
     def test_slots_is_the_pool_size(self, made_as, scalar):
         """``slots`` is fixed when the backend is built: an owned pool's
-        size, a lent pool's size read off it, the shared default's
-        size, and one for the caller's thread or the simulated core."""
+        size, the shared default's size, and one for the caller's
+        thread or the simulated core."""
         with contextlib.ExitStack() as stack:
-            if made_as == "borrowed":
-                pool = stack.enter_context(ThreadPoolExecutor(2))
-                backend, want = ThreadBackend(executor=pool), 2
-            elif made_as == "owned":
+            if made_as == "owned":
                 backend, want = ThreadBackend(workers=3), 3
             elif made_as == "shared":
                 backend, want = default_thread_backend(), DEFAULT_THREAD_WORKERS
@@ -456,22 +435,14 @@ class TestRegistry:
         assert BACKEND_NAMES == ("inline", "thread", "process", "cosim")
         assert DEFAULT_BACKEND in BACKEND_NAMES
 
-    def test_resolve_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "process")
-        assert resolve_backend_name("inline") == "inline"
-
-    def test_resolve_env_beats_default(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "inline")
-        assert resolve_backend_name() == "inline"
-        monkeypatch.delenv(BACKEND_ENV_VAR)
-        assert resolve_backend_name() == DEFAULT_BACKEND
-
-    def test_resolve_rejects_unknown_names(self, monkeypatch):
-        with pytest.raises(ValueError, match="unknown KEM backend"):
-            resolve_backend_name("gpu")
-        monkeypatch.setenv(BACKEND_ENV_VAR, "bogus")
-        with pytest.raises(ValueError, match="unknown KEM backend"):
-            resolve_backend_name()
+    def test_resolve_rejects_unknown_names(self):
+        for name in BACKEND_NAMES:
+            check_backend_name(name)
+        for name in ("gpu", "", "Thread"):
+            with pytest.raises(ValueError, match="unknown KEM backend"):
+                check_backend_name(name)
+            with pytest.raises(ValueError, match="unknown KEM backend"):
+                create_backend(name)
 
     def test_create_backend_types(self):
         assert isinstance(create_backend("inline"), InlineBackend)
@@ -482,16 +453,11 @@ class TestRegistry:
         with pytest.raises(ValueError):
             create_backend("thread", workers=0)
 
-    def test_create_backend_cosim_resolves_profile(self, monkeypatch):
-        monkeypatch.delenv(COSIM_PROFILE_ENV_VAR, raising=False)
+    def test_create_backend_cosim_resolves_profile(self):
         backend = create_backend("cosim")
         assert isinstance(backend, CosimBackend)
         assert backend.profile == "ise"
         backend.close()
-        monkeypatch.setenv(COSIM_PROFILE_ENV_VAR, "ref")
-        from_env = create_backend("cosim")
-        assert from_env.profile == "ref"
-        from_env.close()
         explicit = CosimBackend(profile="const_bch")
         assert explicit.profile == "const_bch"
         explicit.close()
@@ -500,7 +466,7 @@ class TestRegistry:
 
     def test_plain_thread_request_shares_the_default_backend(self):
         first = create_backend("thread")
-        second = create_backend(None)
+        second = create_backend()
         assert first is second is default_thread_backend()
         assert first.executor is default_thread_backend().executor  # one pool
         # the shared default must survive close() — it is process-wide
@@ -508,13 +474,23 @@ class TestRegistry:
         assert not first.closed
         assert first.slots == DEFAULT_THREAD_WORKERS
 
-    def test_service_config_resolves_backend(self, monkeypatch):
-        assert ServiceConfig().resolved_backend() == DEFAULT_BACKEND
-        assert ServiceConfig(backend="inline").resolved_backend() == "inline"
-        monkeypatch.setenv(BACKEND_ENV_VAR, "process")
-        assert ServiceConfig().resolved_backend() == "process"
-        with pytest.raises(ValueError):
+    def test_service_config_resolves_backend(self):
+        assert ServiceConfig().backend == DEFAULT_BACKEND == "thread"
+        assert ServiceConfig(backend="inline").backend == "inline"
+        with pytest.raises(ValueError, match="unknown KEM backend 'gpu'"):
             ServiceConfig(backend="gpu")
+
+    @pytest.mark.parametrize(
+        "config", [ServiceConfig(), ServiceConfig(backend="thread")]
+    )
+    def test_unsized_thread_config_serves_on_the_shared_default(self, config):
+        async def main():
+            svc = await KemService(config).start()
+            assert svc.backend is default_thread_backend()
+            await svc.shutdown()
+
+        asyncio.run(asyncio.wait_for(main(), 30.0))
+        assert not default_thread_backend().closed
 
 
 class TestProcessSupervision:

@@ -20,6 +20,7 @@ from repro.lac.kem import LacKem
 from repro.lac.params import ALL_PARAMS, LAC_128, LAC_192, LAC_256
 from repro.lac.pke import Ciphertext
 from repro.lac.sampling import gen_a, sample_secret_and_error
+from repro.schemes import LAC_SCHEME
 
 
 @pytest.fixture(params=ALL_PARAMS, ids=lambda p: p.name)
@@ -43,10 +44,18 @@ def kems():
 
 @pytest.fixture(scope="module")
 def pool_backend():
-    """A three-thread pool the library batch calls can run on."""
+    """A three-thread pool, reached the one way a batch reaches a
+    backend: :meth:`~repro.backend.KemBackend.submit`."""
     backend = ThreadBackend(workers=3)
     yield backend
     backend.close()
+
+
+def _submit(backend, kem, pair, op, items):
+    """One LAC batch through ``backend.submit``, every lane under ``pair``."""
+    return backend.submit(
+        LAC_SCHEME, kem.params, op, [pair] * len(items), items
+    ).result()
 
 
 def _messages(params, count):
@@ -147,13 +156,13 @@ class TestKemParity:
         kem, pair = kems(LAC_128)
         messages = _messages(LAC_128, 12)
         serial = kem.encaps_many(pair.public_key, messages)
-        threaded = kem.encaps_many(pair.public_key, messages, backend=pool_backend)
-        assert [r.shared_secret for r in serial] == [
-            r.shared_secret for r in threaded
+        threaded = _submit(pool_backend, kem, pair, "ENCAPS", messages)
+        assert threaded == [
+            (r.ciphertext.to_bytes(), r.shared_secret) for r in serial
         ]
         cts = [r.ciphertext for r in serial]
-        assert kem.decaps_many(
-            pair.secret_key, cts, backend=pool_backend
+        assert _submit(
+            pool_backend, kem, pair, "DECAPS", [ct.to_bytes() for ct in cts]
         ) == kem.decaps_many(pair.secret_key, cts)
 
     def test_empty_batch(self, kems):
@@ -187,10 +196,10 @@ class TestEdgeBatchSizes:
     def test_batch_size_zero(self, params, kems, pool_backend):
         kem, pair = kems(params)
         assert kem.encaps_many(pair.public_key, []) == []
-        assert kem.encaps_many(pair.public_key, [], backend=pool_backend) == []
+        assert _submit(pool_backend, kem, pair, "ENCAPS", []) == []
         assert kem.encaps_many(pair.public_key, count=0) == []
         assert kem.decaps_many(pair.secret_key, []) == []
-        assert kem.decaps_many(pair.secret_key, [], backend=pool_backend) == []
+        assert _submit(pool_backend, kem, pair, "DECAPS", []) == []
 
     def test_batch_size_one_matches_scalar(self, params, kems):
         kem, pair = kems(params)
@@ -207,42 +216,14 @@ class TestEdgeBatchSizes:
         # one lane on a three-thread pool must not crash
         kem, pair = kems(params)
         message = _messages(params, 1)[0]
-        (result,) = kem.encaps_many(pair.public_key, [message], backend=pool_backend)
-        assert result.shared_secret == kem.encaps(
-            pair.public_key, message
-        ).shared_secret
+        scalar = kem.encaps(pair.public_key, message)
+        assert _submit(pool_backend, kem, pair, "ENCAPS", [message]) == [
+            (scalar.ciphertext.to_bytes(), scalar.shared_secret)
+        ]
 
     def test_count_one(self, params, kems):
         kem, pair = kems(params)
         (result,) = kem.encaps_many(pair.public_key, count=1)
         assert kem.decaps_many(pair.secret_key, [result.ciphertext]) == [
             result.shared_secret
-        ]
-
-
-class TestSharedExecutor:
-    """A library batch runs on a pool the caller lends through a
-    backend (the shared default's singleton-ness is covered by
-    ``tests/test_backend.py``)."""
-
-    def test_injected_executor_is_used(self, kems):
-        from concurrent.futures import ThreadPoolExecutor
-
-        calls = []
-
-        class SpyExecutor(ThreadPoolExecutor):
-            def submit(self, fn, /, *args, **kwargs):
-                calls.append(fn)
-                return super().submit(fn, *args, **kwargs)
-
-        kem, pair = kems(LAC_128)
-        messages = _messages(LAC_128, 8)
-        with SpyExecutor(max_workers=2) as pool:
-            backend = ThreadBackend(executor=pool)
-            threaded = kem.encaps_many(pair.public_key, messages, backend=backend)
-            backend.close()
-        assert len(calls) == 1  # the whole batch went through the spy
-        serial = kem.encaps_many(pair.public_key, messages)
-        assert [r.shared_secret for r in threaded] == [
-            r.shared_secret for r in serial
         ]

@@ -253,7 +253,6 @@ class TestCyclePriors:
             cycle_priors="ise",
             cycle_priors_hz=1.0,
             default_deadline_s=0.05,
-            shed_deadlines=True,
         )
         with ThreadedService(config) as svc:
             client = KemClient(svc.connect())

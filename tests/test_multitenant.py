@@ -13,6 +13,7 @@ PR-8 SLO gate.
 """
 
 import asyncio
+import math
 import time
 
 import pytest
@@ -73,6 +74,17 @@ class TestTenantQuotaConfig:
             TenantQuota(tenant=1, ops_per_s=0.0)
         with pytest.raises(ValueError):
             TenantQuota(tenant=1, burst=0.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "field, others",
+        [("ops_per_s", {}), ("burst", {"ops_per_s": 1.0})],
+    )
+    def test_non_finite_rates_are_rejected(self, field, others, value):
+        # NaN passed both bound checks, and either value let every
+        # request through the token bucket: the rate quota was off
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TenantQuota(tenant=1, **others, **{field: value})
 
     def test_bucket_capacity_defaults_to_one_second_of_rate(self):
         assert TenantQuota(tenant=1, ops_per_s=40.0).bucket_capacity == 40.0

@@ -399,36 +399,11 @@ class TestConstructorSurface:
             "backend",
             "backend_workers",
             "default_deadline_s",
-            "shed_deadlines",
             "tier_watermarks",
             "cycle_priors",
             "cycle_priors_hz",
             "tenant_quotas",
         }
-
-    def test_from_env_reads_exactly_four_variables(self):
-        class Recording(dict):
-            def get(self, key, default=None):
-                read.add(key)
-                return super().get(key, default)
-
-        read: set[str] = set()
-        config = ServiceConfig.from_env(
-            Recording(
-                REPRO_KEM_BACKEND="inline",
-                REPRO_KEM_BACKEND_WORKERS="3",
-                REPRO_KEM_DEADLINE_S="0.25",
-                REPRO_KEM_CYCLE_PRIORS="ise",
-            )
-        )
-        assert read == {
-            "REPRO_KEM_BACKEND",
-            "REPRO_KEM_BACKEND_WORKERS",
-            "REPRO_KEM_DEADLINE_S",
-            "REPRO_KEM_CYCLE_PRIORS",
-        }
-        assert (config.backend, config.backend_workers) == ("inline", 3)
-        assert (config.default_deadline_s, config.cycle_priors) == (0.25, "ise")
 
     def test_wait_bounds_are_ordered_at_config_time(self):
         with pytest.raises(ValueError, match="min_wait_us"):
@@ -453,18 +428,6 @@ class TestConstructorSurface:
         # fresh queues a NaN deadline that poll never found due
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             ServiceConfig(**{field: value})
-
-    @pytest.mark.parametrize(
-        "var, value, names",
-        [
-            ("REPRO_KEM_BACKEND_WORKERS", "two", "REPRO_KEM_BACKEND_WORKERS"),
-            ("REPRO_KEM_DEADLINE_S", "soon", "REPRO_KEM_DEADLINE_S"),
-            ("REPRO_KEM_DEADLINE_S", "nan", "default_deadline_s"),
-        ],
-    )
-    def test_from_env_errors_name_what_was_wrong(self, var, value, names):
-        with pytest.raises(ValueError, match=names):
-            ServiceConfig.from_env({var: value})
 
 
 class TestTransports:
@@ -499,8 +462,12 @@ class TestTransports:
         # there must surface from start(), not leave it waiting forever.
         # start() runs in a helper thread so a hang fails, not blocks
         if failure == "backend":
-            monkeypatch.setenv("REPRO_KEM_BACKEND", "bogus")
-            expected = pytest.raises(ValueError, match="unknown KEM backend 'bogus'")
+
+            def broken_backend(name, workers=None):
+                raise RuntimeError(f"{name} backend creation failed")
+
+            monkeypatch.setattr(server_module, "create_backend", broken_backend)
+            expected = pytest.raises(RuntimeError, match="thread backend creation")
         else:
 
             def broken_scheduler(**kwargs):

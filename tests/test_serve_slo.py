@@ -9,6 +9,7 @@ predicted miss) without sleeping.
 from __future__ import annotations
 
 import asyncio
+import math
 
 import pytest
 
@@ -147,5 +148,8 @@ class TestTierWatermarks:
         assert spec is not None
         assert spec.deadline_us == 250_000
         assert spec.deadline_s == pytest.approx(0.25)
-        with pytest.raises(ValueError):
-            qos_for(deadline_s=0.0)
+        # inf used to overflow and NaN to fail integer conversion; all
+        # three now get the same refusal
+        for bad in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="deadline_s must be > 0"):
+                qos_for(deadline_s=bad)
