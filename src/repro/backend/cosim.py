@@ -64,8 +64,8 @@ def model_cycles(params: LacParams, profile: str) -> ProtocolCycles:
 
     One :meth:`repro.cosim.CycleModel.measure_protocol` run per pair per
     process: the predictions are deterministic (fixed seed/message), so
-    the cache makes repeated services, benchmarks and the SLO priors
-    share a single measurement.
+    the cache makes repeated services and benchmarks share a single
+    measurement.
     """
     key = (params.name, profile)
     with _MODEL_LOCK:

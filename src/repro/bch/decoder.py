@@ -62,7 +62,7 @@ class DecodeResult:
 class BCHDecoder:
     """Submission-style (non-constant-time) BCH decoder."""
 
-    def __init__(self, code: BCHCode):
+    def __init__(self, code: BCHCode) -> None:
         self.code = code
         self.field = code.field
 

@@ -23,7 +23,7 @@ from repro.metrics import OpCounter, ensure_counter
 class BCHEncoder:
     """Encoder for a (shortened) systematic BCH code."""
 
-    def __init__(self, code: BCHCode):
+    def __init__(self, code: BCHCode) -> None:
         self.code = code
 
     def encode(self, message: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:

@@ -22,7 +22,7 @@ class Poly2:
 
     __slots__ = ("mask",)
 
-    def __init__(self, mask: int):
+    def __init__(self, mask: int) -> None:
         if mask < 0:
             raise ValueError("polynomial mask must be non-negative")
         object.__setattr__(self, "mask", mask)

@@ -16,7 +16,7 @@ class PolyGF:
 
     __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: GF2m, coeffs: list[int] | None = None):
+    def __init__(self, field: GF2m, coeffs: list[int] | None = None) -> None:
         self.field = field
         coeffs = list(coeffs or [])
         # normalize: strip trailing zeros

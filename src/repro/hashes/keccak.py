@@ -99,7 +99,7 @@ class KeccakSponge:
         rate_bytes: int,
         domain_suffix: int = 0x1F,
         counter: OpCounter | None = None,
-    ):
+    ) -> None:
         if not 0 < rate_bytes < 200:
             raise ValueError("rate must be between 1 and 199 bytes")
         self.rate = rate_bytes
@@ -174,7 +174,7 @@ class ShakePrng:
     expander, so the two are comparable under the same cost model.
     """
 
-    def __init__(self, seed: bytes, counter: OpCounter | None = None):
+    def __init__(self, seed: bytes, counter: OpCounter | None = None) -> None:
         if not isinstance(seed, (bytes, bytearray)):
             raise TypeError("seed must be bytes")
         self.seed = bytes(seed)

@@ -1,16 +1,14 @@
 """``repro.serve`` — serving the batched KEM to concurrent clients.
 
-PR 1 made single-key batches fast (``LacKem.encaps_many`` /
-``decaps_many``, 11–14x); this package makes those kernels reachable
-from *independent concurrent callers*, the way an accelerated PQC
-primitive sits behind a host interface in the paper's co-design: a
-length-prefixed binary protocol (:mod:`repro.serve.protocol`), an
-adaptive micro-batch scheduler that coalesces requests per (op, key)
+The batch kernels reachable from *independent concurrent callers*, the
+way an accelerated PQC primitive sits behind a host interface in the
+paper's co-design: a length-prefixed binary protocol
+(:mod:`repro.serve.protocol`), an adaptive micro-batch scheduler
 (:mod:`repro.serve.scheduler`), an asyncio server with bounded-queue
-backpressure, per-request timeouts and graceful drain
-(:mod:`repro.serve.server`), async and sync clients
-(:mod:`repro.serve.client`), and serving metrics exported through the
-``INFO`` op (:mod:`repro.serve.metrics`).
+backpressure and graceful drain (:mod:`repro.serve.server`) composing
+the tenant, deadline and session policies (:mod:`repro.serve.slo`),
+async and sync clients (:mod:`repro.serve.client`), and serving
+metrics exported through the ``INFO`` op (:mod:`repro.serve.metrics`).
 
 See ``docs/SERVICE.md`` for the protocol spec and tuning guide,
 ``docs/OBSERVABILITY.md`` for the tracing layer threaded through the
@@ -54,20 +52,13 @@ from repro.serve.scheduler import (
     MicroBatchScheduler,
 )
 from repro.serve.server import HostedKey, KemService, ThreadedService
-from repro.serve.slo import (
-    DEFAULT_CYCLE_PRIORS_HZ,
-    CycleCostEstimator,
-    KernelEstimator,
-    predicted_miss,
-)
+from repro.serve.slo import KernelEstimator, predicted_miss
 
 __all__ = [
     "AsyncKemClient",
     "AdaptiveDeadlinePolicy",
     "BadRequest",
     "Batch",
-    "CycleCostEstimator",
-    "DEFAULT_CYCLE_PRIORS_HZ",
     "DEFAULT_TENANT",
     "DeadlineExceeded",
     "DeficitRoundRobin",

@@ -603,12 +603,15 @@ class AsyncKemClient:
 
         return await self._call_with_retry(Op.INFO, attempt)
 
-    async def remove_key(self, key_id: int) -> None:
-        """Stop hosting a key (raises :class:`KeyNotFound` if absent)."""
+    async def remove_key(self, key_id: int, *, tenant: int | None = None) -> None:
+        """Stop hosting a key of ``tenant`` (raises :class:`KeyNotFound`
+        if absent or another tenant's)."""
 
         async def attempt() -> None:
             raise_for_status(
-                await self.request(Op.REMOVE_KEY, payload=pack_key_id(key_id))
+                await self.request(
+                    Op.REMOVE_KEY, payload=pack_key_id(key_id), tenant=tenant
+                )
             )
 
         await self._call_with_retry(Op.REMOVE_KEY, attempt)

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 from repro.backend.base import DEFAULT_BACKEND, check_backend_name
-from repro.serve.slo import DEFAULT_CYCLE_PRIORS_HZ
 
 
 @dataclass(frozen=True)
@@ -103,19 +102,7 @@ class ServiceConfig:
         once pending work reaches ``high_watermark *
         tier_watermarks[t]``, so lower tiers shed first under
         pressure).  Wire tiers beyond the table map onto its last
-        entry;
-    ``cycle_priors``
-        cycle-model profile (``"ref"``/``"const_bch"``/``"ise"``) that
-        seeds the SLO estimator with predicted per-``(op, parameter
-        set)`` kernel costs before any batch has run
-        (:class:`repro.serve.slo.CycleCostEstimator`); ``None`` (the
-        default) keeps the classic cold-start EWMA.  Works with every
-        backend — the prior describes the modelled core, the EWMA
-        takes over as real observations arrive;
-    ``cycle_priors_hz``
-        the calibrated cycles-per-second figure converting cycle
-        predictions into estimator seconds (see
-        :data:`repro.serve.slo.DEFAULT_CYCLE_PRIORS_HZ`).
+        entry.
     """
 
     max_batch: int = 64
@@ -127,8 +114,6 @@ class ServiceConfig:
     backend_workers: int | None = None
     default_deadline_s: float | None = None
     tier_watermarks: tuple[float, ...] = (1.0, 0.75, 0.5)
-    cycle_priors: str | None = None
-    cycle_priors_hz: float = DEFAULT_CYCLE_PRIORS_HZ
     #: Per-tenant quotas (``()`` = no tenant is limited); see
     #: :class:`TenantQuota` and the "Tenants" section of
     #: ``docs/SERVICE.md``.
@@ -142,7 +127,6 @@ class ServiceConfig:
             "min_wait_us",
             "request_timeout",
             "default_deadline_s",
-            "cycle_priors_hz",
         ):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -167,8 +151,6 @@ class ServiceConfig:
             raise ValueError("tier_watermarks must name at least one tier")
         if any(not 0.0 < f <= 1.0 for f in self.tier_watermarks):
             raise ValueError("tier_watermarks fractions must be in (0, 1]")
-        if self.cycle_priors_hz <= 0:
-            raise ValueError("cycle_priors_hz must be > 0")
         seen_tenants = set()
         for quota in self.tenant_quotas:
             if not isinstance(quota, TenantQuota):
@@ -176,13 +158,6 @@ class ServiceConfig:
             if quota.tenant in seen_tenants:
                 raise ValueError(f"duplicate quota for tenant {quota.tenant}")
             seen_tenants.add(quota.tenant)
-        if self.cycle_priors is not None:
-            from repro.cosim import PROFILES
-
-            if self.cycle_priors not in PROFILES:
-                raise ValueError(
-                    f"cycle_priors must be one of {PROFILES} or None"
-                )
         # a typo'd name fails here, not at service start
         check_backend_name(self.backend)
 

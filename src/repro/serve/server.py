@@ -2,71 +2,36 @@
 
 :class:`KemService` hosts key pairs of any registered
 :class:`repro.schemes.KemScheme` (LAC and NewHope ship registered) and
-serves ``KEYGEN`` / ``ENCAPS`` / ``DECAPS`` / ``INFO`` requests — plus
-the stateful secure-channel ops ``SESSION_OPEN`` / ``SEAL`` / ``OPEN``
-/ ``SESSION_CLOSE`` — over the frame protocol of
-:mod:`repro.serve.protocol`.  The interesting part is what happens
-between a request arriving and its response leaving:
+serves ``KEYGEN`` / ``ENCAPS`` / ``DECAPS`` / ``INFO`` / ``REMOVE_KEY``
+and the secure-channel ops ``SESSION_OPEN`` / ``SEAL`` / ``OPEN`` /
+``SESSION_CLOSE`` over the frame protocol of :mod:`repro.serve.protocol`.
+The service issues and retires; what to admit and how to answer is
+decided by three sans-IO policy objects of :mod:`repro.serve.slo`:
+:class:`~repro.serve.slo.TenantPolicy` (tenant-scoped hosted keys and
+quotas), :class:`~repro.serve.slo.DeadlinePolicy` (tier watermarks and
+deadline sheds) and :class:`~repro.serve.slo.SessionTable`.
 
-1. :meth:`KemService._handle_frame` wraps the frame in a
-   :class:`Request` envelope — frame, ``respond``, stage stamps, and
-   whatever the request comes to *hold* (a pending slot, a tenant
-   in-flight slot, a reserved key slot) — and calls :meth:`_serve`;
-2. admission control, in order: ``INFO``/``REMOVE_KEY`` are answered
-   inline (even while draining); an injected fault or a drain refuses
-   (``SHUTTING_DOWN``); the tenant's quota is charged; session ops are
-   answered inline; beyond the request's *per-tier* watermark
-   (``high_watermark`` scaled by ``config.tier_watermarks``) it gets
-   ``BUSY`` *without being queued* — the bounded queue is the
-   backpressure contract; a deadline budget already below the expected
-   batch service time is shed ``BUSY`` (reason ``hopeless``); the
-   payload is validated cheaply on the event loop (``BAD_REQUEST`` /
-   ``NOT_FOUND``).  Every refusal is a *raised*
-   :class:`repro.errors.ServiceError` — nothing here writes a frame;
+1. :meth:`KemService._handle_frame` wraps each frame in a
+   :class:`Request` envelope and calls :meth:`_serve`;
+2. admission — control ops inline, the fault draw, drain, the tenant's
+   quota, session ops inline, the tier watermark and ``hopeless``
+   check, the payload parse — refuses by *raising* a
+   :class:`repro.errors.ServiceError`, never queueing;
 3. accepted requests enter the
-   :class:`~repro.serve.scheduler.MicroBatchScheduler`, keyed by
-   ``(op, wire param id, tenant)`` — per-tenant queues whose batches
-   mix the tenant's hosted keys (the kernels take one key per lane),
-   with deficit-round-robin fair-share breaking flush-order ties
-   within a QoS tier;
-4. full batches (flush-on-size) dispatch immediately, and so does a
-   request whose queue's last batch left alone long ago (flush-alone);
-   a single timer task wakes at the scheduler's earliest adaptive
-   deadline — and whenever a backend slot frees — and flushes as many
-   due queues as the backend has free slots (flush-on-deadline); the
-   rest stay open and keep filling, because a batch handed to a busy
-   backend would only wait in its FIFO, closed to new arrivals;
-5. a dispatch submits to the service's :class:`repro.backend.KemBackend`
-   (thread pool by default; multi-process via ``backend="process"``),
-   a deadline flush holding one of its ``slots`` until the kernel's
-   future resolves (a flush that did not wait for a slot holds none):
-   expired entries — and entries whose queue wait plus the EWMA batch
-   estimate overshoots their deadline (reason ``predicted-miss``) —
-   are answered ``TIMEOUT`` unexecuted, the rest go
-   through the backend's batched encaps/decaps/keygen kernels, and the
-   responses fan back out to their connections with per-request ids —
-   each through :meth:`KemService._reply`, the one function that
-   releases, counts, samples, traces and writes;
+   :class:`~repro.serve.scheduler.MicroBatchScheduler`: per-``(op,
+   param id, tenant)`` queues whose batches mix the tenant's keys;
+4. a flushed batch goes to the service's
+   :class:`repro.backend.KemBackend`, minus the entries the deadline
+   policy answers ``TIMEOUT`` unexecuted;
+5. every answer goes through :meth:`KemService._reply`, the one
+   function that releases, counts, samples, traces and writes;
 6. :meth:`KemService.shutdown` stops admission, drains every queue
    through the same dispatch path, awaits in-flight batches, then
    closes transports — no accepted request is ever dropped.
 
-**Multi-tenancy**: requests carry a wire tenant byte (protocol flag
-``0x4``; absent = tenant 0).  Tenants named in
-``ServiceConfig.tenant_quotas`` are admission-limited — hosted-key
-count, in-flight requests, and an ops/s token bucket — and an
-over-quota request is shed ``BUSY`` with
-``kem_shed_total{reason="quota",tenant=...}``.  Unlisted tenants are
-unlimited.  Tenants also label ``kem_tenant_requests_total``, the
-request trace spans, and the scheduler's fair-share counters.
-
-**Sessions**: ``SESSION_OPEN`` encapsulates against a hosted key of
-*any* registered scheme and derives an AEAD channel exactly as
-:class:`repro.lac.hybrid.LacHybrid` does, so a transcript of
-``kem_ct || nonce || body || tag`` is bit-identical to a ``LacHybrid``
-seal over the same inputs.  ``SEAL``/``OPEN`` run the channel; sessions
-are tenant-scoped (another tenant's session id is ``NOT_FOUND``) and
-answered inline, like ``INFO`` — they never enter the batch queue.
+``docs/SERVICE.md`` ("The request path") has the full table.  The wire
+tenant byte (flag ``0x4``; absent = tenant 0) scopes every key and
+session id and labels the metrics, spans and fair-share counters.
 
 Transports: ``serve_tcp`` (asyncio TCP), ``connect`` (an in-process
 ``socketpair`` — what the tests and the benchmark use; same frames, no
@@ -76,18 +41,15 @@ decoder of :mod:`repro.serve.protocol`.  :class:`ThreadedService` runs
 the service on a background event-loop thread, so synchronous code —
 examples, notebooks — never touches asyncio.
 
-**Tracing**: when constructed with an enabled
-:class:`repro.trace.Tracer`, the service stamps each request at five
-stage boundaries (read, enqueue, flush, kernel start/end) and emits a
-``server.request`` root span plus telescoping ``admission`` /
-``queue`` / ``dispatch`` / ``kernel`` / ``reply`` stage spans when the
-response is written — the stage durations sum to the root span
-exactly (one refused or answered inline: root + one ``admission``
-stage).  Stage times also feed ``metrics.stage_seconds``.  Requests
-carrying a wire trace context (protocol version 2) attach the server
-spans to the client's span and have their context echoed on the
-response.  With the default :data:`repro.trace.NULL_TRACER` every
-instrumentation site is a single false branch.
+**Tracing**: with an enabled :class:`repro.trace.Tracer`, each request
+is stamped at five stage boundaries (read, enqueue, flush, kernel
+start/end) and emits a ``server.request`` root span plus telescoping
+``admission`` / ``queue`` / ``dispatch`` / ``kernel`` / ``reply``
+stage spans that sum to the root exactly; stage times also feed
+``metrics.stage_seconds``.  A wire trace context (protocol version 2)
+parents the server spans and is echoed on the response.  With the
+default :data:`repro.trace.NULL_TRACER` every instrumentation site is a
+single false branch.
 """
 
 from __future__ import annotations
@@ -99,12 +61,11 @@ import socket
 import threading
 import time
 from collections.abc import Awaitable, Callable, Coroutine
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, TypeVar
 
 from repro.backend.base import KemBackend, create_backend
 from repro.errors import (
-    BadRequest,
     KeyNotFound,
     RequestTimedOut,
     ServiceBusy,
@@ -125,14 +86,12 @@ from repro.faults.plan import (
     FaultPlan,
     InjectedFault,
 )
-from repro.lac.hybrid import HybridChannel, HybridDecryptionError
 from repro.schemes import all_schemes, resolve, wire_id_for_params
-from repro.serve.config import ServiceConfig, TenantQuota
+from repro.serve.config import ServiceConfig
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.protocol import (
     DEFAULT_TENANT,
     PARAM_NONE,
-    SESSION_TAG_SIZE,
     Frame,
     FrameReader,
     FrameWriter,
@@ -143,11 +102,16 @@ from repro.serve.protocol import (
     params_for_wire_id,
     read_frame,
     unpack_key_id,
-    unpack_session_request,
     write_frame,
 )
 from repro.serve.scheduler import AdaptiveDeadlinePolicy, Batch, MicroBatchScheduler
-from repro.serve.slo import CycleCostEstimator, KernelEstimator, predicted_miss
+from repro.serve.slo import (
+    DeadlinePolicy,
+    HostedKey,
+    QuotaState,
+    SessionTable,
+    TenantPolicy,
+)
 from repro.trace import NULL_TRACER, Tracer, collect_tags
 from repro.trace.report import STAGES
 
@@ -157,36 +121,14 @@ _T = TypeVar("_T")
 
 
 @dataclass
-class HostedKey:
-    """A key pair hosted by the service, addressable by ``key_id``.
-
-    ``scheme`` is the owning :class:`repro.schemes.KemScheme` (its
-    adapter is the kernel every backend runs) and ``wire_id`` its
-    scheme-qualified param byte.  ``fingerprints`` are the
-    transform-cache handles returned by
-    :meth:`repro.backend.KemBackend.register_key`; kept so removal can
-    reclaim the key's cache entries.  ``tenant`` is the tenant the key
-    is charged to (quota accounting).
-    """
-
-    key_id: int
-    params: Any
-    pair: Any
-    fingerprints: list[bytes] = field(default_factory=list)
-    scheme: Any = None
-    tenant: int = DEFAULT_TENANT
-    wire_id: int = 0
-
-
-@dataclass
 class Request:
     """The request envelope: one decoded frame, from read to reply.
 
     Built by :meth:`KemService._handle_frame` and answered exactly
     once by :meth:`KemService._reply` — the only code that gives back
     what the request *holds*: a slot of the bounded queue (``pending``)
-    and its quota'd tenant's in-flight slot (``quota``; a KEYGEN's also
-    covers a reserved hosted-key slot, which an ``OK`` answer keeps).
+    and what its quota'd tenant was charged (``quota``, see
+    :meth:`repro.serve.slo.QuotaState.release`).
     """
 
     frame: Frame
@@ -195,7 +137,7 @@ class Request:
     #: latency sample of a request answered without being parked)
     t_read: float
     pending: bool = False
-    quota: _TenantState | None = None
+    quota: QuotaState | None = None
     #: set by ``_reply``: a request whose task is cancelled mid-flight
     #: is owed a reply only when it has not had one
     answered: bool = False
@@ -236,34 +178,6 @@ class Request:
 _SESSION_OPS = frozenset((Op.SESSION_OPEN, Op.SEAL, Op.OPEN, Op.SESSION_CLOSE))
 
 
-@dataclass
-class _TenantState:
-    """Runtime quota accounting for one configured tenant.
-
-    ``keys`` counts hosted keys *plus* the slots in-flight KEYGENs have
-    reserved, so a burst of KEYGENs cannot all pass the ``max_keys``
-    check before any of them has registered its key.
-    """
-
-    quota: TenantQuota
-    keys: int = 0
-    inflight: int = 0
-    tokens: float = 0.0
-    last_refill: float | None = None
-
-    def refill(self, now: float) -> None:
-        """Top the token bucket up for the time elapsed since last seen."""
-        rate = self.quota.ops_per_s
-        if rate is None:
-            return
-        if self.last_refill is not None:
-            self.tokens = min(
-                self.quota.bucket_capacity,
-                self.tokens + (now - self.last_refill) * rate,
-            )
-        self.last_refill = now
-
-
 class KemService:
     """An async multi-scheme KEM service with adaptive micro-batching.
 
@@ -296,12 +210,6 @@ class KemService:
         request emits a ``server.request`` root span plus telescoping
         per-stage spans (see the module docstring); defaults to the
         no-op :data:`repro.trace.NULL_TRACER`.
-
-    :meth:`_handle_frame` is the one way in: each frame becomes a
-    :class:`Request` handed to :meth:`_serve`, which refuses by
-    *raising* the typed :class:`repro.errors.ServiceError` of the status
-    it wants answered.  :meth:`_reply` is the one way out, so "answered
-    exactly once, its holds given back" is a property of one function.
     """
 
     def __init__(
@@ -325,8 +233,6 @@ class KemService:
         self._tcp_servers: list[asyncio.base_events.Server] = []
         config = config if config is not None else ServiceConfig()
         self.config = config
-        self.high_watermark = config.high_watermark
-        self.request_timeout = config.request_timeout
         self._scheduler = MicroBatchScheduler(
             max_batch=config.max_batch,
             policy=AdaptiveDeadlinePolicy(
@@ -335,39 +241,12 @@ class KemService:
             priority_of=lambda e: e.tier,
             tenant_of=lambda e: e.tenant,
         )
-        # quota accounting for the tenants named in the config;
-        # unlisted tenants are unlimited and never enter this table
-        self._tenants: dict[int, _TenantState] = {
-            quota.tenant: _TenantState(quota=quota, tokens=quota.bucket_capacity)
-            for quota in config.tenant_quotas
-        }
-        # open secure channels: session id -> (owning tenant, channel)
-        self._sessions: dict[int, tuple[int, HybridChannel]] = {}
-        self._next_session_id = 1
-        # per-tier admission limits: tier i admits while pending <
-        # high_watermark * tier_watermarks[i]; wire tiers beyond the
-        # table clamp to the last (most aggressively shed) entry
-        self._tier_limits: tuple[int, ...] = tuple(
-            int(config.high_watermark * fraction)
-            for fraction in config.tier_watermarks
-        )
-        # with cycle_priors configured, the estimator starts seeded
-        # from the calibrated cycle model: the first request's
-        # hopeless/predicted-miss decisions already have a per-(op,
-        # param set) cost instead of a cold "no prediction, admit"
-        priors = (
-            CycleCostEstimator(
-                profile=config.cycle_priors,
-                clock_hz=config.cycle_priors_hz,
-            ).priors()
-            if config.cycle_priors is not None
-            else None
-        )
-        self._estimator = KernelEstimator(priors=priors)
+        self._tenants = TenantPolicy(config.tenant_quotas, clock)
+        self._deadlines = DeadlinePolicy(config)
+        self._channels = SessionTable()
+        self._keys = self._tenants.keys  # the policy scopes each lookup
         self._backend = backend
         self._owns_backend = False
-        self._keys: dict[int, HostedKey] = {}
-        self._next_key_id = 1
         self._started = False
         self._started_at = 0.0
         self._wake: asyncio.Event | None = None
@@ -409,8 +288,7 @@ class KemService:
         try:
             await self._serve(request)
         except ServiceError as exc:
-            status = exc.status or Status.INTERNAL
-            await self._reply(request, status, exc.detail.encode(), **exc.tags)
+            await self._refuse(request, exc)
         except ProtocolError as exc:
             await self._reply(request, Status.BAD_REQUEST, str(exc).encode())
         except asyncio.CancelledError:
@@ -443,12 +321,10 @@ class KemService:
         if request.pending:
             request.pending = False
             self._pending -= 1
-        state = request.quota
-        if state is not None:
+        held = request.quota
+        if held is not None:
             request.quota = None
-            state.inflight -= 1
-            if frame.op is Op.KEYGEN and status is not Status.OK:
-                state.keys -= 1  # the reserved key slot
+            held.release(frame.op is Op.KEYGEN and status is not Status.OK)
         op = frame.op.name
         if "shed_reason" in tags:
             self.metrics.record_shed(tags["shed_reason"], request.tier, request.tenant)
@@ -462,6 +338,12 @@ class KemService:
         if request.root_span and self.tracer.enabled:
             self._trace(request, status, now, tags)
         await request.respond(frame.reply(status, payload))
+
+    async def _refuse(self, request: Request, refusal: ServiceError) -> None:
+        """Answer a refusal: its status, its bare ``detail`` as payload,
+        its tags on the root span."""
+        status = refusal.status or Status.INTERNAL
+        await self._reply(request, status, refusal.detail.encode(), **refusal.tags)
 
     def _trace(
         self, request: Request, status: Status, t_done: float, tags: dict[str, Any]
@@ -698,8 +580,7 @@ class KemService:
         ``spec`` is anything :func:`repro.schemes.resolve` accepts — a
         :class:`~repro.schemes.ParamId`, a parameter-set name
         (``"NewHope512"``), a wire id, or a scheme-native parameter
-        object such as ``LAC_128`` (the pre-PR-10 signature, so
-        existing callers keep working unchanged).  With the backend up,
+        object such as ``LAC_128``.  With the backend up,
         the key registers with its per-key transform cache immediately
         (keys added before :meth:`start` register when the backend
         comes up).  Raises :class:`repro.errors.UnsupportedScheme` when
@@ -709,62 +590,42 @@ class KemService:
         scheme, params = resolve(spec)
         if pair is None:
             pair = scheme.keygen(params, seed)
-        key_id = self._register_pair(scheme, params, pair, tenant=tenant)
-        # a wire KEYGEN reserved its key slot at admission instead
-        state = self._tenants.get(tenant)
-        if state is not None:
-            state.keys += 1
-        return key_id
+        return self._register_pair(scheme, params, pair, tenant)
 
     def _register_pair(
-        self,
-        scheme: Any,
-        params: Any,
-        pair: Any,
-        *,
-        tenant: int = DEFAULT_TENANT,
+        self, scheme: Any, params: Any, pair: Any, tenant: int, reserved: bool = False
     ) -> int:
-        """The one registration path: wire KEYGEN, programmatic
-        :meth:`add_keypair` and :class:`ThreadedService` all land here,
-        so the hosted-key table cannot drift between entry points."""
+        """The one registration path: wire KEYGEN (whose key slot was
+        ``reserved`` at admission), programmatic :meth:`add_keypair` and
+        :class:`ThreadedService` all land here, so the hosted-key table
+        cannot drift between entry points."""
         # the backend may decline the scheme: consume an id only after
         fingerprints = (
             self._backend.register_key(scheme, params, pair)
             if self._backend is not None
             else []
         )
-        key_id = self._next_key_id
-        self._next_key_id += 1
-        self._keys[key_id] = HostedKey(
-            key_id,
-            params,
-            pair,
-            fingerprints,
-            scheme=scheme,
-            tenant=tenant,
-            wire_id=wire_id_for_params(params),
+        key = HostedKey(
+            0, params, pair, fingerprints,
+            scheme=scheme, tenant=tenant, wire_id=wire_id_for_params(params),
         )
-        return key_id
+        return self._tenants.host(key, reserved=reserved)
 
     def remove_keypair(self, key_id: int) -> bool:
         """Stop hosting a key; returns whether it was hosted.
 
-        Reclaims the key's transform-cache entries via the backend.
         Requests already queued against the key still complete (they
-        hold the :class:`HostedKey` reference); new requests get
-        ``UNKNOWN_KEY``.  Correctness never depends on this
-        invalidation — fingerprints are content-derived — it only
-        releases memory early.
+        hold the :class:`HostedKey`); new ones get ``NOT_FOUND``.  The
+        backend drops the key's transform-cache entries — to release
+        memory early; fingerprints are content-derived, so correctness
+        never depends on it.
         """
-        hosted = self._keys.pop(key_id, None)
+        hosted = self._tenants.unhost(key_id)
         if hosted is None:
             return False
         if self._backend is not None and hosted.fingerprints:
             self._backend.invalidate_key(hosted.fingerprints)
         hosted.fingerprints = []
-        state = self._tenants.get(hosted.tenant)
-        if state is not None and state.keys > 0:
-            state.keys -= 1
         return True
 
     def hosted_key(self, key_id: int) -> HostedKey | None:
@@ -772,46 +633,8 @@ class KemService:
         return self._keys.get(key_id)
 
     # ------------------------------------------------------------------
-    # admission
+    # admission, and the ops answered inline
     # ------------------------------------------------------------------
-
-    def _charge_quota(self, request: Request) -> None:
-        """Check and charge the tenant's quota for one request.
-
-        Refuses ``BUSY`` (shed reason ``quota``) naming the exhausted
-        limit — ``keys`` (KEYGEN would exceed ``max_keys``),
-        ``inflight`` (``max_inflight`` accepted-but-unanswered
-        requests) or ``rate`` (the ops/s token bucket is empty).
-        Admission costs one token and takes the in-flight slot plus a
-        KEYGEN's hosted-key slot — reserved *here*, not when the key
-        registers after the batch ran, or every KEYGEN of one batch
-        window passes the check.  Unlisted tenants are unlimited.
-        """
-        state = self._tenants.get(request.tenant)
-        if state is None:
-            return
-        quota = state.quota
-        keygen = request.frame.op is Op.KEYGEN
-        over = None
-        if keygen and quota.max_keys is not None and state.keys >= quota.max_keys:
-            over = "keys"
-        elif quota.max_inflight is not None and state.inflight >= quota.max_inflight:
-            over = "inflight"
-        elif quota.ops_per_s is not None:
-            state.refill(self._clock())
-            if state.tokens < 1.0:
-                over = "rate"
-            else:
-                state.tokens -= 1.0
-        if over is not None:
-            raise ServiceBusy(
-                f"tenant {request.tenant} over quota ({over})",
-                shed_reason="quota", tier=request.tier, tenant=request.tenant,
-            )
-        request.quota = state
-        state.inflight += 1
-        if keygen:
-            state.keys += 1
 
     async def _serve(self, request: Request) -> None:
         frame = request.frame
@@ -828,8 +651,9 @@ class KemService:
             # and served even while draining, so a client can still
             # release its keys while the service winds down
             key_id, _ = unpack_key_id(frame.payload)
-            if not self.remove_keypair(key_id):
+            if self._tenants.find(key_id, request.tenant) is None:
                 raise KeyNotFound(f"unknown key id {key_id}")
+            self.remove_keypair(key_id)
             await self._reply(request, Status.OK)
             return
         if self.fault_plan is not None:
@@ -840,16 +664,19 @@ class KemService:
                 raise refusal(f"injected fault: {spec.kind}", **tags)
         if self._draining:
             raise ServiceDraining("draining")
-        request.deadline_s = self.config.default_deadline_s
+        deadlines = self._deadlines
+        request.deadline_s = deadlines.default_deadline_s
         qos = frame.qos
         if qos is not None:
-            request.tier = min(qos.tier, len(self._tier_limits) - 1)
+            request.tier = deadlines.clamp_tier(qos.tier)
             if qos.deadline_us:
                 request.deadline_s = qos.deadline_s
         # tenant quota: the tenant's own key/in-flight/rate budget is
         # checked before any shared-capacity gate, so an over-quota
         # tenant is shed by *its* limits, never by crowding others out
-        self._charge_quota(request)
+        request.quota = self._tenants.admit(
+            request.tenant, request.tier, op is Op.KEYGEN
+        )
         if op in _SESSION_OPS:
             # stateful channel ops: answered inline like INFO — they
             # never enter the batch queue (the quota gate above still
@@ -857,32 +684,12 @@ class KemService:
             request.tags = {"tenant": request.tenant}
             await self._reply(request, Status.OK, await self._session(request))
             return
-        # per-tier watermark: lower tiers stop admitting before the
-        # queue is full, reserving the remaining headroom for
-        # interactive traffic (tier 0 keeps the classic full-queue
-        # BUSY).  A full queue is plain backpressure; only a tier that
-        # stopped admitting early counts (and is tagged) as a shed.
-        # Refused here, the request was not queued: that is the contract
-        limit = self._tier_limits[request.tier]
-        if self._pending >= limit:
-            shed: dict[str, Any] = {}
-            if limit < self.high_watermark:
-                shed = {"shed_reason": "watermark", "tier": request.tier}
-            raise ServiceBusy(f"{self._pending} requests pending", **shed)
+        # refused here, the request was not queued: that is the contract
+        deadlines.admit(
+            self._pending, request.tier, request.deadline_s, op.name, frame.param_id
+        )
         self._pending += 1
         request.pending = True
-        deadline_s = request.deadline_s
-        if deadline_s is not None:
-            # hopeless check: when one batch already takes longer than
-            # the whole budget, admitting only manufactures a TIMEOUT —
-            # answer BUSY now so the client's retry policy backs off
-            estimate = self._estimator.batch_seconds((op.name, frame.param_id))
-            if estimate is not None and predicted_miss(0.0, estimate, deadline_s):
-                raise ServiceBusy(
-                    f"deadline {deadline_s:.3f}s below expected "
-                    f"{estimate:.3f}s service time",
-                    shed_reason="hopeless", tier=request.tier,
-                )
         # ``admission`` ends here: validating the payload is already
         # time spent on the accepted request
         now = self._clock()
@@ -919,14 +726,12 @@ class KemService:
                 )
             seed_len = scheme.seed_len(params)
             if payload and len(payload) != seed_len:
-                raise ProtocolError(
-                    f"KEYGEN seed must be {seed_len} bytes or empty"
-                )
+                raise ProtocolError(f"KEYGEN seed must be {seed_len} bytes or empty")
             request.scheme, request.params = scheme, params
             request.item = payload or None
             return
         key_id, rest = unpack_key_id(payload)
-        key = self._keys.get(key_id)
+        key = self._tenants.find(key_id, request.tenant)
         if key is None:
             # the quotes are part of the wire bytes clients see for this
             # refusal (pinned in tests/test_reply_path.py)
@@ -937,14 +742,7 @@ class KemService:
                 f"{frame.param_id}"
             )
         if op is Op.ENCAPS:
-            message_bytes = key.scheme.message_bytes(key.params)
-            if rest and len(rest) != message_bytes:
-                raise ProtocolError(
-                    f"message must be {message_bytes} bytes or empty"
-                )
-            # drawn here, on the loop, so every backend receives
-            # identical inputs
-            request.item = rest or secrets.token_bytes(message_bytes)
+            request.item = self._message(key, rest)
         elif op is Op.DECAPS:
             ct_bytes = key.scheme.ciphertext_wire_bytes(key.params)
             if len(rest) != ct_bytes:
@@ -957,6 +755,72 @@ class KemService:
         else:
             raise ProtocolError(f"unsupported op {op.name}")
         request.key, request.scheme, request.params = key, key.scheme, key.params
+
+    @staticmethod
+    def _message(key: HostedKey, given: bytes) -> bytes:
+        """The KEM message to encapsulate under ``key``: ``given``, or
+        drawn here, on the loop, so every backend receives identical
+        inputs."""
+        message_bytes = key.scheme.message_bytes(key.params)
+        if given and len(given) != message_bytes:
+            raise ProtocolError(f"message must be {message_bytes} bytes or empty")
+        return given or secrets.token_bytes(message_bytes)
+
+    async def _session(self, request: Request) -> bytes:
+        """Serve one secure-channel op inline; returns the OK payload.
+
+        ``SESSION_OPEN`` runs its one encapsulation here, through the
+        backend under the tenant's hosted key, and the session table
+        binds a channel to it; the table answers the other session ops.
+        """
+        frame, tenant = request.frame, request.tenant
+        if frame.op is not Op.SESSION_OPEN:
+            return self._channels.answer(frame.op, frame.payload, tenant)
+        key_id, rest = unpack_key_id(frame.payload)
+        key = self._tenants.find(key_id, tenant)
+        if key is None:
+            raise KeyNotFound(f"unknown key id {key_id}")
+        message = self._message(key, rest)
+        backend = self._backend
+        assert backend is not None, "start() the service first"
+        [(ct_bytes, shared)] = await asyncio.wrap_future(
+            backend.submit(key.scheme, key.params, "ENCAPS", [key.pair], [message])
+        )
+        return self._channels.open(tenant, ct_bytes, shared)
+
+    def _info_payload(self, frame: Frame) -> bytes:
+        if frame.payload == b"text":
+            return self.metrics.render_text().encode()
+        backend, fair_share = self._backend, self._scheduler.fair_share
+        snap = self.metrics.snapshot()
+        snap["service"] = {
+            "uptime_s": round(self._clock() - self._started_at, 3),
+            "draining": self._draining,
+            "pending": self._pending,
+            "hosted_keys": len(self._keys),
+            "max_batch": self._scheduler.max_batch,
+            "max_wait_us": self._scheduler.policy.max_wait_us,
+            "min_wait_us": self._scheduler.policy.min_wait_us,
+            "ewma_gap_us": self._scheduler.policy.ewma_gap_us,
+            "high_watermark": self.config.high_watermark,
+            "request_timeout_s": self.config.request_timeout,
+            "backend": backend.name if backend is not None else None,
+            "workers": backend.slots if backend is not None else None,
+            "default_deadline_s": self.config.default_deadline_s,
+            "tier_limits": list(self._deadlines.tier_limits),
+            "estimator": self._deadlines.estimator.snapshot(),
+            "schemes": {
+                scheme.name: [p.name for p in scheme.param_sets]
+                for scheme in all_schemes()
+            },
+            "sessions": len(self._channels),
+            "tenants": self._tenants.info(),
+            "fair_share": None if fair_share is None else {
+                str(tenant): round(balance, 3)
+                for tenant, balance in sorted(fair_share.snapshot().items())
+            },
+        }
+        return json.dumps(snap).encode()
 
     # ------------------------------------------------------------------
     # flushing and dispatch
@@ -1015,9 +879,8 @@ class KemService:
 
         Synchronous up to and including ``backend.submit``, so the slot
         a deadline flush takes is counted before the flush loop looks
-        again.
-        Expired entries — and predicted deadline misses — are set aside
-        here and answered ``TIMEOUT`` by the task, unexecuted.
+        again.  Entries the deadline policy times out are answered
+        ``TIMEOUT`` by the task, unexecuted.
         """
         op: Op = batch.key[0]
         entries: list[Request] = batch.entries
@@ -1029,31 +892,9 @@ class KemService:
                 entry.t_flushed = now
                 entry.batch_size = len(entries)
                 entry.trigger = batch.trigger
-        estimate = self._estimator.batch_seconds(
-            (op.name, entries[0].frame.param_id)
+        live, late = self._deadlines.at_flush(
+            (op.name, entries[0].frame.param_id), entries, now
         )
-        live: list[Request] = []
-        late: list[tuple[Request, str, dict[str, Any]]] = []
-        for entry in entries:
-            assert entry.enqueued_at is not None
-            waited = now - entry.enqueued_at
-            if self.request_timeout is not None and waited > self.request_timeout:
-                late.append((entry, f"queued {waited:.3f}s", {}))
-            elif predicted_miss(waited, estimate, entry.deadline_s):
-                # the wait already spent plus the expected kernel time
-                # overshoots the budget: answer TIMEOUT *before* burning
-                # backend capacity on a response nobody will use
-                late.append(
-                    (
-                        entry,
-                        f"shed: queued {waited:.3f}s + expected "
-                        f"{estimate or 0.0:.3f}s exceeds deadline "
-                        f"{entry.deadline_s:.3f}s",
-                        {"shed_reason": "predicted-miss"},
-                    )
-                )
-            else:
-                live.append(entry)
         t_exec = self._clock()  # before submit: the inline backend runs it there
         kernel = self._submit(op, live) if live else None
         if kernel is not None and batch.trigger == "deadline":
@@ -1092,15 +933,15 @@ class KemService:
         self,
         batch: Batch,
         live: list[Request],
-        late: list[tuple[Request, str, dict[str, Any]]],
+        late: list[tuple[Request, RequestTimedOut]],
         kernel: asyncio.Future[list[Any]] | None,
         t_exec: float,
     ) -> None:
         """Answer one launched batch: ``late`` entries ``TIMEOUT``, the
         ``live`` ones with what ``kernel`` resolves to."""
         op: Op = batch.key[0]
-        for entry, why, tags in late:
-            await self._reply(entry, Status.TIMEOUT, why.encode(), **tags)
+        for entry, refusal in late:
+            await self._refuse(entry, refusal)
         if kernel is None:
             return
         try:
@@ -1111,72 +952,48 @@ class KemService:
             return
         finally:
             self.metrics.adjust_inflight(-1)
-            if self.tracer.enabled and live[0].t_kernel_end:
-                first = live[0]
-                batch_tags: dict[str, Any] = {
-                    "op": op.name,
-                    "batch_size": len(live),
-                    "trigger": batch.trigger,
+            first = live[0]
+            if self.tracer.enabled and first.t_kernel_end:
+                tags: dict[str, Any] = {
+                    "op": op.name, "batch_size": len(live), "trigger": batch.trigger,
                 }
-                if first.kernel_tags:
-                    batch_tags.update(first.kernel_tags)
+                tags.update(first.kernel_tags or {})
                 self.tracer.record_span(
-                    "server.batch",
-                    first.t_kernel_start,
-                    first.t_kernel_end - first.t_kernel_start,
-                    first.trace_id,
-                    tags=batch_tags,
+                    "server.batch", first.t_kernel_start,
+                    first.t_kernel_end - first.t_kernel_start, first.trace_id,
+                    tags=tags,
                 )
         # successful batches feed the estimator (failures would poison
         # the EWMA with fault-injection stalls and crash-restart time)
-        self._estimator.observe(
-            (op.name, live[0].frame.param_id),
-            self._clock() - t_exec,
-            len(live),
-        )
+        deadlines = self._deadlines
+        key = (op.name, first.frame.param_id)
+        deadlines.estimator.observe(key, self._clock() - t_exec, len(live))
         t_done = self._clock()
+        keygen = op is Op.KEYGEN
         for entry, payload in zip(live, payloads, strict=True):
             assert entry.enqueued_at is not None
-            if (
-                entry.deadline_s is not None
-                and op is not Op.KEYGEN
-                and t_done - entry.enqueued_at > entry.deadline_s
-            ):
-                # completed past the budget (backend-pool queueing the
-                # dispatch-time prediction could not see): a late OK is
-                # worthless to a deadline-carrying caller, so answer
-                # TIMEOUT — this is what makes "accepted-and-OK implies
-                # within SLO" a server-side guarantee.  KEYGEN is
-                # exempt: its response names a now-hosted key the
-                # client must learn about either way
-                await self._reply(
-                    entry,
-                    Status.TIMEOUT,
-                    f"completed {t_done - entry.enqueued_at:.3f}s "
-                    f"past a {entry.deadline_s:.3f}s deadline".encode(),
-                    shed_reason="missed",
-                )
-            else:
+            refusal = deadlines.at_completion(
+                keygen, entry.enqueued_at, t_done, entry.deadline_s
+            )
+            if refusal is None:
                 await self._reply(entry, Status.OK, payload)
+            else:
+                await self._refuse(entry, refusal)
 
     def _kernel_wrapper(
         self, entries: list[Request]
     ) -> Callable[[Callable[[], Any]], Any]:
         """The hook the backend runs around the batch, in its own context.
 
-        Three jobs that must happen *where the batch executes* (a pool
-        thread, the process backend's supervisor thread, or the caller
-        for the inline backend), not on the event loop:
-
-        * draw ``kernel`` faults (stall/raise) and ``backend`` faults
-          (kill a worker process before the batch fans out);
-        * stamp the kernel extent on every entry so the ``kernel``
-          stage span means the same thing on every backend;
-        * collect ambient tags (fault-plan annotations) into the
-          entries — the executing thread does not carry the loop's
-          context, so the sink must be pushed here.  The stamps are
-          written in a ``finally`` so a raising kernel still yields a
-          ``kernel`` stage span carrying its fault tags.
+        What must happen *where the batch executes* (a pool thread, the
+        process backend's supervisor thread, or the caller for the
+        inline backend): draw ``kernel`` faults (stall/raise) and
+        ``backend`` faults (kill a worker before the batch fans out);
+        stamp the kernel extent on every entry, so the ``kernel`` stage
+        means the same on every backend; and collect ambient tags into
+        the entries — the executing thread does not carry the loop's
+        context.  The stamps are written in a ``finally``, so a raising
+        kernel still yields a ``kernel`` stage carrying its fault tags.
         """
         traced = self.tracer.enabled
         plan = self.fault_plan
@@ -1227,7 +1044,7 @@ class KemService:
             scheme, params = live[0].scheme, live[0].params
             return [
                 pack_key_id(
-                    self._register_pair(scheme, params, made, tenant=e.tenant)
+                    self._register_pair(scheme, params, made, e.tenant, reserved=True)
                 )
                 + scheme.public_key_bytes_of(params, made)
                 for e, made in zip(live, results, strict=True)
@@ -1235,126 +1052,6 @@ class KemService:
         if op is Op.ENCAPS:
             return [ct + shared for ct, shared in results]
         return results
-
-    # ------------------------------------------------------------------
-    # sessions (the secure-channel workload)
-    # ------------------------------------------------------------------
-
-    async def _session(self, request: Request) -> bytes:
-        """Serve one secure-channel op inline; returns the OK payload.
-
-        ``SESSION_OPEN`` encapsulates via the hosted key's backend path
-        and binds a :class:`~repro.lac.hybrid.HybridChannel` to that
-        ciphertext; ``SEAL``/``OPEN`` run it — the construction
-        :class:`~repro.lac.hybrid.LacHybrid` runs, so served transcripts
-        are bit-identical to the library's.  Sessions are tenant-scoped:
-        another tenant's session id is ``NOT_FOUND``.
-        """
-        frame, tenant = request.frame, request.tenant
-        op = frame.op
-        if op is Op.SESSION_OPEN:
-            key_id, rest = unpack_key_id(frame.payload)
-            key = self._keys.get(key_id)
-            if key is None:
-                raise KeyNotFound(f"unknown key id {key_id}")
-            message_bytes = key.scheme.message_bytes(key.params)
-            if rest and len(rest) != message_bytes:
-                raise ProtocolError(
-                    f"message must be {message_bytes} bytes or empty"
-                )
-            backend = self._backend
-            assert backend is not None, "start() the service first"
-            [(ct_bytes, shared)] = await asyncio.wrap_future(
-                backend.submit(
-                    key.scheme, key.params, "ENCAPS", [key.pair],
-                    [rest or secrets.token_bytes(message_bytes)],
-                )
-            )
-            session_id = self._next_session_id
-            self._next_session_id += 1
-            self._sessions[session_id] = tenant, HybridChannel(shared, ct_bytes)
-            return pack_key_id(session_id) + ct_bytes + shared
-        if op is Op.SESSION_CLOSE:
-            session_id, _ = unpack_key_id(frame.payload)
-        else:
-            session_id, nonce, rest = unpack_session_request(frame.payload)
-        owner, channel = self._sessions.get(session_id, (None, None))
-        if channel is None or owner != tenant:
-            raise KeyNotFound(f"unknown session id {session_id}")
-        if op is Op.SESSION_CLOSE:
-            del self._sessions[session_id]
-            return b""
-        if op is Op.SEAL:
-            body, tag = channel.seal(nonce, rest)
-            return body + tag
-        if len(rest) < SESSION_TAG_SIZE:
-            raise ProtocolError(
-                f"sealed body must carry a {SESSION_TAG_SIZE}-byte tag"
-            )
-        try:
-            return channel.open(
-                nonce, rest[:-SESSION_TAG_SIZE], rest[-SESSION_TAG_SIZE:]
-            )
-        except HybridDecryptionError:
-            raise BadRequest("authentication failed") from None
-
-    # ------------------------------------------------------------------
-    # INFO
-    # ------------------------------------------------------------------
-
-    def _info_payload(self, frame: Frame) -> bytes:
-        if frame.payload == b"text":
-            payload = self.metrics.render_text().encode()
-        else:
-            snap = self.metrics.snapshot()
-            snap["service"] = {
-                "uptime_s": round(self._clock() - self._started_at, 3),
-                "draining": self._draining,
-                "pending": self._pending,
-                "hosted_keys": len(self._keys),
-                "max_batch": self._scheduler.max_batch,
-                "max_wait_us": self._scheduler.policy.max_wait_us,
-                "min_wait_us": self._scheduler.policy.min_wait_us,
-                "ewma_gap_us": self._scheduler.policy.ewma_gap_us,
-                "high_watermark": self.high_watermark,
-                "request_timeout_s": self.request_timeout,
-                "backend": self._backend.name if self._backend is not None else None,
-                "workers": (
-                    self._backend.slots if self._backend is not None else None
-                ),
-                "default_deadline_s": self.config.default_deadline_s,
-                "tier_limits": list(self._tier_limits),
-                "cycle_priors": self.config.cycle_priors,
-                "estimator": self._estimator.snapshot(),
-                "schemes": {
-                    scheme.name: [p.name for p in scheme.param_sets]
-                    for scheme in all_schemes()
-                },
-                "sessions": len(self._sessions),
-                "tenants": {
-                    str(tenant): {
-                        "keys": state.keys,
-                        "inflight": state.inflight,
-                        "tokens": round(state.tokens, 3),
-                        "max_keys": state.quota.max_keys,
-                        "max_inflight": state.quota.max_inflight,
-                        "ops_per_s": state.quota.ops_per_s,
-                    }
-                    for tenant, state in sorted(self._tenants.items())
-                },
-                "fair_share": (
-                    {
-                        str(tenant): round(balance, 3)
-                        for tenant, balance in sorted(
-                            self._scheduler.fair_share.snapshot().items()
-                        )
-                    }
-                    if self._scheduler.fair_share is not None
-                    else None
-                ),
-            }
-            payload = json.dumps(snap).encode()
-        return payload
 
 
 class ThreadedService:
@@ -1435,27 +1132,25 @@ class ThreadedService:
         loop.run_until_complete(service.shutdown())
         loop.close()
 
-    def _call(self, coro: Coroutine[Any, Any, _T]) -> _T:
-        assert self._loop is not None, "start() first"
-        return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
-
-    def _hosted(self) -> KemService:
-        assert self._service is not None, "start() first"
-        return self._service
+    def _call(self, work: Callable[[KemService], Coroutine[Any, Any, _T]]) -> _T:
+        """Run ``work(service)`` on the loop thread; returns its result."""
+        assert self._loop is not None and self._service is not None, "start() first"
+        future = asyncio.run_coroutine_threadsafe(work(self._service), self._loop)
+        return future.result()
 
     def connect(self) -> socket.socket:
         """A new in-process connection as a client socket."""
-        return self._call(self._hosted().connect_socket())
+        return self._call(KemService.connect_socket)
 
     def serve_tcp(self, host: str = "127.0.0.1", port: int = 0) -> int:
         """Start a TCP listener; returns the bound port."""
 
-        async def _serve() -> int:
-            server = await self._hosted().serve_tcp(host, port)
+        async def listen(service: KemService) -> int:
+            server = await service.serve_tcp(host, port)
             port_: int = server.sockets[0].getsockname()[1]
             return port_
 
-        return self._call(_serve())
+        return self._call(listen)
 
     def add_keypair(
         self,
@@ -1471,18 +1166,18 @@ class ThreadedService:
         so the wire handler and both programmatic APIs cannot drift.
         """
 
-        async def _add() -> int:
-            return self._hosted().add_keypair(spec, seed=seed, tenant=tenant)
+        async def add(service: KemService) -> int:
+            return service.add_keypair(spec, seed=seed, tenant=tenant)
 
-        return self._call(_add())
+        return self._call(add)
 
     def remove_keypair(self, key_id: int) -> bool:
         """Stop hosting a key on the service thread; True if it existed."""
 
-        async def _remove() -> bool:
-            return self._hosted().remove_keypair(key_id)
+        async def remove(service: KemService) -> bool:
+            return service.remove_keypair(key_id)
 
-        return self._call(_remove())
+        return self._call(remove)
 
     def stop(self) -> None:
         """Shut the service down (a graceful drain) and join the loop thread."""

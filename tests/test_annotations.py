@@ -22,15 +22,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: Modules that still miss the floor; deleting an entry is the ratchet.
 PENDING = (
-    "repro/bch/decoder.py",
-    "repro/bch/encoder.py",
     "repro/eval/ablations.py",
     "repro/eval/leakage.py",
     "repro/eval/sensitivity.py",
-    "repro/gf/field.py",
-    "repro/gf/poly2.py",
-    "repro/gf/polygf.py",
-    "repro/hashes/keccak.py",
     "repro/hw/barrett.py",
     "repro/hw/chien.py",
     "repro/hw/keccak_accel.py",

@@ -1,6 +1,6 @@
-"""Golden cycle regressions for the cosim backend and its SLO priors.
+"""Golden cycle regressions for the cosim backend.
 
-Three claims are pinned here with **exact equality** (cycles are
+Two claims are pinned here with **exact equality** (cycles are
 modelled, not timed — there is no tolerance to hide behind):
 
 1. a request served through :class:`repro.backend.CosimBackend` with
@@ -12,10 +12,7 @@ modelled, not timed — there is no tolerance to hide behind):
    ``FROZEN_SHA256_BLOCKS``;
 2. the BCH *decode phases* of the ISE profile (Table I's columns) are
    constant-schedule: two decapsulations of different ciphertexts
-   price every decode phase identically;
-3. the cycle-model priors close the estimator's cold-start window:
-   the very first request is predicted (and, when hopeless, shed)
-   before any batch has ever run.
+   price every decode phase identically.
 """
 
 import pytest
@@ -24,16 +21,8 @@ from repro.backend import CosimBackend
 from repro.backend.cosim import model_cycles
 from repro.cosim.costs import ISE_COSTS, price_phases
 from repro.lac.params import ALL_PARAMS, LAC_128
-from repro.serve import (
-    CycleCostEstimator,
-    KemClient,
-    KernelEstimator,
-    ServiceBusy,
-    ServiceConfig,
-    ThreadedService,
-    predicted_miss,
-)
-from repro.schemes import LAC_SCHEME, wire_id_for_params
+from repro.serve import KemClient, ServiceConfig, ThreadedService
+from repro.schemes import LAC_SCHEME
 
 SEED = bytes(range(64))
 MESSAGE = bytes(range(32))  # == the cycle model's seed[:32]
@@ -178,86 +167,3 @@ class TestConstantSchedule:
         for other in phase_prices[1:]:
             for phase in present:
                 assert other[phase] == first[phase], phase
-
-
-class TestCyclePriors:
-    """Layer 2: the cycle model seeds the SLO estimator."""
-
-    def test_estimator_prior_stands_in_until_observed(self):
-        key = ("ENCAPS", 0)
-        estimator = KernelEstimator(priors={key: 0.5})
-        # before any observation the prior is the estimate...
-        assert estimator.batch_seconds(key) == 0.5
-        # ...an unknown key has neither prior nor global fallback...
-        assert estimator.batch_seconds(("DECAPS", 0)) is None
-        # ...a real observation immediately shadows the prior...
-        estimator.observe(key, 2.0, ops=1)
-        assert estimator.batch_seconds(key) == 2.0
-        # ...and a prior still beats the cross-key global EWMA
-        other = ("KEYGEN", 0)
-        estimator2 = KernelEstimator(priors={other: 0.25})
-        estimator2.observe(("ENCAPS", 1), 8.0, ops=1)
-        assert estimator2.batch_seconds(other) == 0.25
-        assert estimator2.batch_seconds(("DECAPS", 1)) == 8.0  # global
-
-    def test_cycle_cost_estimator_matches_the_model(self):
-        predicted = model_cycles(LAC_128, "ise")
-        estimator = CycleCostEstimator(profile="ise", clock_hz=1_000_000.0)
-        assert estimator.op_cycles(LAC_128, "KEYGEN") == predicted.key_generation
-        assert estimator.op_seconds(LAC_128, "DECAPS") == (
-            predicted.decapsulation / 1_000_000.0
-        )
-        priors = estimator.priors([LAC_128])
-        param_id = wire_id_for_params(LAC_128)
-        assert set(priors) == {
-            ("KEYGEN", param_id),
-            ("ENCAPS", param_id),
-            ("DECAPS", param_id),
-        }
-        assert priors[("ENCAPS", param_id)] == (
-            predicted.encapsulation / 1_000_000.0
-        )
-        with pytest.raises(KeyError):
-            estimator.op_cycles(LAC_128, "INFO")
-        with pytest.raises(ValueError):
-            CycleCostEstimator(profile="fpga")
-        with pytest.raises(ValueError):
-            CycleCostEstimator(clock_hz=0.0)
-
-    def test_no_cold_start_mispredict_window(self):
-        """The fake-clock shedding rule, driven by a prior: at queue
-        wait zero — the very first request — the prediction already
-        sheds a hopeless deadline and admits a feasible one."""
-        estimator = KernelEstimator(
-            priors=CycleCostEstimator(
-                profile="ise", clock_hz=1_000_000.0
-            ).priors([LAC_128])
-        )
-        key = ("KEYGEN", wire_id_for_params(LAC_128))
-        estimate = estimator.batch_seconds(key)
-        assert estimate is not None  # predicted before any batch ran
-        assert predicted_miss(0.0, estimate, estimate / 2) is True
-        assert predicted_miss(0.0, estimate, estimate * 2) is False
-        # without priors, the same cold request is admitted on no
-        # prediction — the window the priors exist to close
-        assert KernelEstimator().batch_seconds(key) is None
-        assert predicted_miss(0.0, None, estimate / 2) is False
-
-    def test_first_request_is_shed_hopeless_through_the_service(self):
-        """End to end: a service seeded with cycle priors at a 1 Hz
-        calibrated clock predicts every request to take ~1e5..1e6
-        seconds, so the very first request is shed BUSY — no
-        cold-start free pass."""
-        config = ServiceConfig(
-            backend="inline",
-            cycle_priors="ise",
-            cycle_priors_hz=1.0,
-            default_deadline_s=0.05,
-        )
-        with ThreadedService(config) as svc:
-            client = KemClient(svc.connect())
-            with pytest.raises(ServiceBusy, match="below expected"):
-                client.keygen(LAC_128, SEED)
-            client.close()
-            sheds = svc.service.metrics.snapshot()["sheds"]
-        assert sheds.get("hopeless:0:0") == 1

@@ -18,7 +18,7 @@ import time
 
 import pytest
 
-from repro.errors import ServiceBusy
+from repro.errors import KeyNotFound, ServiceBusy
 from repro.lac.kem import LacKem
 from repro.lac.params import LAC_128, LAC_256
 from repro.loadgen import OpenLoopLoadGen, TierSpec
@@ -186,6 +186,29 @@ class TestSchedulerFairShare:
             policy=AdaptiveDeadlinePolicy(max_wait_us=100.0, min_wait_us=50.0),
         )
         assert sched.fair_share is None
+
+
+class TestKeyScoping:
+    def test_a_key_answers_only_its_own_tenant(self):
+        """Another tenant can neither use nor remove a key: its id is
+        as unknown to them as one never issued."""
+        with ThreadedService(ServiceConfig(max_batch=2)) as svc:
+            client = KemClient(svc.connect(), retry=NO_RETRY)
+            key_id, _pk = client.keygen(LAC_128, SEED, tenant=1)
+            ct, shared = client.encaps(key_id, tenant=1)
+            for tenant in (None, 2):
+                with pytest.raises(KeyNotFound):
+                    client.encaps(key_id, tenant=tenant)
+                with pytest.raises(KeyNotFound):
+                    client.decaps(key_id, ct, tenant=tenant)
+                with pytest.raises(KeyNotFound):
+                    client.open_session(key_id, tenant=tenant)
+                with pytest.raises(KeyNotFound):
+                    client.remove_key(key_id, tenant=tenant)
+            assert client.decaps(key_id, ct, tenant=1) == shared
+            client.remove_key(key_id, tenant=1)
+            assert svc.service.hosted_key(key_id) is None
+            client.close()
 
 
 class TestQuotaEnforcement:

@@ -104,7 +104,7 @@ def assert_balanced(server: KemService, recorder: InMemoryRecorder) -> None:
     assert server.pending == 0
     assert snap["queue_depth"] == 0
     assert snap["inflight_batches"] == 0
-    for state in server._tenants.values():
+    for state in server._tenants.quotas.values():
         assert state.inflight == 0
     roots = [s for s in recorder.spans if s.name == "server.request"]
     assert len(roots) == requests, "one root span per answered request"
@@ -139,6 +139,12 @@ class Rig:
     async def status(self, op: Op, payload: bytes = b"", **kwargs) -> Status:
         param_id = PARAM_NONE if op in (Op.INFO, Op.REMOVE_KEY) else PID
         return (await self.client.request(op, param_id, payload, **kwargs)).status
+
+    def host(self, tenant: int) -> int:
+        """Host a key of ``tenant``; keys answer only their own tenant."""
+        key_id = self.svc.add_keypair(LAC_128, seed=SEED, tenant=tenant)
+        self.client.register_key(key_id, LAC_128)
+        return key_id
 
     def park(self, coro) -> None:
         self.parked.append(asyncio.ensure_future(coro))
@@ -227,20 +233,22 @@ async def quota_keys(rig: Rig):
 
 @scenario(max_batch=2, tenant_quotas=(TenantQuota(tenant=3, max_inflight=1),))
 async def quota_inflight(rig: Rig):
-    rig.park(rig.client.encaps(rig.key_id, tenant=3))
+    key_id = rig.host(3)
+    rig.park(rig.client.encaps(key_id, tenant=3))
     await rig.until_pending(1)
     with pytest.raises(ServiceBusy, match=r"over quota \(inflight\)"):
-        await rig.client.encaps(rig.key_id, tenant=3)
+        await rig.client.encaps(key_id, tenant=3)
     # session ops hold the tenant's in-flight slot too
     with pytest.raises(ServiceBusy, match=r"over quota \(inflight\)"):
-        await rig.client.open_session(rig.key_id, tenant=3)
+        await rig.client.open_session(key_id, tenant=3)
 
 
 @scenario(tenant_quotas=(TenantQuota(tenant=3, ops_per_s=0.001, burst=1.0),))
 async def quota_rate(rig: Rig):
-    await rig.client.encaps(rig.key_id, tenant=3)
+    key_id = rig.host(3)
+    await rig.client.encaps(key_id, tenant=3)
     with pytest.raises(ServiceBusy, match=r"over quota \(rate\)"):
-        await rig.client.encaps(rig.key_id, tenant=3)
+        await rig.client.encaps(key_id, tenant=3)
 
 
 @scenario(max_batch=8, high_watermark=4, tier_watermarks=(1.0, 0.5))
@@ -263,7 +271,7 @@ async def tier_watermark_then_full_queue(rig: Rig):
 
 @scenario()
 async def hopeless(rig: Rig):
-    rig.svc._estimator.observe(("ENCAPS", PID), 5.0, 1)
+    rig.svc._deadlines.estimator.observe(("ENCAPS", PID), 5.0, 1)
     with pytest.raises(ServiceBusy, match="below expected"):
         await rig.client.encaps(rig.key_id, deadline_s=0.05)
     assert rig.svc.metrics.snapshot()["sheds"] == {"hopeless:0:0": 1}
@@ -300,6 +308,23 @@ async def not_found_parses(rig: Rig):
         await rig.client.seal(7, NONCE, b"x")
     with pytest.raises(KeyNotFound, match="unknown session id 7"):
         await rig.client.close_session(7)
+
+
+@scenario()
+async def foreign_key_is_not_found(rig: Rig):
+    # another tenant's key id gets the bytes of an id never issued
+    ct, shared = await rig.client.encaps(rig.key_id)
+    quoted = f"'unknown key id {rig.key_id}'".encode()
+    for op, payload, refusal in (
+        (Op.ENCAPS, pack_encaps_request(rig.key_id), quoted),
+        (Op.DECAPS, pack_decaps_request(rig.key_id, ct), quoted),
+        (Op.SESSION_OPEN, pack_key_id(rig.key_id), quoted[1:-1]),
+        (Op.REMOVE_KEY, pack_key_id(rig.key_id), quoted[1:-1]),
+    ):
+        param_id = PARAM_NONE if op is Op.REMOVE_KEY else PID
+        reply = await rig.client.request(op, param_id, payload, tenant=2)
+        assert (reply.status, reply.payload) == (Status.NOT_FOUND, refusal)
+    assert await rig.client.decaps(rig.key_id, ct) == shared
 
 
 @scenario(max_batch=2, request_timeout=5.0)
@@ -381,7 +406,7 @@ async def cancelled_mid_request(rig: Rig):
     rig.svc._session = hang
     torn = asyncio.ensure_future(rig.client.request(Op.SEAL, PID, tenant=3))
     for _ in range(10_000):
-        if rig.svc._tenants[3].inflight:
+        if rig.svc._tenants.quotas[3].inflight:
             break
         await asyncio.sleep(0.001)
     for task in list(rig.svc._conn_tasks):
@@ -389,7 +414,7 @@ async def cancelled_mid_request(rig: Rig):
     # the torn-down request is still answered, and gives its slot back
     reply = await torn
     assert (reply.status, reply.payload) == (Status.INTERNAL, b"cancelled")
-    assert rig.svc._tenants[3].inflight == 0
+    assert rig.svc._tenants.quotas[3].inflight == 0
 
 
 @pytest.mark.parametrize("name", SERVICE_SCENARIOS)
@@ -443,16 +468,16 @@ def test_pipelined_keygens_cannot_overrun_max_keys():
         busy = [r for r in results if isinstance(r, ServiceBusy)]
         assert len(busy) == 4 and len(results) - len(busy) == 2
         assert svc.metrics.snapshot()["sheds"] == {"quota:0:3": 4}
-        assert len(svc._keys) == 2 and svc._tenants[3].keys == 2
+        assert len(svc._keys) == 2 and svc._tenants.quotas[3].keys == 2
 
         # a KEYGEN that fails in the kernel gives its slot back
         for key_id in list(svc._keys):
-            await client.remove_key(key_id)
+            await client.remove_key(key_id, tenant=3)
         for _ in range(3):
             backend.next = "raise"
             with pytest.raises(ServiceError, match="kernel exploded"):
                 await client.keygen(LAC_128, tenant=3)
-        assert svc._tenants[3].keys == 0
+        assert svc._tenants.quotas[3].keys == 0
         await client.keygen(LAC_128, tenant=3)
         await client.keygen(LAC_128, tenant=3)
         with pytest.raises(ServiceBusy):
@@ -485,8 +510,10 @@ def test_root_tags_and_admission_boundary_of_traced_requests():
         )
         await svc.start()
         key_id = svc.add_keypair(LAC_128, seed=SEED)
+        tenant2_key = svc.add_keypair(LAC_128, seed=SEED, tenant=2)
         client = AsyncKemClient(*(await svc.connect()))
         client.register_key(key_id, LAC_128)
+        client.register_key(tenant2_key, LAC_128)
 
         parse = svc._parse
 
@@ -502,7 +529,7 @@ def test_root_tags_and_admission_boundary_of_traced_requests():
         with pytest.raises(ServiceBusy):
             await client.encaps(key_id, tier=1)  # watermark
         await client.request(Op.ENCAPS, PID, b"\x01")  # parse refusal
-        sid, _ct, _shared = await client.open_session(key_id, tenant=2)
+        sid, _ct, _shared = await client.open_session(tenant2_key, tenant=2)
         with pytest.raises(KeyNotFound):
             await client.seal(sid, NONCE, b"x")  # tenant 0: not its session
         await client.aclose()

@@ -27,6 +27,7 @@ from repro.serve import (
     RequestTimedOut,
     ServiceBusy,
     ServiceDraining,
+    TenantQuota,
     ThreadedService,
 )
 from repro.schemes import wire_id_for_params
@@ -400,8 +401,6 @@ class TestConstructorSurface:
             "backend_workers",
             "default_deadline_s",
             "tier_watermarks",
-            "cycle_priors",
-            "cycle_priors_hz",
             "tenant_quotas",
         }
 
@@ -420,7 +419,6 @@ class TestConstructorSurface:
             "min_wait_us",
             "request_timeout",
             "default_deadline_s",
-            "cycle_priors_hz",
         ],
     )
     def test_non_finite_bounds_are_rejected(self, field, value):
@@ -428,6 +426,70 @@ class TestConstructorSurface:
         # fresh queues a NaN deadline that poll never found due
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             ServiceConfig(**{field: value})
+
+
+class TestInfo:
+    def test_service_block_is_pinned(self):
+        """The INFO ``service`` block's key set and values on a fake
+        clock.  The benchmark reads ``max_batch``, ``ewma_gap_us``,
+        ``workers`` and ``backend`` from it, so a rename must fail here
+        first."""
+
+        async def main():
+            svc, clock = frozen_service(
+                max_batch=1,
+                high_watermark=100,
+                tier_watermarks=(1.0, 0.5),
+                request_timeout=5.0,
+                default_deadline_s=2.0,
+                backend="inline",
+                tenant_quotas=(TenantQuota(tenant=3, max_keys=4, ops_per_s=10.0),),
+            )
+            await svc.start()
+            key_id = svc.add_keypair(LAC_128, seed=SEED, tenant=3)
+            clock.advance(2.5)
+            client = AsyncKemClient(*(await svc.connect()))
+            client.register_key(key_id, LAC_128)
+            await client.encaps(key_id, tenant=3)
+            service = (await client.info())["service"]
+            await client.aclose()
+            await svc.shutdown()
+            return service
+
+        service = asyncio.run(main())
+        assert service == {
+            "uptime_s": 2.5,
+            "draining": False,
+            "pending": 0,
+            "hosted_keys": 1,
+            "max_batch": 1,
+            "max_wait_us": 10_000_000.0,
+            "min_wait_us": 10_000_000.0,
+            "ewma_gap_us": None,
+            "high_watermark": 100,
+            "request_timeout_s": 5.0,
+            "backend": "inline",
+            "workers": 1,
+            "default_deadline_s": 2.0,
+            "tier_limits": [100, 50],
+            "estimator": {str(("ENCAPS", wire_id_for_params(LAC_128))): 0.0},
+            "schemes": {
+                "lac": ["LAC-128", "LAC-192", "LAC-256"],
+                "newhope": ["NewHope512", "NewHope1024"],
+            },
+            "sessions": 0,
+            "tenants": {
+                "3": {
+                    "keys": 1,
+                    "inflight": 0,
+                    "tokens": 9.0,
+                    "max_keys": 4,
+                    "max_inflight": None,
+                    "ops_per_s": 10.0,
+                }
+            },
+            "fair_share": {"3": 0.0},
+        }
 
 
 class TestTransports:

@@ -52,7 +52,7 @@ def test_hopeless_deadline_is_shed_at_admission_as_busy():
     async def main():
         svc, client, key_id = await _started(ServiceConfig())
         # the estimator has seen 5 s batches; a 50 ms budget is hopeless
-        svc._estimator.observe(("ENCAPS", PID), 5.0, 1)
+        svc._deadlines.estimator.observe(("ENCAPS", PID), 5.0, 1)
         with pytest.raises(ServiceBusy):
             await client.encaps(key_id, deadline_s=0.05)
         assert svc.metrics.snapshot()["sheds"] == {"hopeless:0:0": 1}
@@ -72,7 +72,7 @@ def test_config_default_deadline_applies_to_bare_requests():
         svc, client, key_id = await _started(
             ServiceConfig(default_deadline_s=0.05)
         )
-        svc._estimator.observe(("ENCAPS", PID), 5.0, 1)
+        svc._deadlines.estimator.observe(("ENCAPS", PID), 5.0, 1)
         with pytest.raises(ServiceBusy):
             await client.encaps(key_id)  # no per-request deadline
         assert svc.metrics.snapshot()["sheds"] == {"hopeless:0:0": 1}
@@ -148,7 +148,7 @@ def test_shed_responses_carry_tier_metrics():
 
     async def main():
         svc, client, key_id = await _started(ServiceConfig())
-        svc._estimator.observe(("ENCAPS", PID), 5.0, 1)
+        svc._deadlines.estimator.observe(("ENCAPS", PID), 5.0, 1)
         with pytest.raises(ServiceBusy):
             await client.encaps(key_id, deadline_s=0.05, tier=2)
         assert svc.metrics.snapshot()["sheds"] == {"hopeless:2:0": 1}
