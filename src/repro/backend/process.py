@@ -73,6 +73,7 @@ from repro.batch.kem import (
     _decaps_chunk,
     _encaps_chunk,
     key_lanes,
+    keygen_many,
     wire_rows,
 )
 from repro.errors import WorkerCrashed
@@ -125,7 +126,7 @@ def _worker_init(param_names: Sequence[str]) -> None:
     for name in param_names:
         kem = _worker_kem(name)
         params = kem.params
-        pair = kem.keygen(b"\x2a" * (params.seed_bytes + 32))
+        [pair] = keygen_many(kem, [b"\x2a" * (params.seed_bytes + 32)])
         rows, _ = _encaps_chunk(
             kem, [pair.public_key], [b"\x00" * params.message_bytes]
         )
@@ -170,12 +171,10 @@ def _worker_lanes(
 def _worker_keygen(
     params_name: str, seeds: list[bytes | None]
 ) -> list[tuple[bytes, bytes]]:
-    kem = _worker_kem(params_name)
-    out = []
-    for seed in seeds:
-        pair = kem.keygen(seed)
-        out.append((pair.public_key.to_bytes(), pair.secret_key.to_bytes()))
-    return out
+    return [
+        (pair.public_key.to_bytes(), pair.secret_key.to_bytes())
+        for pair in keygen_many(_worker_kem(params_name), seeds)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +309,7 @@ class ProcessBackend(KemBackend):
         if scheme.name != "lac":
             return super()._kernel(scheme, params, op, pairs, batch)
         if pairs is None:
-            # keygen: batches are rare, small, and dominated by sampling
+            # keygen: one keygen_many call per chunk
             calls = [
                 (params.name, batch[lo:hi]) for lo, hi in self._bounds(len(batch))
             ]

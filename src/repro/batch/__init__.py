@@ -13,6 +13,7 @@ from repro.batch.kem import (
     decaps_many,
     encaps_many,
     key_fingerprints,
+    keygen_many,
     warm_cache,
 )
 from repro.batch.sampling import (
@@ -27,6 +28,7 @@ __all__ = [
     "parity_matrix",
     "encaps_many",
     "decaps_many",
+    "keygen_many",
     "key_fingerprints",
     "warm_cache",
     "gen_a_vec",

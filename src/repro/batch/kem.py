@@ -2,13 +2,16 @@
 
 The scalar :class:`repro.lac.kem.LacKem` methods process one operation
 at a time through the cycle-model reference code.  This module stacks a
-whole batch of operations into 2-D numpy arrays and runs the ring
-arithmetic as batched negacyclic multiplications
-(:meth:`repro.ring.poly.PolyRing.mul_many`, one half-length ring
-transform for the whole stack), the BCH encode as one masked XOR
-reduction, and the samplers through their vectorized twins — while
-producing ciphertexts and shared secrets bit-identical to looping the
-scalar API (a tested invariant across all three LAC parameter sets).
+whole batch of operations — KEYGEN (:func:`keygen_many`), ENCAPS and
+DECAPS — into 2-D numpy arrays and runs the ring arithmetic as batched
+negacyclic multiplications (:meth:`repro.ring.poly.PolyRing.mul_many`,
+one half-length ring transform for the whole stack), the BCH encode as
+one masked XOR reduction, and the samplers through their vectorized
+twins — while producing key pairs, ciphertexts and shared secrets
+bit-identical to looping the scalar API (a tested invariant across all
+three LAC parameter sets).  Every served or hosted LAC key comes from
+:func:`keygen_many`; the scalar :meth:`LacKem.keygen` stays the counted
+reference.
 
 **Wire rows.**  Ciphertexts enter and leave the kernels as one
 ``(B, ciphertext_bytes)`` ``uint8`` block in the wire format of
@@ -52,10 +55,19 @@ import numpy as np
 
 from repro.batch.encode import encode_many
 from repro.batch.sampling import gen_a_vec, sample_secret_rows
-from repro.lac.kem import EncapsResult, KemSecretKey, LacKem, _hash3
+from repro.hashes.prng import Sha256Prng
+from repro.lac.kem import (
+    EncapsResult,
+    KemKeyPair,
+    KemSecretKey,
+    LacKem,
+    _hash3,
+    split_seed,
+)
 from repro.lac.params import LacParams
-from repro.lac.pke import Ciphertext, PublicKey
+from repro.lac.pke import Ciphertext, PublicKey, SecretKey
 from repro.ring.cache import KeyTransformCache, fingerprint
+from repro.ring.ternary import TernaryPoly
 from repro.trace import current_tags
 
 _T = TypeVar("_T")
@@ -405,8 +417,45 @@ def _decaps_chunk(
 
 
 # ---------------------------------------------------------------------------
-# public API (surfaced as LacKem.encaps_many / LacKem.decaps_many)
+# public API (surfaced as LacScheme.keygen, LacKem.encaps_many and
+# LacKem.decaps_many)
 # ---------------------------------------------------------------------------
+
+
+def keygen_many(
+    kem: LacKem, seeds: Sequence[bytes | None]
+) -> list[KemKeyPair]:
+    """Generate one key pair per seed (``None``: an OS-random seed).
+
+    Positionally identical to calling :meth:`LacKem.keygen` with each
+    seed: the seed is split by the same :func:`split_seed` and the PKE
+    seed into ``seed_a``/``seed_sk`` by the same PRNG forks.  GenA runs
+    per seed, one :func:`sample_secret_rows` call squeezes every
+    ``s``/``e`` row of the batch and one
+    :meth:`~repro.ring.poly.PolyRing.mul_many` computes every
+    ``b = a*s + e``.
+    """
+    params = kem.params
+    split = [split_seed(params, seed) for seed in seeds]
+    if not split:
+        return []
+    roots = [Sha256Prng(pke_seed) for pke_seed, _ in split]
+    seed_as = [root.fork(b"seed-a").seed for root in roots]
+    seed_sks = [root.fork(b"seed-sk").seed for root in roots]
+
+    # rows b*2+0/1 are key b's s/e polynomials
+    rows = sample_secret_rows(seed_sks, params, 2)
+    s_rows = rows[0::2]
+    a_rows = np.vstack([gen_a_vec(seed_a, params) for seed_a in seed_as])
+    b_rows = np.mod(params.ring.mul_many(s_rows, a_rows) + rows[1::2], params.q)
+
+    pairs = []
+    for (_, z), seed_a, s, b in zip(split, seed_as, s_rows, b_rows):
+        pk = PublicKey(params, seed_a, b)
+        pk_digest = _hash3(pk.to_bytes(), b"", b"pk")
+        sk = SecretKey(params, TernaryPoly(s))
+        pairs.append(KemKeyPair(pk, KemSecretKey(sk, pk, pk_digest, z)))
+    return pairs
 
 
 def encaps_many(

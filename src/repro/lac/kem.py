@@ -36,6 +36,20 @@ def _hash3(a: bytes, b: bytes, label: bytes, counter: OpCounter | None = None) -
     return sha256(a + b + label, counter=counter)
 
 
+def split_seed(params: LacParams, seed: bytes | None) -> tuple[bytes, bytes]:
+    """``(pke_seed, z)`` of a key-generation seed: the PKE seed, then the
+    next 32 bytes as the implicit-rejection secret (an OS-random seed
+    when ``None``)."""
+    if seed is None:
+        seed = secrets.token_bytes(params.seed_bytes + 32)
+    if len(seed) < params.seed_bytes + 32:
+        raise ValueError(
+            f"seed must provide {params.seed_bytes + 32} bytes "
+            "(PKE seed + implicit-rejection secret)"
+        )
+    return seed[: params.seed_bytes], seed[params.seed_bytes :][:32]
+
+
 @dataclass
 class KemSecretKey:
     """Decapsulation key: the PKE secret, the public key (for
@@ -107,15 +121,7 @@ class LacKem:
     ) -> KemKeyPair:
         """Generate a key pair (random seed drawn from the OS when omitted)."""
         counter = ensure_counter(counter)
-        params = self.params
-        if seed is None:
-            seed = secrets.token_bytes(params.seed_bytes + 32)
-        if len(seed) < params.seed_bytes + 32:
-            raise ValueError(
-                f"seed must provide {params.seed_bytes + 32} bytes "
-                "(PKE seed + implicit-rejection secret)"
-            )
-        pke_seed, z = seed[: params.seed_bytes], seed[params.seed_bytes :][:32]
+        pke_seed, z = split_seed(self.params, seed)
         pk, sk = self.pke.keygen(pke_seed, counter)
         with counter.phase("kem_glue"):
             pk_digest = _hash3(pk.to_bytes(), b"", b"pk", counter)

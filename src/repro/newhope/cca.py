@@ -25,7 +25,12 @@ import numpy as np
 
 from repro.hashes.keccak import shake256
 from repro.metrics import OpCounter, ensure_counter
-from repro.newhope.cpa import NewHopeCiphertext, NewHopeKeyPair, NewHopePke
+from repro.newhope.cpa import (
+    NewHopeCiphertext,
+    NewHopeKeyPair,
+    NewHopePke,
+    Transformer,
+)
 from repro.newhope.params import NewHopeParams
 
 
@@ -53,7 +58,9 @@ class NewHopeCcaSecretKey:
 class NewHopeCcaKem:
     """The CCA-secure NewHope KEM via the FO transform."""
 
-    def __init__(self, params: NewHopeParams, transformer=None):
+    def __init__(
+        self, params: NewHopeParams, transformer: Transformer | None = None
+    ) -> None:
         self.params = params
         self.pke = NewHopePke(params, transformer)
 

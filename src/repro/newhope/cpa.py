@@ -21,6 +21,7 @@ encapsulation; the KEM here mirrors that.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 
@@ -30,8 +31,19 @@ from repro.metrics import OpCounter, ensure_counter
 from repro.newhope.params import NewHopeParams
 from repro.newhope.sampling import gen_a, sample_noise_polys
 
-#: Transform strategy: (context-transform, counter) -> transformed poly.
-#: Injected so the cycle model can route through the accelerator model.
+
+class Transformer(Protocol):
+    """Forward/inverse NTT strategy: the software
+    :class:`repro.ring.ntt.NttContext` by default; the cycle model
+    injects the accelerator model so transforms are priced."""
+
+    def forward(self, poly: np.ndarray) -> np.ndarray:
+        """Negacyclic forward transform of a coefficient vector."""
+        ...
+
+    def inverse(self, values: np.ndarray) -> np.ndarray:
+        """Inverse transform back to coefficients."""
+        ...
 
 
 @dataclass
@@ -52,12 +64,14 @@ class NewHopeCiphertext:
 class NewHopePke:
     """The CPA-secure NewHope public-key encryption scheme."""
 
-    def __init__(self, params: NewHopeParams, transformer=None):
+    def __init__(
+        self, params: NewHopeParams, transformer: Transformer | None = None
+    ) -> None:
         self.params = params
         self.ntt = params.ntt
-        #: object with forward/inverse/pointwise (defaults to the pure
-        #: software context; the cycle model injects the accelerator)
-        self.transformer = transformer or self.ntt
+        #: forward/inverse transforms (defaults to the pure software
+        #: context; the cycle model injects the accelerator)
+        self.transformer: Transformer = transformer or self.ntt
 
     # ------------------------------------------------------------------
 
@@ -200,7 +214,9 @@ class NewHopePke:
 class NewHopeCpaKem:
     """CPA-secure KEM (what [8] benchmarks: no re-encryption check)."""
 
-    def __init__(self, params: NewHopeParams, transformer=None):
+    def __init__(
+        self, params: NewHopeParams, transformer: Transformer | None = None
+    ) -> None:
         self.params = params
         self.pke = NewHopePke(params, transformer)
 

@@ -22,6 +22,7 @@ from repro.batch.kem import (
     _encaps_chunk,
     _row_bytes,
     key_fingerprints,
+    keygen_many,
     warm_cache,
     wire_rows,
 )
@@ -82,8 +83,9 @@ class LacScheme(KemScheme):
     # ------------------------------------------------------------------
 
     def keygen(self, params: LacParams, seed: bytes | None = None) -> KemKeyPair:
-        """A fresh (or seed-derived) :class:`KemKeyPair`."""
-        return self.kem_for(params).keygen(seed)
+        """A fresh (or seed-derived) :class:`KemKeyPair`, from the batch
+        kernel (bit-identical to the scalar :meth:`LacKem.keygen`)."""
+        return keygen_many(self.kem_for(params), [seed])[0]
 
     def public_key_bytes_of(self, params: LacParams, pair: KemKeyPair) -> bytes:
         """The pair's public key in wire form."""

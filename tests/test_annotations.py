@@ -33,8 +33,6 @@ PENDING = (
     "repro/hw/mul_ter.py",
     "repro/hw/ntt_accel.py",
     "repro/hw/vcd.py",
-    "repro/newhope/cca.py",
-    "repro/newhope/cpa.py",
     "repro/riscv/assembler.py",
     "repro/riscv/cpu.py",
     "repro/riscv/memory.py",

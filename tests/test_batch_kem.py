@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.backend import ThreadBackend
+from repro.batch import sampling as batch_sampling
 from repro.batch.encode import bch_encode_many, encode_many
+from repro.batch.kem import keygen_many
 from repro.batch.sampling import (
     gen_a_vec,
     sample_secret_and_error_vec,
@@ -227,3 +229,81 @@ class TestEdgeBatchSizes:
         assert kem.decaps_many(pair.secret_key, [result.ciphertext]) == [
             result.shared_secret
         ]
+
+
+#: A LAC-128 seed whose ``s`` row has fewer than h distinct indices in
+#: :func:`sample_secret_rows`' fixed candidate window, so that row is
+#: redone through the per-polynomial sampler.
+SHORT_WINDOW_SEED = bytes([65, 0]) * 32
+
+
+def _keygen_seeds(params, count):
+    # twice the length keygen reads: the bytes past z must be ignored
+    return [bytes([i, 0x3C]) * (params.seed_bytes + 32) for i in range(count)]
+
+
+def _assert_same_pair(batch, scalar):
+    assert batch.public_key.to_bytes() == scalar.public_key.to_bytes()
+    assert batch.secret_key.to_bytes() == scalar.secret_key.to_bytes()
+    assert batch.secret_key.pk_digest == scalar.secret_key.pk_digest
+    assert batch.secret_key.z == scalar.secret_key.z
+    assert np.array_equal(
+        batch.secret_key.sk.s.coeffs, scalar.secret_key.sk.s.coeffs
+    )
+
+
+class TestKeygenParity:
+    """``keygen_many`` is the batch twin of the scalar ``LacKem.keygen``."""
+
+    @pytest.mark.parametrize("count", [1, 5, 64])
+    def test_keygen_many_matches_scalar(self, params, count):
+        kem = LacKem(params)
+        seeds = _keygen_seeds(params, count)
+        pairs = keygen_many(kem, seeds)
+        assert len(pairs) == count
+        for pair, seed in zip(pairs, seeds):
+            _assert_same_pair(pair, kem.keygen(seed))
+
+    def test_short_window_row_takes_the_fallback(self, monkeypatch):
+        kem = LacKem(LAC_128)
+        redone = []
+        sampler = batch_sampling.sample_ternary_fixed_weight_vec
+
+        def counting(prng, params):
+            redone.append(prng.seed)
+            return sampler(prng, params)
+
+        monkeypatch.setattr(
+            batch_sampling, "sample_ternary_fixed_weight_vec", counting
+        )
+        [pair] = keygen_many(kem, [SHORT_WINDOW_SEED])
+        assert len(redone) == 1
+        monkeypatch.undo()
+        _assert_same_pair(pair, kem.keygen(SHORT_WINDOW_SEED))
+
+    def test_scheme_keygen_runs_the_batch_kernel(self, params):
+        kem = LacKem(params)
+        seed = _keygen_seeds(params, 1)[0]
+        _assert_same_pair(LAC_SCHEME.keygen(params, seed), kem.keygen(seed))
+
+    def test_no_seed_draws_a_fresh_key(self, params):
+        first = LAC_SCHEME.keygen(params)
+        second = LAC_SCHEME.keygen(params)
+        assert first.public_key.to_bytes() != second.public_key.to_bytes()
+        assert first.secret_key.z != second.secret_key.z
+        ct, shared = LAC_SCHEME.encaps_many(
+            params, first, [b"\x07" * params.message_bytes]
+        )[0]
+        assert LAC_SCHEME.decaps_many(params, first, [ct]) == [shared]
+
+    def test_short_seed_raises_like_scalar(self, params):
+        short = b"\x01" * (params.seed_bytes + 31)
+        with pytest.raises(ValueError, match="seed must provide"):
+            LacKem(params).keygen(short)
+        with pytest.raises(ValueError, match="seed must provide"):
+            keygen_many(LacKem(params), [b"\x01" * 64 * 2, short])
+        with pytest.raises(ValueError, match="seed must provide"):
+            LAC_SCHEME.keygen(params, short)
+
+    def test_empty_batch(self):
+        assert keygen_many(LacKem(LAC_128), []) == []

@@ -12,7 +12,9 @@ families the paper accelerates:
 * the two-level splitting (Algorithms 1-2) against direct length-1024
   multiplication;
 * the annotated ISE drivers (MUL TER, MUL CHIEN) against the
-  vectorized kernels — the cosim backend's bit-identity seam.
+  vectorized kernels — the cosim backend's bit-identity seam;
+* batched KEYGEN (:func:`repro.batch.kem.keygen_many`) against the
+  scalar ``LacKem.keygen`` on random seeds.
 
 The sweep is CI-shaped: ``max_examples`` is capped (override with the
 ``REPRO_PROPERTY_MAX_EXAMPLES`` env var), every strategy draws plain
@@ -27,10 +29,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.batch.kem import keygen_many
 from repro.bch.code import LAC_BCH_128_256, LAC_BCH_192
 from repro.bch.ct_decoder import ConstantTimeBCHDecoder
 from repro.cosim import IseBchDecoder, IseMultiplier
 from repro.gf.field import GF512
+from repro.lac.kem import LacKem
+from repro.lac.params import ALL_PARAMS
 from repro.ring.poly import PolyRing
 from repro.ring.splitting import UNIT_LEN, split_mul_high, split_mul_low
 from repro.ring.ternary import TernaryPoly
@@ -277,3 +282,25 @@ class TestIseDriverDifferential:
         assert ise.errors_found == software.errors_found == n_errors
         assert np.array_equal(ise.message, software.message)
         assert np.array_equal(ise.message, message)
+
+
+class TestBatchedKeygen:
+    """Every served LAC key comes from the batch kernel; it must be the
+    key the scalar reference derives from the same seed."""
+
+    @given(
+        seed_words=st.lists(seeds, min_size=1, max_size=4),
+        index=st.integers(min_value=0, max_value=len(ALL_PARAMS) - 1),
+    )
+    @SLOW_SWEEP
+    def test_keygen_many_matches_scalar_keygen(self, seed_words, index):
+        params = ALL_PARAMS[index]
+        kem = LacKem(params)
+        key_seeds = [
+            np.random.default_rng(word).bytes(params.seed_bytes + 32)
+            for word in seed_words
+        ]
+        for pair, seed in zip(keygen_many(kem, key_seeds), key_seeds):
+            scalar = kem.keygen(seed)
+            assert pair.public_key.to_bytes() == scalar.public_key.to_bytes()
+            assert pair.secret_key.to_bytes() == scalar.secret_key.to_bytes()

@@ -6,8 +6,10 @@ process, so it checks the code, not the host's speed (the ledger,
 
 * **kernels** — ``LacKem.encaps_many`` at B = 64 is at least 10x the
   scalar ``encaps`` loop over the same messages, for every parameter
-  set, and the vectorised one-word constant-time BCH decode is at least
-  5x the scalar engine (``ConstantTimeBCHDecoder(vectorized=False)``);
+  set, the vectorised one-word constant-time BCH decode is at least
+  5x the scalar engine (``ConstantTimeBCHDecoder(vectorized=False)``),
+  and one served key generation (``LacScheme.keygen``, the batch
+  kernel at B = 1) is at least 3x the scalar ``LacKem.keygen``;
 * **service** — LAC-256 served to 64 pipelined in-process clients is at
   least 5x sequential scalar ``LacKem.encaps``, in batches of at least
   32 by the service's own count: micro-batching keeps the batch kernels
@@ -26,6 +28,7 @@ from repro.bch.ct_decoder import ConstantTimeBCHDecoder
 from repro.bch.encoder import BCHEncoder
 from repro.lac.kem import LacKem
 from repro.lac.params import ALL_PARAMS, LAC_256
+from repro.schemes import LAC_SCHEME
 from repro.serve import AsyncKemClient, KemService
 
 pytestmark = pytest.mark.timing
@@ -34,6 +37,7 @@ BATCH = 64
 MIN_ENCAPS_SPEEDUP = 10.0
 MIN_BCH_SPEEDUP = 5.0
 MIN_SERVICE_SPEEDUP = 5.0
+MIN_KEYGEN_SPEEDUP = 3.0
 
 #: concurrent pipelined callers, one encaps in flight each (= the
 #: default ``max_batch``, so a full wave is one batch)
@@ -82,6 +86,19 @@ def test_vectorised_bch_decode_is_five_times_the_scalar_engine(params):
     t_slow = _best_of(lambda: slow.decode(word), 3)
     t_fast = _best_of(lambda: fast.decode(word), 5)
     assert t_slow / t_fast >= MIN_BCH_SPEEDUP
+
+
+@pytest.mark.parametrize("params", ALL_PARAMS, ids=lambda p: p.name)
+def test_vectorised_keygen_is_three_times_the_scalar_keygen(params):
+    kem = LacKem(params)
+    seed = b"\x5c" * (params.seed_bytes + 32)
+    scalar = kem.keygen(seed)
+    served = LAC_SCHEME.keygen(params, seed)
+    assert served.public_key.to_bytes() == scalar.public_key.to_bytes()
+    assert served.secret_key.to_bytes() == scalar.secret_key.to_bytes()
+    t_scalar = _best_of(lambda: kem.keygen(seed), 10)
+    t_served = _best_of(lambda: LAC_SCHEME.keygen(params, seed), 20)
+    assert t_scalar / t_served >= MIN_KEYGEN_SPEEDUP
 
 
 def test_served_lac256_is_five_times_sequential_scalar_encaps():
