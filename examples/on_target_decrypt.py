@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""LAC decryption running as machine code, traced instruction by instruction.
+"""LAC decryption running as machine code on the instruction-set simulator.
 
 The deepest demo in the repository: a message is encrypted with the
 Python library, then the decryption front-end — u*s through the MUL TER
@@ -18,8 +18,6 @@ from repro.bitutils import bits_to_bytes
 from repro.cosim.decrypt_kernel import run_decrypt_kernel
 from repro.lac import LAC_128
 from repro.lac.pke import LacPke
-from repro.riscv import Assembler, Cpu, Memory
-from repro.riscv.trace import Tracer
 
 
 def main() -> None:
@@ -49,25 +47,6 @@ def main() -> None:
     print(f"   software u*s multiplication alone : {software_mult:>9,} cycles")
     print(f"   whole on-target decrypt front-end : {result.iss_cycles:>9,} cycles")
     print(f"   -> {software_mult / result.iss_cycles:.0f}x before the BCH decoder runs")
-
-    print("\n4. A peek at the pipeline (first instructions, traced):")
-    # re-run the first instructions under the tracer for illustration
-    from repro.cosim.decrypt_kernel import DATA_BASE, _DECRYPT_SOURCE
-
-    source = _DECRYPT_SOURCE.format(
-        u_base=DATA_BASE, s_base=DATA_BASE + 515, v_base=DATA_BASE + 1030,
-        out_base=DATA_BASE + 1430, n=512, slots=400, transfers=103,
-        start_ctrl=1 << 28, read_ctrl=2 << 28,
-    )
-    program = Assembler().assemble(source)
-    cpu = Cpu(Memory(1 << 20))
-    cpu.memory.write_bytes(0, program.image)
-    cpu.reset(pc=0)
-    tracer = Tracer(cpu)
-    for _ in range(10):
-        tracer.step()
-    print(tracer.format())
-    print("   ...")
 
 
 if __name__ == "__main__":

@@ -89,10 +89,12 @@ def _transaction_cycles(unit_length: int, operand_length: int) -> int:
 class _SizedDriver:
     """Annotated single-transaction driver for an arbitrary unit length."""
 
-    def __init__(self, unit: MulTerUnit):
+    def __init__(self, unit: MulTerUnit) -> None:
         self.unit = unit
 
-    def transact(self, ternary, general, counter) -> np.ndarray:
+    def transact(
+        self, ternary: np.ndarray, general: np.ndarray, counter: OpCounter
+    ) -> np.ndarray:
         unit = self.unit
         with counter.phase("ise_mul512"):
             counter.count("call")
@@ -235,7 +237,7 @@ def keccak_generation_ablation(params: LacParams = LAC_128) -> KeccakFutureWork:
     is why even this future-work upgrade moves the generation kernels
     only modestly, echoing the paper's own SHA256 observation.
     """
-    from repro.cosim.costs import ISE_COSTS, ISE_KECCAK_COSTS, price
+    from repro.cosim.costs import ISE_COSTS, ISE_KECCAK_COSTS, CycleCosts, price
     from repro.hashes.keccak import ShakePrng
     from repro.hashes.prng import Sha256Prng
     from repro.hw.area import AreaModel
@@ -246,10 +248,11 @@ def keccak_generation_ablation(params: LacParams = LAC_128) -> KeccakFutureWork:
 
     seed = bytes(32)
 
-    def measure(prng_cls, costs):
+    def measure(
+        prng_cls: type[Sha256Prng] | type[ShakePrng], costs: CycleCosts
+    ) -> tuple[int, int]:
         gen_counter = OpCounter()
-        prng = prng_cls(seed, counter=gen_counter) if prng_cls else None
-        gen_a(seed, params, gen_counter, prng=prng)
+        gen_a(seed, params, gen_counter, prng=prng_cls(seed, counter=gen_counter))
         sample_counter = OpCounter()
         sample_ternary_fixed_weight(
             prng_cls(seed, counter=sample_counter), params, sample_counter

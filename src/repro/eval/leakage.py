@@ -46,7 +46,10 @@ class LeakageReport:
 
 
 def _decode_cycles(
-    decoder, code: BCHCode, errors: int, rng: np.random.Generator
+    decoder: BCHDecoder | ConstantTimeBCHDecoder,
+    code: BCHCode,
+    errors: int,
+    rng: np.random.Generator,
 ) -> int:
     message = rng.integers(0, 2, code.k).astype(np.uint8)
     codeword = BCHEncoder(code).encode(message)

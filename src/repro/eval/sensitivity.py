@@ -52,7 +52,7 @@ class SensitivityPoint:
 class SensitivityAnalysis:
     """Records counts once; re-prices under perturbed cost tables."""
 
-    def __init__(self, params: LacParams = LAC_128, seed: bytes | None = None):
+    def __init__(self, params: LacParams = LAC_128, seed: bytes | None = None) -> None:
         self.params = params
         baseline_model = CycleModel(params, "const_bch", seed)
         ise_model = CycleModel(params, "ise", seed)

@@ -25,7 +25,7 @@ BARRETT_SHIFT = 40
 class BarrettUnit(ClockedUnit):
     """Single-cycle Barrett reducer for q = 251."""
 
-    def __init__(self, q: int = LAC_Q, shift: int = BARRETT_SHIFT):
+    def __init__(self, q: int = LAC_Q, shift: int = BARRETT_SHIFT) -> None:
         super().__init__()
         self.q = q
         self.shift = shift

@@ -39,7 +39,7 @@ ELEMENTS_PER_TRANSFER = 4
 class ChienUnit(ClockedUnit):
     """Cycle-accurate model of the Chien-search accelerator."""
 
-    def __init__(self, field: GF2m = GF512):
+    def __init__(self, field: GF2m = GF512) -> None:
         super().__init__()
         self.field = field
         self.multipliers = [MulGfUnit(field) for _ in range(PARALLEL_MULTIPLIERS)]

@@ -26,7 +26,7 @@ BYTES_PER_TRANSFER = 4
 class KeccakUnit(ClockedUnit):
     """Cycle-accurate model of a SHAKE-128 accelerator."""
 
-    def __init__(self, rate_bytes: int = 168):
+    def __init__(self, rate_bytes: int = 168) -> None:
         super().__init__()
         self.rate = rate_bytes
         self.state = [0] * 25

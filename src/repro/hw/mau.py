@@ -22,7 +22,7 @@ from repro.ring.poly import LAC_Q
 class ModularArithmeticUnit:
     """One 8-bit add/sub/forward-mod-q lane."""
 
-    def __init__(self, q: int = LAC_Q, width: int = 8):
+    def __init__(self, q: int = LAC_Q, width: int = 8) -> None:
         if q > (1 << width):
             raise ValueError("modulus does not fit the data path width")
         self.q = q

@@ -20,7 +20,7 @@ from repro.hw.common import ClockedUnit, ComponentInventory
 class MulGfUnit(ClockedUnit):
     """Cycle-accurate model of the GF(2^m) shift-and-add multiplier."""
 
-    def __init__(self, field: GF2m = GF512):
+    def __init__(self, field: GF2m = GF512) -> None:
         super().__init__()
         self.field = field
         self.m = field.m

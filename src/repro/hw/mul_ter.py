@@ -25,6 +25,7 @@ import numpy as np
 from repro.hw.common import ClockedUnit, ComponentInventory
 from repro.hw.mau import ModularArithmeticUnit
 from repro.ring.poly import LAC_Q
+from repro.ring.splitting import Mul512
 
 #: Coefficient pairs (general + ternary) accepted per input transfer.
 INPUT_COEFFS_PER_TRANSFER = 5
@@ -35,7 +36,7 @@ OUTPUT_COEFFS_PER_TRANSFER = 4
 class MulTerUnit(ClockedUnit):
     """Cycle-accurate model of the MUL TER accelerator."""
 
-    def __init__(self, length: int = 512, q: int = LAC_Q):
+    def __init__(self, length: int = 512, q: int = LAC_Q) -> None:
         super().__init__()
         if length < 2:
             raise ValueError("MUL TER length must be >= 2")
@@ -157,7 +158,7 @@ class MulTerUnit(ClockedUnit):
             out[index : index + len(chunk)] = chunk
         return out
 
-    def as_mul512(self):
+    def as_mul512(self) -> Mul512:
         """Adapter matching the :data:`repro.ring.splitting.Mul512` signature."""
 
         def mul512(ternary: np.ndarray, general: np.ndarray, negacyclic: bool) -> np.ndarray:

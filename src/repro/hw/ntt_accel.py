@@ -32,7 +32,7 @@ CONTROL_OVERHEAD = 64
 class NttAccelUnit(ClockedUnit):
     """Cycle-accurate model of the loosely-coupled NTT accelerator."""
 
-    def __init__(self, n: int = 1024, q: int = NEWHOPE_Q):
+    def __init__(self, n: int = 1024, q: int = NEWHOPE_Q) -> None:
         super().__init__()
         self.context: NttContext = get_context(n, q)
         self.n = n

@@ -52,7 +52,7 @@ class VcdWriter:
         text = writer.render()
     """
 
-    def __init__(self, module: str, timescale: str = "1ns"):
+    def __init__(self, module: str, timescale: str = "1ns") -> None:
         self.module = module
         self.timescale = timescale
         self._signals: list[_Signal] = []

@@ -76,7 +76,7 @@ class _Item:
 class Assembler:
     """Two-pass assembler."""
 
-    def __init__(self, base: int = 0):
+    def __init__(self, base: int = 0) -> None:
         self.base = base
 
     # ------------------------------------------------------------------

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.riscv.compressed import decode_compressed, is_compressed
 from repro.riscv.cost_model import DEFAULT_COST_MODEL, RiscyCostModel
 from repro.riscv.encoding import Instruction, decode, sign_extend
 from repro.riscv.memory import Memory
@@ -49,7 +48,7 @@ class Cpu:
         memory: Memory | None = None,
         pq_alu: PqAlu | None = None,
         cost_model: RiscyCostModel = DEFAULT_COST_MODEL,
-    ):
+    ) -> None:
         self.memory = memory or Memory()
         self.pq_alu = pq_alu or PqAlu()
         self.cost_model = cost_model
@@ -89,22 +88,11 @@ class Cpu:
     # ------------------------------------------------------------------
 
     def step(self) -> Instruction:
-        """Fetch, decode and execute one instruction (16 or 32 bits).
-
-        The low two bits of the first parcel distinguish compressed
-        instructions (RV32C, which RISCY supports) from full-width
-        ones; compressed instructions execute their standard 32-bit
-        expansion and advance the PC by 2.
-        """
+        """Fetch, decode and execute one 32-bit instruction."""
         if self.halted:
             raise CpuError("stepping a halted CPU")
-        parcel = self.memory.load(self.pc, 2)
-        if is_compressed(parcel):
-            instr = decode_compressed(parcel)
-            self._execute(instr, size=2)
-        else:
-            instr = decode(self.memory.load_word(self.pc))
-            self._execute(instr, size=4)
+        instr = decode(self.memory.load_word(self.pc))
+        self._execute(instr)
         self.instret += 1
         return instr
 
@@ -122,11 +110,11 @@ class Cpu:
 
     # ------------------------------------------------------------------
 
-    def _execute(self, instr: Instruction, size: int = 4) -> None:
+    def _execute(self, instr: Instruction) -> None:
         m = instr.mnemonic
         cost = self.cost_model
         regs = self.regs
-        next_pc = (self.pc + size) & _MASK32
+        next_pc = (self.pc + 4) & _MASK32
         cycle_cost = 1
 
         if m == "lui":
@@ -196,6 +184,10 @@ class Cpu:
 
         self.cycles += cycle_cost
         if not self.halted:
+            if next_pc & 3:
+                # without RV32C a jump or taken branch must land on a
+                # word boundary (instruction-address-misaligned)
+                raise CpuError(f"misaligned target {next_pc:#x} from pc {self.pc:#x}")
             self.pc = next_pc
 
     def _read_csr(self, address: int) -> int:

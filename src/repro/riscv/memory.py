@@ -10,7 +10,7 @@ class MemoryError_(Exception):
 class Memory:
     """A flat byte-addressable RAM (little-endian, like PULPino's TCDM)."""
 
-    def __init__(self, size: int = 1 << 20):
+    def __init__(self, size: int = 1 << 20) -> None:
         if size <= 0:
             raise ValueError("memory size must be positive")
         self.size = size

@@ -62,7 +62,7 @@ class PqAluError(Exception):
 class PqAlu:
     """The accelerator cluster attached to the RISCY execute stage."""
 
-    def __init__(self, mul_ter_length: int = 512):
+    def __init__(self, mul_ter_length: int = 512) -> None:
         self.mul_ter = MulTerUnit(mul_ter_length)
         self.chien = ChienUnit()
         self.sha256 = Sha256Unit()

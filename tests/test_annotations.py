@@ -3,8 +3,8 @@
 ``ruff`` and ``mypy`` run in CI only — neither is installed where this
 suite usually runs — so a module can leave the ratchet between CI runs
 nobody here sees.  This check needs nothing but ``ast``: in every module
-under ``src/repro`` but those still ``PENDING``, each ``def`` annotates
-all its parameters and its return, and no import is left unused.  It is
+under ``src/repro``, each ``def`` annotates all its parameters and its
+return, and no import is left unused.  It is
 the floor under ``disallow_untyped_defs`` and ruff's ``F401``, not a
 replacement for either.  A new module is held to it from its first line.
 
@@ -20,30 +20,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-#: Modules that still miss the floor; deleting an entry is the ratchet.
-PENDING = (
-    "repro/eval/ablations.py",
-    "repro/eval/leakage.py",
-    "repro/eval/sensitivity.py",
-    "repro/hw/barrett.py",
-    "repro/hw/chien.py",
-    "repro/hw/keccak_accel.py",
-    "repro/hw/mau.py",
-    "repro/hw/mul_gf.py",
-    "repro/hw/mul_ter.py",
-    "repro/hw/ntt_accel.py",
-    "repro/hw/vcd.py",
-    "repro/riscv/assembler.py",
-    "repro/riscv/cpu.py",
-    "repro/riscv/memory.py",
-    "repro/riscv/platform.py",
-    "repro/riscv/pq_alu.py",
-    "repro/riscv/trace.py",
-)
-
 MODULES = sorted(p.relative_to(SRC).as_posix() for p in (SRC / "repro").rglob("*.py"))
-
-CHECKED = [path for path in MODULES if path not in PENDING]
 
 
 def _unannotated(tree):
@@ -125,7 +102,7 @@ def _parse(path):
     return ast.parse((SRC / path).read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("path", CHECKED)
+@pytest.mark.parametrize("path", MODULES)
 def test_every_def_is_annotated_and_no_import_is_unused(path):
     tree = _parse(path)
     assert _unannotated(tree) == []
@@ -135,17 +112,6 @@ def test_every_def_is_annotated_and_no_import_is_unused(path):
 @pytest.mark.parametrize("path", MODULES)
 def test_no_module_reads_the_environment(path):
     assert _environment_reads(_parse(path)) == []
-
-
-def test_pending_lists_only_modules_that_still_miss():
-    # a module that exists no more, or that has reached the floor,
-    # leaves PENDING, so the list only ever shrinks toward empty
-    for path in PENDING:
-        assert path in MODULES, f"{path} no longer exists"
-        tree = _parse(path)
-        assert _unannotated(tree) or _unused_imports(tree), (
-            f"{path} meets the floor now: delete it from PENDING"
-        )
 
 
 def test_the_check_sees_what_it_claims_to():

@@ -14,7 +14,7 @@ from repro.bch.ct_decoder import ConstantTimeBCHDecoder
 from repro.bch.decoder import BCHDecoder
 from repro.lac import LAC_128, LacKem
 from repro.lac.pke import Ciphertext, PublicKey, SecretKey
-from repro.riscv.cpu import Cpu
+from repro.riscv.cpu import Cpu, CpuError
 from repro.riscv.encoding import EncodingError, decode
 from repro.riscv.memory import Memory, MemoryError_
 
@@ -102,12 +102,12 @@ class TestIssRobustness:
 
     def test_out_of_range_fetch_raises(self):
         cpu = Cpu(Memory(64))
-        cpu.reset(pc=63)  # the 2-byte fetch itself overruns memory
+        cpu.reset(pc=63)  # the 4-byte fetch itself overruns memory
         with pytest.raises(MemoryError_):
             cpu.step()
 
     def test_zeroed_memory_is_illegal_instruction(self):
-        # the all-zero parcel is defined illegal by the C extension
+        # opcode 0 is no RV32IM or PQ instruction
         cpu = Cpu(Memory(64))
         cpu.reset(pc=0)
         with pytest.raises(EncodingError):
@@ -125,6 +125,21 @@ class TestIssRobustness:
         cpu.reset(pc=0)
         with pytest.raises(MemoryError_):
             cpu.run()
+
+    @pytest.mark.parametrize(
+        "jump", ["jalr zero, 2(zero)", "beq zero, zero, 2"], ids=["jalr", "branch"]
+    )
+    def test_misaligned_jump_target_raises(self, jump):
+        # without RV32C a target of pc + 2 is instruction-address-misaligned
+        from repro.riscv.assembler import Assembler
+
+        program = Assembler().assemble(f"{jump}\nebreak")
+        cpu = Cpu(Memory(1 << 12))
+        cpu.memory.write_bytes(0, program.image)
+        cpu.reset(pc=0)
+        with pytest.raises(CpuError, match="misaligned"):
+            cpu.step()
+        assert cpu.pc == 0
 
     def test_illegal_instruction_raises(self):
         cpu = Cpu(Memory(1 << 12))
