@@ -80,7 +80,6 @@ from repro.schemes import (
     SchemeId,
     all_schemes,
     resolve,
-    scheme_for,
     wire_id_for_params,
 )
 from repro.serve import (
@@ -120,7 +119,6 @@ __all__ = [
     "SchemeId",
     "all_schemes",
     "resolve",
-    "scheme_for",
     "wire_id_for_params",
     # execution backends
     "BACKEND_NAMES",

@@ -127,20 +127,18 @@ class KemBackend(ABC):
     #: Registry/metrics name of the implementation.
     name: str = "abstract"
 
-    def __init__(self, cache_entries: int | None = None) -> None:
+    def __init__(self) -> None:
         self._stats_lock = threading.Lock()
         self._submitted = 0
         self._completed = 0
         self._failed = 0
         self._closed = False
         #: The backend-owned per-key transform cache
-        #: (:class:`repro.ring.KeyTransformCache`).  ``cache_entries``
-        #: sizes it; ``0`` disables caching entirely (cold baseline for
-        #: benchmarks), ``None`` takes the default capacity.
-        self.transform_cache: KeyTransformCache | None = (
-            None
-            if cache_entries == 0
-            else KeyTransformCache(cache_entries or DEFAULT_CACHE_ENTRIES)
+        #: (:class:`repro.ring.KeyTransformCache`, holding
+        #: :data:`~repro.ring.DEFAULT_CACHE_ENTRIES` entries); ``None``
+        #: where the kernels run elsewhere or never read one.
+        self.transform_cache: KeyTransformCache | None = KeyTransformCache(
+            DEFAULT_CACHE_ENTRIES
         )
 
     # ------------------------------------------------------------------

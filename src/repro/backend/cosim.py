@@ -94,7 +94,8 @@ class CosimBackend(KemBackend):
             )
         # The simulated core runs the scalar drivers; the vectorized
         # per-key transform cache never participates, so it stays off.
-        super().__init__(cache_entries=0)
+        super().__init__()
+        self.transform_cache = None
         self.profile = profile
         self.costs: CycleCosts = ISE_COSTS if profile == "ise" else REFERENCE_COSTS
         self._models_lock = threading.Lock()

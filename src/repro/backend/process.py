@@ -37,8 +37,8 @@ Design points:
   no serving batch ever pays table construction;
 * **supervision** — a worker crash (OOM-kill, segfault, chaos
   ``kill_worker``) breaks the pool; the supervisor detects
-  ``BrokenProcessPool``, replaces the pool (bounded by
-  ``max_restarts``), counts the restart (surfaced as
+  ``BrokenProcessPool``, replaces the pool (at most
+  :data:`DEFAULT_MAX_RESTARTS` times), counts the restart (surfaced as
   ``kem_worker_restarts_total``) and fails the in-flight batch with
   the typed :class:`repro.errors.WorkerCrashed` — which the service
   maps to the existing ``INTERNAL`` response;
@@ -87,7 +87,8 @@ from repro.schemes import KemScheme
 #: 64-op batch on 8 workers still lands at 8 ops per process.
 MIN_CHUNK = 8
 
-#: Default bound on pool rebuilds after worker crashes.
+#: Bound on pool rebuilds after worker crashes; one more breaks the
+#: backend for good.
 DEFAULT_MAX_RESTARTS = 3
 
 
@@ -187,8 +188,9 @@ class ProcessBackend(KemBackend):
 
     ``workers`` sizes the pool (default: CPU count, capped at 8 — the
     kernels saturate memory bandwidth well before that on small
-    hosts).  ``max_restarts`` bounds pool rebuilds after crashes;
-    beyond it the backend declares itself broken and fails fast.
+    hosts).  :data:`DEFAULT_MAX_RESTARTS` bounds pool rebuilds after
+    crashes; beyond it the backend declares itself broken and fails
+    fast.
     ``warm_params`` restricts the per-worker warmup to the parameter
     sets actually served (tests pass one set to keep spawn cheap).
     """
@@ -198,16 +200,15 @@ class ProcessBackend(KemBackend):
     def __init__(
         self,
         workers: int | None = None,
-        max_restarts: int = DEFAULT_MAX_RESTARTS,
         warm_params: Sequence[LacParams] | None = None,
     ) -> None:
         # kernels run in the workers, each with its own transform
         # cache; a parent-side one would never be read
-        super().__init__(cache_entries=0)
+        super().__init__()
+        self.transform_cache = None
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
         self._workers = workers or max(1, min(8, os.cpu_count() or 1))
-        self._max_restarts = max_restarts
         self._warm_names = tuple(
             p.name for p in (warm_params if warm_params is not None else ALL_PARAMS)
         )
@@ -234,7 +235,7 @@ class ProcessBackend(KemBackend):
         with self._pool_lock:
             if self._broken:
                 raise WorkerCrashed(
-                    f"process backend exceeded {self._max_restarts} worker restarts"
+                    f"process backend exceeded {DEFAULT_MAX_RESTARTS} worker restarts"
                 )
             if self._pool is None:
                 # positionally: size, start method, initializer, its args
@@ -263,7 +264,7 @@ class ProcessBackend(KemBackend):
             self._generation += 1
             self._restarts += 1
             pool, self._pool = self._pool, None
-            if self._restarts > self._max_restarts:
+            if self._restarts > DEFAULT_MAX_RESTARTS:
                 self._broken = True
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)

@@ -34,10 +34,8 @@ class ThreadBackend(KemBackend):
 
     name = "thread"
 
-    def __init__(
-        self, workers: int | None = None, cache_entries: int | None = None
-    ) -> None:
-        super().__init__(cache_entries=cache_entries)
+    def __init__(self, workers: int | None = None) -> None:
+        super().__init__()
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
         self._slots = workers or DEFAULT_THREAD_WORKERS

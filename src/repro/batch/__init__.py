@@ -16,11 +16,7 @@ from repro.batch.kem import (
     keygen_many,
     warm_cache,
 )
-from repro.batch.sampling import (
-    gen_a_vec,
-    sample_secret_and_error_vec,
-    sample_ternary_fixed_weight_vec,
-)
+from repro.batch.sampling import gen_a_vec, sample_secret_rows
 
 __all__ = [
     "bch_encode_many",
@@ -32,6 +28,5 @@ __all__ = [
     "key_fingerprints",
     "warm_cache",
     "gen_a_vec",
-    "sample_secret_and_error_vec",
-    "sample_ternary_fixed_weight_vec",
+    "sample_secret_rows",
 ]

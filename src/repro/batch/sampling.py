@@ -12,13 +12,14 @@ the scalar loop accepts a candidate index exactly when its slot is
 still unoccupied, and slots only ever fill with values that appeared
 *earlier* in the candidate stream — so the accepted indices are
 precisely the first occurrences of distinct values, in stream order.
-``np.unique(..., return_index=True)`` recovers them in one pass.
+One row-wise sort recovers them for the whole batch at once.
 
 The bulk reader over-consumes the PRNG relative to the scalar loop
 (it squeezes candidates in blocks).  That is safe here because every
-sampler in LAC runs on a *throwaway* domain-separated child stream
-(:meth:`repro.hashes.prng.Sha256Prng.fork`) that nothing else reads
-afterwards; the helpers below must only ever be handed such streams.
+polynomial is drawn from its own *throwaway* domain-separated child
+stream (the ``poly`` forks of
+:func:`repro.lac.sampling.sample_secret_and_error`) that nothing else
+reads afterwards.
 """
 
 from __future__ import annotations
@@ -29,60 +30,20 @@ import numpy as np
 
 from repro.hashes.prng import Sha256Prng
 from repro.lac.params import LacParams
-from repro.lac.sampling import sample_ternary_fixed_weight
-from repro.ring.ternary import TernaryPoly
 
 #: little-endian 32-bit block counters, precomputed for the squeeze loop
 _LE32 = tuple(i.to_bytes(4, "little") for i in range(64))
 
 
-def sample_ternary_fixed_weight_vec(
-    prng: Sha256Prng, params: LacParams
-) -> TernaryPoly:
-    """Vectorized fixed-weight sampler, bit-identical to the scalar one.
+def _window_blocks(params: LacParams) -> int:
+    """SHA-256 blocks squeezed per row before the first-occurrence pass.
 
-    Requires a power-of-two ring size (true for every LAC parameter
-    set); other sizes fall back to the scalar reference sampler.
-    ``prng`` must be a throwaway child stream (see module docstring).
+    Enough candidates that a shortfall of distinct indices is rare
+    (about 2 % of LAC-128 rows, far rarer at LAC-192/256); a short row
+    squeezes further blocks of its own stream.
     """
-    n, h = params.n, params.h
-    if n & (n - 1):
-        return sample_ternary_fixed_weight(prng, params)
-
-    candidates = np.empty(0, dtype=np.int64)
-    # expected draws are n*ln(n/(n-h)); h plus half again covers the
-    # common case in one squeeze, the loop tops up on unlucky streams
-    want = h + max(h // 2, 32)
-    while True:
-        raw = np.frombuffer(prng.read(2 * want), dtype="<u2").astype(np.int64)
-        candidates = np.concatenate([candidates, raw & (n - 1)])
-        _, first_index = np.unique(candidates, return_index=True)
-        if first_index.size >= h:
-            break
-        want = max(h // 4, 32)
-
-    accepted = candidates[np.sort(first_index)[:h]]
-    coeffs = np.zeros(n, dtype=np.int8)
-    coeffs[accepted[: h // 2]] = 1
-    coeffs[accepted[h // 2 :]] = -1
-    return TernaryPoly(coeffs)
-
-
-def sample_secret_and_error_vec(
-    seed: bytes, params: LacParams, how_many: int
-) -> list[TernaryPoly]:
-    """Vectorized twin of :func:`repro.lac.sampling.sample_secret_and_error`.
-
-    Identical domain separation (child stream per polynomial), identical
-    outputs; no operation counting.
-    """
-    root = Sha256Prng(seed)
-    return [
-        sample_ternary_fixed_weight_vec(
-            root.fork(b"poly" + index.to_bytes(2, "little")), params
-        )
-        for index in range(how_many)
-    ]
+    h = params.h
+    return -(-2 * (h + max(h // 2, 32)) // 32)
 
 
 def sample_secret_rows(
@@ -99,30 +60,24 @@ def sample_secret_rows(
     Python objects are built.
 
     The first-occurrence selection runs on a fixed per-row candidate
-    window; rows whose window holds fewer than ``h`` distinct indices
-    (rare by construction) are redone through the per-polynomial
-    sampler, which tops the stream up exactly like the scalar loop.
+    window; a row whose window holds fewer than ``h`` distinct indices
+    keeps squeezing its own counter stream (blocks ``blocks``,
+    ``blocks + 1``, ...) and accepts new indices exactly like the
+    scalar loop, so no row is ever hashed twice.
     """
     n, h = params.n, params.h
     rows = len(seeds) * how_many
-    if n & (n - 1):
-        out = np.empty((rows, n), dtype=np.int8)
-        for b, seed in enumerate(seeds):
-            for j, poly in enumerate(sample_secret_and_error_vec(seed, params, how_many)):
-                out[b * how_many + j] = poly.coeffs
-        return out
-
-    # enough candidates that a window shortfall is rare (expected
-    # distinct count comfortably exceeds h); shortfalls fall back below
-    blocks = -(-2 * (h + max(h // 2, 32)) // 32)
+    blocks = _window_blocks(params)
     per_row = blocks * 16  # uint16 candidates per squeezed row
 
     labels = [b"poly" + j.to_bytes(2, "little") for j in range(how_many)]
     counters = _LE32[:blocks]
+    bases = []
     buf = bytearray()
     for seed in seeds:
         for label in labels:
             base = hashlib.sha256(hashlib.sha256(seed + label).digest())
+            bases.append(base)
             for counter in counters:
                 hasher = base.copy()
                 hasher.update(counter)
@@ -144,20 +99,36 @@ def sample_secret_rows(
     positions.sort(axis=1)
     selected = positions[:, :h]
 
-    bad = selected[:, -1] >= (1 << 30)  # row had < h distinct values
     taken = np.take_along_axis(cands, np.minimum(selected, per_row - 1), axis=1)
+    for r in np.flatnonzero(selected[:, -1] >= (1 << 30)):  # < h distinct
+        distinct = np.count_nonzero(selected[r] < (1 << 30))
+        taken[r] = _top_up(bases[r], blocks, taken[r, :distinct], n, h)
 
     out = np.zeros((rows, n), dtype=np.int8)
     row_index = np.arange(rows)[:, None]
     out[row_index, taken[:, : h // 2]] = 1
     out[row_index, taken[:, h // 2 :]] = -1
-    if np.any(bad):
-        for r in np.nonzero(bad)[0]:
-            b, j = divmod(int(r), how_many)
-            root = Sha256Prng(seeds[b])
-            child = root.fork(labels[j])
-            out[r] = sample_ternary_fixed_weight_vec(child, params).coeffs
     return out
+
+
+def _top_up(
+    base: hashlib._Hash, block: int, accepted: np.ndarray, n: int, h: int
+) -> list[int]:
+    """Finish a short row: squeeze its stream from block ``block`` on
+    and accept each index not seen before, until ``h`` are accepted."""
+    taken = [int(v) for v in accepted]
+    seen = set(taken)
+    while True:
+        hasher = base.copy()
+        hasher.update(block.to_bytes(4, "little"))
+        block += 1
+        for raw in np.frombuffer(hasher.digest(), dtype="<u2"):
+            index = int(raw) & (n - 1)
+            if index not in seen:
+                seen.add(index)
+                taken.append(index)
+                if len(taken) == h:
+                    return taken
 
 
 def gen_a_vec(seed: bytes, params: LacParams) -> np.ndarray:

@@ -126,8 +126,9 @@ class ConstantTimeBCHDecoder:
       batch as the vector axis, and hands a one-word batch to
       :meth:`decode` (lanes only pay from two words up).
 
-    ``vectorized=False`` pins the scalar engine even on uncounted runs
-    (used by the benchmark harness to measure the speedup honestly).
+    ``vectorized=False`` pins the scalar engine even on uncounted runs:
+    the reference the tests hold the vectorised engine to, for bit
+    identity and for its speedup floor.
     """
 
     def __init__(self, code: BCHCode, vectorized: bool = True) -> None:

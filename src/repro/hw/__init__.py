@@ -24,32 +24,3 @@ Units:
 * :class:`repro.hw.barrett.BarrettUnit` — the single-cycle MOD q
   reduction (Barrett, two DSP multipliers).
 """
-
-from repro.hw.common import ComponentInventory
-from repro.hw.mau import ModularArithmeticUnit
-from repro.hw.mul_ter import MulTerUnit
-from repro.hw.mul_gf import MulGfUnit
-from repro.hw.chien import ChienUnit
-from repro.hw.sha256_accel import Sha256Unit
-from repro.hw.barrett import BarrettUnit
-from repro.hw.area import AreaEstimate, AreaModel
-from repro.hw.keccak_accel import KeccakUnit
-from repro.hw.ntt_accel import NttAccelUnit
-from repro.hw.vcd import VcdWriter, dump_mul_gf_trace, dump_mul_ter_trace
-
-__all__ = [
-    "ComponentInventory",
-    "ModularArithmeticUnit",
-    "MulTerUnit",
-    "MulGfUnit",
-    "ChienUnit",
-    "Sha256Unit",
-    "BarrettUnit",
-    "AreaEstimate",
-    "AreaModel",
-    "KeccakUnit",
-    "NttAccelUnit",
-    "VcdWriter",
-    "dump_mul_gf_trace",
-    "dump_mul_ter_trace",
-]

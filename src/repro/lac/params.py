@@ -40,6 +40,8 @@ class LacParams:
     v_bits: int = 4
 
     def __post_init__(self) -> None:
+        if self.n < 2 or self.n & (self.n - 1):
+            raise ValueError("ring size n must be a power of two")
         if self.h % 2:
             raise ValueError("weight h must be even (h/2 ones, h/2 minus-ones)")
         if self.h > self.n:

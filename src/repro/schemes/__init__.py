@@ -1,7 +1,7 @@
 """``repro.schemes`` — the scheme registry behind the serving stack.
 
-One :class:`KemScheme` adapter per KEM family (LAC, NewHope), a
-registry assigning stable ``SchemeId``/``ParamId`` wire identities,
+One :class:`KemScheme` adapter per KEM family (LAC, NewHope), a fixed
+table assigning stable ``SchemeId``/``ParamId`` wire identities,
 and :func:`resolve` — the single front door that turns any parameter
 spec (a ``ParamId``, a scheme-native params object, a name, a wire id)
 into the ``(scheme, params)`` pair the server, clients and
@@ -18,13 +18,9 @@ from repro.schemes.registry import (
     PARAM_NONE,
     ParamId,
     SchemeId,
-    all_param_ids,
     all_schemes,
-    param_id_of,
     params_for_wire_id,
-    register_scheme,
     resolve,
-    scheme_for,
     scheme_of,
     wire_id_for_params,
 )
@@ -38,13 +34,9 @@ __all__ = [
     "PARAM_NONE",
     "ParamId",
     "SchemeId",
-    "all_param_ids",
     "all_schemes",
-    "param_id_of",
     "params_for_wire_id",
-    "register_scheme",
     "resolve",
-    "scheme_for",
     "scheme_of",
     "wire_id_for_params",
 ]

@@ -94,12 +94,8 @@ class KemScheme(ABC):
             if candidate is params or candidate.name == params.name:
                 return index
         raise ValueError(
-            f"{params.name!r} is not a registered {self.name} parameter set"
+            f"{params.name!r} is not a {self.name} parameter set"
         )
-
-    @abstractmethod
-    def owns_params(self, params: Any) -> bool:
-        """Whether ``params`` is this scheme's parameter type."""
 
     # ------------------------------------------------------------------
     # size metadata (bytes on the wire)

@@ -15,7 +15,6 @@ backend hands to the batch entry points is the one its
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import Any
 
 from repro.batch.kem import (
     _decaps_chunk,
@@ -49,10 +48,6 @@ class LacScheme(KemScheme):
     @property
     def param_sets(self) -> tuple[LacParams, ...]:
         return ALL_PARAMS
-
-    def owns_params(self, params: Any) -> bool:
-        """True for ``LacParams`` values."""
-        return isinstance(params, LacParams)
 
     # ------------------------------------------------------------------
 

@@ -20,7 +20,6 @@ around.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import Any
 
 import numpy as np
 
@@ -45,10 +44,6 @@ class NewHopeScheme(KemScheme):
     @property
     def param_sets(self) -> tuple[NewHopeParams, ...]:
         return (NEWHOPE_512, NEWHOPE_1024)
-
-    def owns_params(self, params: Any) -> bool:
-        """True for ``NewHopeParams`` values."""
-        return isinstance(params, NewHopeParams)
 
     # ------------------------------------------------------------------
 

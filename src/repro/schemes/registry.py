@@ -7,11 +7,11 @@ Wire encoding of the frame param byte (the redesigned "v2" meaning):
 LAC is scheme 0, so its historical wire ids 0/1/2 (LAC-128/192/256)
 are unchanged — every pre-registry client and recorded trace stays
 valid.  NewHope is scheme 1: 0x10 (NewHope512) and 0x11
-(NewHope1024).  Scheme 15 is never registered, keeping 0xFF free as
-the "no param" sentinel.
+(NewHope1024).  No scheme takes id 15, keeping 0xFF free as the
+"no param" sentinel.
 
 :func:`resolve` is the one front door: it accepts a :class:`ParamId`,
-a registered scheme's own parameter object (``LacParams`` /
+a served scheme's own parameter object (``LacParams`` /
 ``NewHopeParams``), a parameter-set name (``"LAC-128"``,
 ``"NewHope512"``), or a raw wire id, and returns the
 ``(scheme, params)`` pair everything downstream works with.
@@ -58,70 +58,25 @@ class ParamId:
         return self.name
 
 
-_SCHEMES_BY_ID: dict[int, KemScheme] = {}
-_SCHEMES_BY_NAME: dict[str, KemScheme] = {}
-# the lookups the per-request paths make, rebuilt by ``register_scheme``
-_ORDERED: tuple[KemScheme, ...] = ()
-_SCHEME_BY_TYPE: dict[type, KemScheme] = {}
-_PARAMS_BY_NAME: dict[str, tuple[KemScheme, Any]] = {}
-
-
-def register_scheme(scheme: KemScheme) -> KemScheme:
-    """Register ``scheme`` under its id and name (idempotent by name)."""
-    if not 0 <= scheme.scheme_id < 15:
-        raise ValueError("scheme_id must be in [0, 14] (15 reserves PARAM_NONE)")
-    if len(scheme.param_sets) > _INDEX_MASK + 1:
-        raise ValueError("a scheme may register at most 16 parameter sets")
-    existing = _SCHEMES_BY_ID.get(scheme.scheme_id)
-    if existing is not None and existing.name != scheme.name:
-        raise ValueError(
-            f"scheme id {scheme.scheme_id} already taken by {existing.name!r}"
-        )
-    _SCHEMES_BY_ID[scheme.scheme_id] = scheme
-    _SCHEMES_BY_NAME[scheme.name] = scheme
-    _reindex()
-    return scheme
-
-
-def _reindex() -> None:
-    """Rebuild the derived lookups from the registered schemes."""
-    global _ORDERED
-    _ORDERED = tuple(_SCHEMES_BY_ID[k] for k in sorted(_SCHEMES_BY_ID))
-    _SCHEME_BY_TYPE.clear()
-    _PARAMS_BY_NAME.clear()
-    for scheme in reversed(_ORDERED):  # the lowest id wins a clash
-        for params in scheme.param_sets:
-            _SCHEME_BY_TYPE[type(params)] = scheme
-            _PARAMS_BY_NAME[params.name] = (scheme, params)
-
-
-def scheme_for(spec: SchemeId | int | str | KemScheme) -> KemScheme:
-    """Look up a registered scheme by id, name, or identity."""
-    if isinstance(spec, KemScheme):
-        return spec
-    if isinstance(spec, str):
-        try:
-            return _SCHEMES_BY_NAME[spec.lower()]
-        except KeyError:
-            raise ValueError(f"unknown scheme {spec!r}") from None
-    try:
-        return _SCHEMES_BY_ID[int(spec)]
-    except KeyError:
-        raise ValueError(f"unknown scheme id {int(spec)}") from None
+#: The schemes the stack serves, in scheme-id order: a fixed table, so
+#: every wire id is known at import.
+LAC_SCHEME = LacScheme()
+NEWHOPE_SCHEME = NewHopeScheme()
+_ORDERED: tuple[KemScheme, ...] = (LAC_SCHEME, NEWHOPE_SCHEME)
+_SCHEMES_BY_ID = {scheme.scheme_id: scheme for scheme in _ORDERED}
+_SCHEME_BY_TYPE = {
+    type(params): scheme for scheme in _ORDERED for params in scheme.param_sets
+}
+_PARAMS_BY_NAME = {
+    params.name: (scheme, params)
+    for scheme in _ORDERED
+    for params in scheme.param_sets
+}
 
 
 def all_schemes() -> tuple[KemScheme, ...]:
-    """Registered schemes in scheme-id order."""
+    """The served schemes in scheme-id order."""
     return _ORDERED
-
-
-def all_param_ids() -> tuple[ParamId, ...]:
-    """Every registered (scheme, parameter set) identity."""
-    out = []
-    for scheme in all_schemes():
-        for index, params in enumerate(scheme.param_sets):
-            out.append(ParamId(SchemeId(scheme.scheme_id), index, params.name))
-    return tuple(out)
 
 
 # ----------------------------------------------------------------------
@@ -151,24 +106,13 @@ def params_for_wire_id(wire_id: int) -> tuple[KemScheme, Any]:
 
 
 def scheme_of(params: Any) -> KemScheme:
-    """The registered scheme owning ``params`` (by parameter type)."""
-    scheme = _SCHEME_BY_TYPE.get(type(params))
-    if scheme is not None:
-        return scheme
-    for scheme in _ORDERED:  # a type no registered parameter set has
-        if scheme.owns_params(params):
-            return scheme
-    raise ValueError(
-        f"no registered scheme owns parameter type {type(params).__name__}"
-    )
-
-
-def param_id_of(params: Any) -> ParamId:
-    """The :class:`ParamId` identity of ``params``."""
-    scheme = scheme_of(params)
-    return ParamId(
-        SchemeId(scheme.scheme_id), scheme.param_index(params), params.name
-    )
+    """The scheme owning ``params`` (by parameter type)."""
+    try:
+        return _SCHEME_BY_TYPE[type(params)]
+    except KeyError:
+        raise ValueError(
+            f"no scheme owns parameter type {type(params).__name__}"
+        ) from None
 
 
 # ----------------------------------------------------------------------
@@ -200,24 +144,15 @@ def resolve(spec: Any) -> tuple[KemScheme, Any]:
     return scheme, spec
 
 
-#: The default registered scheme instances.
-LAC_SCHEME = register_scheme(LacScheme())
-NEWHOPE_SCHEME = register_scheme(NewHopeScheme())
-
-
 __all__ = [
     "LAC_SCHEME",
     "NEWHOPE_SCHEME",
     "PARAM_NONE",
     "ParamId",
     "SchemeId",
-    "all_param_ids",
     "all_schemes",
-    "param_id_of",
     "params_for_wire_id",
-    "register_scheme",
     "resolve",
-    "scheme_for",
     "scheme_of",
     "wire_id_for_params",
 ]

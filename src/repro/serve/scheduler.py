@@ -54,15 +54,14 @@ wait collapses toward ``min_wait_us`` (the batch fills on its own
 anyway), under light load it is capped at ``max_wait_us`` so a lone
 request never stalls more than one bounded beat.
 
-**Multi-tenant fairness.**  With several tenants sharing one service
-(PR 10), dispatch order must not let one chatty tenant starve the
-others within a QoS tier.  :class:`DeficitRoundRobin` keeps a served-op
-deficit per tenant; when the scheduler is given a ``tenant_of``
-callable, batches flushing in the same beat are ordered by QoS tier
-first (unchanged) and then by how *under-served* their tenant is, and
-every dispatched batch charges its tenant's deficit.  The counters are
-relative — only differences matter — so they are periodically
-re-centred to stay bounded.
+**Multi-tenant fairness.**  With several tenants sharing one service,
+dispatch order must not let one chatty tenant starve the others within
+a QoS tier.  :class:`DeficitRoundRobin` keeps a served-op deficit per
+tenant; batches flushing in the same beat are ordered by QoS tier
+first and then by how *under-served* their tenant is, and every
+dispatched batch charges its tenant's deficit.  The counters are
+relative — only differences matter — so they are re-centred once the
+least-served tenant passes :data:`DRR_RECENTER_AT` to stay bounded.
 """
 
 from __future__ import annotations
@@ -70,6 +69,20 @@ from __future__ import annotations
 from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
 from typing import Any
+
+
+#: Share of the expected time to fill a whole batch that a fresh batch
+#: may wait (waiting for a *full* batch is rarely worth the tail
+#: latency; 75 % of one nearly is).
+FILL_FACTOR = 0.75
+#: Weight of the newest inter-arrival gap in the gap EWMA.
+GAP_ALPHA = 0.2
+#: A gap longer than this many ``max_wait_us`` is an idle period, not
+#: an inter-arrival time.
+IDLE_RESET_FACTOR = 8.0
+#: Served-op count of the least-served tenant past which the deficit
+#: counters are re-centred.
+DRR_RECENTER_AT = 1e9
 
 
 def _clamp(value: float, lo: float, hi: float) -> float:
@@ -85,19 +98,18 @@ class AdaptiveDeadlinePolicy:
     The wait granted to a newly opened batch is::
 
         wait_us = clamp(min_wait_us,
-                        ewma_gap_us * (max_batch - 1) * fill_factor,
+                        ewma_gap_us * (max_batch - 1) * FILL_FACTOR,
                         max_wait_us)
 
     — the expected time for the remaining slots to fill, discounted by
-    ``fill_factor`` (waiting for a *full* batch is rarely worth the
-    tail latency; 75% of one nearly is).  Before any gap has been
-    observed the policy is maximally patient (``max_wait_us``).
+    :data:`FILL_FACTOR`.  Before any gap has been observed the policy
+    is maximally patient (``max_wait_us``).
 
     **Idle gaps are not traffic.**  A pause longer than
-    ``idle_reset_factor * max_wait_us`` (a burst ending, a quiet
+    ``IDLE_RESET_FACTOR * max_wait_us`` (a burst ending, a quiet
     night) says nothing about the arrival rate of the *next* burst —
     folding it into the EWMA would poison the estimate for many
-    arrivals afterwards (with the default ``alpha`` a single huge gap
+    arrivals afterwards (at :data:`GAP_ALPHA` a single huge gap
     keeps the policy maximally patient long into a fast burst, the
     opposite of what the burst needs).  Such gaps therefore
     :meth:`reset` the estimator instead of feeding it: the next burst
@@ -110,37 +122,29 @@ class AdaptiveDeadlinePolicy:
         self,
         max_wait_us: float = 2000.0,
         min_wait_us: float = 50.0,
-        fill_factor: float = 0.75,
-        alpha: float = 0.2,
-        idle_reset_factor: float = 8.0,
     ) -> None:
         if min_wait_us > max_wait_us:
             raise ValueError("min_wait_us must not exceed max_wait_us")
-        if idle_reset_factor <= 0:
-            raise ValueError("idle_reset_factor must be positive")
         self.max_wait_us = max_wait_us
         self.min_wait_us = min_wait_us
-        self.fill_factor = fill_factor
-        self.alpha = alpha
-        self.idle_reset_factor = idle_reset_factor
         self._ewma_gap_us: float | None = None
         self._last_arrival: float | None = None
 
     def observe_arrival(self, now: float) -> None:
         """Feed one arrival timestamp (seconds) into the gap EWMA.
 
-        A gap beyond ``idle_reset_factor * max_wait_us`` is an idle
+        A gap beyond ``IDLE_RESET_FACTOR * max_wait_us`` is an idle
         period, not an inter-arrival time: it resets the estimator
         rather than feeding it (see the class docstring).
         """
         if self._last_arrival is not None:
             gap_us = max(0.0, (now - self._last_arrival) * 1e6)
-            if gap_us > self.idle_reset_factor * self.max_wait_us:
+            if gap_us > IDLE_RESET_FACTOR * self.max_wait_us:
                 self.reset()
             elif self._ewma_gap_us is None:
                 self._ewma_gap_us = gap_us
             else:
-                self._ewma_gap_us += self.alpha * (gap_us - self._ewma_gap_us)
+                self._ewma_gap_us += GAP_ALPHA * (gap_us - self._ewma_gap_us)
         self._last_arrival = now
 
     def reset(self) -> None:
@@ -151,7 +155,7 @@ class AdaptiveDeadlinePolicy:
         """The wait budget (µs) to grant a batch opening now."""
         if self._ewma_gap_us is None:
             return self.max_wait_us
-        expected_fill = self._ewma_gap_us * max(max_batch - 1, 1) * self.fill_factor
+        expected_fill = self._ewma_gap_us * max(max_batch - 1, 1) * FILL_FACTOR
         return _clamp(expected_fill, self.min_wait_us, self.max_wait_us)
 
     @property
@@ -169,14 +173,11 @@ class DeficitRoundRobin:
     are created lazily at first sight with a deficit equal to the
     current minimum (a newcomer is neither favoured nor punished for
     history it was not part of).  Counters are re-centred whenever the
-    minimum drifts past ``recenter_at`` to keep the floats bounded over
-    long uptimes.
+    minimum drifts past :data:`DRR_RECENTER_AT` to keep the floats
+    bounded over long uptimes.
     """
 
-    def __init__(self, recenter_at: float = 1e9) -> None:
-        if recenter_at <= 0:
-            raise ValueError("recenter_at must be positive")
-        self.recenter_at = recenter_at
+    def __init__(self) -> None:
         self._served: dict[Hashable, float] = {}
 
     def _floor(self) -> float:
@@ -193,7 +194,7 @@ class DeficitRoundRobin:
         self._touch(tenant)
         self._served[tenant] += ops
         floor = self._floor()
-        if floor > self.recenter_at:
+        if floor > DRR_RECENTER_AT:
             for key in self._served:
                 self._served[key] -= floor
 
@@ -232,6 +233,14 @@ class _Queue:
     limit: int = 1
 
 
+def _tier_zero(entry: Any) -> int:
+    return 0
+
+
+def _tenant_zero(entry: Any) -> Hashable:
+    return 0
+
+
 class MicroBatchScheduler:
     """Coalesces submitted entries into per-key batches.
 
@@ -254,11 +263,11 @@ class MicroBatchScheduler:
     expire in the same beat.  Entry order *within* a batch is
     untouched (a batch executes as one kernel call anyway).
 
-    ``tenant_of`` adds deficit-round-robin fair-share *within* a
-    priority level: ties on the QoS tier break toward the tenant whose
-    :class:`DeficitRoundRobin` balance is lowest, and every batch
-    returned from :meth:`poll`/:meth:`drain` (and flush-on-size from
-    :meth:`submit`) charges its tenant one deficit unit per entry.
+    ``tenant_of`` names each entry's tenant for the deficit-round-robin
+    fair share *within* a priority level: ties on the QoS tier break
+    toward the tenant whose :attr:`fair_share` balance is lowest, and
+    every dispatched batch charges its tenant one deficit unit per
+    entry.  Left out, every entry is tier 0 of tenant 0.
     """
 
     def __init__(
@@ -272,9 +281,9 @@ class MicroBatchScheduler:
             raise ValueError("max_batch must be at least 1")
         self.max_batch = max_batch
         self.policy = policy if policy is not None else AdaptiveDeadlinePolicy()
-        self.priority_of = priority_of
-        self.tenant_of = tenant_of
-        self.fair_share = DeficitRoundRobin() if tenant_of is not None else None
+        self.priority_of = priority_of or _tier_zero
+        self.tenant_of = tenant_of or _tenant_zero
+        self.fair_share = DeficitRoundRobin()
         self._queues: dict[Hashable, _Queue] = {}
         #: when each key's last batch left, for those that left alone
         self._left_alone: dict[Hashable, float] = {}
@@ -330,30 +339,21 @@ class MicroBatchScheduler:
 
     def _charge(self, batch: Batch) -> None:
         """Charge a dispatched batch to its tenant's deficit counter."""
-        if self.fair_share is not None and self.tenant_of is not None:
-            self.fair_share.charge(
-                self.tenant_of(batch.entries[0]), len(batch.entries)
-            )
+        self.fair_share.charge(self.tenant_of(batch.entries[0]), len(batch.entries))
 
     def _ordered(self, keys: list[Hashable]) -> list[Hashable]:
         """Order open queues most-urgent-first: QoS tier, then the DRR
         balance of the queue's tenant, then the oldest (the sort is
         stable and ``keys`` come in the order their queues opened)."""
-        priority = self.priority_of
-        fair_share = self.fair_share
-        tenant_of = self.tenant_of
-        if len(keys) < 2 or (priority is None and fair_share is None):
+        if len(keys) < 2:
             return keys
+        priority, balance, tenant_of = (
+            self.priority_of, self.fair_share.balance, self.tenant_of
+        )
 
         def sort_key(key: Hashable) -> tuple[float, float]:
             entries = self._queues[key].entries
-            tier = min(priority(e) for e in entries) if priority is not None else 0.0
-            balance = (
-                fair_share.balance(tenant_of(entries[0]))
-                if fair_share is not None and tenant_of is not None
-                else 0.0
-            )
-            return (tier, balance)
+            return (min(priority(e) for e in entries), balance(tenant_of(entries[0])))
 
         return sorted(keys, key=sort_key)
 

@@ -815,7 +815,7 @@ class KemService:
             },
             "sessions": len(self._channels),
             "tenants": self._tenants.info(),
-            "fair_share": None if fair_share is None else {
+            "fair_share": {
                 str(tenant): round(balance, 3)
                 for tenant, balance in sorted(fair_share.snapshot().items())
             },

@@ -36,6 +36,11 @@ from repro.serve.protocol import (
 )
 
 
+#: Weight of the newest batch duration in the :class:`KernelEstimator`
+#: EWMAs.
+ESTIMATOR_ALPHA = 0.2
+
+
 class KernelEstimator:
     """EWMAs of batch duration per ``(op, parameter set)`` key.
 
@@ -54,17 +59,14 @@ class KernelEstimator:
     Not locked: the service only touches it from the event loop.
     """
 
-    def __init__(self, alpha: float = 0.2) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        self.alpha = alpha
+    def __init__(self) -> None:
         self._batch_s: dict[object, float] = {}
         self._global_batch_s: float | None = None
 
     def _fold(self, current: float | None, sample: float) -> float:
         if current is None:
             return sample
-        return current + self.alpha * (sample - current)
+        return current + ESTIMATOR_ALPHA * (sample - current)
 
     def observe(self, key: object, seconds: float, ops: int) -> None:
         """Record one dispatched batch: its wall duration and size (an

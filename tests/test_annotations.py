@@ -11,9 +11,16 @@ replacement for either.  A new module is held to it from its first line.
 A second floor keeps the environment out: no module under ``src/repro``
 reads the process environment, so every setting reaches the code
 through an argument (for the service, through ``ServiceConfig``).
+
+A third keeps the served path's imports to what it runs: a serving
+process (and every spawned process-backend worker) loads no accelerator
+model it never calls.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -142,3 +149,31 @@ def test_the_check_sees_what_it_claims_to():
         (3, "from os import environ"), (3, "from os import getenv"),
         (4, "os.environ"), (5, "system.getenv"),
     ]
+
+
+#: ``repro.hw`` models only the tables, area and waveform tooling run.
+OFFLINE_HW_MODULES = (
+    "repro.hw.vcd",
+    "repro.hw.area",
+    "repro.hw.ntt_accel",
+    "repro.hw.keccak_accel",
+    "repro.hw.sha256_accel",
+)
+
+
+def test_the_served_path_loads_no_offline_hw_model():
+    script = (
+        "import sys\n"
+        "import repro.serve, repro.backend, repro.schemes, repro.api\n"
+        f"print(sorted(set({OFFLINE_HW_MODULES!r}) & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

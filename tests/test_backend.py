@@ -42,6 +42,7 @@ from repro.backend import (
     default_thread_backend,
 )
 from repro.backend import process as process_module
+from repro.backend.process import DEFAULT_MAX_RESTARTS
 from repro.errors import UnsupportedScheme, WorkerCrashed
 from repro.faults.plan import KIND_CRASH, SITE_BACKEND, FaultPlan, FaultSpec
 from repro.lac.kem import LacKem
@@ -516,12 +517,15 @@ class TestProcessSupervision:
 
     def test_restart_budget_exhaustion_fails_fast(self, scalar):
         _, pair = scalar
-        backend = ProcessBackend(workers=1, warm_params=[LAC_128], max_restarts=0)
+        backend = ProcessBackend(workers=1, warm_params=[LAC_128])
         try:
-            backend.warmup([LAC_128])
-            assert backend.kill_worker() is True
-            with pytest.raises(WorkerCrashed):
-                _encaps(backend, pair, _messages(1)).result()
+            for crash in range(DEFAULT_MAX_RESTARTS + 1):
+                backend.warmup([LAC_128])  # (re)spawns the pool
+                assert backend.stats()["broken"] is False
+                assert backend.kill_worker() is True
+                with pytest.raises(WorkerCrashed):
+                    _encaps(backend, pair, _messages(1)).result()
+                assert backend.stats()["restarts"] == crash + 1
             # budget spent: the backend declares itself broken and every
             # later submission fails fast instead of respawning forever
             assert backend.stats()["broken"] is True

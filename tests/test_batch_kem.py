@@ -2,6 +2,8 @@
 bit-identical to looping the scalar KEM across all LAC parameter sets.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,19 +11,18 @@ from repro.backend import ThreadBackend
 from repro.batch import sampling as batch_sampling
 from repro.batch.encode import bch_encode_many, encode_many
 from repro.batch.kem import keygen_many
-from repro.batch.sampling import (
-    gen_a_vec,
-    sample_secret_and_error_vec,
-    sample_secret_rows,
-    sample_ternary_fixed_weight_vec,
-)
+from repro.batch.sampling import gen_a_vec, sample_secret_rows
 from repro.bch.encoder import BCHEncoder
 from repro.hashes.prng import Sha256Prng
 from repro.lac.encoding import MessageCodec
-from repro.lac.kem import LacKem
+from repro.lac.kem import LacKem, split_seed
 from repro.lac.params import ALL_PARAMS, LAC_128, LAC_192, LAC_256
 from repro.lac.pke import Ciphertext
-from repro.lac.sampling import gen_a, sample_secret_and_error
+from repro.lac.sampling import (
+    gen_a,
+    sample_secret_and_error,
+    sample_ternary_fixed_weight,
+)
 from repro.schemes import LAC_SCHEME
 
 
@@ -66,25 +67,22 @@ def _messages(params, count):
 
 class TestSamplingParity:
     def test_fixed_weight_matches_scalar(self, params):
-        from repro.lac.sampling import sample_ternary_fixed_weight
-
-        for label in (b"x", b"y", b"z"):
-            # same child stream into both samplers: outputs must agree
-            fast = sample_ternary_fixed_weight_vec(
-                Sha256Prng(b"seed").fork(label), params
-            )
-            slow = sample_ternary_fixed_weight(
-                Sha256Prng(b"seed").fork(label), params
-            )
-            assert np.array_equal(fast.coeffs, slow.coeffs)
-            assert fast.weight == params.h
+        rows = sample_secret_rows([b"seed"], params, 3)
+        for j, row in enumerate(rows):
+            # row j is drawn from the seed's j-th ``poly`` child stream
+            child = Sha256Prng(b"seed").fork(b"poly" + j.to_bytes(2, "little"))
+            slow = sample_ternary_fixed_weight(child, params)
+            assert np.array_equal(row, slow.coeffs)
+            assert np.count_nonzero(row == 1) == params.h // 2
+            assert np.count_nonzero(row == -1) == params.h // 2
 
     def test_secret_and_error_matches_scalar(self, params):
+        # the key-generation shape: one seed, its s and e rows
         seed = b"\x42" * 32
-        fast = sample_secret_and_error_vec(seed, params, 3)
-        slow = sample_secret_and_error(seed, params, how_many=3)
-        for f, s in zip(fast, slow):
-            assert np.array_equal(f.coeffs, s.coeffs)
+        rows = sample_secret_rows([seed], params, 2)
+        slow = sample_secret_and_error(seed, params, how_many=2)
+        for row, poly in zip(rows, slow, strict=True):
+            assert np.array_equal(row, poly.coeffs)
 
     def test_secret_rows_matches_scalar(self, params):
         seeds = [bytes([i]) * 32 for i in range(8)]
@@ -232,9 +230,90 @@ class TestEdgeBatchSizes:
 
 
 #: A LAC-128 seed whose ``s`` row has fewer than h distinct indices in
-#: :func:`sample_secret_rows`' fixed candidate window, so that row is
-#: redone through the per-polynomial sampler.
+#: :func:`sample_secret_rows`' fixed candidate window, so that row
+#: squeezes past the window.
 SHORT_WINDOW_SEED = bytes([65, 0]) * 32
+
+
+class _SqueezeTally:
+    """``hashlib`` as :mod:`repro.batch.sampling` sees it, counting each
+    SHA-256 construction (a row's fork and its stream base) and each
+    squeezed block (one ``copy`` of a stream base per block)."""
+
+    def __init__(self):
+        self.hashes = 0
+        self.blocks = 0
+
+    def sha256(self, data=b""):
+        self.hashes += 1
+        return _CountedHash(hashlib.sha256(data), self)
+
+
+class _CountedHash:
+    def __init__(self, inner, tally):
+        self._inner = inner
+        self._tally = tally
+
+    def copy(self):
+        self._tally.blocks += 1
+        return _CountedHash(self._inner.copy(), self._tally)
+
+    def update(self, data):
+        self._inner.update(data)
+
+    def digest(self):
+        return self._inner.digest()
+
+
+def _scalar_blocks(seed, params, j):
+    """SHA-256 blocks the scalar sampler reads for row ``j`` of ``seed``."""
+    child = Sha256Prng(seed).fork(b"poly" + j.to_bytes(2, "little"))
+    seen, draws = set(), 0
+    while len(seen) < params.h:
+        seen.add(int.from_bytes(child.read(2), "little") & (params.n - 1))
+        draws += 1
+    return -(-draws // 16)
+
+
+class TestShortWindowTopUp:
+    """A row whose fixed window holds fewer than h distinct indices
+    keeps squeezing its own stream: it matches the scalar sampler and
+    costs exactly the blocks the scalar loop reads, nothing twice.
+
+    The LAC-128 seeds were found by scanning ``bytes([i, 0]) * 32``,
+    i = 0..255 (8 short rows).  At LAC-192 and LAC-256 a short window
+    is a 10- and 7-sigma event, so none is in reach; there the window is
+    cut to h candidates, which leaves every row short."""
+
+    @pytest.mark.parametrize(
+        "params, seed, short_row, window",
+        [
+            (LAC_128, bytes([80, 0]) * 32, 0, None),
+            (LAC_128, bytes([28, 0]) * 32, 1, None),
+            (LAC_128, bytes([39, 0]) * 32, 2, None),
+            (LAC_192, bytes([0, 0]) * 32, 0, LAC_192.h // 16),
+            (LAC_256, bytes([0, 0]) * 32, 0, LAC_256.h // 16),
+        ],
+        ids=["LAC-128-row0", "LAC-128-row1", "LAC-128-row2", "LAC-192", "LAC-256"],
+    )
+    def test_short_row_is_topped_up(self, monkeypatch, params, seed, short_row, window):
+        if window is not None:
+            monkeypatch.setattr(batch_sampling, "_window_blocks", lambda p: window)
+        blocks = batch_sampling._window_blocks(params)
+        needed = [_scalar_blocks(seed, params, j) for j in range(3)]
+        assert needed[short_row] > blocks  # the pinned row is short
+
+        tally = _SqueezeTally()
+        with monkeypatch.context() as patch:
+            patch.setattr(batch_sampling, "hashlib", tally)
+            rows = sample_secret_rows([seed], params, 3)
+        reference = sample_secret_and_error(seed, params, how_many=3)
+        for row, poly in zip(rows, reference, strict=True):
+            assert np.array_equal(row, poly.coeffs)
+        # one fork and one stream base per row: no row hashed again
+        assert tally.hashes == 2 * 3
+        # the window, plus each short row's own top-up blocks
+        assert tally.blocks == sum(max(blocks, k) for k in needed)
 
 
 def _keygen_seeds(params, count):
@@ -265,20 +344,20 @@ class TestKeygenParity:
             _assert_same_pair(pair, kem.keygen(seed))
 
     def test_short_window_row_takes_the_fallback(self, monkeypatch):
+        # the fallback for a short window is the row's own top-up
         kem = LacKem(LAC_128)
-        redone = []
-        sampler = batch_sampling.sample_ternary_fixed_weight_vec
+        pke_seed, _ = split_seed(LAC_128, SHORT_WINDOW_SEED)
+        seed_sk = Sha256Prng(pke_seed).fork(b"seed-sk").seed
+        blocks = batch_sampling._window_blocks(LAC_128)
+        needed = [_scalar_blocks(seed_sk, LAC_128, j) for j in range(2)]
+        assert needed[0] > blocks  # the ``s`` row is short
 
-        def counting(prng, params):
-            redone.append(prng.seed)
-            return sampler(prng, params)
-
-        monkeypatch.setattr(
-            batch_sampling, "sample_ternary_fixed_weight_vec", counting
-        )
-        [pair] = keygen_many(kem, [SHORT_WINDOW_SEED])
-        assert len(redone) == 1
-        monkeypatch.undo()
+        tally = _SqueezeTally()
+        with monkeypatch.context() as patch:
+            patch.setattr(batch_sampling, "hashlib", tally)
+            [pair] = keygen_many(kem, [SHORT_WINDOW_SEED])
+        assert tally.hashes == 2 * 2
+        assert tally.blocks == sum(max(blocks, k) for k in needed)
         _assert_same_pair(pair, kem.keygen(SHORT_WINDOW_SEED))
 
     def test_scheme_keygen_runs_the_batch_kernel(self, params):

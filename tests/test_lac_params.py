@@ -73,6 +73,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="even"):
             dataclasses.replace(LAC_128, h=255)
 
+    def test_ring_size_not_a_power_of_two_rejected(self):
+        # the batch sampler masks 16-bit candidates with n - 1
+        with pytest.raises(ValueError, match="power of two"):
+            dataclasses.replace(LAC_192, n=768)
+
     def test_weight_above_n_rejected(self):
         with pytest.raises(ValueError):
             dataclasses.replace(LAC_128, h=514)

@@ -37,7 +37,11 @@ from repro.serve import (
     ThreadedService,
 )
 from repro.serve.protocol import pack_encaps_request
-from repro.serve.scheduler import AdaptiveDeadlinePolicy, MicroBatchScheduler
+from repro.serve.scheduler import (
+    DRR_RECENTER_AT,
+    AdaptiveDeadlinePolicy,
+    MicroBatchScheduler,
+)
 from repro.trace import InMemoryRecorder, Tracer
 
 SEED = bytes(range(64))
@@ -133,16 +137,18 @@ class TestDeficitRoundRobin:
         assert drr.snapshot() == {"a": 0.0}
 
     def test_recenter_keeps_counters_bounded(self):
-        drr = DeficitRoundRobin(recenter_at=100.0)
+        drr = DeficitRoundRobin()
         drr.balance("b")
+        step = DRR_RECENTER_AT / 10
         for _ in range(50):
-            drr.charge("a", 10.0)
-            drr.charge("b", 8.0)
+            drr.charge("a", step)
+            drr.charge("b", 0.8 * step)
         snap = drr.snapshot()
         assert snap["b"] == 0.0
-        assert snap["a"] == pytest.approx(100.0)  # relative gap survives
+        # the relative gap survives
+        assert snap["a"] == pytest.approx(DRR_RECENTER_AT)
         # the raw counters were re-centred, not just the snapshot
-        assert max(drr._served.values()) <= 200.0
+        assert max(drr._served.values()) <= 2 * DRR_RECENTER_AT
 
     def test_negative_charge_rejected(self):
         drr = DeficitRoundRobin()
@@ -180,12 +186,17 @@ class TestSchedulerFairShare:
         sched.poll(clock.advance(1.0), 8)
         assert sched.fair_share.snapshot() == {"a": 3.0, "idle": 0.0}
 
-    def test_no_tenant_hook_means_no_fair_share(self):
+    def test_no_tenant_hook_charges_tenant_zero(self):
+        clock = FakeClock()
         sched = MicroBatchScheduler(
             max_batch=4,
             policy=AdaptiveDeadlinePolicy(max_wait_us=100.0, min_wait_us=50.0),
         )
-        assert sched.fair_share is None
+        sched.submit("k1", 1, clock())
+        sched.submit("k2", 2, clock())
+        batches = sched.poll(clock.advance(1.0), 8)
+        assert [batch.entries for batch in batches] == [[1], [2]]
+        assert sched.fair_share.snapshot() == {0: 0.0}
 
 
 class TestKeyScoping:

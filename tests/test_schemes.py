@@ -3,9 +3,10 @@
 The registry is the single front door the server, clients and
 facade share, so these tests pin the properties everything downstream
 leans on: stable wire ids (LAC keeps its historical 0/1/2), one
-``resolve`` accepting every spec shape, wire-size metadata that matches
-the bytes the adapters actually produce, and registration guards that
-keep ``PARAM_NONE`` unclaimable.
+``resolve`` accepting every spec shape, and wire-size metadata that
+matches the bytes the adapters actually produce.  That the fixed
+scheme table leaves ``PARAM_NONE`` unclaimed is pinned beside the
+constructor settings in ``test_serve_service.py``.
 """
 
 import pytest
@@ -16,16 +17,11 @@ from repro.schemes import (
     LAC_SCHEME,
     NEWHOPE_SCHEME,
     PARAM_NONE,
-    KemScheme,
     ParamId,
     SchemeId,
-    all_param_ids,
     all_schemes,
-    param_id_of,
     params_for_wire_id,
-    register_scheme,
     resolve,
-    scheme_for,
     scheme_of,
     wire_id_for_params,
 )
@@ -46,7 +42,7 @@ class TestWireIdentity:
         for params in (*ALL_PARAMS, NEWHOPE_512, NEWHOPE_1024):
             scheme, decoded = params_for_wire_id(wire_id_for_params(params))
             assert decoded is params
-            assert scheme.owns_params(params)
+            assert params in scheme.param_sets
 
     def test_param_none_is_never_a_valid_wire_id(self):
         with pytest.raises(ValueError):
@@ -60,25 +56,23 @@ class TestWireIdentity:
         with pytest.raises(ValueError, match="unknown"):
             params_for_wire_id(0x12)  # no NewHope index 2
 
-    def test_all_param_ids_enumerates_everything(self):
-        ids = all_param_ids()
-        assert [p.name for p in ids] == [
+    def test_scheme_table_enumerates_everything(self):
+        sets = [p for scheme in all_schemes() for p in scheme.param_sets]
+        assert [p.name for p in sets] == [
             "LAC-128",
             "LAC-192",
             "LAC-256",
             "NewHope512",
             "NewHope1024",
         ]
-        assert [p.wire_id for p in ids] == [0, 1, 2, 0x10, 0x11]
-
-    def test_param_id_of_matches_enumeration(self):
-        assert param_id_of(LAC_192) == ParamId(SchemeId.LAC, 1, "LAC-192")
-        assert param_id_of(NEWHOPE_1024).wire_id == 0x11
+        assert [wire_id_for_params(p) for p in sets] == [0, 1, 2, 0x10, 0x11]
 
 
 class TestResolver:
     def test_resolves_param_id(self):
-        scheme, params = resolve(param_id_of(NEWHOPE_512))
+        spec = ParamId(SchemeId.NEWHOPE, 0, "NewHope512")
+        assert spec.wire_id == 0x10
+        scheme, params = resolve(spec)
         assert scheme is NEWHOPE_SCHEME
         assert params is NEWHOPE_512
 
@@ -100,12 +94,6 @@ class TestResolver:
             resolve(0x42)
         with pytest.raises(ValueError):
             resolve(object())
-
-    def test_scheme_for_by_name_and_id(self):
-        assert scheme_for("lac") is LAC_SCHEME
-        assert scheme_for(SchemeId.NEWHOPE) is NEWHOPE_SCHEME
-        with pytest.raises(ValueError):
-            scheme_for("kyber")
 
     def test_scheme_of_by_param_type(self):
         assert scheme_of(LAC_192) is LAC_SCHEME
@@ -141,73 +129,6 @@ class TestSizeMetadata:
         assert scheme.public_key_bytes_of(params, a) == scheme.public_key_bytes_of(
             params, b
         )
-
-
-class TestRegistrationGuards:
-    def test_registering_existing_schemes_is_idempotent(self):
-        assert register_scheme(LAC_SCHEME) is LAC_SCHEME
-        assert all_schemes() == (LAC_SCHEME, NEWHOPE_SCHEME)
-
-    def test_conflicting_scheme_id_rejected(self):
-        class Impostor(KemScheme):
-            scheme_id = 0
-            name = "impostor"
-            param_sets = ()
-
-            def owns_params(self, params):
-                return False
-
-            def public_key_wire_bytes(self, params):
-                return 0
-
-            def ciphertext_wire_bytes(self, params):
-                return 0
-
-            def keygen(self, params, seed=None):
-                raise NotImplementedError
-
-            def public_key_bytes_of(self, params, pair):
-                return b""
-
-            def encaps_many(self, params, pair, messages):
-                return []
-
-            def decaps_many(self, params, pair, ciphertexts):
-                return []
-
-        with pytest.raises(ValueError, match="already taken"):
-            register_scheme(Impostor())
-        assert all_schemes() == (LAC_SCHEME, NEWHOPE_SCHEME)
-
-    def test_scheme_id_fifteen_reserved_for_param_none(self):
-        class TooHigh(KemScheme):
-            scheme_id = 15
-            name = "toohigh"
-            param_sets = ()
-
-            def owns_params(self, params):
-                return False
-
-            def public_key_wire_bytes(self, params):
-                return 0
-
-            def ciphertext_wire_bytes(self, params):
-                return 0
-
-            def keygen(self, params, seed=None):
-                raise NotImplementedError
-
-            def public_key_bytes_of(self, params, pair):
-                return b""
-
-            def encaps_many(self, params, pair, messages):
-                return []
-
-            def decaps_many(self, params, pair, ciphertexts):
-                return []
-
-        with pytest.raises(ValueError, match="PARAM_NONE"):
-            register_scheme(TooHigh())
 
 
 @pytest.mark.parametrize(

@@ -9,12 +9,16 @@ run over the in-process socketpair transport.
 
 import asyncio
 import dataclasses
+import inspect
 import math
 import threading
 
 import pytest
 
+import repro.batch
+import repro.schemes
 import repro.serve.server as server_module
+from repro.backend import InlineBackend, KemBackend, ProcessBackend, ThreadBackend
 from repro.lac.kem import LacKem
 from repro.lac.params import ALL_PARAMS, LAC_128, LAC_256
 from repro.serve import (
@@ -32,6 +36,12 @@ from repro.serve import (
 )
 from repro.schemes import wire_id_for_params
 from repro.serve.protocol import Frame, Op, Status, pack_encaps_request
+from repro.serve.scheduler import (
+    AdaptiveDeadlinePolicy,
+    DeficitRoundRobin,
+    MicroBatchScheduler,
+)
+from repro.serve.slo import KernelEstimator
 
 SEED = bytes(range(64))
 
@@ -403,6 +413,62 @@ class TestConstructorSurface:
             "tier_watermarks",
             "tenant_quotas",
         }
+
+    def test_constructor_settings_are_pinned(self):
+        # the serving core's tuning constants are constants: a setting
+        # that comes back as a constructor parameter is a visible diff
+        def params(cls):
+            return list(inspect.signature(cls).parameters)
+
+        assert params(AdaptiveDeadlinePolicy) == ["max_wait_us", "min_wait_us"]
+        assert params(DeficitRoundRobin) == []
+        assert params(KernelEstimator) == []
+        assert params(MicroBatchScheduler) == [
+            "max_batch",
+            "policy",
+            "priority_of",
+            "tenant_of",
+        ]
+        assert params(KemBackend) == []
+        assert params(InlineBackend) == []
+        assert params(ThreadBackend) == ["workers"]
+        assert params(ProcessBackend) == ["workers", "warm_params"]
+        assert repro.schemes.__all__ == [
+            "KemScheme",
+            "LAC_SCHEME",
+            "LacScheme",
+            "NEWHOPE_SCHEME",
+            "NewHopeScheme",
+            "PARAM_NONE",
+            "ParamId",
+            "SchemeId",
+            "all_schemes",
+            "params_for_wire_id",
+            "resolve",
+            "scheme_of",
+            "wire_id_for_params",
+        ]
+        assert repro.batch.__all__ == [
+            "bch_encode_many",
+            "encode_many",
+            "parity_matrix",
+            "encaps_many",
+            "decaps_many",
+            "keygen_many",
+            "key_fingerprints",
+            "warm_cache",
+            "gen_a_vec",
+            "sample_secret_rows",
+        ]
+
+    def test_scheme_table_leaves_param_none_free(self):
+        # the wire param byte is scheme_id << 4 | index: scheme 15 would
+        # claim PARAM_NONE (0xFF) and a 17th set would spill its nibble
+        schemes = repro.schemes.all_schemes()
+        assert [s.scheme_id for s in schemes] == [0, 1]
+        for scheme in schemes:
+            assert 0 <= scheme.scheme_id < 15
+            assert len(scheme.param_sets) <= 16
 
     def test_wait_bounds_are_ordered_at_config_time(self):
         with pytest.raises(ValueError, match="min_wait_us"):

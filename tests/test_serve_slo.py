@@ -55,11 +55,12 @@ class TestKernelEstimator:
         assert est.batch_seconds(("ENCAPS", 1)) == pytest.approx(0.08)
 
     def test_ewma_moves_toward_new_samples(self):
-        est = KernelEstimator(alpha=0.5)
+        est = KernelEstimator()
         key = ("ENCAPS", 1)
         est.observe(key, 0.10, 10)
         est.observe(key, 0.20, 10)
-        assert est.batch_seconds(key) == pytest.approx(0.15)
+        # one step of weight 0.2 from 0.10 toward 0.20
+        assert est.batch_seconds(key) == pytest.approx(0.12)
 
     def test_unseen_key_falls_back_to_global(self):
         est = KernelEstimator()

@@ -75,8 +75,11 @@ def assert_telescopes(rec, root):
 
 
 async def wait_for_pending(svc, n):
+    # also wait out a set ``_wake``: until the flush loop has polled the
+    # newest queue, a fake-clock jump made now would flush that queue
+    # alone, and its batchmate would then wait on a frozen clock forever
     for _ in range(1000):
-        if svc.pending == n:
+        if svc.pending == n and not svc._wake.is_set():
             return
         await asyncio.sleep(0.001)
     raise AssertionError(f"service never reached {n} pending requests")
