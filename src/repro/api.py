@@ -18,9 +18,10 @@ and the unified error hierarchy::
 Key registration and dispatch are scheme-aware: anywhere the stack
 accepts a parameter spec (``ThreadedService.add_keypair``, client
 ``keygen``/``encaps``/``decaps``, ``resolve`` itself), a ``ParamId``
-such as ``ParamId("newhope", "newhope1024")``, a registered params
-object (``LAC_128``, ``NEWHOPE_1024``), a bare name (``"lac-256"``)
-or a wire id all work.  Bare ``LacParams`` values keep working
+such as ``ParamId(SchemeId.NEWHOPE, 1, "NewHope1024")``, a registered
+params object (``LAC_128``, ``NEWHOPE_1024``), a parameter-set name
+(case-sensitive: ``"LAC-256"``, ``"NewHope1024"``) or a wire id
+(``0x11``) all work.  Bare ``LacParams`` values keep working
 unchanged — they resolve to the registered LAC scheme.
 
 Internal modules (``repro.serve.server``, ``repro.backend.base``, …)
@@ -38,7 +39,6 @@ from repro.backend import (
     ThreadBackend,
     check_backend_name,
     create_backend,
-    default_thread_backend,
 )
 from repro.errors import (
     BackendError,
@@ -130,7 +130,6 @@ __all__ = [
     "ThreadBackend",
     "check_backend_name",
     "create_backend",
-    "default_thread_backend",
     # serving
     "AsyncKemClient",
     "DEFAULT_TENANT",

@@ -6,8 +6,7 @@ four implementations:
 
 ============  =========================================================
 ``inline``    :class:`InlineBackend` — synchronous, caller's thread
-``thread``    :class:`ThreadBackend` — pool threads (the default;
-              one process-wide pool, ``default_thread_backend()``)
+``thread``    :class:`ThreadBackend` — pool threads (the default)
 ``process``   :class:`ProcessBackend` — supervised worker processes
               (GIL-free, per-worker warmup, bounded crash restart)
 ``cosim``     :class:`CosimBackend` — the simulated ISE core: annotated
@@ -16,8 +15,9 @@ four implementations:
 ============  =========================================================
 
 Select by name with :func:`create_backend`, or by configuration with
-``ServiceConfig(backend=...)``.  A batch reaches any of them only
-through :meth:`KemBackend.submit`.  All backends produce results
+``ServiceConfig(backend=...)``; every backend owns its executor and
+shuts it down in :meth:`KemBackend.close`.  A batch reaches any of
+them only through :meth:`KemBackend.submit`.  All backends produce results
 bit-identical to the scalar :class:`repro.lac.LacKem`.
 """
 
@@ -36,11 +36,7 @@ from repro.backend.cosim import (
 )
 from repro.backend.inline import InlineBackend
 from repro.backend.process import ProcessBackend
-from repro.backend.thread import (
-    DEFAULT_THREAD_WORKERS,
-    ThreadBackend,
-    default_thread_backend,
-)
+from repro.backend.thread import DEFAULT_THREAD_WORKERS, ThreadBackend
 
 __all__ = [
     "BACKEND_NAMES",
@@ -55,6 +51,5 @@ __all__ = [
     "ThreadBackend",
     "check_backend_name",
     "create_backend",
-    "default_thread_backend",
     "model_cycles",
 ]

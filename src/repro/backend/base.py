@@ -8,8 +8,7 @@ benchmarks never hard-wire a particular pool again:
 
 * :class:`repro.backend.InlineBackend` — synchronous, in the caller's
   thread (tests, cycle-model paths, debugging);
-* :class:`repro.backend.ThreadBackend` — a thread pool (the default;
-  one process-wide pool, see ``default_thread_backend()``);
+* :class:`repro.backend.ThreadBackend` — a thread pool (the default);
 * :class:`repro.backend.ProcessBackend` — a supervised process pool
   (GIL-free parallelism; workers warm their own GF/ring tables, crash
   detection with bounded restart);
@@ -34,7 +33,8 @@ has exactly one submission entry point:
 ``invalidate_key(...)``   — reclaim cache entries on key removal
 ``keygen(params, seed)``  — synchronous single-key convenience
 ``warmup()``              — pay table-building/spawn cost up front
-``close()``               — graceful drain; idempotent
+``close()``               — graceful drain, then the backend's executor
+                            shuts down; idempotent
 ``stats()``               — submission/restart/cache counters for metrics
 ``slots``                 — how many batches it executes at once, fixed
                             when the backend is built
@@ -64,9 +64,8 @@ trade-offs.
 from __future__ import annotations
 
 import threading
-from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import Future
+from concurrent.futures import Executor, Future
 from typing import Any
 
 from repro.errors import UnsupportedScheme
@@ -108,14 +107,16 @@ def run_op(
     return scheme.decaps_each(params, pairs, items, cache)
 
 
-class KemBackend(ABC):
-    """Abstract execution backend for batched KEM kernels.
+class KemBackend:
+    """Base execution backend for batched KEM kernels.
 
-    Subclasses say *where* a batch runs by implementing :meth:`_spawn`
-    (and, when the where changes the how — worker processes, the
-    simulated core — :meth:`_kernel`); the one :meth:`submit`, the
-    synchronous :meth:`keygen` convenience, :meth:`warmup` and the
-    :meth:`stats` bookkeeping are shared.
+    Subclasses say *where* a batch runs by setting the executor
+    :meth:`_spawn` submits to (and, when the where changes the how —
+    worker processes, the simulated core — by overriding
+    :meth:`_kernel`); the one :meth:`submit`, the synchronous
+    :meth:`keygen` convenience, :meth:`warmup`, the :meth:`stats`
+    bookkeeping and shutting the executor down in :meth:`close` are
+    shared.
 
     The optional ``wrapper`` argument of :meth:`submit` runs around
     the kernel call in the backend's execution context (worker thread
@@ -140,6 +141,9 @@ class KemBackend(ABC):
         self.transform_cache: KeyTransformCache | None = KeyTransformCache(
             DEFAULT_CACHE_ENTRIES
         )
+        #: Where :meth:`_spawn` runs batches, owned by the backend and
+        #: shut down by :meth:`close`; a pooled subclass sets it.
+        self._executor: Executor | None = None
 
     # ------------------------------------------------------------------
     # the contract
@@ -177,11 +181,12 @@ class KemBackend(ABC):
             wrapper, lambda: self._kernel(scheme, params, op, lanes, batch)
         )
 
-    @abstractmethod
     def _spawn(
         self, wrapper: KernelWrapper | None, work: Callable[[], Any]
     ) -> Future[Any]:
-        """Run ``self._tracked(wrapper, work)`` where this backend executes."""
+        """Run ``self._tracked(wrapper, work)`` on the backend's executor."""
+        assert self._executor is not None, f"{self.name} backend has no executor"
+        return self._executor.submit(self._tracked, wrapper, work)
 
     def _kernel(
         self,
@@ -250,12 +255,16 @@ class KemBackend(ABC):
             self.submit(scheme, params, "DECAPS", [pair], [ct]).result()
 
     def close(self, wait: bool = True) -> None:
-        """Release backend resources; idempotent.
+        """Stop intake and shut the executor down; idempotent.
 
         With ``wait=True`` (the default) the call drains gracefully:
         already-submitted batches finish and their futures resolve.
         """
+        if self._closed:
+            return
         self._closed = True
+        if self._executor is not None:
+            self._executor.shutdown(wait=wait)
 
     def invalidate_key(self, fingerprints: Iterable[bytes]) -> int:
         """Reclaim cache entries for a removed key; returns entries dropped.
@@ -349,17 +358,15 @@ def check_backend_name(name: str) -> None:
 def create_backend(
     name: str = DEFAULT_BACKEND, workers: int | None = None
 ) -> KemBackend:
-    """Create (or share) a backend by name.
+    """Create a backend by name; the caller owns and closes it.
 
     ``workers`` sizes the pool — its :attr:`~KemBackend.slots`
-    for the life of the backend.  A plain ``"thread"`` request with no
-    size returns the process-wide shared default backend, whose
-    :meth:`~KemBackend.close` is a no-op.
+    for the life of the backend (``None``: the backend's default).
     """
     from repro.backend.cosim import CosimBackend
     from repro.backend.inline import InlineBackend
     from repro.backend.process import ProcessBackend
-    from repro.backend.thread import ThreadBackend, default_thread_backend
+    from repro.backend.thread import ThreadBackend
 
     check_backend_name(name)
     if workers is not None and workers < 1:
@@ -372,8 +379,6 @@ def create_backend(
         # one simulated in-order core: sizing does not apply, and a
         # profile other than the default needs the constructor
         return CosimBackend()
-    if workers is None:
-        return default_thread_backend()
     return ThreadBackend(workers=workers)
 
 

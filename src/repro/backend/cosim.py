@@ -31,11 +31,10 @@ equality and the counts themselves).
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
-from repro.backend.base import KemBackend, KernelWrapper
+from repro.backend.base import KemBackend
 from repro.cosim.costs import ISE_COSTS, REFERENCE_COSTS, CycleCosts, price
 from repro.cosim.protocol import PROFILES, CycleModel, ProtocolCycles
 from repro.lac.params import LacParams
@@ -100,7 +99,7 @@ class CosimBackend(KemBackend):
         self.costs: CycleCosts = ISE_COSTS if profile == "ise" else REFERENCE_COSTS
         self._models_lock = threading.Lock()
         self._models: dict[str, CycleModel] = {}
-        self._executor: ThreadPoolExecutor | None = ThreadPoolExecutor(
+        self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-cosim"
         )
         self._cycles_lock = threading.Lock()
@@ -182,13 +181,6 @@ class CosimBackend(KemBackend):
             annotate(**tags)
         return results
 
-    def _spawn(
-        self, wrapper: KernelWrapper | None, work: Callable[[], Any]
-    ) -> Future[Any]:
-        executor = self._executor
-        assert executor is not None
-        return executor.submit(self._tracked, wrapper, work)
-
     def supports_scheme(self, scheme: KemScheme) -> bool:
         """Only LAC: the Table I/II cycle model covers nothing else.
 
@@ -202,18 +194,8 @@ class CosimBackend(KemBackend):
         return scheme.name == "lac"
 
     # ------------------------------------------------------------------
-    # lifecycle / introspection
+    # introspection
     # ------------------------------------------------------------------
-
-    def close(self, wait: bool = True) -> None:
-        """Drain the simulated core's worker thread; idempotent."""
-        if self._closed:
-            return
-        super().close(wait)
-        executor = self._executor
-        self._executor = None
-        if executor is not None:
-            executor.shutdown(wait=wait)
 
     def cycle_tallies(self) -> dict[str, dict[str, int]]:
         """Per-``(op, params)`` cycle tallies, keyed ``"OP:params-name"``.

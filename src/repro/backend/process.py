@@ -17,10 +17,11 @@ Design points:
   chunk per worker, and each chunk crosses the pipe as one pickled
   call holding everything the worker needs: the serialized blob of
   each distinct key among the chunk's lanes, each lane's index into
-  them, and the lanes themselves (messages for encapsulation, the
-  ciphertext rows as one ``bytes`` block for decapsulation).  The
-  reply is the ciphertext rows as one block plus the shared secrets
-  (or just the secrets), so nothing is re-hydrated parent-side and a
+  them, and the lanes themselves (messages for encapsulation, wire
+  ciphertexts for decapsulation, which the worker stacks into rows
+  through the one ciphertext codec of :mod:`repro.lac.pke`).  The
+  reply is the ``(ciphertext, shared secret)`` pairs or the shared
+  secrets in wire bytes, so nothing is re-hydrated parent-side and a
   batch over many keys costs one trip per worker, like the paper's
   accelerators, which take every operand through one fixed
   instruction interface.  A scheme with no process wire runs its
@@ -43,7 +44,8 @@ Design points:
   the typed :class:`repro.errors.WorkerCrashed` — which the service
   maps to the existing ``INTERNAL`` response;
 * **graceful drain** — :meth:`close` stops intake, lets submitted
-  batches finish and shuts both pools down; idempotent.
+  batches finish on the supervisor threads (the backend's executor)
+  and then shuts the worker pool down; idempotent.
 
 Workers always start with ``spawn``: forking a process that already
 runs pool threads (every server does) inherits locked mutexes and is
@@ -61,27 +63,24 @@ import os
 import signal
 import threading
 from collections.abc import Sequence
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable
 
-import numpy as np
-
-from repro.backend.base import KemBackend, KernelWrapper
+from repro.backend.base import KemBackend
 from repro.batch.kem import (
     _annotate_cache,
     _decaps_chunk,
     _encaps_chunk,
     key_lanes,
     keygen_many,
-    wire_rows,
 )
 from repro.errors import WorkerCrashed
-from repro.lac.kem import KemKeyPair, KemSecretKey, LacKem
+from repro.lac.kem import KemKeyPair, KemSecretKey
 from repro.lac.params import ALL_PARAMS, LacParams
-from repro.lac.pke import PublicKey
+from repro.lac.pke import PublicKey, ciphertext_blobs, ciphertext_rows
 from repro.ring.cache import DEFAULT_CACHE_ENTRIES, KeyTransformCache
-from repro.schemes import KemScheme
+from repro.schemes import LAC_SCHEME, KemScheme, resolve
 
 #: Smallest per-process sub-chunk worth the dispatch round trip; a
 #: 64-op batch on 8 workers still lands at 8 ops per process.
@@ -92,28 +91,13 @@ MIN_CHUNK = 8
 DEFAULT_MAX_RESTARTS = 3
 
 
-def _params_by_name(name: str) -> LacParams:
-    for params in ALL_PARAMS:
-        if params.name == name:
-            return params
-    raise KeyError(f"unknown parameter set {name!r}")
-
-
 # ---------------------------------------------------------------------------
-# worker-side code (everything below the pipe)
+# worker-side code (everything below the pipe; each worker's engines are
+# its own LAC_SCHEME.kem_for cache)
 # ---------------------------------------------------------------------------
-
-_WORKER_KEMS: dict[str, LacKem] = {}
 
 #: This worker's per-key transform cache.
 _WORKER_CACHE = KeyTransformCache(DEFAULT_CACHE_ENTRIES)
-
-
-def _worker_kem(params_name: str) -> LacKem:
-    kem = _WORKER_KEMS.get(params_name)
-    if kem is None:
-        kem = _WORKER_KEMS[params_name] = LacKem(_params_by_name(params_name))
-    return kem
 
 
 def _worker_init(param_names: Sequence[str]) -> None:
@@ -125,7 +109,7 @@ def _worker_init(param_names: Sequence[str]) -> None:
     matrix), so serving batches never pay construction cost.
     """
     for name in param_names:
-        kem = _worker_kem(name)
+        kem = LAC_SCHEME.kem_for(resolve(name)[1])
         params = kem.params
         [pair] = keygen_many(kem, [b"\x2a" * (params.seed_bytes + 32)])
         rows, _ = _encaps_chunk(
@@ -139,31 +123,27 @@ def _worker_lanes(
     encaps: bool,
     key_blobs: list[bytes],
     lanes: list[int],
-    payload: list[bytes] | bytes,
-) -> tuple[Any, tuple[int, int, int]]:
+    payload: list[bytes],
+) -> tuple[list[Any], tuple[int, int, int]]:
     """Run one chunk: lane ``i`` under ``key_blobs[lanes[i]]``.
 
-    ENCAPS takes the messages and returns the ciphertext rows as one
-    block plus the shared secrets; DECAPS takes the ciphertext rows as
-    one block and returns the shared secrets.  Either comes back with
-    this worker's ``(hits, misses, evictions)`` cache delta.
+    ENCAPS takes the messages and returns ``(ciphertext, shared)``
+    pairs; DECAPS takes the wire ciphertexts and returns the shared
+    secrets.  Either comes back with this worker's ``(hits, misses,
+    evictions)`` cache delta.
     """
-    kem = _worker_kem(params_name)
+    kem = LAC_SCHEME.kem_for(resolve(params_name)[1])
     params = kem.params
     hydrate = PublicKey.from_bytes if encaps else KemSecretKey.from_bytes
     keys = [hydrate(params, blob) for blob in key_blobs]
     per_lane = [keys[k] for k in lanes]
     before = _WORKER_CACHE.counters()
-    result: Any
+    result: list[Any]
     if encaps:
-        assert isinstance(payload, list)
         rows, shared = _encaps_chunk(kem, per_lane, payload, _WORKER_CACHE)
-        result = (rows.tobytes(), shared)
+        result = list(zip(ciphertext_blobs(rows), shared))
     else:
-        assert isinstance(payload, bytes)
-        rows = np.frombuffer(payload, dtype=np.uint8).reshape(
-            len(lanes), params.ciphertext_bytes
-        )
+        rows = ciphertext_rows(params, payload)
         result = _decaps_chunk(kem, per_lane, rows, _WORKER_CACHE)
     after = _WORKER_CACHE.counters()
     return result, (after[0] - before[0], after[1] - before[1], after[2] - before[2])
@@ -174,7 +154,7 @@ def _worker_keygen(
 ) -> list[tuple[bytes, bytes]]:
     return [
         (pair.public_key.to_bytes(), pair.secret_key.to_bytes())
-        for pair in keygen_many(_worker_kem(params_name), seeds)
+        for pair in keygen_many(LAC_SCHEME.kem_for(resolve(params_name)[1]), seeds)
     ]
 
 
@@ -219,12 +199,12 @@ class ProcessBackend(KemBackend):
         self._generation = 0
         self._restarts = 0
         self._broken = False
-        # supervisor threads: one per concurrently in-flight batch —
-        # they fan chunks out, block on worker results and collect the
-        # answers (and run the adapter of any scheme with no process
-        # wire), so a couple above the worker count keeps submission
-        # from queueing behind result collection
-        self._supervisor = ThreadPoolExecutor(
+        # the executor is the supervisor threads: one per concurrently
+        # in-flight batch — they fan chunks out, block on worker results
+        # and collect the answers (and run the adapter of any scheme
+        # with no process wire), so a couple above the worker count
+        # keeps submission from queueing behind result collection
+        self._executor = ThreadPoolExecutor(
             max_workers=self._workers + 2,
             thread_name_prefix="repro-backend-sup",
         )
@@ -288,11 +268,6 @@ class ProcessBackend(KemBackend):
         cuts = [count * i // chunks for i in range(chunks + 1)]
         return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
 
-    def _spawn(
-        self, wrapper: KernelWrapper | None, work: Callable[[], Any]
-    ) -> Future[Any]:
-        return self._supervisor.submit(self._tracked, wrapper, work)
-
     # -- the contract ---------------------------------------------------
 
     def _kernel(
@@ -323,9 +298,6 @@ class ProcessBackend(KemBackend):
                 for pk_bytes, sk_bytes in part
             ]
         encaps = op == "ENCAPS"
-        # decapsulation validates the wire widths here, as the adapter
-        # does, then ships each chunk's rows as one block
-        rows = None if encaps else wire_rows(params, batch)
         calls = []
         for lo, hi in self._bounds(len(batch)):
             keys, lanes = key_lanes(pairs[lo:hi])
@@ -333,19 +305,11 @@ class ProcessBackend(KemBackend):
                 (pair.public_key if encaps else pair.secret_key).to_bytes()
                 for pair in keys
             ]
-            payload = batch[lo:hi] if rows is None else rows[lo:hi].tobytes()
-            calls.append((params.name, encaps, blobs, lanes, payload))
+            calls.append((params.name, encaps, blobs, lanes, batch[lo:hi]))
         out: list[Any] = []
-        width = params.ciphertext_bytes
         for result, counters in self._fan(_worker_lanes, calls):
             self._merge_counters(counters)
-            if not encaps:
-                out.extend(result)
-                continue
-            block, shared = result
-            out.extend(
-                zip([block[i : i + width] for i in range(0, len(block), width)], shared)
-            )
+            out.extend(result)
         return out
 
     def _merge_counters(self, counters: tuple[int, int, int]) -> None:
@@ -407,12 +371,9 @@ class ProcessBackend(KemBackend):
     def close(self, wait: bool = True) -> None:
         """Graceful drain: stop intake, finish in-flight batches, shut
         down both pools."""
-        if self._closed:
-            return
+        # the supervisor threads drain first (their batches still need
+        # the worker pool), then the workers go down
         super().close(wait)
-        # the supervisor drains first (its tasks still need the worker
-        # pool), then the workers go down
-        self._supervisor.shutdown(wait=wait)
         with self._pool_lock:
             pool, self._pool = self._pool, None
         if pool is not None:

@@ -19,6 +19,7 @@ import numpy as np
 from repro.bch.code import BCHCode
 from repro.bitutils import mask_to_bits
 from repro.gf.poly2 import Poly2
+from repro.lac.encoding import embed_codewords
 from repro.lac.params import LacParams
 
 
@@ -84,10 +85,9 @@ def bch_encode_many(code: BCHCode, message_bits: np.ndarray) -> np.ndarray:
 def encode_many(params: LacParams, messages: list[bytes]) -> np.ndarray:
     """Embed a batch of 32-byte messages into stacked ring elements.
 
-    Returns a (B, n) int64 matrix: codeword bits scaled to floor(q/2),
-    duplicated at offset ``codeword_bits`` for D2 parameter sets, zero
-    elsewhere — row-for-row identical to
-    :meth:`repro.lac.encoding.MessageCodec.encode`.
+    Returns a (B, n) int64 matrix, the codewords placed by
+    :func:`repro.lac.encoding.embed_codewords` — row-for-row identical
+    to :meth:`repro.lac.encoding.MessageCodec.encode`.
     """
     for message in messages:
         if len(message) != params.message_bytes:
@@ -98,11 +98,4 @@ def encode_many(params: LacParams, messages: list[bytes]) -> np.ndarray:
         count=params.bch.k,
         bitorder="little",
     )
-    codewords = bch_encode_many(params.bch, bits)
-
-    out = np.zeros((len(messages), params.n), dtype=np.int64)
-    cw_len = params.codeword_bits
-    out[:, :cw_len] = codewords.astype(np.int64) * params.half_q
-    if params.d2:
-        out[:, cw_len : 2 * cw_len] = out[:, :cw_len]
-    return out
+    return embed_codewords(params, bch_encode_many(params.bch, bits))

@@ -14,11 +14,13 @@ three LAC parameter sets).  Every served or hosted LAC key comes from
 reference.
 
 **Wire rows.**  Ciphertexts enter and leave the kernels as one
-``(B, ciphertext_bytes)`` ``uint8`` block in the wire format of
-:meth:`repro.lac.pke.Ciphertext.to_bytes`: ``u`` one byte per
-coefficient, ``v`` packed two nibbles a byte, both by array ops.  No
-``Ciphertext`` is built per lane; :func:`encaps_many`/
-:func:`decaps_many` convert at their own edge.
+``(B, ciphertext_bytes)`` ``uint8`` block, packed and unpacked by the
+one ciphertext codec in :mod:`repro.lac.pke`
+(:func:`~repro.lac.pke.pack_ciphertexts`,
+:func:`~repro.lac.pke.unpack_ciphertexts`), whose one-row case is
+:meth:`~repro.lac.pke.Ciphertext.to_bytes`.  No ``Ciphertext`` is
+built per lane; :func:`encaps_many`/:func:`decaps_many` convert at
+their own edge.
 
 Amortization wins on top of vectorization:
 
@@ -65,16 +67,20 @@ from repro.lac.kem import (
     split_seed,
 )
 from repro.lac.params import LacParams
-from repro.lac.pke import Ciphertext, PublicKey, SecretKey
+from repro.lac.pke import (
+    Ciphertext,
+    PublicKey,
+    SecretKey,
+    ciphertext_blobs,
+    ciphertext_rows,
+    pack_ciphertexts,
+    unpack_ciphertexts,
+)
 from repro.ring.cache import KeyTransformCache, fingerprint
 from repro.ring.ternary import TernaryPoly
 from repro.trace import current_tags
 
 _T = TypeVar("_T")
-
-
-def _shift(params: LacParams) -> int:
-    return 8 - params.v_bits
 
 
 # ---------------------------------------------------------------------------
@@ -217,63 +223,6 @@ def _pk_operands(
     )
 
 
-def _compress_rows(params: LacParams, v_rows: np.ndarray) -> np.ndarray:
-    """Row-wise twin of :meth:`MessageCodec.compress_v` (elementwise ops)."""
-    return (np.mod(v_rows, params.q).astype(np.int64) >> _shift(params)).astype(
-        np.uint8
-    )
-
-
-def _pack_rows(
-    params: LacParams, u_rows: np.ndarray, v_compressed: np.ndarray
-) -> np.ndarray:
-    """The ``(B, ciphertext_bytes)`` wire rows of ``(u, compressed v)``:
-    :meth:`Ciphertext.to_bytes` for a whole batch, as array ops."""
-    if params.v_bits != 4:
-        raise NotImplementedError(
-            "wire serialization packs nibbles; experimental v_bits "
-            "variants are in-memory only"
-        )
-    n = params.n
-    rows = np.empty((u_rows.shape[0], params.ciphertext_bytes), dtype=np.uint8)
-    rows[:, :n] = u_rows
-    packed = rows[:, n:]
-    packed[:] = v_compressed[:, 0::2]
-    high = v_compressed[:, 1::2]
-    packed[:, : high.shape[1]] |= high << 4
-    return rows
-
-
-def _unpack_rows(
-    params: LacParams, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(u, compressed v)`` of wire rows — the inverse of
-    :func:`_pack_rows`, and :meth:`Ciphertext.from_bytes` row-wise (an
-    odd ``v_slots`` leaves the last byte's high nibble unread)."""
-    n = params.n
-    packed = rows[:, n:]
-    v_compressed = np.empty((rows.shape[0], 2 * packed.shape[1]), dtype=np.uint8)
-    v_compressed[:, 0::2] = packed & 0x0F
-    v_compressed[:, 1::2] = packed >> 4
-    return rows[:, :n], v_compressed[:, : params.v_slots]
-
-
-def _row_bytes(rows: np.ndarray) -> list[bytes]:
-    """Each row of a 2-D ``uint8`` block as ``bytes``."""
-    wire = rows.tobytes()
-    width = rows.shape[1]
-    return [wire[start : start + width] for start in range(0, len(wire), width)]
-
-
-def wire_rows(params: LacParams, blobs: Sequence[bytes]) -> np.ndarray:
-    """Wire ciphertexts as the ``(B, ciphertext_bytes)`` block
-    :func:`_decaps_chunk` reads (one copy, read-only)."""
-    width = params.ciphertext_bytes
-    if any(len(blob) != width for blob in blobs):
-        raise ValueError(f"ciphertext must be {width} bytes")
-    return np.frombuffer(b"".join(blobs), dtype=np.uint8).reshape(len(blobs), width)
-
-
 def _encrypt_batch(
     kem: LacKem,
     pks: Sequence[PublicKey],
@@ -311,7 +260,7 @@ def _encrypt_batch(
     bs_rows = sb_rows[:, :slots]
     encoded = encode_many(params, list(messages))[:, :slots]
     v_rows = np.mod(bs_rows + e2_rows + encoded, q)
-    return _pack_rows(params, u_rows, _compress_rows(params, v_rows))
+    return pack_ciphertexts(params, u_rows, kem.pke.codec.compress_v(v_rows))
 
 
 def _encaps_chunk(
@@ -330,7 +279,7 @@ def _encaps_chunk(
     rows = _encrypt_batch(kem, distinct, lane, messages, coins_list, cache)
     shared = [
         _hash3(message, _hash3(ct, b"", b"ct"), b"shared")
-        for message, ct in zip(messages, _row_bytes(rows))
+        for message, ct in zip(messages, ciphertext_blobs(rows))
     ]
     return rows, shared
 
@@ -344,7 +293,8 @@ def _decaps_chunk(
     """Decapsulate wire row ``rows[i]`` under ``keys[i]``.
 
     ``rows`` is the ``(B, ciphertext_bytes)`` block of
-    :func:`wire_rows`.  A ``u`` coefficient >= q fails the batch, as
+    :func:`~repro.lac.pke.ciphertext_rows`.  A ``u`` coefficient >= q
+    fails the batch by the codec's range rule, as
     :meth:`Ciphertext.from_bytes` does; the service rejects such a
     request before it is batched.
     """
@@ -354,12 +304,7 @@ def _decaps_chunk(
     q = params.q
     codec = kem.pke.codec
 
-    rows = np.asarray(rows, dtype=np.uint8)
-    if rows.ndim != 2 or rows.shape[1] != params.ciphertext_bytes:
-        raise ValueError(f"ciphertext must be {params.ciphertext_bytes} bytes")
-    u_rows, v_compressed = _unpack_rows(params, rows)
-    if np.any(u_rows >= q):
-        raise ValueError("ciphertext coefficient out of range")
+    u_rows, v_compressed = unpack_ciphertexts(params, rows)
 
     distinct, lane = key_lanes(keys)
     s_parts = [key.sk.s.coeffs.astype(np.int64)[None, :] for key in distinct]
@@ -377,9 +322,7 @@ def _decaps_chunk(
         )
     else:
         us_rows = ring.mul_many(_gather(s_parts, lane), u_rows)
-    shift = _shift(params)
-    v_rows = (v_compressed.astype(np.int64) << shift) + (1 << (shift - 1))
-    noisy_rows = np.mod(v_rows - us_rows[:, :slots], q)
+    noisy_rows = np.mod(codec.decompress_v(v_compressed) - us_rows[:, :slots], q)
 
     if kem.constant_time_bch and kem.pke.bch_decoder is None:
         decoded = codec.decode_many(noisy_rows)
@@ -403,11 +346,12 @@ def _decaps_chunk(
     )
     # the FO comparison and hash see the ciphertext as the scalar KEM
     # does, re-serialised; one whole-block equality, no early exit
-    canonical = _pack_rows(params, u_rows, v_compressed)
+    canonical = pack_ciphertexts(params, u_rows, v_compressed)
     accepted = np.all(candidates == canonical, axis=1).tolist()
 
     shared = []
-    for key, message, ct, ok in zip(keys, messages, _row_bytes(canonical), accepted):
+    blobs = ciphertext_blobs(canonical)
+    for key, message, ct, ok in zip(keys, messages, blobs, accepted):
         ct_digest = _hash3(ct, b"", b"ct")
         # implicit rejection, exactly as the scalar FO transform, as one
         # select: both outcomes run the same lines and one hash
@@ -494,7 +438,7 @@ def encaps_many(
     rows, shared = _encaps_chunk(kem, [pk] * len(messages), messages, cache)
     return [
         EncapsResult(Ciphertext.from_bytes(kem.params, ct_bytes), secret)
-        for ct_bytes, secret in zip(_row_bytes(rows), shared)
+        for ct_bytes, secret in zip(ciphertext_blobs(rows), shared)
     ]
 
 
@@ -514,7 +458,5 @@ def decaps_many(
     ciphertexts = list(ciphertexts)
     if not ciphertexts:
         return []
-    blobs = [ct.to_bytes() for ct in ciphertexts]
-    return _decaps_chunk(
-        kem, [keys] * len(blobs), wire_rows(kem.params, blobs), cache
-    )
+    rows = ciphertext_rows(kem.params, [ct.to_bytes() for ct in ciphertexts])
+    return _decaps_chunk(kem, [keys] * len(ciphertexts), rows, cache)

@@ -196,19 +196,6 @@ class ShakePrng:
         """Four stream bytes as a little-endian integer."""
         return int.from_bytes(self.read(4), "little")
 
-    def uniform_below(self, bound: int) -> int:
-        """An unbiased uniform integer in [0, bound) via rejection."""
-        if bound < 1:
-            raise ValueError("bound must be positive")
-        if bound == 1:
-            return 0
-        nbytes = (bound - 1).bit_length() // 8 + 1
-        limit = (256**nbytes // bound) * bound
-        while True:
-            value = int.from_bytes(self.read(nbytes), "little")
-            if value < limit:
-                return value % bound
-
     def fork(self, label: bytes) -> "ShakePrng":
         """A domain-separated child stream."""
         child_seed = shake128(self.seed + label, 32, counter=self._counter)

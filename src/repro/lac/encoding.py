@@ -49,6 +49,20 @@ class BchDecoder(Protocol):
         ...
 
 
+def embed_codewords(params: LacParams, codewords: np.ndarray) -> np.ndarray:
+    """Codeword bits ``(..., codeword_bits)`` as ring elements ``(..., n)``.
+
+    Each bit is scaled to floor(q/2) and, for D2 parameter sets, copied
+    again at offset ``codeword_bits``; every other coefficient is zero.
+    """
+    cw_len = params.codeword_bits
+    out = np.zeros(codewords.shape[:-1] + (params.n,), dtype=np.int64)
+    out[..., :cw_len] = codewords.astype(np.int64) * params.half_q
+    if params.d2:
+        out[..., cw_len : 2 * cw_len] = out[..., :cw_len]
+    return out
+
+
 class MessageCodec:
     """Encode/decode 32-byte messages into/out of ring coefficients."""
 
@@ -73,14 +87,7 @@ class MessageCodec:
         if len(message) != params.message_bytes:
             raise ValueError(f"message must be {params.message_bytes} bytes")
         bits = bytes_to_bits(message, params.bch.k)
-        codeword = self.encoder.encode(bits, counter)
-
-        out = np.zeros(params.n, dtype=np.int64)
-        amplitude = params.half_q
-        cw_len = params.codeword_bits
-        out[:cw_len] = codeword.astype(np.int64) * amplitude
-        if params.d2:
-            out[cw_len : 2 * cw_len] = out[:cw_len]
+        out = embed_codewords(params, self.encoder.encode(bits, counter))
         with counter.phase("encode"):
             counter.count("loop", params.v_slots)
             counter.count("alu", params.v_slots)

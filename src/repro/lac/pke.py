@@ -13,6 +13,7 @@ schedule of the co-design layer.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,7 +25,7 @@ from repro.lac.encoding import BchDecoder, DecodedMessage, MessageCodec
 from repro.lac.params import LacParams
 from repro.lac.sampling import gen_a, sample_secret_and_error
 from repro.metrics import OpCounter, ensure_counter
-from repro.ring.poly import PolyRing
+from repro.ring.poly import LAC_Q, PolyRing
 from repro.ring.ternary import TernaryPoly
 
 #: Multiplication strategy: (ring, ternary, general, counter) -> product.
@@ -94,6 +95,91 @@ class SecretKey:
         return cls(params, TernaryPoly.from_zq(coeffs, params.q))
 
 
+# ---------------------------------------------------------------------------
+# the ciphertext wire codec
+# ---------------------------------------------------------------------------
+#
+# A LAC ciphertext on the wire is ``u``, one byte per coefficient (each
+# < q), then ``v`` compressed to ``v_bits = 4`` and packed two slots a
+# byte, low nibble first (Sec. III-C).  The functions below are that
+# layout over ``(B, ciphertext_bytes)`` uint8 stacks; ``Ciphertext``
+# serializes as their one-row case, and the batch kernels, the scheme
+# adapter and the process backend read and write rows only through them.
+
+
+#: The byte values >= q, none of which a ``u`` coefficient may take,
+#: for the modulus every LAC parameter set shares.
+_OUT_OF_RANGE = {LAC_Q: bytes(range(LAC_Q, 256))}
+
+
+def check_u(params: LacParams, u: bytes) -> None:
+    """The range rule: refuse ``u`` bytes holding a coefficient >= q."""
+    table = _OUT_OF_RANGE.get(params.q) or bytes(range(params.q, 256))
+    if len(u.translate(None, table)) != len(u):
+        raise ValueError("ciphertext coefficient out of range")
+
+
+def _require_nibbles(params: LacParams) -> None:
+    if params.v_bits != 4:
+        raise NotImplementedError(
+            "wire serialization packs nibbles; experimental v_bits "
+            "variants are in-memory only"
+        )
+
+
+def pack_ciphertexts(
+    params: LacParams, u: np.ndarray, v_compressed: np.ndarray
+) -> np.ndarray:
+    """The ``(B, ciphertext_bytes)`` wire rows of ``B`` ciphertexts,
+    given their ``(B, n)`` ``u`` and ``(B, v_slots)`` compressed ``v``."""
+    _require_nibbles(params)
+    n = params.n
+    rows = np.empty((u.shape[0], params.ciphertext_bytes), dtype=np.uint8)
+    rows[:, :n] = u
+    packed = rows[:, n:]
+    packed[:] = v_compressed[:, 0::2]
+    high = v_compressed[:, 1::2]
+    packed[:, : high.shape[1]] |= high << 4
+    return rows
+
+
+def unpack_ciphertexts(
+    params: LacParams, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(u, compressed v)`` of wire rows, the inverse of
+    :func:`pack_ciphertexts` (an odd ``v_slots`` leaves the last byte's
+    high nibble unread).  Refuses a row of the wrong width and, by
+    :func:`check_u`, a ``u`` byte >= q."""
+    _require_nibbles(params)
+    rows = np.asarray(rows, dtype=np.uint8)
+    if rows.ndim != 2 or rows.shape[1] != params.ciphertext_bytes:
+        raise ValueError(f"ciphertext must be {params.ciphertext_bytes} bytes")
+    n = params.n
+    u = rows[:, :n]
+    check_u(params, u.tobytes())
+    packed = rows[:, n:]
+    v_compressed = np.empty((rows.shape[0], 2 * packed.shape[1]), dtype=np.uint8)
+    v_compressed[:, 0::2] = packed & 0x0F
+    v_compressed[:, 1::2] = packed >> 4
+    return u, v_compressed[:, : params.v_slots]
+
+
+def ciphertext_rows(params: LacParams, blobs: Sequence[bytes]) -> np.ndarray:
+    """Wire ciphertexts as one read-only ``(B, ciphertext_bytes)`` block
+    (one copy), each checked for its width."""
+    width = params.ciphertext_bytes
+    if any(len(blob) != width for blob in blobs):
+        raise ValueError(f"ciphertext must be {width} bytes")
+    return np.frombuffer(b"".join(blobs), dtype=np.uint8).reshape(len(blobs), width)
+
+
+def ciphertext_blobs(rows: np.ndarray) -> list[bytes]:
+    """Each wire row as one ``bytes`` ciphertext."""
+    wire = rows.tobytes()
+    width = rows.shape[1]
+    return [wire[start : start + width] for start in range(0, len(wire), width)]
+
+
 @dataclass
 class Ciphertext:
     """ct = (u, v): u over the full ring, v compressed to 4 bits/slot."""
@@ -103,33 +189,16 @@ class Ciphertext:
     v_compressed: np.ndarray
 
     def to_bytes(self) -> bytes:
-        """Wire format: u bytes, then two 4-bit v values per byte."""
-        params = self.params
-        if params.v_bits != 4:
-            raise NotImplementedError(
-                "wire serialization packs nibbles; experimental v_bits "
-                "variants are in-memory only"
-            )
-        u_bytes = self.u.astype(np.uint8).tobytes()
-        packed = np.zeros((params.v_slots + 1) // 2, dtype=np.uint8)
-        v = self.v_compressed
-        packed[:] = v[0::2]
-        packed[: v[1::2].size] |= v[1::2] << 4
-        return u_bytes + packed.tobytes()
+        """Wire format: the one-row case of :func:`pack_ciphertexts`."""
+        return pack_ciphertexts(
+            self.params, self.u[None, :], self.v_compressed[None, :]
+        ).tobytes()
 
     @classmethod
     def from_bytes(cls, params: LacParams, blob: bytes) -> "Ciphertext":
-        expected = params.ciphertext_bytes
-        if len(blob) != expected:
-            raise ValueError(f"ciphertext must be {expected} bytes")
-        u = np.frombuffer(blob[: params.n], dtype=np.uint8).astype(np.int64)
-        if np.any(u >= params.q):
-            raise ValueError("ciphertext coefficient out of range")
-        packed = np.frombuffer(blob[params.n :], dtype=np.uint8)
-        v = np.zeros(params.v_slots, dtype=np.uint8)
-        v[0::2] = packed & 0x0F
-        v[1::2] = (packed >> 4)[: params.v_slots // 2]
-        return cls(params, u, v)
+        """The one-row case of :func:`unpack_ciphertexts`."""
+        u, v_compressed = unpack_ciphertexts(params, ciphertext_rows(params, [blob]))
+        return cls(params, u[0].astype(np.int64), v_compressed[0])
 
 
 class LacPke:

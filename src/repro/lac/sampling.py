@@ -72,7 +72,7 @@ def sample_ternary_fixed_weight(
 
     The round-2 fixed-weight sampler draws uniform positions and
     rejects collisions: each nonzero coefficient consumes 16 PRNG bits
-    (n is a power of two for all LAC parameter sets, so masking is
+    (``LacParams`` requires n to be a power of two, so masking is
     unbiased), retrying until an unoccupied slot is hit.  The expected
     draw count is n * ln(n / (n - h)), which reproduces the paper's
     Sample-poly ordering across security levels (LAC-192 cheaper than
@@ -81,7 +81,6 @@ def sample_ternary_fixed_weight(
     counter = ensure_counter(counter)
     n, h = params.n, params.h
     coeffs = np.zeros(n, dtype=np.int8)
-    power_of_two = (n & (n - 1)) == 0
 
     with counter.phase("sample_poly"):
         counter.count("call")
@@ -92,10 +91,7 @@ def sample_ternary_fixed_weight(
                 counter.count("alu", 2)   # mask + occupancy test setup
                 counter.count("load")
                 counter.count("branch")
-                if power_of_two:
-                    index = int.from_bytes(prng.read(2), "little") & (n - 1)
-                else:
-                    index = prng.uniform_below(n)
+                index = int.from_bytes(prng.read(2), "little") & (n - 1)
                 if coeffs[index] == 0:
                     break
             coeffs[index] = value

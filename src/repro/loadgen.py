@@ -43,27 +43,13 @@ from collections.abc import Awaitable, Callable
 from dataclasses import dataclass
 
 from repro.errors import DeadlineExceeded, RequestTimedOut, ServiceBusy
+from repro.trace.report import percentile
 
 #: The closed outcome vocabulary (see the module docstring).
 OUTCOMES = ("ok", "busy", "timeout", "late", "error")
 
 #: One request sender, given the tier the request was assigned to.
 Send = Callable[["TierSpec"], Awaitable[object]]
-
-
-def percentile(samples: list[float], p: float) -> float | None:
-    """Exact percentile by nearest rank (``None`` on no samples).
-
-    ``p`` in ``[0, 100]``.  The rank is ``ceil(p * N / 100)``, so the
-    answer is an observed sample — a p99 that was really measured, not
-    interpolated between two points that never happened.
-    """
-    if not samples:
-        return None
-    if not 0.0 <= p <= 100.0:
-        raise ValueError("p must be in [0, 100]")
-    ordered = sorted(samples)
-    return ordered[max(1, math.ceil(p * len(ordered) / 100.0)) - 1]
 
 
 class LatencyRecorder:

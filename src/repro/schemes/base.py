@@ -15,10 +15,11 @@ serving stack actually needs:
 * the **public-key serialization** returned by KEYGEN.
 
 Adapters are stateless aside from caching scheme-native engines per
-parameter set; a ``pair`` is whatever the scheme's ``keygen`` returns
-and is treated as opaque by every caller (the LAC pair is a
-``KemKeyPair``, the NewHope pair is the ``NewHopeCcaSecretKey`` that
-carries its own public material).
+parameter set (:meth:`KemScheme.kem_for`, the stack's one such cache;
+an adapter names only its engine class); a ``pair`` is whatever the
+scheme's ``keygen`` returns and is treated as opaque by every caller
+(the LAC pair is a ``KemKeyPair``, the NewHope pair is the
+``NewHopeCcaSecretKey`` that carries its own public material).
 
 The adapter *is* the kernel: :meth:`repro.backend.KemBackend.submit`
 runs ``keygen``/``encaps_many``/``decaps_many`` wherever the backend
@@ -78,6 +79,19 @@ class KemScheme(ABC):
     #: lane of its batch would wait for the whole loop and save nothing,
     #: so the serving layer dispatches its requests singly.
     coalesces: bool = True
+    #: The scheme-native engine class, built from a parameter set.
+    engine: Callable[[Any], Any]
+
+    def __init__(self) -> None:
+        self._kems: dict[str, Any] = {}
+
+    def kem_for(self, params: Any) -> Any:
+        """The cached per-parameter-set :attr:`engine` (GenA tables,
+        BCH codecs, ...), built on first use."""
+        kem = self._kems.get(params.name)
+        if kem is None or kem.params is not params:
+            kem = self._kems[params.name] = self.engine(params)
+        return kem
 
     # ------------------------------------------------------------------
     # parameter enumeration

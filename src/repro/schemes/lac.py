@@ -6,10 +6,11 @@ registered through the scheme seam are bit-compatible with every
 pre-registry client.  Batch entry points run the vectorized kernels of
 :mod:`repro.batch.kem`, which take one key per lane; the one-key
 ``encaps_many``/``decaps_many`` are the same kernel with every lane
-naming that key.  The adapter's :meth:`kem_for` is
-the serving stack's one ``LacKem`` cache, and the transform cache a
-backend hands to the batch entry points is the one its
-:meth:`warm_key` populated at registration.
+naming that key.  The adapter's ``kem_for`` (inherited from
+:class:`~repro.schemes.base.KemScheme`) is the serving stack's one
+``LacKem`` cache, and the transform cache a backend hands to the batch
+entry points is the one its :meth:`warm_key` populated at
+registration.
 """
 
 from __future__ import annotations
@@ -19,21 +20,15 @@ from collections.abc import Sequence
 from repro.batch.kem import (
     _decaps_chunk,
     _encaps_chunk,
-    _row_bytes,
     key_fingerprints,
     keygen_many,
     warm_cache,
-    wire_rows,
 )
 from repro.lac.kem import KemKeyPair, LacKem
 from repro.lac.params import ALL_PARAMS, LacParams
+from repro.lac.pke import ciphertext_blobs, ciphertext_rows, check_u
 from repro.ring.cache import KeyTransformCache
-from repro.ring.poly import LAC_Q
 from repro.schemes.base import KemScheme
-
-
-#: The byte values >= q, none of which a ``u`` coefficient may take.
-_OUT_OF_RANGE = bytes(range(LAC_Q, 256))
 
 
 class LacScheme(KemScheme):
@@ -41,23 +36,11 @@ class LacScheme(KemScheme):
 
     scheme_id = 0
     name = "lac"
-
-    def __init__(self) -> None:
-        self._kems: dict[str, LacKem] = {}
+    engine = LacKem
 
     @property
     def param_sets(self) -> tuple[LacParams, ...]:
         return ALL_PARAMS
-
-    # ------------------------------------------------------------------
-
-    def kem_for(self, params: LacParams) -> LacKem:
-        """The cached per-parameter-set engine (GenA tables, BCH)."""
-        kem = self._kems.get(params.name)
-        if kem is None or kem.params is not params:
-            kem = LacKem(params)
-            self._kems[params.name] = kem
-        return kem
 
     # ------------------------------------------------------------------
 
@@ -70,10 +53,9 @@ class LacScheme(KemScheme):
         return params.ciphertext_bytes
 
     def check_ciphertext(self, params: LacParams, blob: bytes) -> None:
-        """Reject a ``u`` byte >= q, as ``Ciphertext.from_bytes`` does."""
-        u = blob[: params.n]
-        if len(u.translate(None, _OUT_OF_RANGE)) != len(u):
-            raise ValueError("ciphertext coefficient out of range")
+        """Reject a ``u`` byte >= q: the codec's range rule, as
+        ``Ciphertext.from_bytes`` applies it."""
+        check_u(params, blob[: params.n])
 
     # ------------------------------------------------------------------
 
@@ -109,7 +91,7 @@ class LacScheme(KemScheme):
         rows, shared = _encaps_chunk(
             self.kem_for(params), [pair.public_key for pair in pairs], messages, cache
         )
-        return list(zip(_row_bytes(rows), shared))
+        return list(zip(ciphertext_blobs(rows), shared))
 
     def decaps_each(
         self,
@@ -125,7 +107,7 @@ class LacScheme(KemScheme):
         return _decaps_chunk(
             self.kem_for(params),
             [pair.secret_key for pair in pairs],
-            wire_rows(params, ciphertexts),
+            ciphertext_rows(params, ciphertexts),
             cache,
         )
 

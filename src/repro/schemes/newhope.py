@@ -37,23 +37,11 @@ class NewHopeScheme(KemScheme):
     name = "newhope"
     #: ``encaps_many``/``decaps_many`` below are scalar loops
     coalesces = False
-
-    def __init__(self) -> None:
-        self._kems: dict[str, NewHopeCcaKem] = {}
+    engine = NewHopeCcaKem
 
     @property
     def param_sets(self) -> tuple[NewHopeParams, ...]:
         return (NEWHOPE_512, NEWHOPE_1024)
-
-    # ------------------------------------------------------------------
-
-    def kem_for(self, params: NewHopeParams) -> NewHopeCcaKem:
-        """The cached per-parameter-set CCA engine."""
-        kem = self._kems.get(params.name)
-        if kem is None or kem.params is not params:
-            kem = NewHopeCcaKem(params)
-            self._kems[params.name] = kem
-        return kem
 
     # ------------------------------------------------------------------
 

@@ -87,8 +87,9 @@ class ServiceConfig:
     ``backend_workers``
         pool size of a backend the service creates, fixed for its life
         — the backend's ``slots``, how many batches run at once
-        (``None`` = the backend's default; a plain thread backend with
-        no sizing shares the process-wide default pool);
+        (``None`` = the backend's default: for ``"thread"``, a pool of
+        :data:`~repro.backend.DEFAULT_THREAD_WORKERS` threads the
+        service owns and closes like any other);
     ``default_deadline_s``
         latency budget applied to requests that carry no wire QoS
         deadline (``None`` = such requests are never deadline-shed).

@@ -194,8 +194,9 @@ class KemService:
         never closes it).  When omitted, the service creates one at
         :meth:`start` from ``config.backend`` and
         ``config.backend_workers`` and closes it on :meth:`shutdown`
-        (the default ``"thread"`` with no pool size shares the
-        process-wide ``default_thread_backend()``, which stays open);
+        (the default ``"thread"`` with no pool size is a pool of
+        :data:`~repro.backend.DEFAULT_THREAD_WORKERS` threads of its
+        own);
     ``clock``
         injectable monotonic clock (tests pass a fake);
     ``fault_plan``
@@ -504,7 +505,7 @@ class KemService:
             self._backend = create_backend(
                 self.config.backend, workers=self.config.backend_workers
             )
-            # closed on shutdown (a no-op for the shared default)
+            # owned, so closed on shutdown
             self._owns_backend = True
         self.metrics.backend_stats_provider = self._backend.stats
         # keys hosted before start register now: the transform cache

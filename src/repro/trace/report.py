@@ -21,6 +21,7 @@ Input is a list of span dicts (the JSONL written by
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,12 +45,27 @@ def load_spans(path: str | Path) -> list[dict[str, Any]]:
     return spans
 
 
-def _quantile(sorted_values: list[float], q: float) -> float:
-    """Exact quantile by nearest-rank on a pre-sorted list."""
-    if not sorted_values:
-        return 0.0
-    rank = max(0, min(len(sorted_values) - 1, round(q * (len(sorted_values) - 1))))
-    return sorted_values[rank]
+def percentile(samples: list[float], p: float) -> float | None:
+    """Exact percentile by nearest rank (``None`` on no samples).
+
+    ``p`` in ``[0, 100]``.  The rank is ``ceil(p * N / 100)``, so the
+    answer is an observed sample — a p99 that was really measured, not
+    interpolated between two points that never happened.  The one
+    quantile rule of the stage table and of :mod:`repro.loadgen`.
+    """
+    if not samples:
+        return None
+    if not 0.0 <= p <= 100.0:
+        raise ValueError("p must be in [0, 100]")
+    ordered = sorted(samples)
+    return ordered[max(1, math.ceil(p * len(ordered) / 100.0)) - 1]
+
+
+def _quantiles(values: list[float]) -> dict[str, float]:
+    """The table's p50/p95/p99 of ``values`` (0 for none)."""
+    return {
+        f"p{p}_us": percentile(values, float(p)) or 0.0 for p in (50, 95, 99)
+    }
 
 
 @dataclass
@@ -110,7 +126,7 @@ def stage_breakdown(spans: Iterable[dict[str, Any]]) -> dict[str, Any]:
 
     stages = []
     for stage in sorted(by_stage, key=order):
-        values = sorted(by_stage[stage])
+        values = by_stage[stage]
         total = sum(values)
         stages.append(
             StageStats(
@@ -118,22 +134,17 @@ def stage_breakdown(spans: Iterable[dict[str, Any]]) -> dict[str, Any]:
                 count=len(values),
                 total_us=total,
                 mean_us=total / len(values),
-                p50_us=_quantile(values, 0.50),
-                p95_us=_quantile(values, 0.95),
-                p99_us=_quantile(values, 0.99),
+                **_quantiles(values),
                 share=(total / total_request_us) if total_request_us else 0.0,
             )
         )
 
-    request_sorted = sorted(request_durations)
     return {
         "stages": stages,
         "requests": {
             "count": len(request_durations),
             "total_us": total_request_us,
-            "p50_us": _quantile(request_sorted, 0.50),
-            "p95_us": _quantile(request_sorted, 0.95),
-            "p99_us": _quantile(request_sorted, 0.99),
+            **_quantiles(request_durations),
         },
         "coverage": (total_stage_us / total_request_us) if total_request_us else 0.0,
     }

@@ -39,7 +39,6 @@ from repro.backend import (
     ThreadBackend,
     check_backend_name,
     create_backend,
-    default_thread_backend,
 )
 from repro.backend import process as process_module
 from repro.backend.process import DEFAULT_MAX_RESTARTS
@@ -89,11 +88,6 @@ def _backend_named(name, process_backend, cosim_backend):
         return
     if name == "cosim":
         yield cosim_backend
-        return
-    if name == "borrowed":
-        # the process-wide default every unsized service borrows; its
-        # close() is a no-op, so the pool outlives this case
-        yield default_thread_backend()
         return
     impl = InlineBackend() if name == "inline" else ThreadBackend(workers=2)
     yield impl
@@ -194,14 +188,13 @@ class _Scalar:
 _SCHEMES = {"lac": (LAC_SCHEME, LAC_128), "newhope": (NEWHOPE_SCHEME, NEWHOPE_512)}
 _REFERENCES = {}
 
-#: every backend × every scheme it supports (cosim prices only LAC),
-#: and the thread backend once more as the borrowed shared default
+#: every backend × every scheme it supports (cosim prices only LAC)
 _CELLS = [
     (backend_name, scheme_name)
     for backend_name in BACKEND_NAMES
     for scheme_name in _SCHEMES
     if (backend_name, scheme_name) != ("cosim", "newhope")
-] + [("borrowed", "lac")]
+]
 
 
 @pytest.fixture(params=_CELLS, ids="-".join)
@@ -269,7 +262,7 @@ class TestConformance:
     def test_slots_report_what_runs_at_once(self, cell, request):
         backend, _ = cell
         # the fixtures' pools
-        pooled = {"thread": 2, "process": 2, "borrowed": DEFAULT_THREAD_WORKERS}
+        pooled = {"thread": 2, "process": 2}
         made_as = request.node.callspec.params["cell"][0]
         assert backend.slots == pooled.get(made_as, 1)
 
@@ -403,16 +396,13 @@ class TestLifecycle:
         assert cosim.kill_worker() is False  # the simulated core never dies
         cosim.close()
 
-    @pytest.mark.parametrize("made_as", ["owned", "shared", "inline", "cosim"])
+    @pytest.mark.parametrize("made_as", ["owned", "inline", "cosim"])
     def test_slots_is_the_pool_size(self, made_as, scalar):
         """``slots`` is fixed when the backend is built: an owned pool's
-        size, the shared default's size, and one for the caller's
-        thread or the simulated core."""
+        size, and one for the caller's thread or the simulated core."""
         with contextlib.ExitStack() as stack:
             if made_as == "owned":
                 backend, want = ThreadBackend(workers=3), 3
-            elif made_as == "shared":
-                backend, want = default_thread_backend(), DEFAULT_THREAD_WORKERS
             elif made_as == "inline":
                 backend, want = InlineBackend(), 1
             else:
@@ -465,33 +455,47 @@ class TestRegistry:
         with pytest.raises(ValueError, match="cosim profile"):
             CosimBackend(profile="fpga")
 
-    def test_plain_thread_request_shares_the_default_backend(self):
-        first = create_backend("thread")
-        second = create_backend()
-        assert first is second is default_thread_backend()
-        assert first.executor is default_thread_backend().executor  # one pool
-        # the shared default must survive close() — it is process-wide
-        first.close()
-        assert not first.closed
-        assert first.slots == DEFAULT_THREAD_WORKERS
-
     def test_service_config_resolves_backend(self):
         assert ServiceConfig().backend == DEFAULT_BACKEND == "thread"
         assert ServiceConfig(backend="inline").backend == "inline"
         with pytest.raises(ValueError, match="unknown KEM backend 'gpu'"):
             ServiceConfig(backend="gpu")
 
-    @pytest.mark.parametrize(
-        "config", [ServiceConfig(), ServiceConfig(backend="thread")]
-    )
-    def test_unsized_thread_config_serves_on_the_shared_default(self, config):
+    def test_unsized_services_own_distinct_pools(self):
+        """A service that names no backend builds its own pool of
+        ``DEFAULT_THREAD_WORKERS`` threads and closes it at shutdown —
+        there is no process-wide pool to share or to outlive it."""
+
+        def pool_thread(backend):
+            ran_on = []
+
+            def wrapper(work):
+                ran_on.append(threading.current_thread())
+                return work()
+
+            backend.submit(
+                LAC_SCHEME, LAC_128, "KEYGEN", None, [SEED], wrapper=wrapper
+            ).result()
+            return ran_on[0]
+
         async def main():
-            svc = await KemService(config).start()
-            assert svc.backend is default_thread_backend()
-            await svc.shutdown()
+            services = [await KemService(ServiceConfig()).start() for _ in range(2)]
+            backends = [svc.backend for svc in services]
+            assert backends[0] is not backends[1]
+            threads = []
+            for backend in backends:
+                assert isinstance(backend, ThreadBackend)
+                assert backend.slots == DEFAULT_THREAD_WORKERS
+                threads.append(pool_thread(backend))
+            assert threads[0] is not threads[1]
+            assert threading.main_thread() not in threads
+            await services[0].shutdown()
+            assert backends[0].closed and not threads[0].is_alive()
+            assert not backends[1].closed and threads[1].is_alive()
+            await services[1].shutdown()
+            assert backends[1].closed and not threads[1].is_alive()
 
         asyncio.run(asyncio.wait_for(main(), 30.0))
-        assert not default_thread_backend().closed
 
 
 class TestProcessSupervision:
@@ -719,8 +723,7 @@ class TestServiceIntegration:
             text = svc.metrics.render_text()
             assert 'kem_worker_restarts_total{backend="thread"} 0' in text
             assert 'kem_backend_batches_total{backend="thread",outcome="completed"}' in text
-            # the shared default pool reports its size like any other
-            assert svc.backend is default_thread_backend()
+            # the service's own unsized pool reports its default size
             info = await client.info()
             assert info["service"]["workers"] == DEFAULT_THREAD_WORKERS
             await client.aclose()

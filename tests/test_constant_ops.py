@@ -11,7 +11,10 @@ whatever it is given.  Three images of that property are pinned here:
   depends on the batch size, the code and the window only, and no lane's
   result depends on what sits in the other lanes;
 * **batched DECAPS**: a valid and a tampered ciphertext take the same
-  lines through the decoder and through ``_decaps_chunk`` and hash the
+  lines through the decoder, through ``_decaps_chunk`` and through the
+  ciphertext codec (row packing, unpacking and the ``u < q`` range rule
+  in ``repro/lac/pke.py``, ``v`` compression in
+  ``repro/lac/encoding.py``) and hash the
   same number of times — and across hosted keys the schedule depends on
   the batch size and the number of distinct keys only, not on which
   lane names which key.
@@ -38,11 +41,17 @@ from repro.bch.ct_decoder import ConstantTimeBCHDecoder
 from repro.eval.leakage import error_count_distinguisher
 from repro.lac.kem import LacKem
 from repro.lac.params import ALL_PARAMS
-from repro.lac.pke import Ciphertext
+from repro.lac.pke import Ciphertext, ciphertext_rows
 from repro.metrics import OpCounter
 from tests.test_bch_decoder import make_word
 
 _DECODER_FILES = ("repro/bch/ct_decoder.py", "repro/gf/field.py")
+#: what a batched DECAPS runs: the decoder, the kernel and the codec
+_DECAPS_FILES = _DECODER_FILES + (
+    "repro/batch/kem.py",
+    "repro/lac/pke.py",
+    "repro/lac/encoding.py",
+)
 WINDOWS = ("natural", "message")
 
 
@@ -278,7 +287,7 @@ class TestBatchedDecaps:
             return real_hash3(*args)
 
         monkeypatch.setattr(batch_kem, "_hash3", counting_hash3)
-        files = _DECODER_FILES + ("repro/batch/kem.py",)
+        files = _DECAPS_FILES
         outcomes = {}
         for name, batch in (("valid", valid), *tampered.items()):
             hashed.append(0)
@@ -312,7 +321,7 @@ class TestBatchedDecaps:
             hashed[-1] += 1
             return real_hash3(*args)
 
-        files = _DECODER_FILES + ("repro/batch/kem.py", "repro/ring/poly.py")
+        files = _DECAPS_FILES + ("repro/ring/poly.py",)
 
         def run(assignment, tampered):
             keys = [pairs[k] for k in assignment]
@@ -328,7 +337,7 @@ class TestBatchedDecaps:
             hashed.append(0)
             with monkeypatch.context() as patch:
                 patch.setattr(batch_kem, "_hash3", counting_hash3)
-                rows = batch_kem.wire_rows(params, [ct.to_bytes() for ct in cts])
+                rows = ciphertext_rows(params, [ct.to_bytes() for ct in cts])
                 secrets, trace = _traced(
                     lambda: batch_kem._decaps_chunk(
                         kem, [pair.secret_key for pair in keys], rows

@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.ring.poly as poly
-from repro.batch.kem import _decaps_chunk, _encaps_chunk, warm_cache, wire_rows
+from repro.batch.kem import _decaps_chunk, _encaps_chunk, warm_cache
 from repro.lac.kem import LacKem
 from repro.lac.params import ALL_PARAMS
-from repro.lac.pke import Ciphertext
+from repro.lac.pke import Ciphertext, ciphertext_rows
 from repro.ring import KeyTransformCache
 from repro.schemes import LAC_SCHEME
 
@@ -77,7 +77,7 @@ def check_lanes(params, lanes, tampered, cache_mode):
     shared = _decaps_chunk(
         kem,
         [p.secret_key for p in keys],
-        wire_rows(params, [ct.to_bytes() for ct in ciphertexts]),
+        ciphertext_rows(params, [ct.to_bytes() for ct in ciphertexts]),
         cache,
     )
     for pair, ct, got, secret, bad in zip(

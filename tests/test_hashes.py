@@ -189,23 +189,6 @@ class TestPrng:
         assert 0 <= prng.read_u8() < 256
         assert 0 <= prng.read_u32() < 2**32
 
-    @given(bound=st.integers(min_value=1, max_value=10_000))
-    @settings(max_examples=30)
-    def test_uniform_below_in_range(self, bound):
-        assert 0 <= Sha256Prng(b"q").uniform_below(bound) < bound
-
-    def test_uniform_below_rough_uniformity(self):
-        prng = Sha256Prng(b"uniformity")
-        counts = [0] * 5
-        for _ in range(2000):
-            counts[prng.uniform_below(5)] += 1
-        for c in counts:
-            assert 300 < c < 500  # expectation 400
-
-    def test_uniform_below_invalid(self):
-        with pytest.raises(ValueError):
-            Sha256Prng(b"s").uniform_below(0)
-
     def test_fork_domain_separation(self):
         root = Sha256Prng(b"root")
         a = root.fork(b"a")

@@ -107,16 +107,6 @@ class TestShakePrng:
         root = ShakePrng(b"root")
         assert root.fork(b"a").read(16) != root.fork(b"b").read(16)
 
-    @given(bound=st.integers(2, 100_000))
-    @settings(max_examples=20, deadline=None)
-    def test_uniform_below(self, bound):
-        assert 0 <= ShakePrng(b"u").uniform_below(bound) < bound
-
-    def test_uniform_below_edge(self):
-        assert ShakePrng(b"u").uniform_below(1) == 0
-        with pytest.raises(ValueError):
-            ShakePrng(b"u").uniform_below(0)
-
     def test_rejects_non_bytes(self):
         with pytest.raises(TypeError):
             ShakePrng("string")

@@ -87,6 +87,25 @@ class TestResolver:
         assert resolve(LAC_128) == (LAC_SCHEME, LAC_128)
         assert resolve(NEWHOPE_512) == (NEWHOPE_SCHEME, NEWHOPE_512)
 
+    def test_every_spec_form_in_the_api_docstring_resolves(self):
+        import repro.api as api
+
+        # each form exactly as the facade's docstring writes it
+        forms = {
+            'ParamId(SchemeId.NEWHOPE, 1, "NewHope1024")': NEWHOPE_1024,
+            "LAC_128": LAC_128,
+            "NEWHOPE_1024": NEWHOPE_1024,
+            '"LAC-256"': LAC_256,
+            '"NewHope1024"': NEWHOPE_1024,
+            "0x11": NEWHOPE_1024,
+        }
+        doc = " ".join(api.__doc__.split())
+        for source, want in forms.items():
+            assert f"``{source}``" in doc, source
+            scheme, params = api.resolve(eval(source, vars(api)))
+            assert params is want, source
+            assert scheme is api.resolve(want)[0]
+
     def test_unknown_specs_rejected(self):
         with pytest.raises(ValueError):
             resolve("NTRU-743")

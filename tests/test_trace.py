@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.loadgen import percentile
 from repro.serve.protocol import (
     HEADER_SIZE,
     TRACE_EXT_SIZE,
@@ -207,6 +208,19 @@ class TestStageBreakdown:
         assert by_name["queue"].total_us == 80.0
         assert by_name["queue"].share == pytest.approx(80.0 / 300.0)
         assert by_name["kernel"].p50_us in (90.0, 130.0)
+
+    def test_quantiles_take_the_nearest_rank(self):
+        # one rule with repro.loadgen.percentile: the ceil(q * n)-th
+        # smallest sample, so the p50 of four is the second
+        durations = [4.0, 1.0, 3.0, 2.0]
+        spans = [_span("server.request", 10.0)] * 4 + [
+            _span("kernel", d) for d in durations
+        ]
+        b = stage_breakdown(spans)
+        [kernel] = b["stages"]
+        assert (kernel.p50_us, kernel.p95_us, kernel.p99_us) == (2.0, 4.0, 4.0)
+        assert kernel.p50_us == percentile(durations, 50.0)
+        assert b["requests"]["p50_us"] == 10.0
 
     def test_stages_come_out_in_request_path_order(self):
         spans = [
