@@ -196,6 +196,8 @@ class ProcessBackend(KemBackend):
         self._worker_counters = [0, 0, 0]
         self._pool_lock = threading.Lock()
         self._pool: ProcessPoolExecutor | None = None
+        #: set once :meth:`close` has taken the pool: no pool after it
+        self._pool_closed = False
         self._generation = 0
         self._restarts = 0
         self._broken = False
@@ -213,6 +215,10 @@ class ProcessBackend(KemBackend):
 
     def _ensure_pool(self) -> tuple[ProcessPoolExecutor, int]:
         with self._pool_lock:
+            if self._pool_closed:
+                # a batch still on a supervisor thread after
+                # close(wait=False) must not respawn an unowned pool
+                raise RuntimeError(f"{self.name} backend is closed")
             if self._broken:
                 raise WorkerCrashed(
                     f"process backend exceeded {DEFAULT_MAX_RESTARTS} worker restarts"
@@ -370,11 +376,17 @@ class ProcessBackend(KemBackend):
 
     def close(self, wait: bool = True) -> None:
         """Graceful drain: stop intake, finish in-flight batches, shut
-        down both pools."""
+        down both pools.
+
+        With ``wait=False`` a batch whose chunks are not yet on the
+        worker pool fails with ``RuntimeError`` instead of starting a
+        new pool.
+        """
         # the supervisor threads drain first (their batches still need
         # the worker pool), then the workers go down
         super().close(wait)
         with self._pool_lock:
+            self._pool_closed = True
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=wait)

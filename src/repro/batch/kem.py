@@ -436,9 +436,12 @@ def encaps_many(
     if not messages:
         return []
     rows, shared = _encaps_chunk(kem, [pk] * len(messages), messages, cache)
+    # one unpack over the block: each Ciphertext holds its row of it
+    u, v_compressed = unpack_ciphertexts(kem.params, rows)
+    u = u.astype(np.int64)
     return [
-        EncapsResult(Ciphertext.from_bytes(kem.params, ct_bytes), secret)
-        for ct_bytes, secret in zip(ciphertext_blobs(rows), shared)
+        EncapsResult(Ciphertext(kem.params, u[lane], v_compressed[lane]), secret)
+        for lane, secret in enumerate(shared)
     ]
 
 

@@ -1,11 +1,11 @@
 """Vectorized polynomial sampling for the batch engine.
 
 The scalar samplers in :mod:`repro.lac.sampling` are the cycle-model
-reference: they draw from the PRNG byte-by-byte so the operation
-counter observes every rejection.  The batch engine replaces the Python
-draw loop with numpy bulk operations while consuming the *same*
-candidate stream, so the sampled polynomials are bit-identical (a
-tested invariant).
+reference: they read exactly the draws they make, so the operation
+counter observes every rejection.  The batch engine replaces the
+per-polynomial draws with numpy bulk operations while consuming the
+*same* candidate stream, so the sampled polynomials are bit-identical
+(a tested invariant).
 
 The key observation that makes the fixed-weight sampler vectorizable:
 the scalar loop accepts a candidate index exactly when its slot is
@@ -28,8 +28,8 @@ import hashlib
 
 import numpy as np
 
-from repro.hashes.prng import Sha256Prng
 from repro.lac.params import LacParams
+from repro.lac.sampling import gen_a
 
 #: little-endian 32-bit block counters, precomputed for the squeeze loop
 _LE32 = tuple(i.to_bytes(4, "little") for i in range(64))
@@ -132,23 +132,9 @@ def _top_up(
 
 
 def gen_a_vec(seed: bytes, params: LacParams) -> np.ndarray:
-    """Vectorized GenA: bulk rejection sampling of uniform Z_q values.
+    """GenA for the batch engine: :func:`repro.lac.sampling.gen_a`, uncounted.
 
-    Bit-identical to :func:`repro.lac.sampling.gen_a` — the accepted
-    bytes are the stream bytes below q, in order — but filters whole
-    squeezed blocks with numpy instead of branching per byte.  Unlike
-    the fixed-weight sampler this never over-consumes: it reads the
-    same chunk sizes as the scalar loop, so it is stream-compatible
-    even on shared PRNGs.
+    The scalar GenA already filters each chunk it reads with numpy, and
+    it never over-consumes the stream, so the batch engine runs it as is.
     """
-    n, q = params.n, params.q
-    prng = Sha256Prng(seed)
-    out = np.empty(n, dtype=np.int64)
-    filled = 0
-    while filled < n:
-        chunk = np.frombuffer(prng.read(max(n - filled, 32)), dtype=np.uint8)
-        accepted = chunk[chunk < q]
-        take = min(accepted.size, n - filled)
-        out[filled : filled + take] = accepted[:take]
-        filled += take
-    return out
+    return gen_a(seed, params)

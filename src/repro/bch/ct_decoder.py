@@ -18,10 +18,13 @@ cost model prices at the software cost of a branch-free GF(2^9)
 multiply — the very overhead that makes the protected decoder ~3x
 slower in Table I and motivates the MUL CHIEN accelerator.
 
-Uncounted runs take a numpy engine instead: one word at a time
-(:meth:`ConstantTimeBCHDecoder.decode`) or with the batch as the
-vector axis (:meth:`ConstantTimeBCHDecoder.decode_many`), both over one
-set of per-code tables.  For array code "constant" means that the
+Because that schedule is fixed, the decoder computes its values on a
+numpy engine with the batch as the vector axis (one word is a one-row
+stack), over one set of per-code tables, and charges each phase's
+per-word operation counts once per phase (:func:`_schedule`), counted
+or not.  The per-iteration annotated loops stay as the golden model
+(``vectorized=False``); the test suite holds the two equal, values and
+counts phase by phase.  For array code "constant" means that the
 shapes and the sequence of numpy calls depend on the batch size, the
 code and the window only — never on a received bit, a syndrome or a
 root (``tests/test_constant_ops.py`` traces it).
@@ -106,6 +109,66 @@ def _code_tables(code: BCHCode) -> _CodeTables:
     return tables
 
 
+#: One phase's per-word operation counts: ``(op, n)`` pairs.
+PhaseCounts = tuple[tuple[str, int], ...]
+
+
+@lru_cache(maxsize=None)
+def _schedule(code: BCHCode, window: str) -> dict[str, PhaseCounts]:
+    """What the golden loops charge per word, phase by phase.
+
+    Every count is fixed by ``code`` and ``window`` alone — that is the
+    constant-time property — so each phase is charged once, with these
+    totals; ops are listed in the order the loops first charge them.
+    The test suite holds them equal to the loops' counts.
+    """
+    n, t = code.n, code.t
+    two_t, size = 2 * t, t + 1
+    start, stop = code.chien_window(window)
+    probes = stop - start + 1
+    # syndrome: per position loop/load/mask, per (position, order)
+    # loop/load/2 alu/gf_add (see _syndromes_scalar)
+    pairs = n * two_t
+    # error_locator: 2t rounds of a t+1-term discrepancy, a t+1-term
+    # update and a t+1-term masked shadow select (see _inversion_free_bm)
+    return {
+        "syndrome": (
+            ("call", 1),
+            ("loop", n + pairs),
+            ("load", n + pairs),
+            ("alu", n + 2 * pairs),
+            ("gf_add", pairs),
+        ),
+        "error_locator": (
+            ("call", 1),
+            ("loop", two_t),
+            ("gf_mul_ct", 3 * size * two_t),
+            ("gf_add", 2 * size * two_t),
+            ("load", 2 * size * two_t),
+            ("store", 2 * size * two_t),
+            ("alu", (6 + 2 * size) * two_t),
+        ),
+        # chien: t start terms, then per probe a t-term sum, the masked
+        # root test and flip, and t term updates (see _chien_flip_scalar)
+        "chien": (
+            ("call", 1),
+            ("gf_mul_ct", t + t * probes),
+            ("loop", probes),
+            ("gf_add", t * probes),
+            ("load", (t + 1) * probes),
+            ("alu", 4 * probes),
+            ("store", (t + 1) * probes),
+        ),
+    }
+
+
+def _charge(counter: OpCounter, phase: str, counts: PhaseCounts, words: int) -> None:
+    """Charge ``words`` runs of one phase's fixed ``counts`` at once."""
+    with counter.phase(phase):
+        for op, n in counts:
+            counter.count(op, n * words)
+
+
 def _mask_select(mask: int, if_true: int, if_false: int) -> int:
     """Branch-free select: mask is 0 or all-ones (here modelled as 0/1)."""
     return if_true if mask else if_false
@@ -116,19 +179,15 @@ class ConstantTimeBCHDecoder:
 
     Two execution engines share the same mathematics:
 
-    * the *annotated* scalar schedule (always used when a real
-      :class:`~repro.metrics.OpCounter` is attached) — the cycle/golden
-      model whose operation counts reproduce Table I;
-    * an uncounted numpy engine over the per-code tables of
-      :func:`_code_tables`, bit-identical to the scalar schedule
-      (asserted by the test suite).  :meth:`decode` runs it on one
-      word; :meth:`decode_many` runs the same fixed schedule with the
-      batch as the vector axis, and hands a one-word batch to
-      :meth:`decode` (lanes only pay from two words up).
-
-    ``vectorized=False`` pins the scalar engine even on uncounted runs:
-    the reference the tests hold the vectorised engine to, for bit
-    identity and for its speedup floor.
+    * the numpy *lanes* engine over the per-code tables of
+      :func:`_code_tables` (the default): the fixed schedule with the
+      batch as the vector axis, one word being a one-row stack.  A live
+      :class:`~repro.metrics.OpCounter` is charged each phase's fixed
+      per-word counts once per phase;
+    * the *annotated* per-iteration loops (``vectorized=False``): the
+      golden model, counting every operation as it executes.  The test
+      suite holds the lanes engine to it, bit for bit and count for
+      count, and times the engine against it for its speedup floor.
     """
 
     def __init__(self, code: BCHCode, vectorized: bool = True) -> None:
@@ -136,11 +195,8 @@ class ConstantTimeBCHDecoder:
         self.field = code.field
         self.vectorized = vectorized
 
-    def _use_vectorized(self, counter: OpCounter) -> bool:
-        return self.vectorized and isinstance(counter, NullCounter)
-
     def _ct_mul(self, counter: OpCounter) -> Callable[[int, int], int]:
-        """The constant-time multiply for this run.
+        """The constant-time multiply of the golden loops.
 
         When operations are being counted, the genuine shift-and-add
         schedule runs (and is charged as ``gf_mul_ct``).  On the
@@ -167,28 +223,8 @@ class ConstantTimeBCHDecoder:
         conservative), the paper's optimized variant only the
         ``"message"`` positions.
         """
-        code = self.code
-        counter = ensure_counter(counter)
-        received = require_bits(received, code.n, "received")
-        working = received.copy()
-
-        syndromes = self._syndromes(working, counter)
-        locator = self._inversion_free_bm(syndromes, counter)
-        flips, roots_found = self._chien_flip(working, locator, counter, window)
-
-        message = working[code.parity_bits :].copy()
-        locator_degree = _degree(locator)
-        if window == "message":
-            success = locator_degree <= code.t and flips <= locator_degree
-        else:
-            success = roots_found == locator_degree and flips == roots_found
-        return DecodeResult(
-            codeword=working,
-            message=message,
-            errors_found=flips,
-            success=success,
-            counter=counter,
-        )
+        received = require_bits(received, self.code.n, "received")
+        return self._decode(received[None], ensure_counter(counter), window)[0]
 
     def decode_many(
         self,
@@ -198,23 +234,32 @@ class ConstantTimeBCHDecoder:
     ) -> list[DecodeResult]:
         """Decode a ``(B, n)`` stack of words; equals looping :meth:`decode`.
 
-        Uncounted batches of two or more words run the lanes engine;
-        a counted (or ``vectorized=False``) call and a one-word batch
-        loop the one-word entry, so counts stay those of Table I.
+        The lanes engine runs the whole stack at once and charges
+        ``counter`` B times each phase's per-word counts, so counts equal
+        those of B one-word decodes (``vectorized=False`` runs them).
         """
         code = self.code
-        counter = ensure_counter(counter)
         words = np.asarray(words, dtype=np.uint8)
         if words.ndim != 2 or words.shape[1] != code.n:
             raise ValueError(f"words must be a (B, {code.n}) array of bits")
         if np.any(words > 1):
             raise ValueError("words must contain only 0s and 1s")
-        if len(words) < 2 or not self._use_vectorized(counter):
-            return [self.decode(word, counter, window) for word in words]
+        if not len(words):
+            return []
+        return self._decode(words, ensure_counter(counter), window)
+
+    def _decode(
+        self, words: np.ndarray, counter: OpCounter, window: str
+    ) -> list[DecodeResult]:
+        """Decode a non-empty ``(B, n)`` stack of validated words."""
+        code = self.code
+        if not self.vectorized:
+            return [self._decode_scalar(word, counter, window) for word in words]
 
         working = words.copy()
-        locators = self._inversion_free_bm_lanes(self._syndromes_lanes(working))
+        locators = self.error_locators(working, counter)
         flips, roots_found = self._chien_flip_lanes(working, locators, window)
+        _charge(counter, "chien", _schedule(code, window)["chien"], len(working))
 
         degrees = ((locators != 0) * np.arange(code.t + 1)).max(axis=1)
         if window == "message":
@@ -233,16 +278,53 @@ class ConstantTimeBCHDecoder:
             for lane in range(len(working))
         ]
 
+    def _decode_scalar(
+        self, received: np.ndarray, counter: OpCounter, window: str
+    ) -> DecodeResult:
+        """One word through the golden per-iteration loops."""
+        code = self.code
+        working = received.copy()
+        syndromes = self._syndromes_scalar(working, counter)
+        locator = self._inversion_free_bm(syndromes, counter)
+        flips, roots_found = self._chien_flip_scalar(working, locator, counter, window)
+
+        message = working[code.parity_bits :].copy()
+        locator_degree = _degree(locator)
+        if window == "message":
+            success = locator_degree <= code.t and flips <= locator_degree
+        else:
+            success = roots_found == locator_degree and flips == roots_found
+        return DecodeResult(
+            codeword=working,
+            message=message,
+            errors_found=flips,
+            success=success,
+            counter=counter,
+        )
+
+    def error_locators(self, words: np.ndarray, counter: OpCounter) -> np.ndarray:
+        """``(B, n)`` words to ``(B, t+1)`` error locators (phases 1 and 2).
+
+        Charges ``counter`` the syndrome and error-locator phases of
+        every word; the software half of the accelerated decoder too.
+        """
+        if not self.vectorized:
+            return np.array(
+                [
+                    self._inversion_free_bm(self._syndromes_scalar(word, counter), counter)
+                    for word in words
+                ]
+            )
+        schedule = _schedule(self.code, "natural")
+        syndromes = self._syndromes_lanes(words)
+        _charge(counter, "syndrome", schedule["syndrome"], len(words))
+        locators = self._inversion_free_bm_lanes(syndromes)
+        _charge(counter, "error_locator", schedule["error_locator"], len(words))
+        return locators
+
     # ------------------------------------------------------------------
     # phase 1: dense, masked syndrome accumulation
     # ------------------------------------------------------------------
-
-    def _syndromes(self, received: np.ndarray, counter: OpCounter) -> list[int]:
-        if self._use_vectorized(counter):
-            # one word is a one-row stack
-            syndromes: list[int] = self._syndromes_lanes(received[None])[0].tolist()
-            return syndromes
-        return self._syndromes_scalar(received, counter)
 
     def _syndromes_lanes(self, words: np.ndarray) -> np.ndarray:
         """``(B, n)`` words to ``(B, 2t)`` syndromes (no counting).
@@ -393,21 +475,6 @@ class ConstantTimeBCHDecoder:
     # ------------------------------------------------------------------
     # phase 3: Chien search + masked correction over the message window
     # ------------------------------------------------------------------
-
-    def _chien_flip(
-        self,
-        working: np.ndarray,
-        locator: list[int],
-        counter: OpCounter,
-        window: str,
-    ) -> tuple[int, int]:
-        if self._use_vectorized(counter):
-            # one word is a one-row stack (a view: corrected in place)
-            flips, roots_found = self._chien_flip_lanes(
-                working[None], np.array([locator]), window
-            )
-            return int(flips[0]), int(roots_found[0])
-        return self._chien_flip_scalar(working, locator, counter, window)
 
     def _chien_slices(self, window: str) -> tuple[slice, slice, slice]:
         """The fixed index sets of one probe window.

@@ -138,15 +138,25 @@ class IseMultiplier:
 
 
 class IseBchDecoder:
-    """Constant-time BCH decode with the MUL CHIEN accelerator."""
+    """Constant-time BCH decode with the MUL CHIEN accelerator.
 
-    def __init__(self, code: BCHCode, unit: ChienUnit | None = None) -> None:
+    The Chien unit is clocked probe by probe (it is the hardware model);
+    the software around it charges its fixed per-probe counts once per
+    loop.  ``vectorized=False`` runs the golden per-iteration software
+    loops instead (here and in the syndrome/BM half), which the test
+    suite holds the default to, count for count.
+    """
+
+    def __init__(
+        self, code: BCHCode, unit: ChienUnit | None = None, vectorized: bool = True
+    ) -> None:
         if code.t % PARALLEL_MULTIPLIERS:
             raise ValueError("the Chien unit needs t divisible by 4")
         self.code = code
         self.field = code.field
         self.unit = unit or ChienUnit(code.field)
-        self._software = ConstantTimeBCHDecoder(code)
+        self.vectorized = vectorized
+        self._software = ConstantTimeBCHDecoder(code, vectorized)
 
     # ------------------------------------------------------------------
 
@@ -159,9 +169,9 @@ class IseBchDecoder:
         received = require_bits(received, code.n, "received")
         working = received.copy()
 
-        syndromes = self._software._syndromes(working, counter)
-        locator = self._software._inversion_free_bm(syndromes, counter)
-        flips, roots_found = self._chien_accelerated(working, locator, counter)
+        locator = self._software.error_locators(working[None], counter)[0].tolist()
+        chien = self._chien_accelerated if self.vectorized else self._chien_scalar
+        flips, roots_found = chien(working, locator, counter)
 
         locator_degree = _degree(locator)
         return DecodeResult(
@@ -174,12 +184,62 @@ class IseBchDecoder:
 
     # ------------------------------------------------------------------
 
+    def _load_group(
+        self, lambdas: list[int], group: int, start: int, counter: OpCounter
+    ) -> None:
+        """Pre-scale and load one group of four lambdas into the unit."""
+        left, right, prescale = self.unit.group_elements(lambdas, group, start)
+        counter.count("gf_mul_table", prescale)  # exponents are public
+        counter.count("alu", 12)  # pack two load transfers
+        counter.count("pq_issue", 2)
+        self.unit.load_left(left)
+        self.unit.load_right(right)
+
     def _chien_accelerated(
         self,
         working: np.ndarray,
         locator: list[int],
         counter: OpCounter,
     ) -> tuple[int, int]:
+        unit = self.unit
+        t = self.code.t
+        start, stop = self.code.chien_window("message")
+        probes = stop - start + 1
+        lambdas = list(locator) + [0] * (t + 1 - len(locator))
+
+        partial = np.zeros(probes, dtype=np.intp)
+        with counter.phase("chien"):
+            counter.count("call")
+            for group in range(t // PARALLEL_MULTIPLIERS):
+                self._load_group(lambdas, group, start, counter)
+                partial ^= [unit.step() for _ in range(probes)]
+                # per probe: issue, stall, then partial[i] ^= out (load,
+                # xor, store) and the loop
+                counter.count("pq_issue", probes)
+                counter.count("pq_busy", probes * unit.cycles_per_step)
+                counter.count("load", probes)
+                counter.count("alu", probes)
+                counter.count("store", probes)
+                counter.count("loop", probes)
+            # combine with lambda_0 and apply masked flips; per probe two
+            # loads, xor/mask/flip/index math, a store and the loop
+            is_root = (partial ^ lambdas[0]) == 0
+            _, flagged, positions = self._software._chien_slices("message")
+            hits = is_root[flagged]
+            working[positions] ^= hits[::-1]
+            counter.count("load", 2 * probes)
+            counter.count("alu", 4 * probes)
+            counter.count("store", probes)
+            counter.count("loop", probes)
+        return int(np.count_nonzero(hits)), int(np.count_nonzero(is_root))
+
+    def _chien_scalar(
+        self,
+        working: np.ndarray,
+        locator: list[int],
+        counter: OpCounter,
+    ) -> tuple[int, int]:
+        """The golden loop around the unit: every software operation counted as it runs."""
         code, unit = self.code, self.unit
         t = code.t
         start, stop = code.chien_window("message")
@@ -190,12 +250,7 @@ class IseBchDecoder:
         with counter.phase("chien"):
             counter.count("call")
             for group in range(t // PARALLEL_MULTIPLIERS):
-                left, right, prescale = unit.group_elements(lambdas, group, start)
-                counter.count("gf_mul_table", prescale)  # exponents are public
-                counter.count("alu", 12)  # pack two load transfers
-                counter.count("pq_issue", 2)
-                unit.load_left(left)
-                unit.load_right(right)
+                self._load_group(lambdas, group, start, counter)
                 for i in range(probes):
                     partial[i] ^= unit.step()
                     counter.count("pq_issue")

@@ -589,7 +589,7 @@ def validate_syndrome_kernel(errors: int = 5) -> KernelValidation:
     from repro.metrics import NULL_COUNTER
 
     got = [cpu.memory.load(synd_base + 2 * j, 2) for j in range(two_t)]
-    expected = ConstantTimeBCHDecoder(code)._syndromes(word, NULL_COUNTER)
+    expected = ConstantTimeBCHDecoder(code)._syndromes_scalar(word, NULL_COUNTER)
     functional_ok = got == expected
 
     c = DEFAULT_COST_MODEL

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.hashes.prng import Sha256Prng
 from repro.lac.params import LacParams
-from repro.metrics import OpCounter, ensure_counter
+from repro.metrics import NullCounter, OpCounter, ensure_counter
 from repro.ring.ternary import TernaryPoly
 
 if TYPE_CHECKING:
@@ -35,6 +35,7 @@ def gen_a(
     params: LacParams,
     counter: OpCounter | None = None,
     prng: Sha256Prng | ShakePrng | None = None,
+    vectorized: bool = True,
 ) -> np.ndarray:
     """Expand ``seed`` into the public polynomial a (uniform over Z_q^n).
 
@@ -42,24 +43,33 @@ def gen_a(
     uniform; the expected stream consumption is n * 256/251 bytes.
     ``prng`` overrides the expander (any object with ``read``) — used
     by the future-work ablation that swaps SHA-256 for SHAKE-128.
+    Each chunk read is filtered in one numpy pass (its counts are per
+    chunk already); ``vectorized=False`` runs the golden per-byte loop.
     """
     counter = ensure_counter(counter)
+    n, q = params.n, params.q
     with counter.phase("gen_a"):
         counter.count("call")
         if prng is None:
             prng = Sha256Prng(seed, counter=counter)
-        out = np.empty(params.n, dtype=np.int64)
+        out = np.empty(n, dtype=np.int64)
         filled = 0
-        while filled < params.n:
-            chunk = prng.read(max(params.n - filled, 32))
+        while filled < n:
+            chunk = prng.read(max(n - filled, 32))
             counter.count("loop", len(chunk))
             counter.count("load", len(chunk))
             counter.count("branch", len(chunk))
             counter.count("store", len(chunk))
-            for byte in chunk:
-                if byte < params.q and filled < params.n:
-                    out[filled] = byte
-                    filled += 1
+            if not vectorized:
+                for byte in chunk:
+                    if byte < q and filled < n:
+                        out[filled] = byte
+                        filled += 1
+                continue
+            values = np.frombuffer(chunk, dtype=np.uint8)
+            accepted = values[values < q][: n - filled]
+            out[filled : filled + len(accepted)] = accepted
+            filled += len(accepted)
     return out
 
 
@@ -67,6 +77,7 @@ def sample_ternary_fixed_weight(
     prng: Sha256Prng,
     params: LacParams,
     counter: OpCounter | None = None,
+    vectorized: bool = True,
 ) -> TernaryPoly:
     """Sample a ternary polynomial with exactly h/2 ones and h/2 minus-ones.
 
@@ -77,8 +88,52 @@ def sample_ternary_fixed_weight(
     draw count is n * ln(n / (n - h)), which reproduces the paper's
     Sample-poly ordering across security levels (LAC-192 cheaper than
     LAC-128 despite the larger ring; LAC-256 the most expensive).
+
+    A counted call charges the data-dependent draw count per draw, but
+    draws in rounds: with ``h - accepted`` slots still to fill, the
+    per-draw loop is certain to make at least that many more draws (each
+    accepts at most one), so a round reads exactly those and accepts the
+    first occurrence of every index not yet occupied — what the loop
+    accepts, with the same counts and the same stream consumption.
+    ``vectorized=False`` runs the golden one-draw-at-a-time loop, and so
+    does an uncounted call: uncounted, this is the scalar reference that
+    the batch sampler (:mod:`repro.batch.sampling`) mirrors and the
+    batched-ENCAPS speedup floor is timed against.
     """
     counter = ensure_counter(counter)
+    if not vectorized or isinstance(counter, NullCounter):
+        return _sample_fixed_weight_loop(prng, params, counter)
+    n, h = params.n, params.h
+    coeffs = np.zeros(n, dtype=np.int8)
+    accepted = 0
+
+    with counter.phase("sample_poly"):
+        counter.count("call")
+        while accepted < h:
+            draws = h - accepted
+            counter.count("loop", draws)
+            counter.count("alu", 2 * draws)  # mask + occupancy test setup
+            counter.count("load", draws)
+            counter.count("branch", draws)
+            indices = np.frombuffer(prng.read(2 * draws), dtype="<u2") & (n - 1)
+            # a draw is accepted when its slot was free before the round
+            # and no earlier draw of the round named it
+            order = np.arange(draws)
+            first = np.full(n, draws)
+            np.minimum.at(first, indices, order)
+            fresh = indices[(first[indices] == order) & (coeffs[indices] == 0)]
+            ones = max(h // 2 - accepted, 0)  # the first h/2 accepted are +1
+            coeffs[fresh[:ones]] = 1
+            coeffs[fresh[ones:]] = -1
+            counter.count("store", len(fresh))
+            accepted += len(fresh)
+    return TernaryPoly(coeffs)
+
+
+def _sample_fixed_weight_loop(
+    prng: Sha256Prng, params: LacParams, counter: OpCounter
+) -> TernaryPoly:
+    """The golden model of :func:`sample_ternary_fixed_weight`: one draw at a time."""
     n, h = params.n, params.h
     coeffs = np.zeros(n, dtype=np.int8)
 

@@ -9,7 +9,14 @@ loads, loop iterations — and the co-design layer
 
 Crucially the counts are *recorded during execution*, so data-dependent
 control flow (the timing leak of Table I) produces data-dependent
-counts without any hard-coding.
+counts without any hard-coding.  How a routine charges follows its
+schedule: a loop whose iteration counts the parameters alone fix (the
+constant-time BCH decoder, the reference ternary multiplication)
+computes its values on an array engine and charges each phase once,
+``count(op, n)`` per op; a data-dependent loop (the fixed-weight
+sampler's draws) charges per draw.  Each bulk-charged routine keeps its
+per-iteration loop as the golden model (``vectorized=False``), and the
+test suite holds the two equal phase by phase.
 
 Operation names are free-form strings; the conventional ones are listed
 in :data:`CONVENTIONAL_OPS`.

@@ -85,19 +85,40 @@ def ternary_mul(
     ternary: TernaryPoly,
     general: np.ndarray,
     counter: OpCounter | None = None,
+    vectorized: bool = True,
 ) -> np.ndarray:
     """Multiply a ternary polynomial by a general one in the ring.
 
-    This is the reference software schedule: for every coefficient
+    This prices the reference software schedule: for every coefficient
     ``t_j`` of the ternary operand, the general operand is rotated and
     conditionally added/subtracted into the accumulator.  The operation
-    counts recorded here (one pass of n loads/branches per ternary
-    coefficient) model the O(n^2) inner loop of the LAC reference code.
+    counts (one pass of n loads/branches per ternary coefficient, each
+    touching all n accumulator slots) model the O(n^2) inner loop of
+    the LAC reference code.  They are fixed by n alone, so the phase is
+    charged once and the product computed as one wrapped convolution;
+    ``vectorized=False`` runs the golden per-coefficient loop instead.
     """
     counter = ensure_counter(counter)
-    n, q = ring.n, ring.q
+    n = ring.n
     if ternary.n != n or general.size != n:
         raise ValueError("operands must match the ring size")
+    if not vectorized:
+        return _ternary_mul_loop(ring, ternary, general, counter)
+    with counter.phase("ternary_mul"):
+        counter.count("call")
+        counter.count("loop", n + n * n)
+        counter.count("load", n + 2 * n * n)
+        counter.count("branch", n)
+        counter.count("alu", 2 * n * n)
+        counter.count("store", n * n)
+        return ring.mul(ternary.coeffs.astype(np.int64), general.astype(np.int64))
+
+
+def _ternary_mul_loop(
+    ring: PolyRing, ternary: TernaryPoly, general: np.ndarray, counter: OpCounter
+) -> np.ndarray:
+    """The golden model of :func:`ternary_mul`: the reference loop, counted."""
+    n, q = ring.n, ring.q
     wrap_sign = -1 if ring.negacyclic else 1
 
     acc = np.zeros(n, dtype=np.int64)

@@ -19,11 +19,13 @@ warmup) to keep the spawn cost paid once.
 
 import asyncio
 import contextlib
+import multiprocessing
 import os
 import subprocess
 import sys
 import textwrap
 import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -537,6 +539,40 @@ class TestProcessSupervision:
                 _encaps(backend, pair, _messages(1)).result()
         finally:
             backend.close()
+
+
+    @pytest.mark.parametrize("gated", [True, False], ids=["pool-after-close", "racing"])
+    def test_close_without_wait_leaves_no_worker(self, scalar, gated, monkeypatch):
+        """``close(wait=False)`` with an ENCAPS still on its supervisor
+        thread: the batch resolves, and no worker pool or process
+        outlives the backend.  ``pool-after-close`` holds the batch
+        until ``close`` has returned, so it asks for a pool only then."""
+        _, pair = scalar
+        before = set(multiprocessing.active_children())
+        backend = ProcessBackend(workers=1, warm_params=[LAC_128])
+        gate = threading.Event()
+        if gated:
+            real_ensure_pool = backend._ensure_pool
+
+            def late_ensure_pool():
+                gate.wait(30)
+                return real_ensure_pool()
+
+            monkeypatch.setattr(backend, "_ensure_pool", late_ensure_pool)
+        future = _encaps(backend, pair, _messages(1))
+        backend.close(wait=False)
+        gate.set()
+        if gated:
+            with pytest.raises(RuntimeError, match="closed"):
+                future.result(timeout=120)
+        else:  # whichever got there first: a result or the refusal
+            with contextlib.suppress(RuntimeError):
+                future.result(timeout=120)
+        assert backend._pool is None
+        deadline = time.monotonic() + 60
+        while set(multiprocessing.active_children()) - before:
+            assert time.monotonic() < deadline, "a worker outlived its backend"
+            time.sleep(0.05)
 
 
 LIFECYCLE_SCRIPT = textwrap.dedent(

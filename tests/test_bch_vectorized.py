@@ -2,8 +2,9 @@
 
 The numpy kernels — one word at a time or a whole batch as the vector
 axis — are a pure acceleration: for every input the decoder must return
-exactly what the scalar engine returns, and cycle-accounted runs must
-keep using the scalar engine so the counts of Table I stay exact.
+exactly what the scalar engine returns, and a cycle-accounted run on
+them must charge exactly the counts of the scalar engine, so Table I
+stays exact (phase by phase in ``tests/test_bulk_counts.py``).
 """
 
 import numpy as np
@@ -68,14 +69,22 @@ class TestEngineParity:
 
 
 class TestCycleModelUnaffected:
-    def test_counted_runs_use_scalar_engine(self, code):
+    def test_counted_runs_use_the_lanes_engine(self, code, monkeypatch):
         decoder = ConstantTimeBCHDecoder(code, vectorized=True)
-        assert decoder._use_vectorized(NullCounter())
-        assert not decoder._use_vectorized(OpCounter())
+        _, _, word = make_word(code, 2, seed=4)
+        expected = ConstantTimeBCHDecoder(code, vectorized=False).decode(word)
+
+        def golden(*args):
+            raise AssertionError("the golden loop ran")
+
+        for name in ("_syndromes_scalar", "_inversion_free_bm", "_chien_flip_scalar"):
+            monkeypatch.setattr(decoder, name, golden)
+        for counter in (None, NullCounter(), OpCounter()):
+            _assert_same_result(decoder.decode(word, counter), expected)
 
     def test_counts_identical_across_engines(self, code):
-        # with a live counter both decoders take the scalar path, so the
-        # recorded operation totals must be exactly equal
+        # the lanes engine charges each phase's fixed schedule in bulk;
+        # the golden loops count as they run: the totals must be equal
         _, _, word = make_word(code, 4, seed=11)
         fast_counter, slow_counter = OpCounter(), OpCounter()
         fast = ConstantTimeBCHDecoder(code, vectorized=True).decode(
@@ -87,9 +96,19 @@ class TestCycleModelUnaffected:
         _assert_same_result(fast, slow)
         assert fast_counter.totals() == slow_counter.totals()
 
-    def test_vectorized_flag_pins_engine(self, code):
+    def test_vectorized_flag_pins_engine(self, code, monkeypatch):
         decoder = ConstantTimeBCHDecoder(code, vectorized=False)
-        assert not decoder._use_vectorized(NullCounter())
+        _, _, word = make_word(code, 2, seed=4)
+        expected = ConstantTimeBCHDecoder(code).decode(word)
+
+        def lanes(*args):
+            raise AssertionError("the lanes engine ran")
+
+        for name in ("_syndromes_lanes", "_inversion_free_bm_lanes", "_chien_flip_lanes"):
+            monkeypatch.setattr(decoder, name, lanes)
+        for counter in (None, OpCounter()):
+            _assert_same_result(decoder.decode(word, counter), expected)
+            _assert_same_result(decoder.decode_many(word[None], counter)[0], expected)
 
 
 def _stack(code, error_counts, seed, parity_region_every=4):
@@ -154,6 +173,7 @@ class TestLanesParity:
         assert decoder.decode_many(np.zeros((0, code.n), np.uint8)) == []
 
     def test_counted_batch_runs_the_scalar_schedule(self, code):
+        # the lanes engine charges the scalar schedule's counts per word
         words = _stack(code, [0, 4, code.t], seed=11)
         batch_counter, loop_counter = OpCounter(), OpCounter()
         many = ConstantTimeBCHDecoder(code).decode_many(words, batch_counter)

@@ -3,8 +3,10 @@
 Table I exists to show that the protected decoder does the same work
 whatever it is given.  Three images of that property are pinned here:
 
-* the **counted scalar schedule**: operation totals, phase by phase,
-  are identical for clean, correctable, uncorrectable and garbage words;
+* the **counted schedule**: operation totals, phase by phase, are
+  identical for clean, correctable, uncorrectable and garbage words,
+  both as the default decoder charges them in bulk and as the golden
+  per-iteration loops (``vectorized=False``) count them;
 * the **batched numpy engine**: the sequence of executed source lines in
   ``repro/bch/ct_decoder.py`` and ``repro/gf/field.py``, together with
   the shape and dtype of every array bound to a local at each line,
@@ -126,26 +128,37 @@ def _same(a, b):
 
 
 # ---------------------------------------------------------------------------
-# (i) the counted scalar schedule
+# (i) the counted schedule, charged in bulk and by the golden loops
 # ---------------------------------------------------------------------------
+
+
+def _assert_counts_do_not_depend_on_the_word(decoder, window):
+    code = decoder.code
+    words = [
+        _word(code, n_errors, seed=n_errors + 1)
+        for n_errors in (0, 1, code.t, code.t + 3)
+    ] + _special_words(code)
+    seen = []
+    for word in words:
+        counter = OpCounter()
+        decoder.decode(word, counter, window)
+        phases = {name: dict(ops) for name, ops in counter.phases.items()}
+        seen.append((dict(counter.totals()), phases))
+    assert all(entry == seen[0] for entry in seen[1:])
+    assert {"syndrome", "error_locator", "chien"} <= set(seen[0][1])
 
 
 class TestScalarOpCounts:
     @pytest.mark.parametrize("window", WINDOWS)
     def test_counts_do_not_depend_on_the_word(self, code, window):
-        words = [
-            _word(code, n_errors, seed=n_errors + 1)
-            for n_errors in (0, 1, code.t, code.t + 3)
-        ] + _special_words(code)
-        decoder = ConstantTimeBCHDecoder(code)
-        seen = []
-        for word in words:
-            counter = OpCounter()
-            decoder.decode(word, counter, window)
-            phases = {name: dict(ops) for name, ops in counter.phases.items()}
-            seen.append((dict(counter.totals()), phases))
-        assert all(entry == seen[0] for entry in seen[1:])
-        assert {"syndrome", "error_locator", "chien"} <= set(seen[0][1])
+        # the default decoder: the lanes engine, each phase charged in bulk
+        _assert_counts_do_not_depend_on_the_word(ConstantTimeBCHDecoder(code), window)
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_golden_counts_do_not_depend_on_the_word(self, code, window):
+        # the golden per-iteration loops, counting as they run
+        decoder = ConstantTimeBCHDecoder(code, vectorized=False)
+        _assert_counts_do_not_depend_on_the_word(decoder, window)
 
     def test_timing_distinguisher_stays_at_chance(self):
         report = error_count_distinguisher(
