@@ -55,7 +55,7 @@ def test_table1_report(rows):
 
 def test_bench_submission_decode(benchmark):
     result = benchmark.pedantic(
-        lambda: measure_decode(constant_time=False, errors=16),
+        lambda: measure_decode("ref", errors=16),
         rounds=3, iterations=1,
     )
     assert result.decode > 0
@@ -63,7 +63,7 @@ def test_bench_submission_decode(benchmark):
 
 def test_bench_constant_time_decode(benchmark):
     result = benchmark.pedantic(
-        lambda: measure_decode(constant_time=True, errors=16),
+        lambda: measure_decode("const_bch", errors=16),
         rounds=3, iterations=1,
     )
     assert result.decode > 0

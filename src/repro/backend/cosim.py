@@ -35,8 +35,8 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
 from repro.backend.base import KemBackend
-from repro.cosim.costs import ISE_COSTS, REFERENCE_COSTS, CycleCosts, price
-from repro.cosim.protocol import PROFILES, CycleModel, ProtocolCycles
+from repro.cosim.costs import CycleCosts, price
+from repro.cosim.protocol import PROFILE_TABLE, PROFILES, CycleModel, ProtocolCycles
 from repro.lac.params import LacParams
 from repro.lac.pke import Ciphertext
 from repro.metrics import OpCounter
@@ -96,7 +96,7 @@ class CosimBackend(KemBackend):
         super().__init__()
         self.transform_cache = None
         self.profile = profile
-        self.costs: CycleCosts = ISE_COSTS if profile == "ise" else REFERENCE_COSTS
+        self.costs: CycleCosts = PROFILE_TABLE[profile].costs
         self._models_lock = threading.Lock()
         self._models: dict[str, CycleModel] = {}
         self._executor = ThreadPoolExecutor(

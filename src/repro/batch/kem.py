@@ -324,17 +324,7 @@ def _decaps_chunk(
         us_rows = ring.mul_many(_gather(s_parts, lane), u_rows)
     noisy_rows = np.mod(codec.decompress_v(v_compressed) - us_rows[:, :slots], q)
 
-    if kem.constant_time_bch and kem.pke.bch_decoder is None:
-        decoded = codec.decode_many(noisy_rows)
-    else:
-        decoded = [
-            codec.decode(
-                row,
-                constant_time=kem.constant_time_bch,
-                bch_decoder=kem.pke.bch_decoder,
-            )
-            for row in noisy_rows
-        ]
+    decoded = codec.decode_many(noisy_rows)
     messages = [d.message for d in decoded]
     coins_list = [
         _hash3(message, key.pk_digest, b"coins")

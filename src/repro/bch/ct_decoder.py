@@ -23,11 +23,11 @@ numpy engine with the batch as the vector axis (one word is a one-row
 stack), over one set of per-code tables, and charges each phase's
 per-word operation counts once per phase (:func:`_schedule`), counted
 or not.  The per-iteration annotated loops stay as the golden model
-(``vectorized=False``); the test suite holds the two equal, values and
-counts phase by phase.  For array code "constant" means that the
-shapes and the sequence of numpy calls depend on the batch size, the
-code and the window only — never on a received bit, a syndrome or a
-root (``tests/test_constant_ops.py`` traces it).
+(:meth:`ConstantTimeBCHDecoder._decode_scalar`); the test suite holds
+the two equal, values and counts phase by phase.  For array code
+"constant" means that the shapes and the sequence of numpy calls depend
+on the batch size, the code and the window only — never on a received
+bit, a syndrome or a root (``tests/test_constant_ops.py`` traces it).
 """
 
 from __future__ import annotations
@@ -50,12 +50,12 @@ _LANE_CHUNK = 4
 
 @dataclass(frozen=True)
 class _CodeTables:
-    """What the uncounted engine precomputes for one code (read-only).
+    """What the lanes engine precomputes for one code (read-only).
 
-    Both tables are GF(2)-linear maps stored with the axis that is
-    folded away last, so a product is ``xor.reduce(mask & table)`` over
-    contiguous rows: no gather, no float, the same memory walk for
-    every input.
+    The syndrome and Chien tables are GF(2)-linear maps stored with the
+    axis that is folded away last, so a product is
+    ``xor.reduce(mask & table)`` over contiguous rows: no gather, no
+    float, the same memory walk for every input.
     """
 
     #: ``(2t, n)`` int16: ``alpha^(i*j)`` at ``[j - 1, i]`` — received
@@ -66,11 +66,22 @@ class _CodeTables:
     #: ``Lambda(alpha^l)`` at every probe of the natural window, probe l
     #: being bit ``l - 1`` of the W words read as little-endian bytes.
     chien_bits: np.ndarray
+    #: ``((4t+1) * order,)`` bool and unsigned: Berlekamp--Massey's
+    #: control as a state machine.  A lane's ``k = r - 2L`` (-2t..2t)
+    #: is kept as the key ``(k + 2t) * order``; with the round's
+    #: discrepancy d, ``bm_take[key + d]`` says whether the round resets
+    #: the shadow register (d != 0 and 2L <= r) and ``bm_next[key + d]``
+    #: is the next round's key.
+    bm_take: np.ndarray
+    bm_next: np.ndarray
 
     @property
     def nbytes(self) -> int:
         """Persistent footprint of all tables."""
-        return self.syndrome_powers.nbytes + self.chien_bits.nbytes
+        return sum(
+            table.nbytes
+            for table in (self.syndrome_powers, self.chien_bits, self.bm_take, self.bm_next)
+        )
 
 
 @lru_cache(maxsize=None)
@@ -100,12 +111,22 @@ def _code_tables(code: BCHCode) -> _CodeTables:
             value_bits.astype(np.uint8), axis=2, bitorder="little"
         )
 
+    # a reset round sends k = r - 2L to -k - 1, any other to k + 1
+    # (clamped at 2t, which only the state after the last round reaches)
+    k = np.arange(-2 * t, 2 * t + 1, dtype=np.int32)[:, None]
+    take = (np.arange(field.order) != 0) & (k >= 0)
+    next_k = np.where(take, -k - 1, np.minimum(k + 1, 2 * t))
+
     tables = _CodeTables(
         syndrome_powers=syndrome_powers,
         chien_bits=np.ascontiguousarray(packed.view(np.uint64).transpose(1, 2, 0)),
+        bm_take=take.ravel(),
+        bm_next=((next_k + 2 * t) * field.order)
+        .astype(np.min_scalar_type(take.size))
+        .ravel(),
     )
-    tables.syndrome_powers.setflags(write=False)
-    tables.chien_bits.setflags(write=False)
+    for table in (tables.syndrome_powers, tables.chien_bits, tables.bm_take, tables.bm_next):
+        table.setflags(write=False)
     return tables
 
 
@@ -180,20 +201,19 @@ class ConstantTimeBCHDecoder:
     Two execution engines share the same mathematics:
 
     * the numpy *lanes* engine over the per-code tables of
-      :func:`_code_tables` (the default): the fixed schedule with the
-      batch as the vector axis, one word being a one-row stack.  A live
-      :class:`~repro.metrics.OpCounter` is charged each phase's fixed
-      per-word counts once per phase;
-    * the *annotated* per-iteration loops (``vectorized=False``): the
+      :func:`_code_tables`, which every decode runs: the fixed schedule
+      with the batch as the vector axis, one word being a one-row
+      stack.  A live :class:`~repro.metrics.OpCounter` is charged each
+      phase's fixed per-word counts once per phase;
+    * the *annotated* per-iteration loops (:meth:`_decode_scalar`): the
       golden model, counting every operation as it executes.  The test
       suite holds the lanes engine to it, bit for bit and count for
       count, and times the engine against it for its speedup floor.
     """
 
-    def __init__(self, code: BCHCode, vectorized: bool = True) -> None:
+    def __init__(self, code: BCHCode) -> None:
         self.code = code
         self.field = code.field
-        self.vectorized = vectorized
 
     def _ct_mul(self, counter: OpCounter) -> Callable[[int, int], int]:
         """The constant-time multiply of the golden loops.
@@ -236,7 +256,7 @@ class ConstantTimeBCHDecoder:
 
         The lanes engine runs the whole stack at once and charges
         ``counter`` B times each phase's per-word counts, so counts equal
-        those of B one-word decodes (``vectorized=False`` runs them).
+        those of B one-word decodes.
         """
         code = self.code
         words = np.asarray(words, dtype=np.uint8)
@@ -253,9 +273,6 @@ class ConstantTimeBCHDecoder:
     ) -> list[DecodeResult]:
         """Decode a non-empty ``(B, n)`` stack of validated words."""
         code = self.code
-        if not self.vectorized:
-            return [self._decode_scalar(word, counter, window) for word in words]
-
         working = words.copy()
         locators = self.error_locators(working, counter)
         flips, roots_found = self._chien_flip_lanes(working, locators, window)
@@ -279,10 +296,14 @@ class ConstantTimeBCHDecoder:
         ]
 
     def _decode_scalar(
-        self, received: np.ndarray, counter: OpCounter, window: str
+        self,
+        received: np.ndarray,
+        counter: OpCounter | None = None,
+        window: str = "natural",
     ) -> DecodeResult:
-        """One word through the golden per-iteration loops."""
+        """One valid word through the golden per-iteration loops."""
         code = self.code
+        counter = ensure_counter(counter)
         working = received.copy()
         syndromes = self._syndromes_scalar(working, counter)
         locator = self._inversion_free_bm(syndromes, counter)
@@ -308,13 +329,6 @@ class ConstantTimeBCHDecoder:
         Charges ``counter`` the syndrome and error-locator phases of
         every word; the software half of the accelerated decoder too.
         """
-        if not self.vectorized:
-            return np.array(
-                [
-                    self._inversion_free_bm(self._syndromes_scalar(word, counter), counter)
-                    for word in words
-                ]
-            )
         schedule = _schedule(self.code, "natural")
         syndromes = self._syndromes_lanes(words)
         _charge(counter, "syndrome", schedule["syndrome"], len(words))
@@ -429,15 +443,22 @@ class ConstantTimeBCHDecoder:
     def _inversion_free_bm_lanes(self, syndromes: np.ndarray) -> np.ndarray:
         """``(B, 2t)`` syndromes to ``(B, t+1)`` locators, 2t fixed rounds.
 
-        The scalar schedule with every scalar a ``(B,)`` column and
-        every ``if`` an ``np.where``.  ``delta`` and the shadow register
-        only ever feed multiplications and selects, so they are carried
-        as logarithms (zero-safe tables: the product of logs needs no
-        zero test), the shadow already multiplied by x.
+        The scalar schedule with every scalar a ``(B,)`` column, in as
+        few numpy calls a round as it takes (a one-word decode pays per
+        call).  The locator and the shadow register multiplied by x are
+        carried as logarithms (zero-safe tables: a product of logs needs
+        no zero test) in the two rows of one register array, each in a
+        window that moves one slot left per round: the shadow's shift by
+        x is then no copy, and the reset round copies the locator row
+        over the shadow row where the lane resets.  The row ends hold
+        log d (locator row) and log delta (shadow row), so that copy
+        also sets delta = d.  The control (reset or not, and L) is one
+        table lookup (:attr:`_CodeTables.bm_take`).
         """
         t = self.code.t
         lanes = len(syndromes)
         log, exp = self.field.zero_safe_tables()
+        tables = _code_tables(self.code)
 
         # round r reads S[r], S[r-1] .. S[r-t] (zero below index 0): a
         # contiguous window of the reversed, zero-padded syndromes
@@ -445,31 +466,33 @@ class ConstantTimeBCHDecoder:
         reversed_padded[:, : 2 * t] = syndromes[:, ::-1]
         log_syndromes = log[reversed_padded]
 
-        locator = np.zeros((lanes, t + 1), dtype=np.intp)
-        locator[:, 0] = 1
-        log_shifted_shadow = np.full((lanes, t + 1), log[0])
-        log_shifted_shadow[:, 1] = log[1]
-        log_delta = np.full(lanes, log[1])
-        length = np.zeros(lanes, dtype=np.intp)
+        # round r's window starts at column 2t - r; the locator is 1, the
+        # shifted shadow x, delta 1, and every column left of a window log 0
+        registers = np.full((2, lanes, 3 * t + 2), log[0])
+        registers[0, :, 2 * t] = log[1]
+        registers[1, :, 2 * t + 1] = log[1]
+        registers[1, :, -1] = log[1]
+        multipliers = registers[::-1, :, -1:]  # [log delta, log d]
+        key = np.full((lanes, 1), 2 * t * self.field.order)  # k = 0
 
         for r in range(2 * t):
-            log_locator = log[locator]
-            window = log_syndromes[:, 2 * t - 1 - r : 3 * t - r]
-            discrepancy = np.bitwise_xor.reduce(exp[log_locator + window], axis=1)
-            log_discrepancy = log[discrepancy]
-
-            # locator' = delta * locator - discrepancy * x * shadow
-            left = exp[log_delta[:, None] + log_locator]
-            right = exp[log_discrepancy[:, None] + log_shifted_shadow]
-
-            # does this round reset the shadow register (d != 0 and 2L <= r)?
-            take = (discrepancy != 0) & (length <= r // 2)
-            log_shifted_shadow[:, 1:] = np.where(
-                take[:, None], log_locator[:, :-1], log_shifted_shadow[:, :-1]
+            start = 2 * t - r
+            window = registers[:, :, start : start + t + 1]
+            discrepancy = np.bitwise_xor.reduce(
+                exp[window[0] + log_syndromes[:, 2 * t - 1 - r : 3 * t - r]],
+                axis=1,
+                keepdims=True,
             )
-            log_delta = np.where(take, log_discrepancy, log_delta)
-            length = np.where(take, r + 1 - length, length)
-            locator = left ^ right
+            registers[0, :, -1:] = log[discrepancy]
+            # locator' = delta * locator - discrepancy * x * shadow
+            terms = exp[window + multipliers]
+            key = key + discrepancy
+            take = tables.bm_take[key]
+            key = tables.bm_next[key]
+            # a reset round: shadow = locator, delta = d
+            np.copyto(registers[1, :, start:], registers[0, :, start:], where=take)
+            locator = terms[0] ^ terms[1]
+            registers[0, :, start - 1 : start + t] = log[locator]
         return locator
 
     # ------------------------------------------------------------------

@@ -25,9 +25,11 @@ the offline predictions exactly (see ``docs/COSIM.md``).
 from repro.cosim.accelerated import IseBchDecoder, IseMultiplier
 from repro.cosim.costs import ISE_COSTS, REFERENCE_COSTS, CycleCosts, price
 from repro.cosim.protocol import (
+    PROFILE_TABLE,
     PROFILES,
     CycleModel,
     KernelCycles,
+    Profile,
     ProtocolCycles,
 )
 
@@ -38,7 +40,9 @@ __all__ = [
     "IseMultiplier",
     "ISE_COSTS",
     "KernelCycles",
+    "PROFILE_TABLE",
     "PROFILES",
+    "Profile",
     "ProtocolCycles",
     "REFERENCE_COSTS",
     "price",

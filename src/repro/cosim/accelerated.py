@@ -142,21 +142,19 @@ class IseBchDecoder:
 
     The Chien unit is clocked probe by probe (it is the hardware model);
     the software around it charges its fixed per-probe counts once per
-    loop.  ``vectorized=False`` runs the golden per-iteration software
-    loops instead (here and in the syndrome/BM half), which the test
-    suite holds the default to, count for count.
+    loop.  :meth:`_chien_scalar` is the golden per-iteration software
+    loop around the unit, which the test suite holds this one to, count
+    for count (the syndrome/BM half has its golden loops in
+    :class:`~repro.bch.ct_decoder.ConstantTimeBCHDecoder`).
     """
 
-    def __init__(
-        self, code: BCHCode, unit: ChienUnit | None = None, vectorized: bool = True
-    ) -> None:
+    def __init__(self, code: BCHCode, unit: ChienUnit | None = None) -> None:
         if code.t % PARALLEL_MULTIPLIERS:
             raise ValueError("the Chien unit needs t divisible by 4")
         self.code = code
         self.field = code.field
         self.unit = unit or ChienUnit(code.field)
-        self.vectorized = vectorized
-        self._software = ConstantTimeBCHDecoder(code, vectorized)
+        self._software = ConstantTimeBCHDecoder(code)
 
     # ------------------------------------------------------------------
 
@@ -170,8 +168,7 @@ class IseBchDecoder:
         working = received.copy()
 
         locator = self._software.error_locators(working[None], counter)[0].tolist()
-        chien = self._chien_accelerated if self.vectorized else self._chien_scalar
-        flips, roots_found = chien(working, locator, counter)
+        flips, _ = self._chien_accelerated(working, locator, counter)
 
         locator_degree = _degree(locator)
         return DecodeResult(

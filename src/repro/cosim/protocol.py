@@ -15,6 +15,10 @@ on deterministic data, then prices the counts:
   decoding over the message window, accelerator-priced SHA-256 and
   pq.modq reductions.
 
+:data:`PROFILE_TABLE` is the one place that maps a profile to its
+multipliers, BCH decoder and cost table; the cycle model, the cosim
+backend and the evaluation modules all read it.
+
 The kernel columns of Table II (GenA, Sample poly, Multiplication,
 BCH decode) are measured standalone, exactly as the paper reports
 them: one GenA call, one sampled polynomial, one full ring
@@ -28,19 +32,71 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bch.decoder import DecodeResult
+from repro.bch.code import BCHCode
+from repro.bch.ct_decoder import ConstantTimeBCHDecoder
+from repro.bch.decoder import BCHDecoder
+from repro.bch.encoder import BCHEncoder
 from repro.cosim.accelerated import IseBchDecoder, IseMultiplier
 from repro.cosim.costs import ISE_COSTS, REFERENCE_COSTS, CycleCosts, price
 from repro.hashes.prng import Sha256Prng
+from repro.hw.mul_ter import MulTerUnit
+from repro.lac.encoding import BchDecoder
 from repro.lac.kem import LacKem
 from repro.lac.params import LacParams
+from repro.lac.pke import Multiplier, Schedule, VMultiplier
 from repro.lac.sampling import gen_a, sample_ternary_fixed_weight
 from repro.metrics import OpCounter
-from repro.ring.poly import PolyRing
+from repro.ring.splitting import UNIT_LEN
 from repro.ring.ternary import TernaryPoly, ternary_mul, ternary_mul_truncated
 
-#: The three RISC-V configurations of Table II.
-PROFILES = ("ref", "const_bch", "ise")
+
+@dataclass(frozen=True)
+class Profile:
+    """One Table II column: the counted schedule of a run, and its prices."""
+
+    #: Builds the full ring multiplication for a MUL TER unit length.
+    multiplier: Callable[[int], Multiplier]
+    #: The truncated ``v`` multiplication (``None``: slice the full product).
+    v_multiplier: VMultiplier | None
+    #: Builds decryption's BCH decoder (also Table I's) for a code.
+    decoder: Callable[[BCHCode], BchDecoder]
+    #: The cycle prices of every counted operation.
+    costs: CycleCosts
+
+    def schedule(self, params: LacParams, mul_ter_length: int = UNIT_LEN) -> Schedule:
+        """A fresh :class:`~repro.lac.pke.Schedule` for ``params``; the
+        hardware units it drives are its own."""
+        return Schedule(
+            self.multiplier(mul_ter_length), self.v_multiplier, self.decoder(params.bch)
+        )
+
+
+def _reference_multiplier(mul_ter_length: int) -> Multiplier:
+    """The reference code's O(n^2) schedule (it drives no unit)."""
+    return ternary_mul
+
+
+def _ise_multiplier(mul_ter_length: int) -> Multiplier:
+    return IseMultiplier(MulTerUnit(mul_ter_length))
+
+
+#: The three RISC-V configurations of Table II, the one place that says
+#: which multiplier, BCH decoder and prices each runs with.
+PROFILE_TABLE: dict[str, Profile] = {
+    "ref": Profile(
+        _reference_multiplier, ternary_mul_truncated, BCHDecoder, REFERENCE_COSTS
+    ),
+    "const_bch": Profile(
+        _reference_multiplier,
+        ternary_mul_truncated,
+        ConstantTimeBCHDecoder,
+        REFERENCE_COSTS,
+    ),
+    "ise": Profile(_ise_multiplier, None, IseBchDecoder, ISE_COSTS),
+}
+
+#: The profile names, in Table II's order.
+PROFILES = tuple(PROFILE_TABLE)
 
 
 @dataclass(frozen=True)
@@ -70,73 +126,28 @@ class ProtocolCycles:
         return self.key_generation + self.encapsulation + self.decapsulation
 
 
-#: The multiplier-strategy surface :class:`repro.lac.pke.LacPke` calls.
-MultiplierFn = Callable[
-    [PolyRing, TernaryPoly, np.ndarray, OpCounter | None], np.ndarray
-]
-
-
-def _reference_multiplier(
-    ring: PolyRing,
-    ternary: TernaryPoly,
-    general: np.ndarray,
-    counter: OpCounter | None = None,
-) -> np.ndarray:
-    """The reference implementation's O(n^2) schedule, cycle-annotated."""
-    return ternary_mul(ring, ternary, general, counter)
-
-
-def _reference_v_multiplier(
-    ring: PolyRing,
-    ternary: TernaryPoly,
-    general: np.ndarray,
-    slots: int,
-    counter: OpCounter | None = None,
-) -> np.ndarray:
-    return ternary_mul_truncated(ring, ternary, general, slots, counter)
-
-
 class CycleModel:
-    """Cycle measurement for one (parameter set, profile) pair."""
+    """Cycle measurement for one (parameter set, profile) pair.
+
+    ``mul_ter_length`` sizes the MUL TER unit of the ``"ise"`` profile
+    (the Sec. IV-A ablation); the reference profiles drive no unit.
+    """
 
     def __init__(
         self,
         params: LacParams,
         profile: str,
         seed: bytes | None = None,
-        mul_ter_length: int | None = None,
+        mul_ter_length: int = UNIT_LEN,
     ) -> None:
         if profile not in PROFILES:
             raise ValueError(f"profile must be one of {PROFILES}, got {profile!r}")
         self.params = params
         self.profile = profile
         self.seed = seed or bytes(range(64))
-        self.costs: CycleCosts = ISE_COSTS if profile == "ise" else REFERENCE_COSTS
-        self._multiplier: MultiplierFn
-        self._bch_decoder: IseBchDecoder | None
-
-        if profile == "ise":
-            if mul_ter_length is None:
-                self._multiplier = IseMultiplier()
-            else:
-                from repro.hw.mul_ter import MulTerUnit
-
-                self._multiplier = IseMultiplier(MulTerUnit(mul_ter_length))
-            self._bch_decoder = IseBchDecoder(params.bch)
-            self.kem = LacKem(
-                params,
-                multiplier=self._multiplier,
-                bch_decoder=self._bch_decoder,
-            )
-        else:
-            self._multiplier = _reference_multiplier
-            self._bch_decoder = None
-            self.kem = LacKem(
-                params,
-                multiplier=_reference_multiplier,
-                v_multiplier=_reference_v_multiplier,
-                constant_time_bch=(profile == "const_bch"),
-            )
+        entry = PROFILE_TABLE[profile]
+        self.costs = entry.costs
+        self.kem = LacKem(params, entry.schedule(params, mul_ter_length))
 
     # ------------------------------------------------------------------
     # kernel measurements
@@ -164,18 +175,16 @@ class CycleModel:
         rng = np.random.default_rng(int.from_bytes(self.seed[:4], "little"))
         ternary = TernaryPoly(rng.integers(-1, 2, self.params.n).astype(np.int8))
         general = rng.integers(0, self.params.q, self.params.n).astype(np.int64)
-        self._multiplier(self.params.ring, ternary, general, counter)
+        self.kem.pke.schedule.multiplier(self.params.ring, ternary, general, counter)
         return self._price(counter)
 
     def measure_bch_decode(self, errors: int = 0) -> int:
         """One BCH decode with ``errors`` injected bit errors."""
-        counter = OpCounter()
-        self._decode_with_errors(errors, counter)
-        return self._price(counter)
+        return self._price(self.count_bch_decode(errors))
 
-    def _decode_with_errors(self, errors: int, counter: OpCounter) -> DecodeResult:
-        from repro.bch.encoder import BCHEncoder
-
+    def count_bch_decode(self, errors: int = 0) -> OpCounter:
+        """The operations of one decode by the profile's decoder, of a
+        fixed codeword with ``errors`` injected bit errors."""
         code = self.params.bch
         rng = np.random.default_rng(1234)
         message = rng.integers(0, 2, code.k).astype(np.uint8)
@@ -184,12 +193,9 @@ class CycleModel:
             positions = rng.choice(code.n, size=errors, replace=False)
             codeword = codeword.copy()
             codeword[positions] ^= 1
-        if self.profile == "ise":
-            assert self._bch_decoder is not None
-            return self._bch_decoder.decode(codeword, counter)
-        if self.profile == "const_bch":
-            return self.kem.pke.codec.ct_decoder.decode(codeword, counter)
-        return self.kem.pke.codec.decoder.decode(codeword, counter)
+        counter = OpCounter()
+        self.kem.pke.schedule.bch_decoder.decode(codeword, counter)
+        return counter
 
     def measure_kernels(self) -> KernelCycles:
         """All four bottleneck kernel columns of Table II."""

@@ -418,16 +418,18 @@ def validate_chien_kernel(probes: int = 64) -> KernelValidation:
     roots against a naive polynomial evaluation.
     """
     from repro.gf.field import GF512
-    from repro.gf.polygf import PolyGF
     from repro.hw.chien import ChienUnit
 
-    # a degree-3 locator with roots inside the probed window
+    # a degree-3 locator with roots inside the probed window: the
+    # product of (1 + alpha^-e x), as t + 1 = 17 coefficients
     start = 112
     root_exponents = [120, 150, 160]
-    locator = PolyGF.one(GF512)
+    lambdas = [1] + [0] * 16
     for exp in root_exponents:
-        locator = locator * PolyGF(GF512, [1, GF512.inv(GF512.alpha_pow(exp))])
-    lambdas = locator.coeffs + [0] * (17 - len(locator.coeffs))
+        inverse = GF512.inv(GF512.alpha_pow(exp))
+        lambdas = lambdas[:1] + [
+            lambdas[i] ^ GF512.mul(inverse, lambdas[i - 1]) for i in range(1, 17)
+        ]
 
     unit = ChienUnit()
     groups = 4  # t = 16
@@ -459,11 +461,13 @@ def validate_chien_kernel(probes: int = 64) -> KernelValidation:
         for i in range(probes)
         if (lambda0 ^ cpu.memory.load_word(partial + 4 * i)) == 0
     ]
-    naive = [
-        start + i
-        for i in range(probes)
-        if locator.eval(GF512.alpha_pow(start + i)) == 0
-    ]
+    naive = []  # Horner evaluation at every probed point
+    for i in range(probes):
+        value = 0
+        for coefficient in reversed(lambdas):
+            value = GF512.mul(value, GF512.alpha_pow(start + i)) ^ coefficient
+        if value == 0:
+            naive.append(start + i)
     functional_ok = found == naive == root_exponents
 
     c = DEFAULT_COST_MODEL

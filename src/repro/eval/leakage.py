@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bch.code import BCHCode, LAC_BCH_128_256
-from repro.bch.ct_decoder import ConstantTimeBCHDecoder
-from repro.bch.decoder import BCHDecoder
 from repro.bch.encoder import BCHEncoder
-from repro.cosim.costs import REFERENCE_COSTS, price
+from repro.cosim.costs import price
+from repro.cosim.protocol import PROFILE_TABLE
+from repro.eval.table1 import DECODER_NAMES
 from repro.metrics import OpCounter
 
 
@@ -45,20 +45,24 @@ class LeakageReport:
         return abs(self.t_statistic) > 4.5
 
 
+def _profile(constant_time: bool) -> str:
+    """Table I's two decoders: the constant-time and the submission one."""
+    return "const_bch" if constant_time else "ref"
+
+
 def _decode_cycles(
-    decoder: BCHDecoder | ConstantTimeBCHDecoder,
-    code: BCHCode,
-    errors: int,
-    rng: np.random.Generator,
+    profile: str, code: BCHCode, errors: int, rng: np.random.Generator
 ) -> int:
+    """Priced cycles of one random word's decode by ``profile``'s decoder."""
+    entry = PROFILE_TABLE[profile]
     message = rng.integers(0, 2, code.k).astype(np.uint8)
     codeword = BCHEncoder(code).encode(message)
     if errors:
         positions = rng.choice(code.n, size=errors, replace=False)
         codeword[positions] ^= 1
     counter = OpCounter()
-    decoder.decode(codeword, counter)
-    return price(counter, REFERENCE_COSTS)
+    entry.decoder(code).decode(codeword, counter)
+    return price(counter, entry.costs)
 
 
 def cycle_distribution(
@@ -70,9 +74,9 @@ def cycle_distribution(
 ) -> np.ndarray:
     """Decode ``samples`` random words with a fixed error count."""
     rng = np.random.default_rng(seed)
-    decoder = ConstantTimeBCHDecoder(code) if constant_time else BCHDecoder(code)
+    profile = _profile(constant_time)
     return np.array(
-        [_decode_cycles(decoder, code, errors, rng) for _ in range(samples)],
+        [_decode_cycles(profile, code, errors, rng) for _ in range(samples)],
         dtype=np.int64,
     )
 
@@ -98,7 +102,7 @@ def leakage_test(
     low = cycle_distribution(constant_time, 0, samples, code, seed)
     high = cycle_distribution(constant_time, code.t, samples, code, seed + 1)
     return LeakageReport(
-        decoder="Walters et al." if constant_time else "LAC Subm.",
+        decoder=DECODER_NAMES[_profile(constant_time)],
         samples_per_class=samples,
         mean_low=float(low.mean()),
         mean_high=float(high.mean()),
@@ -138,13 +142,13 @@ def error_count_distinguisher(
     to chance because all classes share one timing.
     """
     rng = np.random.default_rng(seed)
-    decoder = ConstantTimeBCHDecoder(code) if constant_time else BCHDecoder(code)
+    decoder_profile = _profile(constant_time)
     error_grid = list(range(0, code.t + 1, grid_step))
 
     profile = {
         e: float(
             np.mean(
-                [_decode_cycles(decoder, code, e, rng)
+                [_decode_cycles(decoder_profile, code, e, rng)
                  for _ in range(traces_per_attempt)]
             )
         )
@@ -157,7 +161,7 @@ def error_count_distinguisher(
         hidden = int(rng.choice(error_grid))
         observed = float(
             np.mean(
-                [_decode_cycles(decoder, code, hidden, rng)
+                [_decode_cycles(decoder_profile, code, hidden, rng)
                  for _ in range(traces_per_attempt)]
             )
         )
@@ -165,7 +169,7 @@ def error_count_distinguisher(
         hits += guess == hidden
         absolute_errors.append(abs(guess - hidden))
     return DistinguisherReport(
-        decoder="Walters et al." if constant_time else "LAC Subm.",
+        decoder=DECODER_NAMES[decoder_profile],
         attempts=attempts,
         exact_hits=hits,
         mean_absolute_error=float(np.mean(absolute_errors)),

@@ -60,10 +60,8 @@ class SensitivityAnalysis:
         self._ise_counters = self._capture(ise_model)
 
         # kernel counters for the secondary claims
-        self._subm_decode = OpCounter()
-        CycleModel(params, "ref", seed)._decode_with_errors(0, self._subm_decode)
-        self._ct_decode = OpCounter()
-        baseline_model._decode_with_errors(0, self._ct_decode)
+        self._subm_decode = CycleModel(params, "ref", seed).count_bch_decode()
+        self._ct_decode = baseline_model.count_bch_decode()
         self._ise_mult = OpCounter()
         self._capture_kernel(ise_model)
 
@@ -85,7 +83,9 @@ class SensitivityAnalysis:
         rng = np.random.default_rng(1)
         ternary = TernaryPoly(rng.integers(-1, 2, self.params.n).astype(np.int8))
         general = rng.integers(0, self.params.q, self.params.n).astype(np.int64)
-        ise_model._multiplier(self.params.ring, ternary, general, self._ise_mult)
+        ise_model.kem.pke.schedule.multiplier(
+            self.params.ring, ternary, general, self._ise_mult
+        )
         self._gen_a = OpCounter()
         from repro.lac.sampling import gen_a
 

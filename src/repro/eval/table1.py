@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bch.code import BCHCode, LAC_BCH_128_256
-from repro.bch.ct_decoder import ConstantTimeBCHDecoder
-from repro.bch.decoder import BCHDecoder
 from repro.bch.encoder import BCHEncoder
-from repro.cosim.costs import REFERENCE_COSTS, CycleCosts, price_phases
+from repro.cosim.costs import price_phases
+from repro.cosim.protocol import PROFILE_TABLE
 from repro.metrics import OpCounter
 
 
@@ -32,6 +31,13 @@ class Table1Row:
     chien: int
     decode: int
 
+
+#: The row label of each profile's decoder.
+DECODER_NAMES = {
+    "ref": "LAC Subm.",
+    "const_bch": "Walters et al.",
+    "ise": "MUL CHIEN",
+}
 
 #: The paper's measured values, for side-by-side comparison.
 PAPER_TABLE1 = (
@@ -56,31 +62,26 @@ def _received_word(
 
 
 def measure_decode(
-    constant_time: bool,
+    profile: str,
     errors: int,
-    costs: CycleCosts = REFERENCE_COSTS,
     seed: int = 2024,
     code: BCHCode = LAC_BCH_128_256,
 ) -> Table1Row:
-    """Decode one word and price the per-phase operation counts."""
-    received = _received_word(errors, seed, code)
+    """Decode one word with ``profile``'s decoder and price the
+    per-phase operation counts with its cost table."""
+    entry = PROFILE_TABLE[profile]
     counter = OpCounter()
-    if constant_time:
-        decoder = ConstantTimeBCHDecoder(code)
-        result = decoder.decode(received, counter)
-        name = "Walters et al."
-    else:
-        decoder = BCHDecoder(code)
-        result = decoder.decode(received, counter)
-        name = "LAC Subm."
+    result = entry.decoder(code).decode(_received_word(errors, seed, code), counter)
     if not result.success:
         raise AssertionError(f"decode failed with {errors} errors")
-    phases = price_phases(counter, costs)
+    phases = price_phases(counter, entry.costs)
     syndrome = phases.get("syndrome", 0)
     error_locator = phases.get("error_locator", 0)
     chien = phases.get("chien", 0)
     total = sum(phases.values())
-    return Table1Row(name, errors, syndrome, error_locator, chien, total)
+    return Table1Row(
+        DECODER_NAMES[profile], errors, syndrome, error_locator, chien, total
+    )
 
 
 def generate_table1(
@@ -94,8 +95,8 @@ def generate_table1(
     timing leak and the constant-time property hold identically).
     """
     return [
-        measure_decode(False, 0, seed=seed, code=code),
-        measure_decode(False, code.t, seed=seed, code=code),
-        measure_decode(True, 0, seed=seed, code=code),
-        measure_decode(True, code.t, seed=seed, code=code),
+        measure_decode("ref", 0, seed=seed, code=code),
+        measure_decode("ref", code.t, seed=seed, code=code),
+        measure_decode("const_bch", 0, seed=seed, code=code),
+        measure_decode("const_bch", code.t, seed=seed, code=code),
     ]

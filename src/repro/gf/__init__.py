@@ -13,12 +13,9 @@ Public API:
   built on the primitive polynomial p(x) = 1 + x^4 + x^9.
 * :class:`repro.gf.poly2.Poly2` — polynomials over GF(2) (bitmask
   representation), used to construct BCH generator polynomials.
-* :mod:`repro.gf.polygf` — dense polynomials over GF(2^m), used by the
-  BCH decoders (error-locator polynomials, syndrome polynomials).
 """
 
 from repro.gf.field import GF2m, GF512, LAC_PRIMITIVE_POLY
 from repro.gf.poly2 import Poly2
-from repro.gf.polygf import PolyGF
 
-__all__ = ["GF2m", "GF512", "LAC_PRIMITIVE_POLY", "Poly2", "PolyGF"]
+__all__ = ["GF2m", "GF512", "LAC_PRIMITIVE_POLY", "Poly2"]

@@ -39,8 +39,8 @@ class DecodedMessage:
 
 
 class BchDecoder(Protocol):
-    """A BCH decoder override: the decoders of :mod:`repro.bch`, or the
-    ISE-accelerated one of the co-design layer."""
+    """A BCH decoder of a schedule: the decoders of :mod:`repro.bch`, or
+    the ISE-accelerated one of the co-design layer."""
 
     def decode(
         self, received: np.ndarray, counter: OpCounter | None = None
@@ -142,23 +142,14 @@ class MessageCodec:
         noisy: np.ndarray,
         counter: OpCounter | None = None,
         constant_time: bool = True,
-        bch_decoder: BchDecoder | None = None,
     ) -> DecodedMessage:
-        """Full decode: threshold bits, then BCH error correction.
-
-        ``bch_decoder`` overrides the decoder choice (anything with a
-        ``decode(bits, counter) -> DecodeResult`` method, e.g. the
-        ISE-accelerated decoder of the co-design layer).
-        """
+        """Full decode: threshold bits, then BCH error correction by the
+        constant-time decoder (the submission's when ``constant_time``
+        is false)."""
         counter = ensure_counter(counter)
         hard_bits = self.threshold_decode(noisy, counter)
-        if bch_decoder is not None:
-            result = bch_decoder.decode(hard_bits, counter)
-        elif constant_time:
-            result = self.ct_decoder.decode(hard_bits, counter)
-        else:
-            result = self.decoder.decode(hard_bits, counter)
-        return self._decoded(hard_bits, result)
+        decoder = self.ct_decoder if constant_time else self.decoder
+        return self.decoded(hard_bits, decoder.decode(hard_bits, counter))
 
     def decode_many(self, noisy_rows: np.ndarray) -> list[DecodedMessage]:
         """Decode a ``(B, v_slots)`` stack; equals looping :meth:`decode`.
@@ -175,12 +166,13 @@ class MessageCodec:
         hard_rows = self._hard_bits(noisy_rows)
         results = self.ct_decoder.decode_many(hard_rows)
         return [
-            self._decoded(hard_bits, result)
+            self.decoded(hard_bits, result)
             for hard_bits, result in zip(hard_rows, results)
         ]
 
     @staticmethod
-    def _decoded(hard_bits: np.ndarray, result: DecodeResult) -> DecodedMessage:
+    def decoded(hard_bits: np.ndarray, result: DecodeResult) -> DecodedMessage:
+        """The message of ``result``, the BCH correction of ``hard_bits``."""
         return DecodedMessage(
             message=bits_to_bytes(result.message),
             bch_result=result,

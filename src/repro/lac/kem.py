@@ -23,10 +23,10 @@ from __future__ import annotations
 import secrets
 from dataclasses import dataclass
 
+from repro.bch.decoder import BCHDecoder
 from repro.hashes.sha256 import sha256
-from repro.lac.encoding import BchDecoder
 from repro.lac.params import LacParams
-from repro.lac.pke import Ciphertext, LacPke, Multiplier, PublicKey, SecretKey, VMultiplier, fast_multiplier
+from repro.lac.pke import Ciphertext, LacPke, PublicKey, SecretKey, Schedule
 from repro.metrics import OpCounter, ensure_counter
 from repro.ring.cache import KeyTransformCache
 
@@ -95,24 +95,22 @@ class EncapsResult:
 
 
 class LacKem:
-    """The CCA-secure LAC key encapsulation mechanism."""
+    """The CCA-secure LAC key encapsulation mechanism.
 
-    def __init__(
-        self,
-        params: LacParams,
-        multiplier: Multiplier = fast_multiplier,
-        constant_time_bch: bool = True,
-        v_multiplier: VMultiplier | None = None,
-        bch_decoder: BchDecoder | None = None,
-    ) -> None:
+    ``schedule`` is the counted multiplication and decoding of a
+    co-design profile (``None``: the uncounted default, as for
+    :class:`~repro.lac.pke.LacPke`).
+    """
+
+    def __init__(self, params: LacParams, schedule: Schedule | None = None) -> None:
         self.params = params
-        self.pke = LacPke(
-            params,
-            multiplier,
-            v_multiplier=v_multiplier,
-            bch_decoder=bch_decoder,
-        )
-        self.constant_time_bch = constant_time_bch
+        self.pke = LacPke(params, schedule)
+
+    @property
+    def constant_time_bch(self) -> bool:
+        """Whether decapsulation corrects with a constant-time BCH decoder
+        (every schedule's but the reference profile's)."""
+        return not isinstance(self.pke.schedule.bch_decoder, BCHDecoder)
 
     # ------------------------------------------------------------------
 
@@ -209,9 +207,7 @@ class LacKem:
     ) -> bytes:
         """Recover the shared secret (implicit rejection on FO failure)."""
         counter = ensure_counter(counter)
-        decoded = self.pke.decrypt(
-            keys.sk, ciphertext, counter, constant_time_bch=self.constant_time_bch
-        )
+        decoded = self.pke.decrypt(keys.sk, ciphertext, counter)
         with counter.phase("kem_glue"):
             coins = _hash3(decoded.message, keys.pk_digest, b"coins", counter)
         # FO re-encryption: the decapsulation's second big cost block

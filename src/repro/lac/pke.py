@@ -5,10 +5,10 @@ Encryption:       u = a*s' + e';   v = (b*s')[:slots] + e''[:slots] + Enc(mu)
 Decryption:       mu = Dec(v - (u*s)[:slots])
 
 All multiplications are ternary-times-general, which is the property
-the MUL TER accelerator exploits.  The multiplication strategy is
-injectable so the same protocol code runs the numpy golden model, the
-cycle-annotated reference schedule, and the hardware-accelerated
-schedule of the co-design layer.
+the MUL TER accelerator exploits.  One :class:`Schedule` (multipliers
+and BCH decoder) is injectable, so the same protocol code runs the numpy
+golden model and each counted profile of the co-design layer
+(:data:`repro.cosim.protocol.PROFILE_TABLE`).
 """
 
 from __future__ import annotations
@@ -46,6 +46,24 @@ def fast_multiplier(
 ) -> np.ndarray:
     """Vectorized golden-model multiplication (no cycle accounting)."""
     return ring.mul(ternary.to_zq(ring.q), general)
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """How a run multiplies and decodes: one profile of the modelled core.
+
+    :data:`repro.cosim.protocol.PROFILE_TABLE` builds one per Table II
+    column; without one, :class:`LacPke` runs :func:`fast_multiplier`
+    and the constant-time decoder, uncounted.
+    """
+
+    #: Full ring multiplication.
+    multiplier: Multiplier
+    #: The first ``slots`` coefficients of the ``v`` product (the
+    #: reference code computes only those); ``None`` slices the full one.
+    v_multiplier: VMultiplier | None
+    #: Decryption's BCH decoder.
+    bch_decoder: BchDecoder
 
 
 @dataclass
@@ -204,30 +222,15 @@ class Ciphertext:
 class LacPke:
     """The CPA-secure LAC public-key encryption scheme.
 
-    Strategy hooks (used by the co-design cycle models):
-
-    * ``multiplier`` — full ring multiplication;
-    * ``v_multiplier`` — optional truncated multiplication
-      ``(ring, ternary, general, slots, counter) -> slots coefficients``
-      for the v component: the reference implementation only computes
-      the ``v_slots`` coefficients that carry the message (visible in
-      the paper's encapsulation totals);
-    * ``bch_decoder`` — optional decoder override for decryption.
+    ``schedule`` is the multiplication and decoding the co-design cycle
+    models count (``None``: the uncounted default).
     """
 
-    def __init__(
-        self,
-        params: LacParams,
-        multiplier: Multiplier = fast_multiplier,
-        v_multiplier: VMultiplier | None = None,
-        bch_decoder: BchDecoder | None = None,
-    ) -> None:
+    def __init__(self, params: LacParams, schedule: Schedule | None = None) -> None:
         self.params = params
         self.ring = params.ring
         self.codec = MessageCodec(params)
-        self.multiplier = multiplier
-        self.v_multiplier = v_multiplier
-        self.bch_decoder = bch_decoder
+        self.schedule = schedule or Schedule(fast_multiplier, None, self.codec.ct_decoder)
 
     # ------------------------------------------------------------------
 
@@ -247,7 +250,7 @@ class LacPke:
         s, e = sample_secret_and_error(seed_sk, params, 2, counter)
         with counter.phase("keygen_arith"):
             b = self.ring.add(
-                self.multiplier(self.ring, s, a, counter), e.to_zq(params.q)
+                self.schedule.multiplier(self.ring, s, a, counter), e.to_zq(params.q)
             )
             counter.count("loop", params.n)
             counter.count("alu", params.n)
@@ -267,6 +270,7 @@ class LacPke:
     ) -> Ciphertext:
         """Deterministic encryption of a 32-byte message with given coins."""
         params = self.params
+        schedule = self.schedule
         counter = ensure_counter(counter)
         slots = params.v_slots
 
@@ -274,14 +278,14 @@ class LacPke:
         s_prime, e_prime, e_dprime = sample_secret_and_error(coins, params, 3, counter)
 
         u = self.ring.add(
-            self.multiplier(self.ring, s_prime, a, counter),
+            schedule.multiplier(self.ring, s_prime, a, counter),
             e_prime.to_zq(params.q),
         )
         encoded = self.codec.encode(message, counter)
-        if self.v_multiplier is not None:
-            bs_slots = self.v_multiplier(self.ring, s_prime, pk.b, slots, counter)
+        if schedule.v_multiplier is not None:
+            bs_slots = schedule.v_multiplier(self.ring, s_prime, pk.b, slots, counter)
         else:
-            bs_slots = self.multiplier(self.ring, s_prime, pk.b, counter)[:slots]
+            bs_slots = schedule.multiplier(self.ring, s_prime, pk.b, counter)[:slots]
         with counter.phase("encrypt_arith"):
             v_full = np.mod(
                 bs_slots + e_dprime.to_zq(params.q)[:slots] + encoded[:slots],
@@ -297,18 +301,14 @@ class LacPke:
     # ------------------------------------------------------------------
 
     def decrypt(
-        self,
-        sk: SecretKey,
-        ct: Ciphertext,
-        counter: OpCounter | None = None,
-        constant_time_bch: bool = True,
+        self, sk: SecretKey, ct: Ciphertext, counter: OpCounter | None = None
     ) -> DecodedMessage:
         """Recover the message: threshold-decode v - u*s, then BCH-correct."""
         params = self.params
         counter = ensure_counter(counter)
         slots = params.v_slots
 
-        us = self.multiplier(self.ring, sk.s, ct.u, counter)
+        us = self.schedule.multiplier(self.ring, sk.s, ct.u, counter)
         v = self.codec.decompress_v(ct.v_compressed)
         with counter.phase("decrypt_arith"):
             noisy = np.mod(v - us[:slots], params.q)
@@ -317,9 +317,7 @@ class LacPke:
             counter.count("modq", slots)
             counter.count("load", 2 * slots)
             counter.count("store", slots)
-        return self.codec.decode(
-            noisy,
-            counter,
-            constant_time=constant_time_bch,
-            bch_decoder=self.bch_decoder,
+        hard_bits = self.codec.threshold_decode(noisy, counter)
+        return self.codec.decoded(
+            hard_bits, self.schedule.bch_decoder.decode(hard_bits, counter)
         )

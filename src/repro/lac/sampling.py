@@ -35,7 +35,6 @@ def gen_a(
     params: LacParams,
     counter: OpCounter | None = None,
     prng: Sha256Prng | ShakePrng | None = None,
-    vectorized: bool = True,
 ) -> np.ndarray:
     """Expand ``seed`` into the public polynomial a (uniform over Z_q^n).
 
@@ -44,7 +43,7 @@ def gen_a(
     ``prng`` overrides the expander (any object with ``read``) — used
     by the future-work ablation that swaps SHA-256 for SHAKE-128.
     Each chunk read is filtered in one numpy pass (its counts are per
-    chunk already); ``vectorized=False`` runs the golden per-byte loop.
+    chunk already); :func:`_gen_a_loop` is the golden per-byte loop.
     """
     counter = ensure_counter(counter)
     n, q = params.n, params.q
@@ -60,12 +59,6 @@ def gen_a(
             counter.count("load", len(chunk))
             counter.count("branch", len(chunk))
             counter.count("store", len(chunk))
-            if not vectorized:
-                for byte in chunk:
-                    if byte < q and filled < n:
-                        out[filled] = byte
-                        filled += 1
-                continue
             values = np.frombuffer(chunk, dtype=np.uint8)
             accepted = values[values < q][: n - filled]
             out[filled : filled + len(accepted)] = accepted
@@ -73,11 +66,37 @@ def gen_a(
     return out
 
 
+def _gen_a_loop(
+    seed: bytes,
+    params: LacParams,
+    counter: OpCounter,
+    prng: Sha256Prng | ShakePrng | None = None,
+) -> np.ndarray:
+    """The golden model of :func:`gen_a`: one byte at a time."""
+    n, q = params.n, params.q
+    with counter.phase("gen_a"):
+        counter.count("call")
+        if prng is None:
+            prng = Sha256Prng(seed, counter=counter)
+        out = np.empty(n, dtype=np.int64)
+        filled = 0
+        while filled < n:
+            chunk = prng.read(max(n - filled, 32))
+            counter.count("loop", len(chunk))
+            counter.count("load", len(chunk))
+            counter.count("branch", len(chunk))
+            counter.count("store", len(chunk))
+            for byte in chunk:
+                if byte < q and filled < n:
+                    out[filled] = byte
+                    filled += 1
+    return out
+
+
 def sample_ternary_fixed_weight(
     prng: Sha256Prng,
     params: LacParams,
     counter: OpCounter | None = None,
-    vectorized: bool = True,
 ) -> TernaryPoly:
     """Sample a ternary polynomial with exactly h/2 ones and h/2 minus-ones.
 
@@ -95,13 +114,13 @@ def sample_ternary_fixed_weight(
     accepts at most one), so a round reads exactly those and accepts the
     first occurrence of every index not yet occupied — what the loop
     accepts, with the same counts and the same stream consumption.
-    ``vectorized=False`` runs the golden one-draw-at-a-time loop, and so
-    does an uncounted call: uncounted, this is the scalar reference that
-    the batch sampler (:mod:`repro.batch.sampling`) mirrors and the
-    batched-ENCAPS speedup floor is timed against.
+    :func:`_sample_fixed_weight_loop` is the golden one-draw-at-a-time
+    loop, and an uncounted call runs it: uncounted, this is the scalar
+    reference that the batch sampler (:mod:`repro.batch.sampling`)
+    mirrors and the batched-ENCAPS speedup floor is timed against.
     """
     counter = ensure_counter(counter)
-    if not vectorized or isinstance(counter, NullCounter):
+    if isinstance(counter, NullCounter):
         return _sample_fixed_weight_loop(prng, params, counter)
     n, h = params.n, params.h
     coeffs = np.zeros(n, dtype=np.int8)

@@ -15,8 +15,11 @@ constant-time BCH decoder, the reference ternary multiplication)
 computes its values on an array engine and charges each phase once,
 ``count(op, n)`` per op; a data-dependent loop (the fixed-weight
 sampler's draws) charges per draw.  Each bulk-charged routine keeps its
-per-iteration loop as the golden model (``vectorized=False``), and the
-test suite holds the two equal phase by phase.
+per-iteration loop as the golden model, a function of its own that the
+test suite calls (``ConstantTimeBCHDecoder._decode_scalar``,
+``IseBchDecoder._chien_scalar``, ``_ternary_mul_loop``,
+``_sample_fixed_weight_loop``, ``_gen_a_loop``) and holds the routine
+equal to, phase by phase.
 
 Operation names are free-form strings; the conventional ones are listed
 in :data:`CONVENTIONAL_OPS`.

@@ -85,7 +85,6 @@ def ternary_mul(
     ternary: TernaryPoly,
     general: np.ndarray,
     counter: OpCounter | None = None,
-    vectorized: bool = True,
 ) -> np.ndarray:
     """Multiply a ternary polynomial by a general one in the ring.
 
@@ -96,14 +95,12 @@ def ternary_mul(
     touching all n accumulator slots) model the O(n^2) inner loop of
     the LAC reference code.  They are fixed by n alone, so the phase is
     charged once and the product computed as one wrapped convolution;
-    ``vectorized=False`` runs the golden per-coefficient loop instead.
+    :func:`_ternary_mul_loop` is the golden per-coefficient loop.
     """
     counter = ensure_counter(counter)
     n = ring.n
     if ternary.n != n or general.size != n:
         raise ValueError("operands must match the ring size")
-    if not vectorized:
-        return _ternary_mul_loop(ring, ternary, general, counter)
     with counter.phase("ternary_mul"):
         counter.count("call")
         counter.count("loop", n + n * n)

@@ -73,17 +73,10 @@ class Cpu:
             sp = self.memory.size - 16
         self.regs[REG_SP] = sp
 
-    def read_reg(self, index: int) -> int:
-        """The current value of register x<index>."""
-        return self.regs[index]
-
     def write_reg(self, index: int, value: int) -> None:
         """Write a register (writes to x0 are discarded)."""
         if index:
             self.regs[index] = value & _MASK32
-
-    def _signed(self, index: int) -> int:
-        return sign_extend(self.regs[index], 32)
 
     # ------------------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Parity tests: the uncounted numpy BCH engine vs the scalar engine.
+"""Parity tests: the numpy BCH engine vs the golden scalar loops.
 
 The numpy kernels — one word at a time or a whole batch as the vector
 axis — are a pure acceleration: for every input the decoder must return
@@ -37,14 +37,14 @@ class TestEngineParity:
     @pytest.mark.parametrize("n_errors", [0, 1, 2, 7])
     def test_fixed_error_counts(self, code, n_errors):
         _, _, word = make_word(code, n_errors, seed=n_errors + 3)
-        fast = ConstantTimeBCHDecoder(code, vectorized=True).decode(word)
-        slow = ConstantTimeBCHDecoder(code, vectorized=False).decode(word)
+        fast = ConstantTimeBCHDecoder(code).decode(word)
+        slow = ConstantTimeBCHDecoder(code)._decode_scalar(word)
         _assert_same_result(fast, slow)
 
     def test_full_error_budget(self, code):
         _, codeword, word = make_word(code, code.t, seed=99)
-        fast = ConstantTimeBCHDecoder(code, vectorized=True).decode(word)
-        slow = ConstantTimeBCHDecoder(code, vectorized=False).decode(word)
+        fast = ConstantTimeBCHDecoder(code).decode(word)
+        slow = ConstantTimeBCHDecoder(code)._decode_scalar(word)
         _assert_same_result(fast, slow)
         assert fast.success
         assert np.array_equal(fast.codeword, codeword)
@@ -52,8 +52,8 @@ class TestEngineParity:
     def test_beyond_error_budget(self, code):
         # t+2 errors: both engines must fail (or mis-correct) identically
         _, _, word = make_word(code, code.t + 2, seed=5)
-        fast = ConstantTimeBCHDecoder(code, vectorized=True).decode(word)
-        slow = ConstantTimeBCHDecoder(code, vectorized=False).decode(word)
+        fast = ConstantTimeBCHDecoder(code).decode(word)
+        slow = ConstantTimeBCHDecoder(code)._decode_scalar(word)
         assert fast.success == slow.success
         assert np.array_equal(fast.codeword, slow.codeword)
 
@@ -63,16 +63,16 @@ class TestEngineParity:
     def test_random_words(self, n_errors, seed):
         code = LAC_BCH_128_256
         _, _, word = make_word(code, n_errors, seed=seed)
-        fast = ConstantTimeBCHDecoder(code, vectorized=True).decode(word)
-        slow = ConstantTimeBCHDecoder(code, vectorized=False).decode(word)
+        fast = ConstantTimeBCHDecoder(code).decode(word)
+        slow = ConstantTimeBCHDecoder(code)._decode_scalar(word)
         _assert_same_result(fast, slow)
 
 
 class TestCycleModelUnaffected:
     def test_counted_runs_use_the_lanes_engine(self, code, monkeypatch):
-        decoder = ConstantTimeBCHDecoder(code, vectorized=True)
+        decoder = ConstantTimeBCHDecoder(code)
         _, _, word = make_word(code, 2, seed=4)
-        expected = ConstantTimeBCHDecoder(code, vectorized=False).decode(word)
+        expected = ConstantTimeBCHDecoder(code)._decode_scalar(word)
 
         def golden(*args):
             raise AssertionError("the golden loop ran")
@@ -87,17 +87,17 @@ class TestCycleModelUnaffected:
         # the golden loops count as they run: the totals must be equal
         _, _, word = make_word(code, 4, seed=11)
         fast_counter, slow_counter = OpCounter(), OpCounter()
-        fast = ConstantTimeBCHDecoder(code, vectorized=True).decode(
+        fast = ConstantTimeBCHDecoder(code).decode(
             word, counter=fast_counter
         )
-        slow = ConstantTimeBCHDecoder(code, vectorized=False).decode(
+        slow = ConstantTimeBCHDecoder(code)._decode_scalar(
             word, counter=slow_counter
         )
         _assert_same_result(fast, slow)
         assert fast_counter.totals() == slow_counter.totals()
 
-    def test_vectorized_flag_pins_engine(self, code, monkeypatch):
-        decoder = ConstantTimeBCHDecoder(code, vectorized=False)
+    def test_golden_loop_runs_no_lanes_code(self, code, monkeypatch):
+        decoder = ConstantTimeBCHDecoder(code)
         _, _, word = make_word(code, 2, seed=4)
         expected = ConstantTimeBCHDecoder(code).decode(word)
 
@@ -107,8 +107,7 @@ class TestCycleModelUnaffected:
         for name in ("_syndromes_lanes", "_inversion_free_bm_lanes", "_chien_flip_lanes"):
             monkeypatch.setattr(decoder, name, lanes)
         for counter in (None, OpCounter()):
-            _assert_same_result(decoder.decode(word, counter), expected)
-            _assert_same_result(decoder.decode_many(word[None], counter)[0], expected)
+            _assert_same_result(decoder._decode_scalar(word, counter), expected)
 
 
 def _stack(code, error_counts, seed, parity_region_every=4):
@@ -139,10 +138,10 @@ class TestLanesParity:
         )
         words = _stack(code, error_counts, data.draw(st.integers(0, 500)))
         many = ConstantTimeBCHDecoder(code).decode_many(words, window=window)
-        scalar = ConstantTimeBCHDecoder(code, vectorized=False)
+        scalar = ConstantTimeBCHDecoder(code)
         assert len(many) == lanes
         for word, result in zip(words, many):
-            _assert_same_result(result, scalar.decode(word, window=window))
+            _assert_same_result(result, scalar._decode_scalar(word, window=window))
 
     def test_garbage_words(self, code):
         rng = np.random.default_rng(3)
@@ -150,9 +149,9 @@ class TestLanesParity:
             [np.zeros(code.n, np.uint8), np.ones(code.n, np.uint8)]
             + [rng.integers(0, 2, code.n).astype(np.uint8) for _ in range(5)]
         )
-        scalar = ConstantTimeBCHDecoder(code, vectorized=False)
+        scalar = ConstantTimeBCHDecoder(code)
         for word, result in zip(words, ConstantTimeBCHDecoder(code).decode_many(words)):
-            _assert_same_result(result, scalar.decode(word))
+            _assert_same_result(result, scalar._decode_scalar(word))
 
     def test_input_is_not_modified_and_results_do_not_alias(self, code):
         words = _stack(code, [3, code.t, 0], seed=7)

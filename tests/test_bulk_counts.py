@@ -2,7 +2,9 @@
 
 Every counted routine whose schedule is fixed computes its values on an
 array engine and charges each phase's operation counts once per phase;
-the per-iteration loops stay as the golden model (``vectorized=False``).
+the per-iteration loops stay as the golden model, called here directly
+(``ConstantTimeBCHDecoder._decode_scalar``, ``IseBchDecoder._chien_scalar``,
+``_ternary_mul_loop``, ``_sample_fixed_weight_loop``, ``_gen_a_loop``).
 Here each converted routine must equal its golden loop in value *and*
 in :attr:`repro.metrics.OpCounter.phases`, phase by phase:
 
@@ -23,14 +25,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bch.ct_decoder import ConstantTimeBCHDecoder
+from repro.bch.decoder import DecodeResult, _degree
 from repro.cosim.accelerated import IseBchDecoder
 from repro.hashes.keccak import ShakePrng
 from repro.hashes.prng import Sha256Prng
 from repro.lac.params import ALL_PARAMS, LAC_128
-from repro.lac.sampling import gen_a, sample_ternary_fixed_weight
+from repro.lac.sampling import (
+    _gen_a_loop,
+    _sample_fixed_weight_loop,
+    gen_a,
+    sample_ternary_fixed_weight,
+)
 from repro.metrics import OpCounter
 from repro.ring.poly import PolyRing
-from repro.ring.ternary import TernaryPoly, ternary_mul
+from repro.ring.ternary import TernaryPoly, _ternary_mul_loop, ternary_mul
 from tests.test_bch_decoder import make_word
 
 WINDOWS = ("natural", "message")
@@ -52,17 +60,49 @@ def _assert_same_result(bulk, golden):
     assert np.array_equal(bulk.message, golden.message)
 
 
-def _decode_both(decoder_cls, code, word, **kwargs):
-    """Decode ``word`` with the bulk and the golden decoder, counted."""
-    runs = []
-    for vectorized in (True, False):
-        counter = OpCounter()
-        result = decoder_cls(code, vectorized=vectorized).decode(word, counter, **kwargs)
-        runs.append((result, counter))
-    (bulk, bulk_counter), (golden, golden_counter) = runs
+def _run_both(bulk_run, golden_run):
+    """Run the bulk and the golden routine counted; equal results and phases."""
+    bulk_counter, golden_counter = OpCounter(), OpCounter()
+    bulk = bulk_run(bulk_counter)
+    golden = golden_run(golden_counter)
     _assert_same_result(bulk, golden)
     assert _phases(bulk_counter) == _phases(golden_counter)
     return bulk_counter
+
+
+def _decode_both(code, word, window="natural"):
+    """Decode ``word`` with the lanes engine and the golden loops."""
+    decoder = ConstantTimeBCHDecoder(code)
+    return _run_both(
+        lambda counter: decoder.decode(word, counter, window),
+        lambda counter: decoder._decode_scalar(word, counter, window),
+    )
+
+
+def _ise_golden_decode(decoder, word, counter):
+    """The MUL CHIEN decode on the golden loops: the software syndromes
+    and BM, then the per-probe loop around the unit."""
+    code, software = decoder.code, decoder._software
+    working = word.copy()
+    syndromes = software._syndromes_scalar(working, counter)
+    locator = software._inversion_free_bm(syndromes, counter)
+    flips, _ = decoder._chien_scalar(working, locator, counter)
+    degree = _degree(locator)
+    return DecodeResult(
+        codeword=working,
+        message=working[code.parity_bits :].copy(),
+        errors_found=flips,
+        success=degree <= code.t and flips <= degree,
+        counter=counter,
+    )
+
+
+def _ise_decode_both(code, word):
+    decoder = IseBchDecoder(code)
+    return _run_both(
+        lambda counter: decoder.decode(word, counter),
+        lambda counter: _ise_golden_decode(decoder, word, counter),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +117,7 @@ class TestConstantTimeDecoder:
         code = params.bch
         for n_errors in _error_counts(code):
             word = make_word(code, n_errors, seed=n_errors + 11)[2]
-            counter = _decode_both(ConstantTimeBCHDecoder, code, word, window=window)
+            counter = _decode_both(code, word, window)
             assert {"syndrome", "error_locator", "chien"} <= set(counter.phases)
             assert counter.phases["error_locator"]["gf_mul_ct"] > 0
 
@@ -90,9 +130,11 @@ class TestConstantTimeDecoder:
         )
         bulk_counter, golden_counter = OpCounter(), OpCounter()
         bulk = ConstantTimeBCHDecoder(code).decode_many(words, bulk_counter, window)
-        golden = ConstantTimeBCHDecoder(code, vectorized=False)
+        golden = ConstantTimeBCHDecoder(code)
         for word, result in zip(words, bulk):
-            _assert_same_result(result, golden.decode(word, golden_counter, window))
+            _assert_same_result(
+                result, golden._decode_scalar(word, golden_counter, window)
+            )
         assert _phases(bulk_counter) == _phases(golden_counter)
 
     @given(
@@ -105,7 +147,7 @@ class TestConstantTimeDecoder:
         code = params.bch
         n_errors = data.draw(st.integers(0, code.t + 1), label="errors")
         word = make_word(code, n_errors, seed=data.draw(st.integers(0, 10_000)))[2]
-        _decode_both(ConstantTimeBCHDecoder, code, word, window=window)
+        _decode_both(code, word, window)
 
 
 # ---------------------------------------------------------------------------
@@ -119,22 +161,22 @@ class TestIseDecoder:
         code = params.bch
         for n_errors in _error_counts(code):
             word = make_word(code, n_errors, seed=n_errors + 5)[2]
-            counter = _decode_both(IseBchDecoder, code, word)
+            counter = _ise_decode_both(code, word)
             assert counter.phases["chien"]["pq_busy"] > 0
 
     def test_the_unit_is_clocked_alike(self):
         code = LAC_128.bch
         word = make_word(code, code.t, seed=3)[2]
-        bulk, golden = IseBchDecoder(code), IseBchDecoder(code, vectorized=False)
+        bulk, golden = IseBchDecoder(code), IseBchDecoder(code)
         bulk.decode(word, OpCounter())
-        golden.decode(word, OpCounter())
+        _ise_golden_decode(golden, word, OpCounter())
         assert bulk.unit.cycle_count == golden.unit.cycle_count > 0
 
     @given(seed=st.integers(0, 10_000), n_errors=st.integers(0, 17))
     @settings(max_examples=6, deadline=None)
     def test_random_words(self, seed, n_errors):
         code = LAC_128.bch
-        _decode_both(IseBchDecoder, code, make_word(code, n_errors, seed=seed)[2])
+        _ise_decode_both(code, make_word(code, n_errors, seed=seed)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +198,7 @@ class TestTernaryMul:
         ternary, general = _operands(ring, seed=n + negacyclic)
         bulk_counter, golden_counter = OpCounter(), OpCounter()
         bulk = ternary_mul(ring, ternary, general, bulk_counter)
-        golden = ternary_mul(ring, ternary, general, golden_counter, vectorized=False)
+        golden = _ternary_mul_loop(ring, ternary, general, golden_counter)
         assert np.array_equal(bulk, golden)
         assert _phases(bulk_counter) == _phases(golden_counter)
 
@@ -173,7 +215,7 @@ class TestTernaryMul:
         general = general - np.random.default_rng(seed).integers(0, 3 * ring.q, n)
         bulk_counter, golden_counter = OpCounter(), OpCounter()
         bulk = ternary_mul(ring, ternary, general, bulk_counter)
-        golden = ternary_mul(ring, ternary, general, golden_counter, vectorized=False)
+        golden = _ternary_mul_loop(ring, ternary, general, golden_counter)
         assert np.array_equal(bulk, golden)
         assert _phases(bulk_counter) == _phases(golden_counter)
 
@@ -186,10 +228,10 @@ class TestTernaryMul:
 def _sample_both(params, seed):
     """Sample with each engine; return both polys, phases and the next bytes."""
     runs = []
-    for vectorized in (True, False):
+    for sample in (sample_ternary_fixed_weight, _sample_fixed_weight_loop):
         counter = OpCounter()
         prng = Sha256Prng(seed, counter=counter)
-        poly = sample_ternary_fixed_weight(prng, params, counter, vectorized=vectorized)
+        poly = sample(prng, params, counter)
         # a caller reading on: the stream must resume at the same byte
         runs.append((poly, _phases(counter), prng.read(40)))
     return runs
@@ -228,14 +270,14 @@ class TestGenA:
     def test_equal_to_the_golden_loop(self, params, expander):
         seed = bytes(range(32))
         runs = []
-        for vectorized in (True, False):
+        for expand in (gen_a, _gen_a_loop):
             counter = OpCounter()
             prng = (
                 Sha256Prng(seed, counter=counter)
                 if expander == "sha256"
                 else ShakePrng(seed, counter=counter)
             )
-            a = gen_a(seed, params, counter, prng=prng, vectorized=vectorized)
+            a = expand(seed, params, counter, prng=prng)
             runs.append((a, _phases(counter), prng.read(40)))
         (bulk, bulk_phases, bulk_next), (golden, golden_phases, golden_next) = runs
         assert np.array_equal(bulk, golden)
@@ -246,8 +288,8 @@ class TestGenA:
     @settings(max_examples=10, deadline=None)
     def test_random_seeds(self, seed):
         runs = []
-        for vectorized in (True, False):
+        for expand in (gen_a, _gen_a_loop):
             counter = OpCounter()
-            a = gen_a(seed, LAC_128, counter, vectorized=vectorized)
+            a = expand(seed, LAC_128, counter)
             runs.append((a.tolist(), _phases(counter)))
         assert runs[0] == runs[1]

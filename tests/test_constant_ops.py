@@ -6,7 +6,7 @@ whatever it is given.  Three images of that property are pinned here:
 * the **counted schedule**: operation totals, phase by phase, are
   identical for clean, correctable, uncorrectable and garbage words,
   both as the default decoder charges them in bulk and as the golden
-  per-iteration loops (``vectorized=False``) count them;
+  per-iteration loops (``_decode_scalar``) count them;
 * the **batched numpy engine**: the sequence of executed source lines in
   ``repro/bch/ct_decoder.py`` and ``repro/gf/field.py``, together with
   the shape and dtype of every array bound to a local at each line,
@@ -132,8 +132,7 @@ def _same(a, b):
 # ---------------------------------------------------------------------------
 
 
-def _assert_counts_do_not_depend_on_the_word(decoder, window):
-    code = decoder.code
+def _assert_counts_do_not_depend_on_the_word(code, decode, window):
     words = [
         _word(code, n_errors, seed=n_errors + 1)
         for n_errors in (0, 1, code.t, code.t + 3)
@@ -141,7 +140,7 @@ def _assert_counts_do_not_depend_on_the_word(decoder, window):
     seen = []
     for word in words:
         counter = OpCounter()
-        decoder.decode(word, counter, window)
+        decode(word, counter, window)
         phases = {name: dict(ops) for name, ops in counter.phases.items()}
         seen.append((dict(counter.totals()), phases))
     assert all(entry == seen[0] for entry in seen[1:])
@@ -152,13 +151,14 @@ class TestScalarOpCounts:
     @pytest.mark.parametrize("window", WINDOWS)
     def test_counts_do_not_depend_on_the_word(self, code, window):
         # the default decoder: the lanes engine, each phase charged in bulk
-        _assert_counts_do_not_depend_on_the_word(ConstantTimeBCHDecoder(code), window)
+        decoder = ConstantTimeBCHDecoder(code)
+        _assert_counts_do_not_depend_on_the_word(code, decoder.decode, window)
 
     @pytest.mark.parametrize("window", WINDOWS)
     def test_golden_counts_do_not_depend_on_the_word(self, code, window):
         # the golden per-iteration loops, counting as they run
-        decoder = ConstantTimeBCHDecoder(code, vectorized=False)
-        _assert_counts_do_not_depend_on_the_word(decoder, window)
+        decoder = ConstantTimeBCHDecoder(code)
+        _assert_counts_do_not_depend_on_the_word(code, decoder._decode_scalar, window)
 
     def test_timing_distinguisher_stays_at_chance(self):
         report = error_count_distinguisher(

@@ -1,9 +1,16 @@
 """Tests for the protocol-level cycle model (Table II machinery)."""
 
+import dataclasses
+
 import pytest
 
-from repro.cosim.protocol import PROFILES, CycleModel, speedup
+from repro.backend import CosimBackend
+from repro.bch.code import LAC_BCH_128_256
+from repro.cosim.costs import price_phases
+from repro.cosim.protocol import PROFILE_TABLE, PROFILES, CycleModel, speedup
+from repro.eval.table1 import _received_word, measure_decode
 from repro.lac.params import LAC_128, LAC_192
+from repro.metrics import OpCounter
 
 
 @pytest.fixture(scope="module")
@@ -109,3 +116,46 @@ class TestConfiguration:
         m128 = CycleModel(LAC_128, "ref").measure_multiplication()
         m192 = CycleModel(LAC_192, "ref").measure_multiplication()
         assert 3.8 < m192 / m128 < 4.2  # n^2 scaling, paper: 9.48M/2.38M
+
+
+class TestProfileTable:
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_every_reader_takes_decoder_and_costs_from_the_table(
+        self, profile, monkeypatch
+    ):
+        # swap in a recognisable decoder class and a distinct cost table:
+        # whoever chose on their own would miss one of them
+        entry = PROFILE_TABLE[profile]
+
+        class Decoder(entry.decoder):
+            built = 0
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                Decoder.built += 1
+
+        costs = dataclasses.replace(entry.costs, call=entry.costs.call + 1000)
+        monkeypatch.setitem(
+            PROFILE_TABLE, profile, dataclasses.replace(entry, decoder=Decoder, costs=costs)
+        )
+
+        model = CycleModel(LAC_128, profile)
+        assert type(model.kem.pke.schedule.bch_decoder) is Decoder
+        assert model.costs is costs
+
+        backend = CosimBackend(profile)
+        try:
+            assert backend.costs is costs
+            served = backend._model_for(LAC_128).kem.pke.schedule.bch_decoder
+            assert type(served) is Decoder
+        finally:
+            backend.close()
+
+        # Table I decodes with the table's decoder and prices with its costs
+        built = Decoder.built
+        row = measure_decode(profile, errors=0)
+        assert Decoder.built == built + 1
+        counter = OpCounter()
+        entry.decoder(LAC_BCH_128_256).decode(_received_word(0), counter)
+        assert row.decode == sum(price_phases(counter, costs).values())
+        assert row.decode != sum(price_phases(counter, entry.costs).values())

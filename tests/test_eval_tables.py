@@ -56,7 +56,7 @@ class TestTable1:
     def test_failed_decode_raises(self):
         # 20 > t errors must not be silently reported
         with pytest.raises(AssertionError):
-            measure_decode(constant_time=False, errors=20)
+            measure_decode("ref", errors=20)
 
 
 class TestTable2Static:

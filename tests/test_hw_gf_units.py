@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.gf.field import GF512
-from repro.gf.polygf import PolyGF
 from repro.hw.chien import ChienUnit, PARALLEL_MULTIPLIERS
 from repro.hw.mul_gf import MulGfUnit
+from tests.test_gf_field import evaluate
 
 elements = st.integers(min_value=0, max_value=511)
 
@@ -49,26 +49,27 @@ class TestMulGf:
         assert inv.flipflops < 50
 
 
-def _locator_with_roots(powers):
-    """Lambda(x) = prod (1 + alpha^{-l} x)... built directly from roots."""
-    poly = PolyGF.one(GF512)
+def _locator_with_roots(powers, size=17):
+    """Lambda(x) = prod (1 + alpha^{-l} x), as ``size`` coefficients."""
+    lams = [1] + [0] * (size - 1)
     for l in powers:
         # root at alpha^l: factor (x - alpha^l) scaled to keep lambda_0 = 1
-        poly = poly * PolyGF(GF512, [1, GF512.inv(GF512.alpha_pow(l))])
-    return poly
+        inverse = GF512.inv(GF512.alpha_pow(l))
+        lams = lams[:1] + [lams[i] ^ GF512.mul(inverse, lams[i - 1]) for i in range(1, size)]
+    return lams
 
 
 class TestChienUnit:
     def test_search_finds_planted_roots(self):
-        lam = _locator_with_roots([130, 200, 300])
-        lams = lam.coeffs + [0] * (17 - len(lam.coeffs))
+        lams = _locator_with_roots([130, 200, 300])
         found = ChienUnit().search(lams, 16, 112, 367)
-        naive = [l for l in range(112, 368) if lam.eval(GF512.alpha_pow(l)) == 0]
+        naive = [
+            l for l in range(112, 368) if evaluate(GF512, lams, GF512.alpha_pow(l)) == 0
+        ]
         assert found == naive == [130, 200, 300]
 
     def test_search_t8(self):
-        lam = _locator_with_roots([190, 250])
-        lams = lam.coeffs + [0] * (9 - len(lam.coeffs))
+        lams = _locator_with_roots([190, 250], size=9)
         found = ChienUnit().search(lams, 8, 184, 439)
         assert found == [190, 250]
 
@@ -79,8 +80,7 @@ class TestChienUnit:
                            unique=True))
     @settings(max_examples=15, deadline=None)
     def test_search_matches_naive(self, powers):
-        lam = _locator_with_roots(powers)
-        lams = lam.coeffs + [0] * (17 - len(lam.coeffs))
+        lams = _locator_with_roots(powers)
         found = ChienUnit().search(lams, 16, 112, 367)
         assert found == sorted(powers)
 
@@ -91,8 +91,7 @@ class TestChienUnit:
     def test_feedback_avoids_reloads(self):
         """After one load, successive steps walk consecutive powers."""
         unit = ChienUnit()
-        lam = _locator_with_roots([150])
-        lams = lam.coeffs + [0] * (17 - len(lam.coeffs))
+        lams = _locator_with_roots([150])
         total = 0
         for group in range(4):
             left, right, _ = unit.group_elements(lams, group, 112)

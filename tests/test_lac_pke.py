@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bch.decoder import BCHDecoder
+from repro.cosim.protocol import PROFILE_TABLE
 from repro.lac.params import ALL_PARAMS, LAC_128, LAC_192, LAC_256
 from repro.lac.pke import Ciphertext, LacPke, PublicKey, SecretKey
 from repro.ring.ternary import ternary_mul_truncated
@@ -88,20 +90,19 @@ class TestEncryptDecrypt:
         assert decoded.message != bytes(range(32))
 
     def test_non_ct_bch_path(self):
-        pke = LacPke(LAC_128)
+        # the reference profile decrypts with the submission decoder
+        pke = LacPke(LAC_128, PROFILE_TABLE["ref"].schedule(LAC_128))
+        assert isinstance(pke.schedule.bch_decoder, BCHDecoder)
         pk, sk = pke.keygen(SEED)
         ct = pke.encrypt(pk, b"\x42" * 32, coins=b"n" * 32)
-        decoded = pke.decrypt(sk, ct, constant_time_bch=False)
+        decoded = pke.decrypt(sk, ct)
         assert decoded.message == b"\x42" * 32
 
     def test_truncated_v_multiplier_equivalent(self):
         """The reference's truncated v-mult changes cycles, not results."""
         plain = LacPke(LAC_192)
-        truncated = LacPke(
-            LAC_192,
-            v_multiplier=lambda ring, t, g, slots, counter=None:
-                ternary_mul_truncated(ring, t, g, slots, counter),
-        )
+        truncated = LacPke(LAC_192, PROFILE_TABLE["ref"].schedule(LAC_192))
+        assert truncated.schedule.v_multiplier is ternary_mul_truncated
         pk, sk = plain.keygen(SEED)
         ct_a = plain.encrypt(pk, b"m" * 32, coins=b"c" * 32)
         ct_b = truncated.encrypt(pk, b"m" * 32, coins=b"c" * 32)
