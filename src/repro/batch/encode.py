@@ -85,7 +85,7 @@ def bch_encode_many(code: BCHCode, message_bits: np.ndarray) -> np.ndarray:
 def encode_many(params: LacParams, messages: list[bytes]) -> np.ndarray:
     """Embed a batch of 32-byte messages into stacked ring elements.
 
-    Returns a (B, n) int64 matrix, the codewords placed by
+    Returns a (B, n) int16 matrix, the codewords placed by
     :func:`repro.lac.encoding.embed_codewords` — row-for-row identical
     to :meth:`repro.lac.encoding.MessageCodec.encode`.
     """

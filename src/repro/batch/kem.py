@@ -256,10 +256,16 @@ def _encrypt_batch(
     sa_rows, sb_rows = ring.mul_many_multi(
         s_rows, [a, b], operand_transforms=[fa, fb]
     )
-    u_rows = np.mod(sa_rows + e_rows, q)
-    bs_rows = sb_rows[:, :slots]
-    encoded = encode_many(params, list(messages))[:, :slots]
-    v_rows = np.mod(bs_rows + e2_rows + encoded, q)
+    # the sums run in the products' own buffers, and every reduced row
+    # is a byte: each is narrowed right after its mod
+    sa_rows += e_rows
+    u_rows = np.mod(sa_rows, q, out=sa_rows).astype(np.uint8)
+    del sa_rows
+    v_rows = sb_rows[:, :slots]
+    v_rows += e2_rows
+    v_rows += encode_many(params, list(messages))[:, :slots]
+    v_rows = np.mod(v_rows, q, out=v_rows).astype(np.uint8)
+    del sb_rows
     return pack_ciphertexts(params, u_rows, kem.pke.codec.compress_v(v_rows))
 
 
@@ -322,7 +328,10 @@ def _decaps_chunk(
         )
     else:
         us_rows = ring.mul_many(_gather(s_parts, lane), u_rows)
-    noisy_rows = np.mod(codec.decompress_v(v_compressed) - us_rows[:, :slots], q)
+    noisy_rows = np.mod(
+        codec.decompress_v(v_compressed) - us_rows[:, :slots], q
+    ).astype(np.uint8)
+    del us_rows  # before the FO re-encryption samples
 
     decoded = codec.decode_many(noisy_rows)
     messages = [d.message for d in decoded]

@@ -69,6 +69,10 @@ def sample_secret_rows(
     rows = len(seeds) * how_many
     blocks = _window_blocks(params)
     per_row = blocks * 16  # uint16 candidates per squeezed row
+    # each candidate packs (index << 16) | stream position into one
+    # uint32, and a position past the window (per_row) marks a missing one
+    if per_row >= 1 << 16 or n > 1 << 16:
+        raise ValueError("candidate window does not fit the 16-bit packing")
 
     labels = [b"poly" + j.to_bytes(2, "little") for j in range(how_many)]
     counters = _LE32[:blocks]
@@ -83,25 +87,25 @@ def sample_secret_rows(
                 hasher.update(counter)
                 buf += hasher.digest()
 
-    cands = (
-        np.frombuffer(bytes(buf), dtype="<u2").reshape(rows, per_row).astype(np.int64)
-        & (n - 1)
-    )
+    cands = np.frombuffer(buf, dtype="<u2").reshape(rows, per_row) & np.uint16(n - 1)
     # first occurrences of distinct values per row: pack (value, stream
     # position) into one word, sort, keep each value's first position
-    combined = (cands << 16) | np.arange(per_row, dtype=np.int64)
+    combined = cands.astype(np.uint32) << 16
+    combined |= np.arange(per_row, dtype=np.uint32)
     combined.sort(axis=1)
     values = combined >> 16
     keep = np.empty((rows, per_row), dtype=bool)
     keep[:, 0] = True
     np.not_equal(values[:, 1:], values[:, :-1], out=keep[:, 1:])
-    positions = np.where(keep, combined & 0xFFFF, 1 << 30)
+    del values
+    positions = np.where(keep, combined.astype(np.uint16), np.uint16(per_row))
+    del combined, keep
     positions.sort(axis=1)
     selected = positions[:, :h]
 
     taken = np.take_along_axis(cands, np.minimum(selected, per_row - 1), axis=1)
-    for r in np.flatnonzero(selected[:, -1] >= (1 << 30)):  # < h distinct
-        distinct = np.count_nonzero(selected[r] < (1 << 30))
+    for r in np.flatnonzero(selected[:, -1] == per_row):  # < h distinct
+        distinct = np.count_nonzero(selected[r] < per_row)
         taken[r] = _top_up(bases[r], blocks, taken[r, :distinct], n, h)
 
     out = np.zeros((rows, n), dtype=np.int8)

@@ -43,10 +43,9 @@ def _single_transaction_cycles(unit_length: int) -> int:
     """Cycles for one full transaction of a length-``unit_length`` unit."""
     rng = np.random.default_rng(3)
     counter = OpCounter()
-    unit = MulTerUnit(unit_length)
     ternary = rng.integers(-1, 2, unit_length).astype(np.int8)
     general = rng.integers(0, 251, unit_length).astype(np.int64)
-    _SizedDriver(unit).transact(ternary, general, counter)
+    IseMultiplier(MulTerUnit(unit_length)).mul512(ternary, general, True, counter)
     return price(counter, ISE_COSTS)
 
 
@@ -84,34 +83,6 @@ def _transaction_cycles(unit_length: int, operand_length: int) -> int:
     transactions = pieces * pieces
     recombination = levels * operand_length * 35  # measured on the 512/1024 point
     return transactions * _single_transaction_cycles(unit_length) + recombination
-
-
-class _SizedDriver:
-    """Annotated single-transaction driver for an arbitrary unit length."""
-
-    def __init__(self, unit: MulTerUnit) -> None:
-        self.unit = unit
-
-    def transact(
-        self, ternary: np.ndarray, general: np.ndarray, counter: OpCounter
-    ) -> np.ndarray:
-        unit = self.unit
-        with counter.phase("ise_mul512"):
-            counter.count("call")
-            transfers = unit.input_transfers
-            counter.count("load", 10 * transfers)
-            counter.count("alu", 30 * transfers)
-            counter.count("pq_issue", transfers)
-            counter.count("loop", transfers)
-            counter.count("pq_issue")
-            counter.count("alu", 2)
-            counter.count("pq_busy", unit.compute_cycles)
-            reads = unit.output_transfers
-            counter.count("pq_issue", reads)
-            counter.count("store", reads)
-            counter.count("alu", reads)
-            counter.count("loop", reads)
-        return unit.multiply(ternary, general, True)
 
 
 def sweep_mul_ter_lengths(

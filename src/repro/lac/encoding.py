@@ -54,10 +54,13 @@ def embed_codewords(params: LacParams, codewords: np.ndarray) -> np.ndarray:
 
     Each bit is scaled to floor(q/2) and, for D2 parameter sets, copied
     again at offset ``codeword_bits``; every other coefficient is zero.
+    The elements are int16: they hold 0 and floor(q/2) only, and a
+    caller adding noise or a mask stays exact.
     """
     cw_len = params.codeword_bits
-    out = np.zeros(codewords.shape[:-1] + (params.n,), dtype=np.int64)
-    out[..., :cw_len] = codewords.astype(np.int64) * params.half_q
+    out = np.zeros(codewords.shape[:-1] + (params.n,), dtype=np.int16)
+    out[..., :cw_len] = codewords
+    out[..., :cw_len] *= params.half_q
     if params.d2:
         out[..., cw_len : 2 * cw_len] = out[..., :cw_len]
     return out
@@ -127,7 +130,9 @@ class MessageCodec:
         q, half = params.q, params.half_q
         cw_len = params.codeword_bits
 
-        values = np.mod(noisy, q)
+        # reduce in the input's own dtype, then work in int16: every
+        # value below is in [0, q) and a D2 sum of two stays under 2q
+        values = np.mod(noisy, q).astype(np.int16)
         d0 = np.minimum(values, q - values)
         shifted = np.mod(values - half, q)
         d1 = np.minimum(shifted, q - shifted)
@@ -186,11 +191,13 @@ class MessageCodec:
     def compress_v(self, v: np.ndarray) -> np.ndarray:
         """Drop the low ``8 - v_bits`` bits of each v coefficient."""
         shift = 8 - self.params.v_bits
-        return (np.mod(v, self.params.q).astype(np.int64) >> shift).astype(np.uint8)
+        return np.mod(v, self.params.q).astype(np.uint8) >> shift
 
     def decompress_v(self, compressed: np.ndarray) -> np.ndarray:
         """Re-center the dropped bits (adds uniform noise of +-2^(shift-1))."""
         shift = 8 - self.params.v_bits
+        # int16: a v_bits-wide value shifted back is a byte, and even a
+        # full byte shifted by up to 7 bits, plus the offset, fits
         if shift == 0:
-            return compressed.astype(np.int64)
-        return (compressed.astype(np.int64) << shift) + (1 << (shift - 1))
+            return compressed.astype(np.int16)
+        return (compressed.astype(np.int16) << shift) + (1 << (shift - 1))

@@ -23,6 +23,7 @@ class TenantQuota:
     for any limit means unlimited.  ``max_keys`` caps hosted keys
     (KEYGEN and programmatic registration both count);
     ``max_inflight`` caps accepted-but-unanswered requests;
+    ``max_sessions`` caps open secure-channel sessions;
     ``ops_per_s`` is a token-bucket rate with ``burst`` capacity
     (default: one second's worth).  Over-quota requests are answered
     ``BUSY`` and counted as ``kem_shed_total{reason="quota"}`` with
@@ -33,6 +34,7 @@ class TenantQuota:
     tenant: int
     max_keys: int | None = None
     max_inflight: int | None = None
+    max_sessions: int | None = None
     ops_per_s: float | None = None
     burst: float | None = None
 
@@ -49,6 +51,8 @@ class TenantQuota:
             raise ValueError("max_keys must be >= 0 or None")
         if self.max_inflight is not None and self.max_inflight < 1:
             raise ValueError("max_inflight must be >= 1 or None")
+        if self.max_sessions is not None and self.max_sessions < 0:
+            raise ValueError("max_sessions must be >= 0 or None")
         if self.ops_per_s is not None and self.ops_per_s <= 0:
             raise ValueError("ops_per_s must be > 0 or None")
         if self.burst is not None and self.burst < 1:

@@ -325,7 +325,10 @@ class KemService:
         held = request.quota
         if held is not None:
             request.quota = None
-            held.release(frame.op is Op.KEYGEN and status is not Status.OK)
+            failed = status is not Status.OK
+            held.release(
+                failed and frame.op is Op.KEYGEN, failed and frame.op is Op.SESSION_OPEN
+            )
         op = frame.op.name
         if "shed_reason" in tags:
             self.metrics.record_shed(tags["shed_reason"], request.tier, request.tenant)
@@ -617,13 +620,15 @@ class KemService:
 
         Requests already queued against the key still complete (they
         hold the :class:`HostedKey`); new ones get ``NOT_FOUND``.  The
-        backend drops the key's transform-cache entries — to release
-        memory early; fingerprints are content-derived, so correctness
-        never depends on it.
+        sessions opened on the key close with it, and their ids answer
+        ``NOT_FOUND`` from then on.  The backend drops the key's
+        transform-cache entries — to release memory early; fingerprints
+        are content-derived, so correctness never depends on it.
         """
         hosted = self._tenants.unhost(key_id)
         if hosted is None:
             return False
+        self._tenants.close_sessions(hosted.tenant, self._channels.close_key(key_id))
         if self._backend is not None and hosted.fingerprints:
             self._backend.invalidate_key(hosted.fingerprints)
         hosted.fingerprints = []
@@ -676,7 +681,7 @@ class KemService:
         # checked before any shared-capacity gate, so an over-quota
         # tenant is shed by *its* limits, never by crowding others out
         request.quota = self._tenants.admit(
-            request.tenant, request.tier, op is Op.KEYGEN
+            request.tenant, request.tier, op is Op.KEYGEN, op is Op.SESSION_OPEN
         )
         if op in _SESSION_OPS:
             # stateful channel ops: answered inline like INFO — they
@@ -776,7 +781,10 @@ class KemService:
         """
         frame, tenant = request.frame, request.tenant
         if frame.op is not Op.SESSION_OPEN:
-            return self._channels.answer(frame.op, frame.payload, tenant)
+            payload = self._channels.answer(frame.op, frame.payload, tenant)
+            if frame.op is Op.SESSION_CLOSE:
+                self._tenants.close_sessions(tenant)
+            return payload
         key_id, rest = unpack_key_id(frame.payload)
         key = self._tenants.find(key_id, tenant)
         if key is None:
@@ -787,7 +795,9 @@ class KemService:
         [(ct_bytes, shared)] = await asyncio.wrap_future(
             backend.submit(key.scheme, key.params, "ENCAPS", [key.pair], [message])
         )
-        return self._channels.open(tenant, ct_bytes, shared)
+        if self._tenants.find(key_id, tenant) is None:  # removed meanwhile
+            raise KeyNotFound(f"unknown key id {key_id}")
+        return self._channels.open(tenant, key_id, ct_bytes, shared)
 
     def _info_payload(self, frame: Frame) -> bytes:
         if frame.payload == b"text":

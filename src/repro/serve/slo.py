@@ -142,12 +142,14 @@ class QuotaState:
 
     ``keys`` counts hosted keys *plus* the slots in-flight KEYGENs have
     reserved, so a burst of KEYGENs cannot all pass the ``max_keys``
-    check before any of them has registered its key.
+    check before any of them has registered its key.  ``sessions``
+    counts open sessions the same way, plus the in-flight SESSION_OPENs.
     """
 
     quota: TenantQuota
     keys: int = 0
     inflight: int = 0
+    sessions: int = 0
     tokens: float = 0.0
     last_refill: float | None = None
 
@@ -163,13 +165,16 @@ class QuotaState:
             )
         self.last_refill = now
 
-    def release(self, return_key: bool) -> None:
+    def release(self, return_key: bool, return_session: bool = False) -> None:
         """Give back an admitted request's in-flight slot — and, with
         ``return_key`` (a KEYGEN answered anything but ``OK``), the key
-        slot it reserved."""
+        slot it reserved, or with ``return_session`` (such a
+        SESSION_OPEN) its session slot."""
         self.inflight -= 1
         if return_key:
             self.keys -= 1
+        if return_session:
+            self.sessions -= 1
 
 
 class TenantPolicy:
@@ -218,17 +223,29 @@ class TenantPolicy:
                 state.keys -= 1
         return key
 
-    def admit(self, tenant: int, tier: int, keygen: bool) -> QuotaState | None:
+    def close_sessions(self, tenant: int, count: int = 1) -> None:
+        """``count`` of ``tenant``'s open sessions closed: their slots
+        come back."""
+        state = self.quotas.get(tenant)
+        if state is not None:
+            state.sessions -= count
+
+    def admit(
+        self, tenant: int, tier: int, keygen: bool, session: bool = False
+    ) -> QuotaState | None:
         """Check and charge ``tenant``'s quota for one request.
 
         Refuses ``BUSY`` (shed reason ``quota``) naming the exhausted
         limit — ``keys`` (a KEYGEN would exceed ``max_keys``),
-        ``inflight`` (``max_inflight`` accepted-but-unanswered
-        requests) or ``rate`` (the token bucket is empty).  Admission
+        ``sessions`` (a SESSION_OPEN, ``session``, would exceed
+        ``max_sessions``), ``inflight`` (``max_inflight``
+        accepted-but-unanswered requests) or ``rate`` (the token bucket
+        is empty).  Admission
         costs one token and takes the in-flight slot plus a KEYGEN's
-        hosted-key slot — reserved *here*, not when the key registers
-        after the batch ran, or every KEYGEN of one batch window passes
-        the check.  Returns what the request now holds, for
+        hosted-key slot or a SESSION_OPEN's session slot — reserved
+        *here*, not when the key registers after the batch ran (or the
+        session opens after its encapsulation), or every one of a burst
+        passes the check.  Returns what the request now holds, for
         :meth:`QuotaState.release` (``None``: an unlisted tenant).
         """
         state = self.quotas.get(tenant)
@@ -238,6 +255,12 @@ class TenantPolicy:
         over = None
         if keygen and quota.max_keys is not None and state.keys >= quota.max_keys:
             over = "keys"
+        elif (
+            session
+            and quota.max_sessions is not None
+            and state.sessions >= quota.max_sessions
+        ):
+            over = "sessions"
         elif quota.max_inflight is not None and state.inflight >= quota.max_inflight:
             over = "inflight"
         elif quota.ops_per_s is not None:
@@ -254,6 +277,8 @@ class TenantPolicy:
         state.inflight += 1
         if keygen:
             state.keys += 1
+        if session:
+            state.sessions += 1
         return state
 
     def info(self) -> dict[str, dict[str, Any]]:
@@ -262,9 +287,11 @@ class TenantPolicy:
             str(tenant): {
                 "keys": state.keys,
                 "inflight": state.inflight,
+                "sessions": state.sessions,
                 "tokens": round(state.tokens, 3),
                 "max_keys": state.quota.max_keys,
                 "max_inflight": state.quota.max_inflight,
+                "max_sessions": state.quota.max_sessions,
                 "ops_per_s": state.quota.ops_per_s,
             }
             for tenant, state in sorted(self.quotas.items())
@@ -399,23 +426,33 @@ class SessionTable:
     channel is a :class:`~repro.lac.hybrid.HybridChannel` — the
     construction :class:`~repro.lac.hybrid.LacHybrid` runs, so served
     transcripts are bit-identical to the library's.  Another tenant's
-    session id is ``NOT_FOUND``.
+    session id is ``NOT_FOUND``.  Each session records the hosted key
+    it was opened on; :meth:`close_key` closes them with the key.
     """
 
     def __init__(self) -> None:
-        self._open: dict[int, tuple[int, HybridChannel]] = {}
+        self._open: dict[int, tuple[int, int, HybridChannel]] = {}
         self._next_id = 1
 
     def __len__(self) -> int:
         """Open sessions."""
         return len(self._open)
 
-    def open(self, tenant: int, kem_ct: bytes, shared: bytes) -> bytes:
-        """Bind a channel to ``kem_ct``; returns the SESSION_OPEN payload."""
+    def open(self, tenant: int, key_id: int, kem_ct: bytes, shared: bytes) -> bytes:
+        """Bind a channel to ``kem_ct``, encapsulated under hosted key
+        ``key_id``; returns the SESSION_OPEN payload."""
         session_id = self._next_id
         self._next_id += 1
-        self._open[session_id] = tenant, HybridChannel(shared, kem_ct)
+        self._open[session_id] = tenant, key_id, HybridChannel(shared, kem_ct)
         return pack_key_id(session_id) + kem_ct + shared
+
+    def close_key(self, key_id: int) -> int:
+        """Close every session opened on hosted key ``key_id``; returns
+        how many were open."""
+        closing = [sid for sid, (_, key, _) in self._open.items() if key == key_id]
+        for session_id in closing:
+            del self._open[session_id]
+        return len(closing)
 
     def answer(self, op: Op, payload: bytes, tenant: int) -> bytes:
         """Answer ``SEAL`` / ``OPEN`` / ``SESSION_CLOSE``: the ``OK`` payload."""
@@ -423,7 +460,7 @@ class SessionTable:
             session_id, _ = unpack_key_id(payload)
         else:
             session_id, nonce, rest = unpack_session_request(payload)
-        owner, channel = self._open.get(session_id, (None, None))
+        owner, _, channel = self._open.get(session_id, (None, None, None))
         if channel is None or owner != tenant:
             raise KeyNotFound(f"unknown session id {session_id}")
         if op is Op.SESSION_CLOSE:

@@ -3,6 +3,8 @@ bit-identical to looping the scalar KEM across all LAC parameter sets.
 """
 
 import hashlib
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ import pytest
 from repro.backend import ThreadBackend
 from repro.batch import sampling as batch_sampling
 from repro.batch.encode import bch_encode_many, encode_many
-from repro.batch.kem import keygen_many
+from repro.batch.kem import decaps_many, encaps_many, keygen_many
 from repro.batch.sampling import gen_a_vec, sample_secret_rows
 from repro.bch.encoder import BCHEncoder
 from repro.hashes.prng import Sha256Prng
@@ -96,6 +98,84 @@ class TestSamplingParity:
     def test_gen_a_matches_scalar(self, params):
         seed = b"\x17" * params.seed_bytes
         assert np.array_equal(gen_a_vec(seed, params), gen_a(seed, params))
+
+    def test_window_past_the_16_bit_packing_raises(self, monkeypatch):
+        # a candidate packs (index << 16) | stream position into a uint32
+        with pytest.raises(ValueError, match="16-bit packing"):
+            sample_secret_rows([bytes(32)], SimpleNamespace(n=1 << 17, h=256), 1)
+        monkeypatch.setattr(batch_sampling, "_window_blocks", lambda params: 4096)
+        with pytest.raises(ValueError, match="16-bit packing"):
+            sample_secret_rows([bytes(32)], LAC_128, 1)
+
+
+def _traced_peak_mib(call) -> float:
+    """Peak traced allocation of ``call()`` above what was live before,
+    in MiB; a first, untraced call builds tables and caches."""
+    call()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        live = tracemalloc.get_traced_memory()[0]
+        call()
+        return (tracemalloc.get_traced_memory()[1] - live) / 2**20
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestTransientBudget:
+    """The batch kernels' transient arrays at B = 64, ~20 % above what
+    they peak at with every value in the narrowest dtype that holds it
+    (q = 251: bytes; the sampler's candidates: 16 bits).  ``peak_rss_mb``
+    is gated at 5 %, and each backend thread's allocator arena keeps its
+    largest batch, so a wider temporary shows up served."""
+
+    B = 64
+    #: MiB: sample_secret_rows (three rows per lane, as ENCAPS draws),
+    #: MessageCodec.decode_many, encaps_many, decaps_many
+    BUDGETS = {
+        "LAC-128": {"sample": 1.2, "decode": 0.77, "encaps": 1.37, "decaps": 1.57},
+        "LAC-256": {"sample": 1.77, "decode": 0.77, "encaps": 2.17, "decaps": 2.49},
+    }
+
+    @pytest.mark.parametrize("params", [LAC_128, LAC_256], ids=lambda p: p.name)
+    def test_kernel_peaks_stay_in_budget(self, params, kems):
+        kem, pair = kems(params)
+        messages = _messages(params, self.B)
+        seeds = [hashlib.sha256(message).digest() for message in messages]
+        cts = [r.ciphertext for r in encaps_many(kem, pair.public_key, messages)]
+        # the rows DECAPS thresholds, v - u*s mod q, held as the scalar
+        # decrypt holds them (int64): the threshold's own temporaries are
+        # narrow whatever the width it is handed
+        us = params.ring.mul_many(
+            pair.secret_key.sk.s.coeffs, np.stack([ct.u for ct in cts])
+        )[:, : params.v_slots]
+        codec = kem.pke.codec
+        noisy = np.stack(
+            [
+                np.mod(codec.decompress_v(ct.v_compressed) - row, params.q)
+                for ct, row in zip(cts, us)
+            ]
+        )
+        peaks = {
+            "sample": _traced_peak_mib(lambda: sample_secret_rows(seeds, params, 3)),
+            "decode": _traced_peak_mib(lambda: codec.decode_many(noisy)),
+            "encaps": _traced_peak_mib(
+                lambda: encaps_many(kem, pair.public_key, messages)
+            ),
+            "decaps": _traced_peak_mib(
+                lambda: decaps_many(kem, pair.secret_key, cts)
+            ),
+        }
+        budgets = self.BUDGETS[params.name]
+        over = {
+            stage: f"{peak:.3f} > {budgets[stage]} MiB"
+            for stage, peak in peaks.items()
+            if peak > budgets[stage]
+        }
+        assert not over, over
 
 
 class TestEncodeParity:

@@ -13,6 +13,65 @@ def codec(request):
     return MessageCodec(request.param)
 
 
+# ----------------------------------------------------------------------
+# int64 references: the codec works in int16/uint8, and must agree
+# ----------------------------------------------------------------------
+
+
+def _hard_bits_int64(params, noisy):
+    q, half, cw = params.q, params.half_q, params.codeword_bits
+    values = np.mod(np.asarray(noisy, dtype=np.int64), q)
+    d0 = np.minimum(values, q - values)
+    shifted = np.mod(values - half, q)
+    d1 = np.minimum(shifted, q - shifted)
+    if params.d2:
+        return (
+            d1[..., :cw] + d1[..., cw : 2 * cw] < d0[..., :cw] + d0[..., cw : 2 * cw]
+        ).astype(np.uint8)
+    return (d1[..., :cw] < d0[..., :cw]).astype(np.uint8)
+
+
+def _compress_int64(params, v):
+    return (np.mod(np.asarray(v, dtype=np.int64), params.q) >> (8 - params.v_bits)).astype(
+        np.uint8
+    )
+
+
+def _decompress_int64(params, compressed):
+    shift = 8 - params.v_bits
+    wide = compressed.astype(np.int64)
+    return wide << shift if shift == 0 else (wide << shift) + (1 << (shift - 1))
+
+
+def _edge_values(q, half):
+    """0, q - 1, q, negatives, and both sides of each decision boundary
+    (q/4 and 3q/4, where distance to 0 meets distance to floor(q/2))."""
+    return [0, 1, q - 1, q, q + 1, 2 * q - 1, -1, -q, -q - 1, -2 * q + 1,
+            half - 1, half, half + 1, q - half, -half,
+            half // 2, half // 2 + 1, q - half // 2 - 1, q - half // 2]
+
+
+def _edge_rows(params, draw):
+    """One row of ``v_slots`` values from the edges; a D2 set also
+    draws pairs whose two halves sit either side of the vote's tie."""
+    q, half, cw = params.q, params.half_q, params.codeword_bits
+    edges = _edge_values(q, half)
+    value = st.one_of(st.sampled_from(edges), st.integers(-3 * q, 3 * q))
+    head = draw(st.lists(value, min_size=1, max_size=48))
+    row = np.resize(np.array(head, dtype=np.int64), params.v_slots)
+    if params.d2:
+        # a pair votes by summed distance, and two halves in [0, half]
+        # summing to half tie it: draw sums of half - 1, half and
+        # half + 1, each half moved by whole multiples of q
+        small = st.integers(-2, 2)
+        for i in draw(st.lists(st.integers(0, cw - 1), min_size=1, max_size=16)):
+            step, delta = draw(small), draw(st.integers(-1, 1))
+            first = half // 2 + step
+            row[i] = first + q * draw(small)
+            row[cw + i] = half - first + delta + q * draw(small)
+    return row
+
+
 class TestEncode:
     def test_amplitude(self, codec):
         encoded = codec.encode(b"\xff" * 32)
@@ -62,6 +121,21 @@ class TestThresholdDecode:
     def test_wrong_size_rejected(self, codec):
         with pytest.raises(ValueError):
             codec.threshold_decode(np.zeros(10))
+
+    @pytest.mark.parametrize("params", ALL_PARAMS, ids=str)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_narrow_threshold_equals_int64_reference(self, params, data):
+        codec = MessageCodec(params)
+        row = _edge_rows(params, data.draw)
+        want = _hard_bits_int64(params, row)
+        # int64 as the scalar decrypt hands it over, int16 where it fits,
+        # and the reduced byte rows the batch DECAPS hands over
+        for noisy in (row, row.astype(np.int16), np.mod(row, params.q).astype(np.uint8)):
+            assert np.array_equal(codec._hard_bits(noisy), want)
+            assert np.array_equal(codec.threshold_decode(noisy), want)
+        stack = np.stack([row, np.mod(-row, params.q)])
+        assert np.array_equal(codec._hard_bits(stack), _hard_bits_int64(params, stack))
 
     def test_d2_survives_one_large_half(self):
         # D2 combines two observations: one badly corrupted slot out of
@@ -121,6 +195,25 @@ class TestCompression:
         compressed = codec.compress_v(values)
         assert compressed.max() <= 15
         assert compressed.dtype == np.uint8
+
+    @pytest.mark.parametrize("params", ALL_PARAMS, ids=str)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_narrow_compression_equals_int64_reference(self, params, data):
+        codec = MessageCodec(params)
+        v = _edge_rows(params, data.draw)
+        for held in (v, v.astype(np.int16)):
+            compressed = codec.compress_v(held)
+            assert compressed.dtype == np.uint8
+            assert np.array_equal(compressed, _compress_int64(params, v))
+        # every byte, not only the v_bits-wide values a ciphertext holds
+        every = np.arange(256, dtype=np.uint8)
+        restored = codec.decompress_v(every)
+        assert np.array_equal(restored, _decompress_int64(params, every))
+        assert np.array_equal(
+            codec.decompress_v(codec.compress_v(v)),
+            _decompress_int64(params, _compress_int64(params, v)),
+        )
 
     def test_decompressed_in_zq(self):
         codec = MessageCodec(LAC_128)

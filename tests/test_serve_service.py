@@ -548,9 +548,11 @@ class TestInfo:
                 "3": {
                     "keys": 1,
                     "inflight": 0,
+                    "sessions": 0,
                     "tokens": 9.0,
                     "max_keys": 4,
                     "max_inflight": None,
+                    "max_sessions": None,
                     "ops_per_s": 10.0,
                 }
             },

@@ -11,13 +11,19 @@ scoping, and sessions over a non-LAC scheme.
 
 import pytest
 
-from repro.errors import BadRequest, KeyNotFound
+from repro.errors import BadRequest, KeyNotFound, ServiceBusy
 from repro.lac.hybrid import HybridCiphertext, LacHybrid
 from repro.lac.kem import LacKem
 from repro.lac.params import LAC_128
 from repro.newhope.params import NEWHOPE_512
 from repro.schemes import NEWHOPE_SCHEME
-from repro.serve import KemClient, ServiceConfig, ThreadedService
+from repro.serve import (
+    KemClient,
+    RetryPolicy,
+    ServiceConfig,
+    TenantQuota,
+    ThreadedService,
+)
 
 SEED = bytes(range(64))
 MESSAGE = bytes(range(32))
@@ -128,6 +134,64 @@ class TestSessionLifecycle:
         sealed = client.seal(sid, NONCE, b"mine", tenant=1)
         assert client.open_sealed(sid, NONCE, sealed, tenant=1) == b"mine"
         client.close_session(sid, tenant=1)
+
+
+class TestSessionBound:
+    """``TenantQuota.max_sessions`` bounds a tenant's open sessions, and
+    removing a key closes the sessions opened on it."""
+
+    def test_sessions_past_the_bound_are_shed_as_quota(self):
+        # a tenant held to one key and one request in flight once opened
+        # 2,000 sessions on that key; now the third one is refused
+        quota = TenantQuota(tenant=4, max_keys=1, max_inflight=1, max_sessions=2)
+        with ThreadedService(ServiceConfig(max_batch=4, tenant_quotas=(quota,))) as svc:
+            client = KemClient(svc.connect(), retry=RetryPolicy(max_attempts=1))
+            key_id, _pk = client.keygen(LAC_128, SEED, tenant=4)
+            opened, refused = [], 0
+            for _ in range(2000):
+                try:
+                    opened.append(client.open_session(key_id, tenant=4)[0])
+                except ServiceBusy as busy:
+                    assert "over quota (sessions)" in str(busy)
+                    refused += 1
+            assert (len(opened), refused) == (2, 1998)
+            info = client.info()
+            assert info["service"]["sessions"] == 2
+            assert info["service"]["tenants"]["4"]["sessions"] == 2
+            assert info["sheds"] == {"quota:0:4": 1998}
+            # a closed session gives its slot back
+            client.close_session(opened.pop(), tenant=4)
+            opened.append(client.open_session(key_id, tenant=4)[0])
+            with pytest.raises(ServiceBusy):
+                client.open_session(key_id, tenant=4)
+            client.close()
+
+    def test_removing_a_key_closes_its_sessions(self):
+        quota = TenantQuota(tenant=4, max_sessions=1)
+        with ThreadedService(ServiceConfig(max_batch=4, tenant_quotas=(quota,))) as svc:
+            client = KemClient(svc.connect(), retry=RetryPolicy(max_attempts=1))
+            key_id, _pk = client.keygen(LAC_128, SEED, tenant=4)
+            other_id, _pk = client.keygen(LAC_128, SEED)
+            sid, _ct, _shared = client.open_session(key_id, tenant=4)
+            kept, _ct, _shared = client.open_session(other_id)
+            client.remove_key(key_id, tenant=4)
+            for call in (
+                lambda: client.seal(sid, NONCE, b"gone", tenant=4),
+                lambda: client.open_sealed(sid, NONCE, bytes(32), tenant=4),
+                lambda: client.close_session(sid, tenant=4),
+            ):
+                with pytest.raises(KeyNotFound, match=f"unknown session id {sid}"):
+                    call()
+            info = client.info()
+            assert info["service"]["sessions"] == 1
+            assert info["service"]["tenants"]["4"]["sessions"] == 0
+            # another key's session is untouched, and the slot is back
+            sealed = client.seal(kept, NONCE, b"kept")
+            assert client.open_sealed(kept, NONCE, sealed) == b"kept"
+            new_id, _pk = client.keygen(LAC_128, SEED, tenant=4)
+            client.close_session(client.open_session(new_id, tenant=4)[0], tenant=4)
+            client.close_session(kept)
+            client.close()
 
 
 class TestCrossSchemeSessions:

@@ -240,6 +240,28 @@ class TestTenantPolicy:
         # non-KEYGEN traffic is not capped by max_keys
         tenants.admit(3, 0, keygen=False)
 
+    def test_session_slot_is_reserved_at_admission_and_returned_on_close(self):
+        tenants = TenantPolicy((TenantQuota(tenant=3, max_sessions=2),), FakeClock())
+        held = [tenants.admit(3, 0, keygen=False, session=True) for _ in range(2)]
+        detail, tags = _busy_reason(
+            lambda: tenants.admit(3, 1, keygen=False, session=True)
+        )
+        assert detail == "tenant 3 over quota (sessions)"
+        assert tags == {"shed_reason": "quota", "tier": 1, "tenant": 3}
+        held[0].release(False, True)  # not answered OK: the slot comes back
+        held[1].release(False)  # OK: the session is open and keeps it
+        assert (tenants.quotas[3].sessions, tenants.quotas[3].inflight) == (1, 0)
+        tenants.admit(3, 0, keygen=False, session=True).release(False)
+        with pytest.raises(ServiceBusy):
+            tenants.admit(3, 0, keygen=False, session=True)
+        tenants.close_sessions(3, 2)  # SESSION_CLOSE, or its key removed
+        assert tenants.quotas[3].sessions == 0
+        tenants.close_sessions(0)  # an unlisted tenant holds nothing
+        # other traffic is not capped by max_sessions
+        tenants.admit(3, 0, keygen=False).release(False)
+        with pytest.raises(ValueError, match="max_sessions"):
+            TenantQuota(tenant=3, max_sessions=-1)
+
     def test_unlisted_tenant_is_unlimited_and_holds_nothing(self):
         tenants = TenantPolicy((TenantQuota(tenant=3, max_keys=0),), FakeClock())
         assert tenants.admit(0, 0, keygen=True) is None
@@ -267,9 +289,11 @@ class TestTenantPolicy:
             "7": {
                 "keys": 1,
                 "inflight": 1,
+                "sessions": 0,
                 "tokens": 3.0,
                 "max_keys": 2,
                 "max_inflight": None,
+                "max_sessions": None,
                 "ops_per_s": 4.0,
             }
         }
@@ -358,7 +382,7 @@ class TestSessionTable:
 
     def test_sessions_are_tenant_scoped(self):
         sessions = SessionTable()
-        payload = sessions.open(1, b"kem-ct", bytes(32))
+        payload = sessions.open(1, 5, b"kem-ct", bytes(32))
         assert payload == pack_key_id(1) + b"kem-ct" + bytes(32)
         sealed = sessions.answer(Op.SEAL, pack_seal_request(1, self.NONCE, b"hi"), 1)
         body, tag = HybridChannel(bytes(32), b"kem-ct").seal(self.NONCE, b"hi")
@@ -380,3 +404,15 @@ class TestSessionTable:
         assert len(sessions) == 0
         with pytest.raises(KeyNotFound):
             sessions.answer(Op.SESSION_CLOSE, pack_key_id(1), 1)
+
+    def test_close_key_closes_only_that_keys_sessions(self):
+        sessions = SessionTable()
+        for key_id in (5, 6, 5):
+            sessions.open(1, key_id, b"kem-ct", bytes(32))
+        assert sessions.close_key(5) == 2
+        assert sessions.close_key(5) == 0
+        for session_id in (1, 3):
+            with pytest.raises(KeyNotFound):
+                sessions.answer(Op.SESSION_CLOSE, pack_key_id(session_id), 1)
+        assert len(sessions) == 1
+        assert sessions.answer(Op.SESSION_CLOSE, pack_key_id(2), 1) == b""
